@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI: build, test, lint, docs, format check, then the chaos
-# smoke matrix (exp_chaos --smoke: self-stabilization gate), the sweep
-# smoke (orchestrator byte-determinism across --workers), the
+# smoke matrix (exp_chaos --smoke: self-stabilization gate), the golden
+# smoke (results/golden/ manifests must reproduce byte for byte), the
+# benchmark package's self-check (benchmark/ is its own workspace, so
+# nothing above compiles it), the sweep smoke (orchestrator
+# byte-determinism across --workers), the
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
 # ledger on + obs flame/top attribution gates), and the perf-baseline
@@ -30,6 +33,15 @@ cargo fmt --all --check
 
 echo "== chaos smoke =="
 ./target/release/exp_chaos --smoke
+
+echo "== golden smoke =="
+./scripts/golden_smoke.sh
+
+echo "== benchmark check =="
+# benchmark/ is a separate [workspace]: this is the only step that builds
+# it against the workspace's public API (benchmark/README.md §"Public API
+# surface") and checks its declared metrics against BENCHMARK.json
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 
 echo "== sweep smoke =="
 ./scripts/sweep_smoke.sh

@@ -33,6 +33,17 @@ doc:
 sweep-smoke:
     ./scripts/sweep_smoke.sh
 
+# behavioural-equivalence gate: regenerate results/golden/*.manifest.json
+# (chaos, VRR both modes, flooding-cost ablations, churn) and require
+# `obs diff` clean + byte-identical
+golden:
+    ./scripts/golden_smoke.sh
+
+# build the benchmark package (its own workspace) against the current API
+# and check its metric declarations against BENCHMARK.json
+bench-check:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+
 # fig1_loopy with the streaming JSONL sink, then obs trace/summarize/diff
 obs-smoke:
     ./scripts/obs_smoke.sh
