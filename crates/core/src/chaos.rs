@@ -245,7 +245,7 @@ pub fn linearization_potential(nodes: &[SsrNode], alive: &[bool]) -> u128 {
             continue;
         }
         let a = node.id();
-        for &b in node.left_set().iter().chain(node.right_set().iter()) {
+        for b in node.left_set().chain(node.right_set()) {
             edges.insert((a.min(b), a.max(b)));
         }
     }
@@ -272,9 +272,7 @@ pub fn union_components(
     for (i, node) in nodes.iter().enumerate() {
         let virt = node
             .left_set()
-            .iter()
-            .chain(node.right_set().iter())
-            .copied()
+            .chain(node.right_set())
             .chain(node.wrap_pred())
             .chain(node.wrap_succ());
         for b in virt {
@@ -425,10 +423,10 @@ pub fn ssr_signature(nodes: &[SsrNode]) -> u64 {
     let mut feed = |x: u64| h = h.rotate_left(9) ^ x.wrapping_mul(MIX);
     for node in nodes {
         feed(node.id().0);
-        for &b in node.left_set() {
+        for b in node.left_set() {
             feed(b.0 ^ 1);
         }
-        for &b in node.right_set() {
+        for b in node.right_set() {
             feed(b.0 ^ 2);
         }
         feed(node.wrap_pred().map_or(3, |b| b.0.rotate_left(17)));
@@ -575,10 +573,10 @@ mod tests {
         for (&a, &b) in &pairs {
             let ia = labels.index(a).unwrap();
             let ib = labels.index(b).unwrap();
-            let a_knows = sim.protocol(ia).left_set().contains(&b)
-                || sim.protocol(ia).right_set().contains(&b);
-            let b_knows = sim.protocol(ib).left_set().contains(&a)
-                || sim.protocol(ib).right_set().contains(&a);
+            let knows =
+                |node: &SsrNode, peer| node.left_set().chain(node.right_set()).any(|v| v == peer);
+            let a_knows = knows(sim.protocol(ia), b);
+            let b_knows = knows(sim.protocol(ib), a);
             assert!(a_knows);
             if !b_knows {
                 asymmetric += 1;

@@ -25,11 +25,13 @@
 
 use std::collections::BTreeMap;
 
+use ssr_linearize::control::QuietWatch;
 use ssr_sim::{Ctx, Protocol};
 use ssr_types::{cw_dist, NodeId};
 
 use crate::cache::RouteCache;
-use crate::message::{ForwardEnvelope, Payload, SsrMsg};
+use crate::message::{Payload, SsrMsg};
+use crate::node_util;
 use crate::route::SourceRoute;
 
 const TOKEN_ACT: u64 = 0;
@@ -100,12 +102,9 @@ pub struct IsprpNode {
     /// already has `rep` raised by the hello exchange, but it still has to
     /// forward the representative's flood or the flood dies after one hop.
     flood_forwarded: NodeId,
-    /// Whether a stabilization timer is queued.
-    stab_armed: bool,
-    /// Consecutive stabilization rounds without a state change.
-    quiet: u32,
-    /// Signature of the state at the last stabilization round.
-    last_sig: u64,
+    /// Stops the stabilization rounds after `quiet_limit` of them without
+    /// a state change.
+    stabilize: QuietWatch,
 }
 
 impl IsprpNode {
@@ -129,9 +128,7 @@ impl IsprpNode {
             probe: None,
             flooded: false,
             flood_forwarded: id,
-            stab_armed: false,
-            quiet: 0,
-            last_sig: 0,
+            stabilize: QuietWatch::default(),
         }
     }
 
@@ -146,8 +143,7 @@ impl IsprpNode {
     }
 
     fn schedule_stabilize(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if !self.stab_armed {
-            self.stab_armed = true;
+        if self.stabilize.arm() {
             ctx.set_timer(self.config.stabilize_interval, TOKEN_STABILIZE);
         }
     }
@@ -202,31 +198,7 @@ impl IsprpNode {
     // -- internals ----------------------------------------------------------
 
     fn send_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
-        debug_assert_eq!(route.src(), self.id);
-        if route.is_empty() {
-            return;
-        }
-        let env = ForwardEnvelope {
-            route: route.hops().to_vec(),
-            pos: 0,
-            trace: Vec::new(),
-            payload,
-        };
-        self.forward_env(ctx, env);
-    }
-
-    fn forward_env(&mut self, ctx: &mut Ctx<'_, SsrMsg>, mut env: ForwardEnvelope) {
-        let next_pos = env.pos + 1;
-        let Some(&next_id) = env.route.get(next_pos) else {
-            ctx.metrics().incr("fwd.truncated");
-            return;
-        };
-        let Some(&next_idx) = self.nbr_index.get(&next_id) else {
-            ctx.metrics().incr("fwd.broken");
-            return;
-        };
-        env.pos = next_pos;
-        ctx.send(next_idx, SsrMsg::Forward(env));
+        node_util::send_payload(ctx, self.id, &self.nbr_index, route, payload);
     }
 
     /// Picks the clockwise-closest cached node as successor and notifies it
@@ -503,18 +475,10 @@ impl Protocol for IsprpNode {
                 self.schedule_stabilize(ctx);
             }
             SsrMsg::Forward(env) => {
-                let Some(&holder) = env.route.get(env.pos) else {
-                    ctx.metrics().incr("fwd.misrouted");
+                let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbr_index, env)
+                else {
                     return;
                 };
-                if holder != self.id {
-                    ctx.metrics().incr("fwd.misrouted");
-                    return;
-                }
-                if env.pos + 1 < env.route.len() {
-                    self.forward_env(ctx, env);
-                    return;
-                }
                 match env.payload {
                     Payload::SuccNotify { from, reply_route } => {
                         self.handle_claim(ctx, from, reply_route);
@@ -554,15 +518,8 @@ impl Protocol for IsprpNode {
                 });
             }
             TOKEN_STABILIZE => {
-                self.stab_armed = false;
                 let sig = self.signature();
-                if sig != self.last_sig {
-                    self.last_sig = sig;
-                    self.quiet = 0;
-                } else {
-                    self.quiet += 1;
-                }
-                if self.quiet < self.config.quiet_limit {
+                if self.stabilize.fired(sig, self.config.quiet_limit) {
                     // re-claim the successor so improved predecessor
                     // knowledge keeps flowing back as redirects
                     if let Some(s) = self.succ {

@@ -9,7 +9,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ssr_types::wire::{self, DecodeError};
-use ssr_types::{NodeId, SeqNo};
+use ssr_types::{NodeId, SeqNo, Side};
 
 /// Which way a discovery probe travels around the address space.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,6 +20,27 @@ pub enum Direction {
     /// Counter-clockwise: launched by a node with an empty *right* set,
     /// seeking the ring's minimum (the paper's redundancy suggestion).
     Ccw,
+}
+
+impl Direction {
+    /// The side of the address space the probe travels toward (clockwise is
+    /// toward larger addresses).
+    pub fn toward(self) -> Side {
+        match self {
+            Direction::Cw => Side::Right,
+            Direction::Ccw => Side::Left,
+        }
+    }
+}
+
+impl From<Side> for Direction {
+    /// The direction of a probe travelling toward `side`.
+    fn from(side: Side) -> Direction {
+        match side {
+            Side::Right => Direction::Cw,
+            Side::Left => Direction::Ccw,
+        }
+    }
 }
 
 /// End-to-end payloads delivered at the final node of a [`ForwardEnvelope`].

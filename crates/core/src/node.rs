@@ -27,22 +27,18 @@
 //! **No message in this protocol floods the network.**
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
 use ssr_sim::{CauseClass, Ctx, Protocol};
-use ssr_types::{IntervalPartition, NodeId, SeqNo};
+use ssr_types::{IntervalPartition, NodeId, SeqNo, Side};
 
 use crate::cache::RouteCache;
 use crate::message::{Direction, ForwardEnvelope, Payload, SsrMsg};
+use crate::node_util::{self, checked_route};
 use crate::route::SourceRoute;
 
-/// Timer tokens.
-const TOKEN_ACT: u64 = 0;
-const TOKEN_RETRY_LEFT: u64 = 1;
-const TOKEN_RETRY_RIGHT: u64 = 2;
-const TOKEN_DISCOVER: u64 = 3;
-const TOKEN_AUDIT: u64 = 4;
-const TOKEN_HELLO: u64 = 5;
+/// Hello re-probe sweep — the one timer that is not the control core's.
+const TOKEN_HELLO: u64 = Timer::FIRST_FREE_TOKEN;
 
 /// Tuning knobs for the linearized bootstrap.
 #[derive(Clone, Copy, Debug)]
@@ -107,27 +103,23 @@ impl Default for SsrConfig {
     }
 }
 
-/// An in-flight linearization handshake: both notified nodes must ACK
-/// before the delegated edge is torn down. Retries re-send with the *same*
-/// sequence number (otherwise a round trip longer than the retry interval
-/// could never complete) and back off exponentially.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    keep: NodeId,
-    drop: NodeId,
-    seq: SeqNo,
-    keep_acked: bool,
-    drop_acked: bool,
-    retries: u8,
-}
-
-impl Pending {
-    fn done(&self) -> bool {
-        self.keep_acked && self.drop_acked
+impl SsrConfig {
+    fn timing(&self) -> Timing {
+        Timing {
+            act_interval: self.act_interval,
+            retry_interval: self.retry_interval,
+            discover_delay: self.discover_delay,
+            discover_retry: self.discover_retry,
+            ccw_redundancy: self.ccw_redundancy,
+            audit_interval: self.audit_interval,
+            audit_quiet: self.audit_quiet,
+        }
     }
 }
 
-/// Per-node state of the linearized SSR bootstrap.
+/// Per-node state of the linearized SSR bootstrap: the shared control core
+/// plus what an SSR edge *is* — a source route, pinned in the route cache
+/// while the edge is a virtual neighbor or ring edge.
 #[derive(Clone, Debug)]
 pub struct SsrNode {
     /// This node's address.
@@ -137,32 +129,11 @@ pub struct SsrNode {
     nbr_index: BTreeMap<NodeId, usize>,
     /// Physical neighbors: simulator index → address.
     nbr_id: BTreeMap<usize, NodeId>,
-    /// Virtual left neighbors (addresses `< id`).
-    left: BTreeSet<NodeId>,
-    /// Virtual right neighbors (addresses `> id`).
-    right: BTreeSet<NodeId>,
-    /// Ring-closure edge toward the address-space maximum (set at the node
-    /// that believes itself the minimum).
-    wrap_pred: Option<NodeId>,
-    /// Ring-closure edge toward the address-space minimum (set at the node
-    /// that believes itself the maximum).
-    wrap_succ: Option<NodeId>,
+    /// Virtual neighbor sets, ring-closure edges, handshakes and timers.
+    /// Edges carry no data of their own: their routes live in `cache`.
+    lin: Linearizer<()>,
     /// The route cache (pinned entries = virtual neighbors + ring edges).
     cache: RouteCache,
-    pending_left: Option<Pending>,
-    pending_right: Option<Pending>,
-    seq: SeqNo,
-    /// Outstanding discovery probes (cleared by closure or retry timer).
-    disc_cw_out: bool,
-    disc_ccw_out: bool,
-    discover_timer_armed: bool,
-    /// Whether an ACT timer is already queued (actions are batched so each
-    /// linearization step sees settled state rather than reacting to every
-    /// single message — the asynchronous analogue of synchronous rounds).
-    act_scheduled: bool,
-    audit_armed: bool,
-    audit_quiet_rounds: u32,
-    audit_last_sig: u64,
     /// Hello re-probe rounds used so far (reset when a link comes up).
     hello_round: u32,
     /// Data probes that reached this node: `(source, physical hops)`.
@@ -182,83 +153,11 @@ impl SsrNode {
             config,
             nbr_index: BTreeMap::new(),
             nbr_id: BTreeMap::new(),
-            left: BTreeSet::new(),
-            right: BTreeSet::new(),
-            wrap_pred: None,
-            wrap_succ: None,
+            lin: Linearizer::new(id, config.timing()),
             cache: RouteCache::with_partition(id, IntervalPartition::new(config.partition_base)),
-            pending_left: None,
-            pending_right: None,
-            seq: SeqNo::ZERO,
-            disc_cw_out: false,
-            disc_ccw_out: false,
-            discover_timer_armed: false,
-            act_scheduled: false,
-            audit_armed: false,
-            audit_quiet_rounds: 0,
-            audit_last_sig: 0,
             hello_round: 0,
             delivered_probes: Vec::new(),
         }
-    }
-
-    /// Signature over the neighbor structure; a change restarts audits.
-    fn audit_signature(&self) -> u64 {
-        let sig = self.closest_left().map_or(0, |k| k.raw().rotate_left(13))
-            ^ self.closest_right().map_or(0, |k| k.raw().rotate_left(17));
-        sig ^ self.wrap_pred.map_or(0, |p| p.raw().rotate_left(29))
-            ^ self.wrap_succ.map_or(0, |p| p.raw().rotate_left(47))
-    }
-
-    fn arm_audit(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if !self.audit_armed {
-            self.audit_armed = true;
-            ctx.set_timer(self.config.audit_interval, TOKEN_AUDIT);
-        }
-    }
-
-    /// Re-announces this node along its *ring-relevant* edges — closest
-    /// neighbor per side plus the wrap partners: exactly the edges the
-    /// global ring needs to be mutual. Auditing every set member instead
-    /// would perpetually resurrect edges linearization just delegated away.
-    fn run_audit(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        // wrap partners are deliberately NOT audited: an audit arrives as a
-        // plain notification, which would enter the wrap edge into the
-        // peer's *side set* and get it linearized away. Lost wrap edges
-        // self-repair through the discovery retry instead.
-        let members: Vec<NodeId> = self
-            .closest_left()
-            .into_iter()
-            .chain(self.closest_right())
-            .collect();
-        let seq = self.seq.bump();
-        for m in members {
-            let Some(route) = self.cache.get(m).cloned() else {
-                continue;
-            };
-            let back = route.reversed();
-            let payload = Payload::Notify {
-                initiator: self.id,
-                target_route: back.hops().to_vec(),
-                reply_route: back.hops().to_vec(),
-                seq,
-            };
-            self.send_payload(ctx, &route, payload);
-        }
-        ctx.set_cause(prev);
-    }
-
-    /// Queues a (deduplicated) linearization action `act_interval` ticks
-    /// out. Immediate per-message reactions act on half-updated neighbor
-    /// sets and can sustain add/teardown churn; batching lets each step see
-    /// the settled outcome of the previous wave.
-    fn schedule_act(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if !self.act_scheduled {
-            self.act_scheduled = true;
-            ctx.set_timer(self.config.act_interval, TOKEN_ACT);
-        }
-        self.arm_audit(ctx);
     }
 
     /// This node's address.
@@ -271,54 +170,51 @@ impl SsrNode {
         &self.cache
     }
 
-    /// The left virtual-neighbor set.
-    pub fn left_set(&self) -> &BTreeSet<NodeId> {
-        &self.left
+    /// The left virtual-neighbor set, in address order.
+    pub fn left_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.lin.side(Side::Left).keys().copied()
     }
 
-    /// The right virtual-neighbor set.
-    pub fn right_set(&self) -> &BTreeSet<NodeId> {
-        &self.right
+    /// The right virtual-neighbor set, in address order.
+    pub fn right_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.lin.side(Side::Right).keys().copied()
     }
 
     /// Closest left neighbor (the largest address below ours).
     pub fn closest_left(&self) -> Option<NodeId> {
-        self.left.iter().next_back().copied()
+        self.lin.closest(Side::Left)
     }
 
     /// Closest right neighbor (the smallest address above ours).
     pub fn closest_right(&self) -> Option<NodeId> {
-        self.right.iter().next().copied()
+        self.lin.closest(Side::Right)
     }
 
     /// The ring-closure predecessor edge (only meaningful at the minimum).
     pub fn wrap_pred(&self) -> Option<NodeId> {
-        self.wrap_pred
+        self.lin.wrap(Side::Left).map(|(p, ())| p)
     }
 
     /// The ring-closure successor edge (only meaningful at the maximum).
     pub fn wrap_succ(&self) -> Option<NodeId> {
-        self.wrap_succ
+        self.lin.wrap(Side::Right).map(|(s, ())| s)
     }
 
     /// The node this one considers its *ring successor*: the closest right
     /// neighbor, or the ring-closure edge when the right side is empty.
     pub fn ring_succ(&self) -> Option<NodeId> {
-        self.closest_right().or(self.wrap_succ)
+        self.lin.ring_neighbor(Side::Right)
     }
 
     /// The node this one considers its *ring predecessor*.
     pub fn ring_pred(&self) -> Option<NodeId> {
-        self.closest_left().or(self.wrap_pred)
+        self.lin.ring_neighbor(Side::Left)
     }
 
     /// `true` once this node is locally consistent on the line: at most one
     /// neighbor per side and no handshake in flight.
     pub fn locally_consistent(&self) -> bool {
-        self.left.len() <= 1
-            && self.right.len() <= 1
-            && self.pending_left.is_none()
-            && self.pending_right.is_none()
+        self.lin.locally_consistent()
     }
 
     /// Data probes that terminated here.
@@ -337,18 +233,19 @@ impl SsrNode {
 
     /// Injects a ring-closure predecessor edge.
     pub fn inject_wrap_pred(&mut self, other: NodeId, route: SourceRoute) {
-        assert_eq!(route.src(), self.id);
-        assert_eq!(route.dst(), other);
-        self.cache.insert(route, true);
-        self.wrap_pred = Some(other);
+        self.inject_wrap(Side::Left, other, route);
     }
 
     /// Injects a ring-closure successor edge.
     pub fn inject_wrap_succ(&mut self, other: NodeId, route: SourceRoute) {
+        self.inject_wrap(Side::Right, other, route);
+    }
+
+    fn inject_wrap(&mut self, side: Side, other: NodeId, route: SourceRoute) {
         assert_eq!(route.src(), self.id);
         assert_eq!(route.dst(), other);
         self.cache.insert(route, true);
-        self.wrap_succ = Some(other);
+        self.lin.set_wrap(side, other, ());
     }
 
     /// Injects physical-neighbor knowledge (address ↔ simulator index), as
@@ -381,18 +278,13 @@ impl SsrNode {
             return false;
         }
         self.cache.insert(route, true);
-        if other < self.id {
-            self.left.insert(other)
-        } else {
-            self.right.insert(other)
-        }
+        self.lin.adopt(other, ())
     }
 
     /// Removes `other` from the side sets and lets the cache's LSN
     /// retention decide whether its route survives as a shortcut.
     fn drop_neighbor(&mut self, other: NodeId) {
-        self.left.remove(&other);
-        self.right.remove(&other);
+        self.lin.remove(other);
         self.unpin_unless_phys(other);
     }
 
@@ -406,47 +298,85 @@ impl SsrNode {
         }
     }
 
-    /// Sends `payload` source-routed along `route` (which must start at this
-    /// node). Trivial routes are ignored.
     fn send_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
-        debug_assert_eq!(route.src(), self.id);
-        if route.is_empty() {
-            return;
+        node_util::send_payload(ctx, self.id, &self.nbr_index, route, payload);
+    }
+
+    /// Feeds `input` to the control core and carries out what it asks for,
+    /// in order.
+    fn drive(&mut self, ctx: &mut Ctx<'_, SsrMsg>, input: Input) {
+        for effect in self.lin.step(input, ctx.now().ticks()) {
+            self.apply(ctx, effect);
         }
-        let trace = if payload.wants_trace() {
-            vec![self.id]
-        } else {
-            Vec::new()
-        };
-        let env = ForwardEnvelope {
-            route: route.hops().to_vec(),
-            pos: 0,
-            trace,
-            payload,
-        };
-        self.forward_env(ctx, env);
     }
 
-    /// Advances an envelope one physical hop (from `pos` to `pos + 1`).
-    fn forward_env(&mut self, ctx: &mut Ctx<'_, SsrMsg>, mut env: ForwardEnvelope) {
-        let next_pos = env.pos + 1;
-        let Some(&next_id) = env.route.get(next_pos) else {
-            ctx.metrics().incr("fwd.truncated");
-            return;
-        };
-        let Some(&next_idx) = self.nbr_index.get(&next_id) else {
-            // the physical link vanished under the route
-            ctx.metrics().incr("fwd.broken");
-            return;
-        };
-        env.pos = next_pos;
-        ctx.send(next_idx, SsrMsg::Forward(env));
-    }
-
-    /// Route lookup for virtual neighbors (pinned, so always present while
-    /// the neighbor is in a set).
-    fn route_to(&self, other: NodeId) -> Option<&SourceRoute> {
-        self.cache.get(other)
+    fn apply(&mut self, ctx: &mut Ctx<'_, SsrMsg>, effect: Effect<()>) {
+        match effect {
+            Effect::SetTimer { delay, timer } => ctx.set_timer(delay, timer.token()),
+            Effect::Introduce {
+                keep,
+                drop,
+                seq,
+                to_keep,
+                to_drop,
+            } => {
+                if to_keep {
+                    self.introduce(ctx, keep, drop, seq);
+                }
+                if to_drop {
+                    self.introduce(ctx, drop, keep, seq);
+                }
+            }
+            Effect::Delegated { peer, .. } => {
+                // with `teardown` off we skip the tear-down message and keep
+                // the route pinned — the with-memory ablation trades state
+                // for messages
+                if self.config.teardown {
+                    self.teardown_to(ctx, peer);
+                }
+            }
+            Effect::WrapDemoted { peer, .. } => self.teardown_to(ctx, peer),
+            Effect::Abandon { peer } => {
+                // the handshake cannot complete — after churn, a set member's
+                // source route may silently be dead. Drop the unresponsive
+                // endpoint (its route too): live nodes re-enter via hellos
+                // and fresh notifications; ghosts stay gone.
+                //
+                // Exception: a *current physical neighbor* is never a ghost —
+                // the link is up, so a one-hop direct route cannot be dead.
+                // Forgetting it here would violate the E_p ⊆ knowledge
+                // invariant the linearization convergence argument rests on:
+                // a burst of loss exhausting the retries could then sever the
+                // only knowledge bridge across an address gap and freeze the
+                // whole system short of consistency. Re-adopt the direct edge
+                // instead and let the next act linearize it again once the
+                // burst ends.
+                if self.nbr_index.contains_key(&peer) {
+                    self.adopt_neighbor(SourceRoute::direct(self.id, peer));
+                } else {
+                    self.drop_neighbor(peer);
+                    self.cache.remove(peer);
+                }
+            }
+            Effect::Probe { toward } => {
+                self.route_discovery(ctx, self.id, toward.into(), vec![self.id]);
+            }
+            Effect::Announce { peer, seq, .. } => {
+                let Some(route) = self.cache.get(peer).cloned() else {
+                    return;
+                };
+                let back = route.reversed();
+                let payload = Payload::Notify {
+                    initiator: self.id,
+                    target_route: back.hops().to_vec(),
+                    reply_route: back.hops().to_vec(),
+                    seq,
+                };
+                let prev = ctx.set_cause(CauseClass::LinearizationStep);
+                self.send_payload(ctx, &route, payload);
+                ctx.set_cause(prev);
+            }
+        }
     }
 
     /// Introduces `about` to `to`: sends `to` a notification with a source
@@ -455,7 +385,8 @@ impl SsrNode {
         if to == about || to == self.id || about == self.id {
             return;
         }
-        let (Some(r_to), Some(r_about)) = (self.route_to(to), self.route_to(about)) else {
+        // pinned, so always present while the neighbor is in a set
+        let (Some(r_to), Some(r_about)) = (self.cache.get(to), self.cache.get(about)) else {
             ctx.metrics().incr("fwd.no_route");
             return;
         };
@@ -474,232 +405,29 @@ impl SsrNode {
         self.send_payload(ctx, &r_to, payload);
     }
 
-    /// The linearization driver: performs one handshake per side, launches
-    /// discovery, demotes stale ring edges. Called after every relevant
-    /// state change; safe to call at any time.
-    fn act(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        self.demote_stale_wraps(ctx);
-        self.linearize_side(ctx, Direction::Cw);
-        self.linearize_side(ctx, Direction::Ccw);
-        self.maybe_discover(ctx);
-    }
-
-    /// Handshake retry: re-send the un-acked notifications with the *same*
-    /// sequence number and exponential backoff. After several retries the
-    /// handshake is abandoned (the peer or route may be gone) and `act`
-    /// re-evaluates from scratch.
-    fn retry_pending(&mut self, ctx: &mut Ctx<'_, SsrMsg>, side: Direction, seq: SeqNo) {
-        let slot = match side {
-            Direction::Ccw => &mut self.pending_left,
-            Direction::Cw => &mut self.pending_right,
-        };
-        let Some(p) = slot else { return };
-        if p.seq != seq {
-            return; // timer from a superseded handshake
-        }
-        let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        if p.retries >= 4 {
-            // the handshake cannot complete — after churn, a set member's
-            // source route may silently be dead. Drop the unresponsive
-            // endpoints (their routes too): live nodes re-enter via hellos
-            // and fresh notifications; ghosts stay gone.
-            //
-            // Exception: a *current physical neighbor* is never a ghost —
-            // the link is up, so a one-hop direct route cannot be dead.
-            // Forgetting it here would violate the E_p ⊆ knowledge
-            // invariant the linearization convergence argument rests on:
-            // a burst of loss exhausting the retries could then sever the
-            // only knowledge bridge across an address gap and freeze the
-            // whole system short of consistency. Re-adopt the direct edge
-            // instead and let `act` linearize it again once the burst ends.
-            let p = *p;
-            *slot = None;
-            for (ep, acked) in [(p.keep, p.keep_acked), (p.drop, p.drop_acked)] {
-                if acked {
-                    continue;
-                }
-                if self.nbr_index.contains_key(&ep) {
-                    self.adopt_neighbor(SourceRoute::direct(self.id, ep));
-                } else {
-                    self.drop_neighbor(ep);
-                    self.cache.remove(ep);
-                }
-            }
-            self.schedule_act(ctx);
-            ctx.set_cause(prev);
-            return;
-        }
-        p.retries += 1;
-        let p = *p;
-        let delay = self.config.retry_interval << p.retries;
-        if !p.keep_acked {
-            self.introduce(ctx, p.keep, p.drop, p.seq);
-        }
-        if !p.drop_acked {
-            self.introduce(ctx, p.drop, p.keep, p.seq);
-        }
-        let token = match side {
-            Direction::Ccw => TOKEN_RETRY_LEFT,
-            Direction::Cw => TOKEN_RETRY_RIGHT,
-        };
-        ctx.set_timer(delay, token | ((seq.0 as u64) << 8));
-        ctx.set_cause(prev);
-    }
-
-    /// A ring edge at a node whose "empty" side gained a neighbor was
-    /// premature: tear it down so both ends re-resolve.
-    fn demote_stale_wraps(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if !self.left.is_empty() {
-            if let Some(p) = self.wrap_pred.take() {
-                self.teardown_to(ctx, p);
-            }
-        }
-        if !self.right.is_empty() {
-            if let Some(s) = self.wrap_succ.take() {
-                self.teardown_to(ctx, s);
-            }
-        }
-    }
-
+    /// Tells `other` its edge to this node is gone; the route may survive
+    /// in the cache as an LSN shortcut.
     fn teardown_to(&mut self, ctx: &mut Ctx<'_, SsrMsg>, other: NodeId) {
         let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        if let Some(route) = self.route_to(other).cloned() {
+        if let Some(route) = self.cache.get(other).cloned() {
             self.send_payload(ctx, &route, Payload::Teardown { from: self.id });
         }
         self.cache.unpin(other);
         ctx.set_cause(prev);
     }
 
-    /// One linearization step on one side, if that side has more than one
-    /// neighbor and no handshake is already in flight.
-    fn linearize_side(&mut self, ctx: &mut Ctx<'_, SsrMsg>, side: Direction) {
-        let pending = match side {
-            Direction::Cw => &self.pending_right,
-            Direction::Ccw => &self.pending_left,
-        };
-        if pending.is_some() {
-            return;
-        }
-        // The two *farthest* on the side (the paper's v2 < v3 with every
-        // other right neighbor below both): drop the farthest, keep the
-        // second-farthest, introduce them to each other.
-        let (keep, drop) = match side {
-            Direction::Cw => {
-                if self.right.len() < 2 {
-                    return;
-                }
-                let mut it = self.right.iter().rev();
-                let drop = *it.next().unwrap();
-                let keep = *it.next().unwrap();
-                (keep, drop)
-            }
-            Direction::Ccw => {
-                if self.left.len() < 2 {
-                    return;
-                }
-                let mut it = self.left.iter();
-                let drop = *it.next().unwrap();
-                let keep = *it.next().unwrap();
-                (keep, drop)
-            }
-        };
-        let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        let seq = self.seq.bump();
-        self.introduce(ctx, keep, drop, seq);
-        self.introduce(ctx, drop, keep, seq);
-        let pending = Pending {
-            keep,
-            drop,
-            seq,
-            keep_acked: false,
-            drop_acked: false,
-            retries: 0,
-        };
-        // the retry token carries the handshake's seq so a late timer from a
-        // completed handshake cannot cancel its successor
-        match side {
-            Direction::Cw => {
-                self.pending_right = Some(pending);
-                ctx.set_timer(
-                    self.config.retry_interval,
-                    TOKEN_RETRY_RIGHT | ((seq.0 as u64) << 8),
-                );
-            }
-            Direction::Ccw => {
-                self.pending_left = Some(pending);
-                ctx.set_timer(
-                    self.config.retry_interval,
-                    TOKEN_RETRY_LEFT | ((seq.0 as u64) << 8),
-                );
-            }
-        }
-        ctx.set_cause(prev);
-    }
-
-    /// Launches ring-closure probes for empty sides; (re)arms the probe
-    /// retry timer while any side is unresolved.
-    fn maybe_discover(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if self.cache.is_empty() {
-            return;
-        }
-        let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        let need_cw = self.left.is_empty() && self.wrap_pred.is_none();
-        let need_ccw =
-            self.config.ccw_redundancy && self.right.is_empty() && self.wrap_succ.is_none();
-        let now = ctx.now().ticks();
-        if now < self.config.discover_delay {
-            // too early to probe — wake up again once the settle delay is
-            // over, otherwise an already-linear network would quiesce
-            // without ever closing its ring
-            if (need_cw || need_ccw) && !self.discover_timer_armed {
-                self.discover_timer_armed = true;
-                ctx.set_timer(self.config.discover_delay - now, TOKEN_DISCOVER);
-            }
-            ctx.set_cause(prev);
-            return;
-        }
-        if need_cw && !self.disc_cw_out {
-            self.disc_cw_out = true;
-            let env = ForwardEnvelope {
-                route: vec![self.id],
-                pos: 0,
-                trace: vec![self.id],
-                payload: Payload::Discover {
-                    origin: self.id,
-                    dir: Direction::Cw,
-                },
-            };
-            self.handle_discover_here(ctx, env);
-        }
-        if need_ccw && !self.disc_ccw_out {
-            self.disc_ccw_out = true;
-            let env = ForwardEnvelope {
-                route: vec![self.id],
-                pos: 0,
-                trace: vec![self.id],
-                payload: Payload::Discover {
-                    origin: self.id,
-                    dir: Direction::Ccw,
-                },
-            };
-            self.handle_discover_here(ctx, env);
-        }
-        if (need_cw || need_ccw) && !self.discover_timer_armed {
-            self.discover_timer_armed = true;
-            ctx.set_timer(self.config.discover_retry, TOKEN_DISCOVER);
-        }
-        ctx.set_cause(prev);
-    }
-
     /// A discovery probe is at this virtual node: forward it greedily along
     /// the line, or accept it if this node is a believed extreme.
-    fn handle_discover_here(&mut self, ctx: &mut Ctx<'_, SsrMsg>, env: ForwardEnvelope) {
-        let Payload::Discover { origin, dir } = env.payload else {
-            unreachable!("handle_discover_here requires a Discover payload");
-        };
+    fn route_discovery(
+        &mut self,
+        ctx: &mut Ctx<'_, SsrMsg>,
+        origin: NodeId,
+        dir: Direction,
+        trace: Vec<NodeId>,
+    ) {
         let next = match dir {
-            Direction::Cw => self.cache.largest_above_me().map(|(d, r)| (d, r.clone())),
-            Direction::Ccw => self.cache.smallest_below_me().map(|(d, r)| (d, r.clone())),
+            Direction::Cw => self.cache.largest_above_me(),
+            Direction::Ccw => self.cache.smallest_below_me(),
         };
         match next {
             Some((_, route)) => {
@@ -707,16 +435,48 @@ impl SsrNode {
                 let fresh = ForwardEnvelope {
                     route: route.hops().to_vec(),
                     pos: 0,
-                    trace: env.trace,
-                    payload: env.payload,
+                    trace,
+                    payload: Payload::Discover { origin, dir },
                 };
-                self.forward_env(ctx, fresh);
+                node_util::forward_env(ctx, &self.nbr_index, fresh);
             }
-            None => self.accept_discovery(ctx, origin, dir, env.trace),
+            None => self.accept_discovery(ctx, origin, dir, trace),
         }
     }
 
-    /// This node is a believed extreme: accept (or arbitrate) the probe.
+    /// Offers the node `route` leads to for the ring-closure slot of
+    /// `slot`; `true` if it holds the slot afterwards. Competing claimants
+    /// are linearized: whoever loses the slot is introduced to the winner.
+    fn claim_wrap(&mut self, ctx: &mut Ctx<'_, SsrMsg>, slot: Side, route: SourceRoute) -> bool {
+        let claimant = route.dst();
+        match self.lin.offer_wrap(slot, claimant, ()) {
+            // first claim, or a duplicate of the standing one
+            WrapVerdict::Installed => {
+                self.cache.insert(route, true);
+                true
+            }
+            WrapVerdict::Replaced { old, .. } => {
+                let seq = self.lin.next_seq();
+                self.cache.insert(route, true);
+                // the displaced claimant learns about the better one
+                self.introduce(ctx, old, claimant, seq);
+                self.unpin_unless_phys(old);
+                true
+            }
+            WrapVerdict::Redirect { holder } => {
+                // the claimant is not the extreme it believes itself to be:
+                // point it at the better claimant instead of accepting
+                self.cache.insert(route, false);
+                let seq = self.lin.next_seq();
+                self.introduce(ctx, claimant, holder, seq);
+                false
+            }
+        }
+    }
+
+    /// This node is a believed extreme: accept (or arbitrate) the probe. A
+    /// clockwise probe comes from a believed minimum and claims the slot of
+    /// ring successor here, at the believed maximum — and vice versa.
     fn accept_discovery(
         &mut self,
         ctx: &mut Ctx<'_, SsrMsg>,
@@ -733,88 +493,18 @@ impl SsrNode {
             return;
         }
         let to_origin = path.reversed();
-        match dir {
-            Direction::Cw => {
-                // I believe I am the maximum; `origin` believes it is the
-                // minimum. Keep the smallest claimant as ring successor and
-                // linearize the rest.
-                match self.wrap_succ {
-                    None => {
-                        self.wrap_succ = Some(origin);
-                        self.cache.insert(to_origin.clone(), true);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) if origin == cur => {
-                        // duplicate probe: re-acknowledge
-                        self.cache.insert(to_origin.clone(), true);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) if origin < cur => {
-                        let seq = self.seq.bump();
-                        self.cache.insert(to_origin.clone(), true);
-                        self.wrap_succ = Some(origin);
-                        // the displaced claimant learns about the smaller one
-                        self.introduce(ctx, cur, origin, seq);
-                        self.unpin_unless_phys(cur);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) => {
-                        // origin is not the minimum: point it at the better
-                        // claimant instead of accepting
-                        self.cache.insert(to_origin, false);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, origin, cur, seq);
-                    }
-                }
-            }
-            Direction::Ccw => {
-                // I believe I am the minimum; `origin` believes it is the
-                // maximum. Keep the largest claimant as ring predecessor.
-                match self.wrap_pred {
-                    None => {
-                        self.wrap_pred = Some(origin);
-                        self.cache.insert(to_origin.clone(), true);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) if origin == cur => {
-                        self.cache.insert(to_origin.clone(), true);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) if origin > cur => {
-                        let seq = self.seq.bump();
-                        self.cache.insert(to_origin.clone(), true);
-                        self.wrap_pred = Some(origin);
-                        self.introduce(ctx, cur, origin, seq);
-                        self.unpin_unless_phys(cur);
-                        self.close_ring_reply(ctx, &to_origin, dir, &path);
-                    }
-                    Some(cur) => {
-                        self.cache.insert(to_origin, false);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, origin, cur, seq);
-                    }
-                }
-            }
+        if self.claim_wrap(ctx, dir.toward(), to_origin.clone()) {
+            let payload = Payload::CloseRing {
+                acceptor: self.id,
+                dir,
+                route: path.hops().to_vec(),
+            };
+            self.send_payload(ctx, &to_origin, payload);
         }
     }
 
-    fn close_ring_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, SsrMsg>,
-        to_origin: &SourceRoute,
-        dir: Direction,
-        origin_to_me: &SourceRoute,
-    ) {
-        let payload = Payload::CloseRing {
-            acceptor: self.id,
-            dir,
-            route: origin_to_me.hops().to_vec(),
-        };
-        let to_origin = to_origin.clone();
-        self.send_payload(ctx, &to_origin, payload);
-    }
-
-    /// A closure acknowledgment arrived back at the probe's origin.
+    /// A closure acknowledgment arrived back at the probe's origin: the
+    /// acceptor claims the slot the probe was sent to fill.
     fn handle_close_ring(
         &mut self,
         ctx: &mut Ctx<'_, SsrMsg>,
@@ -825,94 +515,32 @@ impl SsrNode {
         if acceptor == self.id {
             return;
         }
-        let Some(path) = checked_route(self.id, route) else {
+        let Some(path) = checked_route(self.id, route).filter(|p| p.dst() == acceptor) else {
             ctx.metrics().incr("fwd.bad_trace");
             return;
         };
-        if path.dst() != acceptor {
-            ctx.metrics().incr("fwd.bad_trace");
-            return;
-        }
-        match dir {
-            Direction::Cw => {
-                self.disc_cw_out = false;
-                match self.wrap_pred {
-                    None => {
-                        self.wrap_pred = Some(acceptor);
-                        self.cache.insert(path, true);
-                    }
-                    Some(cur) if acceptor == cur => {
-                        self.cache.insert(path, true);
-                    }
-                    Some(cur) if acceptor > cur => {
-                        // the new acceptor is closer to the true maximum
-                        self.cache.insert(path, true);
-                        self.wrap_pred = Some(acceptor);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, cur, acceptor, seq);
-                        self.unpin_unless_phys(cur);
-                    }
-                    Some(cur) => {
-                        // current is better: tell the lesser acceptor
-                        self.cache.insert(path, false);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, acceptor, cur, seq);
-                    }
-                }
-            }
-            Direction::Ccw => {
-                self.disc_ccw_out = false;
-                match self.wrap_succ {
-                    None => {
-                        self.wrap_succ = Some(acceptor);
-                        self.cache.insert(path, true);
-                    }
-                    Some(cur) if acceptor == cur => {
-                        self.cache.insert(path, true);
-                    }
-                    Some(cur) if acceptor < cur => {
-                        self.cache.insert(path, true);
-                        self.wrap_succ = Some(acceptor);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, cur, acceptor, seq);
-                        self.unpin_unless_phys(cur);
-                    }
-                    Some(cur) => {
-                        self.cache.insert(path, false);
-                        let seq = self.seq.bump();
-                        self.introduce(ctx, acceptor, cur, seq);
-                    }
-                }
-            }
-        }
-        self.schedule_act(ctx);
+        self.lin.probe_answered(dir.toward());
+        self.claim_wrap(ctx, dir.toward().opposite(), path);
+        self.drive(ctx, Input::Changed);
     }
 
     /// End-to-end payload arrived at this node.
     fn handle_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, env: ForwardEnvelope) {
         match env.payload {
-            Payload::Discover { .. } => self.handle_discover_here(ctx, env),
+            Payload::Discover { origin, dir } => self.route_discovery(ctx, origin, dir, env.trace),
             Payload::Notify {
-                initiator,
                 target_route,
                 reply_route,
                 seq,
+                ..
             } => {
-                let target = match checked_route(self.id, target_route) {
-                    Some(r) => r,
-                    None => {
-                        ctx.metrics().incr("fwd.bad_trace");
-                        return;
-                    }
+                let (Some(target), Some(reply)) = (
+                    checked_route(self.id, target_route),
+                    checked_route(self.id, reply_route),
+                ) else {
+                    ctx.metrics().incr("fwd.bad_trace");
+                    return;
                 };
-                let reply = match checked_route(self.id, reply_route) {
-                    Some(r) => r,
-                    None => {
-                        ctx.metrics().incr("fwd.bad_trace");
-                        return;
-                    }
-                };
-                let _ = initiator;
                 let pointed_at = target.dst();
                 if !target.is_empty() {
                     self.adopt_neighbor(target);
@@ -929,20 +557,13 @@ impl SsrNode {
                     };
                     self.send_payload(ctx, &reply, ack);
                 }
-                self.schedule_act(ctx);
+                self.drive(ctx, Input::Changed);
             }
-            Payload::NotifyAck { about, seq } => {
-                self.handle_ack(ctx, about, seq);
-            }
+            Payload::NotifyAck { about, seq } => self.drive(ctx, Input::Ack { about, seq }),
             Payload::Teardown { from } => {
-                self.drop_neighbor(from);
-                if self.wrap_pred == Some(from) {
-                    self.wrap_pred = None;
-                }
-                if self.wrap_succ == Some(from) {
-                    self.wrap_succ = None;
-                }
-                self.schedule_act(ctx);
+                self.lin.forget(from);
+                self.unpin_unless_phys(from);
+                self.drive(ctx, Input::Changed);
             }
             Payload::CloseRing {
                 acceptor,
@@ -955,52 +576,6 @@ impl SsrNode {
                 ctx.metrics().incr("fwd.unexpected");
             }
         }
-    }
-
-    fn handle_ack(&mut self, ctx: &mut Ctx<'_, SsrMsg>, about: NodeId, seq: SeqNo) {
-        for side in [Direction::Ccw, Direction::Cw] {
-            let slot = match side {
-                Direction::Ccw => &mut self.pending_left,
-                Direction::Cw => &mut self.pending_right,
-            };
-            if let Some(p) = slot {
-                if p.seq == seq {
-                    // the ack names the node its sender was pointed to:
-                    // `about == drop` means the *keep* endpoint acked
-                    if about == p.drop {
-                        p.keep_acked = true;
-                    } else if about == p.keep {
-                        p.drop_acked = true;
-                    }
-                    if p.done() {
-                        let drop = p.drop;
-                        let keep = p.keep;
-                        *slot = None;
-                        debug_assert_ne!(drop, keep);
-                        // the delegated edge leaves the neighbor set either
-                        // way (that is what makes linearization progress);
-                        // with `teardown` off we skip the tear-down message
-                        // and keep the route pinned — the with-memory
-                        // ablation trades state for messages
-                        match side {
-                            Direction::Ccw => {
-                                self.left.remove(&drop);
-                            }
-                            Direction::Cw => {
-                                self.right.remove(&drop);
-                            }
-                        }
-                        if self.config.teardown {
-                            self.teardown_to(ctx, drop);
-                            self.unpin_unless_phys(drop);
-                        }
-                        self.schedule_act(ctx);
-                    }
-                    return;
-                }
-            }
-        }
-        // stale ACK from a superseded handshake: ignore
     }
 
     /// Greedy forwarding of an application probe.
@@ -1052,7 +627,7 @@ impl SsrNode {
             );
         }
         if !known {
-            self.schedule_act(ctx);
+            self.drive(ctx, Input::Changed);
         }
     }
 
@@ -1097,8 +672,6 @@ fn dedup_consecutive(mut hops: Vec<NodeId>) -> Vec<NodeId> {
     hops
 }
 
-use crate::node_util::checked_route;
-
 impl Protocol for SsrNode {
     type Msg = SsrMsg;
 
@@ -1107,29 +680,16 @@ impl Protocol for SsrNode {
             id: self.id,
             probe: true,
         });
-        ctx.set_timer(self.config.act_delay, TOKEN_ACT);
+        ctx.set_timer(self.config.act_delay, Timer::Act.token());
         ctx.set_timer(self.config.hello_retry_interval, TOKEN_HELLO);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SsrMsg>, from: usize, msg: SsrMsg) {
         match msg {
             SsrMsg::Hello { id, probe } => self.handle_hello(ctx, from, id, probe),
-            SsrMsg::Forward(mut env) => {
-                let Some(&holder) = env.route.get(env.pos) else {
-                    ctx.metrics().incr("fwd.misrouted");
-                    return;
-                };
-                if holder != self.id {
-                    ctx.metrics().incr("fwd.misrouted");
-                    return;
-                }
-                if env.payload.wants_trace() && env.trace.last() != Some(&self.id) {
-                    env.trace.push(self.id);
-                }
-                if env.pos + 1 == env.route.len() {
+            SsrMsg::Forward(env) => {
+                if let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbr_index, env) {
                     self.handle_payload(ctx, env);
-                } else {
-                    self.forward_env(ctx, env);
                 }
             }
             SsrMsg::Flood { .. } => {
@@ -1140,36 +700,20 @@ impl Protocol for SsrNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, SsrMsg>, token: u64) {
-        let seq = SeqNo((token >> 8) as u32);
-        match token & 0xFF {
-            TOKEN_ACT => {
-                self.act_scheduled = false;
-                self.act(ctx);
+        if token == TOKEN_HELLO {
+            self.hello_sweep(ctx);
+        } else if let Some(timer) = Timer::from_token(token) {
+            // with an empty cache a probe has nowhere to go
+            let routable = !self.cache.is_empty();
+            // act, retry and discovery rounds are linearization steps
+            // wholesale, the timers they arm included; an audit round (like
+            // message handlers) re-tags only the messages it sends
+            let prev = ctx.cause();
+            if timer != Timer::Audit {
+                ctx.set_cause(CauseClass::LinearizationStep);
             }
-            TOKEN_RETRY_LEFT => self.retry_pending(ctx, Direction::Ccw, seq),
-            TOKEN_RETRY_RIGHT => self.retry_pending(ctx, Direction::Cw, seq),
-            TOKEN_DISCOVER => {
-                self.discover_timer_armed = false;
-                self.disc_cw_out = false;
-                self.disc_ccw_out = false;
-                self.maybe_discover(ctx);
-            }
-            TOKEN_HELLO => self.hello_sweep(ctx),
-            TOKEN_AUDIT => {
-                self.audit_armed = false;
-                let sig = self.audit_signature();
-                if sig != self.audit_last_sig {
-                    self.audit_last_sig = sig;
-                    self.audit_quiet_rounds = 0;
-                } else {
-                    self.audit_quiet_rounds += 1;
-                }
-                if self.audit_quiet_rounds < self.config.audit_quiet {
-                    self.run_audit(ctx);
-                    self.arm_audit(ctx);
-                }
-            }
-            _ => {}
+            self.drive(ctx, Input::Timer { timer, routable });
+            ctx.set_cause(prev);
         }
     }
 
@@ -1193,26 +737,12 @@ impl Protocol for SsrNode {
         };
         self.nbr_index.remove(&id);
         // every route whose next hop (or any hop) crossed the dead link's
-        // peer is gone; set members whose routes died are dropped too
+        // peer is gone; set members and ring edges whose routes died are
+        // dropped too
         self.cache.purge_via(id);
-        let routable: Vec<NodeId> = self
-            .left
-            .iter()
-            .chain(self.right.iter())
-            .copied()
-            .filter(|&v| !self.cache.contains(v))
-            .collect();
-        for v in routable {
-            self.left.remove(&v);
-            self.right.remove(&v);
-        }
-        if self.wrap_pred.is_some_and(|p| !self.cache.contains(p)) {
-            self.wrap_pred = None;
-        }
-        if self.wrap_succ.is_some_and(|s| !self.cache.contains(s)) {
-            self.wrap_succ = None;
-        }
-        self.schedule_act(ctx);
+        let cache = &self.cache;
+        self.lin.retain(|v, ()| cache.contains(v));
+        self.drive(ctx, Input::Changed);
     }
 
     fn reset(&mut self) {
@@ -1232,7 +762,7 @@ mod tests {
     fn construction_and_accessors() {
         let n = SsrNode::new(NodeId(50));
         assert_eq!(n.id(), NodeId(50));
-        assert!(n.left_set().is_empty() && n.right_set().is_empty());
+        assert!(n.left_set().next().is_none() && n.right_set().next().is_none());
         assert!(n.ring_succ().is_none() && n.ring_pred().is_none());
         assert!(n.locally_consistent());
         assert_eq!(n.cache().len(), 0);
@@ -1254,7 +784,7 @@ mod tests {
     #[test]
     fn ring_succ_prefers_right_set_over_wrap() {
         let mut n = SsrNode::new(NodeId(50));
-        n.wrap_succ = Some(NodeId(1));
+        n.lin.set_wrap(Side::Right, NodeId(1), ());
         assert_eq!(n.ring_succ(), Some(NodeId(1)));
         n.adopt_neighbor(SourceRoute::direct(NodeId(50), NodeId(70)));
         assert_eq!(n.ring_succ(), Some(NodeId(70)));
@@ -1273,10 +803,10 @@ mod tests {
     fn reset_clears_state_but_keeps_identity() {
         let mut n = SsrNode::new(NodeId(50));
         n.adopt_neighbor(SourceRoute::direct(NodeId(50), NodeId(70)));
-        n.wrap_succ = Some(NodeId(3));
+        n.lin.set_wrap(Side::Right, NodeId(3), ());
         n.reset();
         assert_eq!(n.id(), NodeId(50));
-        assert!(n.right_set().is_empty());
+        assert!(n.right_set().next().is_none());
         assert!(n.wrap_succ().is_none());
         assert_eq!(n.cache().len(), 0);
     }

@@ -1,12 +1,90 @@
-//! Route-validation helpers shared by the protocol implementations.
+//! Helpers shared by the protocol implementations: route validation and
+//! the source-routed transport over the physical adjacency map.
 //!
 //! Incoming routes are untrusted data from the network: they may be empty,
 //! not anchored at the receiver, or contain consecutive duplicates from a
-//! buggy/adversarial peer. These helpers normalize them or reject them.
+//! buggy/adversarial peer. The validation helpers normalize them or reject
+//! them.
 
+use std::collections::BTreeMap;
+
+use ssr_sim::Ctx;
 use ssr_types::NodeId;
 
+use crate::message::{ForwardEnvelope, Payload, SsrMsg};
 use crate::route::SourceRoute;
+
+/// Sends `payload` source-routed along `route` (which must start at `me`)
+/// over the physical neighbors `nbr_index` (address → simulator index).
+/// Trivial routes are ignored.
+pub fn send_payload(
+    ctx: &mut Ctx<'_, SsrMsg>,
+    me: NodeId,
+    nbr_index: &BTreeMap<NodeId, usize>,
+    route: &SourceRoute,
+    payload: Payload,
+) {
+    debug_assert_eq!(route.src(), me);
+    if route.is_empty() {
+        return;
+    }
+    let trace = if payload.wants_trace() {
+        vec![me]
+    } else {
+        Vec::new()
+    };
+    let env = ForwardEnvelope {
+        route: route.hops().to_vec(),
+        pos: 0,
+        trace,
+        payload,
+    };
+    forward_env(ctx, nbr_index, env);
+}
+
+/// Advances an envelope one physical hop (from `pos` to `pos + 1`).
+pub fn forward_env(
+    ctx: &mut Ctx<'_, SsrMsg>,
+    nbr_index: &BTreeMap<NodeId, usize>,
+    mut env: ForwardEnvelope,
+) {
+    let next_pos = env.pos + 1;
+    let Some(&next_id) = env.route.get(next_pos) else {
+        ctx.metrics().incr("fwd.truncated");
+        return;
+    };
+    let Some(&next_idx) = nbr_index.get(&next_id) else {
+        // the physical link vanished under the route
+        ctx.metrics().incr("fwd.broken");
+        return;
+    };
+    env.pos = next_pos;
+    ctx.send(next_idx, SsrMsg::Forward(env));
+}
+
+/// Takes a forwarded envelope in at `me`: rejects it unless `me` is the
+/// hop it is addressed to, extends the trace if the payload keeps one, and
+/// passes it on unless its route ends here — in which case it is returned
+/// for end-to-end handling.
+pub fn receive_forward(
+    ctx: &mut Ctx<'_, SsrMsg>,
+    me: NodeId,
+    nbr_index: &BTreeMap<NodeId, usize>,
+    mut env: ForwardEnvelope,
+) -> Option<ForwardEnvelope> {
+    if env.route.get(env.pos) != Some(&me) {
+        ctx.metrics().incr("fwd.misrouted");
+        return None;
+    }
+    if env.payload.wants_trace() && env.trace.last() != Some(&me) {
+        env.trace.push(me);
+    }
+    if env.pos + 1 == env.route.len() {
+        return Some(env);
+    }
+    forward_env(ctx, nbr_index, env);
+    None
+}
 
 /// Validates an incoming route: non-empty, starts at `me`, no consecutive
 /// duplicates. Returns the cycle-pruned route.

@@ -21,12 +21,16 @@
 //!   structure SSR's route cache provides for free, keeping both convergence
 //!   *and* state polylogarithmic.
 //!
-//! The crate operates on abstract labeled graphs ([`engine`]); the
-//! message-level embedding into SSR lives in `ssr-core`.
+//! The round engine operates on abstract labeled graphs ([`engine`]). The
+//! message-level embeddings live in `ssr-core` and `ssr-vrr`; the per-node
+//! control logic they share — handshakes, retries, discovery bookkeeping,
+//! ring-closure arbitration — is [`control`], a pure state machine with no
+//! simulator in its signature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod convergence;
 pub mod engine;
 pub mod variant;

@@ -11,8 +11,9 @@
 //!   leak into messages, metrics, or traces silently breaks the
 //!   byte-identical same-seed guarantee the chaos and obs gates rely on.
 //! * [`determinism-time`](RULE_TIME) — no wall clocks, OS entropy, or
-//!   threads outside the sanctioned infrastructure: simulated time is the
-//!   only clock a protocol may read.
+//!   threads outside the sanctioned infrastructure, and no environment
+//!   variables in protocol crates: simulated time is the only clock a
+//!   protocol may read, and (config, seed) its only input.
 //! * [`metric-registry`](RULE_METRICS) — every metric-key literal must
 //!   resolve against [`ssr_sim::registry`], so a typo'd name fails CI
 //!   instead of forking a series.
@@ -26,7 +27,8 @@ use crate::lexer::{lex, Tok, Token};
 
 /// Rule id: forbidden hash collections in protocol crates.
 pub const RULE_COLLECTIONS: &str = "determinism-collections";
-/// Rule id: wall clock / OS entropy / threads outside the allowlist.
+/// Rule id: wall clock / OS entropy / threads outside the allowlist, or an
+/// environment read in a protocol crate.
 pub const RULE_TIME: &str = "determinism-time";
 /// Rule id: metric-key literal not in the canonical registry.
 pub const RULE_METRICS: &str = "metric-registry";
@@ -62,21 +64,28 @@ pub const TIME_ALLOWED_CRATES: &[&str] = &["criterion", "obs"];
 pub const THREAD_ALLOWED_FILES: &[&str] = &["crates/workloads/src/orchestrator.rs"];
 
 /// Files whose `match` expressions over message enums must be exhaustive
-/// (the protocol message handlers).
+/// (the protocol message handlers, and the control core they drive).
 pub const HANDLER_FILES: &[&str] = &[
     "crates/core/src/isprp.rs",
     "crates/core/src/node.rs",
+    "crates/linearize/src/control.rs",
     "crates/vrr/src/bootstrap.rs",
     "crates/vrr/src/node.rs",
 ];
 
-/// The message enums whose variants a handler match must enumerate.
+/// The message enums whose variants a handler match must enumerate — plus
+/// the control core's input/effect vocabulary (`ssr_linearize::control`),
+/// so no protocol adapter can swallow an effect it was asked to carry out.
 pub const MESSAGE_ENUMS: &[&str] = &[
+    "Effect",
+    "Input",
     "Payload",
     "PathPayload",
     "RoutedPayload",
     "SsrMsg",
+    "Timer",
     "VrrMsg",
+    "WrapVerdict",
 ];
 
 /// One reported violation.
@@ -290,6 +299,7 @@ fn check_time(f: &LexedFile, out: &mut Vec<Finding>) {
         return;
     }
     let toks = &f.tokens;
+    let protocol = PROTOCOL_CRATES.contains(&f.crate_name.as_str());
     for i in 0..toks.len() {
         let (symbol, what): (&str, &str) = if path2_at(toks, i, "Instant", "now") {
             ("Instant::now", "wall-clock reads")
@@ -302,6 +312,10 @@ fn check_time(f: &LexedFile, out: &mut Vec<Finding>) {
                 continue;
             }
             ("std::thread", "threads")
+        } else if protocol && path2_at(toks, i, "env", "var") {
+            ("env::var", "environment reads")
+        } else if protocol && path2_at(toks, i, "env", "var_os") {
+            ("env::var_os", "environment reads")
         } else {
             continue;
         };
@@ -311,9 +325,10 @@ fn check_time(f: &LexedFile, out: &mut Vec<Finding>) {
             line: toks[i].line,
             symbol: symbol.to_string(),
             message: format!(
-                "{what} make runs irreproducible; simulated time (ssr_sim::Time) and \
-                 the seeded ssr_types::Rng are the only clocks/entropy protocols may \
-                 use (sanctioned uses go in lint-baseline.json)"
+                "{what} make runs irreproducible; simulated time (ssr_sim::Time), the \
+                 seeded ssr_types::Rng and the explicit config are the only \
+                 clocks/entropy/inputs protocols may use (sanctioned uses go in \
+                 lint-baseline.json)"
             ),
         });
     }
@@ -640,6 +655,35 @@ mod tests {
     }
 
     #[test]
+    fn environment_reads_fire_in_protocol_crates() {
+        // an ambient switch inside a protocol crate (the late `VRR_DEBUG`)
+        let src = r#"fn f() { if std::env::var("VRR_DEBUG").is_ok() { eprintln!("x"); } }"#;
+        let f = run("vrr", "crates/vrr/src/node.rs", src);
+        assert_eq!(rules_of(&f), vec![RULE_TIME]);
+        assert_eq!(f[0].symbol, "env::var");
+        let f = run(
+            "linearize",
+            "crates/linearize/src/control.rs",
+            "use std::env;\nfn f() -> bool { env::var_os(\"X\").is_some() }",
+        );
+        assert_eq!(rules_of(&f), vec![RULE_TIME]);
+        assert_eq!(f[0].symbol, "env::var_os");
+        assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn environment_reads_pass_outside_protocol_crates() {
+        // tooling may be steered from the environment (SSR_OBS_OMIT_WALL,
+        // PROPTEST_CASES); other `env` items are not reads of ambient state
+        let src = r#"fn f() -> bool { std::env::var_os("SSR_OBS_OMIT_WALL").is_none() }"#;
+        assert!(run("obs", "crates/obs/src/manifest.rs", src).is_empty());
+        assert!(run("proptest", "crates/proptest/src/lib.rs", src).is_empty());
+        assert!(run("bench", "crates/bench/src/lib.rs", src).is_empty());
+        let args = "fn f() -> usize { std::env::args().count() }";
+        assert!(run("core", "crates/core/src/x.rs", args).is_empty());
+    }
+
+    #[test]
     fn simulated_time_passes() {
         assert!(run("core", "crates/core/src/x.rs", "fn f(t: Time) { t.now(); }").is_empty());
     }
@@ -777,6 +821,67 @@ mod tests {
             }
         "#;
         assert!(run("vrr", "crates/vrr/src/node.rs", src).is_empty());
+    }
+
+    #[test]
+    fn wildcard_over_control_core_enums_fires() {
+        // an adapter must carry out every effect the control core returns,
+        // and the core must decide every input and timer
+        let effect = r#"
+            fn apply(&mut self, effect: Effect<()>) {
+                match effect {
+                    Effect::SetTimer { delay, timer } => self.set(delay, timer),
+                    _ => {}
+                }
+            }
+        "#;
+        assert_eq!(
+            rules_of(&run("core", "crates/core/src/node.rs", effect)),
+            vec![RULE_WILDCARD]
+        );
+        let verdict = r#"
+            fn claim(&mut self, v: WrapVerdict<PathId>) {
+                match v {
+                    WrapVerdict::Installed => {}
+                    _ => self.retire(),
+                }
+            }
+        "#;
+        assert_eq!(
+            rules_of(&run("vrr", "crates/vrr/src/node.rs", verdict)),
+            vec![RULE_WILDCARD]
+        );
+        let input = r#"
+            fn step(&mut self, input: Input) {
+                match input {
+                    Input::Changed => self.schedule_act(),
+                    Input::Timer { timer, .. } => match timer {
+                        Timer::Act => self.act(),
+                        _ => {}
+                    },
+                    Input::Ack { about, seq } => self.ack(about, seq),
+                }
+            }
+        "#;
+        assert_eq!(
+            rules_of(&run("linearize", "crates/linearize/src/control.rs", input)),
+            vec![RULE_WILDCARD]
+        );
+    }
+
+    #[test]
+    fn token_decoding_keeps_its_wildcard() {
+        // the enum appears in arm *bodies* only: an integer match
+        let src = r#"
+            fn from_token(token: u64) -> Option<Timer> {
+                match token & 0xFF {
+                    0 => Some(Timer::Act),
+                    3 => Some(Timer::Discover),
+                    _ => None,
+                }
+            }
+        "#;
+        assert!(run("linearize", "crates/linearize/src/control.rs", src).is_empty());
     }
 
     #[test]

@@ -1001,8 +1001,7 @@ impl<P: Protocol> Simulator<P> {
                 }
                 // Sever any stale physical edges from before the crash, then
                 // install the new ones.
-                let old: Vec<usize> = self.topo.isolate(node);
-                let _ = old;
+                self.topo.isolate(node);
                 self.alive[node] = true;
                 self.metrics.incr("fault.join");
                 let mut fresh = Vec::new();
@@ -1106,7 +1105,6 @@ fn kind_key(kind: &'static str) -> &'static str {
         "setup" => "msg.setup",
         "data" => "msg.data",
         "probe" => "msg.probe",
-        "msg" => "msg.other",
         _ => "msg.other",
     }
 }

@@ -25,17 +25,14 @@
 
 use std::collections::BTreeMap;
 
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
 use ssr_sim::{Ctx, Protocol};
-use ssr_types::{cw_dist, ring_between_cw, NodeId, SeqNo};
+use ssr_types::{cw_dist, ring_between_cw, NodeId, SeqNo, Side};
 
 use crate::table::{PathEntry, PathId, PathTable};
 
-const TOKEN_ACT: u64 = 0;
-const TOKEN_RETRY_LEFT: u64 = 1;
-const TOKEN_RETRY_RIGHT: u64 = 2;
-const TOKEN_DISCOVER: u64 = 3;
-const TOKEN_BEACON: u64 = 4;
-const TOKEN_AUDIT: u64 = 5;
+/// Baseline beacon — the one timer that is not the control core's.
+const TOKEN_BEACON: u64 = Timer::FIRST_FREE_TOKEN;
 
 /// Breadcrumb placeholder endpoints (no real node may use them; the id
 /// space is random 64-bit, so the extremes are assumed free — asserted at
@@ -50,15 +47,6 @@ pub enum VrrMode {
     Baseline,
     /// The paper's linearization — no representative, no periodic beacons.
     Linearized,
-}
-
-/// Probe travel direction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Dir {
-    /// Toward larger addresses.
-    Cw,
-    /// Toward smaller addresses.
-    Ccw,
 }
 
 /// Tuning knobs.
@@ -88,6 +76,20 @@ pub struct VrrConfig {
     pub ttl: u16,
 }
 
+impl VrrConfig {
+    fn timing(&self) -> Timing {
+        Timing {
+            act_interval: self.act_interval,
+            retry_interval: self.retry_interval,
+            discover_delay: self.discover_delay,
+            discover_retry: self.discover_retry,
+            ccw_redundancy: true,
+            audit_interval: self.audit_interval,
+            audit_quiet: self.audit_quiet,
+        }
+    }
+}
+
 impl Default for VrrConfig {
     fn default() -> Self {
         VrrConfig {
@@ -112,8 +114,9 @@ pub enum RoutedPayload {
     Discover {
         /// Probe origin.
         origin: NodeId,
-        /// Travel direction.
-        dir: Dir,
+        /// Travel direction: toward larger ([`Side::Right`], clockwise) or
+        /// smaller addresses.
+        toward: Side,
         /// Breadcrumb nonce.
         nonce: u64,
     },
@@ -139,9 +142,9 @@ pub enum RoutedPayload {
 impl RoutedPayload {
     fn target(&self) -> NodeId {
         match *self {
-            RoutedPayload::Discover { dir, .. } => match dir {
-                Dir::Cw => NodeId::MAX,
-                Dir::Ccw => NodeId::MIN,
+            RoutedPayload::Discover { toward, .. } => match toward {
+                Side::Right => NodeId::MAX,
+                Side::Left => NodeId::MIN,
             },
             RoutedPayload::Claim { to, .. } => to,
             RoutedPayload::Probe { target, .. } => target,
@@ -192,8 +195,8 @@ pub enum PathPayload {
         acceptor: NodeId,
         /// The solidified wrap edge.
         final_pid: PathId,
-        /// Probe direction answered.
-        dir: Dir,
+        /// Travel direction of the probe answered.
+        toward: Side,
     },
 }
 
@@ -248,23 +251,8 @@ impl VrrMsg {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    keep: NodeId,
-    drop: NodeId,
-    seq: SeqNo,
-    keep_acked: bool,
-    drop_acked: bool,
-    retries: u8,
-}
-
-impl Pending {
-    fn done(&self) -> bool {
-        self.keep_acked && self.drop_acked
-    }
-}
-
-/// Per-node VRR state.
+/// Per-node VRR state: the shared control core plus what a VRR edge *is* —
+/// hop-by-hop path state, named by its [`PathId`].
 #[derive(Clone, Debug)]
 pub struct VrrNode {
     id: NodeId,
@@ -272,31 +260,15 @@ pub struct VrrNode {
     nbr_index: BTreeMap<NodeId, usize>,
     nbr_id: BTreeMap<usize, NodeId>,
     table: PathTable,
-    /// Virtual neighbors (including wrap endpoints): address → edge path.
-    vnbrs: BTreeMap<NodeId, PathId>,
-    wrap_pred: Option<NodeId>,
-    wrap_succ: Option<NodeId>,
-    /// Path state of the ring-closure edges (kept apart from `vnbrs` so a
-    /// peer that is *both* wrap partner and side neighbor — the two-node
-    /// network — stays visible in the side sets).
-    wrap_pred_path: Option<PathId>,
-    wrap_succ_path: Option<PathId>,
-    pending_left: Option<Pending>,
-    pending_right: Option<Pending>,
-    seq: SeqNo,
+    /// Virtual neighbor sets, ring-closure edges, handshakes and timers;
+    /// every edge carries the id of the path installed for it.
+    lin: Linearizer<PathId>,
     /// Baseline: largest known address.
     rep: NodeId,
     /// Baseline: the representative we last claimed toward.
     claimed: Option<NodeId>,
     /// Baseline: paths established by claims (claimant → path).
     claim_paths: BTreeMap<NodeId, PathId>,
-    disc_cw_out: bool,
-    disc_ccw_out: bool,
-    discover_timer_armed: bool,
-    act_scheduled: bool,
-    audit_armed: bool,
-    audit_quiet_rounds: u32,
-    audit_last_sig: u64,
     delivered_probes: Vec<(NodeId, u32)>,
 }
 
@@ -318,67 +290,11 @@ impl VrrNode {
             nbr_index: BTreeMap::new(),
             nbr_id: BTreeMap::new(),
             table: PathTable::new(),
-            vnbrs: BTreeMap::new(),
-            wrap_pred: None,
-            wrap_succ: None,
-            wrap_pred_path: None,
-            wrap_succ_path: None,
-            pending_left: None,
-            pending_right: None,
-            seq: SeqNo::ZERO,
+            lin: Linearizer::new(id, config.timing()),
             rep: id,
             claimed: None,
             claim_paths: BTreeMap::new(),
-            disc_cw_out: false,
-            disc_ccw_out: false,
-            discover_timer_armed: false,
-            act_scheduled: false,
-            audit_armed: false,
-            audit_quiet_rounds: 0,
-            audit_last_sig: 0,
             delivered_probes: Vec::new(),
-        }
-    }
-
-    /// Signature over the ring-relevant neighbor structure; a change
-    /// restarts audits.
-    fn audit_signature(&self) -> u64 {
-        let sig = self.closest_left().map_or(0, |k| k.raw().rotate_left(11))
-            ^ self.closest_right().map_or(0, |k| k.raw().rotate_left(19));
-        sig ^ self.wrap_pred.map_or(0, |p| p.raw().rotate_left(23))
-            ^ self.wrap_succ.map_or(0, |p| p.raw().rotate_left(37))
-    }
-
-    fn arm_audit(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        if !self.audit_armed {
-            self.audit_armed = true;
-            ctx.set_timer(self.config.audit_interval, TOKEN_AUDIT);
-        }
-    }
-
-    /// Re-announces this node along every virtual edge so peers keep (or
-    /// regain) the mutual view.
-    fn run_audit(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        // only the ring-relevant edges need mutuality (auditing every set
-        // member would perpetually resurrect delegated edges)
-        // wrap partners are deliberately NOT audited (the announce would be
-        // adopted as a side-set member and linearized away); lost wraps
-        // self-repair through the discovery retry
-        let mut edges: Vec<(NodeId, PathId)> = Vec::new();
-        for peer in self.closest_left().into_iter().chain(self.closest_right()) {
-            if let Some(&pid) = self.vnbrs.get(&peer) {
-                edges.push((peer, pid));
-            }
-        }
-        let seq = self.seq.bump();
-        for (peer, pid) in edges {
-            let payload = PathPayload::Notify {
-                new_pid: pid,
-                other: self.id,
-                from: self.id,
-                seq,
-            };
-            self.send_along(ctx, pid, peer, payload, self.config.ttl);
         }
     }
 
@@ -406,56 +322,55 @@ impl VrrNode {
     /// they never pollute the side sets (where linearization would dissolve
     /// them).
     pub fn left_set(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.vnbrs.range(..self.id).map(|(&k, _)| k)
+        self.lin.side(Side::Left).keys().copied()
     }
 
     /// Virtual neighbors larger than this node.
     pub fn right_set(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.vnbrs
-            .range(self.id..)
-            .map(|(&k, _)| k)
-            .filter(move |&k| k != self.id)
+        self.lin.side(Side::Right).keys().copied()
     }
 
     /// Closest left virtual neighbor.
     pub fn closest_left(&self) -> Option<NodeId> {
-        self.left_set().last()
+        self.lin.closest(Side::Left)
     }
 
     /// Closest right virtual neighbor.
     pub fn closest_right(&self) -> Option<NodeId> {
-        self.right_set().next()
+        self.lin.closest(Side::Right)
     }
 
     /// Sizes of the two sides.
     pub fn side_sizes(&self) -> (usize, usize) {
-        (self.left_set().count(), self.right_set().count())
+        (
+            self.lin.side(Side::Left).len(),
+            self.lin.side(Side::Right).len(),
+        )
     }
 
     /// Ring-closure predecessor edge.
     pub fn wrap_pred(&self) -> Option<NodeId> {
-        self.wrap_pred
+        self.lin.wrap(Side::Left).map(|(p, _)| p)
     }
 
     /// Ring-closure successor edge.
     pub fn wrap_succ(&self) -> Option<NodeId> {
-        self.wrap_succ
+        self.lin.wrap(Side::Right).map(|(s, _)| s)
     }
 
     /// Ring successor (closest right, else the wrap edge).
     pub fn ring_succ(&self) -> Option<NodeId> {
-        self.closest_right().or(self.wrap_succ)
+        self.lin.ring_neighbor(Side::Right)
     }
 
     /// Ring predecessor.
     pub fn ring_pred(&self) -> Option<NodeId> {
-        self.closest_left().or(self.wrap_pred)
+        self.lin.ring_neighbor(Side::Left)
     }
 
     /// Locally consistent on the line.
     pub fn locally_consistent(&self) -> bool {
-        let (l, r) = self.side_sizes();
-        l <= 1 && r <= 1 && self.pending_left.is_none() && self.pending_right.is_none()
+        self.lin.locally_consistent()
     }
 
     /// The representative (baseline mode).
@@ -506,28 +421,7 @@ impl VrrNode {
         payload: PathPayload,
         ttl: u16,
     ) -> bool {
-        let Some(entry) = self.table.get(&id) else {
-            if std::env::var("VRR_DEBUG").is_ok() {
-                eprintln!(
-                    "[{}] no entry for {:?} toward {} carrying {:?}",
-                    self.id, id, toward, payload
-                );
-            }
-            ctx.metrics().incr("fwd.no_path");
-            return false;
-        };
-        let next = if toward == id.ea {
-            entry.toward_a
-        } else {
-            entry.toward_b
-        };
-        let Some(next) = next else {
-            if std::env::var("VRR_DEBUG").is_ok() {
-                eprintln!(
-                    "[{}] dangling side for {:?} toward {} carrying {:?}",
-                    self.id, id, toward, payload
-                );
-            }
+        let Some(next) = self.first_hop(id, toward) else {
             ctx.metrics().incr("fwd.no_path");
             return false;
         };
@@ -552,124 +446,65 @@ impl VrrNode {
 
     // -- virtual-neighbor management --------------------------------------------
 
-    fn adopt_vnbr(&mut self, other: NodeId, path: PathId) {
-        if other != self.id {
-            self.vnbrs.insert(other, path);
-        }
-    }
-
-    /// Removes `other` from the set and *retires* the edge: the peer is told
-    /// to drop us from its sets, but the path state is left in place —
-    /// eager teardown would cut carrier paths out from under in-flight
-    /// half-lays (see `PathPayload::Retire`).
-    fn drop_vnbr(&mut self, ctx: &mut Ctx<'_, VrrMsg>, other: NodeId) {
-        let Some(path) = self.vnbrs.remove(&other) else {
-            return;
-        };
-        self.send_along(
-            ctx,
-            path,
-            other,
-            PathPayload::Retire { from: self.id },
-            self.config.ttl,
-        );
+    /// *Retires* the edge to `other` held over `path`: the peer is told to
+    /// drop us from its sets, but the path state is left in place — eager
+    /// teardown would cut carrier paths out from under in-flight half-lays
+    /// (see `PathPayload::Retire`).
+    fn retire(&mut self, ctx: &mut Ctx<'_, VrrMsg>, other: NodeId, path: PathId) {
+        let payload = PathPayload::Retire { from: self.id };
+        self.send_along(ctx, path, other, payload, self.config.ttl);
     }
 
     // -- linearization -------------------------------------------------------------
 
-    fn schedule_act(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        if !self.act_scheduled {
-            self.act_scheduled = true;
-            ctx.set_timer(self.config.act_interval, TOKEN_ACT);
-        }
-        self.arm_audit(ctx);
-    }
-
-    fn act(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        self.demote_stale_wraps(ctx);
-        self.linearize_side(ctx, Dir::Cw);
-        self.linearize_side(ctx, Dir::Ccw);
-        self.maybe_discover(ctx);
-    }
-
-    fn demote_stale_wraps(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        if self.left_set().next().is_some() {
-            if let Some(p) = self.wrap_pred.take() {
-                let path = self.wrap_pred_path.take();
-                self.retire_wrap(ctx, p, path);
-            }
-        }
-        if self.right_set().next().is_some() {
-            if let Some(su) = self.wrap_succ.take() {
-                let path = self.wrap_succ_path.take();
-                self.retire_wrap(ctx, su, path);
-            }
+    /// Feeds `input` to the control core and carries out what it asks for,
+    /// in order.
+    fn drive(&mut self, ctx: &mut Ctx<'_, VrrMsg>, input: Input) {
+        for effect in self.lin.step(input, ctx.now().ticks()) {
+            self.apply(ctx, effect);
         }
     }
 
-    fn retire_wrap(&mut self, ctx: &mut Ctx<'_, VrrMsg>, other: NodeId, path: Option<PathId>) {
-        if let Some(path) = path {
-            self.send_along(
-                ctx,
-                path,
-                other,
-                PathPayload::Retire { from: self.id },
-                self.config.ttl,
-            );
-        }
-    }
-
-    fn linearize_side(&mut self, ctx: &mut Ctx<'_, VrrMsg>, side: Dir) {
-        let pending = match side {
-            Dir::Cw => &self.pending_right,
-            Dir::Ccw => &self.pending_left,
-        };
-        if pending.is_some() {
-            return;
-        }
-        let (keep, drop) = match side {
-            Dir::Cw => {
-                let rights: Vec<NodeId> = self.right_set().collect();
-                if rights.len() < 2 {
-                    return;
+    fn apply(&mut self, ctx: &mut Ctx<'_, VrrMsg>, effect: Effect<PathId>) {
+        match effect {
+            Effect::SetTimer { delay, timer } => ctx.set_timer(delay, timer.token()),
+            // a VRR edge is laid by its two half-walks jointly, so a retry
+            // relaunches the full introduction (fresh edge nonce) whichever
+            // half went unacknowledged
+            Effect::Introduce {
+                keep, drop, seq, ..
+            } => self.introduce_pair(ctx, keep, drop, seq),
+            Effect::Delegated { peer, edge } => {
+                if let Some(path) = edge {
+                    self.retire(ctx, peer, path);
                 }
-                (rights[rights.len() - 2], rights[rights.len() - 1])
             }
-            Dir::Ccw => {
-                let lefts: Vec<NodeId> = self.left_set().collect();
-                if lefts.len() < 2 {
-                    return;
+            Effect::WrapDemoted { peer, edge } => self.retire(ctx, peer, edge),
+            Effect::Abandon { peer } => {
+                // some endpoint is unreachable over the state we hold for
+                // it. Garbage-collect the silent endpoint — if it is alive
+                // it will be re-introduced over fresh paths.
+                if let Some(path) = self.lin.remove(peer) {
+                    self.retire(ctx, peer, path);
                 }
-                (lefts[1], lefts[0])
             }
-        };
-        let seq = self.seq.bump();
-        self.introduce_pair(ctx, keep, drop, seq);
-        let pending = Pending {
-            keep,
-            drop,
-            seq,
-            keep_acked: false,
-            drop_acked: false,
-            retries: 0,
-        };
-        let token = match side {
-            Dir::Cw => {
-                self.pending_right = Some(pending);
-                TOKEN_RETRY_RIGHT
+            Effect::Probe { toward } => self.start_discover(ctx, toward),
+            Effect::Announce { peer, edge, seq } => {
+                let payload = PathPayload::Notify {
+                    new_pid: edge,
+                    other: self.id,
+                    from: self.id,
+                    seq,
+                };
+                self.send_along(ctx, edge, peer, payload, self.config.ttl);
             }
-            Dir::Ccw => {
-                self.pending_left = Some(pending);
-                TOKEN_RETRY_LEFT
-            }
-        };
-        ctx.set_timer(self.config.retry_interval, token | ((seq.0 as u64) << 8));
+        }
     }
 
     /// Lays the new virtual edge `x ↔ y` through this node: installs the
     /// junction entry and sends both half-laying notifications.
     fn introduce_pair(&mut self, ctx: &mut Ctx<'_, VrrMsg>, x: NodeId, y: NodeId, seq: SeqNo) {
-        let (Some(&px), Some(&py)) = (self.path_to(x), self.path_to(y)) else {
+        let (Some(px), Some(py)) = (self.path_to(x), self.path_to(y)) else {
             ctx.metrics().incr("fwd.no_path");
             return;
         };
@@ -740,148 +575,39 @@ impl VrrNode {
         );
     }
 
-    fn path_to(&self, other: NodeId) -> Option<&PathId> {
-        self.vnbrs
-            .get(&other)
-            .or_else(|| self.claim_paths.get(&other))
-            .or_else(|| {
-                (self.wrap_pred == Some(other))
-                    .then_some(self.wrap_pred_path.as_ref())
-                    .flatten()
-            })
-            .or_else(|| {
-                (self.wrap_succ == Some(other))
-                    .then_some(self.wrap_succ_path.as_ref())
-                    .flatten()
-            })
+    fn path_to(&self, other: NodeId) -> Option<PathId> {
+        self.lin
+            .edge(other)
+            .or_else(|| self.claim_paths.get(&other).copied())
+            .or_else(|| self.lin.wrap_edge(other))
     }
 
     fn first_hop(&self, pid: PathId, toward: NodeId) -> Option<usize> {
-        let entry = self.table.get(&pid)?;
-        if toward == pid.ea {
-            entry.toward_a
-        } else {
-            entry.toward_b
-        }
-    }
-
-    fn retry_pending(&mut self, ctx: &mut Ctx<'_, VrrMsg>, side: Dir, seq: SeqNo) {
-        let slot = match side {
-            Dir::Ccw => &mut self.pending_left,
-            Dir::Cw => &mut self.pending_right,
-        };
-        let Some(p) = slot else { return };
-        if p.seq != seq {
-            return;
-        }
-        if p.done() {
-            *slot = None;
-            self.schedule_act(ctx);
-            return;
-        }
-        if p.retries >= 4 {
-            // the handshake cannot complete: some endpoint is unreachable
-            // over the state we hold for it. Garbage-collect the silent
-            // endpoints — if they are alive they will be re-introduced over
-            // fresh paths.
-            let p = *p;
-            *slot = None;
-            if !p.keep_acked {
-                self.drop_vnbr(ctx, p.keep);
-            }
-            if !p.drop_acked {
-                self.drop_vnbr(ctx, p.drop);
-            }
-            self.schedule_act(ctx);
-            return;
-        }
-        p.retries += 1;
-        let p = *p;
-        let delay = self.config.retry_interval << p.retries;
-        // relaunch the full introduction (fresh edge nonce)
-        self.introduce_pair(ctx, p.keep, p.drop, p.seq);
-        let token = match side {
-            Dir::Ccw => TOKEN_RETRY_LEFT,
-            Dir::Cw => TOKEN_RETRY_RIGHT,
-        };
-        ctx.set_timer(delay, token | ((seq.0 as u64) << 8));
-    }
-
-    fn handle_ack(&mut self, ctx: &mut Ctx<'_, VrrMsg>, about: NodeId, seq: SeqNo) {
-        for side in [Dir::Ccw, Dir::Cw] {
-            let slot = match side {
-                Dir::Ccw => &mut self.pending_left,
-                Dir::Cw => &mut self.pending_right,
-            };
-            if let Some(p) = slot {
-                if p.seq == seq {
-                    if about == p.drop {
-                        p.keep_acked = true;
-                    } else if about == p.keep {
-                        p.drop_acked = true;
-                    }
-                    if p.done() {
-                        let drop = p.drop;
-                        *slot = None;
-                        self.drop_vnbr(ctx, drop);
-                        self.schedule_act(ctx);
-                    }
-                    return;
-                }
-            }
-        }
+        entry_hop_toward(self.table.get(&pid)?, pid, toward)
     }
 
     // -- discovery ---------------------------------------------------------------------
 
-    fn maybe_discover(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        if self.nbr_index.is_empty() {
-            return;
-        }
-        let need_cw = self.left_set().next().is_none() && self.wrap_pred.is_none();
-        let need_ccw = self.right_set().next().is_none() && self.wrap_succ.is_none();
-        let now = ctx.now().ticks();
-        if now < self.config.discover_delay {
-            if (need_cw || need_ccw) && !self.discover_timer_armed {
-                self.discover_timer_armed = true;
-                ctx.set_timer(self.config.discover_delay - now, TOKEN_DISCOVER);
-            }
-            return;
-        }
-        if need_cw && !self.disc_cw_out {
-            self.disc_cw_out = true;
-            self.start_discover(ctx, Dir::Cw);
-        }
-        if need_ccw && !self.disc_ccw_out {
-            self.disc_ccw_out = true;
-            self.start_discover(ctx, Dir::Ccw);
-        }
-        if (need_cw || need_ccw) && !self.discover_timer_armed {
-            self.discover_timer_armed = true;
-            ctx.set_timer(self.config.discover_retry, TOKEN_DISCOVER);
-        }
-    }
-
     /// Breadcrumb path id for a discovery walk.
-    fn crumb_pid(origin: NodeId, dir: Dir, nonce: u64) -> PathId {
-        match dir {
-            Dir::Cw => PathId::new(origin, CRUMB_CW, nonce),
-            Dir::Ccw => PathId::new(CRUMB_CCW, origin, nonce),
+    fn crumb_pid(origin: NodeId, toward: Side, nonce: u64) -> PathId {
+        match toward {
+            Side::Right => PathId::new(origin, CRUMB_CW, nonce),
+            Side::Left => PathId::new(CRUMB_CCW, origin, nonce),
         }
     }
 
-    fn start_discover(&mut self, ctx: &mut Ctx<'_, VrrMsg>, dir: Dir) {
+    fn start_discover(&mut self, ctx: &mut Ctx<'_, VrrMsg>, toward: Side) {
         let nonce = ctx.rng().next_u64();
         let payload = RoutedPayload::Discover {
             origin: self.id,
-            dir,
+            toward,
             nonce,
         };
         let target = payload.target();
         let Some(next) = self.greedy_next(target) else {
             return; // we are the believed extreme ourselves: nothing to do
         };
-        let pid = Self::crumb_pid(self.id, dir, nonce);
+        let pid = Self::crumb_pid(self.id, toward, nonce);
         self.install_walk_hop(pid, self.id, None, Some(next));
         ctx.send(
             next,
@@ -917,61 +643,47 @@ impl VrrNode {
         );
     }
 
-    /// A discovery probe stalled here — this node is a believed extreme.
+    /// A discovery probe stalled here — this node is a believed extreme, and
+    /// the origin claims the ring-closure slot on the side the probe was
+    /// travelling toward.
     fn accept_discovery(
         &mut self,
         ctx: &mut Ctx<'_, VrrMsg>,
         origin: NodeId,
-        dir: Dir,
+        toward: Side,
         nonce: u64,
         came_from: usize,
     ) {
         if origin == self.id {
             return;
         }
-        let crumb = Self::crumb_pid(origin, dir, nonce);
+        let crumb = Self::crumb_pid(origin, toward, nonce);
         self.table.purge_like(crumb);
         self.install_walk_hop(crumb, origin, Some(came_from), None);
-        let slot = match dir {
-            Dir::Cw => &mut self.wrap_succ,
-            Dir::Ccw => &mut self.wrap_pred,
-        };
-        let replace = match *slot {
-            None => true,
-            Some(cur) if cur == origin => true, // duplicate probe: re-answer
-            Some(cur) => match dir {
-                Dir::Cw => origin < cur,
-                Dir::Ccw => origin > cur,
-            },
-        };
-        if !replace {
-            // arbitrate: introduce the lesser claimant to the better one —
-            // the breadcrumb trail is the carrier back to the origin, and
-            // our vnbr path carries the other half. This is what fills a
-            // mid-chain node's empty side (it probed believing itself an
-            // extreme; the introduction hands it its true neighbor side).
-            let cur = slot.unwrap();
-            if let Some(&pcur) = self.path_to(cur) {
-                let seq = self.seq.bump();
-                self.introduce_pair_via(ctx, origin, crumb, cur, pcur, seq);
-            }
-            return;
-        }
-        let old = match *slot {
-            Some(cur) if cur != origin => Some(cur),
-            _ => None,
-        };
-        *slot = Some(origin);
         let final_pid = PathId::new(self.id, origin, nonce);
-        // solidify our end: the crumb entry's origin-side hop becomes the
-        // wrap edge's
-        self.install_walk_hop(final_pid, origin, Some(came_from), None);
-        let old_path = match dir {
-            Dir::Cw => self.wrap_succ_path.replace(final_pid),
-            Dir::Ccw => self.wrap_pred_path.replace(final_pid),
-        };
-        if let (Some(old), Some(old_path)) = (old, old_path) {
-            self.retire_wrap(ctx, old, Some(old_path));
+        match self.lin.offer_wrap(toward, origin, final_pid) {
+            WrapVerdict::Redirect { holder } => {
+                // arbitrate: introduce the lesser claimant to the better one
+                // — the breadcrumb trail is the carrier back to the origin,
+                // and our vnbr path carries the other half. This is what
+                // fills a mid-chain node's empty side (it probed believing
+                // itself an extreme; the introduction hands it its true
+                // neighbor side).
+                if let Some(pcur) = self.path_to(holder) {
+                    let seq = self.lin.next_seq();
+                    self.introduce_pair_via(ctx, origin, crumb, holder, pcur, seq);
+                }
+                return;
+            }
+            // solidify our end: the crumb entry's origin-side hop becomes
+            // the wrap edge's
+            WrapVerdict::Installed => {
+                self.install_walk_hop(final_pid, origin, Some(came_from), None);
+            }
+            WrapVerdict::Replaced { old, old_edge } => {
+                self.install_walk_hop(final_pid, origin, Some(came_from), None);
+                self.retire(ctx, old, old_edge);
+            }
         }
         // retrace the breadcrumbs, rewriting them into the final edge
         self.send_along(
@@ -981,119 +693,72 @@ impl VrrNode {
             PathPayload::CloseRing {
                 acceptor: self.id,
                 final_pid,
-                dir,
+                toward,
             },
             self.config.ttl,
         );
         self.table.remove(&crumb);
-        self.schedule_act(ctx);
+        self.drive(ctx, Input::Changed);
     }
 
-    /// A closure retrace arrived (either mid-path or at the origin).
-    #[allow(clippy::too_many_arguments)]
+    /// A closure retrace passes through: rewrites this hop's breadcrumb into
+    /// the final edge and returns the next hop toward the origin `toward`.
+    fn rewrite_crumb(
+        &mut self,
+        crumb: PathId,
+        toward: NodeId,
+        final_pid: PathId,
+        came_from: usize,
+    ) -> Option<usize> {
+        let entry = self.table.remove(&crumb)?;
+        let toward_origin = entry_hop_toward(&entry, crumb, toward);
+        // same physical hops, new identity; orient by which endpoint the
+        // origin (`toward`) is
+        let (toward_a, toward_b) = if final_pid.ea == toward {
+            (toward_origin, Some(came_from))
+        } else {
+            (Some(came_from), toward_origin)
+        };
+        self.table.install(
+            final_pid,
+            PathEntry {
+                ea: final_pid.ea,
+                eb: final_pid.eb,
+                toward_a,
+                toward_b,
+            },
+        );
+        toward_origin
+    }
+
+    /// A closure retrace arrived back at this node, the probe's origin: the
+    /// acceptor claims the slot the probe was sent to fill.
     fn handle_close_ring(
         &mut self,
         ctx: &mut Ctx<'_, VrrMsg>,
         crumb: PathId,
-        toward: NodeId,
         acceptor: NodeId,
         final_pid: PathId,
-        dir: Dir,
+        toward: Side,
         came_from: usize,
-        ttl: u16,
     ) {
-        if toward != self.id {
-            // rewrite this hop's breadcrumb into the final edge, then keep
-            // forwarding under the *crumb* id — downstream nodes have not
-            // been rewritten yet
-            let next = match self.table.remove(&crumb) {
-                Some(entry) => {
-                    let toward_origin = entry_hop_toward(&entry, crumb, toward);
-                    self.table.install(
-                        final_pid,
-                        PathEntry {
-                            ea: final_pid.ea,
-                            eb: final_pid.eb,
-                            // same physical hops, new identity; orient by
-                            // which endpoint the origin (`toward`) is
-                            toward_a: if final_pid.ea == toward {
-                                toward_origin
-                            } else {
-                                Some(came_from)
-                            },
-                            toward_b: if final_pid.ea == toward {
-                                Some(came_from)
-                            } else {
-                                toward_origin
-                            },
-                        },
-                    );
-                    toward_origin
-                }
-                None => None,
-            };
-            let Some(next) = next else {
-                ctx.metrics().incr("fwd.no_path");
-                return;
-            };
-            ctx.send(
-                next,
-                VrrMsg::AlongPath {
-                    id: crumb,
-                    toward,
-                    ttl: ttl.saturating_sub(1),
-                    payload: PathPayload::CloseRing {
-                        acceptor,
-                        final_pid,
-                        dir,
-                    },
-                },
-            );
-            return;
-        }
-        // we are the probe origin
         self.table.remove(&crumb);
         self.install_walk_hop(final_pid, self.id, None, Some(came_from));
-        let slot = match dir {
-            Dir::Cw => &mut self.wrap_pred,
-            Dir::Ccw => &mut self.wrap_succ,
-        };
-        match dir {
-            Dir::Cw => self.disc_cw_out = false,
-            Dir::Ccw => self.disc_ccw_out = false,
-        }
-        let replace = match *slot {
-            None => true,
-            Some(cur) if cur == acceptor => true,
-            Some(cur) => match dir {
-                Dir::Cw => acceptor > cur,
-                Dir::Ccw => acceptor < cur,
-            },
-        };
-        if replace {
-            let old = match *slot {
-                Some(cur) if cur != acceptor => Some(cur),
-                _ => None,
-            };
-            *slot = Some(acceptor);
-            let old_path = match dir {
-                Dir::Cw => self.wrap_pred_path.replace(final_pid),
-                Dir::Ccw => self.wrap_succ_path.replace(final_pid),
-            };
-            if let (Some(old), Some(old_path)) = (old, old_path) {
-                self.retire_wrap(ctx, old, Some(old_path));
-            }
-        } else if let Some(cur) = *slot {
-            // keep the better closure and introduce the redundant acceptor
-            // to it (final_pid is a working carrier to the acceptor)
-            if cur != acceptor {
-                if let Some(&pcur) = self.path_to(cur) {
-                    let seq = self.seq.bump();
-                    self.introduce_pair_via(ctx, acceptor, final_pid, cur, pcur, seq);
+        self.lin.probe_answered(toward);
+        match self.lin.offer_wrap(toward.opposite(), acceptor, final_pid) {
+            WrapVerdict::Installed => {}
+            WrapVerdict::Replaced { old, old_edge } => self.retire(ctx, old, old_edge),
+            WrapVerdict::Redirect { holder } => {
+                // keep the better closure and introduce the redundant
+                // acceptor to it (final_pid is a working carrier to the
+                // acceptor)
+                if let Some(pcur) = self.path_to(holder) {
+                    let seq = self.lin.next_seq();
+                    self.introduce_pair_via(ctx, acceptor, final_pid, holder, pcur, seq);
                 }
             }
         }
-        self.schedule_act(ctx);
+        self.drive(ctx, Input::Changed);
     }
 
     // -- baseline mode ---------------------------------------------------------------
@@ -1143,25 +808,22 @@ impl VrrNode {
         self.install_walk_hop(pid, claimant, Some(came_from), None);
         self.claim_paths.insert(claimant, pid);
         let best_between = self
-            .vnbrs
-            .keys()
-            .copied()
+            .left_set()
+            .chain(self.right_set())
             .chain(self.claim_paths.keys().copied())
             .filter(|&d| d != claimant && d != self.id)
             .filter(|&d| ring_between_cw(claimant, d, self.id))
             .min_by_key(|&d| cw_dist(claimant, d));
         match best_between {
             Some(better) => {
-                let seq = self.seq.bump();
+                let seq = self.lin.next_seq();
                 self.introduce_pair(ctx, claimant, better, seq);
             }
             None => {
                 // direct ring-predecessor candidate: adopt mutually by
                 // laying a notify back along the claim path
-                self.adopt_vnbr(claimant, pid);
-                let seq = self.seq.bump();
-                let ack_pid = PathId::new(claimant, self.id, nonce.wrapping_add(1));
-                let _ = ack_pid;
+                self.lin.adopt(claimant, pid);
+                let seq = self.lin.next_seq();
                 let payload = PathPayload::Notify {
                     new_pid: pid,
                     other: self.id,
@@ -1171,7 +833,7 @@ impl VrrNode {
                 self.send_along(ctx, pid, claimant, payload, self.config.ttl);
             }
         }
-        self.schedule_act(ctx);
+        self.drive(ctx, Input::Changed);
     }
 
     // -- hello --------------------------------------------------------------------
@@ -1190,7 +852,7 @@ impl VrrNode {
             // E_v := E_p — a physical link is a trivially installed path
             let pid = PathId::new(self.id, id, 0);
             self.install_walk_hop(pid, self.id, None, Some(from_idx));
-            self.adopt_vnbr(id, pid);
+            self.lin.adopt(id, pid);
             ctx.send(
                 from_idx,
                 VrrMsg::Hello {
@@ -1198,7 +860,7 @@ impl VrrNode {
                     rep: self.rep,
                 },
             );
-            self.schedule_act(ctx);
+            self.drive(ctx, Input::Changed);
         }
         if self.config.mode == VrrMode::Baseline {
             self.baseline_learn_rep(ctx, rep);
@@ -1225,7 +887,7 @@ impl Protocol for VrrNode {
             id: self.id,
             rep: self.rep,
         });
-        ctx.set_timer(self.config.act_interval, TOKEN_ACT);
+        ctx.set_timer(self.config.act_interval, Timer::Act.token());
         if self.config.mode == VrrMode::Baseline {
             ctx.set_timer(self.config.beacon_interval, TOKEN_BEACON);
         }
@@ -1235,11 +897,15 @@ impl Protocol for VrrNode {
         match msg {
             VrrMsg::Hello { id, rep } => self.handle_hello(ctx, from, id, rep),
             VrrMsg::Routed { ttl, payload } => match payload {
-                RoutedPayload::Discover { origin, dir, nonce } => {
+                RoutedPayload::Discover {
+                    origin,
+                    toward,
+                    nonce,
+                } => {
                     let target = payload.target();
                     match self.greedy_next(target) {
                         Some(next) if ttl > 0 => {
-                            let pid = Self::crumb_pid(origin, dir, nonce);
+                            let pid = Self::crumb_pid(origin, toward, nonce);
                             // only the freshest probe's crumbs are kept:
                             // stale trails from abandoned walks would leak
                             self.table.purge_like(pid);
@@ -1252,7 +918,7 @@ impl Protocol for VrrNode {
                                 },
                             );
                         }
-                        _ => self.accept_discovery(ctx, origin, dir, nonce, from),
+                        _ => self.accept_discovery(ctx, origin, toward, nonce, from),
                     }
                 }
                 RoutedPayload::Claim {
@@ -1330,17 +996,15 @@ impl Protocol for VrrNode {
                         // the initiator (and on to `other`)
                         if at_end {
                             self.install_walk_hop(new_pid, self.id, None, Some(from));
-                            self.adopt_vnbr(other, new_pid);
+                            self.lin.adopt(other, new_pid);
                             let ack = PathPayload::Ack { about: other, seq };
                             self.send_along(ctx, id, initiator, ack, self.config.ttl);
-                            self.schedule_act(ctx);
+                            self.drive(ctx, Input::Changed);
                         } else {
                             // orientation: this hop leads toward `toward`
                             // (the target endpoint); the reverse side leads
                             // toward `other` through the initiator
-                            let entry = self.table.get(&id).copied();
-                            let next = entry.and_then(|e| entry_hop_toward(&e, id, toward));
-                            let Some(next) = next else {
+                            let Some(next) = self.first_hop(id, toward) else {
                                 ctx.metrics().incr("fwd.no_path");
                                 return;
                             };
@@ -1350,11 +1014,7 @@ impl Protocol for VrrNode {
                             // hop toward `other` — the merged entry
                             // shortcuts the detour through the initiator
                             // and prevents forwarding loops
-                            let their_forward = self
-                                .table
-                                .get(&new_pid)
-                                .and_then(|e| entry_hop_toward(e, new_pid, other));
-                            let back = their_forward.unwrap_or(from);
+                            let back = self.first_hop(new_pid, other).unwrap_or(from);
                             let (a, b) = if toward == new_pid.ea {
                                 (Some(next), Some(back))
                             } else {
@@ -1387,23 +1047,15 @@ impl Protocol for VrrNode {
                     }
                     PathPayload::Ack { about, seq } => {
                         if at_end {
-                            self.handle_ack(ctx, about, seq);
+                            self.drive(ctx, Input::Ack { about, seq });
                         } else {
                             self.send_along(ctx, id, toward, PathPayload::Ack { about, seq }, ttl);
                         }
                     }
                     PathPayload::Retire { from: retiree } => {
                         if at_end {
-                            self.vnbrs.remove(&retiree);
-                            if self.wrap_pred == Some(retiree) {
-                                self.wrap_pred = None;
-                                self.wrap_pred_path = None;
-                            }
-                            if self.wrap_succ == Some(retiree) {
-                                self.wrap_succ = None;
-                                self.wrap_succ_path = None;
-                            }
-                            self.schedule_act(ctx);
+                            self.lin.forget(retiree);
+                            self.drive(ctx, Input::Changed);
                         } else {
                             self.send_along(
                                 ctx,
@@ -1417,20 +1069,9 @@ impl Protocol for VrrNode {
                     PathPayload::Teardown => {
                         if at_end {
                             self.table.remove(&id);
-                            let other = if id.ea == self.id { id.eb } else { id.ea };
-                            if self.vnbrs.get(&other) == Some(&id) {
-                                self.vnbrs.remove(&other);
-                            }
-                            if self.wrap_pred_path == Some(id) {
-                                self.wrap_pred = None;
-                                self.wrap_pred_path = None;
-                            }
-                            if self.wrap_succ_path == Some(id) {
-                                self.wrap_succ = None;
-                                self.wrap_succ_path = None;
-                            }
+                            self.lin.retain(|_, &path| path != id);
                             self.claim_paths.retain(|_, &mut p| p != id);
-                            self.schedule_act(ctx);
+                            self.drive(ctx, Input::Changed);
                         } else {
                             self.send_along(ctx, id, toward, PathPayload::Teardown, ttl);
                         }
@@ -1438,11 +1079,25 @@ impl Protocol for VrrNode {
                     PathPayload::CloseRing {
                         acceptor,
                         final_pid,
-                        dir,
+                        toward: dir,
                     } => {
-                        self.handle_close_ring(
-                            ctx, id, toward, acceptor, final_pid, dir, from, ttl,
-                        );
+                        if at_end {
+                            self.handle_close_ring(ctx, id, acceptor, final_pid, dir, from);
+                        } else if let Some(next) = self.rewrite_crumb(id, toward, final_pid, from) {
+                            // keep forwarding under the *crumb* id —
+                            // downstream nodes have not been rewritten yet
+                            ctx.send(
+                                next,
+                                VrrMsg::AlongPath {
+                                    id,
+                                    toward,
+                                    ttl: ttl - 1,
+                                    payload,
+                                },
+                            );
+                        } else {
+                            ctx.metrics().incr("fwd.no_path");
+                        }
                     }
                 }
             }
@@ -1450,42 +1105,18 @@ impl Protocol for VrrNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, VrrMsg>, token: u64) {
-        let seq = SeqNo((token >> 8) as u32);
-        match token & 0xFF {
-            TOKEN_ACT => {
-                self.act_scheduled = false;
-                self.act(ctx);
-            }
-            TOKEN_RETRY_LEFT => self.retry_pending(ctx, Dir::Ccw, seq),
-            TOKEN_RETRY_RIGHT => self.retry_pending(ctx, Dir::Cw, seq),
-            TOKEN_DISCOVER => {
-                self.discover_timer_armed = false;
-                self.disc_cw_out = false;
-                self.disc_ccw_out = false;
-                self.maybe_discover(ctx);
-            }
-            TOKEN_AUDIT => {
-                self.audit_armed = false;
-                let sig = self.audit_signature();
-                if sig != self.audit_last_sig {
-                    self.audit_last_sig = sig;
-                    self.audit_quiet_rounds = 0;
-                } else {
-                    self.audit_quiet_rounds += 1;
-                }
-                if self.audit_quiet_rounds < self.config.audit_quiet {
-                    self.run_audit(ctx);
-                    self.arm_audit(ctx);
-                }
-            }
-            TOKEN_BEACON if self.config.mode == VrrMode::Baseline => {
+        if token == TOKEN_BEACON {
+            if self.config.mode == VrrMode::Baseline {
                 ctx.broadcast(VrrMsg::Hello {
                     id: self.id,
                     rep: self.rep,
                 });
                 ctx.set_timer(self.config.beacon_interval, TOKEN_BEACON);
             }
-            _ => {}
+        } else if let Some(timer) = Timer::from_token(token) {
+            // without a physical neighbor a probe has nowhere to go
+            let routable = !self.nbr_index.is_empty();
+            self.drive(ctx, Input::Timer { timer, routable });
         }
     }
 
@@ -1494,23 +1125,11 @@ impl Protocol for VrrNode {
             return;
         };
         self.nbr_index.remove(&id);
+        // edges whose path state crossed the dead link are gone
         let dead = self.table.purge_via(neighbor);
-        for pid in dead {
-            let other = if pid.ea == self.id { pid.eb } else { pid.ea };
-            if self.vnbrs.get(&other) == Some(&pid) {
-                self.vnbrs.remove(&other);
-            }
-            if self.wrap_pred_path == Some(pid) {
-                self.wrap_pred = None;
-                self.wrap_pred_path = None;
-            }
-            if self.wrap_succ_path == Some(pid) {
-                self.wrap_succ = None;
-                self.wrap_succ_path = None;
-            }
-            self.claim_paths.retain(|_, &mut p| p != pid);
-        }
-        self.schedule_act(ctx);
+        self.lin.retain(|_, path| !dead.contains(path));
+        self.claim_paths.retain(|_, path| !dead.contains(path));
+        self.drive(ctx, Input::Changed);
     }
 
     fn on_neighbor_up(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
@@ -1557,7 +1176,7 @@ mod tests {
         assert_eq!(
             RoutedPayload::Discover {
                 origin: NodeId(4),
-                dir: Dir::Cw,
+                toward: Side::Right,
                 nonce: 0
             }
             .target(),
@@ -1566,7 +1185,7 @@ mod tests {
         assert_eq!(
             RoutedPayload::Discover {
                 origin: NodeId(4),
-                dir: Dir::Ccw,
+                toward: Side::Left,
                 nonce: 0
             }
             .target(),
@@ -1628,16 +1247,17 @@ mod tests {
 
     #[test]
     fn crumb_pids_use_placeholders() {
-        let cw = VrrNode::crumb_pid(NodeId(9), Dir::Cw, 7);
+        let cw = VrrNode::crumb_pid(NodeId(9), Side::Right, 7);
         assert_eq!(cw.eb, NodeId::MAX);
-        let ccw = VrrNode::crumb_pid(NodeId(9), Dir::Ccw, 7);
+        let ccw = VrrNode::crumb_pid(NodeId(9), Side::Left, 7);
         assert_eq!(ccw.ea, NodeId::MIN);
     }
 
     #[test]
     fn reset_keeps_identity() {
         let mut n = VrrNode::new(NodeId(5));
-        n.wrap_succ = Some(NodeId(1));
+        n.lin
+            .set_wrap(Side::Right, NodeId(1), PathId::new(NodeId(5), NodeId(1), 0));
         n.reset();
         assert_eq!(n.id(), NodeId(5));
         assert!(n.wrap_succ().is_none());
@@ -1646,7 +1266,7 @@ mod tests {
     #[test]
     fn state_size_excludes_breadcrumbs() {
         let mut n = VrrNode::new(NodeId(5));
-        let crumb = VrrNode::crumb_pid(NodeId(5), Dir::Cw, 1);
+        let crumb = VrrNode::crumb_pid(NodeId(5), Side::Right, 1);
         n.install_walk_hop(crumb, NodeId(5), None, Some(0));
         assert_eq!(n.table().len(), 1);
         assert_eq!(n.state_size(), 0);
