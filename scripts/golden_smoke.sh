@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Behavioural-equivalence gate: regenerate the manifests checked in under
-# results/golden/ into a scratch directory and require each fresh one to
-# `obs diff` clean ("no differences") AND compare byte-equal against its
-# golden. The set covers the protocol paths a refactor of the node logic
-# can bend without any unit test noticing:
+# Behavioural-equivalence gate: regenerate everything checked in under
+# results/golden/ into a scratch directory and require, for every
+# experiment, the fresh manifest to `obs diff` clean ("no differences")
+# AND manifest, captured stdout and `--csv` table to compare byte-equal
+# against their goldens. All twelve experiments are covered, so a refactor
+# of the node logic, the simulator or the experiment shell that bends any
+# table shows up here without any unit test having to notice:
 #
 #   exp_chaos --smoke            retry exhaustion, phys re-adopt,
 #                                partition/heal, corrupted start (+ the
@@ -13,6 +15,15 @@
 #                                and --keep-edges (teardown=false), ISPRP
 #                                included
 #   exp_churn --quick            crash/join -> reset, on_neighbor_down
+#   exp_convergence --quick      abstract engine, three variants × four
+#   exp_powerlaw --quick         families; the power-law datapoint
+#   exp_routing --quick          greedy routing over the converged ring
+#   exp_state --quick            engine peak degree + SSR cache sizes
+#   fig1_loopy fig2_rings        ISPRP ± flood vs linearized SSR
+#   fig3_trace                   the round-by-round narrative
+#   exp_perf --smoke             wall-clock fields, so not byte-gated:
+#                                `obs diff` against the golden artifact
+#                                must print no "behavior change" line
 #
 # All runs use SSR_OBS_OMIT_WALL=1 --workers 1, which makes manifests
 # byte-reproducible. The checked-in results/exp_chaos.manifest.json (a
@@ -20,40 +31,57 @@
 # `obs diff` only.
 #
 # After a *deliberate* behaviour change, re-bless by copying the fresh
-# manifests over the goldens:
-#   cp target/golden-smoke/*.manifest.json results/golden/
+# files over the goldens:
+#   cp target/golden-smoke/*.{manifest.json,stdout.txt,csv} results/golden/
+#   cp target/golden-smoke/exp_perf_smoke.json results/golden/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p ssr-bench --bin exp_chaos --bin exp_vrr_compare \
-  --bin exp_flooding_cost --bin exp_churn -p ssr-obs --bin obs
+cargo build --release -q -p ssr-bench --bins -p ssr-obs --bin obs
 BIN="$(pwd)/target/release"
 GOLDEN="$(pwd)/results/golden"
 SCRATCH="$(pwd)/target/golden-smoke"
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
 
+# same FRESH GOLDEN WHAT: byte compare, naming what differs on failure.
+same() {
+  cmp "$1" "$2" || {
+    echo "golden smoke: $3 is not byte-identical to its golden" >&2
+    exit 1
+  }
+}
+
 # check NAME EXP ARGS...: run EXP with ARGS in its own directory, keep the
-# manifest as $SCRATCH/NAME.manifest.json, compare with the golden NAME.
+# manifest, stdout and CSV as $SCRATCH/NAME.{manifest.json,stdout.txt,csv},
+# compare each with the golden NAME.
 check() {
   local name="$1" exp="$2"
   shift 2
   mkdir -p "$SCRATCH/$name.run"
-  (cd "$SCRATCH/$name.run" && SSR_OBS_OMIT_WALL=1 "$BIN/$exp" "$@" --workers 1 > stdout.txt)
+  (cd "$SCRATCH/$name.run" &&
+    SSR_OBS_OMIT_WALL=1 "$BIN/$exp" "$@" --workers 1 --csv table.csv > stdout.txt)
   local fresh="$SCRATCH/$name.manifest.json"
   mv "$SCRATCH/$name.run/results/$exp.manifest.json" "$fresh"
+  mv "$SCRATCH/$name.run/stdout.txt" "$SCRATCH/$name.stdout.txt"
   "$BIN/obs" diff "$GOLDEN/$name.manifest.json" "$fresh" > "$SCRATCH/$name.diff" || true
   grep -q "^no differences$" "$SCRATCH/$name.diff" || {
     echo "golden smoke: $name differs from results/golden/$name.manifest.json:" >&2
     cat "$SCRATCH/$name.diff" >&2
     exit 1
   }
-  # the manifest stamps `git describe` when run inside a checkout; that
-  # line is the one field allowed to differ
-  cmp <(grep -v '^  "git": ' "$GOLDEN/$name.manifest.json") <(grep -v '^  "git": ' "$fresh") || {
-    echo "golden smoke: $name is obs-diff clean but not byte-identical" >&2
-    exit 1
-  }
+  # the manifest stamps `git describe` when run inside a checkout, and the
+  # six goldens that predate the CSV capture carry no `csv` config line;
+  # those two lines are the only ones allowed to differ
+  local skip='^  "git": \|^    "csv": '
+  same <(grep -v "$skip" "$fresh") <(grep -v "$skip" "$GOLDEN/$name.manifest.json") \
+    "$name manifest (obs-diff clean)"
+  same "$SCRATCH/$name.stdout.txt" "$GOLDEN/$name.stdout.txt" "$name stdout"
+  # fig3_trace prints a narrative and has no table: no CSV on either side
+  if [ -e "$SCRATCH/$name.run/table.csv" ] || [ -e "$GOLDEN/$name.csv" ]; then
+    mv "$SCRATCH/$name.run/table.csv" "$SCRATCH/$name.csv"
+    same "$SCRATCH/$name.csv" "$GOLDEN/$name.csv" "$name csv"
+  fi
   echo "  $name: no differences"
 }
 
@@ -63,6 +91,13 @@ check exp_flooding_cost_quick exp_flooding_cost --quick
 check exp_flooding_cost_quick_no_ccw exp_flooding_cost --quick --no-ccw
 check exp_flooding_cost_quick_keep_edges exp_flooding_cost --quick --keep-edges
 check exp_churn_quick exp_churn --quick
+check exp_convergence_quick exp_convergence --quick
+check exp_powerlaw_quick exp_powerlaw --quick
+check exp_routing_quick exp_routing --quick
+check exp_state_quick exp_state --quick
+check fig1_loopy fig1_loopy
+check fig2_rings fig2_rings
+check fig3_trace fig3_trace
 
 "$BIN/obs" diff results/exp_chaos.manifest.json "$SCRATCH/exp_chaos_smoke.manifest.json" \
   | grep -q "^no differences$" || {
@@ -70,5 +105,17 @@ check exp_churn_quick exp_churn --quick
   exit 1
 }
 echo "  results/exp_chaos.manifest.json: no differences"
+
+# exp_perf's artifact carries wall-clock fields: its deterministic work
+# counters are the gate (obs diff marks any drift there "behavior change";
+# its exit code reflects timing, which this gate does not judge)
+"$BIN/exp_perf" --smoke --workers 1 --out "$SCRATCH/exp_perf_smoke.json" > /dev/null
+"$BIN/obs" diff "$GOLDEN/exp_perf_smoke.json" "$SCRATCH/exp_perf_smoke.json" \
+  > "$SCRATCH/exp_perf_smoke.diff" || true
+if grep "behavior change" "$SCRATCH/exp_perf_smoke.diff" >&2; then
+  echo "golden smoke: exp_perf --smoke work counters drifted" >&2
+  exit 1
+fi
+echo "  exp_perf_smoke: no behavior change"
 
 echo "golden smoke OK"
