@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Offline CI: build, test, lint, docs, format check, then the chaos
-# smoke matrix (exp_chaos --smoke: self-stabilization gate), the golden
-# smoke (results/golden/ manifests must reproduce byte for byte), the
+# smoke matrix (exp exp_chaos --smoke: self-stabilization gate), the golden
+# smoke (results/golden/: manifest, stdout and CSV of every experiment must
+# reproduce byte for byte), the
 # benchmark package's self-check (benchmark/ is its own workspace, so
 # nothing above compiles it), the sweep smoke (orchestrator
 # byte-determinism across --workers), the
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
 # ledger on + obs flame/top attribution gates), and the perf-baseline
-# smoke (exp_perf --smoke artifact gate). Mirrors `just ci`.
+# smoke (exp exp_perf --smoke artifact gate). Mirrors `just ci`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,7 +33,7 @@ echo "== fmt =="
 cargo fmt --all --check
 
 echo "== chaos smoke =="
-./target/release/exp_chaos --smoke
+./target/release/exp exp_chaos --smoke
 
 echo "== golden smoke =="
 ./scripts/golden_smoke.sh
@@ -55,7 +56,7 @@ echo "== perf smoke =="
 # that the artifact parses, carries the current git describe, and has
 # enough scenarios for obs diff to be meaningful.
 perf_out="$(mktemp -d)/BENCH_perf.json"
-./target/release/exp_perf --smoke --out "$perf_out"
+./target/release/exp exp_perf --smoke --out "$perf_out"
 grep -q '"schema": "ssr-bench-perf/2"' "$perf_out"
 describe="$(git describe --always --dirty 2>/dev/null || true)"
 if [ -n "$describe" ]; then

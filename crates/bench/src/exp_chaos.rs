@@ -26,7 +26,7 @@
 //! the matrix, and the merged manifest is byte-identical for any worker
 //! count (docs/SWEEPS.md).
 //!
-//! Run: `cargo run --release -p ssr-bench --bin exp_chaos`
+//! Run: `cargo run --release -p ssr-bench --bin exp -- exp_chaos`
 //! Flags: `--seeds K` (default 3), `--quick` (n=50 only), `--smoke`
 //! (n=16, 2 seeds — the CI determinism check), `--only NAME` (one
 //! scenario; sugar for `--matrix scenario=NAME`), `--freeze-window T`,
@@ -34,18 +34,19 @@
 
 use std::rc::Rc;
 
-use ssr_bench::{fmt_count, Args};
-use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
+use ssr_core::bootstrap::BootstrapConfig;
 use ssr_core::{chaos, consistency};
 use ssr_graph::{generators, Labeling};
 use ssr_sim::faults::{partition_groups, poisson_crash_rejoin_trace, Fault};
 use ssr_sim::{
-    shared_watchdog, watchdog_probe, LinkConfig, Metrics, ProvenanceSummary, QueueBackend,
-    Simulator, Time, TraceSink, Verdict,
+    shared_watchdog, watchdog_probe, LinkConfig, Metrics, ProvenanceSummary, Time, Verdict,
 };
 use ssr_types::Rng;
 use ssr_vrr::{run_vrr_bootstrap_watched, VrrMode};
-use ssr_workloads::{parallel_map, run_matrix, summarize_counts, Matrix, Table, Topology};
+use ssr_workloads::{summarize_counts, Matrix, Topology};
+
+use crate::cells::{instance_seed, run_to_ring, ssr_sim, RING_BUDGET};
+use crate::{fmt_count, Shell};
 
 /// How a scenario corrupts the initial virtual-ring state.
 #[derive(Clone, Copy)]
@@ -148,14 +149,11 @@ struct Outcome {
 /// Fault window length in ticks: adversary knobs are active over
 /// `[2, 2 + WINDOW]`, recovery is measured from `2 + WINDOW + 50`.
 const WINDOW: u64 = 400;
-const BUDGET: u64 = 300_000;
 const FREEZE_WINDOW: u64 = 3_000;
 
 fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome {
     let topo = Topology::UnitDisk { n, scale: 1.4 };
-    let (g, labels) = topo.instance(seed.wrapping_mul(577) ^ n as u64);
-    let cfg = BootstrapConfig::default();
-    let nodes = make_ssr_nodes(&labels, cfg.ssr);
+    let (g, labels) = topo.instance(instance_seed(seed, 577, n));
     let mut link = LinkConfig::ideal();
     if spec.dup > 0.0 {
         link = link.with_dup(spec.dup);
@@ -166,14 +164,7 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     // the causal ledger is on for every chaos run: it never touches the
     // RNG, so verdicts and recovery costs are identical to an
     // uninstrumented run, and the merged summary feeds `obs flame`/`obs top`
-    let mut sim = Simulator::instrumented(
-        g.clone(),
-        nodes,
-        link,
-        seed,
-        TraceSink::disabled(),
-        QueueBackend::default(),
-    );
+    let mut sim = ssr_sim(&g, &labels, BootstrapConfig::default().ssr, link, seed, true);
     let mut frng = Rng::new(seed ^ 0x00C4_A05C);
 
     match spec.corrupt {
@@ -218,10 +209,10 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     let preconverge =
         matches!(spec.corrupt, Corrupt::None) && (spec.partition.is_some() || spec.churn);
     if preconverge {
-        let outcome = sim.run_until_stable(8, BUDGET, |nodes, _| {
-            consistency::check_ring(nodes).consistent()
-        });
-        assert!(outcome.is_quiescent(), "initial bootstrap failed");
+        assert!(
+            run_to_ring(&mut sim).is_quiescent(),
+            "initial bootstrap failed"
+        );
     }
     let fault_start = if preconverge {
         sim.now().ticks() + 1
@@ -288,7 +279,7 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     }
 
     let stop = Rc::clone(&wd);
-    let outcome = sim.run_until_stable(8, BUDGET, move |nodes, _| {
+    let outcome = sim.run_until_stable(8, RING_BUDGET, move |nodes, _| {
         consistency::check_ring(nodes).consistent() || stop.borrow().is_frozen()
     });
     let converged = consistency::check_ring(sim.protocols()).consistent();
@@ -314,31 +305,46 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     }
 }
 
-fn main() {
-    let started = std::time::Instant::now();
-    let args = Args::parse();
-    let smoke = args.flag("smoke");
-    let seeds: u64 = if smoke { 2 } else { args.get("seeds", 3) };
-    let freeze_window: u64 = args.get("freeze-window", FREEZE_WINDOW);
-    let sizes: Vec<usize> = if smoke {
+/// The E11 body.
+pub fn run(sh: &mut Shell) {
+    let smoke = sh.args.flag("smoke");
+    let seeds: u64 = if smoke { 2 } else { sh.seeds(3) };
+    let freeze_window: u64 = sh.args.get("freeze-window", FREEZE_WINDOW);
+    let sizes = if smoke {
         vec![16]
-    } else if args.quick() {
-        vec![50]
     } else {
-        vec![50, 100]
+        sh.sizes(&[50], &[50, 100])
     };
 
     let specs = scenarios();
     let mut matrix = Matrix::new(specs.iter().map(|s| s.name), sizes, seeds);
-    if let Some(only) = args.opt("only") {
+    if let Some(only) = sh.args.opt("only") {
         // sugar for --matrix scenario=NAME
         if let Err(e) = matrix.override_with(&format!("scenario={only}")) {
             panic!("--only {only}: {e}");
         }
     }
+    let matrix = sh.matrix(matrix);
+    sh.man
+        .seed(0)
+        .config("smoke", smoke)
+        .config("window", WINDOW)
+        .config("freeze_window", freeze_window);
 
-    let mut table = Table::new(
-        "E11: chaos matrix (adversarial links, partitions, churn, corrupted starts)".to_string(),
+    // The full scenario × n × seed cross product as one flat job list on
+    // the orchestrator pool. Results come back in canonical job order, so
+    // the merged registries and the manifest below are byte-identical for
+    // any --workers value.
+    let sweep = sh.sweep(&matrix, |job| {
+        let spec = specs
+            .iter()
+            .find(|s| s.name == matrix.name(job))
+            .expect("matrix scenarios come from the spec library");
+        run_scenario(spec, job.n, job.seed, freeze_window)
+    });
+
+    sh.table(
+        "E11: chaos matrix (adversarial links, partitions, churn, corrupted starts)",
         &[
             "scenario",
             "n",
@@ -351,37 +357,12 @@ fn main() {
             "phi rises",
         ],
     );
-    let mut man = ssr_bench::manifest(&args, "exp_chaos");
-    let matrix = ssr_bench::resolve_matrix(&args, &mut man, matrix);
-    man.seed(0)
-        .config("smoke", smoke)
-        .config("window", WINDOW)
-        .config("freeze_window", freeze_window);
-
-    // The full scenario × n × seed cross product as one flat job list on
-    // the orchestrator pool. Results come back in canonical job order, so
-    // the merged registries and the manifest below are byte-identical for
-    // any --workers value.
-    let sweep = run_matrix(&matrix, args.workers(), |job| {
-        let spec = specs
-            .iter()
-            .find(|s| s.name == matrix.name(job))
-            .expect("matrix scenarios come from the spec library");
-        run_scenario(spec, job.n, job.seed, freeze_window)
-    });
-
     let mut agg = Metrics::new();
     let mut agg_prov = ProvenanceSummary::default();
-    // CI gate: every SSR scenario must self-stabilize (converge without
-    // freezing or flooding, union graph connected). Violations are
-    // collected so the table and manifest still come out, then fail the
-    // process.
-    let mut failures: Vec<String> = Vec::new();
-    let seeds = matrix.seeds.len() as u64;
-
+    let seeds = matrix.seeds.len();
     for (name, n, outcomes) in sweep.cells() {
         for (o, &seed) in outcomes.iter().zip(&matrix.seeds) {
-            man.chaos_scenario(ssr_obs::ChaosScenario {
+            sh.man.chaos_scenario(ssr_obs::ChaosScenario {
                 name: name.to_string(),
                 n: n as u64,
                 seed,
@@ -399,32 +380,28 @@ fn main() {
                 agg.observe_hist("chaos.recovery_msgs", o.recovery_msgs);
             }
         }
-        let ok = outcomes.iter().filter(|o| o.converged).count();
+        let converged = || outcomes.iter().filter(|o| o.converged);
+        let ok = converged().count();
         let frozen = outcomes
             .iter()
             .filter(|o| o.verdict.starts_with("frozen"))
             .count();
-        let ticks = summarize_counts(
-            outcomes
-                .iter()
-                .filter(|o| o.converged)
-                .map(|o| o.recovery_ticks),
-        );
-        let msgs = summarize_counts(
-            outcomes
-                .iter()
-                .filter(|o| o.converged)
-                .map(|o| o.recovery_msgs),
-        );
+        let ticks = summarize_counts(converged().map(|o| o.recovery_ticks));
+        let msgs = summarize_counts(converged().map(|o| o.recovery_msgs));
         let floods: u64 = outcomes.iter().map(|o| o.floods).sum();
         let union_disc: u64 = outcomes.iter().map(|o| o.union_disconnected).sum();
         let rises: u64 = outcomes.iter().map(|o| o.potential_rises).sum();
-        if ok as u64 != seeds || floods != 0 || union_disc != 0 {
-            failures.push(format!(
-                "{name} n={n}: converged {ok}/{seeds}, floods {floods}, union disc {union_disc}"
+        // CI gate: every SSR scenario must self-stabilize (converge without
+        // freezing or flooding, union graph connected). Violations are
+        // recorded with the shell, so the table and manifest still come
+        // out before the process fails.
+        if ok != seeds || floods != 0 || union_disc != 0 {
+            sh.fail(format!(
+                "self-stabilization violated — {name} n={n}: converged {ok}/{seeds}, \
+                 floods {floods}, union disc {union_disc}"
             ));
         }
-        table.row(&[
+        sh.row(&[
             name.to_string(),
             n.to_string(),
             format!("{ok}/{seeds}"),
@@ -437,23 +414,22 @@ fn main() {
         ]);
     }
 
-    table.print();
-    println!("\npaper claim: linearization self-stabilizes — every SSR scenario must");
-    println!("end converged (frozen = 0) with floods = 0 and the union graph never");
-    println!("disconnected after the fault window; transient phi rises during");
-    println!("discovery are expected (DESIGN.md finding 1) and only counted.");
+    sh.note("\npaper claim: linearization self-stabilizes — every SSR scenario must");
+    sh.note("end converged (frozen = 0) with floods = 0 and the union graph never");
+    sh.note("disconnected after the fault window; transient phi rises during");
+    sh.note("discovery are expected (DESIGN.md finding 1) and only counted.");
 
     // VRR crossing-state rows (DESIGN.md finding 7): seeds pinned to runs
     // known to freeze, plus one healthy control. The watchdog verdict —
     // not a burned tick budget — is the recorded outcome. Pinned (n, seed)
-    // pairs are not a cross product, so they ride the pool via
-    // parallel_map; reports come back in pin order.
+    // pairs are not a cross product, so they ride the pool via `map`;
+    // reports come back in pin order.
     let vrr_runs: Vec<(usize, u64)> = if smoke {
         vec![(28, 9), (20, 0)]
     } else {
         vec![(28, 9), (28, 12), (30, 2), (20, 0)]
     };
-    let vrr_reports = parallel_map(vrr_runs, args.workers(), |&(n, seed)| {
+    let vrr_reports = sh.map(vrr_runs, |&(n, seed)| {
         let mut rng = Rng::new(seed);
         let (g, _) = generators::unit_disk_connected(n, 1.3, &mut rng);
         let labels = Labeling::random(n, &mut rng);
@@ -468,15 +444,15 @@ fn main() {
         );
         (n, seed, report)
     });
-    println!("\nVRR crossing-state classification (watched bootstrap):");
+    sh.note("\nVRR crossing-state classification (watched bootstrap):");
     for (n, seed, report) in &vrr_reports {
-        println!(
+        sh.note(format!(
             "  n={n:<4} seed={seed:<4} verdict={:<16} ticks={} msgs={}",
             report.verdict,
             report.ticks,
             fmt_count(report.total_messages)
-        );
-        man.chaos_scenario(ssr_obs::ChaosScenario {
+        ));
+        sh.man.chaos_scenario(ssr_obs::ChaosScenario {
             name: "vrr-bootstrap".to_string(),
             n: *n as u64,
             seed: *seed,
@@ -489,18 +465,6 @@ fn main() {
         });
     }
 
-    if let Some(path) = args.csv() {
-        table.to_csv(path).expect("csv");
-        println!("(csv written to {path})");
-    }
-    man.record_metrics(&agg);
-    man.record_provenance(&agg_prov);
-    ssr_bench::emit_manifest(&mut man, started);
-    if !failures.is_empty() {
-        eprintln!("\nFAIL: self-stabilization violated:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    sh.man.record_metrics(&agg);
+    sh.man.record_provenance(&agg_prov);
 }

@@ -9,18 +9,20 @@
 //! The n × seed sweep runs through the deterministic orchestrator
 //! (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
-//! Run: `cargo run --release -p ssr-bench --bin exp_churn`
+//! Run: `cargo run --release -p ssr-bench --bin exp -- exp_churn`
 //! Flags: `--seeds K` (default 5), `--quick`, `--rate R` (crash rate per
 //! tick, default 0.02), `--workers N`, `--matrix SPEC` (e.g.
 //! `n=100;seeds=3`), `--csv PATH`.
 
-use ssr_bench::{fmt_count, Args};
-use ssr_core::bootstrap::{make_ssr_nodes, ssr_timeline_probe, BootstrapConfig};
+use ssr_core::bootstrap::{ssr_timeline_probe, BootstrapConfig};
 use ssr_core::consistency;
 use ssr_sim::faults::{poisson_crash_rejoin_trace, poisson_link_flap_trace};
-use ssr_sim::{LinkConfig, Metrics, Simulator, Time};
+use ssr_sim::{LinkConfig, Metrics, Time};
 use ssr_types::Rng;
-use ssr_workloads::{run_matrix, summarize_counts, Table, Topology};
+use ssr_workloads::{summarize_counts, Matrix, Topology};
+
+use crate::cells::{instance_seed, representative, run_to_ring, ssr_sim};
+use crate::{fmt_count, Shell};
 
 struct Outcome {
     reconverged: bool,
@@ -32,45 +34,33 @@ struct Outcome {
     observed: Option<(Vec<ssr_core::ConvergencePoint>, Metrics)>,
 }
 
-fn main() {
-    let started = std::time::Instant::now();
-    let args = Args::parse();
-    let seeds: u64 = args.get("seeds", 5);
-    let rate: f64 = args.get("rate", 0.02);
-    let sizes: Vec<usize> = if args.quick() {
-        vec![50]
-    } else {
-        vec![50, 100, 200]
-    };
+/// The E8 body.
+pub fn run(sh: &mut Shell) {
+    let rate: f64 = sh.args.get("rate", 0.02);
     let churn_window = 400u64;
-
-    let mut man = ssr_bench::manifest(&args, "exp_churn");
-    man.seed(0)
+    sh.man
+        .seed(0)
         .config("rate", rate)
         .config("churn_window", churn_window);
-    let matrix = ssr_bench::resolve_matrix(
-        &args,
-        &mut man,
-        ssr_workloads::Matrix::new(["churn-burst"], sizes, seeds),
-    );
+    let sizes = sh.sizes(&[50], &[50, 100, 200]);
+    let matrix = sh.matrix(Matrix::new(["churn-burst"], sizes, sh.seeds(5)));
     let rep_seed = matrix.seeds[0];
 
-    let sweep = run_matrix(&matrix, args.workers(), |job| {
+    let sweep = sh.sweep(&matrix, |job| {
         let (n, seed) = (job.n, job.seed);
         let topo = Topology::UnitDisk { n, scale: 1.4 };
-        let (g, labels) = topo.instance(seed.wrapping_mul(577) ^ n as u64);
-        let cfg = BootstrapConfig::default();
-        let nodes = make_ssr_nodes(&labels, cfg.ssr);
-        let mut sim = Simulator::new(g.clone(), nodes, LinkConfig::ideal(), seed);
+        let (g, labels) = topo.instance(instance_seed(seed, 577, n));
+        let ssr = BootstrapConfig::default().ssr;
+        let mut sim = ssr_sim(&g, &labels, ssr, LinkConfig::ideal(), seed, false);
         let timeline = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         if seed == rep_seed {
             sim.add_probe(8, ssr_timeline_probe(std::rc::Rc::clone(&timeline)));
         }
         // phase 1: converge
-        let outcome = sim.run_until_stable(8, 300_000, |nodes, _| {
-            consistency::check_ring(nodes).consistent()
-        });
-        assert!(outcome.is_quiescent(), "initial bootstrap failed");
+        assert!(
+            run_to_ring(&mut sim).is_quiescent(),
+            "initial bootstrap failed"
+        );
         let t0 = sim.now();
         // phase 2: churn burst
         let mut frng = Rng::new(seed ^ 0xC0FFEE);
@@ -99,9 +89,7 @@ fn main() {
         // phase 3: let the churn play out, then measure recovery
         sim.run_until(Time(t0.ticks() + churn_window + 50));
         let recover_from = sim.now();
-        let outcome = sim.run_until_stable(8, 300_000, |nodes, _| {
-            consistency::check_ring(nodes).consistent()
-        });
+        let outcome = run_to_ring(&mut sim);
         Outcome {
             reconverged: consistency::check_ring(sim.protocols()).consistent(),
             recovery_ticks: outcome.time() - recover_from,
@@ -112,7 +100,7 @@ fn main() {
         }
     });
 
-    let mut table = Table::new(
+    sh.table(
         format!("E8: churn recovery (crash rate {rate}/tick over {churn_window} ticks)"),
         &[
             "n",
@@ -122,12 +110,7 @@ fn main() {
             "flood msgs",
         ],
     );
-    let mut rep_observed: Option<(usize, Vec<ssr_core::ConvergencePoint>, Metrics)> = None;
-
     for (_, n, outcomes) in sweep.cells() {
-        if let Some((tl, m)) = outcomes.iter().find_map(|o| o.observed.clone()) {
-            rep_observed = Some((n, tl, m));
-        }
         let runs = outcomes.len();
         let ok = outcomes.iter().filter(|o| o.reconverged).count();
         let ticks = summarize_counts(
@@ -138,7 +121,7 @@ fn main() {
         );
         let msgs = summarize_counts(outcomes.iter().map(|o| o.recovery_msgs));
         let floods: u64 = outcomes.iter().map(|o| o.floods).sum();
-        table.row(&[
+        sh.row(&[
             n.to_string(),
             format!("{ok}/{runs}"),
             format!("{:.0}", ticks.mean),
@@ -147,19 +130,14 @@ fn main() {
         ]);
     }
 
-    table.print();
-    println!("\npaper claim: self-stabilization means churn recovery needs no flooding —");
-    println!("the flood column must be zero; recovery is local repair plus re-discovery.");
-    if let Some(path) = args.csv() {
-        table.to_csv(path).expect("csv");
-        println!("(csv written to {path})");
-    }
+    sh.note("\npaper claim: self-stabilization means churn recovery needs no flooding —");
+    sh.note("the flood column must be zero; recovery is local repair plus re-discovery.");
 
-    // Manifest: the representative-seed run at the largest n, whose timeline
-    // shows the full dip — converged ring, churn burst, re-convergence.
-    if let Some((n, tl, m)) = &rep_observed {
-        man.config("timeline_n", n).record_metrics(m);
-        ssr_bench::record_bootstrap_timeline(&mut man, tl);
+    // Manifest: the representative-seed run at the last (largest) n, whose
+    // timeline shows the full dip — converged ring, churn burst,
+    // re-convergence.
+    if let Some((n, Some((tl, m)))) = representative(&sweep).map(|(n, o)| (n, &o.observed)) {
+        sh.man.config("timeline_n", n).record_metrics(m);
+        sh.timeline(tl);
     }
-    ssr_bench::emit_manifest(&mut man, started);
 }

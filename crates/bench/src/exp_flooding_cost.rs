@@ -14,15 +14,20 @@
 //! `--keep-edges` disables tear-downs (the with-memory variant: fewer
 //! messages per step, more state).
 //!
-//! Run: `cargo run --release -p ssr-bench --bin exp_flooding_cost`
+//! Run: `cargo run --release -p ssr-bench --bin exp -- exp_flooding_cost`
 //! Flags: `--seeds K` (default 5), `--quick`, `--no-ccw`, `--keep-edges`,
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=linearized;n=200`),
 //! `--csv PATH`.
 
-use ssr_bench::{fmt_count, Args};
 use ssr_core::bootstrap::{run_isprp_bootstrap, run_linearized_bootstrap, BootstrapConfig};
 use ssr_obs::Value;
-use ssr_workloads::{run_matrix, summarize_counts, Table, Topology};
+use ssr_workloads::{summarize_counts, Matrix};
+
+use crate::cells::{instance_seed, message_count, record_representative_bootstrap, unit_disk};
+use crate::{fmt_count, Shell};
+
+/// Salt of E6's topology-instance stream.
+const SALT: u64 = 101;
 
 struct Row {
     converged: bool,
@@ -33,51 +38,31 @@ struct Row {
     max_state: usize,
 }
 
-fn main() {
-    let started = std::time::Instant::now();
-    let args = Args::parse();
-    let seeds: u64 = args.get("seeds", 5);
-    let sizes: Vec<usize> = if args.quick() {
-        vec![50, 100]
-    } else {
-        vec![50, 100, 200, 400, 800]
-    };
+/// The E6 body.
+pub fn run(sh: &mut Shell) {
     let mut cfg = BootstrapConfig {
         max_ticks: 300_000,
         ..Default::default()
     };
-    cfg.ssr.ccw_redundancy = !args.flag("no-ccw");
-    cfg.ssr.teardown = !args.flag("keep-edges");
+    cfg.ssr.ccw_redundancy = !sh.args.flag("no-ccw");
+    cfg.ssr.teardown = !sh.args.flag("keep-edges");
+    sh.man
+        .seed(0)
+        .config("no-ccw", sh.args.flag("no-ccw"))
+        .config("keep-edges", sh.args.flag("keep-edges"));
+    let sizes = sh.sizes(&[50, 100], &[50, 100, 200, 400, 800]);
+    let matrix = sh.matrix(Matrix::new(["linearized", "isprp"], sizes, sh.seeds(5)));
 
-    let mut man = ssr_bench::manifest(&args, "exp_flooding_cost");
-    man.seed(0)
-        .config("no-ccw", args.flag("no-ccw"))
-        .config("keep-edges", args.flag("keep-edges"));
-    let matrix = ssr_bench::resolve_matrix(
-        &args,
-        &mut man,
-        ssr_workloads::Matrix::new(["linearized", "isprp"], sizes, seeds),
-    );
-
-    let sweep = run_matrix(&matrix, args.workers(), |job| {
-        let (n, seed) = (job.n, job.seed);
-        let topo = Topology::UnitDisk { n, scale: 1.3 };
-        let (g, labels) = topo.instance(seed.wrapping_mul(101) ^ n as u64);
+    let sweep = sh.sweep(&matrix, |job| {
+        let (g, labels) = unit_disk(job.n, instance_seed(job.seed, SALT, job.n));
         let mut cfg = cfg;
-        cfg.seed = seed;
+        cfg.seed = job.seed;
         let report = if matrix.name(job) == "linearized" {
             run_linearized_bootstrap(&g, &labels, &cfg).0
         } else {
             run_isprp_bootstrap(&g, &labels, &cfg).0
         };
-        let kind = |k: &str| {
-            report
-                .messages
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let kind = |k| message_count(&report.messages, k);
         Row {
             converged: report.converged,
             ticks: report.ticks,
@@ -88,7 +73,7 @@ fn main() {
         }
     });
 
-    let mut table = Table::new(
+    sh.table(
         "E6: bootstrap cost — ISPRP + flood vs linearized SSR (unit-disk)",
         &[
             "n",
@@ -102,7 +87,6 @@ fn main() {
         ],
     );
     let mut sweep_means: Vec<(String, Value)> = Vec::new();
-
     for (mech, n, rows) in sweep.cells() {
         let runs = rows.len() as u64;
         let conv = rows.iter().filter(|r| r.converged).count();
@@ -120,7 +104,7 @@ fn main() {
                 ("converged".into(), (conv as u64).into()),
             ]),
         ));
-        table.row(&[
+        sh.row(&[
             n.to_string(),
             mech.into(),
             format!("{conv}/{runs}"),
@@ -132,34 +116,15 @@ fn main() {
         ]);
     }
 
-    table.print();
-    println!("\npaper claim: the linearized bootstrap reaches the same globally consistent");
-    println!("ring with zero flood messages; ISPRP's flood costs ≈ 2·|E_p| transmissions");
-    println!("plus the claim/update cascade it triggers.");
-    if let Some(path) = args.csv() {
-        table.to_csv(path).expect("csv");
-        println!("(csv written to {path})");
-    }
+    sh.note("\npaper claim: the linearized bootstrap reaches the same globally consistent");
+    sh.note("ring with zero flood messages; ISPRP's flood costs ≈ 2·|E_p| transmissions");
+    sh.note("plus the claim/update cascade it triggers.");
 
-    // Manifest: one representative linearized run (first matrix seed,
-    // largest n) for the full metric/timeline dump; the sweep means ride
-    // along as extras.
-    let rep_n = *matrix.sizes.last().unwrap();
-    let rep_seed = matrix.seeds[0];
-    man.config("timeline_n", rep_n);
-    let (g, labels) = Topology::UnitDisk {
-        n: rep_n,
-        scale: 1.3,
-    }
-    .instance(rep_seed.wrapping_mul(101) ^ rep_n as u64);
-    let mut rep_cfg = cfg;
-    rep_cfg.seed = rep_seed;
-    let (report, sim) = run_linearized_bootstrap(&g, &labels, &rep_cfg);
-    man.record_metrics(sim.metrics());
-    ssr_bench::record_bootstrap_timeline(&mut man, &report.timeline);
-    man.extra("rep_converged", Value::Bool(report.converged));
-    man.extra("rep_ticks", report.ticks.into());
-    man.extra("rep_msgs_total", report.total_messages.into());
-    man.extra("sweep", Value::Obj(sweep_means));
-    ssr_bench::emit_manifest(&mut man, started);
+    // Manifest: one representative linearized run for the full
+    // metric/timeline dump; the sweep means ride along as extras.
+    let report = record_representative_bootstrap(sh, &matrix, SALT, cfg);
+    sh.man.extra("rep_converged", Value::Bool(report.converged));
+    sh.man.extra("rep_ticks", report.ticks.into());
+    sh.man.extra("rep_msgs_total", report.total_messages.into());
+    sh.man.extra("sweep", Value::Obj(sweep_means));
 }

@@ -2,7 +2,7 @@
 //!
 //! Where the criterion suites (`benches/micro.rs`, `benches/bench_core.rs`)
 //! answer "how fast is this routine right now, on this machine", this
-//! binary produces a *comparable artifact*: `BENCH_perf.json` at the repo
+//! experiment produces a *comparable artifact*: `BENCH_perf.json` at the repo
 //! root, carrying per-scenario wall time **and** the machine-independent
 //! work ledger the event-driven simulator exposes — messages delivered,
 //! protocol activations, peak pending-event depth. Two of these files from
@@ -38,7 +38,7 @@
 //! deterministic per seed, so the artifact's non-timing bytes don't depend
 //! on the worker count.
 //!
-//! Run: `cargo run --release -p ssr-bench --bin exp_perf`
+//! Run: `cargo run --release -p ssr-bench --bin exp -- exp_perf`
 //! Flags: `--smoke` (tiny sizes, 1 repeat — the CI gate), `--repeats K`
 //! (default 3), `--seed S` (default 1), `--workers N` (breakdown phase
 //! only), `--matrix scenario=A,B` (restrict to the named scenarios),
@@ -47,22 +47,20 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use ssr_bench::{fmt_count, Args};
-use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
+use ssr_core::bootstrap::BootstrapConfig;
+use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_core::routing::RoutingView;
 use ssr_core::{chaos, consistency};
+use ssr_graph::Labeling;
 use ssr_obs::Value;
 use ssr_sim::faults::Fault;
-use ssr_sim::{
-    shared_watchdog, watchdog_probe, LinkConfig, ProvenanceSummary, QueueBackend, Simulator, Time,
-    TraceSink,
-};
+use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, ProvenanceSummary, Simulator, Time};
 use ssr_types::Rng;
 use ssr_workloads::scenario::traffic_pairs;
-use ssr_workloads::Topology;
+use ssr_workloads::Matrix;
 
-/// Tick budget for every convergence/recovery run.
-const BUDGET: u64 = 300_000;
+use crate::cells::{run_to_ring, ssr_sim, unit_disk, RING_BUDGET};
+use crate::{fmt_count, Shell};
 
 /// One `scenarios[]` entry of `BENCH_perf.json`. Counter fields are summed
 /// across repeats (they are deterministic per seed); `wall_ns` is the total
@@ -97,7 +95,7 @@ impl Row {
         }
     }
 
-    fn absorb(&mut self, sim: &Simulator<ssr_core::node::SsrNode>) {
+    fn absorb(&mut self, sim: &Simulator<SsrNode>) {
         self.ticks += sim.now().ticks();
         self.messages_delivered += sim.messages_delivered();
         self.node_activations += sim.node_activations();
@@ -162,78 +160,84 @@ impl Row {
     }
 }
 
-/// A converged linearized-SSR simulator on a connected unit-disk graph.
-fn converged_sim(
+/// Wall time of `f` in nanoseconds, next to its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_nanos() as u64)
+}
+
+/// A fresh linearized-SSR simulator over ideal links on the unit-disk
+/// instance of `seed` — wound three times around the ring first when
+/// `wound` (generalized Figure 1), with the causal ledger on when `ledger`.
+fn fresh_sim(
     n: usize,
     seed: u64,
-    config: ssr_core::node::SsrConfig,
-) -> (Simulator<ssr_core::node::SsrNode>, ssr_graph::Labeling) {
-    let (g, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(seed);
-    let nodes = make_ssr_nodes(&labels, config);
-    let mut sim = Simulator::new(g, nodes, LinkConfig::ideal(), seed);
-    let outcome = sim.run_until_stable(8, BUDGET, |nodes, _| {
-        consistency::check_ring(nodes).consistent()
-    });
-    assert!(
-        outcome.is_quiescent(),
-        "bootstrap failed (n={n} seed={seed})"
-    );
+    config: SsrConfig,
+    wound: bool,
+    ledger: bool,
+) -> (Simulator<SsrNode>, Labeling) {
+    let (g, labels) = unit_disk(n, seed);
+    let mut sim = ssr_sim(&g, &labels, config, LinkConfig::ideal(), seed, ledger);
+    if wound {
+        let succ = chaos::wound_ring_succ(labels.ids(), 3.min(n));
+        chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
+    }
     (sim, labels)
 }
 
-/// Full bootstrap to global consistency; one op per run.
-fn bench_convergence(n: usize, seed: u64, repeats: u64) -> Row {
-    let mut row = Row::new(format!("convergence_n{n}"));
-    for r in 0..repeats {
-        let seed = seed + r;
-        let (g, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(seed);
-        let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
-        let mut sim = Simulator::new(g, nodes, LinkConfig::ideal(), seed);
-        let start = Instant::now();
-        let outcome = sim.run_until_stable(8, BUDGET, |nodes, _| {
-            consistency::check_ring(nodes).consistent()
-        });
-        row.wall_ns += start.elapsed().as_nanos() as u64;
-        assert!(
-            outcome.is_quiescent(),
-            "bootstrap failed (n={n} seed={seed})"
-        );
-        row.repeats += 1;
-        row.ops += 1;
-        row.absorb(&sim);
-    }
-    row
+/// A bootstrap-shaped scenario: run a fresh (`convergence_n*`) or
+/// wound-ring corrupted (`chaos_wound_n*`) network to the consistent ring.
+struct Boot {
+    name: String,
+    n: usize,
+    wound: bool,
 }
 
-/// One extra *untimed* instrumented run of a scenario — ledger on, same
-/// seed as the first timing repeat — for the `ssr-bench-perf/2` message
-/// breakdown. `corrupt` mutates the initial state (no-op for plain
-/// bootstrap).
-fn breakdown_run(
-    n: usize,
-    seed: u64,
-    corrupt: impl Fn(&mut Simulator<ssr_core::node::SsrNode>, &ssr_graph::Labeling),
-) -> ProvenanceSummary {
-    let (g, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(seed);
-    let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
-    let mut sim = Simulator::instrumented(
-        g,
-        nodes,
-        LinkConfig::ideal(),
-        seed,
-        TraceSink::disabled(),
-        QueueBackend::default(),
-    );
-    corrupt(&mut sim, &labels);
-    let outcome = sim.run_until_stable(8, BUDGET, |nodes, _| {
-        consistency::check_ring(nodes).consistent()
-    });
+impl Boot {
+    /// The timing repeats, uninstrumented; one op per run.
+    fn bench(&self, seed: u64, repeats: u64) -> Row {
+        let mut row = Row::new(self.name.clone());
+        for seed in seed..seed + repeats {
+            let ssr = BootstrapConfig::default().ssr;
+            let (mut sim, _) = fresh_sim(self.n, seed, ssr, self.wound, false);
+            let (outcome, ns) = timed(|| run_to_ring(&mut sim));
+            assert!(
+                outcome.is_quiescent(),
+                "{} failed (seed={seed})",
+                self.name
+            );
+            row.wall_ns += ns;
+            row.repeats += 1;
+            row.ops += 1;
+            row.absorb(&sim);
+        }
+        row
+    }
+
+    /// One extra *untimed* instrumented run — ledger on, same seed as the
+    /// first timing repeat — for the `ssr-bench-perf/2` message breakdown.
+    fn breakdown(&self, seed: u64) -> ProvenanceSummary {
+        let ssr = BootstrapConfig::default().ssr;
+        let (mut sim, _) = fresh_sim(self.n, seed, ssr, self.wound, true);
+        assert!(
+            run_to_ring(&mut sim).is_quiescent(),
+            "{} breakdown run failed (seed={seed})",
+            self.name
+        );
+        sim.causal_summary()
+            .expect("breakdown runs are instrumented")
+    }
+}
+
+/// A converged linearized-SSR simulator on a connected unit-disk graph.
+fn converged_sim(n: usize, seed: u64, config: SsrConfig) -> (Simulator<SsrNode>, Labeling) {
+    let (mut sim, labels) = fresh_sim(n, seed, config, false, false);
     assert!(
-        outcome.is_quiescent(),
-        "breakdown run failed (n={n} seed={seed})"
+        run_to_ring(&mut sim).is_quiescent(),
+        "bootstrap failed (n={n} seed={seed})"
     );
-    sim.causal_summary()
-        .expect("breakdown runs are instrumented")
+    (sim, labels)
 }
 
 /// Greedy routing over the converged ring; one op per routed packet. The
@@ -241,88 +245,31 @@ fn breakdown_run(
 /// counter fields stay zero by construction.
 fn bench_routing(n: usize, pairs: usize, seed: u64, repeats: u64) -> Row {
     let mut row = Row::new(format!("routing_n{n}"));
-    for r in 0..repeats {
-        let seed = seed + r;
+    for seed in seed..seed + repeats {
         let (sim, labels) = converged_sim(n, seed, BootstrapConfig::default().ssr);
         let view = RoutingView::new(sim.protocols());
         let mut rng = Rng::new(seed ^ 0x9E37);
         let traffic = traffic_pairs(n, pairs, &mut rng);
         let max_hops = n as u32 + 16;
-        let start = Instant::now();
-        let mut delivered = 0u64;
-        for &(s, d) in &traffic {
-            if view
-                .route(labels.ids()[s], labels.ids()[d], max_hops)
-                .delivered()
-            {
-                delivered += 1;
-            }
-        }
-        row.wall_ns += start.elapsed().as_nanos() as u64;
+        let (delivered, ns) = timed(|| {
+            traffic
+                .iter()
+                .filter(|&&(s, d)| {
+                    view.route(labels.ids()[s], labels.ids()[d], max_hops)
+                        .delivered()
+                })
+                .count()
+        });
         assert_eq!(
             delivered,
-            traffic.len() as u64,
+            traffic.len(),
             "consistent-ring routing must deliver every packet"
         );
+        row.wall_ns += ns;
         row.repeats += 1;
         row.ops += traffic.len() as u64;
     }
     row
-}
-
-/// Recovery from a wound-ring corrupted start; one op per recovery run.
-fn bench_chaos_wound(n: usize, seed: u64, repeats: u64) -> Row {
-    let mut row = Row::new(format!("chaos_wound_n{n}"));
-    for r in 0..repeats {
-        let seed = seed + r;
-        let (g, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(seed);
-        let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
-        let mut sim = Simulator::new(g, nodes, LinkConfig::ideal(), seed);
-        let succ = chaos::wound_ring_succ(labels.ids(), 3.min(n));
-        chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
-        let start = Instant::now();
-        let outcome = sim.run_until_stable(8, BUDGET, |nodes, _| {
-            consistency::check_ring(nodes).consistent()
-        });
-        row.wall_ns += start.elapsed().as_nanos() as u64;
-        assert!(
-            outcome.is_quiescent(),
-            "recovery failed (n={n} seed={seed})"
-        );
-        row.repeats += 1;
-        row.ops += 1;
-        row.absorb(&sim);
-    }
-    row
-}
-
-/// Which untimed instrumented run a scenario needs for its message
-/// breakdown (`ssr-bench-perf/2`); scenarios without simulator messages
-/// (routing, idle) need none.
-enum BreakdownJob {
-    /// Plain bootstrap to consistency (`convergence_n*`).
-    Plain(usize),
-    /// Wound-ring corrupted start (`chaos_wound_n*`).
-    Wound(usize),
-}
-
-impl BreakdownJob {
-    fn run(&self, seed: u64) -> ProvenanceSummary {
-        match *self {
-            BreakdownJob::Plain(n) => breakdown_run(n, seed, |_sim, _labels| {}),
-            BreakdownJob::Wound(n) => breakdown_run(n, seed, |sim, labels| {
-                let succ = chaos::wound_ring_succ(labels.ids(), 3.min(n));
-                chaos::apply_succ_corruption(sim, labels, &succ, true);
-            }),
-        }
-    }
-
-    fn scenario(&self) -> String {
-        match *self {
-            BreakdownJob::Plain(n) => format!("convergence_n{n}"),
-            BreakdownJob::Wound(n) => format!("chaos_wound_n{n}"),
-        }
-    }
 }
 
 /// A converged, quiescent ring watched across `idle_ticks` empty ticks:
@@ -334,7 +281,7 @@ fn bench_idle_watchdog(n: usize, idle_ticks: u64, seed: u64) -> Row {
     // Self-quiescing configuration: the default audit heartbeat runs
     // forever (churn insurance), but this scenario needs a genuinely
     // empty event wheel.
-    let config = ssr_core::node::SsrConfig {
+    let config = SsrConfig {
         audit_quiet: 4,
         ..Default::default()
     };
@@ -343,7 +290,7 @@ fn bench_idle_watchdog(n: usize, idle_ticks: u64, seed: u64) -> Row {
     // keep trickling for a while. Drain them so the watched range is
     // genuinely empty.
     assert!(
-        sim.run_to_quiescence(BUDGET).is_quiescent(),
+        sim.run_to_quiescence(RING_BUDGET).is_quiescent(),
         "converged ring failed to drain (n={n} seed={seed})"
     );
     let wd = shared_watchdog();
@@ -364,9 +311,7 @@ fn bench_idle_watchdog(n: usize, idle_ticks: u64, seed: u64) -> Row {
     let deadline = Time(sim.now().ticks() + idle_ticks);
     sim.schedule_fault(deadline, Fault::Heal);
     let before_acts = sim.node_activations();
-    let start = Instant::now();
-    sim.run_until(deadline);
-    row.wall_ns += start.elapsed().as_nanos() as u64;
+    row.wall_ns = timed(|| sim.run_until(deadline)).1;
     assert_eq!(
         sim.node_activations(),
         before_acts,
@@ -379,12 +324,13 @@ fn bench_idle_watchdog(n: usize, idle_ticks: u64, seed: u64) -> Row {
     row
 }
 
-fn emit(rows: &[Row], seed: u64, smoke: bool, out_path: &str) {
+/// The artifact document (`ssr-bench-perf/2`).
+fn document(rows: &[Row], seed: u64, smoke: bool) -> Value {
     let git = match ssr_obs::git_describe() {
         Some(d) => Value::Str(d),
         None => Value::Null,
     };
-    let doc = Value::Obj(vec![
+    Value::Obj(vec![
         ("schema".into(), Value::Str("ssr-bench-perf/2".into())),
         ("git".into(), git),
         ("seed".into(), Value::Num(seed as f64)),
@@ -393,78 +339,65 @@ fn emit(rows: &[Row], seed: u64, smoke: bool, out_path: &str) {
             "scenarios".into(),
             Value::Arr(rows.iter().map(Row::to_value).collect()),
         ),
-    ]);
-    match std::fs::write(out_path, doc.to_json_pretty() + "\n") {
-        Ok(()) => println!("\n(perf baseline written to {out_path})"),
-        Err(e) => {
-            eprintln!("error: could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    ])
 }
 
-fn main() {
-    let args = Args::parse();
-    let smoke = args.flag("smoke");
-    let seed: u64 = args.get("seed", 1);
-    let repeats: u64 = if smoke { 1 } else { args.get("repeats", 3) };
-    let out_path = args.opt("out").unwrap_or("BENCH_perf.json").to_string();
+/// The `exp_perf` body.
+pub fn run(sh: &mut Shell) {
+    // the artifact is BENCH_perf.json, not a run manifest
+    sh.no_manifest();
+    let smoke = sh.args.flag("smoke");
+    let seed: u64 = sh.args.get("seed", 1);
+    let repeats: u64 = if smoke { 1 } else { sh.args.get("repeats", 3) };
+    let out_path = sh.args.opt("out").unwrap_or("BENCH_perf.json").to_string();
 
     let convergence_sizes: &[usize] = if smoke { &[50] } else { &[100, 500, 1000] };
     let (routing_n, routing_pairs) = if smoke { (50, 64) } else { (500, 2_000) };
     let chaos_n = if smoke { 50 } else { 200 };
     let (idle_n, idle_ticks) = if smoke { (50, 10_000) } else { (500, 200_000) };
+    let boot = |name: &str, n: usize, wound: bool| Boot {
+        name: format!("{name}_n{n}"),
+        n,
+        wound,
+    };
+    let convergence = convergence_sizes
+        .iter()
+        .map(|&n| boot("convergence", n, false));
+    let wound = boot("chaos_wound", chaos_n, true);
+    let routing = format!("routing_n{routing_n}");
+    let idle = format!("idle_watchdog_n{idle_n}");
 
     // `--matrix scenario=A,B` restricts the scenario set (validated against
-    // the full list, like every sweep binary — see docs/SWEEPS.md). The
+    // the full list, like every sweep experiment — see docs/SWEEPS.md). The
     // other matrix dimensions don't apply here: sizes are baked into the
     // scenario names so two artifacts stay field-for-field comparable.
-    let mut names = ssr_workloads::Matrix::new(
-        convergence_sizes
-            .iter()
-            .map(|n| format!("convergence_n{n}"))
-            .chain([
-                format!("routing_n{routing_n}"),
-                format!("chaos_wound_n{chaos_n}"),
-                format!("idle_watchdog_n{idle_n}"),
-            ]),
+    let mut names = Matrix::new(
+        convergence
+            .clone()
+            .map(|b| b.name)
+            .chain([routing.clone(), wound.name.clone(), idle.clone()]),
         vec![0],
         1,
     );
-    if let Some(spec) = args.opt("matrix") {
-        if let Err(e) = names.override_with(spec) {
-            panic!("--matrix {spec}: {e}");
-        }
-    }
+    sh.override_matrix(&mut names);
     let want = |name: &str| names.scenarios.iter().any(|s| s == name);
+    let boots: Vec<Boot> = convergence.chain([wound]).filter(|b| want(&b.name)).collect();
 
-    // phase 1: the timing repeats — strictly serial, uninstrumented
-    let mut rows: Vec<Row> = Vec::new();
-    for &n in convergence_sizes {
-        if want(&format!("convergence_n{n}")) {
-            rows.push(bench_convergence(n, seed, repeats));
-        }
-    }
-    if want(&format!("routing_n{routing_n}")) {
+    // phase 1: the timing repeats — strictly serial, uninstrumented, in
+    // artifact order (convergence, routing, chaos_wound, idle)
+    let bench = |wound: bool| boots.iter().filter(move |b| b.wound == wound);
+    let mut rows: Vec<Row> = bench(false).map(|b| b.bench(seed, repeats)).collect();
+    if want(&routing) {
         rows.push(bench_routing(routing_n, routing_pairs, seed, repeats));
     }
-    if want(&format!("chaos_wound_n{chaos_n}")) {
-        rows.push(bench_chaos_wound(chaos_n, seed, repeats));
-    }
-    if want(&format!("idle_watchdog_n{idle_n}")) {
+    rows.extend(bench(true).map(|b| b.bench(seed, repeats)));
+    if want(&idle) {
         rows.push(bench_idle_watchdog(idle_n, idle_ticks, seed));
     }
 
     // phase 2: the untimed instrumented breakdown runs, fanned out through
     // the orchestrator (results attach by scenario name, in input order)
-    let jobs: Vec<BreakdownJob> = convergence_sizes
-        .iter()
-        .map(|&n| BreakdownJob::Plain(n))
-        .chain([BreakdownJob::Wound(chaos_n)])
-        .filter(|j| want(&j.scenario()))
-        .collect();
-    let summaries =
-        ssr_workloads::parallel_map(jobs, args.workers(), |job| (job.scenario(), job.run(seed)));
+    let summaries = sh.map(boots, |b| (b.name.clone(), b.breakdown(seed)));
     for (name, summary) in summaries {
         if let Some(row) = rows.iter_mut().find(|r| r.name == name) {
             row.breakdown = Some(summary);
@@ -487,5 +420,9 @@ fn main() {
         );
     }
 
-    emit(&rows, seed, smoke, &out_path);
+    let doc = document(&rows, seed, smoke);
+    match std::fs::write(&out_path, doc.to_json_pretty() + "\n") {
+        Ok(()) => println!("\n(perf baseline written to {out_path})"),
+        Err(e) => sh.fail(format!("could not write {out_path}: {e}")),
+    }
 }

@@ -1,21 +1,23 @@
 //! **E3 — Figure 3: the linearization algorithm at work.**
 //!
 //! The paper's Figure 3 walks the running example through linearization
-//! rounds until the sorted line emerges. This binary replays that process
+//! rounds until the sorted line emerges. This experiment replays that process
 //! with the abstract round engine on the Figure-1 example (the doubly-wound
 //! ring over eight addresses), printing the full virtual edge set and each
 //! node's left/right neighbor sets per round, for all three variants.
 //!
 //! This is a pure narrative replay of one fixed 8-node instance — it runs
 //! serially and the orchestrator's `--workers`/`--matrix` flags do not
-//! apply (see docs/SWEEPS.md for the sweep binaries).
+//! apply (see docs/SWEEPS.md for the sweep experiments).
 //!
-//! Run: `cargo run --release -p ssr-bench --bin fig3_trace [-- --variant pure|memory|lsn]`
+//! Run: `cargo run --release -p ssr-bench --bin exp -- fig3_trace [--variant pure|memory|lsn]`
 
-use ssr_bench::Args;
 use ssr_graph::Graph;
-use ssr_linearize::{chain_edges_present, is_exact_chain, run, step_round, Semantics, Variant};
+use ssr_linearize::{chain_edges_present, is_exact_chain, step_round, Semantics, Variant};
 use ssr_obs::Value;
+
+use crate::cells::record_round_timeline;
+use crate::Shell;
 
 /// The Figure-1 example in rank space: ranks 0..8 stand for addresses
 /// 1, 4, 9, 13, 18, 21, 25, 29; the initial virtual graph is the doubly
@@ -42,10 +44,9 @@ fn show(g: &Graph, ids: &[u64; 8]) {
     }
 }
 
-fn main() {
-    let started = std::time::Instant::now();
-    let args = Args::parse();
-    let variant = match args.opt("variant").unwrap_or("pure") {
+/// The E3 body.
+pub fn run(sh: &mut Shell) {
+    let variant = match sh.args.opt("variant").unwrap_or("pure") {
         "pure" => Variant::Pure,
         "memory" => Variant::Memory,
         "lsn" => Variant::lsn(),
@@ -78,12 +79,11 @@ fn main() {
     );
 
     // summary across variants for the same example
-    let mut man = ssr_bench::manifest(&args, "fig3_trace");
-    man.config("variant", variant.name());
+    sh.man.config("variant", variant.name());
     println!("\nrounds to the line, by variant (star semantics):");
     let mut by_variant: Vec<(String, Value)> = Vec::new();
     for v in [Variant::Pure, Variant::Memory, Variant::lsn()] {
-        let r = run(&g0, v, Semantics::Star, 1000);
+        let r = ssr_linearize::run(&g0, v, Semantics::Star, 1000);
         println!(
             "  {:<6}: line at round {:?}, exact chain at {:?}, peak degree {}",
             v.name(),
@@ -91,38 +91,19 @@ fn main() {
             r.exact_at,
             r.peak_degree()
         );
+        let round = |at: Option<usize>| at.map_or(Value::Null, |x| Value::from(x as u64));
         by_variant.push((
             v.name().to_string(),
             Value::Obj(vec![
-                (
-                    "line_at".into(),
-                    r.line_at
-                        .map(|x| Value::from(x as u64))
-                        .unwrap_or(Value::Null),
-                ),
-                (
-                    "exact_at".into(),
-                    r.exact_at
-                        .map(|x| Value::from(x as u64))
-                        .unwrap_or(Value::Null),
-                ),
+                ("line_at".into(), round(r.line_at)),
+                ("exact_at".into(), round(r.exact_at)),
                 ("peak_degree".into(), (r.peak_degree() as u64).into()),
             ]),
         ));
     }
 
     // Manifest: the traced variant's per-round timeline plus the summary.
-    let traced = run(&g0, variant, Semantics::Star, 1000);
-    for rs in &traced.rounds {
-        let formed = traced.line_at.is_some_and(|at| rs.round >= at);
-        man.timeline_point(ssr_obs::TimelinePoint {
-            tick: rs.round as u64,
-            shape: if formed { "line" } else { "line-forming" }.to_string(),
-            locally_consistent: (8usize.saturating_sub(rs.missing_chain)) as u64,
-            nodes: 8,
-            churn: (rs.added + rs.removed) as u64,
-        });
-    }
-    man.extra("by_variant", Value::Obj(by_variant));
-    ssr_bench::emit_manifest(&mut man, started);
+    let traced = ssr_linearize::run(&g0, variant, Semantics::Star, 1000);
+    record_round_timeline(&mut sh.man, &traced, 8);
+    sh.man.extra("by_variant", Value::Obj(by_variant));
 }

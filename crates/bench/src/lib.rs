@@ -1,8 +1,17 @@
-//! Shared helpers for the experiment binaries.
+//! The experiments that regenerate every figure and table of the
+//! reproduction, as rows of one table behind one binary: `exp <name>
+//! [flags]` (see DESIGN.md's experiment index).
 //!
-//! Each binary under `src/bin/` regenerates one figure or table of the
-//! reproduction (see DESIGN.md's experiment index). They share a minimal
-//! command-line convention:
+//! An experiment is a row of [`EXPERIMENTS`]: its name — which is also its
+//! manifest stem, `results/<name>.manifest.json` — and a body. The
+//! [`Shell`] owns what every experiment does the same way (start instant,
+//! arguments, size ladder, sweep matrix and fan-out, the results table,
+//! `--csv`, the run manifest, the exit code); a body keeps what differs:
+//! its matrix defaults, its cell function, its row renderer, its claim
+//! text and its own flags. Cells that several experiments run live in
+//! [`cells`].
+//!
+//! The shared command-line convention:
 //!
 //! * `--seeds K` — repetitions per sweep point (default per experiment),
 //! * `--workers N` — sweep fan-out width (`0` = every hardware thread;
@@ -13,10 +22,79 @@
 //!   [`ssr_workloads::Matrix::override_with`]),
 //! * `--csv PATH` — additionally write the table as CSV,
 //! * `--quick` — smaller sweep for smoke-testing,
-//! * experiment-specific flags documented in each binary's header.
+//! * experiment-specific flags documented in each experiment's module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cells;
+pub mod figure;
+mod shell;
+
+pub use shell::Shell;
+
+/// One experiment: the name it is invoked and recorded under, and the part
+/// of it that is not the [`Shell`].
+pub struct Experiment {
+    /// `exp <name>`; also the manifest's `exp` field and file stem.
+    pub name: &'static str,
+    /// Everything specific to this experiment.
+    pub body: fn(&mut Shell),
+}
+
+/// Declares one module per experiment and the table over them, so a name
+/// is spelled once: module, `exp <name>` and manifest stem cannot drift.
+macro_rules! experiments {
+    ($($name:ident),* $(,)?) => {
+        $(pub mod $name;)*
+
+        /// Every experiment, in DESIGN.md's index order (E1–E11, then the
+        /// perf baseline).
+        pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
+            name: stringify!($name),
+            body: $name::run,
+        }),*];
+    };
+}
+
+experiments![
+    fig1_loopy,
+    fig2_rings,
+    fig3_trace,
+    exp_convergence,
+    exp_powerlaw,
+    exp_flooding_cost,
+    exp_routing,
+    exp_churn,
+    exp_state,
+    exp_vrr_compare,
+    exp_chaos,
+    exp_perf,
+];
+
+/// Runs `exp <name> [flags]` for the given arguments (program name already
+/// stripped) and returns the process exit code: 0, 1 when the body
+/// recorded a failure, 2 for a missing or unknown experiment name.
+pub fn run(argv: &[String]) -> i32 {
+    let named = argv
+        .first()
+        .and_then(|name| EXPERIMENTS.iter().find(|e| e.name == name));
+    let Some(exp) = named else {
+        eprintln!("usage: exp <name> [flags]\nexperiments:");
+        for e in EXPERIMENTS {
+            eprintln!("  {}", e.name);
+        }
+        return 2;
+    };
+    let mut shell = Shell::new(
+        exp.name,
+        Args {
+            raw: argv[1..].to_vec(),
+        },
+    );
+    (exp.body)(&mut shell);
+    shell.finish(std::path::Path::new("results"))
+}
 
 /// Parsed command-line arguments (flag / key-value convention).
 pub struct Args {
@@ -24,13 +102,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Captures the process arguments.
-    pub fn parse() -> Args {
-        Args {
-            raw: std::env::args().skip(1).collect(),
-        }
-    }
-
     /// Builds from an explicit list (tests).
     pub fn from(raw: &[&str]) -> Args {
         Args {
@@ -44,14 +115,28 @@ impl Args {
         self.raw.iter().any(|a| a == &want)
     }
 
-    /// The value following `--name`, if present.
-    pub fn opt(&self, name: &str) -> Option<&str> {
+    /// The value following `--name`, if the flag is present; an error when
+    /// it is present without one (last argument, or followed by another
+    /// `--flag`).
+    pub fn try_opt(&self, name: &str) -> Result<Option<&str>, String> {
         let want = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &want)
-            .and_then(|i| self.raw.get(i + 1))
-            .map(|s| s.as_str())
+        let Some(i) = self.raw.iter().position(|a| a == &want) else {
+            return Ok(None);
+        };
+        match self.raw.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            _ => Err(format!("{want} needs a value")),
+        }
+    }
+
+    /// The value following `--name`, if present. A flag without its value
+    /// ends the process with exit code 2 — silently falling back to the
+    /// default would run a different experiment than the one asked for.
+    pub fn opt(&self, name: &str) -> Option<&str> {
+        self.try_opt(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses the value following `--name`.
@@ -89,73 +174,6 @@ impl Args {
     }
 }
 
-/// Resolves a binary's sweep matrix: the experiment's defaults overridden
-/// by `--matrix SPEC`, with the *resolved* dimensions recorded in the
-/// manifest config. The worker count is deliberately **not** recorded —
-/// the manifest must stay byte-identical across `--workers`, and the
-/// matrix (not the pool size) is what determines the bytes.
-///
-/// # Panics
-/// Panics with a readable message when the spec does not parse or names an
-/// unknown scenario.
-pub fn resolve_matrix(
-    args: &Args,
-    man: &mut ssr_obs::Manifest,
-    mut matrix: ssr_workloads::Matrix,
-) -> ssr_workloads::Matrix {
-    if let Some(spec) = args.opt("matrix") {
-        if let Err(e) = matrix.override_with(spec) {
-            panic!("--matrix {spec}: {e}");
-        }
-    }
-    man.config("matrix", matrix.describe());
-    matrix
-}
-
-/// Starts a run manifest for `exp`, pre-filled with the shared CLI
-/// configuration (`--quick`, `--seeds`, `--csv`) so every binary records
-/// the flags that shaped its sweep the same way.
-pub fn manifest(args: &Args, exp: &str) -> ssr_obs::Manifest {
-    let mut man = ssr_obs::Manifest::new(exp);
-    man.config("quick", args.quick());
-    if let Some(seeds) = args.opt("seeds") {
-        man.config("seeds", seeds);
-    }
-    if let Some(csv) = args.csv() {
-        man.config("csv", csv);
-    }
-    man
-}
-
-/// Copies a bootstrap convergence timeline (as recorded by the probe
-/// subsystem) into a manifest, translating ring shapes to their stable
-/// labels.
-pub fn record_bootstrap_timeline(
-    man: &mut ssr_obs::Manifest,
-    timeline: &[ssr_core::ConvergencePoint],
-) {
-    for p in timeline {
-        man.timeline_point(ssr_obs::TimelinePoint {
-            tick: p.tick,
-            shape: p.shape.label(),
-            locally_consistent: p.locally_consistent as u64,
-            nodes: p.nodes as u64,
-            churn: p.succ_churn as u64,
-        });
-    }
-}
-
-/// Stamps the wall time and writes the manifest to its conventional
-/// location (`results/<exp>.manifest.json`). A write failure is reported
-/// but never aborts the experiment — manifests are provenance, not results.
-pub fn emit_manifest(man: &mut ssr_obs::Manifest, started: std::time::Instant) {
-    man.wall_ms(started.elapsed().as_millis() as u64);
-    match man.write_default() {
-        Ok(path) => println!("(manifest written to {})", path.display()),
-        Err(e) => eprintln!("warning: manifest not written: {e}"),
-    }
-}
-
 /// Formats a large count with thousands separators for readability.
 pub fn fmt_count(x: u64) -> String {
     let s = x.to_string();
@@ -181,23 +199,52 @@ mod tests {
         assert_eq!(a.get("seeds", 10usize), 5);
         assert_eq!(a.get("other", 7u64), 7);
         assert_eq!(a.csv(), Some("/tmp/x.csv"));
+        // a flag without its value is an error, not the default
+        for raw in [&["--quick", "--csv"][..], &["--csv", "--quick"][..]] {
+            assert_eq!(
+                Args::from(raw).try_opt("csv"),
+                Err("--csv needs a value".to_string())
+            );
+        }
+        assert_eq!(a.try_opt("out"), Ok(None));
+        // a missing or unknown experiment name is exit code 2
+        assert_eq!(run(&[]), 2);
+        assert_eq!(run(&["exp_nope".to_string()]), 2);
+    }
+
+    #[test]
+    fn experiment_names_are_unique_and_each_has_a_golden() {
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+        let stems: Vec<String> = std::fs::read_dir(&golden)
+            .expect("results/golden exists")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.name != e.name),
+                "{} is listed twice",
+                e.name
+            );
+            assert!(
+                stems.iter().any(|s| s.starts_with(e.name)),
+                "{} has no golden under results/golden/",
+                e.name
+            );
+        }
     }
 
     #[test]
     fn manifest_prefills_shared_config() {
         let a = Args::from(&["--quick", "--seeds", "5"]);
-        let mut man = manifest(&a, "exp_x");
-        record_bootstrap_timeline(
-            &mut man,
-            &[ssr_core::ConvergencePoint {
-                tick: 4,
-                shape: ssr_core::consistency::RingShape::Loopy(2),
-                locally_consistent: 3,
-                nodes: 8,
-                succ_churn: 1,
-            }],
-        );
-        let v = ssr_obs::parse(&man.to_json()).unwrap();
+        let mut sh = Shell::new("exp_x", a);
+        sh.timeline(&[ssr_core::ConvergencePoint {
+            tick: 4,
+            shape: ssr_core::consistency::RingShape::Loopy(2),
+            locally_consistent: 3,
+            nodes: 8,
+            succ_churn: 1,
+        }]);
+        let v = ssr_obs::parse(&sh.man.to_json()).unwrap();
         let config = v.get("config").unwrap();
         assert_eq!(config.get("quick").unwrap().as_str(), Some("true"));
         assert_eq!(config.get("seeds").unwrap().as_str(), Some("5"));
@@ -216,20 +263,48 @@ mod tests {
 
     #[test]
     fn resolve_matrix_records_dimensions_but_never_workers() {
-        let a = Args::from(&["--matrix", "n=64;seeds=2", "--workers", "8"]);
-        let mut man = manifest(&a, "exp_x");
-        let m = resolve_matrix(&a, &mut man, ssr_workloads::Matrix::new(["s"], vec![16], 3));
+        let a = Args::from(&[
+            "--quick",
+            "--seeds",
+            "5",
+            "--csv",
+            "t.csv",
+            "--matrix",
+            "n=64;seeds=2",
+            "--workers",
+            "8",
+        ]);
+        let mut sh = Shell::new("exp_x", a);
+        let m = sh.matrix(ssr_workloads::Matrix::new(["s"], vec![16], 3));
         assert_eq!(m.sizes, vec![64]);
         assert_eq!(m.seeds, vec![0, 1]);
-        let json = man.to_json();
+        let json = sh.man.to_json();
         let v = ssr_obs::parse(&json).unwrap();
-        let config = v.get("config").unwrap();
-        assert_eq!(
-            config.get("matrix").unwrap().as_str(),
-            Some("scenario=s;n=64;seed=0,1")
-        );
+        // exactly the shared config keys, in this order
+        let ssr_obs::Value::Obj(config) = v.get("config").unwrap() else {
+            panic!("config is not an object");
+        };
+        let keys: Vec<&str> = config.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["quick", "seeds", "csv", "matrix"]);
+        assert_eq!(config[3].1.as_str(), Some("scenario=s;n=64;seed=0,1"));
         // byte-identity across --workers: the pool size must not leak in
         assert!(!json.contains("workers"));
+    }
+
+    #[test]
+    fn a_recorded_failure_exits_1_after_table_csv_and_manifest_are_written() {
+        let dir = std::env::temp_dir().join(format!("ssr-bench-shell-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("t.csv");
+        let mut sh = Shell::new("exp_x", Args::from(&["--csv", csv.to_str().unwrap()]));
+        sh.table("T", &["n"]);
+        sh.row(&["1".to_string()]);
+        sh.fail("claim violated");
+        assert_eq!(sh.finish(&dir), 1);
+        assert_eq!(std::fs::read_to_string(&csv).unwrap(), "n\n1\n");
+        let man = std::fs::read_to_string(dir.join("exp_x.manifest.json")).unwrap();
+        assert!(man.contains("\"exp\": \"exp_x\""));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

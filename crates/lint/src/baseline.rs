@@ -1,8 +1,8 @@
 //! Reviewed suppressions.
 //!
 //! A baseline file records findings the team has looked at and accepted —
-//! e.g. the experiment binaries reading the wall clock to report real
-//! elapsed time in their manifests. Entries are keyed by `(rule, file,
+//! e.g. the experiment shell reading the wall clock to report real
+//! elapsed time in the run manifests. Entries are keyed by `(rule, file,
 //! symbol)` rather than line numbers, so they survive unrelated edits; one
 //! entry suppresses every occurrence of that symbol in that file, which is
 //! the right granularity for "this file is allowed to use X".
@@ -14,7 +14,7 @@
 //!   "schema": "ssr-lint-baseline/1",
 //!   "suppressions": [
 //!     { "rule": "determinism-time",
-//!       "file": "crates/bench/src/bin/exp_chaos.rs",
+//!       "file": "crates/bench/src/shell.rs",
 //!       "symbol": "Instant::now",
 //!       "reason": "wall-clock duration reported in the manifest" }
 //!   ]

@@ -5,7 +5,7 @@
 //!
 //! * [`json`] — a small JSON model, writer, and parser;
 //! * [`manifest`] — the machine-readable run manifest every `exp_*`/`fig*`
-//!   binary writes to `results/<exp>.manifest.json`;
+//!   experiment writes to `results/<exp>.manifest.json`;
 //! * [`report`] — summarize/diff/trace-filter logic behind the `obs` CLI.
 //!
 //! The `obs` binary (this crate's `src/main.rs`) is the human entry point:

@@ -21,11 +21,6 @@ impl TestRng {
         TestRng { state: h }
     }
 
-    /// Seeds directly from a number.
-    pub fn from_seed(seed: u64) -> Self {
-        TestRng { state: seed }
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -47,7 +42,7 @@ impl TestRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -66,7 +61,7 @@ mod tests {
 
     #[test]
     fn below_stays_in_bounds() {
-        let mut rng = TestRng::from_seed(1);
+        let mut rng = TestRng::deterministic("below");
         for bound in [1u64, 2, 3, 17, u64::MAX] {
             for _ in 0..64 {
                 assert!(rng.below(bound) < bound);
@@ -76,7 +71,7 @@ mod tests {
 
     #[test]
     fn unit_is_half_open() {
-        let mut rng = TestRng::from_seed(2);
+        let mut rng = TestRng::deterministic("unit");
         for _ in 0..256 {
             let f = rng.unit_f64();
             assert!((0.0..1.0).contains(&f));
@@ -85,7 +80,7 @@ mod tests {
 
     #[test]
     fn shuffle_permutes() {
-        let mut rng = TestRng::from_seed(3);
+        let mut rng = TestRng::deterministic("shuffle");
         let mut v: Vec<u32> = (0..20).collect();
         rng.shuffle(&mut v);
         let mut sorted = v.clone();

@@ -4,8 +4,8 @@
 //! timestamps are delivered in insertion order, so a simulation is a pure
 //! function of `(topology, protocols, seed)`.
 //!
-//! The default backend is a **tick wheel** — a `BTreeMap` from arrival tick
-//! to a FIFO bucket of events (honoring the workspace's
+//! The queue is a **tick wheel** — a `BTreeMap` from arrival tick to a
+//! FIFO bucket of events (honoring the workspace's
 //! determinism-collections rule). Compared to the binary heap it replaced,
 //! the wheel
 //!
@@ -18,14 +18,13 @@
 //!   amortized, which is what lets the run loops fast-forward across empty
 //!   tick ranges instead of idling through them.
 //!
-//! The pre-wheel binary-heap implementation is retained as
-//! [`QueueBackend::ReferenceHeap`], selectable only so equivalence tests
-//! can prove byte-identical schedules (see
-//! `tests/tests/perf_equivalence.rs`); production code always uses the
-//! wheel.
+//! The pre-wheel binary heap survives as the reference model in this
+//! module's tests: a proptest drives both with the same random
+//! push/pop/inspect sequences and requires the same answer to every call.
+//! The simulator touches its queue through exactly those calls, so "same
+//! answer to every call sequence" here is "same run" there.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroU64;
 
 use crate::time::Time;
@@ -166,141 +165,54 @@ pub struct QueuedEvent<M> {
     pub pid: u64,
 }
 
-/// Which scheduling structure backs an [`EventQueue`].
-///
-/// Both backends produce the *identical* event schedule — earliest tick
-/// first, FIFO among events on the same tick. The heap is the pre-wheel
-/// implementation, kept only so the equivalence tests can demonstrate
-/// that, byte for byte, against real workloads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// `BTreeMap<tick, bucket>` pending-delivery wheel (the default).
-    #[default]
-    TickWheel,
-    /// The pre-wheel binary heap with a global insertion-sequence
-    /// tie-break. Reference implementation for equivalence tests only.
-    ReferenceHeap,
-}
-
-/// A heap entry of the reference backend: global insertion sequence breaks
-/// timestamp ties.
-#[derive(Clone, Debug)]
-struct HeapEvent<M> {
-    at: Time,
-    seq: u64,
-    kind: EventKind<M>,
-    pid: u64,
-}
-
-impl<M> PartialEq for HeapEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for HeapEvent<M> {}
-
-impl<M> Ord for HeapEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<M> PartialOrd for HeapEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-enum Inner<M> {
-    Wheel(BTreeMap<u64, VecDeque<(EventKind<M>, u64)>>),
-    Heap {
-        heap: BinaryHeap<HeapEvent<M>>,
-        next_seq: u64,
-    },
-}
-
 /// The event queue: earliest timestamp first, FIFO among equals.
 pub struct EventQueue<M> {
-    inner: Inner<M>,
+    wheel: BTreeMap<u64, VecDeque<(EventKind<M>, u64)>>,
     len: usize,
     peak_len: usize,
 }
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        Self::with_backend(QueueBackend::TickWheel)
-    }
-}
-
-impl<M> EventQueue<M> {
-    /// An empty tick-wheel queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty queue over an explicit [`QueueBackend`].
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let inner = match backend {
-            QueueBackend::TickWheel => Inner::Wheel(BTreeMap::new()),
-            QueueBackend::ReferenceHeap => Inner::Heap {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            },
-        };
         EventQueue {
-            inner,
+            wheel: BTreeMap::new(),
             len: 0,
             peak_len: 0,
         }
     }
+}
+
+impl<M> EventQueue<M> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
     /// Schedules `kind` at time `at`, carrying provenance id `pid`.
     pub fn push(&mut self, at: Time, kind: EventKind<M>, pid: u64) {
-        match &mut self.inner {
-            Inner::Wheel(wheel) => {
-                wheel.entry(at.ticks()).or_default().push_back((kind, pid));
-            }
-            Inner::Heap { heap, next_seq } => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                heap.push(HeapEvent { at, seq, kind, pid });
-            }
-        }
+        self.wheel
+            .entry(at.ticks())
+            .or_default()
+            .push_back((kind, pid));
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        let ev = match &mut self.inner {
-            Inner::Wheel(wheel) => {
-                let mut entry = wheel.first_entry()?;
-                let tick = *entry.key();
-                let bucket = entry.get_mut();
-                let (kind, pid) = bucket.pop_front().expect("empty bucket left in wheel");
-                if bucket.is_empty() {
-                    entry.remove();
-                }
-                QueuedEvent {
-                    at: Time(tick),
-                    kind,
-                    pid,
-                }
-            }
-            Inner::Heap { heap, .. } => {
-                let e = heap.pop()?;
-                QueuedEvent {
-                    at: e.at,
-                    kind: e.kind,
-                    pid: e.pid,
-                }
-            }
-        };
+        let mut entry = self.wheel.first_entry()?;
+        let tick = *entry.key();
+        let bucket = entry.get_mut();
+        let (kind, pid) = bucket.pop_front().expect("empty bucket left in wheel");
+        if bucket.is_empty() {
+            entry.remove();
+        }
         self.len -= 1;
-        Some(ev)
+        Some(QueuedEvent {
+            at: Time(tick),
+            kind,
+            pid,
+        })
     }
 
     /// Timestamp of the earliest event without removing it.
@@ -311,10 +223,7 @@ impl<M> EventQueue<M> {
     /// Earliest occupied tick, if any — the target the run loops
     /// fast-forward to across empty tick ranges.
     pub fn next_tick(&self) -> Option<u64> {
-        match &self.inner {
-            Inner::Wheel(wheel) => wheel.keys().next().copied(),
-            Inner::Heap { heap, .. } => heap.peek().map(|e| e.at.ticks()),
-        }
+        self.wheel.keys().next().copied()
     }
 
     /// Number of pending events.
@@ -336,14 +245,77 @@ impl<M> EventQueue<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// A heap entry of the reference model: global insertion sequence
+    /// breaks timestamp ties.
+    struct HeapEvent {
+        at: Time,
+        seq: u64,
+        kind: EventKind<()>,
+        pid: u64,
+    }
+
+    impl PartialEq for HeapEvent {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for HeapEvent {}
+
+    impl Ord for HeapEvent {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we want the earliest first.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+    impl PartialOrd for HeapEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The pre-wheel queue — a binary heap with an insertion-sequence
+    /// tie-break — kept as the reference model the wheel is checked
+    /// against.
+    #[derive(Default)]
+    struct ReferenceHeap {
+        heap: BinaryHeap<HeapEvent>,
+        next_seq: u64,
+        peak_len: usize,
+    }
+
+    impl ReferenceHeap {
+        fn push(&mut self, at: Time, kind: EventKind<()>, pid: u64) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(HeapEvent { at, seq, kind, pid });
+            self.peak_len = self.peak_len.max(self.heap.len());
+        }
+
+        fn pop(&mut self) -> Option<QueuedEvent<()>> {
+            self.heap.pop().map(|e| QueuedEvent {
+                at: e.at,
+                kind: e.kind,
+                pid: e.pid,
+            })
+        }
+
+        fn next_tick(&self) -> Option<u64> {
+            self.heap.peek().map(|e| e.at.ticks())
+        }
+    }
 
     fn timer(node: usize) -> EventKind<()> {
         EventKind::Timer { node, token: 0 }
-    }
-
-    fn backends() -> [QueueBackend; 2] {
-        [QueueBackend::TickWheel, QueueBackend::ReferenceHeap]
     }
 
     /// The stamp rides on every queued event; growing it inflates the
@@ -360,46 +332,40 @@ mod tests {
 
     #[test]
     fn earliest_first() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time(5), timer(5), 0);
-            q.push(Time(1), timer(1), 1);
-            q.push(Time(3), timer(3), 2);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            assert_eq!(order, vec![1, 3, 5], "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(5), timer(5), 0);
+        q.push(Time(1), timer(1), 1);
+        q.push(Time(3), timer(3), 2);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        assert_eq!(order, vec![1, 3, 5]);
     }
 
     #[test]
     fn fifo_among_equal_timestamps() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for node in 0..10 {
-                q.push(Time(7), timer(node), node as u64);
-            }
-            let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Timer { node, .. } => node,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{backend:?}");
+        let mut q = EventQueue::new();
+        for node in 0..10 {
+            q.push(Time(7), timer(node), node as u64);
         }
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Timer { node, .. } => node,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_len() {
-        for backend in backends() {
-            let mut q: EventQueue<()> = EventQueue::with_backend(backend);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            assert_eq!(q.next_tick(), None);
-            q.push(Time(2), timer(0), 0);
-            q.push(Time(1), timer(1), 1);
-            assert_eq!(q.peek_time(), Some(Time(1)));
-            assert_eq!(q.next_tick(), Some(1));
-            assert_eq!(q.len(), 2);
-        }
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.next_tick(), None);
+        q.push(Time(2), timer(0), 0);
+        q.push(Time(1), timer(1), 1);
+        assert_eq!(q.peek_time(), Some(Time(1)));
+        assert_eq!(q.next_tick(), Some(1));
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -417,33 +383,49 @@ mod tests {
         assert_eq!(q.peak_len(), 8, "peak must not reset");
     }
 
-    /// The two backends must produce the same schedule on an interleaved
-    /// push/pop workload — the invariant the integration-level equivalence
-    /// test re-proves against full chaos scenarios.
-    #[test]
-    fn wheel_matches_reference_heap() {
-        let mut wheel = EventQueue::with_backend(QueueBackend::TickWheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::ReferenceHeap);
-        let mut rng = ssr_types::Rng::new(99);
-        let mut log_w = Vec::new();
-        let mut log_h = Vec::new();
-        for round in 0..200u64 {
-            let t = Time(rng.range(0, 50));
-            wheel.push(t, timer(round as usize), round);
-            heap.push(t, timer(round as usize), round);
-            if rng.chance(0.4) {
-                let (a, b) = (wheel.pop(), heap.pop());
-                if let (Some(a), Some(b)) = (&a, &b) {
-                    log_w.push((a.at.0, a.pid, format!("{:?}", a.kind)));
-                    log_h.push((b.at.0, b.pid, format!("{:?}", b.kind)));
+    proptest! {
+        /// The wheel and the reference heap give the same answer to every
+        /// call of every random interleaving of pushes (equal and distinct
+        /// ticks), pops (including on an empty queue) and inspections —
+        /// the whole interface the simulator uses, so equal answers here
+        /// are equal runs there.
+        #[test]
+        fn wheel_matches_reference_heap(
+            ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..1000), 1..400)
+        ) {
+            let mut wheel: EventQueue<()> = EventQueue::new();
+            let mut heap = ReferenceHeap::default();
+            for (pid, &(op, near, far)) in ops.iter().enumerate() {
+                match op {
+                    // pushes: a narrow tick range forces ties, a wide one
+                    // sparse buckets
+                    0..=2 => {
+                        let at = Time(if op == 0 { far } else { near });
+                        wheel.push(at, timer(pid), pid as u64);
+                        heap.push(at, timer(pid), pid as u64);
+                    }
+                    _ => {
+                        let (w, h) = (wheel.pop(), heap.pop());
+                        prop_assert_eq!(w.is_some(), h.is_some());
+                        if let (Some(w), Some(h)) = (w, h) {
+                            prop_assert_eq!(
+                                (w.at, w.pid, format!("{:?}", w.kind)),
+                                (h.at, h.pid, format!("{:?}", h.kind))
+                            );
+                        }
+                    }
                 }
+                prop_assert_eq!(wheel.next_tick(), heap.next_tick());
+                prop_assert_eq!(wheel.peek_time(), heap.next_tick().map(Time));
+                prop_assert_eq!(wheel.len(), heap.heap.len());
+                prop_assert_eq!(wheel.is_empty(), heap.heap.is_empty());
+                prop_assert_eq!(wheel.peak_len(), heap.peak_len);
             }
+            // drain: the tail of the schedule agrees too
+            while let (Some(w), Some(h)) = (wheel.pop(), heap.pop()) {
+                prop_assert_eq!((w.at, w.pid), (h.at, h.pid));
+            }
+            prop_assert!(wheel.is_empty() && heap.heap.is_empty());
         }
-        while let (Some(a), Some(b)) = (wheel.pop(), heap.pop()) {
-            log_w.push((a.at.0, a.pid, format!("{:?}", a.kind)));
-            log_h.push((b.at.0, b.pid, format!("{:?}", b.kind)));
-        }
-        assert!(wheel.is_empty() && heap.is_empty());
-        assert_eq!(log_w, log_h);
     }
 }

@@ -42,7 +42,7 @@ pub mod time;
 pub mod trace;
 pub mod watchdog;
 
-pub use event::{CauseClass, Provenance, QueueBackend};
+pub use event::{CauseClass, Provenance};
 pub use ledger::{CausalLedger, KindStats, NodeTally, ProvenanceSummary};
 pub use link::LinkConfig;
 pub use metrics::{merge_series, Histogram, Metrics, SeriesPoint};

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use ssr_graph::Graph;
 use ssr_types::Rng;
 
-use crate::event::{CauseClass, EventKind, EventQueue, Provenance, QueueBackend};
+use crate::event::{CauseClass, EventKind, EventQueue, Provenance};
 use crate::faults::Fault;
 use crate::ledger::{CausalLedger, ProvenanceSummary};
 use crate::link::LinkConfig;
@@ -350,28 +350,10 @@ impl<P: Protocol> Simulator<P> {
         seed: u64,
         trace: TraceSink,
     ) -> Self {
-        Self::with_trace_backend(topo, protocols, cfg, seed, trace, QueueBackend::default())
+        Self::build(topo, protocols, cfg, seed, trace, false)
     }
 
-    /// Like [`Simulator::with_trace`] with an explicit [`QueueBackend`].
-    ///
-    /// Only equivalence tests should pass
-    /// [`QueueBackend::ReferenceHeap`] — it re-runs a workload on the
-    /// pre-wheel scheduling structure so the two schedules can be compared
-    /// byte for byte. Everything else uses [`Simulator::new`] /
-    /// [`Simulator::with_trace`], which select the tick wheel.
-    pub fn with_trace_backend(
-        topo: Graph,
-        protocols: Vec<P>,
-        cfg: LinkConfig,
-        seed: u64,
-        trace: TraceSink,
-        backend: QueueBackend,
-    ) -> Self {
-        Self::build(topo, protocols, cfg, seed, trace, backend, false)
-    }
-
-    /// Like [`Simulator::with_trace_backend`] with the [`CausalLedger`]
+    /// Like [`Simulator::with_trace`] with the [`CausalLedger`]
     /// enabled from before the `on_init` dispatches, so even bootstrap
     /// sends are attributed. Instrumentation never samples the RNG and
     /// never reorders events: an instrumented run is byte-identical to an
@@ -382,9 +364,8 @@ impl<P: Protocol> Simulator<P> {
         cfg: LinkConfig,
         seed: u64,
         trace: TraceSink,
-        backend: QueueBackend,
     ) -> Self {
-        Self::build(topo, protocols, cfg, seed, trace, backend, true)
+        Self::build(topo, protocols, cfg, seed, trace, true)
     }
 
     fn build(
@@ -393,7 +374,6 @@ impl<P: Protocol> Simulator<P> {
         cfg: LinkConfig,
         seed: u64,
         trace: TraceSink,
-        backend: QueueBackend,
         instrumented: bool,
     ) -> Self {
         assert_eq!(
@@ -407,7 +387,7 @@ impl<P: Protocol> Simulator<P> {
             topo,
             alive: vec![true; n],
             protocols,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             now: Time::ZERO,
             cfg,
             link_overrides: BTreeMap::new(),
@@ -1663,35 +1643,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_heap_backend_produces_the_same_run() {
-        let run = |backend| {
-            let topo = generators::gnp(24, 0.2, &mut Rng::new(5));
-            let protocols: Vec<Flood> = (0..24)
-                .map(|u| Flood {
-                    seen: false,
-                    first_hops: None,
-                    origin: u == 0,
-                })
-                .collect();
-            let trace = TraceSink::memory();
-            let mut sim = Simulator::with_trace_backend(
-                topo,
-                protocols,
-                LinkConfig::jittered(1, 3),
-                77,
-                trace.clone(),
-                backend,
-            );
-            sim.run_to_quiescence(10_000);
-            (trace.take(), sim.metrics().clone(), sim.now())
-        };
-        let wheel = run(crate::event::QueueBackend::TickWheel);
-        let heap = run(crate::event::QueueBackend::ReferenceHeap);
-        assert_eq!(wheel.0, heap.0, "traces diverged");
-        assert_eq!(wheel.2, heap.2, "end times diverged");
-    }
-
-    #[test]
     fn run_outcome_accessors() {
         let q = RunOutcome::Quiescent(Time(5));
         let b = RunOutcome::Budget(Time(9));
@@ -1781,7 +1732,6 @@ mod tests {
             LinkConfig::ideal(),
             3,
             TraceSink::disabled(),
-            QueueBackend::default(),
         );
         sim.run_to_quiescence(1_000);
         let summary = sim.causal_summary().expect("instrumented sim has a ledger");
@@ -1816,11 +1766,10 @@ mod tests {
                 .collect();
             let trace = TraceSink::memory();
             let link = LinkConfig::lossy(0.1).with_dup(0.1);
-            let backend = QueueBackend::default();
             let mut sim = if instrument {
-                Simulator::instrumented(topo, protocols, link, 77, trace.clone(), backend)
+                Simulator::instrumented(topo, protocols, link, 77, trace.clone())
             } else {
-                Simulator::with_trace_backend(topo, protocols, link, 77, trace.clone(), backend)
+                Simulator::with_trace(topo, protocols, link, 77, trace.clone())
             };
             sim.run_to_quiescence(10_000);
             (trace.take(), sim.metrics().clone(), sim.now())
@@ -1890,7 +1839,6 @@ mod tests {
             LinkConfig::ideal(),
             1,
             TraceSink::disabled(),
-            QueueBackend::default(),
         );
         sim.run_to_quiescence(1_000);
         let summary = sim.causal_summary().unwrap();

@@ -1,6 +1,6 @@
 //! Optional execution tracing with pluggable sinks.
 //!
-//! The figure binaries (E1–E3) print step-by-step protocol behaviour; the
+//! The figure experiments (E1–E3) print step-by-step protocol behaviour; the
 //! determinism integration test asserts that two runs with the same seed
 //! produce byte-identical traces. Tracing is off by default and costs one
 //! branch per event when disabled.

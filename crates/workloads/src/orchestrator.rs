@@ -25,8 +25,8 @@
 //! guarantee end to end, worker counts 1/2/8 against each other, with a
 //! deliberately slow first job forcing completion order ≠ input order.
 //!
-//! The experiment binaries drive this through a shared CLI layer
-//! (`--workers N`, `--matrix SPEC` — see `ssr_bench::Args::workers` and
+//! The experiments drive this through their shared shell (`--workers N`,
+//! `--matrix SPEC` — see `ssr_bench::Shell::{matrix, sweep}` and
 //! [`Matrix::override_with`]); docs/SWEEPS.md is the operator guide.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,7 +68,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A matrix from scenario names, sizes, and a seed *count* (seeds
-    /// `0..count`, matching the binaries' historical `--seeds K` flag).
+    /// `0..count`, matching the experiments' historical `--seeds K` flag).
     pub fn new<S: Into<String>>(
         scenarios: impl IntoIterator<Item = S>,
         sizes: Vec<usize>,

@@ -1,4 +1,4 @@
-//! ASCII tables and CSV output for the experiment binaries.
+//! ASCII tables and CSV output for the experiments.
 
 use std::io::Write as _;
 use std::path::Path;

@@ -33,9 +33,9 @@ doc:
 sweep-smoke:
     ./scripts/sweep_smoke.sh
 
-# behavioural-equivalence gate: regenerate results/golden/*.manifest.json
-# (chaos, VRR both modes, flooding-cost ablations, churn) and require
-# `obs diff` clean + byte-identical
+# behavioural-equivalence gate: regenerate results/golden/ (manifest,
+# stdout and CSV of all twelve experiments) and require `obs diff` clean +
+# byte-identical
 golden:
     ./scripts/golden_smoke.sh
 
@@ -50,7 +50,7 @@ obs-smoke:
 
 # chaos matrix smoke: adversarial scenarios must self-stabilize
 chaos-smoke:
-    cargo run --release -q -p ssr-bench --bin exp_chaos -- --smoke
+    cargo run --release -q -p ssr-bench --bin exp -- exp_chaos --smoke
 
 # criterion suites: routine-level (micro) + algorithm-level (bench_core)
 bench:
@@ -59,13 +59,13 @@ bench:
 
 # regenerate the committed perf baseline (BENCH_perf.json at the repo root)
 perf-baseline:
-    cargo run --release -p ssr-bench --bin exp_perf
+    cargo run --release -p ssr-bench --bin exp -- exp_perf
 
 # folded causal stacks (cause;kind;depth) from a fresh chaos smoke run,
 # written to results/flame.folded — pipe into flamegraph.pl / inferno
 flame:
-    cargo build --release -q -p ssr-bench --bin exp_chaos -p ssr-obs --bin obs
+    cargo build --release -q -p ssr-bench --bin exp -p ssr-obs --bin obs
     rm -rf target/flame && mkdir -p target/flame results
-    cd target/flame && SSR_OBS_OMIT_WALL=1 ../../target/release/exp_chaos --smoke > /dev/null
+    cd target/flame && SSR_OBS_OMIT_WALL=1 ../../target/release/exp exp_chaos --smoke > /dev/null
     ./target/release/obs flame target/flame/results/exp_chaos.manifest.json > results/flame.folded
     @echo "wrote results/flame.folded ($(wc -l < results/flame.folded) stacks)"

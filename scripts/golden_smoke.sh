@@ -37,7 +37,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p ssr-bench --bins -p ssr-obs --bin obs
+cargo build --release -q -p ssr-bench --bin exp -p ssr-obs --bin obs
 BIN="$(pwd)/target/release"
 GOLDEN="$(pwd)/results/golden"
 SCRATCH="$(pwd)/target/golden-smoke"
@@ -52,15 +52,17 @@ same() {
   }
 }
 
-# check NAME EXP ARGS...: run EXP with ARGS in its own directory, keep the
+# check NAME EXP ARGS...: run `exp EXP ARGS` in its own directory, keep the
 # manifest, stdout and CSV as $SCRATCH/NAME.{manifest.json,stdout.txt,csv},
 # compare each with the golden NAME.
+covered=""
 check() {
   local name="$1" exp="$2"
   shift 2
+  covered="$covered $exp"
   mkdir -p "$SCRATCH/$name.run"
   (cd "$SCRATCH/$name.run" &&
-    SSR_OBS_OMIT_WALL=1 "$BIN/$exp" "$@" --workers 1 --csv table.csv > stdout.txt)
+    SSR_OBS_OMIT_WALL=1 "$BIN/exp" "$exp" "$@" --workers 1 --csv table.csv > stdout.txt)
   local fresh="$SCRATCH/$name.manifest.json"
   mv "$SCRATCH/$name.run/results/$exp.manifest.json" "$fresh"
   mv "$SCRATCH/$name.run/stdout.txt" "$SCRATCH/$name.stdout.txt"
@@ -109,7 +111,8 @@ echo "  results/exp_chaos.manifest.json: no differences"
 # exp_perf's artifact carries wall-clock fields: its deterministic work
 # counters are the gate (obs diff marks any drift there "behavior change";
 # its exit code reflects timing, which this gate does not judge)
-"$BIN/exp_perf" --smoke --workers 1 --out "$SCRATCH/exp_perf_smoke.json" > /dev/null
+covered="$covered exp_perf"
+"$BIN/exp" exp_perf --smoke --workers 1 --out "$SCRATCH/exp_perf_smoke.json" > /dev/null
 "$BIN/obs" diff "$GOLDEN/exp_perf_smoke.json" "$SCRATCH/exp_perf_smoke.json" \
   > "$SCRATCH/exp_perf_smoke.diff" || true
 if grep "behavior change" "$SCRATCH/exp_perf_smoke.diff" >&2; then
@@ -117,5 +120,11 @@ if grep "behavior change" "$SCRATCH/exp_perf_smoke.diff" >&2; then
   exit 1
 fi
 echo "  exp_perf_smoke: no behavior change"
+
+# a thirteenth experiment cannot skip the gate: every name `exp` lists
+# (it prints them, indented, when run without one) must be covered above
+for name in $("$BIN/exp" 2>&1 | sed -n 's/^  //p'); do
+  case " $covered " in *" $name "*) ;; *) echo "golden smoke: $name has no golden" >&2; exit 1 ;; esac
+done
 
 echo "golden smoke OK"

@@ -14,13 +14,12 @@ SCRATCH="target/obs-smoke"
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
 
-cargo build --release -q -p ssr-bench --bin fig1_loopy --bin exp_chaos -p ssr-obs --bin obs
-FIG1="$(pwd)/target/release/fig1_loopy"
-CHAOS="$(pwd)/target/release/exp_chaos"
+cargo build --release -q -p ssr-bench --bin exp -p ssr-obs --bin obs
+EXP="$(pwd)/target/release/exp"
 OBS="$(pwd)/target/release/obs"
 
 echo "-- fig1_loopy with JSONL trace --"
-(cd "$SCRATCH" && "$FIG1" --trace-jsonl trace.jsonl > fig1.out)
+(cd "$SCRATCH" && "$EXP" fig1_loopy --trace-jsonl trace.jsonl > fig1.out)
 test -s "$SCRATCH/trace.jsonl" || { echo "empty trace"; exit 1; }
 test -s "$SCRATCH/results/fig1_loopy.manifest.json" || { echo "missing manifest"; exit 1; }
 
@@ -44,8 +43,8 @@ echo "-- obs diff (manifest vs itself: must be clean) --"
 
 echo "-- exp_chaos smoke (twice, wall clock omitted: must be byte-identical) --"
 mkdir -p "$SCRATCH/chaos_a" "$SCRATCH/chaos_b"
-(cd "$SCRATCH/chaos_a" && SSR_OBS_OMIT_WALL=1 "$CHAOS" --smoke > chaos.out)
-(cd "$SCRATCH/chaos_b" && SSR_OBS_OMIT_WALL=1 "$CHAOS" --smoke > chaos.out)
+(cd "$SCRATCH/chaos_a" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos --smoke > chaos.out)
+(cd "$SCRATCH/chaos_b" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos --smoke > chaos.out)
 cmp "$SCRATCH/chaos_a/results/exp_chaos.manifest.json" \
     "$SCRATCH/chaos_b/results/exp_chaos.manifest.json" \
     || { echo "chaos manifest not deterministic"; exit 1; }

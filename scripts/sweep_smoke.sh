@@ -8,8 +8,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p ssr-bench --bin exp_chaos
-bin="$(pwd)/target/release/exp_chaos"
+cargo build --release -q -p ssr-bench --bin exp
+bin="$(pwd)/target/release/exp"
 matrix="scenario=corrupt-wound,corrupt-split;n=12;seeds=2"
 
 scratch="$(mktemp -d)"
@@ -17,7 +17,7 @@ trap 'rm -rf "$scratch"' EXIT
 
 for w in 1 4; do
   mkdir -p "$scratch/w$w"
-  (cd "$scratch/w$w" && SSR_OBS_OMIT_WALL=1 "$bin" --matrix "$matrix" --workers "$w" > stdout.txt)
+  (cd "$scratch/w$w" && SSR_OBS_OMIT_WALL=1 "$bin" exp_chaos --matrix "$matrix" --workers "$w" > stdout.txt)
 done
 
 cmp "$scratch/w1/results/exp_chaos.manifest.json" \

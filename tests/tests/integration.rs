@@ -214,7 +214,7 @@ fn jittered_latency_converges() {
 }
 
 /// The observer checkers recognize the adversarial states of Figures 1–2
-/// end to end (duplicating the figure binaries as tests).
+/// end to end (duplicating the figure experiments as tests).
 #[test]
 fn figure_states_classify_correctly() {
     // loopy ring over the Figure-1 addresses

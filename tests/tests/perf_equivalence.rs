@@ -1,172 +1,33 @@
-//! Same-seed equivalence: the tick-wheel event queue against the
-//! pre-change reference heap.
+//! Same-seed determinism of the simulator's event-driven hot path on
+//! E11-style chaos scenarios.
 //!
-//! The simulator's event-driven hot path (the `BTreeMap`-backed pending-
-//! delivery wheel, the dirty-node ledger, probe fast-forwarding) replaced
-//! a `BinaryHeap` with a global insertion-sequence tie-break. The old
-//! structure is retained as [`ssr_sim::QueueBackend::ReferenceHeap`]
-//! solely so this file can prove the replacement changed *nothing
-//! observable*: on E11-style chaos scenarios — corrupted starts, lossy
-//! duplicated reordered links, partitions with heals — both backends must
-//! produce byte-identical run manifests and identical full event traces.
-//!
-//! Any future queue change that alters delivery order on equal ticks will
-//! fail here before it silently invalidates every recorded experiment.
+//! The `BTreeMap`-backed pending-delivery wheel replaced a `BinaryHeap`
+//! with a global insertion-sequence tie-break. That heap now lives on as
+//! the reference model in `ssr_sim::event`'s own tests, where a proptest
+//! requires the wheel to answer every push/pop/inspect sequence the same
+//! way — the simulator touches its queue through nothing else, so equal
+//! answers there are equal runs here. What stays in this file is the
+//! baseline that makes any byte comparison meaningful: the same run
+//! repeated is byte-identical to itself.
 
-use std::rc::Rc;
-
-use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
-use ssr_core::{chaos, consistency};
+use integration_tests::{run_chaos, Scenario};
 use ssr_obs::Manifest;
-use ssr_sim::faults::Fault;
-use ssr_sim::{LinkConfig, QueueBackend, Simulator, Time, TraceEvent, TraceSink};
-use ssr_types::Rng;
-use ssr_workloads::Topology;
 
-/// Everything observable about one chaos run: the manifest JSON (wall
-/// time omitted), the full trace, and the end state.
-struct RunArtifacts {
-    manifest_json: String,
-    trace: Vec<TraceEvent>,
-    end_tick: u64,
-    converged: bool,
-}
-
-/// One E11-style scenario: which corruption seeds the virtual state and
-/// whether a partition window interrupts recovery.
-#[derive(Clone, Copy)]
-enum Scenario {
-    WoundRing,
-    RandomSucc,
-    PartitionHeal,
-}
-
-impl Scenario {
-    fn name(self) -> &'static str {
-        match self {
-            Scenario::WoundRing => "wound-ring",
-            Scenario::RandomSucc => "random-succ",
-            Scenario::PartitionHeal => "partition-heal",
-        }
-    }
-}
-
-/// Runs `scenario` at size `n` under the given queue backend and captures
-/// every observable artifact. Mirrors the `exp_chaos` run shape: adverse
-/// links, corrupted starts, scheduled faults, invariant probe on its grid.
-fn run_chaos(scenario: Scenario, n: usize, seed: u64, backend: QueueBackend) -> RunArtifacts {
-    // wall-clock manifests can never be byte-identical; omit the field
-    std::env::set_var("SSR_OBS_OMIT_WALL", "1");
-    let (g, labels) = Topology::UnitDisk { n, scale: 1.4 }.instance(seed ^ 0xA5A5);
-    let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
-    // duplication + reordering stress equal-tick delivery order — exactly
-    // where a queue rewrite would diverge first
-    let link = LinkConfig::ideal().with_dup(0.1).with_reorder(0.15, 4);
-    let trace = TraceSink::memory();
-    let mut sim = Simulator::with_trace_backend(g, nodes, link, seed, trace.clone(), backend);
-
-    let mut frng = Rng::new(seed ^ 0x00C4);
-    match scenario {
-        Scenario::WoundRing => {
-            let succ = chaos::wound_ring_succ(labels.ids(), 3.min(n));
-            chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
-        }
-        Scenario::RandomSucc => {
-            let succ = chaos::random_succ(labels.ids(), &mut frng);
-            chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
-        }
-        Scenario::PartitionHeal => {
-            let groups = ssr_sim::faults::partition_groups(n, 2, &mut frng);
-            sim.schedule_fault(Time(40), Fault::Partition { groups });
-            sim.schedule_fault(Time(400), Fault::Heal);
-        }
-    }
-
-    let inv = chaos::shared_invariants(500);
-    sim.add_probe(16, chaos::invariant_probe(labels.clone(), Rc::clone(&inv)));
-
-    if matches!(scenario, Scenario::PartitionHeal) {
-        sim.run_until(Time(450));
-    }
-    let outcome = sim.run_until_stable(8, 100_000, |nodes, _| {
-        consistency::check_ring(nodes).consistent()
-    });
-    let converged = consistency::check_ring(sim.protocols()).consistent();
-
-    let mut man = Manifest::new("perf_equivalence");
-    man.seed(seed)
-        .config("scenario", scenario.name())
-        .config("n", n)
-        .record_metrics(sim.metrics());
-    RunArtifacts {
-        manifest_json: man.to_json(),
-        trace: trace.take(),
-        end_tick: outcome.time().ticks(),
-        converged,
-    }
-}
-
-/// The acceptance-criteria test: for every scenario and seed, the wheel
-/// and the reference heap produce byte-identical manifests and identical
-/// traces.
-#[test]
-fn tick_wheel_is_byte_identical_to_reference_heap_on_chaos_scenarios() {
-    for scenario in [
-        Scenario::WoundRing,
-        Scenario::RandomSucc,
-        Scenario::PartitionHeal,
-    ] {
-        for seed in [1u64, 2] {
-            let n = 24;
-            let wheel = run_chaos(scenario, n, seed, QueueBackend::TickWheel);
-            let heap = run_chaos(scenario, n, seed, QueueBackend::ReferenceHeap);
-            assert!(
-                wheel.converged && heap.converged,
-                "{} seed={seed}: did not converge (wheel={}, heap={})",
-                scenario.name(),
-                wheel.converged,
-                heap.converged
-            );
-            assert_eq!(
-                wheel.end_tick,
-                heap.end_tick,
-                "{} seed={seed}: end tick diverged",
-                scenario.name()
-            );
-            assert_eq!(
-                wheel.manifest_json,
-                heap.manifest_json,
-                "{} seed={seed}: manifests diverged",
-                scenario.name()
-            );
-            assert_eq!(
-                wheel.trace.len(),
-                heap.trace.len(),
-                "{} seed={seed}: trace lengths diverged",
-                scenario.name()
-            );
-            // element-wise so a divergence reports its position, not a
-            // multi-thousand-line debug dump
-            for (i, (we, he)) in wheel.trace.iter().zip(heap.trace.iter()).enumerate() {
-                assert_eq!(
-                    we,
-                    he,
-                    "{} seed={seed}: traces diverge at event {i}",
-                    scenario.name()
-                );
-            }
-        }
-    }
-}
-
-/// The same run repeated on the same backend is byte-identical to itself —
-/// the determinism baseline that makes the cross-backend comparison
-/// meaningful.
+/// The same run repeated is byte-identical to itself: manifest JSON (wall
+/// time omitted), full event trace, and end tick.
 #[test]
 fn chaos_runs_are_self_deterministic() {
-    let a = run_chaos(Scenario::RandomSucc, 24, 5, QueueBackend::TickWheel);
-    let b = run_chaos(Scenario::RandomSucc, 24, 5, QueueBackend::TickWheel);
-    assert_eq!(a.manifest_json, b.manifest_json);
-    assert_eq!(a.trace, b.trace);
-    assert_eq!(a.end_tick, b.end_tick);
+    let observe = || {
+        let run = run_chaos(Scenario::RandomSucc, 24, 5, false);
+        let mut man = Manifest::new("perf_equivalence");
+        man.seed(5)
+            .config("scenario", Scenario::RandomSucc.name())
+            .config("n", 24)
+            .record_metrics(run.sim.metrics());
+        (man.to_json(), run.trace, run.outcome.time().ticks())
+    };
+    let (a, b) = (observe(), observe());
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.1, b.1);
+    assert_eq!(a.2, b.2);
 }

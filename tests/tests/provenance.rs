@@ -2,31 +2,14 @@
 //! event carries (see docs/PROFILING.md) must form a DAG rooted only at
 //! bootstrap and fault events, with depth growing by exactly one per
 //! link, and the causal ledger's per-kind totals must reconcile with the
-//! simulator's own delivery counter. A final test pins provenance-id
-//! assignment across queue backends: ids are part of the deterministic
-//! observable surface, so the tick wheel and the reference heap must
-//! produce byte-identical lineages.
+//! simulator's own delivery counter.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
+use integration_tests::{run_chaos, Scenario};
 use proptest::prelude::*;
-use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
-use ssr_core::{chaos, consistency};
-use ssr_sim::faults::Fault;
-use ssr_sim::{
-    CauseClass, LinkConfig, Provenance, QueueBackend, Simulator, Time, TraceEvent, TraceSink,
-};
-use ssr_types::Rng;
-use ssr_workloads::Topology;
-
-/// Which corruption/fault shape a run starts from.
-#[derive(Clone, Copy, Debug)]
-enum Scenario {
-    WoundRing,
-    RandomSucc,
-    PartitionHeal,
-}
+use ssr_core::consistency;
+use ssr_sim::{CauseClass, Provenance, TraceEvent};
 
 struct Run {
     trace: Vec<TraceEvent>,
@@ -34,47 +17,18 @@ struct Run {
     ledger_delivered_by_kind: Vec<(&'static str, u64)>,
 }
 
-/// An E11-shaped instrumented chaos run with a full in-memory trace.
-/// Mirrors `perf_equivalence::run_chaos` but with the causal ledger on.
-fn run_instrumented(scenario: Scenario, n: usize, seed: u64, backend: QueueBackend) -> Run {
-    std::env::set_var("SSR_OBS_OMIT_WALL", "1");
-    let (g, labels) = Topology::UnitDisk { n, scale: 1.4 }.instance(seed ^ 0xA5A5);
-    let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
-    let link = LinkConfig::ideal().with_dup(0.1).with_reorder(0.15, 4);
-    let trace = TraceSink::memory();
-    let mut sim = Simulator::instrumented(g, nodes, link, seed, trace.clone(), backend);
-
-    let mut frng = Rng::new(seed ^ 0x00C4);
-    match scenario {
-        Scenario::WoundRing => {
-            let succ = chaos::wound_ring_succ(labels.ids(), 3.min(n));
-            chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
-        }
-        Scenario::RandomSucc => {
-            let succ = chaos::random_succ(labels.ids(), &mut frng);
-            chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
-        }
-        Scenario::PartitionHeal => {
-            let groups = ssr_sim::faults::partition_groups(n, 2, &mut frng);
-            sim.schedule_fault(Time(40), Fault::Partition { groups });
-            sim.schedule_fault(Time(400), Fault::Heal);
-        }
-    }
-
-    let inv = chaos::shared_invariants(500);
-    sim.add_probe(16, chaos::invariant_probe(labels.clone(), Rc::clone(&inv)));
-
-    if matches!(scenario, Scenario::PartitionHeal) {
-        sim.run_until(Time(450));
-    }
-    let outcome = sim.run_until_stable(8, 100_000, |nodes, _| {
-        consistency::check_ring(nodes).consistent()
-    });
+/// An E11-shaped chaos run with the causal ledger on, reduced to what the
+/// lineage checks read.
+fn run_instrumented(scenario: Scenario, n: usize, seed: u64) -> Run {
+    let run = run_chaos(scenario, n, seed, true);
     assert!(
-        outcome.is_quiescent() && consistency::check_ring(sim.protocols()).consistent(),
+        run.outcome.is_quiescent() && consistency::check_ring(run.sim.protocols()).consistent(),
         "{scenario:?} seed={seed}: did not converge"
     );
-    let summary = sim.causal_summary().expect("instrumented run has a ledger");
+    let summary = run
+        .sim
+        .causal_summary()
+        .expect("instrumented run has a ledger");
     let mut by_kind: Vec<(&'static str, u64)> = Vec::new();
     for (&(_, kind), stats) in &summary.messages {
         match by_kind.iter_mut().find(|(k, _)| *k == kind) {
@@ -83,8 +37,8 @@ fn run_instrumented(scenario: Scenario, n: usize, seed: u64, backend: QueueBacke
         }
     }
     Run {
-        trace: trace.take(),
-        messages_delivered: sim.metrics().counter("rx.total"),
+        messages_delivered: run.sim.metrics().counter("rx.total"),
+        trace: run.trace,
         ledger_delivered_by_kind: by_kind,
     }
 }
@@ -174,7 +128,7 @@ proptest! {
     ) {
         let scenario = [Scenario::WoundRing, Scenario::RandomSucc, Scenario::PartitionHeal]
             [scenario_ix];
-        let run = run_instrumented(scenario, 20, seed, QueueBackend::TickWheel);
+        let run = run_instrumented(scenario, 20, seed);
         let provs = provenances(&run.trace);
         prop_assert!(!provs.is_empty());
         assert_lineage_is_rooted_dag(&provs);
@@ -206,34 +160,6 @@ proptest! {
                 delivered,
                 "kind {} ledger/trace mismatch",
                 kind
-            );
-        }
-    }
-}
-
-/// Provenance ids are assigned at enqueue time from a dense counter, so
-/// the queue backend must not affect them: the tick wheel and the
-/// reference heap produce byte-identical provenance streams.
-#[test]
-fn provenance_ids_are_identical_across_queue_backends() {
-    for (scenario, seed) in [
-        (Scenario::WoundRing, 1u64),
-        (Scenario::RandomSucc, 2),
-        (Scenario::PartitionHeal, 3),
-    ] {
-        let wheel = run_instrumented(scenario, 24, seed, QueueBackend::TickWheel);
-        let heap = run_instrumented(scenario, 24, seed, QueueBackend::ReferenceHeap);
-        let wp = provenances(&wheel.trace);
-        let hp = provenances(&heap.trace);
-        assert_eq!(
-            wp.len(),
-            hp.len(),
-            "{scenario:?} seed={seed}: provenance stream lengths diverged"
-        );
-        for (i, (w, h)) in wp.iter().zip(hp.iter()).enumerate() {
-            assert_eq!(
-                w, h,
-                "{scenario:?} seed={seed}: provenance diverges at record {i}"
             );
         }
     }
