@@ -9,7 +9,8 @@
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
 # ledger on + obs flame/top attribution gates), and the perf-baseline
-# smoke (exp exp_perf --smoke artifact gate). Mirrors `just ci`.
+# smoke (exp exp_perf --smoke artifact gate + BENCH_history.jsonl
+# well-formedness). Mirrors `just ci`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,5 +72,8 @@ if [ "$scenarios" -lt 3 ]; then
   exit 1
 fi
 rm -rf "$(dirname "$perf_out")"
+# the trajectory: missing, empty, or a line that is not one JSON object
+# carrying git, scenario and ns_per_op fails (`just bench-history` appends)
+./target/release/obs history --check BENCH_history.jsonl
 
 echo "CI OK"

@@ -1,10 +1,11 @@
-//! Criterion micro-benchmarks (B1–B6): the hot paths of the reproduction.
+//! Criterion micro-benchmarks (B1–B8): the hot paths of the reproduction.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssr_core::cache::RouteCache;
 use ssr_core::message::{self, ForwardEnvelope, Payload, SsrMsg};
 use ssr_core::route::SourceRoute;
 use ssr_linearize::{step_round, Semantics, Variant};
+use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator};
 use ssr_types::{NodeId, Rng, SeqNo};
 use ssr_workloads::Topology;
 
@@ -143,6 +144,63 @@ fn bench_bootstrap(c: &mut Criterion) {
     group.finish();
 }
 
+/// Hands every token it receives to its first neighbour until the token's
+/// hops run out: a handler that does nothing, so what is left is the
+/// simulator's own per-event path.
+struct NoopRelay {
+    hops: u32,
+}
+
+impl Protocol for NoopRelay {
+    type Msg = u32;
+
+    fn on_init(&mut self, ctx: &mut Ctx<'_, u32>) {
+        let to = ctx.neighbors()[0];
+        ctx.send(to, self.hops);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: usize, left: u32) {
+        if left > 0 {
+            let to = ctx.neighbors()[0];
+            ctx.send(to, left - 1);
+        }
+    }
+
+    fn reset(&mut self) {}
+
+    fn kind(_msg: &u32) -> &'static str {
+        "data"
+    }
+}
+
+/// B8, ladder rung (b) of ROADMAP item 1: the simulator under a no-op
+/// protocol — `step` + `dispatch` + `transmit_copy` and nothing else.
+/// One iteration relays 500 tokens 200 hops each (100 500 deliveries) on a
+/// unit-disk graph, so ns/iter ÷ 100 500 is the simulator's cost per
+/// delivered message.
+fn bench_sim_noop_relay(c: &mut Criterion) {
+    const HOPS: u32 = 200;
+    let (g, _) = Topology::UnitDisk { n: 500, scale: 1.3 }.instance(1);
+    let mut group = c.benchmark_group("sim_noop_relay");
+    group.sample_size(10);
+    group.bench_function("n500_hops200", |b| {
+        b.iter_batched(
+            || {
+                let nodes = (0..g.node_count())
+                    .map(|_| NoopRelay { hops: HOPS })
+                    .collect();
+                Simulator::new(g.clone(), nodes, LinkConfig::ideal(), 1)
+            },
+            |mut sim| {
+                assert!(sim.run_to_quiescence(u64::MAX / 2).is_quiescent());
+                sim.messages_delivered()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_linearize_round,
@@ -151,6 +209,7 @@ criterion_group!(
     bench_route_concat,
     bench_topology,
     bench_codec,
-    bench_bootstrap
+    bench_bootstrap,
+    bench_sim_noop_relay
 );
 criterion_main!(benches);

@@ -1,12 +1,13 @@
 //! The `obs` CLI: summarize a manifest, diff two manifests,
-//! pretty-print/filter a JSONL trace, or profile causal provenance
-//! (`flame`, `top`, `causes` — see docs/PROFILING.md).
+//! pretty-print/filter a JSONL trace, profile causal provenance
+//! (`flame`, `top`, `causes` — see docs/PROFILING.md), or turn a perf
+//! baseline into `BENCH_history.jsonl` lines (`history`).
 
 use std::process::ExitCode;
 
 use ssr_obs::report::{
-    causes, diff, diff_perf, flame, format_trace_line, is_perf_baseline, summarize, top,
-    TraceFilter,
+    causes, check_history, diff, diff_perf, flame, format_trace_line, history_lines,
+    is_perf_baseline, summarize, top, TraceFilter,
 };
 use ssr_obs::{parse, Value};
 
@@ -19,6 +20,8 @@ usage:
   obs causes <trace.jsonl> <event-id> [--ev EV] [--kind KIND] [--node N] ...
   obs flame <manifest.json>
   obs top <manifest.json> [--limit N]
+  obs history <BENCH_perf.json>
+  obs history --check <BENCH_history.jsonl>
 
 subcommands:
   summarize   one-screen view of a run manifest (counters, histogram
@@ -36,6 +39,9 @@ subcommands:
               provenance section, ready for flamegraph.pl / inferno
   top         rank cause classes, message kinds, and hot nodes by
               delivered/sent/wasted messages
+  history     one BENCH_history.jsonl line per scenario of a perf baseline
+              (git, scenario, ns_per_op, deliveries_per_run), to append;
+              --check validates a history file instead
 ";
 
 fn main() -> ExitCode {
@@ -111,6 +117,15 @@ fn run(args: &[String]) -> Result<(String, bool), String> {
             let limit = top_limit(&args[2..])?;
             Ok((top(&load_json(path)?, limit)?, true))
         }
+        Some("history") => match args.get(1).map(String::as_str) {
+            Some("--check") => {
+                let path = args.get(2).ok_or("history --check needs a JSONL path")?;
+                let checked = check_history(&load_jsonl(path)?);
+                Ok((checked.map_err(|e| format!("{path}: {e}"))?, true))
+            }
+            Some(path) => Ok((history_lines(&load_json(path)?)?, true)),
+            None => Err("history needs a perf baseline path".into()),
+        },
         Some(other) => Err(format!("unknown subcommand '{other}'")),
         None => Err("no subcommand".to_string()),
     }

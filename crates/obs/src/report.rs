@@ -518,6 +518,75 @@ pub fn diff_perf(a: &Value, b: &Value, threshold_pct: f64) -> (String, bool) {
     (out, regressions > 0)
 }
 
+/// The fields every `BENCH_history.jsonl` line must carry.
+const HISTORY_FIELDS: [&str; 3] = ["git", "scenario", "ns_per_op"];
+
+/// The `BENCH_history.jsonl` lines of one perf baseline: one compact JSON
+/// object per scenario — the baseline's `git` describe, the scenario name,
+/// `ns_per_op` (per run for the convergence/chaos rows, whose op is a run),
+/// `deliveries_per_run` (`messages_delivered / repeats`: the baseline's
+/// counter fields are sums over its repeats), `repeats` and `smoke`.
+/// Appending these per PR is what turns the overwritten `BENCH_perf.json`
+/// snapshot into a trajectory.
+pub fn history_lines(baseline: &Value) -> Result<String, String> {
+    if !is_perf_baseline(baseline) {
+        return Err("not a perf baseline (no ssr-bench-perf schema)".into());
+    }
+    let git = baseline
+        .get("git")
+        .and_then(|g| g.as_str())
+        .ok_or("baseline has no git describe (emitted outside a checkout)")?;
+    let scenarios = baseline
+        .get("scenarios")
+        .and_then(|s| s.as_arr())
+        .ok_or("baseline has no scenarios")?;
+    let mut out = String::new();
+    for s in scenarios {
+        let name = s.get("name").and_then(|n| n.as_str());
+        let ns_per_op = s.get("ns_per_op").and_then(|v| v.as_f64());
+        let (Some(name), Some(ns_per_op)) = (name, ns_per_op) else {
+            return Err("scenario without name or ns_per_op".into());
+        };
+        let num = |k: &str| s.get(k).and_then(|v| v.as_f64());
+        let repeats = num("repeats").unwrap_or(1.0).max(1.0);
+        let line = Value::Obj(vec![
+            ("git".into(), Value::Str(git.into())),
+            ("scenario".into(), Value::Str(name.into())),
+            ("ns_per_op".into(), Value::Num(ns_per_op)),
+            (
+                "deliveries_per_run".into(),
+                Value::Num(num("messages_delivered").unwrap_or(0.0) / repeats),
+            ),
+            ("repeats".into(), Value::Num(repeats)),
+            (
+                "smoke".into(),
+                baseline.get("smoke").cloned().unwrap_or(Value::Bool(false)),
+            ),
+        ]);
+        let _ = writeln!(out, "{}", line.to_json());
+    }
+    Ok(out)
+}
+
+/// Checks parsed `BENCH_history.jsonl` records: there is at least one, and
+/// each is one JSON object carrying `git`, `scenario` and `ns_per_op`.
+pub fn check_history(records: &[Value]) -> Result<String, String> {
+    if records.is_empty() {
+        return Err("history is empty".into());
+    }
+    for (i, r) in records.iter().enumerate() {
+        if r.as_obj().is_none() {
+            return Err(format!("record {}: not a JSON object", i + 1));
+        }
+        for field in HISTORY_FIELDS {
+            if r.get(field).is_none() {
+                return Err(format!("record {}: no `{field}` field", i + 1));
+            }
+        }
+    }
+    Ok(format!("history OK: {} record(s)\n", records.len()))
+}
+
 fn delta(a: u64, b: u64) -> String {
     let d = b as i128 - a as i128;
     let sign = if d >= 0 { "+" } else { "" };
@@ -943,6 +1012,23 @@ mod tests {
              \"peak_queue_depth\":648}}]}}"
         );
         parse(&doc).unwrap()
+    }
+
+    #[test]
+    fn history_lines_round_trip_through_the_check() {
+        let lines = history_lines(&perf_baseline("abc-dirty", 1500.5, 600)).unwrap();
+        assert_eq!(
+            lines,
+            "{\"git\":\"abc-dirty\",\"scenario\":\"convergence_n100\",\"ns_per_op\":1500.5,\
+             \"deliveries_per_run\":600,\"repeats\":1,\"smoke\":false}\n"
+        );
+        let records: Vec<Value> = lines.lines().map(|l| parse(l).unwrap()).collect();
+        assert!(check_history(&records).unwrap().contains("1 record"));
+        assert!(history_lines(&manifest_with(1, 500, 4, 64)).is_err());
+        assert!(check_history(&[]).is_err());
+        assert!(check_history(&[parse("[1]").unwrap()]).is_err());
+        let no_git = parse("{\"scenario\":\"x\",\"ns_per_op\":1}").unwrap();
+        assert!(check_history(&[no_git]).unwrap_err().contains("`git`"));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! | prefix     | written by      | meaning                                          |
 //! |------------|-----------------|--------------------------------------------------|
 //! | `tx.*`     | simulator       | link-layer transmission outcomes: `tx.total` (every hop handed to the link layer, duplicates included), `tx.dropped` (link loss), `tx.lost_in_flight` (endpoint died / link vanished mid-flight), `tx.dup` (adversarial duplications), `tx.reordered` (bounded-delay reorderings) |
-//! | `rx.*`     | simulator       | deliveries to protocols: `rx.total`              |
+//! | `rx.*`     | simulator       | deliveries to protocols: `rx.total`, and `rx.wasted` — the deliveries whose callback queued no send and no timer (the receiver already knew what the message told it) |
 //! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
 //! | `probe.*`  | probe layer     | observer-side counters (e.g. `probe.samples`)    |
+//! | `prov.*`   | causal ledger   | provenance totals mirrored from a [`crate::ProvenanceSummary`] when an instrumented run is summarized: counters `prov.roots` (causal roots) and `prov.wasted`, histograms `prov.depth` (causal depth per delivery) and `prov.cascade` (deliveries per root) |
 //! | other      | protocols/exps  | protocol- or experiment-specific counters, ideally `"<crate>."`-prefixed |
 //!
 //! Histogram keys live in their own registry with the same style; the
@@ -29,18 +30,34 @@
 //! The machine-readable form of this table lives in [`crate::registry`];
 //! `ssr-lint`'s `metric-registry` rule checks every metric-key literal in
 //! the workspace against it, so a new key must be added there (or under an
-//! open prefix family like `msg.*`) before it will pass CI.
+//! open prefix family like `msg.*`) before it will pass CI. The registry
+//! also numbers the counter keys: every enumerated key and every known
+//! `msg.<kind>` has a dense [`CounterId`], which is how the simulator's
+//! per-hop counters are written without a key search (see [`Metrics`]).
 
 use std::collections::BTreeMap;
+
+use crate::registry::{CounterId, COUNTER_SLOTS};
 
 /// Counter/gauge/histogram registry for one simulation run.
 ///
 /// Keys are static strings so that protocols can use literal message-kind
-/// names without allocation. A `BTreeMap` keeps report output sorted and
-/// deterministic.
-#[derive(Clone, Debug, Default)]
+/// names without allocation. A counter whose key has a [`CounterId`] —
+/// every enumerated key of [`crate::registry`] and every known `msg.<kind>`
+/// — lives in a slot of a fixed array, reached either by id
+/// ([`Metrics::bump`], no key search: the simulator's per-hop path) or by
+/// key (the string API looks the id up); any other counter key, and every
+/// gauge and histogram, lives in a `BTreeMap`. Reports see one counter per
+/// key, in sorted key order, whichever path wrote it.
+#[derive(Clone, Debug)]
 pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
+    /// Counters with a dense id, by slot.
+    slots: [u64; COUNTER_SLOTS],
+    /// `written[slot]` — the slot was written at least once (a delta of 0
+    /// counts), i.e. its key is listed by [`Metrics::counters`].
+    written: [bool; COUNTER_SLOTS],
+    /// Counters whose key has no dense id.
+    unslotted: BTreeMap<&'static str, u64>,
     /// min/max/sum/count per gauge, enough for mean and extremes.
     gauges: BTreeMap<&'static str, GaugeStats>,
     /// Log-bucketed value distributions.
@@ -279,16 +296,46 @@ pub fn merge_series(runs: &[&[SeriesPoint]]) -> Vec<MergedSeriesPoint> {
     out
 }
 
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            slots: [0; COUNTER_SLOTS],
+            written: [false; COUNTER_SLOTS],
+            unslotted: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            series: Vec::new(),
+        }
+    }
+}
+
 impl Metrics {
     /// A fresh, empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Adds `delta` to the counter with dense id `id`.
+    #[inline]
+    fn add_slot(&mut self, id: CounterId, delta: u64) {
+        self.slots[id.slot()] += delta;
+        self.written[id.slot()] = true;
+    }
+
+    /// Increments the counter with dense id `id` by one — the same counter
+    /// `incr(id.key())` increments, without the key search.
+    #[inline]
+    pub fn bump(&mut self, id: CounterId) {
+        self.add_slot(id, 1);
+    }
+
     /// Adds `delta` to counter `key`.
     #[inline]
     pub fn add(&mut self, key: &'static str, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
+        match CounterId::lookup(key) {
+            Some(id) => self.add_slot(id, delta),
+            None => *self.unslotted.entry(key).or_insert(0) += delta,
+        }
     }
 
     /// Increments counter `key` by one.
@@ -299,14 +346,16 @@ impl Metrics {
 
     /// Current value of counter `key` (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        match CounterId::lookup(key) {
+            Some(id) => self.slots[id.slot()],
+            None => self.unslotted.get(key).copied().unwrap_or(0),
+        }
     }
 
     /// Sum over all counters whose name starts with `prefix` — e.g. all
     /// `"msg."`-prefixed kinds for a total message count.
     pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
+        self.counters()
             .filter(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| v)
             .sum()
@@ -348,9 +397,20 @@ impl Metrics {
         self.hists.iter().map(|(&k, v)| (k, v))
     }
 
-    /// All counters in sorted key order.
+    /// All counters ever written, in sorted key order: the written slots
+    /// (walked in key order) merged with the unslotted map. The two key
+    /// sets are disjoint, so this is one entry per key.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        let mut slotted = CounterId::all_sorted()
+            .filter(|id| self.written[id.slot()])
+            .map(|id| (id.key(), self.slots[id.slot()]))
+            .peekable();
+        let mut unslotted = self.unslotted.iter().map(|(&k, &v)| (k, v)).peekable();
+        std::iter::from_fn(move || match (slotted.peek(), unslotted.peek()) {
+            (Some(a), Some(b)) if a.0 < b.0 => slotted.next(),
+            (Some(_), None) => slotted.next(),
+            _ => unslotted.next(),
+        })
     }
 
     /// All gauges in sorted key order.
@@ -362,8 +422,7 @@ impl Metrics {
     /// time series. The simulator calls this on a fixed tick interval when
     /// sampling is enabled (see `Simulator::sample_metrics_every`).
     pub fn sample_series(&mut self, tick: u64) {
-        let counters: Vec<(&'static str, u64)> =
-            self.counters.iter().map(|(&k, &v)| (k, v)).collect();
+        let counters: Vec<(&'static str, u64)> = self.counters().collect();
         let gauges: Vec<(&'static str, f64)> =
             self.gauges.iter().map(|(&k, g)| (k, g.mean())).collect();
         self.series.push(SeriesPoint {
@@ -383,8 +442,12 @@ impl Metrics {
     /// Time series are **not** concatenated — cross-run series belong to
     /// [`merge_series`], which aligns them by sample index instead.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for slot in 0..COUNTER_SLOTS {
+            self.slots[slot] += other.slots[slot];
+            self.written[slot] |= other.written[slot];
+        }
+        for (k, v) in &other.unslotted {
+            *self.unslotted.entry(k).or_insert(0) += v;
         }
         for (k, g) in &other.gauges {
             let e = self.gauges.entry(k).or_insert(GaugeStats::EMPTY);
@@ -402,6 +465,191 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
+    use proptest::prelude::*;
+
+    /// The counter store `Metrics` had before counters got dense ids —
+    /// every key in one `BTreeMap` — kept as the reference model for
+    /// `counters_match_reference_map`.
+    #[derive(Clone, Default)]
+    struct ReferenceMap {
+        counters: BTreeMap<&'static str, u64>,
+        gauges: BTreeMap<&'static str, GaugeStats>,
+        series: Vec<SeriesPoint>,
+    }
+
+    impl ReferenceMap {
+        fn add(&mut self, key: &'static str, delta: u64) {
+            *self.counters.entry(key).or_insert(0) += delta;
+        }
+
+        fn counter(&self, key: &str) -> u64 {
+            self.counters.get(key).copied().unwrap_or(0)
+        }
+
+        fn counter_sum(&self, prefix: &str) -> u64 {
+            self.counters
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(_, v)| v)
+                .sum()
+        }
+
+        fn counters(&self) -> Vec<(&'static str, u64)> {
+            self.counters.iter().map(|(&k, &v)| (k, v)).collect()
+        }
+
+        fn observe(&mut self, key: &'static str, value: f64) {
+            self.gauges
+                .entry(key)
+                .or_insert(GaugeStats::EMPTY)
+                .observe(value);
+        }
+
+        fn sample_series(&mut self, tick: u64) {
+            self.series.push(SeriesPoint {
+                tick,
+                counters: self.counters(),
+                gauges: self.gauges.iter().map(|(&k, g)| (k, g.mean())).collect(),
+            });
+        }
+
+        fn merge(&mut self, other: &ReferenceMap) {
+            for (k, v) in &other.counters {
+                *self.counters.entry(k).or_insert(0) += v;
+            }
+        }
+    }
+
+    /// Keys the model test draws from: enumerated keys on both sides of
+    /// the `msg.` family, known and unknown kinds, unregistered keys that
+    /// sort before, inside and after the slotted ranges, and near misses.
+    const POOL: &[&str] = &[
+        "chaos.potential",
+        "fault.crash",
+        "fwd.unexpected",
+        "probe.delivered",
+        "rx.total",
+        "rx.wasted",
+        "tx.total",
+        "tx.dup",
+        "msg.ack",
+        "msg.notify",
+        "msg.other",
+        "msg.update",
+        "msg.aaa",
+        "msg.unheard_of",
+        "msg.zzz",
+        "msg",
+        "alpha",
+        "mid.key",
+        "tx.totall",
+        "zeta",
+    ];
+
+    fn assert_same(m: &Metrics, model: &ReferenceMap) -> Result<(), TestCaseError> {
+        prop_assert_eq!(m.counters().collect::<Vec<_>>(), model.counters());
+        for key in POOL {
+            prop_assert_eq!(m.counter(key), model.counter(key), "counter({})", key);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// `Metrics` and the reference map give the same answer to every
+        /// query after every random sequence of writes by key, writes by
+        /// id, zero deltas, merges and series samples — so whoever reads
+        /// counters (`obs`, manifests, probes, `benchmark/`) cannot tell
+        /// which store they came from.
+        #[test]
+        fn counters_match_reference_map(
+            ops in proptest::collection::vec((0u8..9, 0usize..POOL.len(), 0u64..4), 1..120)
+        ) {
+            let (mut main, mut main_model) = (Metrics::new(), ReferenceMap::default());
+            let (mut side, mut side_model) = (Metrics::new(), ReferenceMap::default());
+            for (step, &(op, pick, delta)) in ops.iter().enumerate() {
+                let key = POOL[pick];
+                match op {
+                    // delta 0 lists the key without moving it
+                    0 | 1 => {
+                        main.add(key, delta);
+                        main_model.add(key, delta);
+                    }
+                    2 => {
+                        main.incr(key);
+                        main_model.add(key, 1);
+                    }
+                    // by id where the key has one, as the simulator does
+                    3 | 4 => {
+                        let (m, model) = if op == 3 {
+                            (&mut main, &mut main_model)
+                        } else {
+                            (&mut side, &mut side_model)
+                        };
+                        match CounterId::lookup(key) {
+                            Some(id) => m.bump(id),
+                            None => m.incr(key),
+                        }
+                        model.add(key, 1);
+                    }
+                    5 => {
+                        side.add(key, delta);
+                        side_model.add(key, delta);
+                    }
+                    6 => {
+                        main.merge(&side);
+                        main_model.merge(&side_model);
+                    }
+                    7 => {
+                        main.observe("chaos.potential", delta as f64);
+                        main_model.observe("chaos.potential", delta as f64);
+                    }
+                    _ => {
+                        main.sample_series(step as u64);
+                        main_model.sample_series(step as u64);
+                    }
+                }
+                assert_same(&main, &main_model)?;
+                assert_same(&side, &side_model)?;
+            }
+            prop_assert_eq!(main.series(), &main_model.series[..]);
+            for key in POOL {
+                for end in 0..=key.len() {
+                    let prefix = &key[..end];
+                    prop_assert_eq!(
+                        main.counter_sum(prefix),
+                        main_model.counter_sum(prefix),
+                        "counter_sum({:?})", prefix
+                    );
+                }
+            }
+        }
+    }
+
+    /// A kind the simulator has no slot for is counted under `msg.other`;
+    /// the same kind written by key keeps its own (unslotted) counter, and
+    /// both are under the `msg.` sum.
+    #[test]
+    fn ids_and_keys_share_one_counter_per_key() {
+        let mut m = Metrics::new();
+        m.bump(CounterId::of_kind("notify"));
+        m.incr("msg.notify");
+        m.bump(CounterId::of_kind("unheard_of"));
+        m.incr("msg.unheard_of");
+        m.bump(CounterId::TX_TOTAL);
+        m.add("tx.total", 2);
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![
+                ("msg.notify", 2),
+                ("msg.other", 1),
+                ("msg.unheard_of", 1),
+                ("tx.total", 3)
+            ]
+        );
+        assert_eq!(m.counter_sum("msg."), 4);
+        assert!(registry::is_canonical_key("msg.unheard_of"));
+    }
 
     #[test]
     fn counters_accumulate() {

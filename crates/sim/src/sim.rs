@@ -10,6 +10,7 @@ use crate::faults::Fault;
 use crate::ledger::{CausalLedger, ProvenanceSummary};
 use crate::link::LinkConfig;
 use crate::metrics::Metrics;
+use crate::registry::CounterId;
 use crate::time::Time;
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -272,6 +273,102 @@ impl RunOutcome {
     }
 }
 
+/// The physical world — topology and liveness — and the **live adjacency**
+/// derived from them. A module of its own so that the fields are out of the
+/// simulator's reach: the only writes are [`World::topo_mut`] and
+/// [`World::set_alive`], which is what keeps the derived lists honest.
+mod world {
+    use ssr_graph::Graph;
+
+    /// One node's live adjacency: its alive physical neighbours, sorted by
+    /// index — a cache of `topo.neighbors(u).filter(alive)`.
+    #[derive(Clone, Default)]
+    struct LiveList {
+        /// [`World::gen`] when `nbrs` was derived; any other value means
+        /// the topology or liveness may have changed since.
+        stamp: u64,
+        nbrs: Vec<usize>,
+    }
+
+    pub(super) struct World {
+        topo: Graph,
+        alive: Vec<bool>,
+        live: Vec<LiveList>,
+        /// Bumped by every write to `topo` or `alive`; starts above the
+        /// default stamp so every list is derived at its first use.
+        gen: u64,
+    }
+
+    impl World {
+        /// Everyone alive, over `topo`.
+        pub(super) fn new(topo: Graph) -> Self {
+            let n = topo.node_count();
+            World {
+                topo,
+                alive: vec![true; n],
+                live: vec![LiveList::default(); n],
+                gen: 1,
+            }
+        }
+
+        pub(super) fn topo(&self) -> &Graph {
+            &self.topo
+        }
+
+        pub(super) fn alive(&self) -> &[bool] {
+            &self.alive
+        }
+
+        #[inline]
+        pub(super) fn is_alive(&self, node: usize) -> bool {
+            self.alive[node]
+        }
+
+        /// Write access to the topology. Any write may change some node's
+        /// live adjacency, so the generation moves and each list is
+        /// re-derived at its next use.
+        pub(super) fn topo_mut(&mut self) -> &mut Graph {
+            self.gen += 1;
+            &mut self.topo
+        }
+
+        /// Marks `node` up or down (see [`World::topo_mut`]).
+        pub(super) fn set_alive(&mut self, node: usize, up: bool) {
+            self.gen += 1;
+            self.alive[node] = up;
+        }
+
+        /// Node `u`'s alive physical neighbours, sorted by index. What
+        /// [`super::Ctx::neighbors`] lends to a callback and what a delivery
+        /// checks its link against, so neither walks [`Graph`]'s tree sets
+        /// per event: the list is re-derived — here and nowhere else — only
+        /// when the world changed since it was last derived.
+        #[inline]
+        pub(super) fn live(&mut self, u: usize) -> &[usize] {
+            let list = &mut self.live[u];
+            if list.stamp != self.gen {
+                list.nbrs.clear();
+                list.nbrs.reserve(self.topo.degree(u));
+                list.nbrs
+                    .extend(self.topo.neighbors(u).filter(|&v| self.alive[v]));
+                list.stamp = self.gen;
+            }
+            // every debug-profile event (each dispatch and delivery comes
+            // through here) re-checks the cache against its definition
+            debug_assert!(
+                list.nbrs
+                    .iter()
+                    .copied()
+                    .eq(self.topo.neighbors(u).filter(|&v| self.alive[v])),
+                "live adjacency of node {u} drifted from the topology"
+            );
+            &list.nbrs
+        }
+    }
+}
+
+use world::World;
+
 /// The discrete-event simulator.
 ///
 /// Execution is **event-driven end to end**: pending work lives in a
@@ -286,8 +383,7 @@ impl RunOutcome {
 /// ([`Simulator::node_activations`], [`Simulator::messages_delivered`],
 /// [`Simulator::peak_pending_events`]).
 pub struct Simulator<P: Protocol> {
-    topo: Graph,
-    alive: Vec<bool>,
+    world: World,
     protocols: Vec<P>,
     queue: EventQueue<P::Msg>,
     now: Time,
@@ -301,7 +397,6 @@ pub struct Simulator<P: Protocol> {
     rng: Rng,
     metrics: Metrics,
     trace: TraceSink,
-    nbr_buf: Vec<usize>,
     action_buf: Vec<Action<P::Msg>>,
     events_processed: u64,
     probes: Vec<Probe<P>>,
@@ -384,8 +479,7 @@ impl<P: Protocol> Simulator<P> {
         let n = topo.node_count();
         let observing = trace.enabled() || instrumented;
         let mut sim = Simulator {
-            topo,
-            alive: vec![true; n],
+            world: World::new(topo),
             protocols,
             queue: EventQueue::new(),
             now: Time::ZERO,
@@ -395,7 +489,6 @@ impl<P: Protocol> Simulator<P> {
             rng: Rng::new(seed),
             metrics: Metrics::new(),
             trace,
-            nbr_buf: Vec::new(),
             action_buf: Vec::new(),
             events_processed: 0,
             probes: Vec::new(),
@@ -433,12 +526,12 @@ impl<P: Protocol> Simulator<P> {
 
     /// The physical topology (reflecting applied faults).
     pub fn topology(&self) -> &Graph {
-        &self.topo
+        self.world.topo()
     }
 
     /// `true` if `node` is currently up.
     pub fn is_alive(&self, node: usize) -> bool {
-        self.alive[node]
+        self.world.is_alive(node)
     }
 
     /// Shared view of node `u`'s protocol state.
@@ -639,8 +732,8 @@ impl<P: Protocol> Simulator<P> {
             let mut view = ProbeView {
                 now: self.now,
                 protocols: &self.protocols,
-                topology: &self.topo,
-                alive: &self.alive,
+                topology: self.world.topo(),
+                alive: self.world.alive(),
                 metrics: &mut self.metrics,
                 trace: &self.trace,
                 pending_events: self.queue.len(),
@@ -699,7 +792,7 @@ impl<P: Protocol> Simulator<P> {
                         prov,
                     });
                 }
-                if self.alive[node] {
+                if self.world.is_alive(node) {
                     self.dispatch(node, |p, ctx| p.on_timer(ctx, token));
                 }
             }
@@ -739,7 +832,7 @@ impl<P: Protocol> Simulator<P> {
             match self.queue.peek_time() {
                 None => return RunOutcome::Quiescent(self.now),
                 Some(t) if t > deadline => {
-                    self.now = deadline;
+                    self.now = self.now.max(deadline);
                     return RunOutcome::Budget(self.now);
                 }
                 Some(_) => {
@@ -794,16 +887,13 @@ impl<P: Protocol> Simulator<P> {
         self.activations += 1;
         self.state_gen += 1;
         self.mark_dirty(node);
-        let mut nbrs = std::mem::take(&mut self.nbr_buf);
-        nbrs.clear();
-        nbrs.extend(self.topo.neighbors(node).filter(|&v| self.alive[v]));
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
         {
             let mut ctx = Ctx {
                 node,
                 now: self.now,
-                neighbors: &nbrs,
+                neighbors: self.world.live(node),
                 actions: &mut actions,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
@@ -830,7 +920,6 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
         }
-        self.nbr_buf = nbrs;
         self.action_buf = actions;
         queued
     }
@@ -862,8 +951,8 @@ impl<P: Protocol> Simulator<P> {
     ) {
         let kind = P::kind(&msg);
         let prov = self.alloc_prov(cause);
-        self.metrics.incr("tx.total");
-        self.metrics.incr(kind_key(kind));
+        self.metrics.bump(CounterId::TX_TOTAL);
+        self.metrics.bump(CounterId::of_kind(kind));
         if let Some(ledger) = self.ledger.as_deref_mut() {
             ledger.record_send(cause, kind, from);
         }
@@ -907,11 +996,12 @@ impl<P: Protocol> Simulator<P> {
         );
     }
 
-    /// Delivery-time checks: the receiver must still be alive and the link
-    /// must still exist (mobility may have severed it in flight).
+    /// Delivery-time checks: the receiver must still be alive, and so must
+    /// the sender and the link (mobility may have severed it in flight) —
+    /// that is, `from` must be in `dst`'s live adjacency.
     fn deliver(&mut self, dst: usize, from: usize, msg: P::Msg) {
         let prov = self.frame.expect("delivery outside an event frame");
-        if !self.alive[dst] || !self.alive[from] || !self.topo.has_edge(from, dst) {
+        if !self.world.is_alive(dst) || self.world.live(dst).binary_search(&from).is_err() {
             self.metrics.incr("tx.lost_in_flight");
             if self.trace.enabled() {
                 self.trace.record(TraceEvent::Lost {
@@ -934,7 +1024,7 @@ impl<P: Protocol> Simulator<P> {
                 prov,
             });
         }
-        self.metrics.incr("rx.total");
+        self.metrics.bump(CounterId::RX_TOTAL);
         self.deliveries += 1;
         if let Some(ledger) = self.ledger.as_deref_mut() {
             ledger.record_delivery(prov.cause, kind, dst, prov.depth);
@@ -943,7 +1033,7 @@ impl<P: Protocol> Simulator<P> {
         if queued == 0 {
             // Wasted work: the delivery triggered no onward action — the
             // receiver already knew everything the message told it.
-            self.metrics.incr("rx.wasted");
+            self.metrics.bump(CounterId::RX_WASTED);
             if let Some(ledger) = self.ledger.as_deref_mut() {
                 ledger.record_wasted(prov.cause, kind, dst);
             }
@@ -961,36 +1051,31 @@ impl<P: Protocol> Simulator<P> {
         }
         match fault {
             Fault::Crash { node } => {
-                if !self.alive[node] {
+                if !self.world.is_alive(node) {
                     return;
                 }
-                self.alive[node] = false;
+                self.world.set_alive(node, false);
                 self.metrics.incr("fault.crash");
-                let nbrs: Vec<usize> = self
-                    .topo
-                    .neighbors(node)
-                    .filter(|&v| self.alive[v])
-                    .collect();
-                for v in nbrs {
+                for v in self.world.live(node).to_vec() {
                     self.dispatch(v, |p, ctx| p.on_neighbor_down(ctx, node));
                 }
             }
             Fault::Join { node, links } => {
-                if self.alive[node] {
+                if self.world.is_alive(node) {
                     return;
                 }
                 // Sever any stale physical edges from before the crash, then
                 // install the new ones.
-                self.topo.isolate(node);
-                self.alive[node] = true;
+                self.world.topo_mut().isolate(node);
+                self.world.set_alive(node, true);
                 self.metrics.incr("fault.join");
                 let mut fresh = Vec::new();
                 for l in links {
-                    if l == node || l >= self.topo.node_count() {
+                    if l == node || l >= self.world.topo().node_count() {
                         continue;
                     }
-                    if self.alive[l] {
-                        self.topo.add_edge(node, l);
+                    if self.world.is_alive(l) {
+                        self.world.topo_mut().add_edge(node, l);
                         fresh.push(l);
                     } else {
                         // The requested peer is down: the link cannot come
@@ -1006,18 +1091,22 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
             Fault::LinkDown { a, b } => {
-                if self.topo.remove_edge(a, b) {
+                if self.world.topo_mut().remove_edge(a, b) {
                     self.metrics.incr("fault.link_down");
-                    if self.alive[a] {
+                    if self.world.is_alive(a) {
                         self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
                     }
-                    if self.alive[b] {
+                    if self.world.is_alive(b) {
                         self.dispatch(b, |p, ctx| p.on_neighbor_down(ctx, a));
                     }
                 }
             }
             Fault::LinkUp { a, b } => {
-                if a != b && self.alive[a] && self.alive[b] && self.topo.add_edge(a, b) {
+                if a != b
+                    && self.world.is_alive(a)
+                    && self.world.is_alive(b)
+                    && self.world.topo_mut().add_edge(a, b)
+                {
                     self.metrics.incr("fault.link_up");
                     self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
                     self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
@@ -1034,7 +1123,8 @@ impl<P: Protocol> Simulator<P> {
                     }
                 }
                 let cuts: Vec<(usize, usize)> = self
-                    .topo
+                    .world
+                    .topo()
                     .edges()
                     .filter(|&(a, b)| match (group_of.get(&a), group_of.get(&b)) {
                         (Some(ga), Some(gb)) => ga != gb,
@@ -1042,13 +1132,13 @@ impl<P: Protocol> Simulator<P> {
                     })
                     .collect();
                 for (a, b) in cuts {
-                    if self.topo.remove_edge(a, b) {
+                    if self.world.topo_mut().remove_edge(a, b) {
                         self.metrics.incr("fault.partition_cut");
                         self.severed.push((a, b));
-                        if self.alive[a] {
+                        if self.world.is_alive(a) {
                             self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
                         }
-                        if self.alive[b] {
+                        if self.world.is_alive(b) {
                             self.dispatch(b, |p, ctx| p.on_neighbor_down(ctx, a));
                         }
                     }
@@ -1058,7 +1148,10 @@ impl<P: Protocol> Simulator<P> {
                 self.metrics.incr("fault.heal");
                 let severed = std::mem::take(&mut self.severed);
                 for (a, b) in severed {
-                    if self.alive[a] && self.alive[b] && self.topo.add_edge(a, b) {
+                    if self.world.is_alive(a)
+                        && self.world.is_alive(b)
+                        && self.world.topo_mut().add_edge(a, b)
+                    {
                         self.metrics.incr("fault.heal_link");
                         self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
                         self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
@@ -1066,26 +1159,6 @@ impl<P: Protocol> Simulator<P> {
                 }
             }
         }
-    }
-}
-
-/// Maps a protocol message kind to its metrics key. Kinds used by the
-/// workspace protocols are interned here; unknown kinds fall back to
-/// `"msg.other"` so the sum under `msg.` is always the total.
-fn kind_key(kind: &'static str) -> &'static str {
-    match kind {
-        "notify" => "msg.notify",
-        "ack" => "msg.ack",
-        "teardown" => "msg.teardown",
-        "discover" => "msg.discover",
-        "succ" => "msg.succ",
-        "update" => "msg.update",
-        "flood" => "msg.flood",
-        "hello" => "msg.hello",
-        "setup" => "msg.setup",
-        "data" => "msg.data",
-        "probe" => "msg.probe",
-        _ => "msg.other",
     }
 }
 
@@ -1664,6 +1737,26 @@ mod tests {
         assert!(outcome.is_quiescent());
     }
 
+    /// A deadline already in the past must not rewind the clock: the
+    /// budget is simply exhausted where the simulation stands.
+    #[test]
+    fn run_until_a_past_deadline_keeps_the_clock() {
+        let topo = generators::line(2);
+        let mut sim = Simulator::new(
+            topo,
+            vec![Chatter { received: 0 }; 2],
+            LinkConfig::ideal(),
+            1,
+        );
+        assert_eq!(sim.run_until(Time(10)), RunOutcome::Budget(Time(10)));
+        assert_eq!(sim.queue.peek_time(), Some(Time(11)));
+        let outcome = sim.run_until(Time(3));
+        assert_eq!(outcome, RunOutcome::Budget(Time(10)));
+        assert_eq!(sim.now(), Time(10));
+        // and the run resumes from there
+        assert!(sim.run_to_quiescence(10_000).is_quiescent());
+    }
+
     #[test]
     fn events_processed_counts_monotonically() {
         let mut sim = flood_sim(6, 8);
@@ -1845,6 +1938,111 @@ mod tests {
         assert!(summary.delivered() > 0);
         for &(cause, _) in summary.messages.keys() {
             assert_eq!(cause, "routing", "all message traffic was re-tagged");
+        }
+    }
+
+    /// Records the neighbour slice every callback is lent, and keeps
+    /// traffic on every tick so faults land among deliveries.
+    #[derive(Clone)]
+    struct Witness {
+        seen: std::rc::Rc<std::cell::RefCell<Vec<Lent>>>,
+    }
+
+    /// A node and the neighbour slice one of its callbacks was lent.
+    type Lent = (usize, Vec<usize>);
+
+    impl Witness {
+        fn record(&self, ctx: &Ctx<'_, ()>) {
+            self.seen
+                .borrow_mut()
+                .push((ctx.node, ctx.neighbors().to_vec()));
+        }
+    }
+
+    impl Protocol for Witness {
+        type Msg = ();
+        fn on_init(&mut self, ctx: &mut Ctx<'_, ()>) {
+            self.record(ctx);
+            ctx.set_timer(1, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _: usize, _: ()) {
+            self.record(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+            self.record(ctx);
+            ctx.broadcast(());
+            if ctx.now().ticks() < 40 {
+                ctx.set_timer(1, 0);
+            }
+        }
+        fn on_neighbor_up(&mut self, ctx: &mut Ctx<'_, ()>, _: usize) {
+            self.record(ctx);
+        }
+        fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, ()>, _: usize) {
+            self.record(ctx);
+        }
+        fn reset(&mut self) {}
+    }
+
+    proptest::proptest! {
+        /// The live adjacency never drifts: under random fault schedules —
+        /// crashes, joins (naming dead peers, themselves, strangers), link
+        /// flaps, partitions and heals, landing on ticks full of
+        /// deliveries — the slice a callback is lent is the node's alive
+        /// physical neighbours. After every event each dispatched node's
+        /// last slice is compared with the world as the event left it
+        /// (within one fault every write to the world that touches a
+        /// node's list is followed by a dispatch of that node); the
+        /// slices before the last are compared at their own moment by the
+        /// `debug_assert` in `dispatch`, which this test also drives.
+        #[test]
+        fn callbacks_see_the_live_adjacency(
+            faults in proptest::collection::vec(
+                (0u8..6, 0u64..40, 0usize..8, 0usize..8, proptest::any::<u8>()),
+                0..40,
+            )
+        ) {
+            const N: usize = 8;
+            let mut topo = generators::ring(N);
+            topo.add_edge(0, 3);
+            topo.add_edge(2, 6);
+            topo.add_edge(4, 7);
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let witness = Witness { seen: std::rc::Rc::clone(&seen) };
+            let mut sim = Simulator::new(topo, vec![witness; N], LinkConfig::jittered(1, 3), 5);
+            let picked = |mask: u8| (0..N).filter(move |u| mask >> u & 1 == 1);
+            for &(kind, at, a, b, mask) in &faults {
+                let fault = match kind {
+                    0 => Fault::Crash { node: a },
+                    1 => Fault::Join { node: a, links: picked(mask).chain([b, N + 1]).collect() },
+                    2 => Fault::LinkDown { a, b },
+                    3 => Fault::LinkUp { a, b },
+                    // nodes a and b stay out of both groups
+                    4 => Fault::Partition {
+                        groups: vec![
+                            picked(mask).filter(|&u| u != a && u != b).collect(),
+                            picked(!mask).filter(|&u| u != a && u != b).collect(),
+                        ],
+                    },
+                    _ => Fault::Heal,
+                };
+                sim.schedule_fault(Time(at), fault);
+            }
+            loop {
+                let mut last: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+                last.extend(seen.borrow_mut().drain(..));
+                for (u, lent) in last {
+                    let world: Vec<usize> = sim
+                        .topology()
+                        .neighbors(u)
+                        .filter(|&v| sim.is_alive(v))
+                        .collect();
+                    proptest::prop_assert_eq!(lent, world, "node {} at {:?}", u, sim.now());
+                }
+                if !sim.step() {
+                    break;
+                }
+            }
         }
     }
 }

@@ -61,6 +61,11 @@ bench:
 perf-baseline:
     cargo run --release -p ssr-bench --bin exp -- exp_perf
 
+# append one line per scenario of the current BENCH_perf.json to
+# BENCH_history.jsonl (run after `just perf-baseline`, once per PR)
+bench-history:
+    cargo run --release -q -p ssr-obs --bin obs -- history BENCH_perf.json >> BENCH_history.jsonl
+
 # folded causal stacks (cause;kind;depth) from a fresh chaos smoke run,
 # written to results/flame.folded — pipe into flamegraph.pl / inferno
 flame:
