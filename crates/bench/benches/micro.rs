@@ -1,11 +1,13 @@
-//! Criterion micro-benchmarks (B1–B8): the hot paths of the reproduction.
+//! Criterion micro-benchmarks (B1–B9): the hot paths of the reproduction.
+//! `cargo bench -p ssr-bench --bench micro -- <substring>…` runs a subset.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssr_core::cache::RouteCache;
 use ssr_core::message::{self, ForwardEnvelope, Payload, SsrMsg};
 use ssr_core::route::SourceRoute;
+use ssr_core::SsrNode;
 use ssr_linearize::{step_round, Semantics, Variant};
-use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator};
+use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator, Time};
 use ssr_types::{NodeId, Rng, SeqNo};
 use ssr_workloads::Topology;
 
@@ -70,19 +72,50 @@ fn bench_cache_insert(c: &mut Criterion) {
 }
 
 /// B4: source-route concatenation with cycle pruning (the notification
-/// construction hot path).
+/// construction hot path), over total input length × how the second route
+/// meets the first: not at all (`pruned` never cuts), walking the first
+/// route's tail back before leaving it (one cut — the paper's `v2→v1 ++
+/// v1→v3` through a shared relay), and re-crossing it again and again
+/// further back (every other hop cuts, each cut inside the previous one).
 fn bench_route_concat(c: &mut Criterion) {
     let mut rng = Rng::new(11);
-    let mk = |rng: &mut Rng, len: usize| SourceRoute::from_hops(rng.distinct_node_ids(len));
-    let a = mk(&mut rng, 12);
-    let b = {
-        let mut hops = vec![a.dst()];
-        hops.extend(rng.distinct_node_ids(11));
-        SourceRoute::from_hops(hops)
-    };
-    c.bench_function("route_concat_prune", |b_| {
-        b_.iter(|| std::hint::black_box(&a).concat(std::hint::black_box(&b)))
-    });
+    let mut group = c.benchmark_group("route_concat_prune");
+    for total in [8usize, 32, 128, 512] {
+        let half = total / 2;
+        let mut ids = rng.distinct_node_ids(total);
+        rng.shuffle(&mut ids);
+        let (first, fresh) = ids.split_at(half);
+        let a = SourceRoute::from_hops(first.to_vec());
+        let back = || first.iter().rev().copied();
+        let shapes = [
+            (
+                "disjoint",
+                back().take(1).chain(fresh.iter().copied()).collect(),
+            ),
+            (
+                "shared_prefix",
+                back()
+                    .take(half / 2 + 1)
+                    .chain(fresh[..half / 2].iter().copied())
+                    .collect(),
+            ),
+            (
+                "nested_cycles",
+                back()
+                    .step_by(2)
+                    .zip(fresh.iter().copied())
+                    .flat_map(|(crossed, new)| [crossed, new])
+                    .collect::<Vec<NodeId>>(),
+            ),
+        ];
+        for (shape, hops) in shapes {
+            let b = SourceRoute::from_hops(hops);
+            group.bench_function(&format!("len{total}_{shape}"), |bench| {
+                bench.iter(|| std::hint::black_box(&a).concat(std::hint::black_box(&b)))
+            });
+        }
+    }
+    group.finish();
 }
 
 /// B5: unit-disk topology generation (the per-sweep-point setup cost).
@@ -101,7 +134,7 @@ fn bench_topology(c: &mut Criterion) {
 fn bench_codec(c: &mut Criterion) {
     let mut rng = Rng::new(13);
     let route = rng.distinct_node_ids(12);
-    let msg = SsrMsg::Forward(ForwardEnvelope {
+    let msg = SsrMsg::Forward(Box::new(ForwardEnvelope {
         route: route.clone(),
         pos: 3,
         trace: vec![],
@@ -111,7 +144,7 @@ fn bench_codec(c: &mut Criterion) {
             reply_route: rng.distinct_node_ids(8),
             seq: SeqNo(9),
         },
-    });
+    }));
     c.bench_function("msg_encode", |b| {
         b.iter(|| message::encode_to_bytes(std::hint::black_box(&msg)))
     });
@@ -201,6 +234,111 @@ fn bench_sim_noop_relay(c: &mut Criterion) {
     group.finish();
 }
 
+/// An [`SsrNode`] that, on one extra timer, launches a burst of
+/// acknowledgments down a source route — the only way to put a chosen
+/// packet on the wire from outside the protocol. Everything else is the
+/// node's own.
+struct LineNode {
+    node: SsrNode,
+    /// Route of the burst (this node first); empty for every node but the
+    /// sender.
+    burst_route: Vec<NodeId>,
+}
+
+impl LineNode {
+    const BURST_TOKEN: u64 = u64::MAX;
+    const BURST_AT: u64 = 50;
+    const BURST: usize = 2000;
+}
+
+impl Protocol for LineNode {
+    type Msg = SsrMsg;
+
+    fn on_init(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
+        self.node.on_init(ctx);
+        if !self.burst_route.is_empty() {
+            ctx.set_timer(Self::BURST_AT, Self::BURST_TOKEN);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, SsrMsg>, from: usize, msg: SsrMsg) {
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SsrMsg>, token: u64) {
+        if token != Self::BURST_TOKEN {
+            return self.node.on_timer(ctx, token);
+        }
+        // the path's end has one physical neighbour: the route's next hop
+        let next = ctx.neighbors()[0];
+        for seq in 0..Self::BURST {
+            let env = ForwardEnvelope {
+                route: self.burst_route.clone(),
+                pos: 1,
+                trace: vec![],
+                payload: Payload::NotifyAck {
+                    about: self.burst_route[0],
+                    seq: SeqNo(seq as u32),
+                },
+            };
+            ctx.send(next, SsrMsg::Forward(Box::new(env)));
+        }
+    }
+
+    fn reset(&mut self) {
+        self.node.reset();
+    }
+
+    fn kind(msg: &SsrMsg) -> &'static str {
+        msg.kind()
+    }
+}
+
+/// B9, ladder rung (c′) of ROADMAP item 1: real `SsrNode`s relaying
+/// source-routed packets. 64 nodes on a path graph, addresses ascending
+/// along it (so the line is already sorted and the protocol's own traffic is
+/// a few hundred messages); at tick 50 one end launches 2000 acks to the
+/// other end, each relayed by the 62 nodes between — `on_message` →
+/// `receive_forward` → `forward_env` → `Ctx::send`. The timed section is
+/// those 126 000 deliveries: ns/iter ÷ 126 000 is one relayed hop, and
+/// minus B8's cost per delivery it is the handler's share of the hop.
+fn bench_ssr_forward_line(c: &mut Criterion) {
+    const N: usize = 64;
+    let g = ssr_graph::Graph::from_edges(N, (1..N).map(|i| (i - 1, i)));
+    let ids = Rng::new(17).distinct_node_ids(N);
+    let mut group = c.benchmark_group("ssr_forward_line");
+    group.sample_size(10);
+    group.bench_function("n64_acks2000", |b| {
+        b.iter_batched(
+            || {
+                let nodes = (0..N)
+                    .map(|i| LineNode {
+                        node: SsrNode::new(ids[i]),
+                        burst_route: if i == 0 { ids.clone() } else { vec![] },
+                    })
+                    .collect();
+                let mut sim = Simulator::new(g.clone(), nodes, LinkConfig::ideal(), 1);
+                sim.run_until(Time(LineNode::BURST_AT - 1));
+                sim
+            },
+            |mut sim| {
+                let before = sim.messages_delivered();
+                sim.run_until(Time(LineNode::BURST_AT + N as u64));
+                let relayed = sim.messages_delivered() - before;
+                assert!(relayed >= (LineNode::BURST * (N - 1)) as u64);
+                assert_eq!(
+                    sim.metrics().counter_sum("fwd."),
+                    0,
+                    "a relay dropped a packet"
+                );
+                relayed
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_linearize_round,
@@ -210,6 +348,7 @@ criterion_group!(
     bench_topology,
     bench_codec,
     bench_bootstrap,
-    bench_sim_noop_relay
+    bench_sim_noop_relay,
+    bench_ssr_forward_line
 );
 criterion_main!(benches);

@@ -11,6 +11,7 @@
 //! least one node for each of the exponentially growing intervals" — this
 //! module makes that structural guarantee explicit.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use ssr_types::{cw_dist, IntervalPartition, NodeId, Side};
@@ -188,16 +189,15 @@ impl RouteCache {
     /// already has an unpinned occupant the worse of the two is evicted
     /// immediately).
     pub fn unpin(&mut self, dst: NodeId) {
-        let Some(entry) = self.entries.get_mut(&dst) else {
+        let Entry::Occupied(entry) = self.entries.entry(dst) else {
             return;
         };
-        if !entry.pinned {
+        if !entry.get().pinned {
             return;
         }
-        entry.pinned = false;
-        let route = entry.route.clone();
-        self.entries.remove(&dst);
-        // re-insert through the normal retention path
+        // a pinned entry holds no occupant slot, so taking it out is the
+        // whole removal; re-insert through the normal retention path
+        let route = entry.remove().route;
         let _ = self.insert(route, false);
     }
 

@@ -23,15 +23,13 @@
 //! The flood is exactly the cost linearization removes; experiment E6
 //! meters both protocols' messages by kind.
 
-use std::collections::BTreeMap;
-
 use ssr_linearize::control::QuietWatch;
 use ssr_sim::{Ctx, Protocol};
 use ssr_types::{cw_dist, NodeId};
 
 use crate::cache::RouteCache;
 use crate::message::{Payload, SsrMsg};
-use crate::node_util;
+use crate::node_util::{self, checked_route, checked_route_rev, Neighbors};
 use crate::route::SourceRoute;
 
 const TOKEN_ACT: u64 = 0;
@@ -80,8 +78,8 @@ impl Default for IsprpConfig {
 pub struct IsprpNode {
     id: NodeId,
     config: IsprpConfig,
-    nbr_index: BTreeMap<NodeId, usize>,
-    nbr_id: BTreeMap<usize, NodeId>,
+    /// Physical neighbors: address ↔ simulator index, learned from hellos.
+    nbrs: Neighbors,
     cache: RouteCache,
     /// Current successor pointer (clockwise-closest known node).
     succ: Option<NodeId>,
@@ -118,8 +116,7 @@ impl IsprpNode {
         IsprpNode {
             id,
             config,
-            nbr_index: BTreeMap::new(),
-            nbr_id: BTreeMap::new(),
+            nbrs: Neighbors::default(),
             cache: RouteCache::new(id),
             succ: None,
             notified: None,
@@ -189,16 +186,10 @@ impl IsprpNode {
         self.notified = Some(s); // pretend the notification already happened
     }
 
-    /// Injects physical-neighbor knowledge (experiment setup).
-    pub fn inject_phys_neighbor(&mut self, id: NodeId, index: usize) {
-        self.nbr_index.insert(id, index);
-        self.nbr_id.insert(index, id);
-    }
-
     // -- internals ----------------------------------------------------------
 
-    fn send_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
-        node_util::send_payload(ctx, self.id, &self.nbr_index, route, payload);
+    fn send_payload(&self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
+        node_util::send_payload(ctx, self.id, &self.nbrs, route, payload);
     }
 
     /// Picks the clockwise-closest cached node as successor and notifies it
@@ -222,7 +213,7 @@ impl IsprpNode {
                 self.cache.insert(route.clone(), true); // pin the successor
                 let payload = Payload::SuccNotify {
                     from: self.id,
-                    reply_route: route.reversed().hops().to_vec(),
+                    reply_route: route.reversed().into_hops(),
                 };
                 self.send_payload(ctx, &route, payload);
                 self.notified = Some(best);
@@ -248,7 +239,7 @@ impl IsprpNode {
     /// clockwise gap. `route_to` is our route to `to`, passed explicitly
     /// because `to` may have just been unpinned (and interval retention may
     /// evict its cache entry at any moment).
-    fn redirect_via(&mut self, ctx: &mut Ctx<'_, SsrMsg>, to: NodeId, route_to: &SourceRoute) {
+    fn redirect_via(&self, ctx: &mut Ctx<'_, SsrMsg>, to: NodeId, route_to: &SourceRoute) {
         let Some(better) = self.best_between(to) else {
             return;
         };
@@ -262,9 +253,9 @@ impl IsprpNode {
         }
         let payload = Payload::SuccUpdate {
             better,
-            route_to_better: to_better.hops().to_vec(),
+            route_to_better: to_better.into_hops(),
         };
-        self.send_payload(ctx, &route_to.clone(), payload);
+        self.send_payload(ctx, route_to, payload);
     }
 
     /// A claim "you are my successor" arrived from `claimant`.
@@ -274,7 +265,7 @@ impl IsprpNode {
         claimant: NodeId,
         reply_route: Vec<NodeId>,
     ) {
-        let Some(route_back) = crate::node_util::checked_route(self.id, reply_route) else {
+        let Some(route_back) = checked_route(self.id, reply_route) else {
             ctx.metrics().incr("fwd.bad_trace");
             return;
         };
@@ -320,7 +311,7 @@ impl IsprpNode {
         if better == self.id {
             return;
         }
-        let Some(route) = crate::node_util::checked_route(self.id, route) else {
+        let Some(route) = checked_route(self.id, route) else {
             ctx.metrics().incr("fwd.bad_trace");
             return;
         };
@@ -351,7 +342,7 @@ impl IsprpNode {
             self.probe = Some(better);
             let payload = Payload::SuccNotify {
                 from: self.id,
-                reply_route: route.reversed().hops().to_vec(),
+                reply_route: route.reversed().into_hops(),
             };
             self.send_payload(ctx, &route, payload);
         }
@@ -375,7 +366,7 @@ impl IsprpNode {
         self.flood_forwarded = origin;
         self.rep = self.rep.max(origin);
         // the trace gives us a route to the representative
-        let Some(path) = crate::node_util::checked_route_rev(self.id, &trace, origin) else {
+        let Some(path) = checked_route_rev(self.id, &trace, origin) else {
             ctx.metrics().incr("fwd.bad_trace");
             return;
         };
@@ -387,13 +378,7 @@ impl IsprpNode {
             .unwrap_or(true);
         self.cache.insert(path.clone(), rep_closer);
         // propagate to every other physical neighbor
-        let targets: Vec<usize> = self
-            .nbr_id
-            .keys()
-            .copied()
-            .filter(|&i| i != from_idx)
-            .collect();
-        for t in targets {
+        for t in self.nbrs.indices().into_iter().filter(|&i| i != from_idx) {
             ctx.send(
                 t,
                 SsrMsg::Flood {
@@ -414,7 +399,7 @@ impl IsprpNode {
             self.probe = Some(origin);
             let payload = Payload::SuccNotify {
                 from: self.id,
-                reply_route: path.reversed().hops().to_vec(),
+                reply_route: path.reversed().into_hops(),
             };
             self.send_payload(ctx, &path, payload);
         }
@@ -427,9 +412,7 @@ impl IsprpNode {
         id: NodeId,
         probe: bool,
     ) {
-        let known = self.nbr_id.get(&from_idx) == Some(&id);
-        self.nbr_index.insert(id, from_idx);
-        self.nbr_id.insert(from_idx, id);
+        let known = !self.nbrs.bind(id, from_idx);
         self.cache.insert(SourceRoute::direct(self.id, id), false);
         if id > self.rep {
             self.rep = id; // suppresses our own flood
@@ -475,8 +458,7 @@ impl Protocol for IsprpNode {
                 self.schedule_stabilize(ctx);
             }
             SsrMsg::Forward(env) => {
-                let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbr_index, env)
-                else {
+                let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbrs, env) else {
                     return;
                 };
                 match env.payload {
@@ -526,7 +508,7 @@ impl Protocol for IsprpNode {
                         if let Some(route) = self.cache.get(s).cloned() {
                             let payload = Payload::SuccNotify {
                                 from: self.id,
-                                reply_route: route.reversed().hops().to_vec(),
+                                reply_route: route.reversed().into_hops(),
                             };
                             self.send_payload(ctx, &route, payload);
                         }
@@ -549,10 +531,9 @@ impl Protocol for IsprpNode {
     }
 
     fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, SsrMsg>, neighbor: usize) {
-        let Some(id) = self.nbr_id.remove(&neighbor) else {
+        let Some(id) = self.nbrs.unbind_index(neighbor) else {
             return;
         };
-        self.nbr_index.remove(&id);
         self.cache.purge_via(id);
         if self.succ.is_some_and(|s| !self.cache.contains(s)) {
             self.succ = None;
@@ -600,5 +581,10 @@ mod tests {
         assert_eq!(n.id(), NodeId(9));
         assert!(n.succ().is_none());
         assert_eq!(n.rep(), NodeId(9));
+    }
+
+    #[test]
+    fn hello_rebinds_keep_address_and_link_a_bijection() {
+        node_util::rig::rebinds_keep_the_bijection(|| IsprpNode::new(NodeId(50)), |n| &n.nbrs);
     }
 }

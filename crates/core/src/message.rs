@@ -167,8 +167,11 @@ pub enum SsrMsg {
         /// Whether the sender requests a reply unconditionally.
         probe: bool,
     },
-    /// Source-routed transport.
-    Forward(ForwardEnvelope),
+    /// Source-routed transport. The envelope lives on the heap, allocated
+    /// once where the packet is born, so a relayed hop moves one pointer
+    /// through the handler, the send and the event queue instead of the
+    /// envelope's three vectors and payload.
+    Forward(Box<ForwardEnvelope>),
     /// Network flood used by the ISPRP baseline's representative mechanism
     /// (this is exactly the message class linearization eliminates).
     Flood {
@@ -341,12 +344,12 @@ pub fn decode(buf: &mut Bytes) -> Result<SsrMsg, DecodeError> {
             let pos = buf.get_u32() as usize;
             let trace = wire::get_id_list(buf)?;
             let payload = decode_payload(buf)?;
-            Ok(SsrMsg::Forward(ForwardEnvelope {
+            Ok(SsrMsg::Forward(Box::new(ForwardEnvelope {
                 route,
                 pos,
                 trace,
                 payload,
-            }))
+            })))
         }
         TAG_FLOOD => Ok(SsrMsg::Flood {
             origin: wire::get_node_id(buf)?,
@@ -488,7 +491,7 @@ mod tests {
             },
         ];
         for payload in payloads {
-            roundtrip(SsrMsg::Forward(ForwardEnvelope {
+            roundtrip(SsrMsg::Forward(Box::new(ForwardEnvelope {
                 route: ids(&[1, 2]),
                 pos: 0,
                 trace: if payload.wants_trace() {
@@ -497,7 +500,7 @@ mod tests {
                     vec![]
                 },
                 payload,
-            }));
+            })));
         }
     }
 
@@ -528,12 +531,12 @@ mod tests {
             "flood"
         );
         let env = |payload| {
-            SsrMsg::Forward(ForwardEnvelope {
+            SsrMsg::Forward(Box::new(ForwardEnvelope {
                 route: vec![],
                 pos: 0,
                 trace: vec![],
                 payload,
-            })
+            }))
         };
         assert_eq!(
             env(Payload::Teardown { from: NodeId(0) }).kind(),
@@ -559,12 +562,12 @@ mod tests {
 
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
-        let full = encode_to_bytes(&SsrMsg::Forward(ForwardEnvelope {
+        let full = encode_to_bytes(&SsrMsg::Forward(Box::new(ForwardEnvelope {
             route: ids(&[1, 2, 3]),
             pos: 1,
             trace: vec![],
             payload: Payload::Teardown { from: NodeId(1) },
-        }));
+        })));
         for cut in 0..full.len() {
             let mut b = full.slice(..cut);
             assert!(decode(&mut b).is_err(), "cut at {cut} decoded");
@@ -585,5 +588,109 @@ mod tests {
             route: vec![]
         }
         .wants_trace());
+    }
+
+    #[test]
+    fn a_relayed_message_is_a_pointer() {
+        // what every hop moves through the handler, `Ctx::send` and the
+        // event queue; the envelope itself stays where `send_payload` put it
+        assert!(std::mem::size_of::<SsrMsg>() <= 32);
+        assert!(std::mem::size_of::<ssr_sim::event::EventKind<SsrMsg>>() <= 48);
+    }
+
+    /// One message per variant with the bytes the codec emitted before the
+    /// envelope was boxed, written out: the wire does not move.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let fwd = |payload: Payload| {
+            SsrMsg::Forward(Box::new(ForwardEnvelope {
+                route: ids(&[0x0a, 0x0b, 0x0c]),
+                pos: 1,
+                trace: if payload.wants_trace() {
+                    ids(&[0x0a, 0x0b])
+                } else {
+                    vec![]
+                },
+                payload,
+            }))
+        };
+        let table: Vec<(SsrMsg, &str)> = vec![
+            (
+                SsrMsg::Hello {
+                    id: NodeId(0x0102_0304_0506_0708),
+                    probe: true,
+                },
+                "00010203040506070801",
+            ),
+            (
+                SsrMsg::Flood {
+                    origin: NodeId(42),
+                    trace: ids(&[42, 3, 5]),
+                },
+                "02000000000000002a00000003000000000000002a00000000000000030000000000000005",
+            ),
+            (
+                fwd(Payload::Notify {
+                    initiator: NodeId(1),
+                    target_route: ids(&[2, 1, 3]),
+                    reply_route: ids(&[2, 1]),
+                    seq: SeqNo(9),
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000000000000000000000100000003000000000000000200000000000000010000000000000003000000020000000000000002000000000000000100000009",
+            ),
+            (
+                fwd(Payload::NotifyAck {
+                    about: NodeId(3),
+                    seq: SeqNo(9),
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000001000000000000000300000009",
+            ),
+            (fwd(Payload::Teardown { from: NodeId(1) }), "0100000003000000000000000a000000000000000b000000000000000c0000000100000000020000000000000001"),
+            (
+                fwd(Payload::Discover {
+                    origin: NodeId(4),
+                    dir: Direction::Ccw,
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c0000000100000002000000000000000a000000000000000b03000000000000000401",
+            ),
+            (
+                fwd(Payload::CloseRing {
+                    acceptor: NodeId(30),
+                    dir: Direction::Cw,
+                    route: ids(&[4, 9, 30]),
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000004000000000000001e000000000300000000000000040000000000000009000000000000001e",
+            ),
+            (
+                fwd(Payload::SuccNotify {
+                    from: NodeId(5),
+                    reply_route: ids(&[6, 5]),
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c00000001000000000500000000000000050000000200000000000000060000000000000005",
+            ),
+            (
+                fwd(Payload::SuccUpdate {
+                    better: NodeId(8),
+                    route_to_better: ids(&[6, 5, 8]),
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000006000000000000000800000003000000000000000600000000000000050000000000000008",
+            ),
+            (
+                fwd(Payload::DataProbe {
+                    target: NodeId(99),
+                    hops: 12,
+                }),
+                "0100000003000000000000000a000000000000000b000000000000000c00000001000000000700000000000000630000000c",
+            ),
+        ];
+        for (msg, want) in table {
+            let hex: String = encode_to_bytes(&msg)
+                .as_ref()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, want, "{msg:?}");
+            roundtrip(msg);
+        }
     }
 }

@@ -26,15 +26,13 @@
 //!
 //! **No message in this protocol floods the network.**
 
-use std::collections::BTreeMap;
-
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
 use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{IntervalPartition, NodeId, SeqNo, Side};
 
 use crate::cache::RouteCache;
 use crate::message::{Direction, ForwardEnvelope, Payload, SsrMsg};
-use crate::node_util::{self, checked_route};
+use crate::node_util::{self, checked_route, Neighbors};
 use crate::route::SourceRoute;
 
 /// Hello re-probe sweep — the one timer that is not the control core's.
@@ -125,10 +123,8 @@ pub struct SsrNode {
     /// This node's address.
     id: NodeId,
     config: SsrConfig,
-    /// Physical neighbors: address → simulator index, learned from hellos.
-    nbr_index: BTreeMap<NodeId, usize>,
-    /// Physical neighbors: simulator index → address.
-    nbr_id: BTreeMap<usize, NodeId>,
+    /// Physical neighbors: address ↔ simulator index, learned from hellos.
+    nbrs: Neighbors,
     /// Virtual neighbor sets, ring-closure edges, handshakes and timers.
     /// Edges carry no data of their own: their routes live in `cache`.
     lin: Linearizer<()>,
@@ -151,8 +147,7 @@ impl SsrNode {
         SsrNode {
             id,
             config,
-            nbr_index: BTreeMap::new(),
-            nbr_id: BTreeMap::new(),
+            nbrs: Neighbors::default(),
             lin: Linearizer::new(id, config.timing()),
             cache: RouteCache::with_partition(id, IntervalPartition::new(config.partition_base)),
             hello_round: 0,
@@ -248,13 +243,6 @@ impl SsrNode {
         self.lin.set_wrap(side, other, ());
     }
 
-    /// Injects physical-neighbor knowledge (address ↔ simulator index), as
-    /// if a hello had been received. Experiment-side setup only.
-    pub fn inject_phys_neighbor(&mut self, id: NodeId, index: usize) {
-        self.nbr_index.insert(id, index);
-        self.nbr_id.insert(index, id);
-    }
-
     /// Injects an arbitrary *unpinned* route-cache entry — chaos-harness
     /// setup for stale or fabricated cache routes (the hops need not be
     /// physically adjacent; forwarding over them must degrade gracefully,
@@ -293,13 +281,13 @@ impl SsrNode {
     /// one-hop route stays pinned so LSN retention can never evict the
     /// knowledge the union-graph connectivity invariant depends on.
     fn unpin_unless_phys(&mut self, other: NodeId) {
-        if !self.nbr_index.contains_key(&other) {
+        if !self.nbrs.contains(other) {
             self.cache.unpin(other);
         }
     }
 
-    fn send_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
-        node_util::send_payload(ctx, self.id, &self.nbr_index, route, payload);
+    fn send_payload(&self, ctx: &mut Ctx<'_, SsrMsg>, route: &SourceRoute, payload: Payload) {
+        node_util::send_payload(ctx, self.id, &self.nbrs, route, payload);
     }
 
     /// Feeds `input` to the control core and carries out what it asks for,
@@ -351,7 +339,7 @@ impl SsrNode {
                 // whole system short of consistency. Re-adopt the direct edge
                 // instead and let the next act linearize it again once the
                 // burst ends.
-                if self.nbr_index.contains_key(&peer) {
+                if self.nbrs.contains(peer) {
                     self.adopt_neighbor(SourceRoute::direct(self.id, peer));
                 } else {
                     self.drop_neighbor(peer);
@@ -362,18 +350,18 @@ impl SsrNode {
                 self.route_discovery(ctx, self.id, toward.into(), vec![self.id]);
             }
             Effect::Announce { peer, seq, .. } => {
-                let Some(route) = self.cache.get(peer).cloned() else {
+                let Some(route) = self.cache.get(peer) else {
                     return;
                 };
                 let back = route.reversed();
                 let payload = Payload::Notify {
                     initiator: self.id,
                     target_route: back.hops().to_vec(),
-                    reply_route: back.hops().to_vec(),
+                    reply_route: back.into_hops(),
                     seq,
                 };
                 let prev = ctx.set_cause(CauseClass::LinearizationStep);
-                self.send_payload(ctx, &route, payload);
+                self.send_payload(ctx, route, payload);
                 ctx.set_cause(prev);
             }
         }
@@ -381,7 +369,7 @@ impl SsrNode {
 
     /// Introduces `about` to `to`: sends `to` a notification with a source
     /// route `to → about` built by concatenation through this node.
-    fn introduce(&mut self, ctx: &mut Ctx<'_, SsrMsg>, to: NodeId, about: NodeId, seq: SeqNo) {
+    fn introduce(&self, ctx: &mut Ctx<'_, SsrMsg>, to: NodeId, about: NodeId, seq: SeqNo) {
         if to == about || to == self.id || about == self.id {
             return;
         }
@@ -397,20 +385,19 @@ impl SsrNode {
         }
         let payload = Payload::Notify {
             initiator: self.id,
-            target_route: target.hops().to_vec(),
-            reply_route: reply.hops().to_vec(),
+            target_route: target.into_hops(),
+            reply_route: reply.into_hops(),
             seq,
         };
-        let r_to = r_to.clone();
-        self.send_payload(ctx, &r_to, payload);
+        self.send_payload(ctx, r_to, payload);
     }
 
     /// Tells `other` its edge to this node is gone; the route may survive
     /// in the cache as an LSN shortcut.
     fn teardown_to(&mut self, ctx: &mut Ctx<'_, SsrMsg>, other: NodeId) {
         let prev = ctx.set_cause(CauseClass::LinearizationStep);
-        if let Some(route) = self.cache.get(other).cloned() {
-            self.send_payload(ctx, &route, Payload::Teardown { from: self.id });
+        if let Some(route) = self.cache.get(other) {
+            self.send_payload(ctx, route, Payload::Teardown { from: self.id });
         }
         self.cache.unpin(other);
         ctx.set_cause(prev);
@@ -432,13 +419,13 @@ impl SsrNode {
         match next {
             Some((_, route)) => {
                 // keep traveling toward the extreme
-                let fresh = ForwardEnvelope {
+                let fresh = Box::new(ForwardEnvelope {
                     route: route.hops().to_vec(),
                     pos: 0,
                     trace,
                     payload: Payload::Discover { origin, dir },
-                };
-                node_util::forward_env(ctx, &self.nbr_index, fresh);
+                });
+                node_util::forward_env(ctx, &self.nbrs, fresh);
             }
             None => self.accept_discovery(ctx, origin, dir, trace),
         }
@@ -497,7 +484,7 @@ impl SsrNode {
             let payload = Payload::CloseRing {
                 acceptor: self.id,
                 dir,
-                route: path.hops().to_vec(),
+                route: path.into_hops(),
             };
             self.send_payload(ctx, &to_origin, payload);
         }
@@ -588,12 +575,11 @@ impl SsrNode {
         let prev = ctx.set_cause(CauseClass::Routing);
         match self.cache.best_toward(target) {
             Some((_, route)) => {
-                let route = route.clone();
                 let payload = Payload::DataProbe {
                     target,
                     hops: hops + route.len() as u32,
                 };
-                self.send_payload(ctx, &route, payload);
+                self.send_payload(ctx, route, payload);
             }
             None => {
                 ctx.metrics().incr("probe.stuck");
@@ -613,9 +599,7 @@ impl SsrNode {
         id: NodeId,
         probe: bool,
     ) {
-        let known = self.nbr_id.get(&from_idx) == Some(&id);
-        self.nbr_index.insert(id, from_idx);
-        self.nbr_id.insert(from_idx, id);
+        let known = !self.nbrs.bind(id, from_idx);
         self.adopt_neighbor(SourceRoute::direct(self.id, id));
         if !known || probe {
             ctx.send(
@@ -641,7 +625,7 @@ impl SsrNode {
             .neighbors()
             .iter()
             .copied()
-            .filter(|idx| !self.nbr_id.contains_key(idx))
+            .filter(|&idx| self.nbrs.id_at(idx).is_none())
             .collect();
         if unidentified.is_empty() || self.hello_round >= self.config.hello_retries {
             return;
@@ -688,8 +672,9 @@ impl Protocol for SsrNode {
         match msg {
             SsrMsg::Hello { id, probe } => self.handle_hello(ctx, from, id, probe),
             SsrMsg::Forward(env) => {
-                if let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbr_index, env) {
-                    self.handle_payload(ctx, env);
+                if let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbrs, env) {
+                    // the end of the packet's life: unbox it
+                    self.handle_payload(ctx, *env);
                 }
             }
             SsrMsg::Flood { .. } => {
@@ -732,10 +717,9 @@ impl Protocol for SsrNode {
     }
 
     fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, SsrMsg>, neighbor: usize) {
-        let Some(id) = self.nbr_id.remove(&neighbor) else {
+        let Some(id) = self.nbrs.unbind_index(neighbor) else {
             return;
         };
-        self.nbr_index.remove(&id);
         // every route whose next hop (or any hop) crossed the dead link's
         // peer is gone; set members and ring edges whose routes died are
         // dropped too
@@ -816,5 +800,10 @@ mod tests {
         let hops: Vec<NodeId> = [1, 2, 2, 3, 3, 3, 4].iter().map(|&i| NodeId(i)).collect();
         let out = dedup_consecutive(hops);
         assert_eq!(out, vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
+    }
+
+    #[test]
+    fn hello_rebinds_keep_address_and_link_a_bijection() {
+        node_util::rig::rebinds_keep_the_bijection(|| SsrNode::new(NodeId(50)), |n| &n.nbrs);
     }
 }

@@ -82,6 +82,13 @@ impl SourceRoute {
         SourceRoute { hops }
     }
 
+    /// Consumes the route into its hop vector, owner first — for moving a
+    /// route into a message payload without copying it.
+    #[inline]
+    pub fn into_hops(self) -> Vec<NodeId> {
+        self.hops
+    }
+
     /// Appends `other` (which must start where `self` ends) and prunes
     /// cycles, so the result visits no node twice. This is the paper's
     /// "append (parts of) them to each other to create new source routes".
@@ -94,29 +101,28 @@ impl SourceRoute {
             other.src(),
             "routes do not share the junction node"
         );
-        let mut hops = self.hops.clone();
+        let mut hops = Vec::with_capacity(self.hops.len() + other.hops.len() - 1);
+        hops.extend_from_slice(&self.hops);
         hops.extend_from_slice(&other.hops[1..]);
-        SourceRoute { hops }.pruned()
+        erase_loops(&mut hops);
+        SourceRoute { hops }
     }
 
     /// Removes cycles: whenever a node appears twice, everything between
     /// the two occurrences (inclusive of the second) is cut. The result is
     /// a simple path with the same endpoints, never longer than the input.
     pub fn pruned(&self) -> SourceRoute {
-        let mut seen: std::collections::BTreeMap<NodeId, usize> = std::collections::BTreeMap::new();
-        let mut out: Vec<NodeId> = Vec::with_capacity(self.hops.len());
-        for &hop in &self.hops {
-            if let Some(&pos) = seen.get(&hop) {
-                // cut the loop: drop everything after the first occurrence
-                for dropped in out.drain(pos + 1..) {
-                    seen.remove(&dropped);
-                }
-            } else {
-                seen.insert(hop, out.len());
-                out.push(hop);
-            }
-        }
-        SourceRoute { hops: out }
+        let mut hops = self.hops.clone();
+        erase_loops(&mut hops);
+        SourceRoute { hops }
+    }
+
+    /// Builds the pruned route of a hop sequence taken off the network, in
+    /// one pass over the vector it is handed and without copying it: `None`
+    /// if `hops` is empty or repeats a hop consecutively (what
+    /// [`SourceRoute::from_hops`] would panic on).
+    pub(crate) fn pruned_from(mut hops: Vec<NodeId>) -> Option<SourceRoute> {
+        (!hops.is_empty() && erase_loops(&mut hops)).then_some(SourceRoute { hops })
     }
 
     /// `true` iff no node appears twice.
@@ -140,6 +146,53 @@ impl SourceRoute {
     }
 }
 
+/// Chronological loop erasure, in place: walks `hops` once, keeping the
+/// loop-free path so far in `hops[..kept]`; a hop already on that path cuts
+/// everything after its first occurrence. Routes are a few dozen hops, so
+/// the membership test is a scan of the kept prefix — no tree, no scratch
+/// allocation. Returns `false` if two consecutive input hops were equal
+/// (the erasure itself treats that as an empty loop and is still exact).
+fn erase_loops(hops: &mut Vec<NodeId>) -> bool {
+    let mut kept = 0;
+    let mut repeat_free = true;
+    for i in 0..hops.len() {
+        let hop = hops[i];
+        match position_of(&hops[..kept], hop) {
+            Some(first) => {
+                // writes land at or below the read position, so `hops[i - 1]`
+                // is still the input's previous hop
+                repeat_free &= hops[i - 1] != hop;
+                kept = first + 1;
+            }
+            None => {
+                hops[kept] = hop;
+                kept += 1;
+            }
+        }
+    }
+    hops.truncate(kept);
+    repeat_free
+}
+
+/// `path.iter().position(|&h| h == hop)`, eight hops at a time: the
+/// branch-free fold over a chunk compiles to vector compares, which is what
+/// keeps the scan ahead of a tree up to a few hundred hops (B4).
+#[inline]
+fn position_of(path: &[NodeId], hop: NodeId) -> Option<usize> {
+    let mut chunks = path.chunks_exact(8);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        if chunk.iter().fold(false, |hit, &h| hit | (h == hop)) {
+            break;
+        }
+        base += 8;
+    }
+    path[base..]
+        .iter()
+        .position(|&h| h == hop)
+        .map(|p| base + p)
+}
+
 impl std::fmt::Display for SourceRoute {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut first = true;
@@ -157,9 +210,44 @@ impl std::fmt::Display for SourceRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn r(ids: &[u64]) -> SourceRoute {
         SourceRoute::from_hops(ids.iter().map(|&i| NodeId(i)).collect())
+    }
+
+    /// Reference model: the tree-based loop erasure `pruned` shipped with
+    /// until the per-hop path stopped touching trees — position of every
+    /// kept hop in a `BTreeMap`, cut on a revisit. Kept only to say what
+    /// [`erase_loops`] must compute.
+    fn reference_pruned(hops: &[NodeId]) -> Vec<NodeId> {
+        let mut seen: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut out: Vec<NodeId> = Vec::with_capacity(hops.len());
+        for &hop in hops {
+            if let Some(&pos) = seen.get(&hop) {
+                // cut the loop: drop everything after the first occurrence
+                for dropped in out.drain(pos + 1..) {
+                    seen.remove(&dropped);
+                }
+            } else {
+                seen.insert(hop, out.len());
+                out.push(hop);
+            }
+        }
+        out
+    }
+
+    /// Strategy: 1–600 hops over an alphabet of 2–64 ids, so cycles nest
+    /// and overlap; consecutive repeats are left in.
+    fn raw_hops() -> impl Strategy<Value = Vec<NodeId>> {
+        (2u64..65, proptest::collection::vec(any::<u64>(), 1..601))
+            .prop_map(|(alphabet, v)| v.into_iter().map(|x| NodeId(x % alphabet)).collect())
+    }
+
+    fn deduped(mut hops: Vec<NodeId>) -> SourceRoute {
+        hops.dedup();
+        SourceRoute::from_hops(hops)
     }
 
     #[test]
@@ -258,5 +346,52 @@ mod tests {
     #[test]
     fn display_format() {
         assert_eq!(format!("{}", r(&[1, 2, 3])), "1→2→3");
+    }
+
+    #[test]
+    fn pruned_from_rejects_what_from_hops_panics_on() {
+        assert!(SourceRoute::pruned_from(vec![]).is_none());
+        assert!(SourceRoute::pruned_from(vec![NodeId(1), NodeId(1)]).is_none());
+        // a repeat that only becomes adjacent after a cut is a cycle, not a
+        // consecutive repeat
+        let ok = SourceRoute::pruned_from(vec![NodeId(1), NodeId(2), NodeId(1)]).unwrap();
+        assert_eq!(ok, SourceRoute::trivial(NodeId(1)));
+        assert_eq!(r(&[1, 2, 3]).into_hops(), r(&[1, 2, 3]).hops().to_vec());
+    }
+
+    proptest! {
+        /// The scan computes exactly what the tree did, on every input —
+        /// consecutive repeats included, which it also reports.
+        #[test]
+        fn erase_loops_matches_tree_reference(hops in raw_hops()) {
+            let mut got = hops.clone();
+            let repeat_free = erase_loops(&mut got);
+            prop_assert_eq!(&got, &reference_pruned(&hops));
+            prop_assert_eq!(repeat_free, hops.windows(2).all(|w| w[0] != w[1]));
+            prop_assert_eq!(SourceRoute::pruned_from(hops).is_some(), repeat_free);
+        }
+
+        #[test]
+        fn pruned_is_the_reference_simple_idempotent_and_keeps_endpoints(hops in raw_hops()) {
+            let route = deduped(hops);
+            let p = route.pruned();
+            prop_assert_eq!(p.hops(), &reference_pruned(route.hops())[..]);
+            prop_assert!(p.is_simple());
+            prop_assert_eq!((p.src(), p.dst()), (route.src(), route.dst()));
+            prop_assert_eq!(p.pruned(), p.clone());
+            prop_assert_eq!(SourceRoute::pruned_from(route.into_hops()), Some(p));
+        }
+
+        #[test]
+        fn concat_is_pruned_append(a in raw_hops(), b in raw_hops()) {
+            let a = deduped(a);
+            let mut b_hops = vec![a.dst()];
+            b_hops.extend(b);
+            let b = deduped(b_hops);
+            let mut appended = a.hops().to_vec();
+            appended.extend_from_slice(&b.hops()[1..]);
+            let c = a.concat(&b);
+            prop_assert_eq!(c.hops(), &reference_pruned(&appended)[..]);
+        }
     }
 }

@@ -224,7 +224,7 @@ proptest! {
         seq: u32,
     ) {
         use ssr_core::message::{decode, encode_to_bytes, ForwardEnvelope, Payload, SsrMsg};
-        let msg = SsrMsg::Forward(ForwardEnvelope {
+        let msg = SsrMsg::Forward(Box::new(ForwardEnvelope {
             route: route.into_iter().map(NodeId).collect(),
             pos,
             trace: vec![],
@@ -234,7 +234,7 @@ proptest! {
                 reply_route: reply.into_iter().map(NodeId).collect(),
                 seq: ssr_types::SeqNo(seq),
             },
-        });
+        }));
         let mut buf = encode_to_bytes(&msg);
         prop_assert_eq!(decode(&mut buf).unwrap(), msg);
     }

@@ -6,6 +6,12 @@
 //! [`Bencher::iter`] and [`Bencher::iter_batched`]. Measurement is a simple
 //! best-of-samples wall-clock timer printed as `ns/iter` — adequate for
 //! relative comparisons, with none of criterion's statistics.
+//!
+//! Like criterion, the harness honours positional substring filters:
+//! `cargo bench --bench micro -- route_ sim_noop` runs only the benchmarks
+//! whose full name (`group/name`) contains one of them; with no positional
+//! argument everything runs. Arguments starting with `-` (cargo passes
+//! `--bench`) are ignored.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,18 +32,37 @@ pub enum BatchSize {
 /// The benchmark driver handed to every registered function.
 pub struct Criterion {
     sample_size: usize,
+    /// Substring filters; empty = run everything.
+    filters: Vec<String>,
 }
 
 impl Default for Criterion {
+    /// The driver `criterion_group!` builds: filters from the command line.
     fn default() -> Self {
-        Criterion { sample_size: 20 }
+        Criterion::filtered(std::env::args().skip(1))
     }
 }
 
 impl Criterion {
+    /// A driver running only the benchmarks whose name contains one of the
+    /// positional (not `-`-prefixed) entries of `args`; all of them if there
+    /// is none.
+    fn filtered(args: impl IntoIterator<Item = String>) -> Self {
+        Criterion {
+            sample_size: 20,
+            filters: args.into_iter().filter(|a| !a.starts_with('-')).collect(),
+        }
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f.as_str()))
+    }
+
     /// Runs `f` repeatedly and prints its timing under `name`.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(name, self.sample_size, f);
+        if self.selects(name) {
+            run_bench(name, self.sample_size, f);
+        }
         self
     }
 
@@ -46,7 +71,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.to_string(),
             sample_size: self.sample_size,
-            _parent: self,
+            parent: self,
         }
     }
 }
@@ -55,7 +80,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -67,7 +92,10 @@ impl BenchmarkGroup<'_> {
 
     /// Runs `f` under `group/name`.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(&format!("{}/{}", self.name, name), self.sample_size, f);
+        let name = format!("{}/{}", self.name, name);
+        if self.parent.selects(&name) {
+            run_bench(&name, self.sample_size, f);
+        }
         self
     }
 
@@ -188,7 +216,7 @@ mod tests {
 
     #[test]
     fn bench_function_runs_and_times() {
-        let mut c = Criterion::default();
+        let mut c = Criterion::filtered([]);
         let mut calls = 0u64;
         c.bench_function("smoke", |b| {
             b.iter(|| {
@@ -201,12 +229,43 @@ mod tests {
 
     #[test]
     fn groups_and_batched() {
-        let mut c = Criterion::default();
+        let mut c = Criterion::filtered([]);
         let mut g = c.benchmark_group("g");
         g.sample_size(2);
         g.bench_function("batched", |b| {
             b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
         });
         g.finish();
+    }
+
+    #[test]
+    fn positional_filters_select_by_substring() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let mut ran: Vec<&str> = Vec::new();
+        let mut c = Criterion::filtered(args(&["route_", "--bench", "relay/n5"]));
+        c.bench_function("route_concat", |b| {
+            ran.push("route_concat");
+            b.iter(|| 1)
+        });
+        c.bench_function("cache_insert", |b| {
+            ran.push("cache_insert");
+            b.iter(|| 1)
+        });
+        let mut g = c.benchmark_group("relay");
+        g.sample_size(1);
+        g.bench_function("n500", |b| {
+            ran.push("relay/n500");
+            b.iter(|| 1)
+        });
+        g.bench_function("n60", |b| {
+            ran.push("relay/n60");
+            b.iter(|| 1)
+        });
+        g.finish();
+        ran.dedup();
+        assert_eq!(ran, ["route_concat", "relay/n500"]);
+        // flags alone are not filters: everything runs
+        let all = Criterion::filtered(args(&["--bench"]));
+        assert!(all.selects("anything") && all.filters.is_empty());
     }
 }

@@ -57,6 +57,11 @@ bench:
     cargo bench -p ssr-bench --bench micro
     cargo bench -p ssr-bench --bench bench_core
 
+# the per-hop ladder only: route surgery (B4), SsrNode relay (B9), bare
+# simulator relay (B8) — handler per hop = B9 − B8 (docs/BENCHMARKS.md)
+bench-hop:
+    cargo bench -p ssr-bench --bench micro -- route_ ssr_forward_line sim_noop_relay
+
 # regenerate the committed perf baseline (BENCH_perf.json at the repo root)
 perf-baseline:
     cargo run --release -p ssr-bench --bin exp -- exp_perf
