@@ -11,7 +11,8 @@ use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator, Time};
 use ssr_types::{NodeId, Rng, SeqNo};
 use ssr_workloads::Topology;
 
-/// B1: one synchronous linearization round on a 1024-node random graph.
+/// B1: one synchronous linearization round — on a 1024-node random graph
+/// per variant, and on the benchmark's power-law shape at n = 20 000.
 fn bench_linearize_round(c: &mut Criterion) {
     let topo = Topology::Gnp { n: 1024, c: 2.0 };
     let (g, labels) = topo.instance(1);
@@ -26,6 +27,30 @@ fn bench_linearize_round(c: &mut Criterion) {
             b.iter(|| step_round(std::hint::black_box(&rg), variant, Semantics::Star))
         });
     }
+    group.finish();
+
+    // The shape `benchmark/`'s `abstract_linearize` runs: a power-law graph
+    // at n = 20 000 under LSN/star, one round out of the round-3 state, where
+    // the rows are at their densest. Built on first use, so a run whose
+    // filters skip the group does not pay for three rounds of set-up.
+    let dense = std::cell::LazyCell::new(|| {
+        let (g, labels) = Topology::PowerLaw {
+            n: 20_000,
+            alpha: 2.0,
+        }
+        .instance(1);
+        let (mut dense, _) = ssr_linearize::convergence::relabel_to_ranks(&g, &labels);
+        for _ in 0..3 {
+            dense = step_round(&dense, Variant::lsn(), Semantics::Star);
+        }
+        dense
+    });
+    let mut group = c.benchmark_group("linearize_round_powerlaw_n20000");
+    group.sample_size(10);
+    group.bench_function("lsn", |b| {
+        let dense: &ssr_graph::Graph = &dense;
+        b.iter(|| step_round(std::hint::black_box(dense), Variant::lsn(), Semantics::Star))
+    });
     group.finish();
 }
 

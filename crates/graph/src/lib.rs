@@ -6,9 +6,10 @@
 //! power-law graphs on which Onus et al. state their convergence results.
 //! This crate provides:
 //!
-//! * a mutable undirected [`Graph`] with deterministic iteration order (the
-//!   round engine of `ssr-linearize` mutates edge sets heavily),
-//! * an immutable [`Csr`] snapshot for fast traversal in the simulator,
+//! * a mutable undirected [`Graph`] stored as one sorted adjacency row per
+//!   node: deterministic ascending iteration, [`Graph::row`] as a contiguous
+//!   slice for traversal, and [`Graph::from_sorted_rows`] for code (the round
+//!   engine of `ssr-linearize`) that computes whole neighborhoods at once,
 //! * the topology [`generators`] used by every experiment, and
 //! * the classic [`algo`]rithms (BFS, components, diameter, shortest paths)
 //!   that the consistency checkers and the stretch experiment need.
@@ -20,11 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod csr;
 pub mod generators;
 pub mod graph;
 pub mod labeling;
 
-pub use csr::Csr;
 pub use graph::Graph;
 pub use labeling::Labeling;

@@ -1,7 +1,9 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use ssr_graph::{algo, generators, Csr, Graph};
+use ssr_graph::{algo, generators, Graph};
 use ssr_types::Rng;
 
 /// Strategy: a random edge list over `n` nodes.
@@ -32,19 +34,67 @@ proptest! {
     }
 
     #[test]
-    fn csr_faithful((n, edges) in edge_list(40)) {
-        let mut g = Graph::new(n);
-        for (u, v) in edges {
-            if u != v {
-                g.add_edge(u, v);
+    fn rows_match_the_set_model(
+        n0 in 1usize..12,
+        ops in proptest::collection::vec((0u8..8, any::<usize>(), any::<usize>()), 0..120),
+    ) {
+        // the representation `Graph` had before sorted rows, as the model
+        let mut model: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n0];
+        let mut g = Graph::new(n0);
+        for (op, a, b) in ops {
+            let n = model.len();
+            let (u, v) = (a % n, b % n);
+            match op {
+                // adds outnumber removals so rows grow long enough to shift
+                0..=3 if u != v => {
+                    let fresh = model[u].insert(v as u32);
+                    model[v].insert(u as u32);
+                    prop_assert_eq!(g.add_edge(u, v), fresh);
+                }
+                4 | 5 => {
+                    let present = model[u].remove(&(v as u32));
+                    model[v].remove(&(u as u32));
+                    prop_assert_eq!(g.remove_edge(u, v), present);
+                }
+                6 => {
+                    let former: Vec<usize> = model[u].iter().map(|&w| w as usize).collect();
+                    for &w in &former {
+                        model[w].remove(&(u as u32));
+                    }
+                    model[u].clear();
+                    prop_assert_eq!(g.isolate(u), former);
+                }
+                7 => {
+                    model.push(BTreeSet::new());
+                    prop_assert_eq!(g.add_node(), n);
+                }
+                _ => {}
             }
-        }
-        let csr = Csr::from_graph(&g);
-        prop_assert_eq!(csr.edge_count(), g.edge_count());
-        for u in 0..n {
-            let a: Vec<usize> = csr.neighbors(u).iter().map(|&v| v as usize).collect();
-            let b: Vec<usize> = g.neighbors(u).collect();
-            prop_assert_eq!(a, b);
+            let n = model.len();
+            prop_assert_eq!(g.node_count(), n);
+            let mut edges = Vec::new();
+            for (u, set) in model.iter().enumerate() {
+                let expect: Vec<usize> = set.iter().map(|&w| w as usize).collect();
+                prop_assert_eq!(g.neighbors(u).collect::<Vec<_>>(), expect.clone());
+                prop_assert_eq!(g.row(u).to_vec(), set.iter().copied().collect::<Vec<u32>>());
+                prop_assert_eq!(g.degree(u), set.len());
+                for v in 0..n + 2 {
+                    prop_assert_eq!(g.has_edge(u, v), set.contains(&(v as u32)));
+                }
+                edges.extend(expect.into_iter().filter(|&w| u < w).map(|w| (u, w)));
+            }
+            prop_assert_eq!(g.edge_count(), edges.len());
+            prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges);
+            let degrees = model.iter().map(BTreeSet::len);
+            let expect_stats = (
+                degrees.clone().min().unwrap(),
+                degrees.clone().max().unwrap(),
+                degrees.sum::<usize>() as f64 / n as f64,
+            );
+            prop_assert_eq!(g.degree_stats(), expect_stats);
+            // what `add_edge`/`remove_edge` leave is what the bulk path accepts
+            let rows: Vec<Vec<u32>> = (0..n).map(|u| g.row(u).to_vec()).collect();
+            prop_assert_eq!(Graph::from_sorted_rows(rows).edge_count(), g.edge_count());
         }
     }
 

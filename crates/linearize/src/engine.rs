@@ -22,6 +22,32 @@
 //!
 //! The engine works in **rank space** (identifier order = index order); see
 //! [`crate::convergence::relabel_to_ranks`].
+//!
+//! # Gather form
+//!
+//! [`step_round`] does not walk the proposers and insert their proposals
+//! edge by edge; it computes each node's next row as a pure function of the
+//! current graph. Every edge of the next round has a *source*: a proposer
+//! `v` whose sorted neighborhood puts the two endpoints side by side, or an
+//! endpoint that retains it. A proposer only ever pairs members of
+//! `N(v) ∪ {v}`, so the sources that can hand node `a` an edge are `a`
+//! itself and its current neighbors — exactly the entries of `a`'s row. For
+//! each of them `a` reads off what it is handed: its predecessor and
+//! successor in `sorted(N(v) ∪ {v})` under star semantics (under pairwise:
+//! `v` itself unless `a` is `v`'s farthest neighbor on a side with two, and
+//! the other of the two farthest if `a` is one of them), plus `v` when either
+//! end retains the edge. That is the same union the scatter form builds: a
+//! proposed pair `{x, y}` is seen once from `x`'s row and once from `y`'s,
+//! both times through the same proposer, so both rows receive it and the
+//! result is symmetric. Finding `a` inside `v`'s row needs no search — nodes
+//! are visited in ascending order and rows ascend, so a per-node count of
+//! the visits made so far *is* `a`'s position. Candidates are sorted and
+//! deduplicated per row, and [`Graph::from_sorted_rows`] re-checks range,
+//! order, self-loops and symmetry of the whole result before it becomes a
+//! graph.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use ssr_graph::Graph;
 use ssr_types::{IntervalPartition, NodeId, Side};
@@ -76,114 +102,167 @@ impl LinearizeRun {
     }
 }
 
+/// A node's sorted neighborhood with the node in place:
+/// `row[..split] < v < row[split..]`.
+#[derive(Clone, Copy)]
+struct Hood<'a> {
+    v: u32,
+    row: &'a [u32],
+    split: usize,
+}
+
+impl Hood<'_> {
+    /// Slot `s` of the chain `u_1 … u_k, v, u_{k+1} … u_d`.
+    fn chain(&self, s: usize) -> u32 {
+        match s.cmp(&self.split) {
+            Ordering::Less => self.row[s],
+            Ordering::Equal => self.v,
+            Ordering::Greater => self.row[s - 1],
+        }
+    }
+
+    /// Star semantics: what `v`'s chain hands to the member in slot `s`.
+    fn push_chain_neighbors(&self, s: usize, out: &mut Vec<u32>) {
+        if s > 0 {
+            out.push(self.chain(s - 1));
+        }
+        if s < self.row.len() {
+            out.push(self.chain(s + 1));
+        }
+    }
+
+    /// Pairwise semantics: the row positions whose edge to `v` survives
+    /// `v`'s action — all but the farthest neighbor of each side that has at
+    /// least two.
+    fn pairwise_kept(&self) -> Range<usize> {
+        let d = self.row.len();
+        usize::from(self.split >= 2)..d - usize::from(d - self.split >= 2)
+    }
+
+    /// Pairwise semantics: what `v`'s action hands to its neighbor at row
+    /// position `p` — `v` itself unless delegated away, and the bridge
+    /// between the two farthest neighbors of a side.
+    fn push_pairwise_handed(&self, p: usize, out: &mut Vec<u32>) {
+        let d = self.row.len();
+        let kept = self.pairwise_kept();
+        if kept.contains(&p) {
+            out.push(self.v);
+        }
+        // a side that gives up its farthest neighbor bridges it to the
+        // second-farthest: positions 0 and 1 on the left, d-1 and d-2 on the
+        // right, each handed the other
+        if kept.start == 1 && p < 2 {
+            out.push(self.row[1 - p]);
+        }
+        if kept.end + 1 == d && p + 2 >= d {
+            out.push(self.row[2 * d - 3 - p]);
+        }
+    }
+
+    /// LSN retention: `true` iff the neighbor at row position `p` is the one
+    /// closest to `v` within its exponential interval, i.e. the next neighbor
+    /// towards `v` on its side is absent or falls into another interval.
+    fn keeps(&self, p: usize, partition: IntervalPartition) -> bool {
+        let (side, closer) = if p < self.split {
+            (Side::Left, self.row[p + 1..self.split].first())
+        } else {
+            (Side::Right, self.row[self.split..p].last())
+        };
+        let interval = |u: u32| {
+            let (s, idx) = partition
+                .index(NodeId(self.v as u64), NodeId(u as u64))
+                .expect("neighbor equals self");
+            debug_assert_eq!(s, side);
+            idx
+        };
+        let own = interval(self.row[p]);
+        closer.is_none_or(|&c| interval(c) != own)
+    }
+}
+
 /// Computes one synchronous round. Returns the next graph.
 pub fn step_round(g: &Graph, variant: Variant, semantics: Semantics) -> Graph {
     let n = g.node_count();
-    let mut next = Graph::new(n);
-    let mut nbrs: Vec<usize> = Vec::new();
-    for v in 0..n {
-        nbrs.clear();
-        nbrs.extend(g.neighbors(v)); // ascending == identifier order
-        if nbrs.is_empty() {
-            continue;
-        }
-        let k = nbrs.partition_point(|&u| u < v);
+    let splits: Vec<u32> = (0..n)
+        .map(|v| g.row(v).partition_point(|&u| (u as usize) < v) as u32)
+        .collect();
+    let hood = |v: usize| Hood {
+        v: v as u32,
+        row: g.row(v),
+        split: splits[v] as usize,
+    };
+    // visits[v]: how many neighbors of `v` the loop below has passed. Nodes
+    // go by ascending, rows ascend, so when `a` reaches `v` in its row this
+    // is `a`'s position in `v`'s row.
+    let mut visits = vec![0u32; n];
+    let mut rows = Vec::with_capacity(n);
+    let mut cand: Vec<u32> = Vec::new();
+    for a in 0..n {
+        let mine = hood(a);
+        cand.clear();
+        // a's own action
         match semantics {
-            Semantics::Star => {
-                // Chain through the sorted neighborhood with v in place.
-                let mut prev: Option<usize> = None;
-                for i in 0..=nbrs.len() {
-                    // walk u_1..u_k, v, u_{k+1}..u_d
-                    let cur = if i < k {
-                        nbrs[i]
-                    } else if i == k {
-                        v
-                    } else {
-                        nbrs[i - 1]
-                    };
-                    if let Some(p) = prev {
-                        next.add_edge(p, cur);
-                    }
-                    prev = Some(cur);
+            Semantics::Star => mine.push_chain_neighbors(mine.split, &mut cand),
+            Semantics::Pairwise => cand.extend(&mine.row[mine.pairwise_kept()]),
+        }
+        // retention is per edge and symmetric in who asks: memory keeps all
+        // of them, LSN those that either endpoint keeps
+        if matches!(variant, Variant::Memory) {
+            cand.extend(mine.row);
+        }
+        for (at_mine, &v) in mine.row.iter().enumerate() {
+            let theirs = hood(v as usize);
+            let at_theirs = visits[v as usize] as usize;
+            visits[v as usize] += 1;
+            debug_assert_eq!(theirs.row[at_theirs] as usize, a);
+            match semantics {
+                Semantics::Star => {
+                    let slot = at_theirs + usize::from(at_theirs >= theirs.split);
+                    theirs.push_chain_neighbors(slot, &mut cand);
                 }
+                Semantics::Pairwise => theirs.push_pairwise_handed(at_theirs, &mut cand),
             }
-            Semantics::Pairwise => {
-                // Keep v's own edges except the farthest per side; bridge
-                // each dropped one to the second-farthest on its side.
-                if k >= 2 {
-                    next.add_edge(nbrs[0], nbrs[1]);
-                }
-                if nbrs.len() - k >= 2 {
-                    next.add_edge(nbrs[nbrs.len() - 1], nbrs[nbrs.len() - 2]);
-                }
-                let keep_from = usize::from(k >= 2);
-                let keep_to = nbrs.len() - usize::from(nbrs.len() - k >= 2);
-                for &u in &nbrs[keep_from..keep_to] {
-                    next.add_edge(v, u);
+            if let Variant::Lsn(partition) = variant {
+                if mine.keeps(at_mine, partition) || theirs.keeps(at_theirs, partition) {
+                    cand.push(v);
                 }
             }
         }
-        match variant {
-            Variant::Pure => {}
-            Variant::Memory => {
-                for &u in &nbrs {
-                    next.add_edge(v, u);
-                }
-            }
-            Variant::Lsn(partition) => {
-                retain_interval_representatives(&mut next, v, &nbrs, k, partition);
-            }
-        }
+        cand.sort_unstable();
+        cand.dedup();
+        rows.push(cand.clone()); // exact-size allocation
     }
-    next
+    Graph::from_sorted_rows(rows)
 }
 
-/// LSN retention: for each side, walk the sorted neighbor list and keep the
-/// neighbor *closest to `v`* within each exponential interval.
-fn retain_interval_representatives(
-    next: &mut Graph,
-    v: usize,
-    nbrs: &[usize],
-    k: usize,
-    partition: IntervalPartition,
-) {
-    let vid = NodeId(v as u64);
-    // Left side: nbrs[..k] ascending; the closest-to-v is the *last* in each
-    // interval, so walk right-to-left and keep the first of each interval.
-    let mut last_interval: Option<u32> = None;
-    for &u in nbrs[..k].iter().rev() {
-        let (side, idx) = partition
-            .index(vid, NodeId(u as u64))
-            .expect("neighbor equals self");
-        debug_assert_eq!(side, Side::Left);
-        if last_interval != Some(idx) {
-            next.add_edge(v, u);
-            last_interval = Some(idx);
+/// Edges of `next` absent from `prev`, and of `prev` absent from `next`:
+/// what both graphs share is counted by merge-walking the two rows of each
+/// node (each shared edge shows up in two rows).
+fn added_removed(prev: &Graph, next: &Graph) -> (usize, usize) {
+    let mut shared = 0usize;
+    for u in 0..next.node_count() {
+        let (old, new) = (prev.row(u), next.row(u));
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].cmp(&new[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
     }
-    // Right side: closest-to-v is the first in each interval.
-    let mut last_interval: Option<u32> = None;
-    for &u in &nbrs[k..] {
-        let (side, idx) = partition
-            .index(vid, NodeId(u as u64))
-            .expect("neighbor equals self");
-        debug_assert_eq!(side, Side::Right);
-        if last_interval != Some(idx) {
-            next.add_edge(v, u);
-            last_interval = Some(idx);
-        }
-    }
+    (
+        next.edge_count() - shared / 2,
+        prev.edge_count() - shared / 2,
+    )
 }
 
 fn stats_for(round: usize, g: &Graph, prev: Option<&Graph>) -> RoundStats {
-    let (added, removed) = match prev {
-        None => (0, 0),
-        Some(p) => {
-            let added = g.edges().filter(|&(u, v)| !p.has_edge(u, v)).count();
-            let removed = p.edges().filter(|&(u, v)| !g.has_edge(u, v)).count();
-            (added, removed)
-        }
-    };
+    let (added, removed) = prev.map_or((0, 0), |p| added_removed(p, g));
     let (_, max_degree, _) = g.degree_stats();
     RoundStats {
         round,
@@ -234,11 +313,210 @@ pub fn run(g0: &Graph, variant: Variant, semantics: Semantics, max_rounds: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ssr_graph::{algo, generators};
     use ssr_types::Rng;
 
     fn all_variants() -> Vec<Variant> {
         vec![Variant::Pure, Variant::Memory, Variant::lsn()]
+    }
+
+    /// The scatter form `step_round` had before it became a gather: walk the
+    /// proposers, `add_edge` every proposal and every retained edge.
+    fn reference_round(g: &Graph, variant: Variant, semantics: Semantics) -> Graph {
+        let n = g.node_count();
+        let mut next = Graph::new(n);
+        let mut nbrs: Vec<usize> = Vec::new();
+        for v in 0..n {
+            nbrs.clear();
+            nbrs.extend(g.neighbors(v)); // ascending == identifier order
+            if nbrs.is_empty() {
+                continue;
+            }
+            let k = nbrs.partition_point(|&u| u < v);
+            match semantics {
+                Semantics::Star => {
+                    // Chain through the sorted neighborhood with v in place.
+                    let mut prev: Option<usize> = None;
+                    for i in 0..=nbrs.len() {
+                        // walk u_1..u_k, v, u_{k+1}..u_d
+                        let cur = if i < k {
+                            nbrs[i]
+                        } else if i == k {
+                            v
+                        } else {
+                            nbrs[i - 1]
+                        };
+                        if let Some(p) = prev {
+                            next.add_edge(p, cur);
+                        }
+                        prev = Some(cur);
+                    }
+                }
+                Semantics::Pairwise => {
+                    // Keep v's own edges except the farthest per side; bridge
+                    // each dropped one to the second-farthest on its side.
+                    if k >= 2 {
+                        next.add_edge(nbrs[0], nbrs[1]);
+                    }
+                    if nbrs.len() - k >= 2 {
+                        next.add_edge(nbrs[nbrs.len() - 1], nbrs[nbrs.len() - 2]);
+                    }
+                    let keep_from = usize::from(k >= 2);
+                    let keep_to = nbrs.len() - usize::from(nbrs.len() - k >= 2);
+                    for &u in &nbrs[keep_from..keep_to] {
+                        next.add_edge(v, u);
+                    }
+                }
+            }
+            match variant {
+                Variant::Pure => {}
+                Variant::Memory => {
+                    for &u in &nbrs {
+                        next.add_edge(v, u);
+                    }
+                }
+                Variant::Lsn(partition) => {
+                    retain_interval_representatives(&mut next, v, &nbrs, k, partition);
+                }
+            }
+        }
+        next
+    }
+
+    /// LSN retention: for each side, walk the sorted neighbor list and keep the
+    /// neighbor *closest to `v`* within each exponential interval.
+    fn retain_interval_representatives(
+        next: &mut Graph,
+        v: usize,
+        nbrs: &[usize],
+        k: usize,
+        partition: IntervalPartition,
+    ) {
+        let vid = NodeId(v as u64);
+        // Left side: nbrs[..k] ascending; the closest-to-v is the *last* in each
+        // interval, so walk right-to-left and keep the first of each interval.
+        let mut last_interval: Option<u32> = None;
+        for &u in nbrs[..k].iter().rev() {
+            let (side, idx) = partition
+                .index(vid, NodeId(u as u64))
+                .expect("neighbor equals self");
+            debug_assert_eq!(side, Side::Left);
+            if last_interval != Some(idx) {
+                next.add_edge(v, u);
+                last_interval = Some(idx);
+            }
+        }
+        // Right side: closest-to-v is the first in each interval.
+        let mut last_interval: Option<u32> = None;
+        for &u in &nbrs[k..] {
+            let (side, idx) = partition
+                .index(vid, NodeId(u as u64))
+                .expect("neighbor equals self");
+            debug_assert_eq!(side, Side::Right);
+            if last_interval != Some(idx) {
+                next.add_edge(v, u);
+                last_interval = Some(idx);
+            }
+        }
+    }
+
+    /// `RoundStats::{added, removed}` as `stats_for` counted them before the
+    /// merge walk: one `has_edge` probe per edge of either graph.
+    fn reference_added_removed(prev: &Graph, next: &Graph) -> (usize, usize) {
+        let added = next.edges().filter(|&(u, v)| !prev.has_edge(u, v)).count();
+        let removed = prev.edges().filter(|&(u, v)| !next.has_edge(u, v)).count();
+        (added, removed)
+    }
+
+    /// G(n,p), stars, power-law samples and graphs with isolated nodes, n in
+    /// 1..=80.
+    fn input_graph() -> impl Strategy<Value = Graph> {
+        (0u8..4, 1usize..=80, any::<u64>(), 0.02f64..0.4).prop_map(|(shape, n, seed, p)| {
+            let mut rng = Rng::new(seed);
+            match shape {
+                0 => generators::gnp(n, p, &mut rng),
+                1 => {
+                    // a star centred on a drawn rank, so both sides are long
+                    let centre = rng.below(n as u64) as usize;
+                    Graph::from_edges(n, (0..n).filter(|&u| u != centre).map(|u| (centre, u)))
+                }
+                2 => generators::powerlaw_configuration(n, 2.0, 1, None, &mut rng),
+                _ => {
+                    // G(n,p) with a drawn third of the nodes cut off
+                    let mut g = generators::gnp(n, p, &mut rng);
+                    for u in 0..n {
+                        if rng.below(3) == 0 {
+                            g.isolate(u);
+                        }
+                    }
+                    g
+                }
+            }
+        })
+    }
+
+    fn variant() -> impl Strategy<Value = Variant> {
+        (0u64..6).prop_map(|i| match i {
+            0 => Variant::Pure,
+            1 => Variant::Memory,
+            2 => Variant::lsn(),
+            base => Variant::Lsn(IntervalPartition::new(base)),
+        })
+    }
+
+    fn semantics() -> impl Strategy<Value = Semantics> {
+        any::<bool>().prop_map(|star| {
+            if star {
+                Semantics::Star
+            } else {
+                Semantics::Pairwise
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn step_round_matches_the_reference_round(
+            g0 in input_graph(),
+            variant in variant(),
+            semantics in semantics(),
+        ) {
+            // eight rounds, so the later, denser states are covered too
+            let mut g = g0;
+            for round in 1..=8 {
+                let next = step_round(&g, variant, semantics);
+                let expect = reference_round(&g, variant, semantics);
+                prop_assert_eq!(next.node_count(), expect.node_count());
+                prop_assert_eq!(
+                    next.edges().collect::<Vec<_>>(),
+                    expect.edges().collect::<Vec<_>>(),
+                    "round {} under {:?}/{}", round, variant, semantics.name()
+                );
+                g = next;
+            }
+        }
+
+        #[test]
+        fn round_stats_match_the_probe_count(
+            g0 in input_graph(),
+            variant in variant(),
+            semantics in semantics(),
+        ) {
+            let r = run(&g0, variant, semantics, 8);
+            prop_assert_eq!((r.rounds[0].added, r.rounds[0].removed), (0, 0));
+            let mut g = g0;
+            for stats in &r.rounds[1..] {
+                let next = step_round(&g, variant, semantics);
+                prop_assert_eq!(
+                    (stats.added, stats.removed),
+                    reference_added_removed(&g, &next),
+                    "round {}", stats.round
+                );
+                prop_assert_eq!(stats.edges, next.edge_count());
+                g = next;
+            }
+        }
     }
 
     #[test]

@@ -101,15 +101,16 @@ impl IntervalPartition {
             return None;
         }
         let side = if u < v { Side::Left } else { Side::Right };
-        let dist = v.line_dist(u) as u128;
-        // floor(log_base(dist)); dist >= 1.
-        let base = self.base as u128;
-        let mut idx = 0u32;
-        let mut hi = base; // upper bound (exclusive) of interval idx
-        while dist >= hi {
-            idx += 1;
-            hi = hi.saturating_mul(base);
-        }
+        // floor(log_base(dist)); dist >= 1 and base >= 2, so the log is
+        // defined. `ilog` with a base only known at run time multiplies its
+        // way up; base 2 — the paper's, and every caller's default — is one
+        // instruction, the formula of [`interval_index`].
+        let dist = v.line_dist(u);
+        let idx = if self.base == 2 {
+            dist.ilog2()
+        } else {
+            dist.ilog(self.base)
+        };
         Some((side, idx))
     }
 
@@ -136,6 +137,7 @@ impl IntervalPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn base2_index_matches_log2() {
@@ -156,6 +158,68 @@ mod tests {
         for raw in [0u64, 1, 2, 3, 500, 1 << 20, (1 << 41) - 1, u64::MAX] {
             let u = NodeId(raw);
             assert_eq!(p.index(v, u), interval_index(v, u), "u = {raw}");
+        }
+    }
+
+    /// The multiply loop `index` ran before it became `ilog`: the reference.
+    fn reference_index(base: u64, v: NodeId, u: NodeId) -> Option<(Side, u32)> {
+        if u == v {
+            return None;
+        }
+        let side = if u < v { Side::Left } else { Side::Right };
+        let dist = v.line_dist(u) as u128;
+        let base = base as u128;
+        let mut idx = 0u32;
+        let mut hi = base; // upper bound (exclusive) of interval idx
+        while dist >= hi {
+            idx += 1;
+            hi = hi.saturating_mul(base);
+        }
+        Some((side, idx))
+    }
+
+    fn bases() -> impl Strategy<Value = u64> {
+        (2u64..=17).prop_map(|b| if b == 17 { u64::MAX } else { b })
+    }
+
+    proptest! {
+        #[test]
+        fn index_matches_the_loop_on_uniform_pairs(base in bases(), v: u64, u: u64) {
+            let p = IntervalPartition::new(base);
+            let (v, u) = (NodeId(v), NodeId(u));
+            prop_assert_eq!(p.index(v, u), reference_index(base, v, u));
+            prop_assert_eq!(p.index(v, v), None);
+        }
+
+        #[test]
+        fn index_matches_the_loop_on_interval_edges(base in bases(), anchor: u64) {
+            let p = IntervalPartition::new(base);
+            // every power of the base that fits, one below, one above, and
+            // the largest distance the space has
+            let mut dists = vec![u64::MAX];
+            let mut power = 1u64;
+            loop {
+                dists.extend([power.saturating_sub(1), power, power.saturating_add(1)]);
+                match power.checked_mul(base) {
+                    Some(next) => power = next,
+                    None => break,
+                }
+            }
+            for dist in dists {
+                // measure each distance from both ends of the space and, where
+                // it fits, from a drawn anchor on either side
+                let mut pairs = vec![(0, dist), (u64::MAX, u64::MAX - dist)];
+                pairs.extend(anchor.checked_add(dist).map(|u| (anchor, u)));
+                pairs.extend(anchor.checked_sub(dist).map(|u| (anchor, u)));
+                for (v, u) in pairs {
+                    let (v, u) = (NodeId(v), NodeId(u));
+                    prop_assert_eq!(
+                        p.index(v, u),
+                        reference_index(base, v, u),
+                        "base {} dist {}", base, dist
+                    );
+                }
+            }
         }
     }
 

@@ -62,6 +62,11 @@ bench:
 bench-hop:
     cargo bench -p ssr-bench --bench micro -- route_ ssr_forward_line sim_noop_relay
 
+# one linearization round only (B1): n = 1024 G(n,p) per variant, and the
+# power-law n = 20 000 round-3 state `benchmark/`'s abstract_linearize runs
+bench-round:
+    cargo bench -p ssr-bench --bench micro -- linearize_round
+
 # regenerate the committed perf baseline (BENCH_perf.json at the repo root)
 perf-baseline:
     cargo run --release -p ssr-bench --bin exp -- exp_perf
