@@ -44,6 +44,13 @@ echo "== benchmark check =="
 # it against the workspace's public API (benchmark/README.md §"Public API
 # surface") and checks its declared metrics against BENCHMARK.json
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+# the frozen directory stays frozen: cargo rewrites benchmark/Cargo.lock
+# when the workspace's package set or dependency edges move
+if [ -n "$(git status --porcelain -- benchmark/)" ]; then
+  echo "building benchmark/ rewrote a tracked file — a dependency edge or package of the workspace changed; benchmark/Cargo.lock is part of the frozen contract" >&2
+  git status --porcelain -- benchmark/ >&2
+  exit 1
+fi
 
 echo "== sweep smoke =="
 ./scripts/sweep_smoke.sh

@@ -1,9 +1,8 @@
 //! **exp_perf — the permanent performance baseline.**
 //!
-//! Where the criterion suites (`benches/micro.rs`, `benches/bench_core.rs`)
-//! answer "how fast is this routine right now, on this machine", this
-//! experiment produces a *comparable artifact*: `BENCH_perf.json` at the repo
-//! root, carrying per-scenario wall time **and** the machine-independent
+//! Where the criterion suite (`benches/micro.rs`) answers "how fast is
+//! this routine right now, on this machine", this experiment produces a
+//! *comparable artifact*: `BENCH_perf.json` at the repo root, carrying per-scenario wall time **and** the machine-independent
 //! work ledger the event-driven simulator exposes — messages delivered,
 //! protocol activations, peak pending-event depth. Two of these files from
 //! different commits feed `obs diff old.json new.json --threshold PCT`,

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use ssr_core::bootstrap::{
     isprp_shape, make_isprp_nodes, run_linearized_bootstrap, BootstrapConfig,
 };
-use ssr_core::consistency::{classify_succ_map, RingShape};
+use ssr_core::consistency::{classify_succ_map, Linearized, RingShape};
 use ssr_core::isprp::{IsprpConfig, IsprpNode};
 use ssr_core::route::SourceRoute;
 use ssr_graph::{Graph, Labeling};

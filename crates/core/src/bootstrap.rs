@@ -5,7 +5,7 @@ use ssr_graph::{Graph, Labeling};
 use ssr_sim::{LinkConfig, Simulator};
 use ssr_types::NodeId;
 
-use crate::consistency::{self, ConsistencyReport, RingShape};
+use crate::consistency::{self, ConsistencyReport, Linearized, RingShape};
 use crate::isprp::{IsprpConfig, IsprpNode};
 use crate::node::{SsrConfig, SsrNode};
 

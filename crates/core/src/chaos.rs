@@ -20,9 +20,11 @@
 //!   [`inject_stale_cache_routes`] plants fabricated route-cache entries
 //!   whose hops need not be physically adjacent;
 //! * **invariants** — [`invariant_probe`] checks, between audit rounds:
-//!   connectedness of the union graph (physical ∪ virtual edges),
-//!   the zero-flood invariant, and monotone non-increase of the
-//!   linearization potential (sum of virtual-edge address spans). Rises
+//!   connectedness of the union graph (physical ∪ virtual edges,
+//!   [`union_components`]), the zero-flood invariant, and monotone
+//!   non-increase of the [`linearization_potential`] (sum of virtual-edge
+//!   address spans) — both measures live in `ssr_linearize::observe`,
+//!   generic over the node type, since they read only side sets. Rises
 //!   are *counted*, not asserted: DESIGN.md finding 1 shows transient
 //!   rises under simultaneous proposals, and ring-closure discovery
 //!   legitimately grows the edge set — the experiment reports the counts;
@@ -31,10 +33,13 @@
 //!   (`ssr_sim::watchdog`).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use ssr_graph::{algo, Graph, Labeling};
+use ssr_graph::{algo, Labeling};
+use ssr_linearize::observe::{
+    all_locally_consistent, linearization_potential, union_components, Linearized,
+};
 use ssr_sim::sim::ProbeView;
 use ssr_sim::{Simulator, TraceEvent};
 use ssr_types::{NodeId, Rng};
@@ -231,79 +236,6 @@ pub fn inject_stale_cache_routes(
 // invariants
 // ---------------------------------------------------------------------------
 
-/// The linearization potential: the sum of address spans `|a − b|` over all
-/// distinct virtual *line* edges (side-set members) of live nodes. Wrap
-/// (ring-closure) edges are excluded — their span is the whole address
-/// range by construction, so including them would make the converged ring
-/// score worse than a corrupted line. Linearization replaces long line
-/// edges by shorter ones, so from a fully-corrupted start this sum shrinks
-/// toward the consistent ring's minimum.
-pub fn linearization_potential(nodes: &[SsrNode], alive: &[bool]) -> u128 {
-    let mut edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if !alive.get(i).copied().unwrap_or(true) {
-            continue;
-        }
-        let a = node.id();
-        for b in node.left_set().chain(node.right_set()) {
-            edges.insert((a.min(b), a.max(b)));
-        }
-    }
-    edges.iter().map(|&(a, b)| (b.0 - a.0) as u128).sum()
-}
-
-/// Number of connected components of the **union graph** — physical edges
-/// plus virtual edges (side sets and wraps, mapped back to simulator
-/// indices) — restricted to live nodes. Self-stabilization requires the
-/// union graph to stay connected: linearization may only *replace* edges,
-/// never sever the last path between two halves.
-pub fn union_components(
-    topo: &Graph,
-    alive: &[bool],
-    labels: &Labeling,
-    nodes: &[SsrNode],
-) -> usize {
-    let n = topo.node_count();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, v) in topo.edges() {
-        adj[u].push(v);
-        adj[v].push(u);
-    }
-    for (i, node) in nodes.iter().enumerate() {
-        let virt = node
-            .left_set()
-            .chain(node.right_set())
-            .chain(node.wrap_pred())
-            .chain(node.wrap_succ());
-        for b in virt {
-            if let Some(j) = labels.index(b) {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
-    let mut seen = vec![false; n];
-    let mut comps = 0;
-    let mut stack = Vec::new();
-    for s in 0..n {
-        if seen[s] || !alive.get(s).copied().unwrap_or(true) {
-            continue;
-        }
-        comps += 1;
-        seen[s] = true;
-        stack.push(s);
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !seen[v] && alive.get(v).copied().unwrap_or(true) {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    comps
-}
-
 /// Counters accumulated by the [`invariant_probe`], shared with the
 /// experiment loop.
 #[derive(Clone, Debug)]
@@ -439,7 +371,7 @@ pub fn ssr_signature(nodes: &[SsrNode]) -> u64 {
 /// `true` when every node is locally consistent — the predicate that
 /// separates a frozen *crossing* state from a plain stuck state.
 pub fn ssr_all_locally_consistent(nodes: &[SsrNode]) -> bool {
-    nodes.iter().all(|n| n.locally_consistent())
+    all_locally_consistent(nodes)
 }
 
 #[cfg(test)]
@@ -447,7 +379,7 @@ mod tests {
     use super::*;
     use crate::bootstrap::{make_ssr_nodes, BootstrapConfig};
     use crate::consistency::{check_ring, classify_succ_map, RingShape};
-    use ssr_graph::generators;
+    use ssr_graph::{generators, Graph};
     use ssr_sim::LinkConfig;
 
     fn ids(raw: &[u64]) -> Vec<NodeId> {

@@ -1,200 +1,18 @@
-//! Global-observer consistency checkers.
-//!
-//! These inspect all node states from outside the network (simulation-only
-//! omniscience — protocols never get this view) and classify the virtual
-//! structure exactly as the paper's Section 3 does:
-//!
-//! * **locally consistent** — every node has at most (line) / exactly
-//!   (ring) one neighbor per side;
-//! * **loopy** — locally consistent as a ring, yet the successor cycle
-//!   winds around the address space more than once (Figure 1);
-//! * **partitioned** — the successor relation decomposes into several
-//!   disjoint rings (Figure 2);
-//! * **the line** — the linear reading: node `i`'s closest right neighbor
-//!   is node `i+1` for every consecutive pair in address order;
-//! * **the ring** — the line plus the closing edge between the global
-//!   extremes.
+//! Global-observer consistency checkers — the re-export path of
+//! [`ssr_linearize::observe`], where the ring/line predicate, the shape
+//! classifier and the accessor trait [`Linearized`] live since they read
+//! nothing but the control core. [`check_ring`] over `&[SsrNode]` is the
+//! convergence predicate of every SSR experiment.
 
-use std::collections::BTreeMap;
-
-use ssr_types::NodeId;
-
-use crate::node::SsrNode;
-
-/// Structure classification of a successor relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RingShape {
-    /// Every node is on one cycle that visits all nodes in address order —
-    /// the globally consistent virtual ring.
-    ConsistentRing,
-    /// One cycle over all nodes, but it winds the address space more than
-    /// once — Figure 1's loopy state. The winding number is attached.
-    Loopy(usize),
-    /// Multiple disjoint cycles — Figure 2's separate rings. The cycle
-    /// count is attached.
-    Partitioned(usize),
-    /// Some node has no successor (or points at an unknown node): the
-    /// relation is not even a permutation yet.
-    Incomplete,
-}
-
-impl RingShape {
-    /// A stable, machine-readable label — the vocabulary used by run
-    /// manifests and the `obs` tooling: `consistent-ring`, `loopy(k)`,
-    /// `partitioned(k)`, `incomplete`.
-    pub fn label(&self) -> String {
-        match self {
-            RingShape::ConsistentRing => "consistent-ring".to_string(),
-            RingShape::Loopy(w) => format!("loopy({w})"),
-            RingShape::Partitioned(c) => format!("partitioned({c})"),
-            RingShape::Incomplete => "incomplete".to_string(),
-        }
-    }
-}
-
-/// Outcome of a consistency check over all node states.
-#[derive(Clone, Debug)]
-pub struct ConsistencyReport {
-    /// Nodes with at most one neighbor per side and no handshake pending.
-    pub locally_consistent_nodes: usize,
-    /// Total nodes inspected.
-    pub nodes: usize,
-    /// `true` iff the linear reading is globally consistent (sorted line).
-    pub line_formed: bool,
-    /// `true` iff the line is closed into the ring by the wrap edges.
-    pub ring_closed: bool,
-    /// Shape of the successor relation.
-    pub shape: RingShape,
-}
-
-impl ConsistencyReport {
-    /// Full global consistency: the line formed and the ring closed.
-    pub fn consistent(&self) -> bool {
-        self.line_formed && self.ring_closed && self.shape == RingShape::ConsistentRing
-    }
-}
-
-/// Classifies an arbitrary successor map (also used for the ISPRP baseline).
-///
-/// `succ` must contain one entry per node. The winding number of the unique
-/// cycle is the number of times the address order "wraps" while following
-/// successors; 1 = consistent, ≥ 2 = loopy.
-pub fn classify_succ_map(succ: &BTreeMap<NodeId, NodeId>) -> RingShape {
-    let n = succ.len();
-    if n == 0 {
-        return RingShape::ConsistentRing;
-    }
-    // every successor must itself be a node
-    if succ.values().any(|s| !succ.contains_key(s)) {
-        return RingShape::Incomplete;
-    }
-    // walk cycles
-    let mut visited: BTreeMap<NodeId, bool> = succ.keys().map(|&k| (k, false)).collect();
-    let mut cycles = 0usize;
-    let mut first_cycle_len = 0usize;
-    let mut first_cycle_windings = 0usize;
-    for &start in succ.keys() {
-        if visited[&start] {
-            continue;
-        }
-        cycles += 1;
-        let mut cur = start;
-        let mut len = 0usize;
-        let mut windings = 0usize;
-        loop {
-            *visited.get_mut(&cur).unwrap() = true;
-            let next = succ[&cur];
-            if next <= cur {
-                windings += 1; // address order wrapped
-            }
-            len += 1;
-            cur = next;
-            if cur == start {
-                break;
-            }
-            if visited[&cur] {
-                // entered a previously visited cycle from a tail: the map is
-                // not injective — not a permutation
-                return RingShape::Incomplete;
-            }
-            if len > n {
-                return RingShape::Incomplete;
-            }
-        }
-        if cycles == 1 {
-            first_cycle_len = len;
-            first_cycle_windings = windings;
-        }
-    }
-    if cycles > 1 {
-        RingShape::Partitioned(cycles)
-    } else if first_cycle_len == n && first_cycle_windings <= 1 {
-        RingShape::ConsistentRing
-    } else {
-        RingShape::Loopy(first_cycle_windings)
-    }
-}
-
-/// Checks the *line* reading over linearized SSR nodes: every consecutive
-/// address pair must be mutual closest neighbors.
-pub fn check_line(nodes: &[SsrNode]) -> bool {
-    let mut sorted: Vec<&SsrNode> = nodes.iter().collect();
-    sorted.sort_by_key(|n| n.id());
-    for w in sorted.windows(2) {
-        if w[0].closest_right() != Some(w[1].id()) || w[1].closest_left() != Some(w[0].id()) {
-            return false;
-        }
-    }
-    // the extremes must have empty outward sides
-    if let (Some(first), Some(last)) = (sorted.first(), sorted.last()) {
-        if first.closest_left().is_some() || last.closest_right().is_some() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Checks the full virtual *ring* over linearized SSR nodes: the line plus
-/// mutually agreed wrap edges between the global extremes. Single-node
-/// networks are trivially consistent.
-pub fn check_ring(nodes: &[SsrNode]) -> ConsistencyReport {
-    let n = nodes.len();
-    let locally_consistent_nodes = nodes.iter().filter(|x| x.locally_consistent()).count();
-    let line_formed = check_line(nodes);
-    let ring_closed = if n <= 1 {
-        true
-    } else {
-        let mut sorted: Vec<&SsrNode> = nodes.iter().collect();
-        sorted.sort_by_key(|x| x.id());
-        let min = sorted[0];
-        let max = sorted[n - 1];
-        min.wrap_pred() == Some(max.id()) && max.wrap_succ() == Some(min.id())
-    };
-    let shape = if n <= 1 {
-        RingShape::ConsistentRing
-    } else {
-        let succ: BTreeMap<NodeId, NodeId> = nodes
-            .iter()
-            .filter_map(|x| x.ring_succ().map(|s| (x.id(), s)))
-            .collect();
-        if succ.len() < n {
-            RingShape::Incomplete
-        } else {
-            classify_succ_map(&succ)
-        }
-    };
-    ConsistencyReport {
-        locally_consistent_nodes,
-        nodes: n,
-        line_formed,
-        ring_closed,
-        shape,
-    }
-}
+pub use ssr_linearize::observe::{
+    check_ring, classify_succ_map, ConsistencyReport, Linearized, RingShape,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_types::NodeId;
+    use std::collections::BTreeMap;
 
     fn succ_map(pairs: &[(u64, u64)]) -> BTreeMap<NodeId, NodeId> {
         pairs.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()
@@ -284,7 +102,6 @@ mod tests {
         nodes[1].inject_neighbor(SourceRoute::direct(NodeId(20), NodeId(10)));
         nodes[1].inject_neighbor(SourceRoute::direct(NodeId(20), NodeId(30)));
         nodes[2].inject_neighbor(SourceRoute::direct(NodeId(30), NodeId(20)));
-        assert!(check_line(&nodes));
         let report = check_ring(&nodes);
         assert!(report.line_formed);
         assert!(!report.ring_closed);
@@ -309,9 +126,9 @@ mod tests {
         let mut nodes = vec![SsrNode::new(NodeId(10)), SsrNode::new(NodeId(20))];
         nodes[0].inject_neighbor(SourceRoute::direct(NodeId(10), NodeId(20)));
         nodes[1].inject_neighbor(SourceRoute::direct(NodeId(20), NodeId(10)));
-        assert!(check_line(&nodes));
+        assert!(check_ring(&nodes).line_formed);
         // a stale extra neighbor below the minimum breaks the line check
         nodes[0].inject_neighbor(SourceRoute::direct(NodeId(10), NodeId(5)));
-        assert!(!check_line(&nodes));
+        assert!(!check_ring(&nodes).line_formed);
     }
 }

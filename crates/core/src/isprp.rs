@@ -25,11 +25,11 @@
 
 use ssr_linearize::control::QuietWatch;
 use ssr_sim::{Ctx, Protocol};
-use ssr_types::{cw_dist, NodeId};
+use ssr_types::{cw_dist, Neighbors, NodeId};
 
 use crate::cache::RouteCache;
 use crate::message::{Payload, SsrMsg};
-use crate::node_util::{self, checked_route, checked_route_rev, Neighbors};
+use crate::node_util::{self, checked_route, checked_route_rev};
 use crate::route::SourceRoute;
 
 const TOKEN_ACT: u64 = 0;

@@ -24,13 +24,17 @@
 //! * [`routing`] — greedy source routing over converged (or converging)
 //!   node state;
 //! * [`consistency`] — global-observer checkers: local consistency, loopy
-//!   states, partitioned rings, the formed line, and the closed ring;
+//!   states, partitioned rings, the formed line, and the closed ring. The
+//!   definitions moved to `ssr_linearize::observe` (they read only the
+//!   control core, so VRR shares them); this module re-exports them;
 //! * [`bootstrap`] — one-call experiment drivers returning convergence
 //!   reports (rounds, message counts by kind, per-node state);
 //! * [`chaos`] — adversarial state injection (wound rings, split rings,
 //!   random successor corruption, truncated handshakes, stale cache
-//!   routes) and the self-stabilization invariant checker (union-graph
-//!   connectedness, zero floods, linearization potential).
+//!   routes) and the self-stabilization invariant probe (union-graph
+//!   connectedness, zero floods, linearization potential — the two
+//!   measures themselves are `ssr_linearize::observe`'s, generic over the
+//!   node type).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +55,6 @@ pub use bootstrap::{
     ConvergencePoint,
 };
 pub use cache::RouteCache;
-pub use consistency::{check_line, check_ring, ConsistencyReport};
+pub use consistency::{check_ring, ConsistencyReport, Linearized};
 pub use node::SsrNode;
 pub use route::SourceRoute;

@@ -27,12 +27,13 @@
 //! **No message in this protocol floods the network.**
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
+use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};
-use ssr_types::{IntervalPartition, NodeId, SeqNo, Side};
+use ssr_types::{IntervalPartition, Neighbors, NodeId, SeqNo, Side};
 
 use crate::cache::RouteCache;
 use crate::message::{Direction, ForwardEnvelope, Payload, SsrMsg};
-use crate::node_util::{self, checked_route, Neighbors};
+use crate::node_util::{self, checked_route};
 use crate::route::SourceRoute;
 
 /// Hello re-probe sweep — the one timer that is not the control core's.
@@ -163,53 +164,6 @@ impl SsrNode {
     /// The route cache (read-only).
     pub fn cache(&self) -> &RouteCache {
         &self.cache
-    }
-
-    /// The left virtual-neighbor set, in address order.
-    pub fn left_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.lin.side(Side::Left).keys().copied()
-    }
-
-    /// The right virtual-neighbor set, in address order.
-    pub fn right_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.lin.side(Side::Right).keys().copied()
-    }
-
-    /// Closest left neighbor (the largest address below ours).
-    pub fn closest_left(&self) -> Option<NodeId> {
-        self.lin.closest(Side::Left)
-    }
-
-    /// Closest right neighbor (the smallest address above ours).
-    pub fn closest_right(&self) -> Option<NodeId> {
-        self.lin.closest(Side::Right)
-    }
-
-    /// The ring-closure predecessor edge (only meaningful at the minimum).
-    pub fn wrap_pred(&self) -> Option<NodeId> {
-        self.lin.wrap(Side::Left).map(|(p, ())| p)
-    }
-
-    /// The ring-closure successor edge (only meaningful at the maximum).
-    pub fn wrap_succ(&self) -> Option<NodeId> {
-        self.lin.wrap(Side::Right).map(|(s, ())| s)
-    }
-
-    /// The node this one considers its *ring successor*: the closest right
-    /// neighbor, or the ring-closure edge when the right side is empty.
-    pub fn ring_succ(&self) -> Option<NodeId> {
-        self.lin.ring_neighbor(Side::Right)
-    }
-
-    /// The node this one considers its *ring predecessor*.
-    pub fn ring_pred(&self) -> Option<NodeId> {
-        self.lin.ring_neighbor(Side::Left)
-    }
-
-    /// `true` once this node is locally consistent on the line: at most one
-    /// neighbor per side and no handshake in flight.
-    pub fn locally_consistent(&self) -> bool {
-        self.lin.locally_consistent()
     }
 
     /// Data probes that terminated here.
@@ -654,6 +608,17 @@ impl SsrNode {
 fn dedup_consecutive(mut hops: Vec<NodeId>) -> Vec<NodeId> {
     hops.dedup();
     hops
+}
+
+/// The observer's view of the node — side sets, wraps, ring neighbors,
+/// local consistency — is the control core's, read through
+/// [`Linearized`]'s accessors.
+impl Linearized for SsrNode {
+    type Edge = ();
+
+    fn linearizer(&self) -> &Linearizer<()> {
+        &self.lin
+    }
 }
 
 impl Protocol for SsrNode {

@@ -60,14 +60,6 @@ impl<'a> RoutingView<'a> {
         }
     }
 
-    /// Builds the view from bare caches (used by the VRR comparison, whose
-    /// path state exposes the same lookup structure).
-    pub fn from_caches(caches: impl IntoIterator<Item = &'a RouteCache>) -> Self {
-        RoutingView {
-            caches: caches.into_iter().map(|c| (c.owner(), c)).collect(),
-        }
-    }
-
     /// Routes a packet from `src` to `dst` greedily. `max_virtual_hops`
     /// bounds the walk (n + a margin is plenty on a consistent ring).
     pub fn route(&self, src: NodeId, dst: NodeId, max_virtual_hops: u32) -> RouteOutcome {

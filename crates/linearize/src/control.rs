@@ -335,6 +335,11 @@ impl<E: Copy> Linearizer<E> {
 
     // -- views -------------------------------------------------------------
 
+    /// The node's own address.
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
     /// The virtual neighbors on `side`, in address order, with their edges.
     pub fn side(&self, side: Side) -> &BTreeMap<NodeId, E> {
         &self.sides[side as usize]

@@ -25,7 +25,9 @@
 //! message-level embeddings live in `ssr-core` and `ssr-vrr`; the per-node
 //! control logic they share — handshakes, retries, discovery bookkeeping,
 //! ring-closure arbitration — is [`control`], a pure state machine with no
-//! simulator in its signature.
+//! simulator in its signature. Its read side is [`observe`]: what a
+//! converged and a safe population of `Linearizer`s is (the ring/line
+//! predicate, the union-graph and potential invariants); pure as well.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@
 pub mod control;
 pub mod convergence;
 pub mod engine;
+pub mod observe;
 pub mod variant;
 
 pub use convergence::{chain_edges_present, is_exact_chain, potential, superfluous_edges};

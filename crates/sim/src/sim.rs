@@ -508,12 +508,6 @@ impl<P: Protocol> Simulator<P> {
         sim
     }
 
-    /// The causal ledger, when this simulator was built via
-    /// [`Simulator::instrumented`].
-    pub fn causal_ledger(&self) -> Option<&CausalLedger> {
-        self.ledger.as_deref()
-    }
-
     /// A mergeable snapshot of the causal ledger, when instrumented.
     pub fn causal_summary(&self) -> Option<ProvenanceSummary> {
         self.ledger.as_deref().map(CausalLedger::summary)
@@ -595,11 +589,6 @@ impl<P: Protocol> Simulator<P> {
     /// stale-link filtering) so far.
     pub fn messages_delivered(&self) -> u64 {
         self.deliveries
-    }
-
-    /// Current state generation (see [`ProbeView::state_gen`]).
-    pub fn state_generation(&self) -> u64 {
-        self.state_gen
     }
 
     /// Marks `u` dirty for the next probe batch (idempotent per batch).

@@ -5,21 +5,18 @@
 //! produce byte-identical traces. Tracing is off by default and costs one
 //! branch per event when disabled.
 //!
-//! Three recording backends are available:
+//! Two recording backends are available:
 //!
 //! * [`TraceSink::memory`] — unbounded in-memory buffer (tests, short
 //!   figure runs);
-//! * [`TraceSink::ring`] — bounded ring buffer keeping the **last** `cap`
-//!   events (long runs where only the tail matters);
 //! * [`TraceSink::jsonl_file`] — streaming JSON-Lines file sink with a
 //!   stable, hand-rolled schema (see [`event_to_jsonl`]) for offline
 //!   analysis with the `obs` CLI.
 //!
-//! In-memory sinks support non-destructive [`TraceSink::snapshot`] and
+//! The in-memory sink supports non-destructive [`TraceSink::snapshot`] and
 //! draining [`TraceSink::take`]; prefer `take` when the events are consumed
 //! exactly once — it moves the buffer out instead of cloning it.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -223,11 +220,6 @@ pub fn escape_json(s: &str) -> String {
 
 enum Backend {
     Memory(Vec<TraceEvent>),
-    Ring {
-        buf: VecDeque<TraceEvent>,
-        cap: usize,
-        dropped: u64,
-    },
     Jsonl {
         out: BufWriter<File>,
         path: PathBuf,
@@ -251,22 +243,6 @@ impl TraceSink {
     pub fn memory() -> Self {
         TraceSink {
             backend: Some(Arc::new(Mutex::new(Backend::Memory(Vec::new())))),
-        }
-    }
-
-    /// A sink that keeps only the **last** `cap` events (older events are
-    /// dropped; the drop count is tracked).
-    ///
-    /// # Panics
-    /// Panics if `cap == 0`.
-    pub fn ring(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        TraceSink {
-            backend: Some(Arc::new(Mutex::new(Backend::Ring {
-                buf: VecDeque::with_capacity(cap),
-                cap,
-                dropped: 0,
-            }))),
         }
     }
 
@@ -297,13 +273,6 @@ impl TraceSink {
         let Some(backend) = &self.backend else { return };
         match &mut *backend.lock().unwrap() {
             Backend::Memory(buf) => buf.push(ev),
-            Backend::Ring { buf, cap, dropped } => {
-                if buf.len() == *cap {
-                    buf.pop_front();
-                    *dropped += 1;
-                }
-                buf.push_back(ev);
-            }
             Backend::Jsonl { out, path, written } => {
                 let line = event_to_jsonl(&ev);
                 writeln!(out, "{line}")
@@ -313,14 +282,13 @@ impl TraceSink {
         }
     }
 
-    /// A non-destructive copy of the buffered events (in-memory backends).
+    /// A non-destructive copy of the buffered events (in-memory backend).
     /// The JSONL backend buffers nothing and returns an empty vec.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         match &self.backend {
             None => Vec::new(),
             Some(backend) => match &*backend.lock().unwrap() {
                 Backend::Memory(buf) => buf.clone(),
-                Backend::Ring { buf, .. } => buf.iter().cloned().collect(),
                 Backend::Jsonl { .. } => Vec::new(),
             },
         }
@@ -334,7 +302,6 @@ impl TraceSink {
             None => Vec::new(),
             Some(backend) => match &mut *backend.lock().unwrap() {
                 Backend::Memory(buf) => std::mem::take(buf),
-                Backend::Ring { buf, .. } => std::mem::take(buf).into_iter().collect(),
                 Backend::Jsonl { .. } => Vec::new(),
             },
         }
@@ -346,7 +313,6 @@ impl TraceSink {
             None => 0,
             Some(backend) => match &*backend.lock().unwrap() {
                 Backend::Memory(buf) => buf.len(),
-                Backend::Ring { buf, .. } => buf.len(),
                 Backend::Jsonl { written, .. } => *written as usize,
             },
         }
@@ -355,17 +321,6 @@ impl TraceSink {
     /// `true` when no events have been recorded (or recording is off).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Events dropped by a full ring buffer (0 for other backends).
-    pub fn dropped(&self) -> u64 {
-        match &self.backend {
-            Some(backend) => match &*backend.lock().unwrap() {
-                Backend::Ring { dropped, .. } => *dropped,
-                _ => 0,
-            },
-            None => 0,
-        }
     }
 
     /// Flushes a JSONL backend to disk (no-op for the others).
@@ -450,25 +405,6 @@ mod tests {
         assert_eq!(taken.len(), 4);
         assert!(sink.is_empty(), "take must drain");
         assert!(sink.take().is_empty());
-    }
-
-    #[test]
-    fn ring_keeps_the_tail() {
-        let sink = TraceSink::ring(3);
-        for i in 0..10u64 {
-            sink.record(TraceEvent::Note {
-                at: Time(i),
-                node: 0,
-                text: String::new(),
-            });
-        }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 7);
-        let snap = sink.snapshot();
-        match &snap[0] {
-            TraceEvent::Note { at, .. } => assert_eq!(*at, Time(7)),
-            _ => panic!(),
-        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! *linearization with shortcut neighbors* (LSN) and SSR's route cache are
 //! built on ([`interval`]), a deterministic pseudo-random number generator so
 //! that every simulation is replayable from a seed ([`rng`]), wrapping
-//! sequence numbers for protocol state ([`seq`]), and a tiny wire-format
-//! helper layer ([`wire`]).
+//! sequence numbers for protocol state ([`seq`]), a tiny wire-format
+//! helper layer ([`wire`]), and the physical neighbour table — address ↔
+//! link index — every message-level node keeps ([`neighbors`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod id;
 pub mod interval;
+pub mod neighbors;
 pub mod ring;
 pub mod rng;
 pub mod seq;
@@ -30,6 +32,7 @@ pub mod wire;
 
 pub use id::NodeId;
 pub use interval::{interval_index, IntervalPartition, Side};
+pub use neighbors::Neighbors;
 pub use ring::{cw_dist, ring_between_cw, ring_dist};
 pub use rng::{Rng, SplitMix64};
 pub use seq::SeqNo;

@@ -1,11 +1,13 @@
-//! Experiment drivers for the VRR bootstrap (mirrors
-//! `ssr_core::bootstrap`), including the *watched* variant that fail-fasts
-//! on the crossing-state freeze (DESIGN.md finding 7) instead of burning
-//! the tick budget.
+//! Experiment drivers for the VRR bootstrap, including the *watched*
+//! variant that fail-fasts on the crossing-state freeze (DESIGN.md
+//! finding 7) instead of burning the tick budget. "Converged" and "locally
+//! consistent" are `ssr_linearize::observe`'s predicates, the ones SSR is
+//! judged by.
 
 use std::rc::Rc;
 
 use ssr_graph::{Graph, Labeling};
+use ssr_linearize::observe::{all_locally_consistent, check_ring, Linearized};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Verdict};
 use ssr_types::NodeId;
 
@@ -28,25 +30,10 @@ pub struct VrrBootstrapReport {
     pub mean_state: f64,
 }
 
-/// Checks global ring consistency over VRR node states: the sorted line in
-/// the side sets plus mutually agreed wrap edges at the extremes.
+/// Global ring consistency over VRR node states: the one ring predicate,
+/// [`check_ring`], read as a yes/no.
 pub fn vrr_ring_consistent(nodes: &[VrrNode]) -> bool {
-    let n = nodes.len();
-    if n <= 1 {
-        return true;
-    }
-    let mut sorted: Vec<&VrrNode> = nodes.iter().collect();
-    sorted.sort_by_key(|p| p.id());
-    for w in sorted.windows(2) {
-        if w[0].closest_right() != Some(w[1].id()) || w[1].closest_left() != Some(w[0].id()) {
-            return false;
-        }
-    }
-    if sorted[0].closest_left().is_some() || sorted[n - 1].closest_right().is_some() {
-        return false;
-    }
-    sorted[0].wrap_pred() == Some(sorted[n - 1].id())
-        && sorted[n - 1].wrap_succ() == Some(sorted[0].id())
+    check_ring(nodes).consistent()
 }
 
 /// Builds a VRR node per label.
@@ -167,8 +154,8 @@ pub fn run_vrr_bootstrap_watched(
             freeze_window,
             Rc::clone(&state),
             vrr_signature,
-            |nodes: &[VrrNode]| vrr_ring_consistent(nodes),
-            |nodes: &[VrrNode]| nodes.iter().all(|p| p.locally_consistent()),
+            vrr_ring_consistent,
+            all_locally_consistent,
         ),
     );
     let stop = Rc::clone(&state);

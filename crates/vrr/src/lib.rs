@@ -19,7 +19,9 @@
 //!   representative dissemination at all);
 //! * [`routing`] — per-hop greedy forwarding over path state, and a static
 //!   walker for the routing experiments;
-//! * [`bootstrap`] — experiment drivers mirroring `ssr-core`'s.
+//! * [`bootstrap`] — experiment drivers; convergence is judged by the
+//!   protocol-agnostic observer `ssr_linearize::observe` (re-exported
+//!   trait: [`Linearized`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,4 +37,5 @@ pub use bootstrap::{
 };
 pub use node::{VrrConfig, VrrMode, VrrMsg, VrrNode};
 pub use routing::VrrRoutingView;
+pub use ssr_linearize::observe::Linearized;
 pub use table::{PathEntry, PathTable};

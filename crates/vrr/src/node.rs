@@ -26,8 +26,9 @@
 use std::collections::BTreeMap;
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
+use ssr_linearize::observe::Linearized;
 use ssr_sim::{Ctx, Protocol};
-use ssr_types::{cw_dist, ring_between_cw, NodeId, SeqNo, Side};
+use ssr_types::{cw_dist, ring_between_cw, Neighbors, NodeId, SeqNo, Side};
 
 use crate::table::{PathEntry, PathId, PathTable};
 
@@ -257,8 +258,8 @@ impl VrrMsg {
 pub struct VrrNode {
     id: NodeId,
     config: VrrConfig,
-    nbr_index: BTreeMap<NodeId, usize>,
-    nbr_id: BTreeMap<usize, NodeId>,
+    /// Physical neighbors: address ↔ simulator index, learned from hellos.
+    nbrs: Neighbors,
     table: PathTable,
     /// Virtual neighbor sets, ring-closure edges, handshakes and timers;
     /// every edge carries the id of the path installed for it.
@@ -287,8 +288,7 @@ impl VrrNode {
         VrrNode {
             id,
             config,
-            nbr_index: BTreeMap::new(),
-            nbr_id: BTreeMap::new(),
+            nbrs: Neighbors::default(),
             table: PathTable::new(),
             lin: Linearizer::new(id, config.timing()),
             rep: id,
@@ -315,62 +315,6 @@ impl VrrNode {
             .iter()
             .filter(|(id, _)| id.ea != CRUMB_CCW && id.eb != CRUMB_CW)
             .count()
-    }
-
-    /// Virtual neighbors smaller than this node. Ring-closure edges live in
-    /// their own slots ([`VrrNode::wrap_pred`]/[`VrrNode::wrap_succ`]), so
-    /// they never pollute the side sets (where linearization would dissolve
-    /// them).
-    pub fn left_set(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.lin.side(Side::Left).keys().copied()
-    }
-
-    /// Virtual neighbors larger than this node.
-    pub fn right_set(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.lin.side(Side::Right).keys().copied()
-    }
-
-    /// Closest left virtual neighbor.
-    pub fn closest_left(&self) -> Option<NodeId> {
-        self.lin.closest(Side::Left)
-    }
-
-    /// Closest right virtual neighbor.
-    pub fn closest_right(&self) -> Option<NodeId> {
-        self.lin.closest(Side::Right)
-    }
-
-    /// Sizes of the two sides.
-    pub fn side_sizes(&self) -> (usize, usize) {
-        (
-            self.lin.side(Side::Left).len(),
-            self.lin.side(Side::Right).len(),
-        )
-    }
-
-    /// Ring-closure predecessor edge.
-    pub fn wrap_pred(&self) -> Option<NodeId> {
-        self.lin.wrap(Side::Left).map(|(p, _)| p)
-    }
-
-    /// Ring-closure successor edge.
-    pub fn wrap_succ(&self) -> Option<NodeId> {
-        self.lin.wrap(Side::Right).map(|(s, _)| s)
-    }
-
-    /// Ring successor (closest right, else the wrap edge).
-    pub fn ring_succ(&self) -> Option<NodeId> {
-        self.lin.ring_neighbor(Side::Right)
-    }
-
-    /// Ring predecessor.
-    pub fn ring_pred(&self) -> Option<NodeId> {
-        self.lin.ring_neighbor(Side::Left)
-    }
-
-    /// Locally consistent on the line.
-    pub fn locally_consistent(&self) -> bool {
-        self.lin.locally_consistent()
     }
 
     /// The representative (baseline mode).
@@ -402,7 +346,7 @@ impl VrrNode {
                 best = Some((remaining, link));
             }
         };
-        for (&id, &idx) in &self.nbr_index {
+        for (id, idx) in self.nbrs.iter() {
             consider(id, idx);
         }
         for (ep, link) in self.table.endpoints(self.id) {
@@ -845,9 +789,7 @@ impl VrrNode {
         id: NodeId,
         rep: NodeId,
     ) {
-        let known = self.nbr_id.get(&from_idx) == Some(&id);
-        self.nbr_index.insert(id, from_idx);
-        self.nbr_id.insert(from_idx, id);
+        let known = !self.nbrs.bind(id, from_idx);
         if !known {
             // E_v := E_p — a physical link is a trivially installed path
             let pid = PathId::new(self.id, id, 0);
@@ -876,6 +818,17 @@ fn entry_hop_toward(entry: &PathEntry, id: PathId, toward: NodeId) -> Option<usi
         entry.toward_a
     } else {
         entry.toward_b
+    }
+}
+
+/// The observer's view of the node — side sets, wraps, ring neighbors,
+/// local consistency — is the control core's, read through
+/// [`Linearized`]'s accessors.
+impl Linearized for VrrNode {
+    type Edge = PathId;
+
+    fn linearizer(&self) -> &Linearizer<PathId> {
+        &self.lin
     }
 }
 
@@ -1115,16 +1068,15 @@ impl Protocol for VrrNode {
             }
         } else if let Some(timer) = Timer::from_token(token) {
             // without a physical neighbor a probe has nowhere to go
-            let routable = !self.nbr_index.is_empty();
+            let routable = !self.nbrs.is_empty();
             self.drive(ctx, Input::Timer { timer, routable });
         }
     }
 
     fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
-        let Some(id) = self.nbr_id.remove(&neighbor) else {
+        if self.nbrs.unbind_index(neighbor).is_none() {
             return;
-        };
-        self.nbr_index.remove(&id);
+        }
         // edges whose path state crossed the dead link are gone
         let dead = self.table.purge_via(neighbor);
         self.lin.retain(|_, path| !dead.contains(path));
@@ -1261,6 +1213,110 @@ mod tests {
         n.reset();
         assert_eq!(n.id(), NodeId(5));
         assert!(n.wrap_succ().is_none());
+    }
+
+    /// The node under test (simulator index 2, links 0 and 1) next to peers
+    /// that claim whatever address the script says — the only way a hello
+    /// can arrive carrying an address other than its sender's own.
+    enum Rig {
+        Node(Box<VrrNode>),
+        /// Broadcasts a hello claiming `.1` at tick `.0`, entry by entry.
+        Forger(Vec<(u64, NodeId)>),
+    }
+
+    impl Protocol for Rig {
+        type Msg = VrrMsg;
+
+        fn on_init(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
+            match self {
+                Rig::Node(p) => p.on_init(ctx),
+                Rig::Forger(script) => {
+                    for (token, &(at, _)) in script.iter().enumerate() {
+                        ctx.set_timer(at, token as u64);
+                    }
+                }
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, VrrMsg>, from: usize, msg: VrrMsg) {
+            if let Rig::Node(p) = self {
+                p.on_message(ctx, from, msg);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, VrrMsg>, token: u64) {
+            match self {
+                Rig::Node(p) => p.on_timer(ctx, token),
+                Rig::Forger(script) => {
+                    let id = script[token as usize].1;
+                    ctx.broadcast(VrrMsg::Hello { id, rep: id });
+                }
+            }
+        }
+
+        fn on_neighbor_up(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
+            if let Rig::Node(p) = self {
+                p.on_neighbor_up(ctx, neighbor);
+            }
+        }
+
+        fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
+            if let Rig::Node(p) = self {
+                p.on_neighbor_down(ctx, neighbor);
+            }
+        }
+
+        fn reset(&mut self) {}
+
+        fn kind(msg: &VrrMsg) -> &'static str {
+            msg.kind()
+        }
+    }
+
+    #[test]
+    fn hello_rebinds_keep_address_and_link_a_bijection() {
+        use ssr_graph::Graph;
+        use ssr_sim::faults::Fault;
+        use ssr_sim::{LinkConfig, Simulator, Time};
+
+        // 50 routes clockwise toward 70 over 70 itself, never over 80
+        let (me, a, b) = (NodeId(50), NodeId(70), NodeId(80));
+        let run = |script0: Vec<(u64, NodeId)>, script1: Vec<(u64, NodeId)>| {
+            let topo = Graph::from_edges(3, [(2, 0), (2, 1)]);
+            let protocols = vec![
+                Rig::Forger(script0),
+                Rig::Forger(script1),
+                Rig::Node(Box::new(VrrNode::new(me))),
+            ];
+            let mut sim = Simulator::new(topo, protocols, LinkConfig::ideal(), 1);
+            sim.schedule_fault(Time(30), Fault::LinkDown { a: 2, b: 0 });
+            sim
+        };
+        // what the neighbour table alone offers: path state keeps its own
+        // (link-indexed) memory of a peer, so it is set aside
+        let offered = |sim: &Simulator<Rig>, target: NodeId| match sim.protocol(2) {
+            Rig::Node(p) => {
+                let mut p = p.clone();
+                p.table = PathTable::new();
+                p.greedy_next(target)
+            }
+            Rig::Forger(_) => unreachable!("index 2 is the node under test"),
+        };
+
+        // one link, two addresses in turn: the old address has no link left
+        let mut sim = run(vec![(10, a), (20, b)], vec![]);
+        sim.run_until(Time(15));
+        assert_eq!(offered(&sim, a), Some(0));
+        sim.run_until(Time(25));
+        assert_eq!((offered(&sim, a), offered(&sim, b)), (None, Some(0)));
+
+        // one address, two links in turn: losing the old link leaves the
+        // live binding alone
+        let mut sim = run(vec![(10, a)], vec![(20, a)]);
+        sim.run_until(Time(25));
+        assert_eq!(offered(&sim, a), Some(1));
+        sim.run_until(Time(35));
+        assert_eq!(offered(&sim, a), Some(1));
     }
 
     #[test]

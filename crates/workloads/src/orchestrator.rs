@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ssr_sim::{Metrics, ProvenanceSummary};
+use ssr_sim::Metrics;
 
 /// One cell of a sweep matrix, identified by its dense position in the
 /// canonical job order.
@@ -232,15 +232,6 @@ impl<O> SweepOutcome<O> {
     /// independent of scheduling.
     pub fn merge_metrics(&self, of: impl Fn(&O) -> &Metrics) -> Metrics {
         let mut merged = Metrics::new();
-        for o in &self.outputs {
-            merged.merge(of(o));
-        }
-        merged
-    }
-
-    /// Folds every job's causal-ledger summary into one, in job order.
-    pub fn merge_provenance(&self, of: impl Fn(&O) -> &ProvenanceSummary) -> ProvenanceSummary {
-        let mut merged = ProvenanceSummary::default();
         for o in &self.outputs {
             merged.merge(of(o));
         }

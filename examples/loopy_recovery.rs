@@ -12,7 +12,7 @@
 //! locally visible, and sorts it out.
 
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
-use ssr_core::consistency::{self, RingShape};
+use ssr_core::consistency::{self, Linearized, RingShape};
 use ssr_graph::{Graph, Labeling};
 use ssr_sim::{LinkConfig, Simulator};
 use ssr_types::NodeId;

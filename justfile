@@ -52,10 +52,10 @@ obs-smoke:
 chaos-smoke:
     cargo run --release -q -p ssr-bench --bin exp -- exp_chaos --smoke
 
-# criterion suites: routine-level (micro) + algorithm-level (bench_core)
+# the criterion suite: routine-level B1–B9 (algorithm-level shapes are
+# `exp perf` scenarios and `benchmark/` workloads)
 bench:
     cargo bench -p ssr-bench --bench micro
-    cargo bench -p ssr-bench --bench bench_core
 
 # the per-hop ladder only: route surgery (B4), SsrNode relay (B9), bare
 # simulator relay (B8) — handler per hop = B9 − B8 (docs/BENCHMARKS.md)

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
-use ssr_core::consistency;
+use ssr_core::consistency::{self, Linearized};
 use ssr_core::{chaos, SsrNode};
 use ssr_graph::{Graph, Labeling};
 use ssr_sim::{LinkConfig, Simulator};

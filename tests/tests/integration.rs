@@ -2,7 +2,7 @@
 //! routing pipelines across every crate, on each topology family.
 
 use ssr_core::bootstrap::{run_isprp_bootstrap, run_linearized_bootstrap, BootstrapConfig};
-use ssr_core::consistency::{self, RingShape};
+use ssr_core::consistency::{self, Linearized, RingShape};
 use ssr_core::routing::RoutingView;
 use ssr_graph::algo;
 use ssr_sim::faults::poisson_crash_rejoin_trace;
