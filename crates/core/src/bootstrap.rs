@@ -334,18 +334,20 @@ pub fn isprp_shape(nodes: &[IsprpNode]) -> RingShape {
     consistency::classify_succ_map(&succ)
 }
 
+/// A connected unit-disk graph with random addresses — the instance the
+/// in-crate tests bootstrap on.
+#[cfg(test)]
+pub(crate) fn topo_and_labels(n: usize, seed: u64) -> (Graph, Labeling) {
+    let mut rng = ssr_types::Rng::new(seed);
+    let (g, _) = ssr_graph::generators::unit_disk_connected(n, 1.3, &mut rng);
+    let labels = Labeling::random(n, &mut rng);
+    (g, labels)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ssr_graph::generators;
-    use ssr_types::Rng;
-
-    fn topo_and_labels(n: usize, seed: u64) -> (Graph, Labeling) {
-        let mut rng = Rng::new(seed);
-        let (g, _) = generators::unit_disk_connected(n, 1.3, &mut rng);
-        let labels = Labeling::random(n, &mut rng);
-        (g, labels)
-    }
 
     #[test]
     fn linearized_bootstrap_converges_on_a_line_topology() {

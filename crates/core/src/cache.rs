@@ -10,11 +10,29 @@
 //! evicted. As demonstrated in the SSR papers, "a node typically caches at
 //! least one node for each of the exponentially growing intervals" — this
 //! module makes that structural guarantee explicit.
+//!
+//! **The cache is a row**, like `Graph`'s adjacency and `Neighbors`: the
+//! destinations strictly ascending in one vector and, index-parallel to it,
+//! each one's route and pin state, the two changed only by the private
+//! `insert_at` / `remove_at` pair. A converged n = 500 ring caches ≈ 17
+//! entries per node (27 at most): a binary search over a few cache lines
+//! and a short shift. Only the with-memory ablation, which pins every edge,
+//! grows rows to ≈ n and makes the shift O(n); micro B2/B3 `pinned_500`
+//! keep both sides of that trade on record.
+//!
+//! **No occupant table.** An interval is a contiguous identifier range on
+//! one side of the owner, hence a contiguous run of the row, and an insert's
+//! own binary search lands inside it: the interval's unpinned occupant (at
+//! most one, by induction over `insert`) is found by walking that run.
+//!
+//! **The greedy rule is a predecessor search.** With one entry per
+//! destination, "closest to the target without overshooting" on the
+//! clockwise arc `(owner, target]` has one answer — the cyclic
+//! predecessor-or-equal of the target in the row. Papillon (PAPERS.md)
+//! states its greedy step the same way: forward to the known node that is
+//! the closest clockwise predecessor of the target.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-
-use ssr_types::{cw_dist, IntervalPartition, NodeId, Side};
+use ssr_types::{cw_dist, IntervalPartition, NodeId};
 
 use crate::route::SourceRoute;
 
@@ -43,9 +61,10 @@ pub enum InsertOutcome {
 pub struct RouteCache {
     me: NodeId,
     partition: IntervalPartition,
-    entries: BTreeMap<NodeId, CacheEntry>,
-    /// Unpinned occupant per (side, interval).
-    occupant: BTreeMap<(Side, u32), NodeId>,
+    /// Cached destinations, strictly ascending; never the owner.
+    dsts: Vec<NodeId>,
+    /// `entries[i]` is the route to `dsts[i]`.
+    entries: Vec<CacheEntry>,
 }
 
 impl RouteCache {
@@ -60,8 +79,8 @@ impl RouteCache {
         RouteCache {
             me,
             partition,
-            entries: BTreeMap::new(),
-            occupant: BTreeMap::new(),
+            dsts: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -72,38 +91,66 @@ impl RouteCache {
 
     /// Number of cached routes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.dsts.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.dsts.is_empty()
     }
 
     /// Total physical hops over all cached routes (a memory/state proxy
     /// reported by experiment E9).
     pub fn total_hops(&self) -> usize {
-        self.entries.values().map(|e| e.route.len()).sum()
+        self.entries.iter().map(|e| e.route.len()).sum()
     }
 
     /// The cached route to `dst`, if any.
     pub fn get(&self, dst: NodeId) -> Option<&SourceRoute> {
-        self.entries.get(&dst).map(|e| &e.route)
+        let i = self.dsts.binary_search(&dst).ok()?;
+        Some(&self.entries[i].route)
     }
 
     /// `true` iff a route to `dst` is cached.
     pub fn contains(&self, dst: NodeId) -> bool {
-        self.entries.contains_key(&dst)
+        self.dsts.binary_search(&dst).is_ok()
     }
 
     /// All `(destination, route)` pairs in ascending destination order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &SourceRoute)> + '_ {
-        self.entries.iter().map(|(&d, e)| (d, &e.route))
+        (0..self.len()).map(|i| self.at(i))
     }
 
     /// All cached destinations in ascending order.
     pub fn destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.keys().copied()
+        self.dsts.iter().copied()
+    }
+
+    fn at(&self, i: usize) -> (NodeId, &SourceRoute) {
+        (self.dsts[i], &self.entries[i].route)
+    }
+
+    /// The one place the row grows; `i` is `dst`'s sorted position.
+    fn insert_at(&mut self, i: usize, dst: NodeId, route: SourceRoute, pinned: bool) {
+        self.dsts.insert(i, dst);
+        self.entries.insert(i, CacheEntry { route, pinned });
+    }
+
+    /// The one place the row shrinks.
+    fn remove_at(&mut self, i: usize) -> SourceRoute {
+        self.dsts.remove(i);
+        self.entries.remove(i).route
+    }
+
+    /// Position of the unpinned entry in the interval `dst` falls into,
+    /// where `pos` is `dst`'s sorted position: the interval's entries are
+    /// the run of the row on either side of `pos`.
+    fn unpinned_beside(&self, dst: NodeId, pos: usize) -> Option<usize> {
+        let slot = self.partition.index(self.me, dst);
+        let shares = |i: &usize| self.partition.index(self.me, self.dsts[*i]) == slot;
+        let below = (0..pos).rev().take_while(shares);
+        let above = (pos..self.len()).take_while(shares);
+        below.chain(above).find(|&i| !self.entries[i].pinned)
     }
 
     /// Inserts a route (must start at the owner), applying interval
@@ -118,166 +165,351 @@ impl RouteCache {
         if dst == self.me {
             return InsertOutcome::Rejected;
         }
-        if let Some(existing) = self.entries.get_mut(&dst) {
-            let upgraded = pinned && !existing.pinned;
-            let better = route.len() < existing.route.len();
-            if upgraded {
-                // remove from occupant slot — pinned entries don't hold one
-                let slot = self.partition.index(self.me, dst).unwrap();
-                if self.occupant.get(&slot) == Some(&dst) {
-                    self.occupant.remove(&slot);
+        let pos = match self.dsts.binary_search(&dst) {
+            Ok(i) => {
+                let existing = &mut self.entries[i];
+                let upgraded = pinned && !existing.pinned;
+                let better = route.len() < existing.route.len();
+                existing.pinned |= pinned;
+                if better {
+                    existing.route = route;
                 }
-                existing.pinned = true;
-            }
-            if better {
-                existing.route = route;
-            }
-            return if better || upgraded {
-                InsertOutcome::Replaced
-            } else {
-                InsertOutcome::Rejected
-            };
-        }
-        let slot = self.partition.index(self.me, dst).unwrap();
-        if pinned {
-            self.entries.insert(
-                dst,
-                CacheEntry {
-                    route,
-                    pinned: true,
-                },
-            );
-            return InsertOutcome::Inserted;
-        }
-        match self.occupant.get(&slot).copied() {
-            None => {
-                self.occupant.insert(slot, dst);
-                self.entries.insert(
-                    dst,
-                    CacheEntry {
-                        route,
-                        pinned: false,
-                    },
-                );
-                InsertOutcome::Inserted
-            }
-            Some(old) => {
-                // LSN rule: keep the identifier-closest to the owner;
-                // tie-break on route length.
-                let new_key = (self.me.line_dist(dst), route.len());
-                let old_len = self.entries[&old].route.len();
-                let old_key = (self.me.line_dist(old), old_len);
-                if new_key < old_key {
-                    self.entries.remove(&old);
-                    self.occupant.insert(slot, dst);
-                    self.entries.insert(
-                        dst,
-                        CacheEntry {
-                            route,
-                            pinned: false,
-                        },
-                    );
+                return if better || upgraded {
                     InsertOutcome::Replaced
                 } else {
                     InsertOutcome::Rejected
-                }
+                };
             }
+            Err(pos) => pos,
+        };
+        let occupant = (!pinned).then(|| self.unpinned_beside(dst, pos));
+        let Some(old) = occupant.flatten() else {
+            self.insert_at(pos, dst, route, pinned);
+            return InsertOutcome::Inserted;
+        };
+        // LSN rule: keep the identifier-closest to the owner;
+        // tie-break on route length.
+        let new_key = (self.me.line_dist(dst), route.len());
+        let old_key = (
+            self.me.line_dist(self.dsts[old]),
+            self.entries[old].route.len(),
+        );
+        if new_key >= old_key {
+            return InsertOutcome::Rejected;
         }
+        self.remove_at(old);
+        self.insert_at(pos - usize::from(old < pos), dst, route, false);
+        InsertOutcome::Replaced
     }
 
     /// Unpins the entry for `dst` (it becomes evictable; if its interval
     /// already has an unpinned occupant the worse of the two is evicted
     /// immediately).
     pub fn unpin(&mut self, dst: NodeId) {
-        let Entry::Occupied(entry) = self.entries.entry(dst) else {
+        let Ok(i) = self.dsts.binary_search(&dst) else {
             return;
         };
-        if !entry.get().pinned {
-            return;
+        if self.entries[i].pinned {
+            // out, and back in through the normal retention path
+            let route = self.remove_at(i);
+            let _ = self.insert(route, false);
         }
-        // a pinned entry holds no occupant slot, so taking it out is the
-        // whole removal; re-insert through the normal retention path
-        let route = entry.remove().route;
-        let _ = self.insert(route, false);
     }
 
     /// Removes the entry for `dst` entirely.
     pub fn remove(&mut self, dst: NodeId) -> Option<SourceRoute> {
-        let entry = self.entries.remove(&dst)?;
-        if !entry.pinned {
-            if let Some(slot) = self.partition.index(self.me, dst) {
-                if self.occupant.get(&slot) == Some(&dst) {
-                    self.occupant.remove(&slot);
-                }
-            }
-        }
-        Some(entry.route)
+        let i = self.dsts.binary_search(&dst).ok()?;
+        Some(self.remove_at(i))
     }
 
     /// Drops every route that traverses `via` (used when a physical
     /// neighbor disappears — routes through it are no longer trustworthy).
     pub fn purge_via(&mut self, via: NodeId) -> usize {
-        let stale: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.route.hops()[1..].contains(&via))
-            .map(|(&d, _)| d)
-            .collect();
-        for d in &stale {
-            self.remove(*d);
+        let before = self.len();
+        for i in (0..before).rev() {
+            if self.entries[i].route.hops()[1..].contains(&via) {
+                self.remove_at(i);
+            }
         }
-        stale.len()
+        before - self.len()
     }
 
     /// Greedy-routing lookup: among cached destinations lying on the
     /// clockwise arc `(me, target]`, the one minimizing the remaining
-    /// clockwise distance to `target`; ties broken by shorter route. This
-    /// is the "virtually closest to the final destination, physically
-    /// closest to itself" rule, with the clockwise-progress constraint that
-    /// makes greedy routing loop-free.
+    /// clockwise distance to `target` — the cyclic predecessor-or-equal of
+    /// `target` in the row, if it lies on the arc. There is one entry per
+    /// destination, so no tie exists to break (the "physically closest"
+    /// half of the paper's rule is applied by [`RouteCache::insert`]: a
+    /// shorter route to a cached destination replaces the longer one). The
+    /// clockwise-progress constraint is what makes greedy routing loop-free.
     pub fn best_toward(&self, target: NodeId) -> Option<(NodeId, &SourceRoute)> {
-        let my_gap = cw_dist(self.me, target);
-        let mut best: Option<(u64, usize, NodeId)> = None;
-        for (&d, e) in &self.entries {
-            let progress = cw_dist(self.me, d);
-            if progress == 0 || progress > my_gap {
-                continue; // not on the clockwise arc toward the target
-            }
-            let remaining = cw_dist(d, target);
-            let key = (remaining, e.route.len());
-            if best.map(|(r, l, _)| key < (r, l)).unwrap_or(true) {
-                best = Some((remaining, e.route.len(), d));
-            }
-        }
-        best.map(|(_, _, d)| (d, &self.entries[&d].route))
+        let upto = self.dsts.partition_point(|&d| d <= target);
+        // nothing at or below the target: its predecessor is across the
+        // wrap, the row's largest
+        let i = upto.checked_sub(1).or(self.len().checked_sub(1))?;
+        (cw_dist(self.me, self.dsts[i]) <= cw_dist(self.me, target)).then(|| self.at(i))
     }
 
     /// The numerically largest cached destination greater than the owner
     /// (used by clockwise discovery probes seeking the ring's maximum).
     pub fn largest_above_me(&self) -> Option<(NodeId, &SourceRoute)> {
-        self.entries
-            .range(self.me..)
-            .next_back()
-            .filter(|(&d, _)| d > self.me)
-            .map(|(&d, e)| (d, &e.route))
+        let last = self.len().checked_sub(1)?;
+        (self.dsts[last] > self.me).then(|| self.at(last))
     }
 
     /// The numerically smallest cached destination below the owner (used by
     /// counter-clockwise discovery probes seeking the ring's minimum).
     pub fn smallest_below_me(&self) -> Option<(NodeId, &SourceRoute)> {
-        self.entries
-            .range(..self.me)
-            .next()
-            .map(|(&d, e)| (d, &e.route))
+        (*self.dsts.first()? < self.me).then(|| self.at(0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use ssr_types::Side;
+    use std::collections::BTreeMap;
 
     fn route(ids: &[u64]) -> SourceRoute {
         SourceRoute::from_hops(ids.iter().map(|&i| NodeId(i)).collect())
+    }
+
+    /// The cache as it was until the row replaced it: a destination-keyed
+    /// tree, a second `(side, interval) → unpinned occupant` tree kept in
+    /// step with it by hand, and a `best_toward` that scans every entry under
+    /// a `(remaining, route length)` key. Kept only to say what
+    /// [`RouteCache`] must compute.
+    struct TreeCache {
+        me: NodeId,
+        partition: IntervalPartition,
+        entries: BTreeMap<NodeId, CacheEntry>,
+        occupant: BTreeMap<(Side, u32), NodeId>,
+    }
+
+    impl TreeCache {
+        fn new(me: NodeId, partition: IntervalPartition) -> Self {
+            TreeCache {
+                me,
+                partition,
+                entries: BTreeMap::new(),
+                occupant: BTreeMap::new(),
+            }
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (NodeId, &SourceRoute)> + '_ {
+            self.entries.iter().map(|(&d, e)| (d, &e.route))
+        }
+
+        fn insert(&mut self, route: SourceRoute, pinned: bool) -> InsertOutcome {
+            assert_eq!(route.src(), self.me, "cached routes start at the owner");
+            let dst = route.dst();
+            if dst == self.me {
+                return InsertOutcome::Rejected;
+            }
+            if let Some(existing) = self.entries.get_mut(&dst) {
+                let upgraded = pinned && !existing.pinned;
+                let better = route.len() < existing.route.len();
+                if upgraded {
+                    // remove from occupant slot — pinned entries don't hold one
+                    let slot = self.partition.index(self.me, dst).unwrap();
+                    if self.occupant.get(&slot) == Some(&dst) {
+                        self.occupant.remove(&slot);
+                    }
+                    existing.pinned = true;
+                }
+                if better {
+                    existing.route = route;
+                }
+                return if better || upgraded {
+                    InsertOutcome::Replaced
+                } else {
+                    InsertOutcome::Rejected
+                };
+            }
+            let slot = self.partition.index(self.me, dst).unwrap();
+            if pinned {
+                self.entries.insert(dst, CacheEntry { route, pinned });
+                return InsertOutcome::Inserted;
+            }
+            match self.occupant.get(&slot).copied() {
+                None => {
+                    self.occupant.insert(slot, dst);
+                    self.entries.insert(dst, CacheEntry { route, pinned });
+                    InsertOutcome::Inserted
+                }
+                Some(old) => {
+                    let new_key = (self.me.line_dist(dst), route.len());
+                    let old_len = self.entries[&old].route.len();
+                    let old_key = (self.me.line_dist(old), old_len);
+                    if new_key < old_key {
+                        self.entries.remove(&old);
+                        self.occupant.insert(slot, dst);
+                        self.entries.insert(dst, CacheEntry { route, pinned });
+                        InsertOutcome::Replaced
+                    } else {
+                        InsertOutcome::Rejected
+                    }
+                }
+            }
+        }
+
+        fn unpin(&mut self, dst: NodeId) {
+            if self.entries.get(&dst).is_some_and(|e| e.pinned) {
+                // a pinned entry holds no occupant slot, so taking it out is
+                // the whole removal; re-insert through the retention path
+                let route = self.entries.remove(&dst).unwrap().route;
+                let _ = self.insert(route, false);
+            }
+        }
+
+        fn remove(&mut self, dst: NodeId) -> Option<SourceRoute> {
+            let entry = self.entries.remove(&dst)?;
+            if !entry.pinned {
+                let slot = self.partition.index(self.me, dst).unwrap();
+                if self.occupant.get(&slot) == Some(&dst) {
+                    self.occupant.remove(&slot);
+                }
+            }
+            Some(entry.route)
+        }
+
+        fn purge_via(&mut self, via: NodeId) -> usize {
+            let stale: Vec<NodeId> = self
+                .iter()
+                .filter(|(_, r)| r.hops()[1..].contains(&via))
+                .map(|(d, _)| d)
+                .collect();
+            for d in &stale {
+                self.remove(*d);
+            }
+            stale.len()
+        }
+
+        fn best_toward(&self, target: NodeId) -> Option<(NodeId, &SourceRoute)> {
+            let my_gap = cw_dist(self.me, target);
+            let mut best: Option<(u64, usize, NodeId)> = None;
+            for (&d, e) in &self.entries {
+                let progress = cw_dist(self.me, d);
+                if progress == 0 || progress > my_gap {
+                    continue; // not on the clockwise arc toward the target
+                }
+                let key = (cw_dist(d, target), e.route.len());
+                if best.map(|(r, l, _)| key < (r, l)).unwrap_or(true) {
+                    best = Some((key.0, key.1, d));
+                }
+            }
+            best.map(|(_, _, d)| (d, &self.entries[&d].route))
+        }
+
+        fn largest_above_me(&self) -> Option<(NodeId, &SourceRoute)> {
+            let (&d, e) = self.entries.range(self.me..).next_back()?;
+            (d > self.me).then_some((d, &e.route))
+        }
+
+        fn smallest_below_me(&self) -> Option<(NodeId, &SourceRoute)> {
+            let (&d, e) = self.entries.range(..self.me).next()?;
+            Some((d, &e.route))
+        }
+    }
+
+    /// One drawn operation: `(kind, near, raw, relays, flag)`.
+    type Op = (u8, bool, u64, usize, bool);
+
+    /// Asserts that the row and the trees agree on everything a caller can
+    /// see, and that the row keeps its own shape.
+    fn assert_same(row: &RouteCache, tree: &TreeCache, extra: NodeId) -> Result<(), TestCaseError> {
+        prop_assert!(
+            row.dsts.windows(2).all(|w| w[0] < w[1]),
+            "row not ascending"
+        );
+        prop_assert_eq!(row.dsts.len(), row.entries.len());
+        let mut unpinned_slots = std::collections::BTreeSet::new();
+        for (d, e) in row.dsts.iter().zip(&row.entries) {
+            let slot = row
+                .partition
+                .index(row.me, *d)
+                .expect("owner is never cached");
+            prop_assert!(
+                e.pinned || unpinned_slots.insert(slot),
+                "two unpinned in {:?}",
+                slot
+            );
+        }
+        let got: Vec<_> = row.iter().collect();
+        let want: Vec<_> = tree.iter().collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(row.len(), want.len());
+        prop_assert_eq!(row.destinations().collect::<Vec<_>>(), row.dsts.clone());
+        prop_assert_eq!(
+            row.total_hops(),
+            want.iter().map(|(_, r)| r.len()).sum::<usize>()
+        );
+        prop_assert_eq!(row.largest_above_me(), tree.largest_above_me());
+        prop_assert_eq!(row.smallest_below_me(), tree.smallest_below_me());
+        let mut targets = vec![row.me, NodeId(0), NodeId(u64::MAX), extra];
+        for &NodeId(d) in &row.dsts {
+            targets.extend([d, d.wrapping_sub(1), d.wrapping_add(1)].map(NodeId));
+        }
+        for t in targets {
+            prop_assert_eq!(row.best_toward(t), tree.best_toward(t), "target {:?}", t);
+            prop_assert_eq!(row.get(t), tree.entries.get(&t).map(|e| &e.route));
+            prop_assert_eq!(row.contains(t), tree.entries.contains_key(&t));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random operation sequences, ids from a ± 64 window around the
+        /// owner and from the whole space so that slots collide, pinned and
+        /// unpinned mixed, owners at both ends of the space and inside it.
+        #[test]
+        fn row_matches_the_tree_cache(
+            owner_at in 0u8..4,
+            owner_raw: u64,
+            base in 2u64..5,
+            ops in proptest::collection::vec(
+                (0u8..8, any::<bool>(), any::<u64>(), 0usize..4, any::<bool>()),
+                1..120,
+            ),
+        ) {
+            let me = NodeId(match owner_at {
+                0 => 0,
+                1 => u64::MAX,
+                _ => owner_raw,
+            });
+            let partition = IntervalPartition::new(base);
+            let mut row = RouteCache::with_partition(me, partition);
+            let mut tree = TreeCache::new(me, partition);
+            let relay = |k: u64| NodeId(me.0.wrapping_add(1000 + k % 4));
+            for (kind, near, raw, relays, flag) in ops as Vec<Op> {
+                let id = NodeId(if near {
+                    me.0.wrapping_add(raw % 129).wrapping_sub(64)
+                } else {
+                    raw
+                });
+                match kind {
+                    0 => {
+                        row.unpin(id);
+                        tree.unpin(id);
+                    }
+                    1 => prop_assert_eq!(row.remove(id), tree.remove(id)),
+                    2 => {
+                        let via = if flag { relay(raw) } else { id };
+                        prop_assert_eq!(row.purge_via(via), tree.purge_via(via));
+                    }
+                    _ => {
+                        let mut hops = vec![me];
+                        hops.extend((0..relays as u64).map(|k| relay(raw.wrapping_add(k))));
+                        hops.push(id);
+                        hops.dedup();
+                        let route = SourceRoute::from_hops(hops);
+                        prop_assert_eq!(row.insert(route.clone(), flag), tree.insert(route, flag));
+                    }
+                }
+                assert_same(&row, &tree, NodeId(raw.rotate_left(17)))?;
+            }
+        }
     }
 
     #[test]
@@ -421,10 +653,11 @@ mod tests {
     }
 
     #[test]
-    fn ties_broken_by_route_length() {
+    fn best_toward_returns_the_one_route_insert_kept() {
         let mut c = RouteCache::new(NodeId(0));
         c.insert(route(&[0, 9, 40]), false);
-        c.insert(route(&[0, 40]), false); // replaces with shorter
+        c.insert(route(&[0, 40]), false); // a shorter duplicate replaces
+        assert_eq!(c.len(), 1);
         let (_, r) = c.best_toward(NodeId(40)).unwrap();
         assert_eq!(r.len(), 1);
     }

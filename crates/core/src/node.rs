@@ -133,7 +133,8 @@ pub struct SsrNode {
     cache: RouteCache,
     /// Hello re-probe rounds used so far (reset when a link comes up).
     hello_round: u32,
-    /// Data probes that reached this node: `(source, physical hops)`.
+    /// Data probes that reached this node: `(target, physical hops)`, the
+    /// target being this node's own address — a probe carries no source.
     delivered_probes: Vec<(NodeId, u32)>,
 }
 
@@ -166,7 +167,8 @@ impl SsrNode {
         &self.cache
     }
 
-    /// Data probes that terminated here.
+    /// Data probes that terminated here, in arrival order: `(target,
+    /// physical hops)` with `target` this node's address.
     pub fn delivered_probes(&self) -> &[(NodeId, u32)] {
         &self.delivered_probes
     }
@@ -770,5 +772,74 @@ mod tests {
     #[test]
     fn hello_rebinds_keep_address_and_link_a_bijection() {
         node_util::rig::rebinds_keep_the_bijection(|| SsrNode::new(NodeId(50)), |n| &n.nbrs);
+    }
+
+    /// A converged node that, when its timer fires, starts one data probe
+    /// toward every address in `targets`; it never boots the node under it,
+    /// so nothing but probes is in flight.
+    struct Prober {
+        node: SsrNode,
+        fire_at: u64,
+        targets: Vec<NodeId>,
+    }
+
+    impl Protocol for Prober {
+        type Msg = SsrMsg;
+
+        fn on_init(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
+            ctx.set_timer(self.fire_at, 0);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, SsrMsg>, from: usize, msg: SsrMsg) {
+            self.node.on_message(ctx, from, msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, SsrMsg>, _token: u64) {
+            for &target in &self.targets {
+                self.node.handle_probe(ctx, target, 0);
+            }
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    /// The message-level reader of `best_toward` (`handle_probe`, hop by hop
+    /// through the simulator) and the snapshot reader (`RoutingView::route`)
+    /// agree: every probe over a converged ring arrives, with exactly the
+    /// physical hop count the view reports for the pair.
+    #[test]
+    fn probes_arrive_with_the_hop_count_the_routing_view_reports() {
+        use crate::bootstrap::{run_linearized_bootstrap, topo_and_labels, BootstrapConfig};
+        use crate::routing::{RouteOutcome, RoutingView};
+        let n = 40;
+        let (g, labels) = topo_and_labels(n, 3);
+        let (report, done) = run_linearized_bootstrap(&g, &labels, &BootstrapConfig::default());
+        assert!(report.converged, "{report:?}");
+        // sources fire one after the other, far enough apart that a target
+        // logs its probes in source order
+        let probers = (done.protocols().iter().zip(1..))
+            .map(|(node, turn)| Prober {
+                node: node.clone(),
+                fire_at: turn * 10_000,
+                targets: labels.ids().to_vec(),
+            })
+            .collect();
+        let mut sim = ssr_sim::Simulator::new(g, probers, ssr_sim::LinkConfig::ideal(), 1);
+        assert!(sim.run_to_quiescence(1_000_000).is_quiescent());
+        assert_eq!(sim.metrics().counter("probe.delivered"), (n * n) as u64);
+        assert_eq!(sim.metrics().counter("probe.stuck"), 0);
+        let view = RoutingView::new(done.protocols());
+        for dst in sim.protocols() {
+            let (dst, log) = (dst.node.id(), dst.node.delivered_probes());
+            assert_eq!(log.len(), n);
+            for (&src, &(target, hops)) in labels.ids().iter().zip(log) {
+                let RouteOutcome::Delivered { physical_hops, .. } =
+                    view.route(src, dst, 4 * n as u32)
+                else {
+                    panic!("{src:?}→{dst:?} does not route over the snapshot");
+                };
+                assert_eq!((target, hops), (dst, physical_hops), "{src:?}→{dst:?}");
+            }
+        }
     }
 }

@@ -4,16 +4,17 @@
 //! destination from its cache that is physically closest to itself and
 //! virtually closest to the final destination of the packet" — realized
 //! here as the clockwise-progress rule of [`RouteCache::best_toward`]
-//! (virtual progress first, physical route length as tie-break), repeated at
-//! every intermediate destination until arrival.
+//! (virtual progress decides; a cache holds one route per destination, the
+//! shortest it was offered), repeated at every intermediate destination
+//! until arrival.
 //!
 //! "If the virtual ring has been formed consistently, this routing algorithm
 //! is guaranteed to succeed for any source and destination pair" — that
 //! guarantee is exactly what experiment E7 measures, so this module routes
 //! over a *snapshot* of all node states (fast, deterministic, no protocol
-//! interference) and reports virtual hops, physical hops, and failures.
-
-use std::collections::BTreeMap;
+//! interference) and reports virtual hops, physical hops, and failures. The
+//! snapshot is a sorted table — addresses ascending, each node's cache beside
+//! its address — and a virtual hop is one binary search into it.
 
 use ssr_types::NodeId;
 
@@ -49,14 +50,20 @@ impl RouteOutcome {
 
 /// An immutable routing view over all node states.
 pub struct RoutingView<'a> {
-    caches: BTreeMap<NodeId, &'a RouteCache>,
+    /// Node addresses, ascending.
+    ids: Vec<NodeId>,
+    /// `caches[i]` is the cache of the node at `ids[i]`.
+    caches: Vec<&'a RouteCache>,
 }
 
 impl<'a> RoutingView<'a> {
-    /// Builds the view from linearized SSR nodes.
+    /// Builds the view from linearized SSR nodes (distinct addresses).
     pub fn new(nodes: &'a [SsrNode]) -> Self {
+        let mut sorted: Vec<&SsrNode> = nodes.iter().collect();
+        sorted.sort_unstable_by_key(|n| n.id());
         RoutingView {
-            caches: nodes.iter().map(|n| (n.id(), n.cache())).collect(),
+            ids: sorted.iter().map(|n| n.id()).collect(),
+            caches: sorted.iter().map(|n| n.cache()).collect(),
         }
     }
 
@@ -73,10 +80,10 @@ impl<'a> RoutingView<'a> {
         let mut virtual_hops = 0u32;
         let mut physical_hops = 0u32;
         while virtual_hops < max_virtual_hops {
-            let Some(cache) = self.caches.get(&cur) else {
+            let Ok(i) = self.ids.binary_search(&cur) else {
                 return RouteOutcome::Stuck { at: cur };
             };
-            let Some((next, route)) = cache.best_toward(dst) else {
+            let Some((next, route)) = self.caches[i].best_toward(dst) else {
                 return RouteOutcome::Stuck { at: cur };
             };
             virtual_hops += 1;
@@ -178,7 +185,83 @@ impl RoutingStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::{
+        make_ssr_nodes, run_linearized_bootstrap, topo_and_labels, BootstrapConfig,
+    };
     use crate::route::SourceRoute;
+    use ssr_sim::{LinkConfig, Simulator, Time};
+    use std::collections::BTreeMap;
+
+    /// The view as it was until the sorted table replaced it: every virtual
+    /// hop resolved through an id-keyed tree. Kept only to say what
+    /// [`RoutingView::route`] must return.
+    fn reference_route(
+        caches: &BTreeMap<NodeId, &RouteCache>,
+        src: NodeId,
+        dst: NodeId,
+        max_virtual_hops: u32,
+    ) -> RouteOutcome {
+        let (mut cur, mut virtual_hops, mut physical_hops) = (src, 0u32, 0u32);
+        while cur != dst {
+            if virtual_hops == max_virtual_hops {
+                return RouteOutcome::Exhausted;
+            }
+            let Some((next, route)) = caches.get(&cur).and_then(|c| c.best_toward(dst)) else {
+                return RouteOutcome::Stuck { at: cur };
+            };
+            virtual_hops += 1;
+            physical_hops += route.len() as u32;
+            cur = next;
+        }
+        RouteOutcome::Delivered {
+            virtual_hops,
+            physical_hops,
+        }
+    }
+
+    /// All pairs over a converged n = 40 ring, over the same network at
+    /// tick 6 (where packets strand, and the `Stuck` address must match),
+    /// and from and to addresses that are no node's.
+    #[test]
+    fn sorted_view_routes_like_the_tree_view() {
+        let (g, labels) = topo_and_labels(40, 3);
+        let cfg = BootstrapConfig::default();
+        let (report, done) = run_linearized_bootstrap(&g, &labels, &cfg);
+        assert!(report.converged, "{report:?}");
+        let nodes = make_ssr_nodes(&labels, cfg.ssr);
+        let mut early = Simulator::new(g, nodes, LinkConfig::ideal(), cfg.seed);
+        early.run_until(Time(6));
+
+        let mut ends = labels.ids().to_vec();
+        ends.extend([NodeId(0), NodeId(u64::MAX), NodeId(ends[0].0 ^ 1)]);
+        assert!(ends[40..]
+            .iter()
+            .all(|&ghost| labels.index(ghost).is_none()));
+        for (nodes, all_delivered) in [(done.protocols(), true), (early.protocols(), false)] {
+            let view = RoutingView::new(nodes);
+            let tree = nodes.iter().map(|n| (n.id(), n.cache())).collect();
+            let (mut delivered, mut stuck) = (0, 0);
+            for &src in &ends {
+                for &dst in &ends {
+                    let out = view.route(src, dst, 160);
+                    assert_eq!(
+                        out,
+                        reference_route(&tree, src, dst, 160),
+                        "{src:?}→{dst:?}"
+                    );
+                    delivered += usize::from(out.delivered());
+                    stuck += usize::from(matches!(out, RouteOutcome::Stuck { .. }));
+                }
+            }
+            // node pairs all arrive on the ring; ghosts strand either way
+            assert_eq!(delivered >= 40 * 40 + 3, all_delivered);
+            assert!(stuck >= 3 * 40, "ghost endpoints must strand");
+        }
+        assert_eq!(
+            RoutingView::new(done.protocols()).route(ends[41], ends[0], 160),
+            RouteOutcome::Stuck { at: ends[41] }
+        );
+    }
 
     /// Hand-build a consistent 4-node ring 10–20–30–40 where each node
     /// caches only its ring neighbors (worst case for greedy: pure

@@ -6,9 +6,10 @@
 //! (with the clockwise-progress constraint), and hands the packet to the
 //! physical next hop toward that endpoint — where the decision is made
 //! afresh. This module walks that process over a snapshot of all node
-//! states, mirroring `ssr_core::routing` for experiment E10.
-
-use std::collections::BTreeMap;
+//! states, mirroring `ssr_core::routing` for experiment E10. A path table
+//! names a next hop by its simulator index, so a hop is an index into the
+//! node slice; addresses are looked up once per packet, to find the source,
+//! in a table sorted by address.
 
 use ssr_types::{cw_dist, ring_between_cw, NodeId};
 
@@ -41,19 +42,20 @@ impl VrrRouteOutcome {
 
 /// Immutable routing view over all VRR nodes.
 pub struct VrrRoutingView<'a> {
-    by_id: BTreeMap<NodeId, &'a VrrNode>,
-    /// simulator index → node id (path tables store physical link indices).
-    id_of_index: Vec<NodeId>,
+    /// `nodes[i]` is the protocol at simulator index `i` (path tables store
+    /// physical link indices).
+    nodes: &'a [VrrNode],
+    /// The same nodes in ascending address order.
+    by_id: Vec<&'a VrrNode>,
 }
 
 impl<'a> VrrRoutingView<'a> {
     /// Builds the view; `nodes[i]` must be the protocol at simulator index
-    /// `i`.
+    /// `i`, addresses distinct.
     pub fn new(nodes: &'a [VrrNode]) -> Self {
-        VrrRoutingView {
-            by_id: nodes.iter().map(|n| (n.id(), n)).collect(),
-            id_of_index: nodes.iter().map(|n| n.id()).collect(),
-        }
+        let mut by_id: Vec<&VrrNode> = nodes.iter().collect();
+        by_id.sort_unstable_by_key(|n| n.id());
+        VrrRoutingView { nodes, by_id }
     }
 
     /// One forwarding decision at `node`: the physical next hop index.
@@ -81,26 +83,24 @@ impl<'a> VrrRoutingView<'a> {
         if src == dst {
             return VrrRouteOutcome::Delivered { physical_hops: 0 };
         }
-        let Some(mut cur) = self.by_id.get(&src).copied() else {
+        let Ok(at) = self.by_id.binary_search_by_key(&src, |n| n.id()) else {
             return VrrRouteOutcome::Stuck { at: src };
         };
+        let mut cur = self.by_id[at];
         let mut hops = 0u32;
         while hops < max_hops {
-            let Some(link) = self.next_hop(cur, dst) else {
-                return VrrRouteOutcome::Stuck { at: cur.id() };
-            };
-            let Some(&next_id) = self.id_of_index.get(link) else {
+            let next = self
+                .next_hop(cur, dst)
+                .and_then(|link| self.nodes.get(link));
+            let Some(next) = next else {
                 return VrrRouteOutcome::Stuck { at: cur.id() };
             };
             hops += 1;
-            if next_id == dst {
+            if next.id() == dst {
                 return VrrRouteOutcome::Delivered {
                     physical_hops: hops,
                 };
             }
-            let Some(next) = self.by_id.get(&next_id).copied() else {
-                return VrrRouteOutcome::Stuck { at: next_id };
-            };
             cur = next;
         }
         VrrRouteOutcome::Exhausted

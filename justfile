@@ -67,6 +67,11 @@ bench-hop:
 bench-round:
     cargo bench -p ssr-bench --bench micro -- linearize_round
 
+# the route cache only (B2/B3): greedy lookup and insert, on a retained
+# ≈ 17-entry row and on a 500-entry all-pinned row
+bench-cache:
+    cargo bench -p ssr-bench --bench micro -- cache_
+
 # regenerate the committed perf baseline (BENCH_perf.json at the repo root)
 perf-baseline:
     cargo run --release -p ssr-bench --bin exp -- exp_perf

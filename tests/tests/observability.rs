@@ -145,9 +145,10 @@ fn same_seed_runs_produce_byte_identical_jsonl_traces() {
     }
 }
 
-/// The routing layers were migrated from `HashMap` to `BTreeMap`
-/// (`RouteCache` occupants, `RoutingView`/`VrrRoutingView` id indexes, route
-/// loop-pruning) so that nothing route-visible depends on hasher seeding.
+/// Nothing route-visible may depend on hasher seeding. The routing layers
+/// hold no map, hashed or ordered — `RouteCache` is a destination-sorted row,
+/// `RoutingView`/`VrrRoutingView` are address-sorted tables, route
+/// loop-pruning is a scan — so determinism follows from sorted vectors.
 /// This pins that down end to end: two same-seed runs — SSR and VRR alike —
 /// must produce an *identical* per-pair routing transcript, not merely equal
 /// aggregate stats.
