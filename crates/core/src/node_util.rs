@@ -27,6 +27,9 @@ pub fn send_payload(
     if route.is_empty() {
         return;
     }
+    // one end-to-end message; every hop it then takes counts under `tx.*`
+    ctx.metrics().incr("e2e.sent");
+    ctx.metrics().observe_hist("route.len", route.len() as u64);
     let trace = if payload.wants_trace() {
         vec![me]
     } else {

@@ -18,6 +18,7 @@
 /// of the two); histogram keys live in [`HISTOGRAMS`].
 pub const KEYS: &[&str] = &[
     "chaos.potential",
+    "e2e.sent",
     "fault.crash",
     "fault.heal",
     "fault.heal_link",
@@ -32,6 +33,7 @@ pub const KEYS: &[&str] = &[
     "fwd.misrouted",
     "fwd.no_path",
     "fwd.no_route",
+    "fwd.shortcut",
     "fwd.truncated",
     "fwd.ttl_expired",
     "fwd.unexpected",
