@@ -24,6 +24,17 @@
 //! supposedly-empty side gains a neighbor demotes its ring edge and tears
 //! it down.
 //!
+//! Source routes are made by concatenation, so they start out several times
+//! longer than the physical distance they cover, and every notification,
+//! acknowledgment and audit pays for each hop. Three local rules shorten
+//! them, none with a message of its own: a holder forwards an envelope
+//! straight to the *farthest* later hop of its route that is its own
+//! physical neighbor ([`node_util::shortcut`], sender and relays alike);
+//! every route a node caches is first cut the same way at the node itself;
+//! and the route a notification or acknowledgment actually *travelled* —
+//! never longer than the one it was sent along — is the one its receiver
+//! answers over and learns.
+//!
 //! **No message in this protocol floods the network.**
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
@@ -221,8 +232,17 @@ impl SsrNode {
         if other == self.id {
             return false;
         }
-        self.cache.insert(route, true);
+        self.learn(route, true);
         self.lin.adopt(other, ())
+    }
+
+    /// Caches `route` (me → someone) behind the first-hop cut: it leaves
+    /// over the *last* of its hops that is a physical neighbor, `[me,
+    /// h_far, …]` — every route this node learns goes through here.
+    fn learn(&mut self, route: SourceRoute, pinned: bool) {
+        let mut hops = route.into_hops();
+        node_util::shortcut(&self.nbrs, &mut hops, 0);
+        self.cache.insert(SourceRoute::from_hops(hops), pinned);
     }
 
     /// Removes `other` from the side sets and lets the cache's LSN
@@ -395,12 +415,12 @@ impl SsrNode {
         match self.lin.offer_wrap(slot, claimant, ()) {
             // first claim, or a duplicate of the standing one
             WrapVerdict::Installed => {
-                self.cache.insert(route, true);
+                self.learn(route, true);
                 true
             }
             WrapVerdict::Replaced { old, .. } => {
                 let seq = self.lin.next_seq();
-                self.cache.insert(route, true);
+                self.learn(route, true);
                 // the displaced claimant learns about the better one
                 self.introduce(ctx, old, claimant, seq);
                 self.unpin_unless_phys(old);
@@ -409,7 +429,7 @@ impl SsrNode {
             WrapVerdict::Redirect { holder } => {
                 // the claimant is not the extreme it believes itself to be:
                 // point it at the better claimant instead of accepting
-                self.cache.insert(route, false);
+                self.learn(route, false);
                 let seq = self.lin.next_seq();
                 self.introduce(ctx, claimant, holder, seq);
                 false
@@ -463,21 +483,34 @@ impl SsrNode {
             return;
         };
         self.lin.probe_answered(dir.toward());
-        self.claim_wrap(ctx, dir.toward().opposite(), path);
-        self.drive(ctx, Input::Changed);
+        let slot = dir.toward().opposite();
+        let held = self.lin.wrap(slot);
+        self.claim_wrap(ctx, slot, path);
+        // an answer that names the standing holder — what an audit probe
+        // gets at rest — moves nothing: no act to queue, and a node whose
+        // audits went quiet stays quiet
+        if self.lin.wrap(slot) != held {
+            self.drive(ctx, Input::Changed);
+        }
     }
 
     /// End-to-end payload arrived at this node.
     fn handle_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, env: ForwardEnvelope) {
-        match env.payload {
-            Payload::Discover { origin, dir } => self.route_discovery(ctx, origin, dir, env.trace),
+        let ForwardEnvelope {
+            route,
+            trace,
+            payload,
+            ..
+        } = env;
+        match payload {
+            Payload::Discover { origin, dir } => self.route_discovery(ctx, origin, dir, trace),
             Payload::Notify {
                 target_route,
                 reply_route,
                 seq,
                 ..
             } => {
-                let (Some(target), Some(reply)) = (
+                let (Some(target), Some(mut reply)) = (
                     checked_route(self.id, target_route),
                     checked_route(self.id, reply_route),
                 ) else {
@@ -490,7 +523,13 @@ impl SsrNode {
                 }
                 // the initiator itself is shortcut knowledge
                 if !reply.is_empty() {
-                    self.cache.insert(reply.clone(), false);
+                    // answer along the way the notification came, if that
+                    // leads to the node the payload says to answer
+                    if let Some(back) = travelled(self.id, route) {
+                        if back.dst() == reply.dst() {
+                            reply = back;
+                        }
+                    }
                     // `about` names the node we were pointed to, so the
                     // initiator can tell which of its two notifications
                     // this acknowledges
@@ -499,10 +538,20 @@ impl SsrNode {
                         seq,
                     };
                     self.send_payload(ctx, &reply, ack);
+                    self.learn(reply, false);
                 }
                 self.drive(ctx, Input::Changed);
             }
-            Payload::NotifyAck { about, seq } => self.drive(ctx, Input::Ack { about, seq }),
+            Payload::NotifyAck { about, seq } => {
+                // the acknowledgment just travelled a route to its sender:
+                // refresh the cached one (the shorter stays, pins untouched)
+                if let Some(back) = travelled(self.id, route) {
+                    if self.cache.contains(back.dst()) {
+                        self.learn(back, false);
+                    }
+                }
+                self.drive(ctx, Input::Ack { about, seq });
+            }
             Payload::Teardown { from } => {
                 self.lin.forget(from);
                 self.unpin_unless_phys(from);
@@ -542,6 +591,51 @@ impl SsrNode {
             }
         }
         ctx.set_cause(prev);
+    }
+
+    /// The audit round's look at an *empty* side — the state nothing else
+    /// re-examines: the control core probes only while the side's wrap slot
+    /// is empty too, and announces along side-set edges only.
+    ///
+    /// * A physical neighbor lies on the side: `E_v ⊇ E_p` has lapsed (both
+    ///   ends of the last virtual edge over that link gave it up, e.g. by
+    ///   exhausting their retries in the same window). Re-adopt the
+    ///   line-nearest such neighbor and let the next act linearize it.
+    /// * None does and a wrap edge stands in for the side: the edge may be
+    ///   stale (its tear-down is one unacknowledged message), so re-send
+    ///   the probe that claimed it; the true extreme's `offer_wrap`
+    ///   answers `Installed` (nothing moves) or `Replaced` (repair).
+    ///
+    /// In a converged ring only the two extremes have an empty side, with
+    /// no neighbor beyond it: two probes per period network-wide.
+    fn audit_empty_sides(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
+        let mut readopted = false;
+        for side in [Side::Left, Side::Right] {
+            if !self.lin.side(side).is_empty() {
+                continue;
+            }
+            let nearest = {
+                let mut phys = self.nbrs.iter().map(|(id, _)| id);
+                match side {
+                    Side::Left => phys.take_while(|&id| id < self.id).last(),
+                    Side::Right => phys.find(|&id| id > self.id),
+                }
+            };
+            // a probe toward one side seeks the ring neighbor of the other
+            let toward = side.opposite();
+            if let Some(nbr) = nearest {
+                readopted |= self.adopt_neighbor(SourceRoute::direct(self.id, nbr));
+            } else if self.lin.wrap(side).is_some()
+                && (toward == Side::Right || self.config.ccw_redundancy)
+            {
+                let prev = ctx.set_cause(CauseClass::LinearizationStep);
+                self.route_discovery(ctx, self.id, toward.into(), vec![self.id]);
+                ctx.set_cause(prev);
+            }
+        }
+        if readopted {
+            self.drive(ctx, Input::Changed);
+        }
     }
 
     /// Handles a link-local hello: learn the neighbor, adopt it as a
@@ -605,6 +699,14 @@ impl SsrNode {
     }
 }
 
+/// The travelled route is the learned route: what an end-to-end message
+/// arrived over (`sender → … → me`), reversed and validated. Relays only
+/// ever drain hops, so it is never longer than the route it was sent along.
+fn travelled(me: NodeId, mut route: Vec<NodeId>) -> Option<SourceRoute> {
+    route.reverse();
+    checked_route(me, route)
+}
+
 /// Collapses consecutive duplicate hops (a trace records the holder at both
 /// ends of a virtual-hop boundary).
 fn dedup_consecutive(mut hops: Vec<NodeId>) -> Vec<NodeId> {
@@ -661,7 +763,9 @@ impl Protocol for SsrNode {
             // wholesale, the timers they arm included; an audit round (like
             // message handlers) re-tags only the messages it sends
             let prev = ctx.cause();
-            if timer != Timer::Audit {
+            if timer == Timer::Audit {
+                self.audit_empty_sides(ctx);
+            } else {
                 ctx.set_cause(CauseClass::LinearizationStep);
             }
             self.drive(ctx, Input::Timer { timer, routable });
@@ -708,6 +812,8 @@ impl Protocol for SsrNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consistency::{check_ring, ConsistencyReport};
+    use ssr_linearize::observe::RingShape;
 
     #[test]
     fn construction_and_accessors() {
@@ -774,13 +880,38 @@ mod tests {
         node_util::rig::rebinds_keep_the_bijection(|| SsrNode::new(NodeId(50)), |n| &n.nbrs);
     }
 
-    /// A converged node that, when its timer fires, starts one data probe
-    /// toward every address in `targets`; it never boots the node under it,
-    /// so nothing but probes is in flight.
+    fn route(ids: &[u64]) -> SourceRoute {
+        SourceRoute::from_hops(ids.iter().map(|&i| NodeId(i)).collect())
+    }
+
+    #[test]
+    fn learned_routes_leave_over_the_last_hop_that_is_a_physical_neighbor() {
+        let mut n = SsrNode::new(NodeId(50));
+        for (id, link) in [(60, 1), (70, 2)] {
+            n.nbrs.bind(NodeId(id), link);
+        }
+        // the farthest neighbor on the route, not the first
+        n.learn(route(&[50, 60, 65, 70, 80, 90]), true);
+        assert_eq!(n.cache.get(NodeId(90)), Some(&route(&[50, 70, 80, 90])));
+        // an adjacent destination is one hop away, whatever the route says
+        assert!(n.adopt_neighbor(route(&[50, 60, 65, 70])));
+        assert_eq!(n.cache.get(NodeId(70)), Some(&route(&[50, 70])));
+        // no neighbor past hop 1: cached as it came
+        n.learn(route(&[50, 60, 65, 85]), false);
+        assert_eq!(n.cache.get(NodeId(85)), Some(&route(&[50, 60, 65, 85])));
+        // a route that is still longer after the cut changes nothing
+        n.learn(route(&[50, 60, 70, 75, 80, 90]), false);
+        assert_eq!(n.cache.get(NodeId(90)), Some(&route(&[50, 70, 80, 90])));
+    }
+
+    /// A node that, when its timer fires, starts one data probe toward
+    /// every address in `targets` and sends every payload of `sends`; it
+    /// never boots the node under it, so nothing else is in flight.
     struct Prober {
         node: SsrNode,
         fire_at: u64,
         targets: Vec<NodeId>,
+        sends: Vec<(SourceRoute, Payload)>,
     }
 
     impl Protocol for Prober {
@@ -798,9 +929,16 @@ mod tests {
             for &target in &self.targets {
                 self.node.handle_probe(ctx, target, 0);
             }
+            for (route, payload) in self.sends.drain(..) {
+                self.node.send_payload(ctx, &route, payload);
+            }
         }
 
         fn reset(&mut self) {}
+
+        fn kind(msg: &SsrMsg) -> &'static str {
+            msg.kind()
+        }
     }
 
     /// The message-level reader of `best_toward` (`handle_probe`, hop by hop
@@ -822,6 +960,7 @@ mod tests {
                 node: node.clone(),
                 fire_at: turn * 10_000,
                 targets: labels.ids().to_vec(),
+                sends: Vec::new(),
             })
             .collect();
         let mut sim = ssr_sim::Simulator::new(g, probers, ssr_sim::LinkConfig::ideal(), 1);
@@ -841,5 +980,104 @@ mod tests {
                 assert_eq!((target, hops), (dst, physical_hops), "{src:?}→{dst:?}");
             }
         }
+    }
+
+    /// Physical ring 10–20–30–40–50–10, every node's neighbor table bound
+    /// by hand. Node 10 notifies 30 over `10→20→30` with a payload that
+    /// says to answer over `30→40→50→10`: the acknowledgment takes the two
+    /// hops the notification travelled instead, 30 caches those, and at 10
+    /// — which held a three-hop route to 30 — the acknowledgment's own
+    /// journey replaces it.
+    #[test]
+    fn a_notify_is_answered_and_an_ack_learned_along_the_travelled_route() {
+        let n = 5;
+        let topo = ssr_graph::Graph::from_edges(n, (0..n).map(|u| (u, (u + 1) % n)));
+        let id = |u: usize| NodeId(10 * (u as u64 + 1));
+        let mut probers: Vec<Prober> = (0..n)
+            .map(|u| {
+                let mut node = SsrNode::new(id(u));
+                for v in topo.neighbors(u) {
+                    node.nbrs.bind(id(v), v);
+                }
+                Prober {
+                    node,
+                    fire_at: 1,
+                    targets: Vec::new(),
+                    sends: Vec::new(),
+                }
+            })
+            .collect();
+        probers[0].node.inject_cache_route(route(&[10, 50, 40, 30]));
+        let notify = Payload::Notify {
+            initiator: NodeId(10),
+            target_route: vec![NodeId(30)],
+            reply_route: route(&[30, 40, 50, 10]).into_hops(),
+            seq: SeqNo(1),
+        };
+        probers[0].sends.push((route(&[10, 20, 30]), notify));
+        let mut sim = ssr_sim::Simulator::new(topo, probers, ssr_sim::LinkConfig::ideal(), 1);
+        sim.run_until(ssr_sim::Time(6));
+        assert_eq!(sim.metrics().counter("msg.notify"), 2);
+        assert_eq!(sim.metrics().counter("msg.ack"), 2, "not the payload's 3");
+        let cached = |u: usize, dst| sim.protocol(u).node.cache.get(NodeId(dst)).cloned();
+        assert_eq!(cached(2, 10), Some(route(&[30, 20, 10])));
+        assert_eq!(cached(0, 30), Some(route(&[10, 20, 30])));
+    }
+
+    /// Boots `nodes` over the physical line `10–20–…` on ideal links and
+    /// runs until the ring is consistent or `budget` ticks are gone.
+    fn run_line(nodes: Vec<SsrNode>, budget: u64) -> ConsistencyReport {
+        let n = nodes.len();
+        let topo = ssr_graph::Graph::from_edges(n, (1..n).map(|u| (u - 1, u)));
+        let mut sim = ssr_sim::Simulator::new(topo, nodes, ssr_sim::LinkConfig::ideal(), 1);
+        sim.run_until_stable(8, budget, |nodes, _| check_ring(nodes).consistent());
+        check_ring(sim.protocols())
+    }
+
+    fn line_nodes(n: u64) -> Vec<SsrNode> {
+        (1..=n).map(|i| SsrNode::new(NodeId(10 * i))).collect()
+    }
+
+    /// A held stale ring edge is re-arbitrated. Both true extremes boot
+    /// holding a wrap edge to a non-extreme: neither slot is empty, so the
+    /// control core never probes, and an audit announces along side-set
+    /// edges only — the line forms and the ring stays open for good unless
+    /// the audit round re-sends the probe that claims the slot.
+    #[test]
+    fn a_stale_wrap_edge_at_both_extremes_is_repaired_by_the_audit_probe() {
+        let mut nodes = line_nodes(5);
+        nodes[0].inject_wrap_pred(NodeId(40), route(&[10, 20, 30, 40]));
+        nodes[4].inject_wrap_succ(NodeId(20), route(&[50, 40, 30, 20]));
+        let report = run_line(nodes, 5_000);
+        assert!(report.consistent(), "{report:?}");
+    }
+
+    /// `E_v ⊇ E_p` is restored after it lapsed. The converged line
+    /// 10–20–30–40 loses the virtual edge 20–30 at both ends (what two
+    /// handshakes abandoned in the same window leave behind) and each half
+    /// closes a ring of its own: every node is locally consistent, no slot
+    /// is empty, and the live link 20–30 is nobody's virtual edge.
+    #[test]
+    fn a_lapsed_physical_edge_is_readopted_by_the_audit_round() {
+        let mut sim = {
+            let topo = ssr_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+            ssr_sim::Simulator::new(topo, line_nodes(4), ssr_sim::LinkConfig::ideal(), 1)
+        };
+        sim.run_until_stable(8, 5_000, |nodes, _| check_ring(nodes).consistent());
+        assert!(check_ring(sim.protocols()).consistent());
+        sim.protocol_mut(1).lin.remove(NodeId(30));
+        sim.protocol_mut(2).lin.remove(NodeId(20));
+        for (min, max) in [(0, 1), (2, 3)] {
+            let (lo, hi) = (sim.protocol(min).id(), sim.protocol(max).id());
+            sim.protocol_mut(min)
+                .inject_wrap_pred(hi, SourceRoute::direct(lo, hi));
+            sim.protocol_mut(max)
+                .inject_wrap_succ(lo, SourceRoute::direct(hi, lo));
+        }
+        let split = check_ring(sim.protocols());
+        assert_eq!(split.shape, RingShape::Partitioned(2), "{split:?}");
+        sim.run_until_stable(8, 10_000, |nodes, _| check_ring(nodes).consistent());
+        let healed = check_ring(sim.protocols());
+        assert!(healed.consistent(), "{healed:?}");
     }
 }

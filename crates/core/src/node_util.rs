@@ -44,8 +44,28 @@ pub fn send_payload(
     forward_env(ctx, nbrs, env);
 }
 
-/// Advances an envelope one physical hop (from `pos` to `pos + 1`).
+/// Relay shortcut: if a hop of `route` later than the one after `pos` is a
+/// physical neighbour of the holder (`route[pos]`, whose table `nbrs` is),
+/// the *farthest* such hop becomes the next one — everything in between is
+/// drained out of the route. Hops at or before `pos` are never touched, so
+/// the result is a subsequence of the input with both endpoints kept, and
+/// its one new consecutive pair is a link the holder knows first-hand.
+/// Returns whether anything was drained.
+pub fn shortcut(nbrs: &Neighbors, route: &mut Vec<NodeId>, pos: usize) -> bool {
+    let later = pos + 2..route.len();
+    let Some(far) = later.rev().find(|&i| nbrs.contains(route[i])) else {
+        return false;
+    };
+    route.drain(pos + 1..far);
+    true
+}
+
+/// Advances an envelope one physical hop (from `pos` to `pos + 1`), past
+/// every hop the holder can [`shortcut`].
 pub fn forward_env(ctx: &mut Ctx<'_, SsrMsg>, nbrs: &Neighbors, mut env: Box<ForwardEnvelope>) {
+    if shortcut(nbrs, &mut env.route, env.pos) {
+        ctx.metrics().incr("fwd.shortcut");
+    }
     let next_pos = env.pos + 1;
     let Some(&next_id) = env.route.get(next_pos) else {
         ctx.metrics().incr("fwd.truncated");
@@ -233,6 +253,108 @@ mod tests {
 
     fn ids(v: &[u64]) -> Vec<NodeId> {
         v.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    /// A neighbour table naming `v`, bound to link indices `1..`.
+    fn table(v: &[u64]) -> Neighbors {
+        let mut nbrs = Neighbors::default();
+        for (&id, link) in v.iter().zip(1..) {
+            nbrs.bind(NodeId(id), link);
+        }
+        nbrs
+    }
+
+    #[test]
+    fn shortcut_table() {
+        let route = [1, 2, 3, 4, 5, 6];
+        // (holder's neighbours, pos, what the route becomes)
+        let cases: [(&[u64], usize, &[u64]); 7] = [
+            // the farthest later neighbour wins, not the first
+            (&[2, 3, 5], 0, &[1, 5, 6]),
+            // the destination is adjacent: one hop
+            (&[2, 4, 6], 0, &[1, 6]),
+            // hops at or before `pos` are never touched, neighbours or not
+            (&[1, 2, 4, 6], 2, &[1, 2, 3, 6]),
+            (&[1, 2, 3], 3, &route),
+            // no later neighbour: unchanged — the next hop alone is none,
+            // and a route with a dead next hop still dies as `fwd.broken`
+            (&[2], 0, &route),
+            (&[], 0, &route),
+            // the last holder has nothing after it
+            (&[1, 2, 3, 4, 5], 5, &route),
+        ];
+        for (nbrs, pos, want) in cases {
+            let mut hops = ids(&route);
+            let spliced = shortcut(&table(nbrs), &mut hops, pos);
+            assert_eq!(hops, ids(want), "neighbours {nbrs:?} at pos {pos}");
+            assert_eq!(spliced, want.len() < route.len());
+        }
+    }
+
+    /// A relay over a hand-bound neighbour table that logs the route of
+    /// every envelope ending at it; `send` goes out at boot.
+    struct Relay {
+        me: NodeId,
+        nbrs: Neighbors,
+        send: Option<SourceRoute>,
+        arrived: Vec<Vec<NodeId>>,
+    }
+
+    impl ssr_sim::Protocol for Relay {
+        type Msg = SsrMsg;
+
+        fn on_init(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
+            if let Some(route) = self.send.take() {
+                let probe = Payload::DataProbe {
+                    target: route.dst(),
+                    hops: 0,
+                };
+                send_payload(ctx, self.me, &self.nbrs, &route, probe);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, SsrMsg>, _from: usize, msg: SsrMsg) {
+            let SsrMsg::Forward(env) = msg else {
+                unreachable!("relays only forward");
+            };
+            if let Some(env) = receive_forward(ctx, self.me, &self.nbrs, env) {
+                self.arrived.push(env.route);
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, SsrMsg>, _token: u64) {}
+
+        fn reset(&mut self) {}
+    }
+
+    /// Path 1–2–3–4–5 with chords 2–4 and 2–5: node 1 sends along the
+    /// path, relay 2 forwards straight to 5 — the farthest of its two later
+    /// neighbours — and the envelope arrives with the route it travelled.
+    #[test]
+    fn a_relay_forwards_to_its_farthest_later_neighbour() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (1, 4)];
+        let topo = ssr_graph::Graph::from_edges(5, edges);
+        let relays = (0..5)
+            .map(|u| {
+                let mut nbrs = Neighbors::default();
+                for v in topo.neighbors(u) {
+                    nbrs.bind(NodeId(v as u64 + 1), v);
+                }
+                Relay {
+                    me: NodeId(u as u64 + 1),
+                    nbrs,
+                    send: (u == 0).then(|| SourceRoute::from_hops(ids(&[1, 2, 3, 4, 5]))),
+                    arrived: Vec::new(),
+                }
+            })
+            .collect();
+        let mut sim = ssr_sim::Simulator::new(topo, relays, ssr_sim::LinkConfig::ideal(), 1);
+        assert!(sim.run_to_quiescence(100).is_quiescent());
+        assert_eq!(sim.protocol(4).arrived, vec![ids(&[1, 2, 5])]);
+        let m = sim.metrics();
+        assert_eq!((m.counter("tx.total"), m.counter("fwd.shortcut")), (2, 1));
+        assert_eq!((m.counter("e2e.sent"), m.counter("fwd.broken")), (1, 0));
+        assert_eq!(m.hist("route.len").map(|h| h.max()), Some(Some(4)));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 use proptest::prelude::*;
 use ssr_core::bootstrap::{run_linearized_bootstrap, BootstrapConfig};
 use ssr_core::cache::RouteCache;
+use ssr_core::node_util::shortcut;
 use ssr_core::route::SourceRoute;
 use ssr_core::routing::RoutingView;
 use ssr_graph::{algo, generators, Graph, Labeling};
-use ssr_types::{IntervalPartition, NodeId, Rng};
+use ssr_types::{IntervalPartition, Neighbors, NodeId, Rng};
 
 /// Strategy: a route as a list of distinct ids (simple path).
 fn simple_path(max_len: usize) -> impl Strategy<Value = Vec<NodeId>> {
@@ -108,6 +109,50 @@ proptest! {
         }
     }
 
+    /// Relay shortcut and first-hop cut (the same splice, at a relay's
+    /// `pos` and at 0): over a random connected graph and a random valid
+    /// route, what any holder makes of the route is a subsequence of it
+    /// that keeps both endpoints and every hop up to the holder, every
+    /// consecutive pair is still a physical edge, and no neighbor of the
+    /// holder is left beyond its next hop.
+    #[test]
+    fn a_spliced_route_is_a_valid_subsequence_with_the_same_endpoints(
+        n in 2usize..40, p in 0.0f64..0.3, seed: u64, steps in 1usize..60, at: usize,
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut g = generators::gnp(n, p, &mut rng);
+        generators::ensure_connected(&mut g, &mut rng);
+        let labels = Labeling::random(n, &mut rng);
+        // a random walk, loop-erased: a valid simple route
+        let mut walk = vec![rng.index(n)];
+        for _ in 0..steps {
+            let here = *walk.last().unwrap();
+            let next: Vec<usize> = g.neighbors(here).collect();
+            walk.push(next[rng.index(next.len())]);
+        }
+        let hops = walk.iter().map(|&u| labels.id(u)).collect();
+        let before = SourceRoute::from_hops(hops).pruned();
+        let has_edge = |a, b| g.has_edge(labels.index(a).unwrap(), labels.index(b).unwrap());
+        prop_assert!(before.valid_in(has_edge));
+
+        let pos = at % before.hops().len();
+        let holder = before.hops()[pos];
+        let mut nbrs = Neighbors::default();
+        for v in g.neighbors(labels.index(holder).unwrap()) {
+            nbrs.bind(labels.id(v), v);
+        }
+        let mut after = before.hops().to_vec();
+        let spliced = shortcut(&nbrs, &mut after, pos);
+        prop_assert_eq!(spliced, after.len() < before.hops().len());
+        prop_assert_eq!(&after[..=pos], &before.hops()[..=pos]);
+        let mut rest = before.hops().iter();
+        prop_assert!(after.iter().all(|h| rest.any(|b| b == h)), "not a subsequence");
+        let after = SourceRoute::from_hops(after);
+        prop_assert_eq!((after.src(), after.dst()), (before.src(), before.dst()));
+        prop_assert!(after.valid_in(has_edge));
+        prop_assert!(after.hops().iter().skip(pos + 2).all(|&h| !nbrs.contains(h)));
+    }
+
     #[test]
     #[ignore = "slow: full bootstrap per case; run with --ignored"]
     fn bootstrap_converges_and_routes_on_arbitrary_connected_graphs(
@@ -174,6 +219,33 @@ fn bootstrap_converges_on_a_handful_of_connected_graphs() {
         // sanity: the physical graph was connected (bootstrap needs it)
         assert!(algo::is_connected(&g));
     }
+}
+
+/// What the first-hop cut leaves behind: on a converged ring every cached
+/// route is a physical path, and none passes a physical neighbor of its
+/// owner after its first hop — it would have left over that neighbor.
+#[test]
+fn converged_caches_hold_valid_routes_cut_at_the_first_hop() {
+    let n = 40;
+    let mut rng = Rng::new(3);
+    let (g, _) = generators::unit_disk_connected(n, 1.3, &mut rng);
+    let labels = Labeling::random(n, &mut rng);
+    let (report, sim) = run_linearized_bootstrap(&g, &labels, &BootstrapConfig::default());
+    assert!(report.converged, "{report:?}");
+    let index = |id| labels.index(id).unwrap();
+    let mut routes = 0;
+    for node in sim.protocols() {
+        for (dst, route) in node.cache().iter() {
+            assert!(route.valid_in(|a, b| g.has_edge(index(a), index(b))));
+            assert_eq!((route.src(), route.dst()), (node.id(), dst));
+            let late_neighbor = route.hops()[2..]
+                .iter()
+                .find(|&&h| g.has_edge(index(node.id()), index(h)));
+            assert_eq!(late_neighbor, None, "{route} at {}", node.id());
+            routes += 1;
+        }
+    }
+    assert!(routes > 2 * n, "{routes} cached routes");
 }
 
 /// Deterministic replay: same seed, same message counts.

@@ -7,13 +7,17 @@
 //! assignment the generator produces, linearization must converge to the
 //! sorted ring without ever flooding.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
 use ssr_core::consistency::{self, Linearized};
 use ssr_core::{chaos, SsrNode};
 use ssr_graph::{Graph, Labeling};
-use ssr_sim::{LinkConfig, Simulator};
+use ssr_sim::faults::{partition_groups, Fault};
+use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
 use ssr_types::Rng;
+use ssr_workloads::Topology;
 
 /// Builds a connected graph from a random spanning tree (`parents[i - 1]`
 /// picks node `i`'s parent among `0..i`) plus arbitrary extra edges.
@@ -52,6 +56,64 @@ fn assert_sorted_ring(nodes: &[SsrNode], labels: &Labeling) {
     let max = &nodes[labels.index(*ids.last().unwrap()).unwrap()];
     assert_eq!(min.wrap_pred(), Some(*ids.last().unwrap()));
     assert_eq!(max.wrap_succ(), Some(ids[0]));
+}
+
+/// The benchmark's `chaos_recovery` recipe, rebuilt from public API on the
+/// two graph seeds (of 1–60) that froze before stale wrap edges were
+/// re-arbitrated and lapsed physical edges re-adopted: n = 200 over lossy,
+/// duplicating, reordering links, a random-successor start, a two-way
+/// partition over ticks [2, 402] with 30 % extra loss on one direction of a
+/// quarter of the links, under the freeze watchdog. Both ended
+/// `frozen_crossing` — line formed, ring open (ticks 10 970 and 8 594).
+#[test]
+fn chaos_recovery_recipe_closes_the_ring_on_the_graphs_that_froze() {
+    let n = 200;
+    let adversarial = || LinkConfig::adversarial(0.05, 0.10, 0.15, 6);
+    for graph_seed in [29u64, 47] {
+        let (topo, labels) = Topology::UnitDisk { n, scale: 1.4 }.instance(graph_seed);
+        let nodes = make_ssr_nodes(&labels, BootstrapConfig::default().ssr);
+        let mut sim = Simulator::new(topo.clone(), nodes, adversarial(), graph_seed);
+        let mut rng = Rng::new(graph_seed ^ 0x00C4_A05C);
+        let succ = chaos::random_succ(labels.ids(), &mut rng);
+        chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
+
+        let watchdog = shared_watchdog();
+        sim.add_probe(
+            8,
+            watchdog_probe(
+                3_000,
+                Rc::clone(&watchdog),
+                chaos::ssr_signature,
+                |nodes: &[SsrNode]| consistency::check_ring(nodes).consistent(),
+                chaos::ssr_all_locally_consistent,
+            ),
+        );
+        let groups = partition_groups(n, 2, &mut rng);
+        sim.schedule_fault(Time(2), Fault::Partition { groups });
+        sim.schedule_fault(Time(402), Fault::Heal);
+
+        // hellos at ticks 0 and 1 run over the base links
+        sim.run_until(Time(2));
+        for (u, v) in topo.edges() {
+            if rng.chance(0.25) {
+                sim.set_link_override(u, v, adversarial().with_drop(0.30));
+            }
+        }
+        sim.run_until(Time(402));
+        sim.clear_link_overrides();
+        let frozen = Rc::clone(&watchdog);
+        sim.run_until_stable(8, 300_000, move |nodes, _| {
+            consistency::check_ring(nodes).consistent() || frozen.borrow().is_frozen()
+        });
+        let report = consistency::check_ring(sim.protocols());
+        assert!(
+            report.consistent(),
+            "graph {graph_seed}: {report:?} at tick {}, watchdog {:?}",
+            sim.now().ticks(),
+            watchdog.borrow().verdict
+        );
+        assert_eq!(sim.metrics().counter("msg.flood"), 0, "flooded!");
+    }
 }
 
 proptest! {
