@@ -525,10 +525,9 @@ impl SsrNode {
                 if !reply.is_empty() {
                     // answer along the way the notification came, if that
                     // leads to the node the payload says to answer
-                    if let Some(back) = travelled(self.id, route) {
-                        if back.dst() == reply.dst() {
-                            reply = back;
-                        }
+                    let back = travelled(self.id, route);
+                    if let Some(back) = back.filter(|b| b.dst() == reply.dst()) {
+                        reply = back;
                     }
                     // `about` names the node we were pointed to, so the
                     // initiator can tell which of its two notifications
@@ -545,10 +544,9 @@ impl SsrNode {
             Payload::NotifyAck { about, seq } => {
                 // the acknowledgment just travelled a route to its sender:
                 // refresh the cached one (the shorter stays, pins untouched)
-                if let Some(back) = travelled(self.id, route) {
-                    if self.cache.contains(back.dst()) {
-                        self.learn(back, false);
-                    }
+                let back = travelled(self.id, route);
+                if let Some(back) = back.filter(|b| self.cache.contains(b.dst())) {
+                    self.learn(back, false);
                 }
                 self.drive(ctx, Input::Ack { about, seq });
             }
@@ -1024,18 +1022,21 @@ mod tests {
         assert_eq!(cached(0, 30), Some(route(&[10, 20, 30])));
     }
 
-    /// Boots `nodes` over the physical line `10–20–…` on ideal links and
-    /// runs until the ring is consistent or `budget` ticks are gone.
-    fn run_line(nodes: Vec<SsrNode>, budget: u64) -> ConsistencyReport {
-        let n = nodes.len();
-        let topo = ssr_graph::Graph::from_edges(n, (1..n).map(|u| (u - 1, u)));
-        let mut sim = ssr_sim::Simulator::new(topo, nodes, ssr_sim::LinkConfig::ideal(), 1);
-        sim.run_until_stable(8, budget, |nodes, _| check_ring(nodes).consistent());
-        check_ring(sim.protocols())
-    }
-
     fn line_nodes(n: u64) -> Vec<SsrNode> {
         (1..=n).map(|i| SsrNode::new(NodeId(10 * i))).collect()
+    }
+
+    /// `nodes` over the physical line `10–20–…`, ideal links.
+    fn line_sim(nodes: Vec<SsrNode>) -> ssr_sim::Simulator<SsrNode> {
+        let n = nodes.len();
+        let topo = ssr_graph::Graph::from_edges(n, (1..n).map(|u| (u - 1, u)));
+        ssr_sim::Simulator::new(topo, nodes, ssr_sim::LinkConfig::ideal(), 1)
+    }
+
+    /// Runs until the ring is consistent or `budget` ticks are gone.
+    fn settle(sim: &mut ssr_sim::Simulator<SsrNode>, budget: u64) -> ConsistencyReport {
+        sim.run_until_stable(8, budget, |nodes, _| check_ring(nodes).consistent());
+        check_ring(sim.protocols())
     }
 
     /// A held stale ring edge is re-arbitrated. Both true extremes boot
@@ -1048,7 +1049,7 @@ mod tests {
         let mut nodes = line_nodes(5);
         nodes[0].inject_wrap_pred(NodeId(40), route(&[10, 20, 30, 40]));
         nodes[4].inject_wrap_succ(NodeId(20), route(&[50, 40, 30, 20]));
-        let report = run_line(nodes, 5_000);
+        let report = settle(&mut line_sim(nodes), 5_000);
         assert!(report.consistent(), "{report:?}");
     }
 
@@ -1059,12 +1060,8 @@ mod tests {
     /// is empty, and the live link 20–30 is nobody's virtual edge.
     #[test]
     fn a_lapsed_physical_edge_is_readopted_by_the_audit_round() {
-        let mut sim = {
-            let topo = ssr_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-            ssr_sim::Simulator::new(topo, line_nodes(4), ssr_sim::LinkConfig::ideal(), 1)
-        };
-        sim.run_until_stable(8, 5_000, |nodes, _| check_ring(nodes).consistent());
-        assert!(check_ring(sim.protocols()).consistent());
+        let mut sim = line_sim(line_nodes(4));
+        assert!(settle(&mut sim, 5_000).consistent());
         sim.protocol_mut(1).lin.remove(NodeId(30));
         sim.protocol_mut(2).lin.remove(NodeId(20));
         for (min, max) in [(0, 1), (2, 3)] {
@@ -1076,8 +1073,7 @@ mod tests {
         }
         let split = check_ring(sim.protocols());
         assert_eq!(split.shape, RingShape::Partitioned(2), "{split:?}");
-        sim.run_until_stable(8, 10_000, |nodes, _| check_ring(nodes).consistent());
-        let healed = check_ring(sim.protocols());
+        let healed = settle(&mut sim, 10_000);
         assert!(healed.consistent(), "{healed:?}");
     }
 }
