@@ -34,8 +34,20 @@
 # files over the goldens:
 #   cp target/golden-smoke/*.{manifest.json,stdout.txt,csv} results/golden/
 #   cp target/golden-smoke/exp_perf_smoke.json results/golden/
+#
+# By default the script stops at the first golden that differs. With
+# --keep-going it runs every experiment, prints each `obs diff`, lists the
+# names that differ and exits 1 at the end — one run shows everything a
+# behavioural change moves before the re-bless.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+keep_going=0
+case "${1:-}" in
+  "") ;;
+  --keep-going) keep_going=1 ;;
+  *) echo "usage: $0 [--keep-going]" >&2; exit 2 ;;
+esac
 
 cargo build --release -q -p ssr-bench --bin exp -p ssr-obs --bin obs
 BIN="$(pwd)/target/release"
@@ -44,11 +56,19 @@ SCRATCH="$(pwd)/target/golden-smoke"
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
 
-# same FRESH GOLDEN WHAT: byte compare, naming what differs on failure.
+# differs NAME: NAME does not reproduce (the caller has said why). Fatal,
+# unless --keep-going collects the names for the end of the run.
+differing=""
+differs() {
+  [ "$keep_going" = 1 ] || exit 1
+  case " $differing " in *" $1 "*) ;; *) differing="$differing $1" ;; esac
+}
+
+# same NAME FRESH GOLDEN WHAT: byte compare, naming what differs on failure.
 same() {
-  cmp "$1" "$2" || {
-    echo "golden smoke: $3 is not byte-identical to its golden" >&2
-    exit 1
+  cmp "$2" "$3" || {
+    echo "golden smoke: $4 is not byte-identical to its golden" >&2
+    differs "$1"
   }
 }
 
@@ -67,24 +87,25 @@ check() {
   mv "$SCRATCH/$name.run/results/$exp.manifest.json" "$fresh"
   mv "$SCRATCH/$name.run/stdout.txt" "$SCRATCH/$name.stdout.txt"
   "$BIN/obs" diff "$GOLDEN/$name.manifest.json" "$fresh" > "$SCRATCH/$name.diff" || true
-  grep -q "^no differences$" "$SCRATCH/$name.diff" || {
+  if grep -q "^no differences$" "$SCRATCH/$name.diff"; then
+    # the manifest stamps `git describe` when run inside a checkout, and the
+    # six goldens that predate the CSV capture carry no `csv` config line;
+    # those two lines are the only ones allowed to differ
+    local skip='^  "git": \|^    "csv": '
+    same "$name" <(grep -v "$skip" "$fresh") <(grep -v "$skip" "$GOLDEN/$name.manifest.json") \
+      "$name manifest (obs-diff clean)"
+  else
     echo "golden smoke: $name differs from results/golden/$name.manifest.json:" >&2
     cat "$SCRATCH/$name.diff" >&2
-    exit 1
-  }
-  # the manifest stamps `git describe` when run inside a checkout, and the
-  # six goldens that predate the CSV capture carry no `csv` config line;
-  # those two lines are the only ones allowed to differ
-  local skip='^  "git": \|^    "csv": '
-  same <(grep -v "$skip" "$fresh") <(grep -v "$skip" "$GOLDEN/$name.manifest.json") \
-    "$name manifest (obs-diff clean)"
-  same "$SCRATCH/$name.stdout.txt" "$GOLDEN/$name.stdout.txt" "$name stdout"
+    differs "$name"
+  fi
+  same "$name" "$SCRATCH/$name.stdout.txt" "$GOLDEN/$name.stdout.txt" "$name stdout"
   # fig3_trace prints a narrative and has no table: no CSV on either side
   if [ -e "$SCRATCH/$name.run/table.csv" ] || [ -e "$GOLDEN/$name.csv" ]; then
     mv "$SCRATCH/$name.run/table.csv" "$SCRATCH/$name.csv"
-    same "$SCRATCH/$name.csv" "$GOLDEN/$name.csv" "$name csv"
+    same "$name" "$SCRATCH/$name.csv" "$GOLDEN/$name.csv" "$name csv"
   fi
-  echo "  $name: no differences"
+  case " $differing " in *" $name "*) ;; *) echo "  $name: no differences" ;; esac
 }
 
 check exp_chaos_smoke exp_chaos --smoke
@@ -101,12 +122,13 @@ check fig1_loopy fig1_loopy
 check fig2_rings fig2_rings
 check fig3_trace fig3_trace
 
-"$BIN/obs" diff results/exp_chaos.manifest.json "$SCRATCH/exp_chaos_smoke.manifest.json" \
-  | grep -q "^no differences$" || {
+if "$BIN/obs" diff results/exp_chaos.manifest.json "$SCRATCH/exp_chaos_smoke.manifest.json" \
+  | grep -q "^no differences$"; then
+  echo "  results/exp_chaos.manifest.json: no differences"
+else
   echo "golden smoke: results/exp_chaos.manifest.json no longer reproduces" >&2
-  exit 1
-}
-echo "  results/exp_chaos.manifest.json: no differences"
+  differs results/exp_chaos.manifest.json
+fi
 
 # exp_perf's artifact carries wall-clock fields: its deterministic work
 # counters are the gate (obs diff marks any drift there "behavior change";
@@ -117,9 +139,10 @@ covered="$covered exp_perf"
   > "$SCRATCH/exp_perf_smoke.diff" || true
 if grep "behavior change" "$SCRATCH/exp_perf_smoke.diff" >&2; then
   echo "golden smoke: exp_perf --smoke work counters drifted" >&2
-  exit 1
+  differs exp_perf_smoke
+else
+  echo "  exp_perf_smoke: no behavior change"
 fi
-echo "  exp_perf_smoke: no behavior change"
 
 # a thirteenth experiment cannot skip the gate: every name `exp` lists
 # (it prints them, indented, when run without one) must be covered above
@@ -127,4 +150,8 @@ for name in $("$BIN/exp" 2>&1 | sed -n 's/^  //p'); do
   case " $covered " in *" $name "*) ;; *) echo "golden smoke: $name has no golden" >&2; exit 1 ;; esac
 done
 
+if [ -n "$differing" ]; then
+  echo "golden smoke: differing:$differing" >&2
+  exit 1
+fi
 echo "golden smoke OK"
