@@ -336,7 +336,7 @@ impl SsrNode {
                     reply_route: back.into_hops(),
                     seq,
                 };
-                let prev = ctx.set_cause(CauseClass::LinearizationStep);
+                let prev = ctx.set_cause(CauseClass::Audit);
                 self.send_payload(ctx, route, payload);
                 ctx.set_cause(prev);
             }
@@ -626,7 +626,7 @@ impl SsrNode {
             } else if self.lin.wrap(side).is_some()
                 && (toward == Side::Right || self.config.ccw_redundancy)
             {
-                let prev = ctx.set_cause(CauseClass::LinearizationStep);
+                let prev = ctx.set_cause(CauseClass::Audit);
                 self.route_discovery(ctx, self.id, toward.into(), vec![self.id]);
                 ctx.set_cause(prev);
             }
@@ -766,7 +766,13 @@ impl Protocol for SsrNode {
             } else {
                 ctx.set_cause(CauseClass::LinearizationStep);
             }
+            // what a retry round sends is a re-sent introduction
+            let sent = matches!(timer, Timer::Retry(..)).then(|| ctx.metrics().counter("e2e.sent"));
             self.drive(ctx, Input::Timer { timer, routable });
+            if let Some(before) = sent {
+                let resent = ctx.metrics().counter("e2e.sent") - before;
+                ctx.metrics().add("e2e.retry", resent);
+            }
             ctx.set_cause(prev);
         }
     }

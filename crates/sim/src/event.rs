@@ -43,20 +43,24 @@ pub enum CauseClass {
     FaultRepair,
     /// The hello identification sweep re-probing unidentified links.
     HelloSweep,
-    /// The linearization machinery: notify/ack handshakes, retries,
-    /// audits, and the teardowns they trigger.
+    /// The linearization machinery: notify/ack handshakes, retries, and
+    /// the teardowns they trigger.
     LinearizationStep,
+    /// The audit heartbeat: a node's periodic re-announcement along its
+    /// ring edges and the re-probe of a held ring-closure edge.
+    Audit,
     /// Data-plane greedy forwarding (routing probes).
     Routing,
 }
 
 impl CauseClass {
     /// Every cause class, in `Ord` order.
-    pub const ALL: [CauseClass; 5] = [
+    pub const ALL: [CauseClass; 6] = [
         CauseClass::Bootstrap,
         CauseClass::FaultRepair,
         CauseClass::HelloSweep,
         CauseClass::LinearizationStep,
+        CauseClass::Audit,
         CauseClass::Routing,
     ];
 
@@ -67,6 +71,7 @@ impl CauseClass {
             CauseClass::FaultRepair => "fault-repair",
             CauseClass::HelloSweep => "hello-sweep",
             CauseClass::LinearizationStep => "linearization-step",
+            CauseClass::Audit => "audit",
             CauseClass::Routing => "routing",
         }
     }

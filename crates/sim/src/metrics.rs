@@ -18,7 +18,7 @@
 //! | `rx.*`     | simulator       | deliveries to protocols: `rx.total`, and `rx.wasted` — the deliveries whose callback queued no send and no timer (the receiver already knew what the message told it) |
 //! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
-//! | `e2e.*`    | protocols       | end-to-end messages, one per source-routed packet however many hops it then takes: `e2e.sent` (bumped where the envelope is made; the histogram `route.len` takes the route it is sent along) — `tx.total` over `e2e.sent` is the mean physical hops a message pays |
+//! | `e2e.*`    | protocols       | end-to-end messages, one per source-routed packet however many hops it then takes: `e2e.sent` (bumped where the envelope is made; the histogram `route.len` takes the route it is sent along) — `tx.total` over `e2e.sent` is the mean physical hops a message pays — and `e2e.retry`, the share of them that are handshake re-sends (sent while a retry timer is handled) |
 //! | `fwd.*`    | protocols       | the source-routed transport's per-hop outcomes: `fwd.shortcut` (a relay spliced hops out of the route), and the drops `fwd.broken`, `fwd.truncated`, `fwd.misrouted`, `fwd.bad_trace`, `fwd.no_route`, `fwd.unexpected` |
 //! | `probe.*`  | probe layer     | observer-side counters (e.g. `probe.samples`)    |
 //! | `prov.*`   | causal ledger   | provenance totals mirrored from a [`crate::ProvenanceSummary`] when an instrumented run is summarized: counters `prov.roots` (causal roots) and `prov.wasted`, histograms `prov.depth` (causal depth per delivery) and `prov.cascade` (deliveries per root) |

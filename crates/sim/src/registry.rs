@@ -18,6 +18,7 @@
 /// of the two); histogram keys live in [`HISTOGRAMS`].
 pub const KEYS: &[&str] = &[
     "chaos.potential",
+    "e2e.retry",
     "e2e.sent",
     "fault.crash",
     "fault.heal",

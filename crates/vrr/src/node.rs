@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
 use ssr_linearize::observe::Linearized;
-use ssr_sim::{Ctx, Protocol};
+use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{cw_dist, ring_between_cw, Neighbors, NodeId, SeqNo, Side};
 
 use crate::table::{PathEntry, PathId, PathTable};
@@ -440,7 +440,9 @@ impl VrrNode {
                     from: self.id,
                     seq,
                 };
+                let prev = ctx.set_cause(CauseClass::Audit);
                 self.send_along(ctx, edge, peer, payload, self.config.ttl);
+                ctx.set_cause(prev);
             }
         }
     }
