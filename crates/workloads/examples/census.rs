@@ -1,0 +1,106 @@
+//! Per-graph census of the two SSR benchmark recipes, rebuilt from the
+//! public API exactly as `benchmark/README.md` states them: one line
+//! `graph ok|FAIL ticks msgs_per_node e2e_per_node` per graph seed.
+//!
+//! ```text
+//! census boot|chaos FROM TO [N]      graph seeds FROM..=TO, N nodes (500 | 200)
+//! ```
+//!
+//! The benchmark reports the median over five graphs of a chaotic
+//! trajectory; a behavioural change is judged over many more. Save the
+//! output of two commits and compare them as docs/BENCHMARKS.md says.
+
+use std::rc::Rc;
+
+use ssr_core::bootstrap::make_ssr_nodes;
+use ssr_core::chaos;
+use ssr_core::consistency::check_ring;
+use ssr_core::node::{SsrConfig, SsrNode};
+use ssr_sim::faults::{partition_groups, Fault};
+use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
+use ssr_types::Rng;
+use ssr_workloads::Topology;
+
+const GRID: u64 = 8;
+const BUDGET: u64 = 300_000;
+
+fn consistent(nodes: &[SsrNode]) -> bool {
+    check_ring(nodes).consistent()
+}
+
+/// `ssr_bootstrap`: cold start to the consistent ring over ideal links.
+fn boot(n: usize, g: u64) -> Simulator<SsrNode> {
+    let (topo, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(g);
+    let nodes = make_ssr_nodes(&labels, SsrConfig::default());
+    let mut sim = Simulator::new(topo, nodes, LinkConfig::ideal(), g);
+    sim.run_until_stable(GRID, BUDGET, |nodes, _| consistent(nodes));
+    sim
+}
+
+/// `chaos_recovery`: corrupted successors, adversarial links, a partition
+/// and one-way loss over ticks [2, 402], the freeze watchdog.
+fn chaos(n: usize, g: u64) -> Simulator<SsrNode> {
+    let adversarial = LinkConfig::adversarial(0.05, 0.10, 0.15, 6);
+    let (topo, labels) = Topology::UnitDisk { n, scale: 1.4 }.instance(g);
+    let nodes = make_ssr_nodes(&labels, SsrConfig::default());
+    let mut sim = Simulator::new(topo.clone(), nodes, adversarial, g);
+    let mut rng = Rng::new(g ^ 0x00C4_A05C);
+    let succ = chaos::random_succ(labels.ids(), &mut rng);
+    chaos::apply_succ_corruption(&mut sim, &labels, &succ, true);
+    let watchdog = shared_watchdog();
+    let mut probe = watchdog_probe(
+        3_000,
+        Rc::clone(&watchdog),
+        chaos::ssr_signature,
+        consistent,
+        chaos::ssr_all_locally_consistent,
+    );
+    sim.add_probe(GRID, move |view| {
+        view.metrics.incr("probe.fired");
+        probe(view);
+    });
+    let groups = partition_groups(n, 2, &mut rng);
+    sim.schedule_fault(Time(2), Fault::Partition { groups });
+    sim.schedule_fault(Time(402), Fault::Heal);
+    sim.run_until(Time(2));
+    for (u, v) in topo.edges() {
+        if rng.chance(0.25) {
+            sim.set_link_override(u, v, adversarial.with_drop(0.30));
+        }
+    }
+    sim.run_until(Time(402));
+    sim.clear_link_overrides();
+    sim.run_until_stable(GRID, BUDGET, move |nodes, _| {
+        consistent(nodes) || watchdog.borrow().is_frozen()
+    });
+    sim
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let num = |i: usize| args.get(i).and_then(|a| a.parse::<u64>().ok());
+    type Recipe = fn(usize, u64) -> Simulator<SsrNode>;
+    let recipe: Option<(Recipe, u64)> = match args.first().map(String::as_str) {
+        Some("boot") => Some((boot, 500)),
+        Some("chaos") => Some((chaos, 200)),
+        _ => None,
+    };
+    let (Some((run, default_n)), Some(from), Some(to)) = (recipe, num(1), num(2)) else {
+        eprintln!("usage: census boot|chaos FROM TO [N]");
+        std::process::exit(2);
+    };
+    let n = num(3).unwrap_or(default_n) as usize;
+    for g in from..=to {
+        let sim = run(n, g);
+        let m = sim.metrics();
+        let ok = consistent(sim.protocols()) && m.counter("msg.flood") == 0;
+        let per_node = |key| m.counter(key) as f64 / n as f64;
+        println!(
+            "{g} {} {} {:.3} {:.3}",
+            if ok { "ok" } else { "FAIL" },
+            sim.now().ticks(),
+            per_node("tx.total"),
+            per_node("e2e.sent"),
+        );
+    }
+}

@@ -72,6 +72,13 @@ bench-round:
 bench-cache:
     cargo bench -p ssr-bench --bench micro -- cache_
 
+# per-graph census of the two SSR benchmark recipes, rebuilt from public
+# API: `just census boot 1 40`, `just census chaos 1 40 200` — one line
+# `graph ok|FAIL ticks msgs_per_node e2e_per_node` per graph seed
+# (docs/BENCHMARKS.md says how to compare two saved runs)
+census *ARGS:
+    cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
+
 # regenerate the committed perf baseline (BENCH_perf.json at the repo root)
 perf-baseline:
     cargo run --release -p ssr-bench --bin exp -- exp_perf
