@@ -11,7 +11,10 @@
 //! acknowledgments, then tears down its own edge to the farthest — whose
 //! route may survive in the route cache as an LSN shortcut. Repeating this
 //! transforms the virtual graph into the sorted line while never
-//! disconnecting it.
+//! disconnecting it. Nobody waits for a round trip that carries nothing:
+//! a handshake is re-sent no earlier than its acknowledgment can be back
+//! over the routes it was sent along, and the audit heartbeat — a node
+//! announcing *itself* along its ring edges — is not acknowledged at all.
 //!
 //! To complete the virtual ring, a node with an empty left set sends a
 //! *clockwise discovery* routed greedily toward ever-larger addresses until
@@ -60,7 +63,11 @@ pub struct SsrConfig {
     /// Batching window between a state change and the linearization action
     /// it triggers.
     pub act_interval: u64,
-    /// Re-send interval for un-acknowledged notification handshakes.
+    /// Re-send interval for un-acknowledged notification handshakes (the
+    /// base of the control core's doubling schedule). A floor: no retry
+    /// timer fires before `2 · L + act_interval`, `L` the longer cached
+    /// route of the handshake it guards — the acknowledgment of a message
+    /// sent over 12 hops or more cannot be back any earlier.
     pub retry_interval: u64,
     /// Delay before the first ring-closure probe.
     pub discover_delay: u64,
@@ -77,8 +84,9 @@ pub struct SsrConfig {
     /// `u32::MAX` — never: a crashed-and-rejoined peer leaves no local
     /// signal at the surviving endpoint, so eventual self-stabilization
     /// requires the heartbeat to keep running (it is two messages per node
-    /// per period, still flood-free — the lightweight analogue of Chord's
-    /// stabilize loop). Set a finite value for self-quiescing simulations.
+    /// per period — an announcement is not answered — still flood-free:
+    /// the lightweight analogue of Chord's stabilize loop). Set a finite
+    /// value for self-quiescing simulations.
     pub audit_interval: u64,
     /// Quiet audit rounds before the audit timer stops (`u32::MAX` = never).
     pub audit_quiet: u32,
@@ -276,7 +284,13 @@ impl SsrNode {
 
     fn apply(&mut self, ctx: &mut Ctx<'_, SsrMsg>, effect: Effect<()>) {
         match effect {
-            Effect::SetTimer { delay, timer } => ctx.set_timer(delay, timer.token()),
+            Effect::SetTimer { delay, timer } => {
+                let delay = match timer {
+                    Timer::Retry(side, _) => delay.max(self.retry_floor(side)),
+                    Timer::Act | Timer::Discover | Timer::Audit => delay,
+                };
+                ctx.set_timer(delay, timer.token());
+            }
             Effect::Introduce {
                 keep,
                 drop,
@@ -341,6 +355,20 @@ impl SsrNode {
                 ctx.set_cause(prev);
             }
         }
+    }
+
+    /// The earliest a retry on `side` can tell loss from latency: a round
+    /// trip over the longer of the two cached routes of the handshake in
+    /// flight (links take a tick a hop, and a source-routed sender knows
+    /// its hop count) plus the receiver's batching window. Earlier than
+    /// that a re-send is no loss detection, it is a duplicate on exactly
+    /// the longest routes. A peer with no cached route contributes nothing,
+    /// so below 12 hops the control core's own schedule stands.
+    fn retry_floor(&self, side: Side) -> u64 {
+        let peers = self.lin.pending(side).into_iter().flatten();
+        let routes = peers.filter_map(|peer| self.cache.get(peer));
+        let longest = routes.map(SourceRoute::len).max().unwrap_or(0);
+        2 * longest as u64 + self.config.act_interval
     }
 
     /// Introduces `about` to `to`: sends `to` a notification with a source
@@ -529,14 +557,20 @@ impl SsrNode {
                     if let Some(back) = back.filter(|b| b.dst() == reply.dst()) {
                         reply = back;
                     }
-                    // `about` names the node we were pointed to, so the
-                    // initiator can tell which of its two notifications
-                    // this acknowledges
-                    let ack = Payload::NotifyAck {
-                        about: pointed_at,
-                        seq,
-                    };
-                    self.send_payload(ctx, &reply, ack);
+                    // an introduction — a notification naming a *third*
+                    // node — is half of a handshake its sender waits on; an
+                    // audit announcement names its sender, who acts on no
+                    // answer, so it gets none
+                    if pointed_at != reply.dst() {
+                        // `about` names the node we were pointed to, so the
+                        // initiator can tell which of its two notifications
+                        // this acknowledges
+                        let ack = Payload::NotifyAck {
+                            about: pointed_at,
+                            seq,
+                        };
+                        self.send_payload(ctx, &reply, ack);
+                    }
                     self.learn(reply, false);
                 }
                 self.drive(ctx, Input::Changed);
@@ -1043,6 +1077,97 @@ mod tests {
     fn settle(sim: &mut ssr_sim::Simulator<SsrNode>, budget: u64) -> ConsistencyReport {
         sim.run_until_stable(8, budget, |nodes, _| check_ring(nodes).consistent());
         check_ring(sim.protocols())
+    }
+
+    type Rig = node_util::rig::Rig<SsrNode>;
+
+    /// Node 50 between two scripted peers that say hello (60 and 70) and
+    /// never anything else, so its handshake `keep` 60 / `drop` 70 is never
+    /// acknowledged. With `far_hops` only 60 says hello and the route to 70
+    /// is injected, that many hops long, through nodes that do not exist.
+    /// Returns the tick of the act that starts the handshake, the tick it
+    /// is abandoned at, and the simulator stopped there.
+    fn silent_handshake(far_hops: Option<u64>) -> (u64, u64, ssr_sim::Simulator<Rig>) {
+        let mut node = SsrNode::new(NodeId(50));
+        let mut second = vec![(1, NodeId(70))];
+        if let Some(hops) = far_hops {
+            let via = [50, 60].into_iter().chain(101..99 + hops).chain([70]);
+            node.inject_neighbor(route(&via.collect::<Vec<_>>()));
+            second.clear();
+        }
+        let topo = ssr_graph::Graph::from_edges(3, [(0, 1), (0, 2)]);
+        let peers = vec![
+            Rig::Node(node),
+            Rig::Forger(vec![(1, NodeId(60))]),
+            Rig::Forger(second),
+        ];
+        let mut sim = ssr_sim::Simulator::new(topo, peers, ssr_sim::LinkConfig::ideal(), 1);
+        let mut tick = 0;
+        let mut run_while = |in_flight: bool| loop {
+            sim.run_until(ssr_sim::Time(tick));
+            if under_test(&sim).lin.pending(Side::Right).is_some() != in_flight {
+                return tick;
+            }
+            tick += 1;
+        };
+        let (started, abandoned) = (run_while(false), run_while(true));
+        (started, abandoned, sim)
+    }
+
+    fn under_test(sim: &ssr_sim::Simulator<Rig>) -> &SsrNode {
+        match sim.protocol(0) {
+            Rig::Node(node) => node,
+            Rig::Forger(_) => unreachable!("index 0 is the node under test"),
+        }
+    }
+
+    /// Rule 1 leaves the control core's retry schedule standing — same-`seq`
+    /// re-sends, `MAX_RETRIES`, the abandon — and only keeps each timer from
+    /// firing before the acknowledgment can be back: Σ max(24 << k, 2L + 2)
+    /// ticks from the act, which for short routes is the core's own 744.
+    #[test]
+    fn a_silent_handshake_is_abandoned_on_the_route_aware_schedule() {
+        // both ends adjacent (L = 1): 24 + 48 + 96 + 192 + 384
+        let (started, abandoned, sim) = silent_handshake(None);
+        assert_eq!(abandoned - started, 744);
+        assert_eq!(sim.metrics().counter("e2e.retry"), 8, "4 re-sends a half");
+        // a current physical neighbour is no ghost: both are re-adopted
+        let right: Vec<NodeId> = under_test(&sim).right_set().collect();
+        assert_eq!(right, vec![NodeId(60), NodeId(70)]);
+
+        // `drop` 20 hops away: 42 + 48 + 96 + 192 + 384
+        let (started, abandoned, sim) = silent_handshake(Some(20));
+        assert_eq!(abandoned - started, 762);
+        assert_eq!(sim.metrics().counter("e2e.retry"), 8);
+        // the silent far end is dropped, route and all; the neighbour stays
+        let right: Vec<NodeId> = under_test(&sim).right_set().collect();
+        assert_eq!(right, vec![NodeId(60)]);
+        assert!(!under_test(&sim).cache.contains(NodeId(70)));
+    }
+
+    /// Rule 2 on the physical line 10–…–50 closed into a ring, at rest: an
+    /// audit period costs the eight announcements and not one answer, and a
+    /// member whose state was wiped is back in the ring within one period,
+    /// re-adopted from its neighbours' announcements exactly as before.
+    #[test]
+    fn an_announcement_is_not_answered_and_still_restores_a_wiped_edge() {
+        let mut sim = line_sim(line_nodes(5));
+        assert!(settle(&mut sim, 5_000).consistent());
+        let period = SsrConfig::default().audit_interval;
+        let rest = sim.now().ticks() + 4 * period;
+        sim.run_until(ssr_sim::Time(rest));
+        let count = |sim: &ssr_sim::Simulator<SsrNode>, key| sim.metrics().counter(key);
+        let (notify, ack) = (count(&sim, "msg.notify"), count(&sim, "msg.ack"));
+        sim.run_until(ssr_sim::Time(rest + period));
+        assert_eq!(count(&sim, "msg.notify"), notify + 8);
+        assert_eq!(count(&sim, "msg.ack"), ack);
+
+        sim.protocol_mut(2).reset();
+        assert!(!check_ring(sim.protocols()).consistent());
+        sim.run_until(ssr_sim::Time(rest + 2 * period));
+        let healed = check_ring(sim.protocols());
+        assert!(healed.consistent(), "{healed:?}");
+        assert_eq!(count(&sim, "msg.ack"), ack);
     }
 
     /// A held stale ring edge is re-arbitrated. Both true extremes boot

@@ -381,6 +381,11 @@ impl<E: Copy> Linearizer<E> {
         held.map(|&(_, edge)| edge)
     }
 
+    /// The `[keep, drop]` endpoints of the handshake in flight on `side`.
+    pub fn pending(&self, side: Side) -> Option<[NodeId; 2]> {
+        self.pending[side as usize].map(|p| [p.keep, p.drop])
+    }
+
     /// Locally consistent on the line: at most one neighbor per side and no
     /// handshake in flight.
     pub fn locally_consistent(&self) -> bool {

@@ -58,6 +58,24 @@ fn bootstrap_and_route_on_every_family() {
     }
 }
 
+/// Over ideal links nothing is lost, so nothing needs re-sending: the retry
+/// timer waits out the round trip of the route it guards, and a bootstrap
+/// whose routes grow past `retry_interval / 2` hops sends no retry at all
+/// (≈ 300 of them with the fixed 24-tick timer).
+#[test]
+fn an_ideal_link_bootstrap_sends_no_retries() {
+    let (g, labels) = Topology::UnitDisk { n: 150, scale: 1.3 }.instance(1);
+    let cfg = BootstrapConfig {
+        seed: 1,
+        ..Default::default()
+    };
+    let (report, sim) = run_linearized_bootstrap(&g, &labels, &cfg);
+    assert!(report.converged, "{report:?}");
+    let m = sim.metrics();
+    assert!(m.counter("e2e.sent") > 0);
+    assert_eq!(m.counter("e2e.retry"), 0);
+}
+
 /// ISPRP with the flood also converges — and the two mechanisms agree on
 /// the final ring (it is unique: the sorted order).
 #[test]
