@@ -44,6 +44,9 @@ echo "== benchmark check =="
 # it against the workspace's public API (benchmark/README.md §"Public API
 # surface") and checks its declared metrics against BENCHMARK.json
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+# its own unit tests (spans, stats, JSON, the parent/change comparison);
+# `cargo test --workspace` above never reaches them
+cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
 # the frozen directory stays frozen: cargo rewrites benchmark/Cargo.lock
 # when the workspace's package set or dependency edges move
 if [ -n "$(git status --porcelain -- benchmark/)" ]; then

@@ -86,7 +86,6 @@ pub fn isprp_vs_linearized(sh: &mut Shell, fig: &Figure) {
     {
         let cfg = IsprpConfig {
             enable_flood: false,
-            ..IsprpConfig::default()
         };
         let mut sim = injected_isprp(fig, cfg, TraceSink::disabled());
         sim.run_until(Time(5_000));

@@ -9,6 +9,9 @@ use crate::consistency::{self, ConsistencyReport, Linearized, RingShape};
 use crate::isprp::{IsprpConfig, IsprpNode};
 use crate::node::{SsrConfig, SsrNode};
 
+/// Consistency-check cadence of the one-call runners (ticks).
+pub const CHECK_EVERY: u64 = 8;
+
 /// Common experiment configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BootstrapConfig {
@@ -18,12 +21,9 @@ pub struct BootstrapConfig {
     pub seed: u64,
     /// Give up after this many ticks.
     pub max_ticks: u64,
-    /// Consistency-check cadence.
-    pub check_every: u64,
-    /// SSR protocol tuning (linearized runs).
+    /// SSR protocol tuning (linearized runs; ISPRP runs use
+    /// [`IsprpConfig::default`]).
     pub ssr: SsrConfig,
-    /// ISPRP protocol tuning (baseline runs).
-    pub isprp: IsprpConfig,
 }
 
 impl Default for BootstrapConfig {
@@ -32,15 +32,13 @@ impl Default for BootstrapConfig {
             link: LinkConfig::ideal(),
             seed: 0,
             max_ticks: 100_000,
-            check_every: 8,
             ssr: SsrConfig::default(),
-            isprp: IsprpConfig::default(),
         }
     }
 }
 
 /// One probe sample of the convergence trajectory, taken every
-/// `check_every` ticks during a bootstrap run.
+/// [`CHECK_EVERY`] ticks during a bootstrap run.
 #[derive(Clone, Debug)]
 pub struct ConvergencePoint {
     /// Sample time.
@@ -74,7 +72,7 @@ pub struct BootstrapReport {
     /// Final consistency classification (linearized runs; for ISPRP only
     /// `shape` is meaningful).
     pub consistency: ConsistencyReport,
-    /// Convergence trajectory sampled every `check_every` ticks.
+    /// Convergence trajectory sampled every [`CHECK_EVERY`] ticks.
     pub timeline: Vec<ConvergencePoint>,
 }
 
@@ -231,7 +229,7 @@ pub fn run_linearized_bootstrap(
     let mut sim = Simulator::new(topo.clone(), nodes, cfg.link, cfg.seed);
     let timeline = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     sim.add_probe(
-        cfg.check_every.max(1),
+        CHECK_EVERY,
         timeline_probe(
             std::rc::Rc::clone(&timeline),
             |n: &SsrNode| n.ring_succ().map(|s| (n.id(), s)),
@@ -239,7 +237,7 @@ pub fn run_linearized_bootstrap(
             |n| n.locally_consistent(),
         ),
     );
-    let outcome = sim.run_until_stable(cfg.check_every, cfg.max_ticks, |nodes, _| {
+    let outcome = sim.run_until_stable(CHECK_EVERY, cfg.max_ticks, |nodes, _| {
         consistency::check_ring(nodes).consistent()
     });
     let report = consistency::check_ring(sim.protocols());
@@ -268,11 +266,11 @@ pub fn run_isprp_bootstrap(
     cfg: &BootstrapConfig,
 ) -> (BootstrapReport, Simulator<IsprpNode>) {
     assert_eq!(topo.node_count(), labels.len());
-    let nodes = make_isprp_nodes(labels, cfg.isprp);
+    let nodes = make_isprp_nodes(labels, IsprpConfig::default());
     let mut sim = Simulator::new(topo.clone(), nodes, cfg.link, cfg.seed);
     let timeline = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     sim.add_probe(
-        cfg.check_every.max(1),
+        CHECK_EVERY,
         timeline_probe(
             std::rc::Rc::clone(&timeline),
             |n: &IsprpNode| n.succ().map(|s| (n.id(), s)),
@@ -280,7 +278,7 @@ pub fn run_isprp_bootstrap(
             |n| n.locally_consistent(),
         ),
     );
-    let outcome = sim.run_until_stable(cfg.check_every, cfg.max_ticks, |nodes, _| {
+    let outcome = sim.run_until_stable(CHECK_EVERY, cfg.max_ticks, |nodes, _| {
         isprp_consistent(nodes)
     });
     let shape = isprp_shape(sim.protocols());

@@ -346,9 +346,10 @@ pub fn invariant_probe(
 // watchdog glue
 // ---------------------------------------------------------------------------
 
-/// Hash of all convergence-relevant SSR state (side sets, wraps, pending
-/// handshakes), for the generic freeze watchdog: if this stops changing
-/// without global consistency, the run is frozen.
+/// Hash of all convergence-relevant SSR state (side sets, wraps, and the
+/// local-consistency bit, which a handshake in flight clears — the pending
+/// handshakes themselves are not hashed), for the generic freeze watchdog:
+/// if this stops changing without global consistency, the run is frozen.
 pub fn ssr_signature(nodes: &[SsrNode]) -> u64 {
     const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut h = 0u64;

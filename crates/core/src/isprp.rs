@@ -23,7 +23,6 @@
 //! The flood is exactly the cost linearization removes; experiment E6
 //! meters both protocols' messages by kind.
 
-use ssr_linearize::control::QuietWatch;
 use ssr_sim::{Ctx, Protocol};
 use ssr_types::{cw_dist, Neighbors, NodeId};
 
@@ -36,40 +35,32 @@ const TOKEN_ACT: u64 = 0;
 const TOKEN_FLOOD: u64 = 1;
 const TOKEN_STABILIZE: u64 = 2;
 
-/// Tuning knobs for the ISPRP baseline.
+/// Delay before the first rewiring action.
+const ACT_DELAY: u64 = 2;
+
+/// Settle delay before a node that still believes itself the representative
+/// floods.
+const FLOOD_DELAY: u64 = 32;
+
+/// Period of the stabilization re-claim: each round a node re-notifies its
+/// successor, so improved predecessor knowledge keeps percolating — the
+/// "iterative" in ISPRP. Like Chord's stabilize loop it never stops, because
+/// a node has no local way to know the global ring is consistent (that
+/// inability is precisely the paper's argument); experiment drivers stop
+/// the simulation when the global check passes.
+const STABILIZE_INTERVAL: u64 = 8;
+
+/// What the experiments vary about the ISPRP baseline.
 #[derive(Clone, Copy, Debug)]
 pub struct IsprpConfig {
-    /// Delay before the first rewiring action.
-    pub act_delay: u64,
-    /// Settle delay before a node that still believes itself the
-    /// representative floods.
-    pub flood_delay: u64,
     /// The flood switch — disabling it demonstrates why ISPRP needs it
     /// (loopy/partitioned states then persist forever).
     pub enable_flood: bool,
-    /// Period of the stabilization re-claim (each round a node re-notifies
-    /// its successor, so improved predecessor knowledge keeps percolating —
-    /// the "iterative" in ISPRP).
-    pub stabilize_interval: u64,
-    /// Stop re-claiming after this many stabilization rounds without any
-    /// local state change. The default is `u32::MAX` — i.e. **never**: like
-    /// Chord's stabilize loop, ISPRP keeps re-claiming periodically, because
-    /// a node has no local way to know the global ring is consistent (that
-    /// inability is precisely the paper's argument). Experiment drivers
-    /// stop the simulation when the global check passes; set a finite limit
-    /// only when a self-quiescing run is needed.
-    pub quiet_limit: u32,
 }
 
 impl Default for IsprpConfig {
     fn default() -> Self {
-        IsprpConfig {
-            act_delay: 2,
-            flood_delay: 32,
-            enable_flood: true,
-            stabilize_interval: 8,
-            quiet_limit: u32::MAX,
-        }
+        IsprpConfig { enable_flood: true }
     }
 }
 
@@ -100,9 +91,8 @@ pub struct IsprpNode {
     /// already has `rep` raised by the hello exchange, but it still has to
     /// forward the representative's flood or the flood dies after one hop.
     flood_forwarded: NodeId,
-    /// Stops the stabilization rounds after `quiet_limit` of them without
-    /// a state change.
-    stabilize: QuietWatch,
+    /// Whether the stabilization round timer is queued.
+    stabilize_armed: bool,
 }
 
 impl IsprpNode {
@@ -125,23 +115,13 @@ impl IsprpNode {
             probe: None,
             flooded: false,
             flood_forwarded: id,
-            stabilize: QuietWatch::default(),
+            stabilize_armed: false,
         }
     }
 
-    /// A cheap state signature: any change restarts the stabilization
-    /// rounds.
-    fn signature(&self) -> u64 {
-        let s = self.succ.map_or(0, |x| x.raw());
-        let p = self.pred.map_or(0, |x| x.raw());
-        s ^ p.rotate_left(21)
-            ^ self.rep.raw().rotate_left(42)
-            ^ (self.cache.len() as u64).rotate_left(7)
-    }
-
     fn schedule_stabilize(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-        if self.stabilize.arm() {
-            ctx.set_timer(self.config.stabilize_interval, TOKEN_STABILIZE);
+        if !std::mem::replace(&mut self.stabilize_armed, true) {
+            ctx.set_timer(STABILIZE_INTERVAL, TOKEN_STABILIZE);
         }
     }
 
@@ -440,9 +420,9 @@ impl Protocol for IsprpNode {
             id: self.id,
             probe: true,
         });
-        ctx.set_timer(self.config.act_delay, TOKEN_ACT);
+        ctx.set_timer(ACT_DELAY, TOKEN_ACT);
         if self.config.enable_flood {
-            ctx.set_timer(self.config.flood_delay, TOKEN_FLOOD);
+            ctx.set_timer(FLOOD_DELAY, TOKEN_FLOOD);
         }
         self.schedule_stabilize(ctx);
     }
@@ -500,21 +480,19 @@ impl Protocol for IsprpNode {
                 });
             }
             TOKEN_STABILIZE => {
-                let sig = self.signature();
-                if self.stabilize.fired(sig, self.config.quiet_limit) {
-                    // re-claim the successor so improved predecessor
-                    // knowledge keeps flowing back as redirects
-                    if let Some(s) = self.succ {
-                        if let Some(route) = self.cache.get(s).cloned() {
-                            let payload = Payload::SuccNotify {
-                                from: self.id,
-                                reply_route: route.reversed().into_hops(),
-                            };
-                            self.send_payload(ctx, &route, payload);
-                        }
+                self.stabilize_armed = false;
+                // re-claim the successor so improved predecessor knowledge
+                // keeps flowing back as redirects
+                if let Some(s) = self.succ {
+                    if let Some(route) = self.cache.get(s).cloned() {
+                        let payload = Payload::SuccNotify {
+                            from: self.id,
+                            reply_route: route.reversed().into_hops(),
+                        };
+                        self.send_payload(ctx, &route, payload);
                     }
-                    self.schedule_stabilize(ctx);
                 }
+                self.schedule_stabilize(ctx);
             }
             _ => {}
         }

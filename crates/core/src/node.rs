@@ -40,7 +40,7 @@
 //!
 //! **No message in this protocol floods the network.**
 
-use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{IntervalPartition, Neighbors, NodeId, SeqNo, Side};
@@ -53,84 +53,49 @@ use crate::route::SourceRoute;
 /// Hello re-probe sweep — the one timer that is not the control core's.
 const TOKEN_HELLO: u64 = Timer::FIRST_FREE_TOKEN;
 
-/// Tuning knobs for the linearized bootstrap.
+/// Re-probe attempts for links whose peer never identified itself. A single
+/// lost hello (or lost reply) would otherwise leave physical adjacency
+/// *asymmetric* forever: the peer, already satisfied, treats the link as
+/// ground truth while this side cannot route over it.
+const HELLO_RETRIES: u32 = 5;
+
+/// Base interval between hello re-probes (backs off exponentially).
+const HELLO_RETRY_INTERVAL: u64 = 16;
+
+/// What the experiments vary about the linearized bootstrap. The timer
+/// schedule is the control core's own (`ssr_linearize::control`'s
+/// `ACT_INTERVAL`, `RETRY_INTERVAL`, … constants).
 #[derive(Clone, Copy, Debug)]
 pub struct SsrConfig {
     /// Interval base of the route cache's LSN retention.
     pub partition_base: u64,
-    /// Delay before the first linearization action (lets hellos land).
-    pub act_delay: u64,
-    /// Batching window between a state change and the linearization action
-    /// it triggers.
-    pub act_interval: u64,
-    /// Re-send interval for un-acknowledged notification handshakes (the
-    /// base of the control core's doubling schedule). A floor: no retry
-    /// timer fires before `2 · L + act_interval`, `L` the longer cached
-    /// route of the handshake it guards — the acknowledgment of a message
-    /// sent over 12 hops or more cannot be back any earlier.
-    pub retry_interval: u64,
-    /// Delay before the first ring-closure probe.
-    pub discover_delay: u64,
-    /// Re-probe interval while the node's ring edge is unresolved.
-    pub discover_retry: u64,
     /// Launch counter-clockwise probes too (the paper's redundancy
     /// suggestion; ablation `--no-ccw` switches it off).
     pub ccw_redundancy: bool,
-    /// Virtual-neighbor audit period: a node periodically re-announces
-    /// itself along each virtual edge so a peer that lost the edge (e.g. it
-    /// crashed and purged state, or rejoined fresh) re-adopts it. Edges
-    /// stay *mutual*, which is what lets linearization resume after churn.
-    /// Audits stop after `audit_quiet` unchanged rounds. The default is
-    /// `u32::MAX` — never: a crashed-and-rejoined peer leaves no local
-    /// signal at the surviving endpoint, so eventual self-stabilization
-    /// requires the heartbeat to keep running (it is two messages per node
-    /// per period — an announcement is not answered — still flood-free:
-    /// the lightweight analogue of Chord's stabilize loop). Set a finite
-    /// value for self-quiescing simulations.
-    pub audit_interval: u64,
-    /// Quiet audit rounds before the audit timer stops (`u32::MAX` = never).
-    pub audit_quiet: u32,
     /// Tear down delegated edges (the paper's protocol). Off = the
     /// with-memory ablation: neighbor sets only ever grow.
     pub teardown: bool,
-    /// Re-probe attempts for links whose peer never identified itself. A
-    /// single lost hello (or lost reply) would otherwise leave physical
-    /// adjacency *asymmetric* forever: the peer, already satisfied, treats
-    /// the link as ground truth while this side cannot route over it.
-    pub hello_retries: u32,
-    /// Base interval between hello re-probes (backs off exponentially).
-    pub hello_retry_interval: u64,
+    /// Quiet audit rounds before the audit timer stops. The audit is the
+    /// virtual-neighbor heartbeat: a node periodically re-announces itself
+    /// along each ring edge so a peer that lost the edge (e.g. it crashed
+    /// and purged state, or rejoined fresh) re-adopts it. Edges stay
+    /// *mutual*, which is what lets linearization resume after churn. The
+    /// default is `u32::MAX` — never stop: a crashed-and-rejoined peer
+    /// leaves no local signal at the surviving endpoint, so eventual
+    /// self-stabilization requires the heartbeat to keep running (it is two
+    /// messages per node per period — an announcement is not answered —
+    /// still flood-free: the lightweight analogue of Chord's stabilize
+    /// loop). Set a finite value for self-quiescing simulations.
+    pub audit_quiet: u32,
 }
 
 impl Default for SsrConfig {
     fn default() -> Self {
         SsrConfig {
             partition_base: 2,
-            act_delay: 2,
-            act_interval: 2,
-            retry_interval: 24,
-            discover_delay: 8,
-            discover_retry: 48,
             ccw_redundancy: true,
-            audit_interval: 48,
-            audit_quiet: u32::MAX,
             teardown: true,
-            hello_retries: 5,
-            hello_retry_interval: 16,
-        }
-    }
-}
-
-impl SsrConfig {
-    fn timing(&self) -> Timing {
-        Timing {
-            act_interval: self.act_interval,
-            retry_interval: self.retry_interval,
-            discover_delay: self.discover_delay,
-            discover_retry: self.discover_retry,
-            ccw_redundancy: self.ccw_redundancy,
-            audit_interval: self.audit_interval,
-            audit_quiet: self.audit_quiet,
+            audit_quiet: u32::MAX,
         }
     }
 }
@@ -169,7 +134,13 @@ impl SsrNode {
             id,
             config,
             nbrs: Neighbors::default(),
-            lin: Linearizer::new(id, config.timing()),
+            lin: Linearizer::new(
+                id,
+                Timing {
+                    ccw_redundancy: config.ccw_redundancy,
+                    audit_quiet: config.audit_quiet,
+                },
+            ),
             cache: RouteCache::with_partition(id, IntervalPartition::new(config.partition_base)),
             hello_round: 0,
             delivered_probes: Vec::new(),
@@ -368,7 +339,7 @@ impl SsrNode {
         let peers = self.lin.pending(side).into_iter().flatten();
         let routes = peers.filter_map(|peer| self.cache.get(peer));
         let longest = routes.map(SourceRoute::len).max().unwrap_or(0);
-        2 * longest as u64 + self.config.act_interval
+        2 * longest as u64 + ACT_INTERVAL
     }
 
     /// Introduces `about` to `to`: sends `to` a notification with a source
@@ -698,7 +669,7 @@ impl SsrNode {
     }
 
     /// Re-probes every link whose peer has not identified itself yet, with
-    /// exponential backoff up to `hello_retries` rounds. Lossy links can
+    /// exponential backoff up to [`HELLO_RETRIES`] rounds. Lossy links can
     /// swallow both the initial broadcast and the solicited reply; without
     /// this sweep the resulting one-way adjacency view never heals and
     /// source routes built over it by the peer are dead on arrival.
@@ -709,7 +680,7 @@ impl SsrNode {
             .copied()
             .filter(|&idx| self.nbrs.id_at(idx).is_none())
             .collect();
-        if unidentified.is_empty() || self.hello_round >= self.config.hello_retries {
+        if unidentified.is_empty() || self.hello_round >= HELLO_RETRIES {
             return;
         }
         let prev = ctx.set_cause(CauseClass::HelloSweep);
@@ -723,10 +694,7 @@ impl SsrNode {
             );
         }
         self.hello_round += 1;
-        ctx.set_timer(
-            self.config.hello_retry_interval << self.hello_round,
-            TOKEN_HELLO,
-        );
+        ctx.set_timer(HELLO_RETRY_INTERVAL << self.hello_round, TOKEN_HELLO);
         ctx.set_cause(prev);
     }
 }
@@ -765,8 +733,9 @@ impl Protocol for SsrNode {
             id: self.id,
             probe: true,
         });
-        ctx.set_timer(self.config.act_delay, Timer::Act.token());
-        ctx.set_timer(self.config.hello_retry_interval, TOKEN_HELLO);
+        // the first act waits one batching window, so the hellos land
+        ctx.set_timer(ACT_INTERVAL, Timer::Act.token());
+        ctx.set_timer(HELLO_RETRY_INTERVAL, TOKEN_HELLO);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SsrMsg>, from: usize, msg: SsrMsg) {
@@ -822,7 +791,7 @@ impl Protocol for SsrNode {
         // a fresh link restarts the identification sweep: its hello (or the
         // reply) can be lost just like the boot-time broadcast
         self.hello_round = 0;
-        ctx.set_timer(self.config.hello_retry_interval, TOKEN_HELLO);
+        ctx.set_timer(HELLO_RETRY_INTERVAL, TOKEN_HELLO);
     }
 
     fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, SsrMsg>, neighbor: usize) {
@@ -1153,7 +1122,7 @@ mod tests {
     fn an_announcement_is_not_answered_and_still_restores_a_wiped_edge() {
         let mut sim = line_sim(line_nodes(5));
         assert!(settle(&mut sim, 5_000).consistent());
-        let period = SsrConfig::default().audit_interval;
+        let period = ssr_linearize::control::AUDIT_INTERVAL;
         let rest = sim.now().ticks() + 4 * period;
         sim.run_until(ssr_sim::Time(rest));
         let count = |sim: &ssr_sim::Simulator<SsrNode>, key| sim.metrics().counter(key);

@@ -32,22 +32,27 @@ const MAX_RETRIES: u8 = 4;
 /// discovery timer.
 const MAX_EFFECTS: usize = 9;
 
-/// The intervals the control core runs on (ticks).
+// The schedule the control core runs on (ticks). It belongs to the core:
+// every protocol on it runs the same one.
+
+/// Batching window between a state change and the act it triggers.
+pub const ACT_INTERVAL: u64 = 2;
+/// Base re-send interval of an un-acknowledged handshake (doubles per retry).
+pub const RETRY_INTERVAL: u64 = 24;
+/// Earliest tick at which ring-closure probes are launched.
+pub const DISCOVER_DELAY: u64 = 8;
+/// Re-probe interval while a ring edge is unresolved.
+pub const DISCOVER_RETRY: u64 = 48;
+/// Audit (re-announcement) period.
+pub const AUDIT_INTERVAL: u64 = 48;
+
+/// What a protocol may choose about the control core's behaviour.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Timing {
-    /// Batching window between a state change and the act it triggers.
-    pub act_interval: u64,
-    /// Base re-send interval of an un-acknowledged handshake.
-    pub retry_interval: u64,
-    /// Earliest tick at which ring-closure probes are launched.
-    pub discover_delay: u64,
-    /// Re-probe interval while a ring edge is unresolved.
-    pub discover_retry: u64,
     /// Probe counter-clockwise too (the paper's redundancy suggestion).
     pub ccw_redundancy: bool,
-    /// Audit (re-announcement) period.
-    pub audit_interval: u64,
-    /// Unchanged audit rounds before the audit timer stops.
+    /// Unchanged audit rounds before the audit timer stops (`u32::MAX` =
+    /// never).
     pub audit_quiet: u32,
 }
 
@@ -102,7 +107,7 @@ impl Timer {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Input {
     /// The neighbor structure changed: queue a (deduplicated) act
-    /// `act_interval` out and make sure audits run. Immediate per-message
+    /// [`ACT_INTERVAL`] out and make sure audits run. Immediate per-message
     /// reactions act on half-updated neighbor sets and can sustain
     /// add/teardown churn; batching lets each step see the settled outcome
     /// of the previous wave — the asynchronous analogue of synchronous
@@ -249,11 +254,10 @@ pub enum WrapVerdict<E> {
     },
 }
 
-/// Stops a periodic round after a run of rounds over unchanged state, and
-/// restarts it on demand — the audit watcher here, and ISPRP's stabilize
-/// loop.
+/// Stops the audit round after a run of rounds over unchanged state, and
+/// restarts it on demand.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
-pub struct QuietWatch {
+struct QuietWatch {
     armed: bool,
     quiet_rounds: u32,
     last_sig: u64,
@@ -262,14 +266,14 @@ pub struct QuietWatch {
 impl QuietWatch {
     /// Marks the round timer as queued; `true` iff it was not already, i.e.
     /// the caller has to set it.
-    pub fn arm(&mut self) -> bool {
+    fn arm(&mut self) -> bool {
         !std::mem::replace(&mut self.armed, true)
     }
 
     /// The round timer fired over state with signature `sig`. `true` while
     /// fewer than `limit` consecutive rounds saw an unchanged signature:
     /// the caller runs its round and re-arms. `u32::MAX` never stops.
-    pub fn fired(&mut self, sig: u64, limit: u32) -> bool {
+    fn fired(&mut self, sig: u64, limit: u32) -> bool {
         self.armed = false;
         if sig != self.last_sig {
             self.last_sig = sig;
@@ -509,7 +513,7 @@ impl<E: Copy> Linearizer<E> {
         if !self.act_scheduled {
             self.act_scheduled = true;
             fx.push(Effect::SetTimer {
-                delay: self.timing.act_interval,
+                delay: ACT_INTERVAL,
                 timer: Timer::Act,
             });
         }
@@ -519,7 +523,7 @@ impl<E: Copy> Linearizer<E> {
     fn arm_audit(&mut self, fx: &mut Effects<E>) {
         if self.audit.arm() {
             fx.push(Effect::SetTimer {
-                delay: self.timing.audit_interval,
+                delay: AUDIT_INTERVAL,
                 timer: Timer::Audit,
             });
         }
@@ -569,7 +573,7 @@ impl<E: Copy> Linearizer<E> {
             retries: 0,
         });
         fx.push(Effect::SetTimer {
-            delay: self.timing.retry_interval,
+            delay: RETRY_INTERVAL,
             timer: Timer::Retry(side, seq),
         });
     }
@@ -603,7 +607,7 @@ impl<E: Copy> Linearizer<E> {
             to_drop: !p.drop_acked,
         });
         fx.push(Effect::SetTimer {
-            delay: self.timing.retry_interval << p.retries,
+            delay: RETRY_INTERVAL << p.retries,
             timer: Timer::Retry(side, seq),
         });
     }
@@ -646,12 +650,12 @@ impl<E: Copy> Linearizer<E> {
             (Side::Left, self.timing.ccw_redundancy && open(Side::Right)),
         ];
         let unresolved = need.iter().any(|&(_, needed)| needed);
-        let mut delay = self.timing.discover_retry;
-        if now < self.timing.discover_delay {
+        let mut delay = DISCOVER_RETRY;
+        if now < DISCOVER_DELAY {
             // too early to probe — but wake up once the settle delay is
             // over, otherwise an already-linear network would quiesce
             // without ever closing its ring
-            delay = self.timing.discover_delay - now;
+            delay = DISCOVER_DELAY - now;
         } else {
             for (toward, needed) in need {
                 if needed && !std::mem::replace(&mut self.probe_out[toward as usize], true) {
@@ -699,12 +703,7 @@ mod tests {
     use super::*;
 
     const TIMING: Timing = Timing {
-        act_interval: 2,
-        retry_interval: 24,
-        discover_delay: 8,
-        discover_retry: 48,
         ccw_redundancy: true,
-        audit_interval: 48,
         audit_quiet: u32::MAX,
     };
 

@@ -346,12 +346,7 @@ mod tests {
     use proptest::prelude::*;
 
     const TIMING: Timing = Timing {
-        act_interval: 2,
-        retry_interval: 24,
-        discover_delay: 8,
-        discover_retry: 48,
         ccw_redundancy: true,
-        audit_interval: 48,
         audit_quiet: u32::MAX,
     };
 

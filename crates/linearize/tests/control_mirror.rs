@@ -12,12 +12,7 @@ use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdi
 use ssr_types::{NodeId, SeqNo, Side};
 
 const TIMING: Timing = Timing {
-    act_interval: 2,
-    retry_interval: 24,
-    discover_delay: 8,
-    discover_retry: 48,
     ccw_redundancy: true,
-    audit_interval: 48,
     audit_quiet: 3,
 };
 

@@ -55,11 +55,7 @@ pub fn run_vrr_bootstrap(
     max_ticks: u64,
 ) -> (VrrBootstrapReport, Simulator<VrrNode>) {
     assert_eq!(topo.node_count(), labels.len());
-    let config = VrrConfig {
-        mode,
-        ..VrrConfig::default()
-    };
-    let nodes = make_vrr_nodes(labels, config);
+    let nodes = make_vrr_nodes(labels, VrrConfig { mode });
     let mut sim = Simulator::new(topo.clone(), nodes, link, seed);
     let outcome = sim.run_until_stable(8, max_ticks, |nodes, _| vrr_ring_consistent(nodes));
     let converged = vrr_ring_consistent(sim.protocols());
@@ -141,11 +137,7 @@ pub fn run_vrr_bootstrap_watched(
     freeze_window: u64,
 ) -> (VrrWatchReport, Simulator<VrrNode>) {
     assert_eq!(topo.node_count(), labels.len());
-    let config = VrrConfig {
-        mode,
-        ..VrrConfig::default()
-    };
-    let nodes = make_vrr_nodes(labels, config);
+    let nodes = make_vrr_nodes(labels, VrrConfig { mode });
     let mut sim = Simulator::new(topo.clone(), nodes, link, seed);
     let state = shared_watchdog();
     sim.add_probe(

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{cw_dist, ring_between_cw, Neighbors, NodeId, SeqNo, Side};
@@ -50,59 +50,34 @@ pub enum VrrMode {
     Linearized,
 }
 
-/// Tuning knobs.
+/// Beacon period (baseline mode only).
+const BEACON_INTERVAL: u64 = 16;
+
+/// Hop budget of every walk and path message a node originates.
+const TTL: u16 = 512;
+
+/// What the control core may choose, fixed for VRR: it probes both ways,
+/// and its audit — each round a node re-announces itself along its ring
+/// edges, so a peer that silently dropped the edge (garbage collection,
+/// lost half-lay) re-adopts it and edges stay *mutual* — never stops.
+const TIMING: Timing = Timing {
+    ccw_redundancy: true,
+    audit_quiet: u32::MAX,
+};
+
+/// What the experiments vary about a VRR node. The timer schedule is the
+/// control core's own (`ssr_linearize::control`'s `ACT_INTERVAL`, …
+/// constants).
 #[derive(Clone, Copy, Debug)]
 pub struct VrrConfig {
     /// Bootstrap mode.
     pub mode: VrrMode,
-    /// Batching window for linearization actions.
-    pub act_interval: u64,
-    /// Handshake retry base interval.
-    pub retry_interval: u64,
-    /// Delay before the first discovery probe.
-    pub discover_delay: u64,
-    /// Discovery retry interval.
-    pub discover_retry: u64,
-    /// Beacon period (baseline mode only).
-    pub beacon_interval: u64,
-    /// Virtual-neighbor audit period: each round a node re-announces itself
-    /// along every virtual edge, so a peer that silently dropped the edge
-    /// (garbage collection, lost half-lay) re-adopts it — edges stay
-    /// *mutual*, which is what keeps linearization progressing. Audits stop
-    /// after `audit_quiet` unchanged rounds and restart on any state change.
-    pub audit_interval: u64,
-    /// Quiet audit rounds before the audit timer stops.
-    pub audit_quiet: u32,
-    /// TTL for greedily routed walks.
-    pub ttl: u16,
-}
-
-impl VrrConfig {
-    fn timing(&self) -> Timing {
-        Timing {
-            act_interval: self.act_interval,
-            retry_interval: self.retry_interval,
-            discover_delay: self.discover_delay,
-            discover_retry: self.discover_retry,
-            ccw_redundancy: true,
-            audit_interval: self.audit_interval,
-            audit_quiet: self.audit_quiet,
-        }
-    }
 }
 
 impl Default for VrrConfig {
     fn default() -> Self {
         VrrConfig {
             mode: VrrMode::Linearized,
-            act_interval: 2,
-            retry_interval: 24,
-            discover_delay: 8,
-            discover_retry: 48,
-            beacon_interval: 16,
-            audit_interval: 48,
-            audit_quiet: u32::MAX,
-            ttl: 512,
         }
     }
 }
@@ -290,7 +265,7 @@ impl VrrNode {
             config,
             nbrs: Neighbors::default(),
             table: PathTable::new(),
-            lin: Linearizer::new(id, config.timing()),
+            lin: Linearizer::new(id, TIMING),
             rep: id,
             claimed: None,
             claim_paths: BTreeMap::new(),
@@ -330,8 +305,9 @@ impl VrrNode {
     // -- transport -------------------------------------------------------------
 
     /// Best physical next hop toward `target` (clockwise-progress greedy
-    /// over physical neighbors and real path endpoints).
-    fn greedy_next(&self, target: NodeId) -> Option<usize> {
+    /// over physical neighbors and real path endpoints) — VRR's one
+    /// forwarding rule, which [`crate::VrrRoutingView`] replays too.
+    pub(crate) fn greedy_next(&self, target: NodeId) -> Option<usize> {
         let mut best: Option<(u64, usize)> = None;
         let mut consider = |cand: NodeId, link: usize| {
             if cand == self.id
@@ -396,7 +372,7 @@ impl VrrNode {
     /// (see `PathPayload::Retire`).
     fn retire(&mut self, ctx: &mut Ctx<'_, VrrMsg>, other: NodeId, path: PathId) {
         let payload = PathPayload::Retire { from: self.id };
-        self.send_along(ctx, path, other, payload, self.config.ttl);
+        self.send_along(ctx, path, other, payload, TTL);
     }
 
     // -- linearization -------------------------------------------------------------
@@ -441,7 +417,7 @@ impl VrrNode {
                     seq,
                 };
                 let prev = ctx.set_cause(CauseClass::Audit);
-                self.send_along(ctx, edge, peer, payload, self.config.ttl);
+                self.send_along(ctx, edge, peer, payload, TTL);
                 ctx.set_cause(prev);
             }
         }
@@ -505,7 +481,7 @@ impl VrrNode {
                 from: self.id,
                 seq,
             },
-            self.config.ttl,
+            TTL,
         );
         self.send_along(
             ctx,
@@ -517,7 +493,7 @@ impl VrrNode {
                 from: self.id,
                 seq,
             },
-            self.config.ttl,
+            TTL,
         );
     }
 
@@ -555,13 +531,7 @@ impl VrrNode {
         };
         let pid = Self::crumb_pid(self.id, toward, nonce);
         self.install_walk_hop(pid, self.id, None, Some(next));
-        ctx.send(
-            next,
-            VrrMsg::Routed {
-                ttl: self.config.ttl,
-                payload,
-            },
-        );
+        ctx.send(next, VrrMsg::Routed { ttl: TTL, payload });
     }
 
     /// Installs one hop of a walk that lays state: `from` leads back toward
@@ -641,7 +611,7 @@ impl VrrNode {
                 final_pid,
                 toward,
             },
-            self.config.ttl,
+            TTL,
         );
         self.table.remove(&crumb);
         self.drive(ctx, Input::Changed);
@@ -725,13 +695,7 @@ impl VrrNode {
                 };
                 let pid = PathId::new(self.id, rep, nonce);
                 self.install_walk_hop(pid, self.id, None, Some(next));
-                ctx.send(
-                    next,
-                    VrrMsg::Routed {
-                        ttl: self.config.ttl,
-                        payload,
-                    },
-                );
+                ctx.send(next, VrrMsg::Routed { ttl: TTL, payload });
             }
         }
     }
@@ -776,7 +740,7 @@ impl VrrNode {
                     from: self.id,
                     seq,
                 };
-                self.send_along(ctx, pid, claimant, payload, self.config.ttl);
+                self.send_along(ctx, pid, claimant, payload, TTL);
             }
         }
         self.drive(ctx, Input::Changed);
@@ -842,9 +806,9 @@ impl Protocol for VrrNode {
             id: self.id,
             rep: self.rep,
         });
-        ctx.set_timer(self.config.act_interval, Timer::Act.token());
+        ctx.set_timer(ACT_INTERVAL, Timer::Act.token());
         if self.config.mode == VrrMode::Baseline {
-            ctx.set_timer(self.config.beacon_interval, TOKEN_BEACON);
+            ctx.set_timer(BEACON_INTERVAL, TOKEN_BEACON);
         }
     }
 
@@ -953,7 +917,7 @@ impl Protocol for VrrNode {
                             self.install_walk_hop(new_pid, self.id, None, Some(from));
                             self.lin.adopt(other, new_pid);
                             let ack = PathPayload::Ack { about: other, seq };
-                            self.send_along(ctx, id, initiator, ack, self.config.ttl);
+                            self.send_along(ctx, id, initiator, ack, TTL);
                             self.drive(ctx, Input::Changed);
                         } else {
                             // orientation: this hop leads toward `toward`
@@ -1066,7 +1030,7 @@ impl Protocol for VrrNode {
                     id: self.id,
                     rep: self.rep,
                 });
-                ctx.set_timer(self.config.beacon_interval, TOKEN_BEACON);
+                ctx.set_timer(BEACON_INTERVAL, TOKEN_BEACON);
             }
         } else if let Some(timer) = Timer::from_token(token) {
             // without a physical neighbor a probe has nowhere to go
@@ -1076,9 +1040,11 @@ impl Protocol for VrrNode {
     }
 
     fn on_neighbor_down(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
-        if self.nbrs.unbind_index(neighbor).is_none() {
-            return;
-        }
+        // path state is keyed by link, not by peer: it is purged even when
+        // no identified peer was bound to the link (its hello was lost, or
+        // its address moved to another link), or a later send along it
+        // would leave over a link that is down
+        self.nbrs.unbind_index(neighbor);
         // edges whose path state crossed the dead link are gone
         let dead = self.table.purge_via(neighbor);
         self.lin.retain(|_, path| !dead.contains(path));
@@ -1319,6 +1285,83 @@ mod tests {
         assert_eq!(offered(&sim, a), Some(1));
         sim.run_until(Time(35));
         assert_eq!(offered(&sim, a), Some(1));
+    }
+
+    /// VRR's twin of SSR's `a_silent_handshake_is_abandoned_on_the_route_aware_schedule`:
+    /// node 50 between forgers 60 and 70 that say hello and nothing else,
+    /// so its handshake `keep` 60 / `drop` 70 is never acknowledged. The
+    /// control core abandons it on the same 24 + 48 + 96 + 192 + 384 = 744
+    /// tick schedule SSR runs on (its routes are one hop). Then the one
+    /// policy the two protocols do not share: VRR garbage-collects both
+    /// silent endpoints although they are live, identified physical
+    /// neighbours — SSR re-adopts them — and nothing re-adopts them in the
+    /// 1 000 ticks watched. Pinned as it is (DESIGN finding 7).
+    #[test]
+    fn a_silent_handshake_is_abandoned_and_both_physical_neighbours_are_dropped() {
+        use ssr_graph::Graph;
+        use ssr_sim::{LinkConfig, Simulator, Time};
+
+        let topo = Graph::from_edges(3, [(2, 0), (2, 1)]);
+        let protocols = vec![
+            Rig::Forger(vec![(1, NodeId(60))]),
+            Rig::Forger(vec![(1, NodeId(70))]),
+            Rig::Node(Box::new(VrrNode::new(NodeId(50)))),
+        ];
+        let mut sim = Simulator::new(topo, protocols, LinkConfig::ideal(), 1);
+        let under_test = |sim: &Simulator<Rig>| match sim.protocol(2) {
+            Rig::Node(p) => p.clone(),
+            Rig::Forger(_) => unreachable!("index 2 is the node under test"),
+        };
+        let mut tick = 0;
+        let mut run_while = |in_flight: bool| loop {
+            sim.run_until(Time(tick));
+            if under_test(&sim).lin.pending(Side::Right).is_some() != in_flight {
+                return tick;
+            }
+            tick += 1;
+        };
+        let (started, abandoned) = (run_while(false), run_while(true));
+        assert_eq!((started, abandoned), (4, 748));
+        sim.run_until(Time(abandoned + 1_000));
+        let node = under_test(&sim);
+        assert!(node.nbrs.contains(NodeId(60)) && node.nbrs.contains(NodeId(70)));
+        assert_eq!(node.right_set().count(), 0);
+    }
+
+    /// A partition over lossy links takes down links whose peer never
+    /// identified itself (its hello was lost). The path state over such a
+    /// link must go with it: the next audit announcement along it would
+    /// otherwise leave over a link that is down ("node 22 tried to send to
+    /// non-neighbor 18" before the fix).
+    #[test]
+    fn a_link_down_purges_its_path_state_even_with_no_peer_bound() {
+        use ssr_graph::{generators, Labeling};
+        use ssr_sim::faults::{partition_groups, Fault};
+        use ssr_sim::{LinkConfig, Simulator, Time};
+        use ssr_types::Rng;
+
+        let n = 36;
+        let mut rng = Rng::new(3);
+        let (topo, _) = generators::unit_disk_connected(n, 1.4, &mut rng);
+        let labels = Labeling::random(n, &mut rng);
+        let nodes = labels.ids().iter().map(|&id| VrrNode::new(id)).collect();
+        let mut sim = Simulator::new(topo, nodes, LinkConfig::lossy(0.05), 3);
+        let groups = partition_groups(n, 2, &mut Rng::new(3 ^ 0xC0FFEE));
+        sim.schedule_fault(Time(50), Fault::Partition { groups });
+        sim.schedule_fault(Time(450), Fault::Heal);
+        for t in (100..=3_000).step_by(100) {
+            sim.run_until(Time(t));
+            for (u, node) in sim.protocols().iter().enumerate() {
+                for (id, entry) in node.table().iter() {
+                    for hop in [entry.toward_a, entry.toward_b].into_iter().flatten() {
+                        assert!(
+                            sim.topology().has_edge(u, hop),
+                            "tick {t}: node {u} holds {id:?} over dead link to {hop}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

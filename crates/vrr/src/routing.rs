@@ -6,12 +6,13 @@
 //! (with the clockwise-progress constraint), and hands the packet to the
 //! physical next hop toward that endpoint — where the decision is made
 //! afresh. This module walks that process over a snapshot of all node
-//! states, mirroring `ssr_core::routing` for experiment E10. A path table
-//! names a next hop by its simulator index, so a hop is an index into the
-//! node slice; addresses are looked up once per packet, to find the source,
-//! in a table sorted by address.
+//! states, mirroring `ssr_core::routing` for experiment E10; each decision
+//! is the node's own forwarding rule, the one its live walks take. A path
+//! table names a next hop by its simulator index, so a hop is an index into
+//! the node slice; addresses are looked up once per packet, to find the
+//! source, in a table sorted by address.
 
-use ssr_types::{cw_dist, ring_between_cw, NodeId};
+use ssr_types::NodeId;
 
 use crate::node::VrrNode;
 
@@ -58,25 +59,6 @@ impl<'a> VrrRoutingView<'a> {
         VrrRoutingView { nodes, by_id }
     }
 
-    /// One forwarding decision at `node`: the physical next hop index.
-    fn next_hop(&self, node: &VrrNode, dst: NodeId) -> Option<usize> {
-        let me = node.id();
-        let mut best: Option<(u64, usize)> = None;
-        let mut consider = |cand: NodeId, link: usize| {
-            if cand == me || !ring_between_cw(me, cand, dst) {
-                return;
-            }
-            let remaining = cw_dist(cand, dst);
-            if best.map(|(r, _)| remaining < r).unwrap_or(true) {
-                best = Some((remaining, link));
-            }
-        };
-        for (ep, link) in node.table().endpoints(me) {
-            consider(ep, link);
-        }
-        best.map(|(_, link)| link)
-    }
-
     /// Routes a packet from `src` to `dst`, at most `max_hops` physical
     /// hops.
     pub fn route(&self, src: NodeId, dst: NodeId, max_hops: u32) -> VrrRouteOutcome {
@@ -89,9 +71,7 @@ impl<'a> VrrRoutingView<'a> {
         let mut cur = self.by_id[at];
         let mut hops = 0u32;
         while hops < max_hops {
-            let next = self
-                .next_hop(cur, dst)
-                .and_then(|link| self.nodes.get(link));
+            let next = cur.greedy_next(dst).and_then(|link| self.nodes.get(link));
             let Some(next) = next else {
                 return VrrRouteOutcome::Stuck { at: cur.id() };
             };
@@ -140,6 +120,41 @@ mod tests {
             for b in 0..6 {
                 let out = view.route(labels.id(a), labels.id(b), 64);
                 assert!(out.delivered(), "{a}->{b}: {out:?}");
+            }
+        }
+    }
+
+    /// Every first hop the view takes is the node's own forwarding
+    /// decision — physical neighbours included, breadcrumbs skipped — for
+    /// every node and destination of a few converged unit-disk rings.
+    #[test]
+    fn the_view_forwards_by_the_nodes_own_greedy_rule() {
+        for (n, seed) in [(20, 0), (30, 1), (50, 3)] {
+            let mut rng = ssr_types::Rng::new(seed);
+            let (topo, _) = generators::unit_disk_connected(n, 1.3, &mut rng);
+            let labels = Labeling::random(n, &mut rng);
+            let (report, sim) = run_vrr_bootstrap(
+                &topo,
+                &labels,
+                VrrMode::Linearized,
+                LinkConfig::ideal(),
+                seed,
+                20_000,
+            );
+            assert!(report.converged, "n {n} seed {seed}: {report:?}");
+            let nodes = sim.protocols();
+            let view = VrrRoutingView::new(nodes);
+            for node in nodes {
+                for &dst in labels.ids().iter().filter(|&&d| d != node.id()) {
+                    let expected = match node.greedy_next(dst).map(|link| nodes[link].id()) {
+                        None => VrrRouteOutcome::Stuck { at: node.id() },
+                        Some(next) if next == dst => {
+                            VrrRouteOutcome::Delivered { physical_hops: 1 }
+                        }
+                        Some(_) => VrrRouteOutcome::Exhausted,
+                    };
+                    assert_eq!(view.route(node.id(), dst, 1), expected, "n {n} seed {seed}");
+                }
             }
         }
     }

@@ -39,10 +39,12 @@ sweep-smoke:
 golden:
     ./scripts/golden_smoke.sh
 
-# build the benchmark package (its own workspace) against the current API
-# and check its metric declarations against BENCHMARK.json
+# build the benchmark package (its own workspace) against the current API,
+# check its metric declarations against BENCHMARK.json and run its own
+# unit tests
 bench-check:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+    cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 # fig1_loopy with the streaming JSONL sink, then obs trace/summarize/diff
 obs-smoke:
