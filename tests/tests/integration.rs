@@ -76,6 +76,38 @@ fn an_ideal_link_bootstrap_sends_no_retries() {
     assert_eq!(m.counter("e2e.retry"), 0);
 }
 
+/// `e2e.sent` split by payload: for both protocols the per-class counters
+/// sum to it, and nothing is delivered end to end that was not sent.
+#[test]
+fn the_per_class_e2e_counters_sum_to_e2e_sent() {
+    let (g, labels) = Topology::UnitDisk { n: 30, scale: 1.3 }.instance(5);
+    let cfg = BootstrapConfig {
+        max_ticks: 200_000,
+        ..Default::default()
+    };
+    let (lin, lin_sim) = run_linearized_bootstrap(&g, &labels, &cfg);
+    let (isp, isp_sim) = run_isprp_bootstrap(&g, &labels, &cfg);
+    assert!(lin.converged && isp.converged);
+    let classes = [
+        "e2e.notify",
+        "e2e.announce",
+        "e2e.ack",
+        "e2e.teardown",
+        "e2e.discover",
+        "e2e.succ",
+        "e2e.update",
+        "e2e.data",
+    ];
+    for m in [lin_sim.metrics(), isp_sim.metrics()] {
+        let sent = m.counter("e2e.sent");
+        assert!(sent > 0);
+        assert_eq!(classes.iter().map(|&k| m.counter(k)).sum::<u64>(), sent);
+        assert!((1..=sent).contains(&m.counter("e2e.delivered")));
+    }
+    assert!(lin_sim.metrics().counter("e2e.announce") > 0);
+    assert!(isp_sim.metrics().counter("e2e.succ") > 0);
+}
+
 /// ISPRP with the flood also converges — and the two mechanisms agree on
 /// the final ring (it is unique: the sorted order).
 #[test]
