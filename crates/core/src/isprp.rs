@@ -438,7 +438,9 @@ impl Protocol for IsprpNode {
                 self.schedule_stabilize(ctx);
             }
             SsrMsg::Forward(env) => {
-                let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbrs, env) else {
+                // the baseline's relays do not splice in their cached routes
+                let Some(env) = node_util::receive_forward(ctx, self.id, &self.nbrs, None, env)
+                else {
                     return;
                 };
                 match env.payload {
