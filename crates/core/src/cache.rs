@@ -1,8 +1,13 @@
 //! The route cache — SSR's memory, and the reason linearized SSR inherits
 //! LSN's polylogarithmic convergence.
 //!
-//! Nodes "store (some of) these source routes": every route that passes by
-//! is a candidate cache entry. Retention follows the shortcut-neighbor
+//! Nodes "store (some of) these source routes". Here that means two things.
+//! The endpoints of a message insert: a node caches the routes of its
+//! virtual edges and the route a notification or acknowledgment travelled
+//! to it. Every node on a message's path, relays included, only refreshes:
+//! where the way the message came is shorter than the route it already
+//! caches to a node the message passed, it swaps that route in — it never
+//! adds a destination. Retention follows the shortcut-neighbor
 //! structure: relative to the owner, the identifier space on each side is
 //! split into exponentially growing intervals, and each interval holds at
 //! most one *unpinned* entry (the one identifier-closest to the owner, with

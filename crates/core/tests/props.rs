@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use ssr_core::bootstrap::{run_linearized_bootstrap, BootstrapConfig};
 use ssr_core::cache::RouteCache;
-use ssr_core::node_util::shorten;
+use ssr_core::node_util::{refresh_behind, shorten};
 use ssr_core::route::SourceRoute;
 use ssr_core::routing::RoutingView;
 use ssr_graph::{algo, generators, Graph, Labeling};
@@ -231,6 +231,67 @@ proptest! {
             .filter_map(|j| (j - pos).checked_sub(candidate(j)?))
             .max();
         prop_assert_eq!(before.len() - after.len(), most.unwrap_or(0));
+    }
+
+    /// Cache refresh ([`refresh_behind`]) at a node an envelope reached:
+    /// over a random connected graph, a holder caching loop-erased random
+    /// walks from itself, travelled or not, and a random walk ending at the
+    /// holder as the way the envelope came, the destination set does not
+    /// change and every entry is still a simple physical path from the
+    /// holder, no longer than before. The count says whether any got
+    /// shorter, and is at least how many did.
+    #[test]
+    fn a_refreshed_cache_keeps_its_destinations_and_only_shortens(
+        n in 2usize..40, p in 0.0f64..0.3, seed: u64, steps in 1usize..60,
+        walks in proptest::collection::vec((1usize..30, any::<bool>()), 0..24),
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut g = generators::gnp(n, p, &mut rng);
+        generators::ensure_connected(&mut g, &mut rng);
+        let labels = Labeling::random(n, &mut rng);
+        let walk = |rng: &mut Rng, from: usize, steps: usize| {
+            let mut walk = vec![from];
+            for _ in 0..steps {
+                let here = *walk.last().unwrap();
+                let next: Vec<usize> = g.neighbors(here).collect();
+                walk.push(next[rng.index(next.len())]);
+            }
+            walk.iter().map(|&u| labels.id(u)).collect::<Vec<_>>()
+        };
+        let u = rng.index(n);
+        let holder = labels.id(u);
+        let mut nbrs = Neighbors::default();
+        for v in g.neighbors(u) {
+            nbrs.bind(labels.id(v), v);
+        }
+        let mut cache = RouteCache::new(holder);
+        for (len, travelled) in walks {
+            let route = SourceRoute::from_hops(walk(&mut rng, u, len)).pruned();
+            let pinned = rng.chance(0.5);
+            if route.is_empty() {
+                continue;
+            } else if travelled {
+                cache.insert_travelled(route, pinned);
+            } else {
+                cache.insert(route, pinned);
+            }
+        }
+        let mut came = walk(&mut rng, u, steps);
+        came.reverse();
+        let before: Vec<(NodeId, SourceRoute)> =
+            cache.iter().map(|(d, r)| (d, r.clone())).collect();
+        let refreshed = refresh_behind(&mut cache, &nbrs, &came);
+        let has_edge = |a, b| g.has_edge(labels.index(a).unwrap(), labels.index(b).unwrap());
+        prop_assert_eq!(cache.len(), before.len());
+        let mut shorter = 0;
+        for ((dst, old), (now_dst, now)) in before.iter().zip(cache.iter()) {
+            prop_assert_eq!(*dst, now_dst);
+            prop_assert_eq!((now.src(), now.dst()), (holder, now_dst));
+            prop_assert!(now.len() <= old.len(), "{} replaced {}", now, old);
+            prop_assert!(now.is_simple() && now.valid_in(has_edge), "{}", now);
+            shorter += usize::from(now.len() < old.len());
+        }
+        prop_assert!(refreshed >= shorter && (refreshed == 0) == (shorter == 0));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
 //! | `e2e.*`    | protocols       | end-to-end messages, one per source-routed packet however many hops it then takes: `e2e.sent` (bumped where the envelope is made; the histogram `route.len` takes the route it is sent along) — `tx.total` over `e2e.sent` is the mean physical hops a message pays — split by payload into `e2e.notify` (introductions), `e2e.announce` (audit announcements), `e2e.ack`, `e2e.teardown`, `e2e.discover` (ring-closure answers), `e2e.succ`, `e2e.update` and `e2e.data`, which sum to it; `e2e.delivered`, those that reached the end of their route; and `e2e.retry`, the share of them that are handshake re-sends (sent while a retry timer is handled) |
-//! | `fwd.*`    | protocols       | the source-routed transport's per-hop outcomes: `fwd.shortcut` (a relay drained hops out of the route up to a physical neighbour), `fwd.spliced` (an SSR relay replaced a stretch of the route by a shorter route from its own cache that a message had travelled), and the drops `fwd.broken`, `fwd.truncated`, `fwd.misrouted`, `fwd.bad_trace`, `fwd.no_route`, `fwd.unexpected` |
+//! | `fwd.*`    | protocols       | the source-routed transport's per-hop outcomes: `fwd.shortcut` (a relay drained hops out of the route up to a physical neighbour), `fwd.spliced` (an SSR relay replaced a stretch of the route by a shorter route from its own cache that a message had travelled), `fwd.refreshed` (an SSR node an envelope reached replaced its cached route to a node the envelope had passed by the shorter way the envelope came), and the drops `fwd.broken`, `fwd.truncated`, `fwd.misrouted`, `fwd.bad_trace`, `fwd.no_route`, `fwd.unexpected` |
 //! | `probe.*`  | probe layer     | observer-side counters (e.g. `probe.samples`)    |
 //! | `prov.*`   | causal ledger   | provenance totals mirrored from a [`crate::ProvenanceSummary`] when an instrumented run is summarized: counters `prov.roots` (causal roots) and `prov.wasted`, histograms `prov.depth` (causal depth per delivery) and `prov.cascade` (deliveries per root) |
 //! | other      | protocols/exps  | protocol- or experiment-specific counters, ideally `"<crate>."`-prefixed |
