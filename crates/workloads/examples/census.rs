@@ -1,9 +1,10 @@
 //! Per-graph census of the two SSR benchmark recipes, rebuilt from the
 //! public API exactly as `benchmark/README.md` states them: one line
-//! `graph ok|FAIL ticks msgs_per_node e2e_per_node route_x KINDS…` per
-//! graph seed, where the [`KINDS`] columns say where the messages go, per
-//! node: end-to-end messages by class (`e2e.*`), then hops by kind
-//! (`msg.*`).
+//! `graph ok|FAIL ticks msgs_per_node e2e_per_node route_x KINDS… refreshed`
+//! per graph seed, where the [`KINDS`] columns say where the messages go,
+//! per node: end-to-end messages by class (`e2e.*`), then hops by kind
+//! (`msg.*`); `refreshed` is the cached routes per node that an envelope
+//! passing by shortened (`fwd.refreshed`).
 //!
 //! ```text
 //! census boot|chaos FROM TO [N]   graph seeds FROM..=TO, N nodes (500 | 200)
@@ -152,6 +153,6 @@ fn main() {
         for key in KINDS {
             print!(" {:.3}", per_node(key));
         }
-        println!();
+        println!(" {:.3}", per_node("fwd.refreshed"));
     }
 }
