@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI: build, test, lint, docs, format check, then the chaos
-# smoke matrix (exp exp_chaos --smoke: self-stabilization gate), the golden
+# smoke matrix (exp exp_chaos --smoke: self-stabilization gate), the chaos
+# sweep (corrupt-handshake at 100 seeds per n, converged runs held at a
+# floor), the golden
 # smoke (results/golden/: manifest, stdout and CSV of every experiment must
 # reproduce byte for byte), the
 # benchmark package's self-check (benchmark/ is its own workspace, so
@@ -35,6 +37,11 @@ cargo fmt --all --check
 
 echo "== chaos smoke =="
 ./target/release/exp exp_chaos --smoke
+
+echo "== chaos sweep =="
+# corrupt-handshake at 100 seeds per n: converged runs at or above the
+# floors the script names (planted stale routes must not spread)
+./scripts/chaos_sweep.sh
 
 echo "== golden smoke =="
 ./scripts/golden_smoke.sh

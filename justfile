@@ -54,6 +54,11 @@ obs-smoke:
 chaos-smoke:
     cargo run --release -q -p ssr-bench --bin exp -- exp_chaos --smoke
 
+# E11 corrupt-handshake swept wide (n = 16, 32, 64, 100 seeds each): fails
+# if any n converges fewer runs than the floor in the script
+chaos-sweep:
+    ./scripts/chaos_sweep.sh
+
 # the criterion suite: routine-level B1–B9 (algorithm-level shapes are
 # `exp perf` scenarios and `benchmark/` workloads)
 bench:

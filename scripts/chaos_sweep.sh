@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Ratchet on E11's corrupt-handshake scenario swept wide: 100 seeds at each
+# of n = 16, 32, 64 (a few seconds in release). The scenario plants
+# fabricated two-hop cache routes; a rule that reads the route cache and
+# lets them spread shows up here as fewer converged runs, where the smoke's
+# two seeds see nothing. Some runs end frozen at every n (ROADMAP item
+# 2(d)), so `exp` exits 1 on this matrix; the gate is that no n converges
+# fewer runs than its floor below. Raise a floor when a change earns it.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# converged runs out of 100, per n
+declare -A floor=([16]=87 [32]=92 [64]=97)
+
+cargo build --release -q -p ssr-bench --bin exp
+bin="$(pwd)/target/release/exp"
+matrix="scenario=corrupt-handshake;n=16,32,64;seeds=100"
+
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+# exit 1 is the matrix's own verdict on the frozen runs; anything else
+# (a panic, a bad flag) is a failure of the sweep itself
+status=0
+(cd "$scratch" && "$bin" exp_chaos --matrix "$matrix" > stdout.txt 2> stderr.txt) || status=$?
+if [ "$status" -gt 1 ]; then
+  cat "$scratch/stderr.txt" >&2
+  echo "chaos sweep: exp exited $status" >&2
+  exit 1
+fi
+
+failed=0
+for n in 16 32 64; do
+  # the table row: ` corrupt-handshake | 16 |    87/100 | …`
+  converged="$(awk -F'|' -v n="$n" '$1 ~ /corrupt-handshake/ && $2 + 0 == n {
+      split($3, ratio, "/"); print ratio[1] + 0 }' "$scratch/stdout.txt")"
+  if [ -z "$converged" ]; then
+    echo "chaos sweep: no corrupt-handshake row for n=$n" >&2
+    failed=1
+  elif [ "$converged" -lt "${floor[$n]}" ]; then
+    echo "chaos sweep: corrupt-handshake n=$n converged $converged/100, floor ${floor[$n]}" >&2
+    failed=1
+  else
+    echo "chaos sweep: corrupt-handshake n=$n converged $converged/100 (floor ${floor[$n]})"
+  fi
+done
+if [ "$failed" -ne 0 ]; then
+  exit 1
+fi
+echo "chaos sweep OK"
