@@ -63,6 +63,7 @@ pub const KEYS: &[&str] = &[
     "route.delivered",
     "runs.converged",
     "runs.total",
+    "rx.notify_known",
     "rx.total",
     "rx.wasted",
     "tx.dropped",

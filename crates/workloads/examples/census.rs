@@ -1,10 +1,11 @@
 //! Per-graph census of the two SSR benchmark recipes, rebuilt from the
 //! public API exactly as `benchmark/README.md` states them: one line
-//! `graph ok|FAIL ticks msgs_per_node e2e_per_node route_x KINDS… refreshed`
-//! per graph seed, where the [`KINDS`] columns say where the messages go,
-//! per node: end-to-end messages by class (`e2e.*`), then hops by kind
+//! `graph ok|FAIL ticks msgs_per_node e2e_per_node route_x KINDS… refreshed
+//! known` per graph seed, where the [`KINDS`] columns say where the messages
+//! go, per node: end-to-end messages by class (`e2e.*`), then hops by kind
 //! (`msg.*`); `refreshed` is the cached routes per node that an envelope
-//! passing by shortened (`fwd.refreshed`).
+//! passing by shortened (`fwd.refreshed`), and `known` the introductions per
+//! node that named a node the receiver already held (`rx.notify_known`).
 //!
 //! ```text
 //! census boot|chaos FROM TO [N]   graph seeds FROM..=TO, N nodes (500 | 200)
@@ -153,6 +154,7 @@ fn main() {
         for key in KINDS {
             print!(" {:.3}", per_node(key));
         }
-        println!(" {:.3}", per_node("fwd.refreshed"));
+        let (refreshed, known) = (per_node("fwd.refreshed"), per_node("rx.notify_known"));
+        println!(" {refreshed:.3} {known:.3}");
     }
 }
