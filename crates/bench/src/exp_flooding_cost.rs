@@ -11,8 +11,8 @@
 //! orchestrator (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Ablations: `--no-ccw` disables the redundant counter-clockwise probes;
-//! `--keep-edges` disables tear-downs (the with-memory variant: fewer
-//! messages per step, more state).
+//! `--keep-edges` keeps the routes of delegated edges pinned (the
+//! with-memory variant: more state; no tear-down is sent either way).
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_flooding_cost`
 //! Flags: `--seeds K` (default 5), `--quick`, `--no-ccw`, `--keep-edges`,
@@ -45,7 +45,7 @@ pub fn run(sh: &mut Shell) {
         ..Default::default()
     };
     cfg.ssr.ccw_redundancy = !sh.args.flag("no-ccw");
-    cfg.ssr.teardown = !sh.args.flag("keep-edges");
+    cfg.ssr.unpin_delegated = !sh.args.flag("keep-edges");
     sh.man
         .seed(0)
         .config("no-ccw", sh.args.flag("no-ccw"))

@@ -65,8 +65,8 @@ pub enum Payload {
         /// Echoed handshake correlation.
         seq: SeqNo,
     },
-    /// "I removed my virtual edge to you — drop yours too" (the tear-down
-    /// acknowledgment of Section 4).
+    /// "I removed my virtual edge to you — drop yours too": sent for a
+    /// demoted ring-closure edge. A delegated edge is retired without it.
     Teardown {
         /// The node that dropped the edge.
         from: NodeId,

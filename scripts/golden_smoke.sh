@@ -12,7 +12,7 @@
 #                                provenance section: SSR's cause tags)
 #   exp_vrr_compare --quick      VRR linearized *and* baseline/claim mode
 #   exp_flooding_cost --quick    default, --no-ccw (ccw_redundancy=false)
-#                                and --keep-edges (teardown=false), ISPRP
+#                                and --keep-edges (unpin_delegated=false), ISPRP
 #                                included
 #   exp_churn --quick            crash/join -> reset, on_neighbor_down
 #   exp_convergence --quick      abstract engine, three variants × four

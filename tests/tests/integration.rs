@@ -77,7 +77,9 @@ fn an_ideal_link_bootstrap_sends_no_retries() {
 }
 
 /// `e2e.sent` split by payload: for both protocols the per-class counters
-/// sum to it, and nothing is delivered end to end that was not sent.
+/// sum to it, and nothing is delivered end to end that was not sent. The
+/// linearized run goes on one audit period past convergence, so its
+/// heartbeat's class is counted too.
 #[test]
 fn the_per_class_e2e_counters_sum_to_e2e_sent() {
     let (g, labels) = Topology::UnitDisk { n: 30, scale: 1.3 }.instance(5);
@@ -85,9 +87,11 @@ fn the_per_class_e2e_counters_sum_to_e2e_sent() {
         max_ticks: 200_000,
         ..Default::default()
     };
-    let (lin, lin_sim) = run_linearized_bootstrap(&g, &labels, &cfg);
+    let (lin, mut lin_sim) = run_linearized_bootstrap(&g, &labels, &cfg);
     let (isp, isp_sim) = run_isprp_bootstrap(&g, &labels, &cfg);
     assert!(lin.converged && isp.converged);
+    let audited = lin_sim.now().ticks() + ssr_linearize::control::AUDIT_INTERVAL;
+    lin_sim.run_until(Time(audited));
     let classes = [
         "e2e.notify",
         "e2e.announce",
