@@ -3,14 +3,15 @@
 # of n = 16, 32, 64 (a few seconds in release). The scenario plants
 # fabricated two-hop cache routes; a rule that reads the route cache and
 # lets them spread shows up here as fewer converged runs, where the smoke's
-# two seeds see nothing. Some runs end frozen at every n (ROADMAP item
-# 2(d)), so `exp` exits 1 on this matrix; the gate is that no n converges
-# fewer runs than its floor below. Raise a floor when a change earns it.
+# two seeds see nothing. Some runs at n = 16 still end frozen (ROADMAP
+# item 2(d)), so `exp` exits 1 on this matrix; the gate is that no n
+# converges fewer runs than its floor below. Raise a floor when a change
+# earns it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # converged runs out of 100, per n
-declare -A floor=([16]=87 [32]=92 [64]=97)
+declare -A floor=([16]=96 [32]=100 [64]=100)
 
 cargo build --release -q -p ssr-bench --bin exp
 bin="$(pwd)/target/release/exp"
