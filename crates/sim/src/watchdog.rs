@@ -12,8 +12,9 @@
 //! **local-consistency** predicate. If the signature stops changing for
 //! `freeze_window` ticks without convergence, the run is frozen:
 //!
-//! * every node locally consistent → [`Verdict::FrozenCrossing`] — the
-//!   crossing state (globally wrong fixpoint of locally happy nodes);
+//! * every node locally consistent → [`Verdict::FrozenCrossing`] — a
+//!   globally wrong fixpoint of locally happy nodes: the crossing state,
+//!   or an open ring whose ring-closure probes never arrive;
 //! * otherwise → [`Verdict::FrozenStuck`] — a plain stuck state.
 //!
 //! On the transition to frozen the watchdog increments
@@ -35,8 +36,12 @@ pub enum Verdict {
     Active,
     /// The convergence predicate holds.
     Converged,
-    /// Frozen with every node locally consistent — the VRR crossing state:
-    /// a globally inconsistent fixpoint no local rule will ever leave.
+    /// Frozen with every node locally consistent: a globally inconsistent
+    /// fixpoint no local rule will ever leave. The name is VRR's crossing
+    /// state, but the verdict covers any such fixpoint — an open ring
+    /// whose line is formed and whose ring-closure probes die on the way
+    /// included. The label stays `frozen_crossing`, which manifests and
+    /// `benchmark/` read.
     FrozenCrossing,
     /// Frozen with at least one node still locally inconsistent.
     FrozenStuck,
