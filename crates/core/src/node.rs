@@ -636,16 +636,9 @@ impl SsrNode {
             if !self.lin.side(side).is_empty() {
                 continue;
             }
-            let nearest = {
-                let mut phys = self.nbrs.iter().map(|(id, _)| id);
-                match side {
-                    Side::Left => phys.take_while(|&id| id < self.id).last(),
-                    Side::Right => phys.find(|&id| id > self.id),
-                }
-            };
             // a probe toward one side seeks the ring neighbor of the other
             let toward = side.opposite();
-            if let Some(nbr) = nearest {
+            if let Some((nbr, _)) = self.nbrs.nearest_on(self.id, side) {
                 readopted |= self.adopt_neighbor(SourceRoute::direct(self.id, nbr));
             } else if self.lin.wrap(side).is_some()
                 && (toward == Side::Right || self.config.ccw_redundancy)

@@ -2,7 +2,7 @@
 //! link-local hellos. Shared by every message-level protocol (`SsrNode`,
 //! `IsprpNode`, `VrrNode`).
 
-use crate::NodeId;
+use crate::{NodeId, Side};
 
 /// A node's physical neighbours as learned from hellos: address ↔ link
 /// index (the simulator index of the peer, which is what `Ctx::send`
@@ -62,6 +62,22 @@ impl Neighbors {
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
         self.by_id.iter().copied()
+    }
+
+    /// The line-nearest neighbour on `side` of `me` — the largest address
+    /// below it or the smallest above it — with its link index. What the
+    /// audit round re-adopts on a side left empty.
+    pub fn nearest_on(&self, me: NodeId, side: Side) -> Option<(NodeId, usize)> {
+        match side {
+            Side::Left => {
+                let at = self.by_id.partition_point(|&(id, _)| id < me);
+                at.checked_sub(1).map(|i| self.by_id[i])
+            }
+            Side::Right => {
+                let at = self.by_id.partition_point(|&(id, _)| id <= me);
+                self.by_id.get(at).copied()
+            }
+        }
     }
 
     /// `true` iff no peer has identified itself yet.
@@ -125,6 +141,22 @@ mod tests {
             t.unbind_index(index);
         }
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn nearest_on_is_the_closest_address_each_way() {
+        let mut t = Neighbors::default();
+        assert_eq!(t.nearest_on(NodeId(50), Side::Left), None);
+        for (id, index) in [(30, 0), (40, 1), (60, 2), (70, 3)] {
+            t.bind(NodeId(id), index);
+        }
+        assert_eq!(t.nearest_on(NodeId(50), Side::Left), Some((NodeId(40), 1)));
+        assert_eq!(t.nearest_on(NodeId(50), Side::Right), Some((NodeId(60), 2)));
+        assert_eq!(t.nearest_on(NodeId(20), Side::Left), None);
+        assert_eq!(t.nearest_on(NodeId(80), Side::Right), None);
+        // `me` itself is never its own neighbour on either side
+        assert_eq!(t.nearest_on(NodeId(60), Side::Left), Some((NodeId(40), 1)));
+        assert_eq!(t.nearest_on(NodeId(60), Side::Right), Some((NodeId(70), 3)));
     }
 
     /// Reference model: the two maps the nodes used to carry, with the
