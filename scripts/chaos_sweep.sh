@@ -7,14 +7,23 @@
 # item 2(d)), so `exp` exits 1 on this matrix; the gate is that no n
 # converges fewer runs than its floor below. Raise a floor when a change
 # earns it.
+#
+# Second gate: linearized VRR bootstraps over graph seeds 1-60 at n = 25,
+# 50, 100 (the census example's `vrr` recipe, the `vrr_bootstrap` one),
+# which must converge as often as their floors say.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # converged runs out of 100, per n
 declare -A floor=([16]=96 [32]=100 [64]=100)
 
+# converged VRR runs out of 60, per n
+declare -A vrr_floor=([25]=60 [50]=60 [100]=60)
+
 cargo build --release -q -p ssr-bench --bin exp
+cargo build --release -q -p ssr-workloads --example census
 bin="$(pwd)/target/release/exp"
+census="$(pwd)/target/release/examples/census"
 matrix="scenario=corrupt-handshake;n=16,32,64;seeds=100"
 
 scratch="$(mktemp -d)"
@@ -43,6 +52,16 @@ for n in 16 32 64; do
     failed=1
   else
     echo "chaos sweep: corrupt-handshake n=$n converged $converged/100 (floor ${floor[$n]})"
+  fi
+done
+for n in 25 50 100; do
+  # one line per graph: `seed verdict ticks …`
+  converged="$("$census" vrr 1 60 "$n" | awk '$2 == "converged"' | wc -l)"
+  if [ "$converged" -lt "${vrr_floor[$n]}" ]; then
+    echo "chaos sweep: vrr n=$n converged $converged/60, floor ${vrr_floor[$n]}" >&2
+    failed=1
+  else
+    echo "chaos sweep: vrr n=$n converged $converged/60 (floor ${vrr_floor[$n]})"
   fi
 done
 if [ "$failed" -ne 0 ]; then
