@@ -79,10 +79,11 @@ bench-round:
 bench-cache:
     cargo bench -p ssr-bench --bench micro -- cache_
 
-# per-graph census of the two SSR benchmark recipes, rebuilt from public
-# API: `just census boot 1 40`, `just census chaos 1 40 200` — one line
-# `graph ok|FAIL ticks msgs_per_node e2e_per_node` per graph seed
-# (docs/BENCHMARKS.md says how to compare two saved runs)
+# per-graph census of the benchmark's SSR and VRR recipes, rebuilt from
+# public API: `just census boot 1 40`, `just census chaos 1 40 200` — one
+# line `graph ok|FAIL ticks msgs_per_node e2e_per_node` per graph seed;
+# `just census vrr 1 60 25` — `graph verdict ticks msgs_per_node
+# ttl_expired state` (docs/BENCHMARKS.md says how to compare two saved runs)
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
 
