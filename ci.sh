@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI: build, test, lint, docs, format check, then the chaos
+# Offline CI: build, test (with tests/tests/metric_keys.rs), clippy (the
+# determinism policy of clippy.toml and the workspace lints), docs, format
+# check, then the chaos
 # smoke matrix (exp exp_chaos --smoke: self-stabilization gate), the chaos
 # sweep (corrupt-handshake at 100 seeds per n, converged runs held at a
 # floor), the golden
@@ -24,9 +26,6 @@ cargo test --workspace --quiet
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== ssr-lint =="
-cargo run --release -q -p ssr-lint -- --workspace --baseline lint-baseline.json
 
 echo "== rustdoc =="
 # every crate documents warning-free (broken intra-doc links are errors)

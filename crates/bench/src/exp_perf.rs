@@ -160,6 +160,10 @@ impl Row {
 }
 
 /// Wall time of `f` in nanoseconds, next to its result.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock benchmark timing reported in BENCH_perf.json; never feeds the simulation"
+)]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let out = f();

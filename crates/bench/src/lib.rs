@@ -24,7 +24,6 @@
 //! * `--quick` — smaller sweep for smoke-testing,
 //! * experiment-specific flags documented in each experiment's module.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cells;

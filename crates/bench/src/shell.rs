@@ -37,6 +37,10 @@ pub struct Shell {
 
 impl Shell {
     /// Starts the clock and the manifest for experiment `exp`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock elapsed time reported in the run manifest; never feeds the simulation"
+    )]
     pub fn new(exp: &'static str, args: Args) -> Shell {
         let started = Instant::now();
         let mut man = Manifest::new(exp);

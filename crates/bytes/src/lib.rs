@@ -6,7 +6,6 @@
 //! cloneable read view ([`Bytes`]). Semantics match the real crate for this
 //! subset; anything else is deliberately absent.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Bound, RangeBounds};

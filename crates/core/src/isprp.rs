@@ -23,6 +23,11 @@
 //! The flood is exactly the cost linearization removes; experiment E6
 //! meters both protocols' messages by kind.
 
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use ssr_sim::{Ctx, Protocol};
 use ssr_types::{cw_dist, Neighbors, NodeId};
 

@@ -36,7 +36,6 @@
 //!   measures themselves are `ssr_linearize::observe`'s, generic over the
 //!   node type).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

@@ -50,6 +50,11 @@
 //!
 //! **No message in this protocol floods the network.**
 
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};

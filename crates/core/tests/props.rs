@@ -52,7 +52,7 @@ proptest! {
         // every consecutive pair of the pruned route was consecutive
         // somewhere in the original (so physical validity is preserved)
         let r = SourceRoute::from_hops(hops);
-        let orig_pairs: std::collections::HashSet<(NodeId, NodeId)> = r
+        let orig_pairs: std::collections::BTreeSet<(NodeId, NodeId)> = r
             .hops()
             .windows(2)
             .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
@@ -86,7 +86,7 @@ proptest! {
             }
         }
         let partition = IntervalPartition::new(base);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (d, _) in cache.iter() {
             let slot = partition.index(owner, d).unwrap();
             prop_assert!(seen.insert(slot), "two unpinned entries in {slot:?}");

@@ -13,8 +13,11 @@
 //! argument everything runs. Arguments starting with `-` (cargo passes
 //! `--bench`) are ignored.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness exists to read the wall clock"
+)]
 
 use std::time::Instant;
 

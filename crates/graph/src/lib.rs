@@ -17,7 +17,6 @@
 //! Node *indices* here are dense `usize`s; the mapping to sparse 64-bit SSR
 //! addresses lives in [`labeling`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algo;

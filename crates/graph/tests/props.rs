@@ -116,7 +116,7 @@ proptest! {
             prop_assert_eq!(label[u], label[v]);
         }
         // count matches distinct labels
-        let distinct: std::collections::HashSet<_> = label.iter().collect();
+        let distinct: BTreeSet<_> = label.iter().collect();
         prop_assert_eq!(distinct.len(), count);
         prop_assert_eq!(count == 1, algo::is_connected(&g));
     }

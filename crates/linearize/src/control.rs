@@ -20,6 +20,11 @@
 //! remaining entry points are plain state updates. A node is therefore a
 //! value that can be cloned, hashed, compared and stepped on its own.
 
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use std::collections::BTreeMap;
 
 use ssr_types::{NodeId, SeqNo, Side};

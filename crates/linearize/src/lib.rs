@@ -29,7 +29,6 @@
 //! converged and a safe population of `Linearizer`s is (the ring/line
 //! predicate, the union-graph and potential invariants); pure as well.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod control;

@@ -16,7 +16,6 @@
 //! obs trace trace.jsonl --ev send --node 3 --since 100 --until 500
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

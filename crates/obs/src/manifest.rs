@@ -3,8 +3,8 @@
 //! Every experiment binary emits one manifest per run into
 //! `results/<exp>.manifest.json`: what ran (experiment name, seed, config,
 //! git revision), what it cost (wall time), and what it measured (full
-//! counter/gauge dump, histogram dump with percentiles, metric time series,
-//! and the convergence timeline). The `obs` CLI summarizes and diffs these
+//! counter/gauge dump, histogram dump with percentiles, and the
+//! convergence timeline). The `obs` CLI summarizes and diffs these
 //! files.
 //!
 //! Determinism contract: with the same seed and config, every field is
@@ -89,7 +89,6 @@ pub struct Manifest {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, Value)>,
     hists: Vec<(String, Value)>,
-    series: Vec<Value>,
     timeline: Vec<TimelinePoint>,
     chaos: Vec<ChaosScenario>,
     provenance: Option<Value>,
@@ -122,6 +121,10 @@ impl Manifest {
     /// Records the wall-clock duration. The **only** nondeterministic
     /// manifest field; suppressed when `SSR_OBS_OMIT_WALL` is set so runs
     /// can be compared byte-for-byte.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SSR_OBS_OMIT_WALL only drops the wall-clock field"
+    )]
     pub fn wall_ms(&mut self, ms: u64) -> &mut Self {
         if std::env::var_os("SSR_OBS_OMIT_WALL").is_none() {
             self.wall_ms = Some(ms);
@@ -131,8 +134,8 @@ impl Manifest {
 
     /// Dumps a full metrics registry: every counter, gauge, histogram
     /// (with count/min/max/mean/p50/p90/p99 and the non-empty log₂
-    /// buckets), and any sampled time series. Call once with the final —
-    /// or merged-across-seeds — registry.
+    /// buckets). Call once with the final — or merged-across-seeds —
+    /// registry.
     pub fn record_metrics(&mut self, m: &Metrics) -> &mut Self {
         self.counters = m.counters().map(|(k, v)| (k.to_string(), v)).collect();
         self.gauges = m
@@ -152,33 +155,6 @@ impl Manifest {
         self.hists = m
             .hists()
             .map(|(k, h)| (k.to_string(), hist_to_value(h)))
-            .collect();
-        self.series = m
-            .series()
-            .iter()
-            .map(|p| {
-                Value::Obj(vec![
-                    ("tick".into(), p.tick.into()),
-                    (
-                        "counters".into(),
-                        Value::Obj(
-                            p.counters
-                                .iter()
-                                .map(|&(k, v)| (k.to_string(), v.into()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "gauges".into(),
-                        Value::Obj(
-                            p.gauges
-                                .iter()
-                                .map(|&(k, v)| (k.to_string(), v.into()))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
             .collect();
         self
     }
@@ -257,9 +233,6 @@ impl Manifest {
         ));
         fields.push(("gauges".into(), Value::Obj(self.gauges.clone())));
         fields.push(("hists".into(), Value::Obj(self.hists.clone())));
-        if !self.series.is_empty() {
-            fields.push(("series".into(), Value::Arr(self.series.clone())));
-        }
         fields.push((
             "timeline".into(),
             Value::Arr(
@@ -455,8 +428,6 @@ mod tests {
         for v in [1u64, 2, 3, 400] {
             m.observe_hist("route.len", v);
         }
-        m.sample_series(0);
-        m.sample_series(8);
         m
     }
 
@@ -510,7 +481,6 @@ mod tests {
             timeline[1].get("shape").unwrap().as_str(),
             Some("consistent-ring")
         );
-        assert_eq!(v.get("series").unwrap().as_arr().unwrap().len(), 2);
         // wall_ms never set → absent
         assert!(v.get("wall_ms").is_none());
     }

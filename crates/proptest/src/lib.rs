@@ -19,7 +19,6 @@
 //!   runs are fully deterministic (override the case count with the
 //!   `PROPTEST_CASES` environment variable).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
@@ -67,6 +66,10 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PROPTEST_CASES sizes the test run; it never feeds a simulation"
+    )]
     fn default() -> Self {
         let cases = std::env::var("PROPTEST_CASES")
             .ok()

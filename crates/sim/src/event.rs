@@ -5,8 +5,8 @@
 //! function of `(topology, protocols, seed)`.
 //!
 //! The queue is a **tick wheel** — a `BTreeMap` from arrival tick to a
-//! FIFO bucket of events (honoring the workspace's
-//! determinism-collections rule). Compared to the binary heap it replaced,
+//! FIFO bucket of events (honoring the root `clippy.toml`'s ban on hash
+//! collections). Compared to the binary heap it replaced,
 //! the wheel
 //!
 //! * needs no global tie-break sequence number: FIFO order *within* a tick

@@ -28,7 +28,6 @@
 //! Protocols implement the [`Protocol`] trait and interact with the world
 //! through a [`Ctx`] handed to each callback.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
@@ -45,7 +44,7 @@ pub mod watchdog;
 pub use event::{CauseClass, Provenance};
 pub use ledger::{CausalLedger, KindStats, NodeTally, ProvenanceSummary};
 pub use link::LinkConfig;
-pub use metrics::{merge_series, Histogram, Metrics, SeriesPoint};
+pub use metrics::{Histogram, Metrics};
 pub use sim::{Ctx, ProbeView, Protocol, RunOutcome, Simulator};
 pub use time::Time;
 pub use trace::{TraceEvent, TraceSink};

@@ -1,5 +1,4 @@
-//! Simulation metrics: counters, gauges, log-bucketed histograms, and
-//! periodic time-series snapshots.
+//! Simulation metrics: counters, gauges and log-bucketed histograms.
 //!
 //! Experiment E6 ("flooding cost") is a message-accounting experiment: it
 //! compares how many per-link transmissions each bootstrap mechanism needs,
@@ -30,9 +29,10 @@
 //! (per-node state size), and `latency.ticks` (message latency).
 //!
 //! The machine-readable form of this table lives in [`crate::registry`];
-//! `ssr-lint`'s `metric-registry` rule checks every metric-key literal in
-//! the workspace against it, so a new key must be added there (or under an
-//! open prefix family like `msg.*`) before it will pass CI. The registry
+//! the integration test `tests/tests/metric_keys.rs` checks every
+//! metric-key literal in the workspace against it, so a new key must be
+//! added there (or under an open prefix family like `msg.*`) before it will
+//! pass CI. The registry
 //! also numbers the counter keys: every enumerated key and every known
 //! `msg.<kind>` has a dense [`CounterId`], which is how the simulator's
 //! per-hop counters are written without a key search (see [`Metrics`]).
@@ -64,8 +64,6 @@ pub struct Metrics {
     gauges: BTreeMap<&'static str, GaugeStats>,
     /// Log-bucketed value distributions.
     hists: BTreeMap<&'static str, Histogram>,
-    /// Periodic counter/gauge snapshots (see [`Metrics::sample_series`]).
-    series: Vec<SeriesPoint>,
 }
 
 /// Aggregate statistics of a sampled gauge.
@@ -239,65 +237,6 @@ impl Histogram {
     }
 }
 
-/// One periodic snapshot of all counters and gauge means.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeriesPoint {
-    /// Simulated time of the snapshot.
-    pub tick: u64,
-    /// All counters at that time, in sorted key order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// All gauge means at that time, in sorted key order.
-    pub gauges: Vec<(&'static str, f64)>,
-}
-
-/// One aligned point of a cross-run series merge: per-key mean over the
-/// runs that had a point at this index.
-#[derive(Clone, Debug)]
-pub struct MergedSeriesPoint {
-    /// Snapshot time (taken from the first run; equal across runs when all
-    /// were sampled at the same interval).
-    pub tick: u64,
-    /// Number of runs contributing to this point.
-    pub runs: u64,
-    /// Mean counter values across the contributing runs, sorted by key.
-    pub counters: Vec<(&'static str, f64)>,
-}
-
-/// Merges same-interval series from repeated runs (different seeds)
-/// pointwise: index `i` of the output averages index `i` of every input
-/// that is long enough. Deterministic — inputs and key sets are iterated in
-/// a fixed order.
-pub fn merge_series(runs: &[&[SeriesPoint]]) -> Vec<MergedSeriesPoint> {
-    let longest = runs.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(longest);
-    for i in 0..longest {
-        let mut acc: BTreeMap<&'static str, (f64, u64)> = BTreeMap::new();
-        let mut tick = 0u64;
-        let mut contributing = 0u64;
-        for run in runs {
-            let Some(p) = run.get(i) else { continue };
-            if contributing == 0 {
-                tick = p.tick;
-            }
-            contributing += 1;
-            for &(k, v) in &p.counters {
-                let e = acc.entry(k).or_insert((0.0, 0));
-                e.0 += v as f64;
-                e.1 += 1;
-            }
-        }
-        out.push(MergedSeriesPoint {
-            tick,
-            runs: contributing,
-            counters: acc
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n.max(1) as f64))
-                .collect(),
-        });
-    }
-    out
-}
-
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
@@ -306,7 +245,6 @@ impl Default for Metrics {
             unslotted: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            series: Vec::new(),
         }
     }
 }
@@ -420,29 +358,8 @@ impl Metrics {
         self.gauges.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Appends a snapshot of every counter and gauge mean to the run's
-    /// time series. The simulator calls this on a fixed tick interval when
-    /// sampling is enabled (see `Simulator::sample_metrics_every`).
-    pub fn sample_series(&mut self, tick: u64) {
-        let counters: Vec<(&'static str, u64)> = self.counters().collect();
-        let gauges: Vec<(&'static str, f64)> =
-            self.gauges.iter().map(|(&k, g)| (k, g.mean())).collect();
-        self.series.push(SeriesPoint {
-            tick,
-            counters,
-            gauges,
-        });
-    }
-
-    /// The recorded time series, in sampling order.
-    pub fn series(&self) -> &[SeriesPoint] {
-        &self.series
-    }
-
     /// Merges another registry into this one (used when aggregating
     /// repeated runs): counters and histogram buckets add, gauges combine.
-    /// Time series are **not** concatenated — cross-run series belong to
-    /// [`merge_series`], which aligns them by sample index instead.
     pub fn merge(&mut self, other: &Metrics) {
         for slot in 0..COUNTER_SLOTS {
             self.slots[slot] += other.slots[slot];
@@ -476,8 +393,6 @@ mod tests {
     #[derive(Clone, Default)]
     struct ReferenceMap {
         counters: BTreeMap<&'static str, u64>,
-        gauges: BTreeMap<&'static str, GaugeStats>,
-        series: Vec<SeriesPoint>,
     }
 
     impl ReferenceMap {
@@ -499,21 +414,6 @@ mod tests {
 
         fn counters(&self) -> Vec<(&'static str, u64)> {
             self.counters.iter().map(|(&k, &v)| (k, v)).collect()
-        }
-
-        fn observe(&mut self, key: &'static str, value: f64) {
-            self.gauges
-                .entry(key)
-                .or_insert(GaugeStats::EMPTY)
-                .observe(value);
-        }
-
-        fn sample_series(&mut self, tick: u64) {
-            self.series.push(SeriesPoint {
-                tick,
-                counters: self.counters(),
-                gauges: self.gauges.iter().map(|(&k, g)| (k, g.mean())).collect(),
-            });
         }
 
         fn merge(&mut self, other: &ReferenceMap) {
@@ -560,16 +460,16 @@ mod tests {
     proptest! {
         /// `Metrics` and the reference map give the same answer to every
         /// query after every random sequence of writes by key, writes by
-        /// id, zero deltas, merges and series samples — so whoever reads
+        /// id, zero deltas and merges — so whoever reads
         /// counters (`obs`, manifests, probes, `benchmark/`) cannot tell
         /// which store they came from.
         #[test]
         fn counters_match_reference_map(
-            ops in proptest::collection::vec((0u8..9, 0usize..POOL.len(), 0u64..4), 1..120)
+            ops in proptest::collection::vec((0u8..7, 0usize..POOL.len(), 0u64..4), 1..120)
         ) {
             let (mut main, mut main_model) = (Metrics::new(), ReferenceMap::default());
             let (mut side, mut side_model) = (Metrics::new(), ReferenceMap::default());
-            for (step, &(op, pick, delta)) in ops.iter().enumerate() {
+            for &(op, pick, delta) in &ops {
                 let key = POOL[pick];
                 match op {
                     // delta 0 lists the key without moving it
@@ -598,23 +498,14 @@ mod tests {
                         side.add(key, delta);
                         side_model.add(key, delta);
                     }
-                    6 => {
+                    _ => {
                         main.merge(&side);
                         main_model.merge(&side_model);
-                    }
-                    7 => {
-                        main.observe("chaos.potential", delta as f64);
-                        main_model.observe("chaos.potential", delta as f64);
-                    }
-                    _ => {
-                        main.sample_series(step as u64);
-                        main_model.sample_series(step as u64);
                     }
                 }
                 assert_same(&main, &main_model)?;
                 assert_same(&side, &side_model)?;
             }
-            prop_assert_eq!(main.series(), &main_model.series[..]);
             for key in POOL {
                 for end in 0..=key.len() {
                     let prefix = &key[..end];
@@ -765,42 +656,5 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged, all);
-    }
-
-    #[test]
-    fn series_snapshots_accumulate() {
-        let mut m = Metrics::new();
-        m.incr("tx.total");
-        m.sample_series(10);
-        m.add("tx.total", 4);
-        m.observe("g", 2.0);
-        m.sample_series(20);
-        let s = m.series();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].tick, 10);
-        assert_eq!(s[0].counters, vec![("tx.total", 1)]);
-        assert_eq!(s[1].counters, vec![("tx.total", 5)]);
-        assert_eq!(s[1].gauges, vec![("g", 2.0)]);
-    }
-
-    #[test]
-    fn merged_series_averages_pointwise() {
-        let run = |scale: u64| -> Vec<SeriesPoint> {
-            (1..=3)
-                .map(|i| SeriesPoint {
-                    tick: i * 10,
-                    counters: vec![("tx.total", i * scale)],
-                    gauges: vec![],
-                })
-                .collect()
-        };
-        let (a, b) = (run(2), run(4));
-        let merged = merge_series(&[&a, &b]);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[0].tick, 10);
-        assert_eq!(merged[0].runs, 2);
-        // means of (2,4), (4,8), (6,12)
-        assert_eq!(merged[0].counters, vec![("tx.total", 3.0)]);
-        assert_eq!(merged[2].counters, vec![("tx.total", 9.0)]);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The [`crate::metrics`] module documents the key namespaces in prose; this
 //! module is the same contract in machine-readable form, so tooling can
-//! check conformance. `ssr-lint`'s `metric-registry` rule resolves every
-//! string literal passed to a counter/gauge/histogram API against this
-//! table: a typo'd key fails CI instead of silently forking a new series
-//! that no dashboard or `obs` report ever aggregates.
+//! check conformance. The integration test `tests/tests/metric_keys.rs`
+//! resolves every string literal passed to a counter/gauge/histogram API
+//! against this table: a typo'd key fails CI instead of silently forking a
+//! new series that no dashboard or `obs` report ever aggregates.
 //!
 //! Adding a metric is a two-step change by design: register the key here
 //! (with the namespace docs in [`crate::metrics`] when it opens a new

@@ -193,7 +193,7 @@ impl<'a, M> Ctx<'a, M> {
 
 /// A read-only snapshot of the simulation handed to [probes](Simulator::add_probe),
 /// plus mutable access to the metrics registry so probes can record
-/// gauges, histograms and series samples.
+/// gauges and histograms.
 ///
 /// Probes that scan all protocol state every firing (watchdog signatures,
 /// ring classification, invariant audits) should gate the scan on
@@ -219,20 +219,6 @@ pub struct ProbeView<'a, P: Protocol> {
     pub trace: &'a TraceSink,
     /// Number of events still queued.
     pub pending_events: usize,
-    /// Total events processed so far.
-    pub events_processed: u64,
-    /// The **dirty-node set**: nodes whose protocol callbacks ran (or whose
-    /// state was injected via [`Simulator::protocol_mut`]) since the
-    /// previous probe batch, in first-activation order. Cleared after every
-    /// batch of due probes fires, so probes sharing a grid point see the
-    /// same set. Empty means no protocol state changed since the last
-    /// firing of *any* probe — probes on one shared grid can use it for
-    /// incremental work; probes on differing grids should gate on
-    /// [`ProbeView::state_gen`] instead.
-    pub dirty_nodes: &'a [usize],
-    /// Total protocol callback invocations ("node activations") so far —
-    /// the work metric reported by `exp_perf` alongside messages delivered.
-    pub activations: u64,
     /// Monotone generation counter, bumped on every protocol callback,
     /// fault application, and experiment-side state injection. Equal values
     /// across two probe firings guarantee the simulation state (protocols,
@@ -376,8 +362,7 @@ use world::World;
 /// work and the run loops fast-forward simulated time straight to the next
 /// occupied tick (or the next probe-grid point, whichever is earlier)
 /// instead of idling tick by tick. Alongside the wheel the simulator keeps
-/// an **active-set ledger** — a per-batch dirty-node set plus monotone
-/// activation/state-generation counters — which probes use to skip O(n)
+/// monotone activation/state-generation counters, which probes use to skip O(n)
 /// state scans across idle ranges (see [`ProbeView::state_gen`]) and which
 /// the benchmark harness reports as its work metrics
 /// ([`Simulator::node_activations`], [`Simulator::messages_delivered`],
@@ -400,10 +385,6 @@ pub struct Simulator<P: Protocol> {
     action_buf: Vec<Action<P::Msg>>,
     events_processed: u64,
     probes: Vec<Probe<P>>,
-    /// `dirty[u]` — node `u` was dispatched since the last probe batch.
-    dirty: Vec<bool>,
-    /// Distinct dirty nodes in first-activation order (mirrors `dirty`).
-    dirty_nodes: Vec<usize>,
     /// Total protocol callback invocations.
     activations: u64,
     /// Bumped on every dispatch, fault, and experiment-side injection.
@@ -492,8 +473,6 @@ impl<P: Protocol> Simulator<P> {
             action_buf: Vec::new(),
             events_processed: 0,
             probes: Vec::new(),
-            dirty: vec![false; n],
-            dirty_nodes: Vec::new(),
             activations: 0,
             state_gen: 0,
             deliveries: 0,
@@ -538,11 +517,9 @@ impl<P: Protocol> Simulator<P> {
     /// or partitioned configurations). Protocol callbacks themselves never
     /// get this.
     ///
-    /// The node is conservatively marked dirty and the state generation is
-    /// bumped, so probes caching on [`ProbeView::state_gen`] never reuse a
-    /// scan across an injection.
+    /// The state generation is bumped, so probes caching on
+    /// [`ProbeView::state_gen`] never reuse a scan across an injection.
     pub fn protocol_mut(&mut self, u: usize) -> &mut P {
-        self.mark_dirty(u);
         self.state_gen += 1;
         &mut self.protocols[u]
     }
@@ -589,14 +566,6 @@ impl<P: Protocol> Simulator<P> {
     /// stale-link filtering) so far.
     pub fn messages_delivered(&self) -> u64 {
         self.deliveries
-    }
-
-    /// Marks `u` dirty for the next probe batch (idempotent per batch).
-    fn mark_dirty(&mut self, u: usize) {
-        if !self.dirty[u] {
-            self.dirty[u] = true;
-            self.dirty_nodes.push(u);
-        }
     }
 
     /// Overrides the link configuration for the single direction
@@ -687,19 +656,6 @@ impl<P: Protocol> Simulator<P> {
         });
     }
 
-    /// Registers a built-in probe that snapshots all counters and gauges
-    /// into the metrics time series every `every` ticks (see
-    /// [`Metrics::sample_series`]).
-    ///
-    /// # Panics
-    /// Panics if `every == 0`.
-    pub fn sample_metrics_every(&mut self, every: u64) {
-        self.add_probe(every, |view| {
-            let tick = view.now.ticks();
-            view.metrics.sample_series(tick);
-        });
-    }
-
     /// Earliest pending probe deadline, if any probes are registered.
     fn next_probe_due(&self) -> Option<Time> {
         self.probes.iter().map(|p| p.next_at).min()
@@ -712,12 +668,10 @@ impl<P: Protocol> Simulator<P> {
             return;
         }
         let mut probes = std::mem::take(&mut self.probes);
-        let mut fired = false;
         for probe in probes.iter_mut() {
             if probe.next_at > self.now {
                 continue;
             }
-            fired = true;
             let mut view = ProbeView {
                 now: self.now,
                 protocols: &self.protocols,
@@ -726,9 +680,6 @@ impl<P: Protocol> Simulator<P> {
                 metrics: &mut self.metrics,
                 trace: &self.trace,
                 pending_events: self.queue.len(),
-                events_processed: self.events_processed,
-                dirty_nodes: &self.dirty_nodes,
-                activations: self.activations,
                 state_gen: self.state_gen,
             };
             (probe.f)(&mut view);
@@ -738,11 +689,6 @@ impl<P: Protocol> Simulator<P> {
         }
         debug_assert!(self.probes.is_empty(), "probe registered a probe");
         self.probes = probes;
-        if fired {
-            for u in self.dirty_nodes.drain(..) {
-                self.dirty[u] = false;
-            }
-        }
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -875,7 +821,6 @@ impl<P: Protocol> Simulator<P> {
     fn dispatch(&mut self, node: usize, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) -> usize {
         self.activations += 1;
         self.state_gen += 1;
-        self.mark_dirty(node);
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
         {
@@ -1334,28 +1279,6 @@ mod tests {
     }
 
     #[test]
-    fn series_sampling_records_counter_growth() {
-        let mut sim = flood_sim(10, 13);
-        sim.sample_metrics_every(2);
-        sim.run_to_quiescence(1_000);
-        let series = sim.metrics().series();
-        assert!(series.len() >= 3);
-        assert_eq!(series[0].tick, 0);
-        assert_eq!(series[1].tick, 2);
-        let tx_at = |p: &crate::metrics::SeriesPoint| {
-            p.counters
-                .iter()
-                .find(|(k, _)| *k == "tx.total")
-                .map(|&(_, v)| v)
-                .unwrap_or(0)
-        };
-        let first = tx_at(&series[0]);
-        let last = tx_at(series.last().unwrap());
-        assert!(last > first, "tx.total should grow over the run");
-        assert_eq!(last, sim.metrics().counter("tx.total"));
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_probe_interval_panics() {
         let mut sim = flood_sim(3, 1);
@@ -1628,22 +1551,20 @@ mod tests {
         let mut sim = Simulator::new(topo, protocols, LinkConfig::ideal(), 1);
         use std::cell::RefCell;
         use std::rc::Rc;
-        let log: Rc<RefCell<Vec<(u64, usize, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+        let log: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         let log2 = Rc::clone(&log);
         sim.add_probe(1, move |view| {
             let reached = view.protocols.iter().filter(|p| p.seen).count();
-            log2.borrow_mut()
-                .push((view.now.ticks(), reached, view.dirty_nodes.len()));
+            log2.borrow_mut().push((view.now.ticks(), reached));
         });
         assert!(sim.run_to_quiescence(1_000).is_quiescent());
-        // t=0: only the origin (its init broadcast is queued, not delivered);
-        // the dirty set carries all 3 init dispatches.
+        // t=0: only the origin (its init broadcast is queued, not delivered).
         // t=1: the delivery to node 1 lands *at* this grid tick — the probe
-        // still sees reached=1, and nothing ran since the t=0 batch.
+        // still sees reached=1.
         // t=2: node 1's tick-1 activation is now visible.
-        // t=3: node 2's tick-2 activation (plus node 0's wasted redelivery).
+        // t=3: node 2's tick-2 activation.
         let log = log.borrow();
-        assert_eq!(*log, vec![(0, 1, 3), (1, 1, 0), (2, 2, 1), (3, 3, 2)]);
+        assert_eq!(*log, vec![(0, 1), (1, 1), (2, 2), (3, 3)]);
         assert_eq!(sim.protocol(2).first_hops, Some(2));
     }
 

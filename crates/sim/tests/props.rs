@@ -47,7 +47,7 @@ proptest! {
         let mut last: Option<(u64, usize)> = None;
         let mut popped = 0;
         // FIFO among equal timestamps == insertion index increases
-        let mut per_time_last: std::collections::HashMap<u64, usize> = Default::default();
+        let mut per_time_last: std::collections::BTreeMap<u64, usize> = Default::default();
         while let Some(ev) = q.pop() {
             popped += 1;
             if let Some((lt, _)) = last {

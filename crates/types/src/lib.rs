@@ -19,7 +19,6 @@
 //! helper layer ([`wire`]), and the physical neighbour table — address ↔
 //! link index — every message-level node keeps ([`neighbors`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod id;

@@ -4,6 +4,11 @@
 //! consistent" are `ssr_linearize::observe`'s predicates, the ones SSR is
 //! judged by.
 
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use std::rc::Rc;
 
 use ssr_graph::{Graph, Labeling};

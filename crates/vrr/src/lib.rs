@@ -23,7 +23,6 @@
 //!   protocol-agnostic observer `ssr_linearize::observe` (re-exported
 //!   trait: [`Linearized`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

@@ -23,6 +23,11 @@
 //! beacons piggy-backing the *representative*, claim walks toward it, and
 //! redirects — the standing dissemination cost that linearization removes.
 
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use std::collections::BTreeMap;
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
@@ -153,8 +158,6 @@ pub enum PathPayload {
         /// Handshake correlation.
         seq: SeqNo,
     },
-    /// Removes the path's state at every node it passes.
-    Teardown,
     /// Retires a virtual edge *without* removing path state: the recipient
     /// drops the sender from its neighbor sets, but the installed path
     /// survives as extra router state (VRR garbage-collects lazily; tearing
@@ -220,7 +223,7 @@ impl VrrMsg {
             VrrMsg::AlongPath { payload, .. } => match payload {
                 PathPayload::Notify { .. } => "notify",
                 PathPayload::Ack { .. } => "ack",
-                PathPayload::Teardown | PathPayload::Retire { .. } => "teardown",
+                PathPayload::Retire { .. } => "teardown",
                 PathPayload::CloseRing { .. } => "discover",
             },
         }
@@ -370,9 +373,6 @@ impl VrrNode {
         if ttl == 0 {
             ctx.metrics().incr("fwd.ttl_expired");
             return false;
-        }
-        if payload == PathPayload::Teardown {
-            self.table.remove(&id);
         }
         ctx.send(
             next,
@@ -1035,16 +1035,6 @@ impl Protocol for VrrNode {
                             );
                         }
                     }
-                    PathPayload::Teardown => {
-                        if at_end {
-                            self.table.remove(&id);
-                            self.lin.retain(|_, &path| path != id);
-                            self.claim_paths.retain(|_, &mut p| p != id);
-                            self.drive(ctx, Input::Changed);
-                        } else {
-                            self.send_along(ctx, id, toward, PathPayload::Teardown, ttl);
-                        }
-                    }
                     PathPayload::CloseRing {
                         acceptor,
                         final_pid,
@@ -1199,7 +1189,7 @@ mod tests {
                 id: pid,
                 toward: NodeId(1),
                 ttl: 8,
-                payload: PathPayload::Teardown
+                payload: PathPayload::Retire { from: NodeId(2) }
             }
             .kind(),
             "teardown"

@@ -15,7 +15,6 @@
 //! threads in the workspace live in [`orchestrator`], which guarantees
 //! scheduling independence by construction.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod orchestrator;

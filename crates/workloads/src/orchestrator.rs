@@ -18,10 +18,11 @@
 //!   manifests) are folded from that slot table in job order
 //!   ([`SweepOutcome::merge_metrics`]).
 //!
-//! The single sanctioned `std::thread` use in the workspace lives here (the
-//! `determinism-time` lint allowlists exactly this file); a job function
-//! must not read wall clocks or OS entropy — the lint enforces that
-//! elsewhere, and `tests/tests/sweep_determinism.rs` pins the byte-identity
+//! The single sanctioned `std::thread` use in the workspace lives here
+//! ([`run_jobs`] carries the one `#[expect]` against the root
+//! `clippy.toml`'s thread ban); a job function must not read wall clocks or
+//! the environment — `clippy.toml` bans those everywhere, and
+//! `tests/tests/sweep_determinism.rs` pins the byte-identity
 //! guarantee end to end, worker counts 1/2/8 against each other, with a
 //! deliberately slow first job forcing completion order ≠ input order.
 //!
@@ -262,6 +263,10 @@ where
 /// the output vector's order is the input order *by construction* — no
 /// completion-order channel, no sort. `f` is shared across workers (hence
 /// `Sync`) and receives the input index alongside the input.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "results land by job index, so scheduling never reaches the output bytes"
+)]
 pub fn run_jobs<I, O, F>(inputs: &[I], workers: usize, f: F) -> Vec<O>
 where
     I: Sync,

@@ -12,13 +12,9 @@ build:
 test:
     cargo test --workspace --quiet
 
-# lints as errors
+# lints as errors, including the determinism policy in clippy.toml
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
-
-# determinism & protocol-invariant static analysis (ssr-lint)
-lint-proto:
-    cargo run --release -q -p ssr-lint -- --workspace --baseline lint-baseline.json
 
 # formatting check
 fmt:

@@ -4,7 +4,7 @@
 //! link, and the causal ledger's per-kind totals must reconcile with the
 //! simulator's own delivery counter.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use integration_tests::{run_chaos, Scenario};
 use proptest::prelude::*;
@@ -63,7 +63,7 @@ fn provenances(trace: &[TraceEvent]) -> Vec<Provenance> {
 /// are exactly the parentless events, and only bootstrap or fault-repair
 /// events are roots.
 fn assert_lineage_is_rooted_dag(provs: &[Provenance]) {
-    let mut seen: HashMap<u64, Provenance> = HashMap::new();
+    let mut seen: BTreeMap<u64, Provenance> = BTreeMap::new();
     for p in provs {
         if let Some(prev) = seen.get(&p.id) {
             // the same event may surface in several records (send +
@@ -148,7 +148,7 @@ proptest! {
 
         // and each kind's ledger cell matches the delivered events in the
         // trace for that kind
-        let mut trace_by_kind: HashMap<&'static str, u64> = HashMap::new();
+        let mut trace_by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
         for e in &run.trace {
             if let TraceEvent::Deliver { kind, .. } = e {
                 *trace_by_kind.entry(kind).or_insert(0) += 1;
