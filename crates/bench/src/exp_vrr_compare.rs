@@ -9,7 +9,9 @@
 //! standing dissemination cost linearization removes.
 //!
 //! The system × n × seed sweep runs through the deterministic orchestrator
-//! (docs/SWEEPS.md): output bytes never depend on `--workers`.
+//! (docs/SWEEPS.md): output bytes never depend on `--workers`. Each cell's
+//! manifest entry also sums its runs' end-to-end messages by class
+//! (`e2e_total`), which `obs diff` compares leaf by leaf.
 //!
 //! Known limitation (see DESIGN.md): VRR's hop-by-hop path state is more
 //! fragile than SSR's source routes; a small fraction of runs at larger n
@@ -34,6 +36,18 @@ use crate::{fmt_count, Shell};
 /// Salt of E10's topology-instance stream.
 const SALT: u64 = 53;
 
+/// End-to-end messages, all and by class, summed over a cell's runs into
+/// the manifest's `e2e_total`.
+const E2E: [&str; 7] = [
+    "e2e.sent",
+    "e2e.notify",
+    "e2e.announce",
+    "e2e.ack",
+    "e2e.teardown",
+    "e2e.discover",
+    "e2e.succ",
+];
+
 struct Row {
     converged: bool,
     ticks: u64,
@@ -41,13 +55,14 @@ struct Row {
     hello: u64,
     max_state: usize,
     mean_state: f64,
+    e2e: [u64; E2E.len()],
 }
 
 /// The two protocols' bootstrap reports are distinct types with the same
-/// fields; a row is built from either.
+/// fields; a row is built from either, and the run's metrics.
 macro_rules! row {
-    ($report:expr) => {{
-        let r = $report;
+    ($report:expr, $metrics:expr) => {{
+        let (r, m) = ($report, $metrics);
         Row {
             converged: r.converged,
             ticks: r.ticks,
@@ -55,6 +70,7 @@ macro_rules! row {
             hello: message_count(&r.messages, "msg.hello"),
             max_state: r.max_state,
             mean_state: r.mean_state,
+            e2e: E2E.map(|key| m.counter(key)),
         }
     }};
 }
@@ -76,7 +92,8 @@ pub fn run(sh: &mut Shell) {
         match matrix.name(job) {
             "ssr" => {
                 let cfg = BootstrapConfig { seed, ..ssr_cfg };
-                row!(unit_disk_bootstrap(n, instance, &cfg).2)
+                let (_, _, report, sim) = unit_disk_bootstrap(n, instance, &cfg);
+                row!(report, sim.metrics())
             }
             mode => {
                 // non-convergent VRR runs burn their whole budget at
@@ -88,7 +105,9 @@ pub fn run(sh: &mut Shell) {
                     (VrrMode::Baseline, 30_000)
                 };
                 let (g, labels) = unit_disk(n, instance);
-                row!(run_vrr_bootstrap(&g, &labels, vmode, LinkConfig::ideal(), seed, budget).0)
+                let (report, sim) =
+                    run_vrr_bootstrap(&g, &labels, vmode, LinkConfig::ideal(), seed, budget);
+                row!(report, sim.metrics())
             }
         }
     });
@@ -122,6 +141,7 @@ pub fn run(sh: &mut Shell) {
                 ("converged".into(), (conv as u64).into()),
                 ("ticks_mean".into(), ticks.mean.into()),
                 ("msgs_mean".into(), msgs.mean.into()),
+                ("e2e_total".into(), e2e_total(rows)),
                 ("hello_mean".into(), hello.mean.into()),
                 ("state_max".into(), (max_state as u64).into()),
                 ("state_mean".into(), mean_state.into()),
@@ -147,4 +167,12 @@ pub fn run(sh: &mut Shell) {
     // dump; the three-system sweep means ride as extras.
     record_representative_bootstrap(sh, &matrix, SALT, ssr_cfg);
     sh.man.extra("sweep", Value::Obj(sweep_means));
+}
+
+/// A cell's end-to-end messages summed over its runs, keyed by class
+/// (`sent` and the classes it splits into).
+fn e2e_total(rows: &[Row]) -> Value {
+    let total = |i: usize| rows.iter().map(|r| r.e2e[i]).sum::<u64>();
+    let classes = E2E.iter().enumerate();
+    Value::Obj(classes.map(|(i, key)| (key["e2e.".len()..].into(), total(i).into())).collect())
 }

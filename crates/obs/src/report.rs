@@ -341,10 +341,76 @@ pub fn diff(a: &Value, b: &Value) -> String {
         }
     }
 
+    // --- extras -----------------------------------------------------------
+    // an experiment's own fields (sweep means, fitted exponents, …), leaf by
+    // leaf under their dotted paths
+    let (mut xa, mut xb) = (Vec::new(), Vec::new());
+    if let Some(x) = a.get("extra") {
+        leaves(String::new(), x, &mut xa);
+    }
+    if let Some(x) = b.get("extra") {
+        leaves(String::new(), x, &mut xb);
+    }
+    let find =
+        |xs: &[(String, Value)], k: &str| xs.iter().find(|(p, _)| p == k).map(|(_, v)| v.clone());
+    let mut paths: Vec<&String> = xa.iter().chain(xb.iter()).map(|(p, _)| p).collect();
+    paths.sort();
+    paths.dedup();
+    let mut extra_lines = Vec::new();
+    for p in paths {
+        let (va, vb) = (find(&xa, p), find(&xb, p));
+        if va == vb {
+            continue;
+        }
+        let show = |v: &Option<Value>| v.as_ref().map_or("-".into(), Value::to_json);
+        let pct = match (
+            va.as_ref().and_then(Value::as_f64),
+            vb.as_ref().and_then(Value::as_f64),
+        ) {
+            (Some(x), Some(y)) if x != 0.0 => format!("  ({:+.1}%)", (y - x) * 100.0 / x.abs()),
+            _ => String::new(),
+        };
+        extra_lines.push(format!("  {p} {} -> {}{pct}", show(&va), show(&vb)));
+    }
+    if !extra_lines.is_empty() {
+        differences += extra_lines.len();
+        let _ = writeln!(out, "\nextra deltas:");
+        for l in extra_lines {
+            let _ = writeln!(out, "{l}");
+        }
+    }
+
     if differences == 0 {
         let _ = writeln!(out, "\nno differences");
     }
     out
+}
+
+/// Every scalar under `v`, keyed by its path from `prefix`: object keys
+/// and array indices joined by `.`.
+fn leaves(prefix: String, v: &Value, out: &mut Vec<(String, Value)>) {
+    let join = |k: &str| {
+        if prefix.is_empty() {
+            k.to_string()
+        } else {
+            format!("{prefix}.{k}")
+        }
+    };
+    match v {
+        Value::Obj(members) => {
+            for (k, m) in members {
+                leaves(join(k), m, out);
+            }
+        }
+        Value::Arr(items) => {
+            for (i, m) in items.iter().enumerate() {
+                leaves(join(&i.to_string()), m, out);
+            }
+        }
+        Value::Null | Value::Bool(_) | Value::Num(_) | Value::Str(_) => {
+            out.push((prefix, v.clone()));
+        }
+    }
 }
 
 /// Schema tag of a `BENCH_perf.json` perf baseline (written by `exp_perf`).
@@ -961,6 +1027,30 @@ mod tests {
     fn diff_of_identical_manifests_is_clean() {
         let a = manifest_with(1, 500, 4, 64);
         let d = diff(&a, &a);
+        assert!(d.contains("no differences"), "{d}");
+    }
+
+    #[test]
+    fn diff_reports_extras_leaf_by_leaf() {
+        let with = |msgs: f64, extra: Option<(&str, Value)>| {
+            let mut man = Manifest::new("exp_test");
+            let mut cell = vec![("msgs_mean".to_string(), Value::Num(msgs))];
+            cell.extend(extra.map(|(k, v)| (k.to_string(), v)));
+            let sweep = Value::Obj(vec![("vrr/n=16".to_string(), Value::Obj(cell))]);
+            man.extra("sweep", sweep);
+            parse(&man.to_json()).unwrap()
+        };
+        let d = diff(
+            &with(1000.0, None),
+            &with(900.0, Some(("ack", Value::Num(7.0)))),
+        );
+        assert!(d.contains("extra deltas:"), "{d}");
+        assert!(
+            d.contains("sweep.vrr/n=16.msgs_mean 1000 -> 900  (-10.0%)"),
+            "{d}"
+        );
+        assert!(d.contains("sweep.vrr/n=16.ack - -> 7"), "{d}");
+        let d = diff(&with(1000.0, None), &with(1000.0, None));
         assert!(d.contains("no differences"), "{d}");
     }
 

@@ -179,6 +179,21 @@ pub enum PathPayload {
     },
 }
 
+impl PathPayload {
+    /// The `e2e.*` counter a node originating this payload counts it under:
+    /// a notification naming its own sender is an announcement (the audit's,
+    /// or a baseline claim answered), any other one half of an introduction.
+    fn e2e_key(&self) -> &'static str {
+        match self {
+            PathPayload::Notify { other, from, .. } if other == from => "e2e.announce",
+            PathPayload::Notify { .. } => "e2e.notify",
+            PathPayload::Ack { .. } => "e2e.ack",
+            PathPayload::Retire { .. } => "e2e.teardown",
+            PathPayload::CloseRing { .. } => "e2e.discover",
+        }
+    }
+}
+
 /// All VRR messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VrrMsg {
@@ -386,6 +401,23 @@ impl VrrNode {
         true
     }
 
+    /// Originates `payload` along installed path state toward `toward`: one
+    /// end-to-end message with a full hop budget, counted under `e2e.sent`
+    /// and its class once it leaves. A relay forwards with
+    /// [`Self::send_along`] and counts nothing.
+    fn originate(
+        &mut self,
+        ctx: &mut Ctx<'_, VrrMsg>,
+        id: PathId,
+        toward: NodeId,
+        payload: PathPayload,
+    ) {
+        let key = payload.e2e_key();
+        if self.send_along(ctx, id, toward, payload, TTL) {
+            count_sent(ctx, key);
+        }
+    }
+
     // -- virtual-neighbor management --------------------------------------------
 
     /// *Retires* the edge to `other` held over `path`: the peer is told to
@@ -394,7 +426,7 @@ impl VrrNode {
     /// (see `PathPayload::Retire`).
     fn retire(&mut self, ctx: &mut Ctx<'_, VrrMsg>, other: NodeId, path: PathId) {
         let payload = PathPayload::Retire { from: self.id };
-        self.send_along(ctx, path, other, payload, TTL);
+        self.originate(ctx, path, other, payload);
     }
 
     // -- linearization -------------------------------------------------------------
@@ -439,7 +471,7 @@ impl VrrNode {
                     seq,
                 };
                 let prev = ctx.set_cause(CauseClass::Audit);
-                self.send_along(ctx, edge, peer, payload, TTL);
+                self.originate(ctx, edge, peer, payload);
                 ctx.set_cause(prev);
             }
         }
@@ -493,7 +525,7 @@ impl VrrNode {
                 toward_b,
             },
         );
-        self.send_along(
+        self.originate(
             ctx,
             px,
             x,
@@ -503,9 +535,8 @@ impl VrrNode {
                 from: self.id,
                 seq,
             },
-            TTL,
         );
-        self.send_along(
+        self.originate(
             ctx,
             py,
             y,
@@ -515,7 +546,6 @@ impl VrrNode {
                 from: self.id,
                 seq,
             },
-            TTL,
         );
     }
 
@@ -554,6 +584,7 @@ impl VrrNode {
         let pid = Self::crumb_pid(self.id, toward, nonce);
         self.install_walk_hop(pid, self.id, None, Some(next));
         ctx.send(next, VrrMsg::Routed { ttl: TTL, payload });
+        count_sent(ctx, "e2e.discover");
     }
 
     /// Installs one hop of a walk that lays state: `from` leads back toward
@@ -624,7 +655,7 @@ impl VrrNode {
             }
         }
         // retrace the breadcrumbs, rewriting them into the final edge
-        self.send_along(
+        self.originate(
             ctx,
             crumb,
             origin,
@@ -633,7 +664,6 @@ impl VrrNode {
                 final_pid,
                 toward,
             },
-            TTL,
         );
         self.table.remove(&crumb);
         self.drive(ctx, Input::Changed);
@@ -741,6 +771,7 @@ impl VrrNode {
                 let pid = PathId::new(self.id, rep, nonce);
                 self.install_walk_hop(pid, self.id, None, Some(next));
                 ctx.send(next, VrrMsg::Routed { ttl: TTL, payload });
+                count_sent(ctx, "e2e.succ");
             }
         }
     }
@@ -785,7 +816,7 @@ impl VrrNode {
                     from: self.id,
                     seq,
                 };
-                self.send_along(ctx, pid, claimant, payload, TTL);
+                self.originate(ctx, pid, claimant, payload);
             }
         }
         self.drive(ctx, Input::Changed);
@@ -820,6 +851,13 @@ impl VrrNode {
             self.baseline_learn_rep(ctx, id);
         }
     }
+}
+
+/// Counts one end-to-end message this node originated, under `e2e.sent` and
+/// its class `key`.
+fn count_sent(ctx: &mut Ctx<'_, VrrMsg>, key: &'static str) {
+    ctx.metrics().incr("e2e.sent");
+    ctx.metrics().incr(key);
 }
 
 /// The hop of `entry` leading toward the endpoint of `id` that equals
@@ -967,7 +1005,7 @@ impl Protocol for VrrNode {
                             self.install_walk_hop(new_pid, self.id, None, Some(back));
                             self.lin.adopt(other, new_pid);
                             let ack = PathPayload::Ack { about: other, seq };
-                            self.send_along(ctx, id, initiator, ack, TTL);
+                            self.originate(ctx, id, initiator, ack);
                             self.drive(ctx, Input::Changed);
                         } else {
                             // orientation: this hop leads toward `toward`

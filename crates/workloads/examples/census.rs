@@ -9,14 +9,19 @@
 //! node that named a node the receiver already held (`rx.notify_known`).
 //!
 //! ```text
-//! census boot|chaos FROM TO [N]   graph seeds FROM..=TO, N nodes (500 | 200)
-//! census vrr FROM TO [N]          the same for `vrr_bootstrap` (N = 50)
+//! census boot|chaos FROM TO [N]       graph seeds FROM..=TO, N nodes (500 | 200)
+//! census vrr FROM TO [N] [LOSS_PCT]   the same for `vrr_bootstrap` (N = 50),
+//!                                     every link dropping LOSS_PCT % (0)
 //! ```
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
-//! state`: the watchdog's verdict (`converged`, `frozen_crossing`, …), the
-//! messages along a virtual edge per node that ran out of hops
-//! (`fwd.ttl_expired`), and the path-table entries per node.
+//! state KINDS…`: the watchdog's verdict (`converged`, `frozen_crossing`,
+//! …), the messages along a virtual edge per node that ran out of hops
+//! (`fwd.ttl_expired`), the path-table entries per node, then the same
+//! [`KINDS`] columns as the SSR recipes — `VrrNode` counts `e2e.*` where a
+//! message starts, so a path's relays add hops, not messages. A non-zero
+//! `LOSS_PCT` runs the recipe over `LinkConfig::lossy`; the benchmark's own
+//! workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
 //! trajectory; a behavioural change is judged over many more. Save the
@@ -136,21 +141,21 @@ fn route_x(sim: &Simulator<SsrNode>) -> f64 {
 }
 
 /// `vrr_bootstrap`: linearized VRR to the consistent ring under the freeze
-/// watchdog, with the benchmark's budget and freeze window.
-fn vrr(n: usize, g: u64) {
+/// watchdog, with the benchmark's budget and freeze window, over `link`.
+fn vrr(n: usize, g: u64, link: LinkConfig) {
     let (topo, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(g);
     let (watch, sim) = run_vrr_bootstrap_watched(
         &topo,
         &labels,
         VrrMode::Linearized,
-        LinkConfig::ideal(),
+        link,
         g,
         VRR_BUDGET,
         VRR_FREEZE_WINDOW,
     );
     let per_node = |key| sim.metrics().counter(key) as f64 / n as f64;
     let entries: usize = sim.protocols().iter().map(|p| p.table().len()).sum();
-    println!(
+    print!(
         "{g} {} {} {:.3} {:.3} {:.3}",
         watch.verdict,
         watch.ticks,
@@ -158,10 +163,14 @@ fn vrr(n: usize, g: u64) {
         per_node("fwd.ttl_expired"),
         entries as f64 / n as f64,
     );
+    for key in KINDS {
+        print!(" {:.3}", per_node(key));
+    }
+    println!();
 }
 
 fn usage() -> ! {
-    eprintln!("usage: census boot|chaos|vrr FROM TO [N]");
+    eprintln!("usage: census boot|chaos FROM TO [N] | census vrr FROM TO [N] [LOSS_PCT]");
     std::process::exit(2);
 }
 
@@ -177,7 +186,12 @@ fn main() {
         "chaos" => (chaos, 200),
         "vrr" => {
             let n = num(3).unwrap_or(50) as usize;
-            (from..=to).for_each(|g| vrr(n, g));
+            let loss = match args.get(4).map(|a| a.parse::<f64>()) {
+                None => 0.0,
+                Some(Ok(pct)) if (0.0..100.0).contains(&pct) => pct / 100.0,
+                Some(_) => usage(),
+            };
+            (from..=to).for_each(|g| vrr(n, g, LinkConfig::lossy(loss)));
             return;
         }
         _ => usage(),

@@ -77,9 +77,12 @@ bench-cache:
 
 # per-graph census of the benchmark's SSR and VRR recipes, rebuilt from
 # public API: `just census boot 1 40`, `just census chaos 1 40 200` — one
-# line `graph ok|FAIL ticks msgs_per_node e2e_per_node` per graph seed;
-# `just census vrr 1 60 25` — `graph verdict ticks msgs_per_node
-# ttl_expired state` (docs/BENCHMARKS.md says how to compare two saved runs)
+# line `graph ok|FAIL ticks msgs_per_node e2e_per_node route_x` per graph
+# seed, then messages per node by class (e2e.*) and hops by kind (msg.*);
+# `just census vrr 1 60 25 5` — `graph verdict ticks msgs_per_node
+# ttl_expired state` and the same class and kind columns, every link
+# dropping the last argument's percent (default 0) (docs/BENCHMARKS.md says
+# how to compare two saved runs)
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
 

@@ -6,7 +6,7 @@ use ssr_core::consistency::{self, Linearized, RingShape};
 use ssr_core::routing::RoutingView;
 use ssr_graph::algo;
 use ssr_sim::faults::poisson_crash_rejoin_trace;
-use ssr_sim::{LinkConfig, Simulator, Time};
+use ssr_sim::{LinkConfig, Metrics, Simulator, Time};
 use ssr_types::{NodeId, Rng};
 use ssr_vrr::bootstrap::run_vrr_bootstrap;
 use ssr_vrr::node::VrrMode;
@@ -76,10 +76,10 @@ fn an_ideal_link_bootstrap_sends_no_retries() {
     assert_eq!(m.counter("e2e.retry"), 0);
 }
 
-/// `e2e.sent` split by payload: for both protocols the per-class counters
-/// sum to it, and nothing is delivered end to end that was not sent. The
-/// linearized run goes on one audit period past convergence, so its
-/// heartbeat's class is counted too.
+/// `e2e.sent` split by payload: for SSR, ISPRP and linearized VRR the
+/// per-class counters sum to it, and nothing is delivered end to end that
+/// was not sent. Both linearized runs go on one audit period past
+/// convergence, so their heartbeat's class is counted too.
 #[test]
 fn the_per_class_e2e_counters_sum_to_e2e_sent() {
     let (g, labels) = Topology::UnitDisk { n: 30, scale: 1.3 }.instance(5);
@@ -89,9 +89,18 @@ fn the_per_class_e2e_counters_sum_to_e2e_sent() {
     };
     let (lin, mut lin_sim) = run_linearized_bootstrap(&g, &labels, &cfg);
     let (isp, isp_sim) = run_isprp_bootstrap(&g, &labels, &cfg);
-    assert!(lin.converged && isp.converged);
-    let audited = lin_sim.now().ticks() + ssr_linearize::control::AUDIT_INTERVAL;
-    lin_sim.run_until(Time(audited));
+    let (vrr, mut vrr_sim) = run_vrr_bootstrap(
+        &g,
+        &labels,
+        VrrMode::Linearized,
+        LinkConfig::ideal(),
+        5,
+        cfg.max_ticks,
+    );
+    assert!(lin.converged && isp.converged && vrr.converged);
+    let period = ssr_linearize::control::AUDIT_INTERVAL;
+    lin_sim.run_until(Time(lin_sim.now().ticks() + period));
+    vrr_sim.run_until(Time(vrr_sim.now().ticks() + period));
     let classes = [
         "e2e.notify",
         "e2e.announce",
@@ -102,11 +111,19 @@ fn the_per_class_e2e_counters_sum_to_e2e_sent() {
         "e2e.update",
         "e2e.data",
     ];
+    let sum = |m: &Metrics| classes.iter().map(|&k| m.counter(k)).sum::<u64>();
     for m in [lin_sim.metrics(), isp_sim.metrics()] {
         let sent = m.counter("e2e.sent");
         assert!(sent > 0);
-        assert_eq!(classes.iter().map(|&k| m.counter(k)).sum::<u64>(), sent);
+        assert_eq!(sum(m), sent);
         assert!((1..=sent).contains(&m.counter("e2e.delivered")));
+    }
+    // VRR counts what a node originates, not what its paths relay
+    let m = vrr_sim.metrics();
+    assert_eq!(sum(m), m.counter("e2e.sent"));
+    assert!(m.counter("e2e.sent") < m.counter("tx.total") - m.counter("msg.hello"));
+    for key in ["e2e.notify", "e2e.announce", "e2e.ack", "e2e.discover"] {
+        assert!(m.counter(key) > 0, "{key}");
     }
     assert!(lin_sim.metrics().counter("e2e.announce") > 0);
     assert!(isp_sim.metrics().counter("e2e.succ") > 0);
