@@ -1004,8 +1004,14 @@ impl Protocol for VrrNode {
                             let back = self.first_hop(new_pid, other).unwrap_or(from);
                             self.install_walk_hop(new_pid, self.id, None, Some(back));
                             self.lin.adopt(other, new_pid);
-                            let ack = PathPayload::Ack { about: other, seq };
-                            self.originate(ctx, id, initiator, ack);
+                            // an introduction — naming a *third* node — is
+                            // half of a handshake its sender waits on; an
+                            // announcement names its sender, who acts on no
+                            // answer, so it gets none
+                            if other != initiator {
+                                let ack = PathPayload::Ack { about: other, seq };
+                                self.originate(ctx, id, initiator, ack);
+                            }
                             self.drive(ctx, Input::Changed);
                         } else {
                             // orientation: this hop leads toward `toward`
@@ -1413,6 +1419,40 @@ mod tests {
             node.lin.edge(NodeId(60)),
             Some(PathId::new(NodeId(50), NodeId(60), 0))
         );
+    }
+
+    /// SSR's `an_announcement_is_not_answered_and_still_restores_a_wiped_edge`
+    /// for VRR, on the physical line 10–…–50 closed into a ring, at rest: an
+    /// audit period costs the announcements along the ring's edges and not
+    /// one answer, and a member whose state was wiped is back in the ring
+    /// within two periods, re-adopted from its neighbours' announcements.
+    #[test]
+    fn an_announcement_is_not_answered_and_still_restores_a_wiped_edge() {
+        use crate::bootstrap::vrr_ring_consistent;
+        use ssr_graph::Graph;
+        use ssr_linearize::control::AUDIT_INTERVAL;
+        use ssr_sim::{LinkConfig, Protocol, Simulator, Time};
+
+        let topo = Graph::from_edges(5, (1..5).map(|u| (u - 1, u)));
+        let nodes = (1..=5).map(|i| VrrNode::new(NodeId(10 * i))).collect();
+        let mut sim = Simulator::new(topo, nodes, LinkConfig::ideal(), 1);
+        sim.run_until_stable(8, 5_000, |nodes, _| vrr_ring_consistent(nodes));
+        assert!(vrr_ring_consistent(sim.protocols()));
+        let rest = sim.now().ticks() + 4 * AUDIT_INTERVAL;
+        sim.run_until(Time(rest));
+        let count = |sim: &Simulator<VrrNode>, key| sim.metrics().counter(key);
+        let before = ["e2e.announce", "msg.notify", "msg.ack"].map(|k| count(&sim, k));
+        sim.run_until(Time(rest + AUDIT_INTERVAL));
+        let after = ["e2e.announce", "msg.notify", "msg.ack"].map(|k| count(&sim, k));
+        // both ends of each of the four one-hop line edges announce it
+        let period = [0, 1, 2].map(|i| after[i] - before[i]);
+        assert_eq!(period, [8, 8, 0]);
+
+        sim.protocol_mut(2).reset();
+        assert!(!vrr_ring_consistent(sim.protocols()));
+        sim.run_until(Time(rest + 3 * AUDIT_INTERVAL));
+        assert!(vrr_ring_consistent(sim.protocols()));
+        assert_eq!(count(&sim, "msg.ack"), after[2]);
     }
 
     /// Lays `pid` over the simulator indices `walk`, first endpoint to last:

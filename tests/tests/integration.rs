@@ -8,7 +8,7 @@ use ssr_graph::algo;
 use ssr_sim::faults::poisson_crash_rejoin_trace;
 use ssr_sim::{LinkConfig, Metrics, Simulator, Time};
 use ssr_types::{NodeId, Rng};
-use ssr_vrr::bootstrap::run_vrr_bootstrap;
+use ssr_vrr::bootstrap::{run_vrr_bootstrap, run_vrr_bootstrap_watched};
 use ssr_vrr::node::VrrMode;
 use ssr_workloads::scenario::traffic_pairs;
 use ssr_workloads::Topology;
@@ -341,4 +341,32 @@ fn engine_and_protocol_agree_on_the_line() {
     }
     // sanity on the physical graph
     assert!(algo::is_connected(&g));
+}
+
+/// At rest linearized VRR answers none of its own heartbeat: on
+/// `vrr_bootstrap`'s graphs 7–16 at n = 50, run on four audit periods past
+/// convergence, the next period carries announcements and not one ack.
+#[test]
+fn vrr_at_rest_sends_no_acks() {
+    let period = ssr_linearize::control::AUDIT_INTERVAL;
+    for g in 7..=16 {
+        let (topo, labels) = Topology::UnitDisk { n: 50, scale: 1.3 }.instance(g);
+        let (watch, mut sim) = run_vrr_bootstrap_watched(
+            &topo,
+            &labels,
+            VrrMode::Linearized,
+            LinkConfig::ideal(),
+            g,
+            20_000,
+            3_000,
+        );
+        assert!(watch.converged, "graph {g}: {watch:?}");
+        let rest = sim.now().ticks() + 4 * period;
+        sim.run_until(Time(rest));
+        let count = |sim: &Simulator<_>, key| sim.metrics().counter(key);
+        let (announce, ack) = (count(&sim, "e2e.announce"), count(&sim, "msg.ack"));
+        sim.run_until(Time(rest + period));
+        assert!(count(&sim, "e2e.announce") > announce, "graph {g}");
+        assert_eq!(count(&sim, "msg.ack"), ack, "graph {g}");
+    }
 }
