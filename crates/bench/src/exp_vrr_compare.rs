@@ -173,6 +173,6 @@ pub fn run(sh: &mut Shell) {
 /// (`sent` and the classes it splits into).
 fn e2e_total(rows: &[Row]) -> Value {
     let total = |i: usize| rows.iter().map(|r| r.e2e[i]).sum::<u64>();
-    let classes = E2E.iter().enumerate();
-    Value::Obj(classes.map(|(i, key)| (key["e2e.".len()..].into(), total(i).into())).collect())
+    let class = |key: &str| key.trim_start_matches("e2e.").to_string();
+    Value::Obj(E2E.iter().enumerate().map(|(i, key)| (class(key), total(i).into())).collect())
 }

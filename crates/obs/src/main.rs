@@ -27,7 +27,8 @@ subcommands:
   summarize   one-screen view of a run manifest (counters, histogram
               percentiles, condensed convergence timeline)
   diff        counter deltas, histogram percentile shifts, and
-              convergence-time regressions between two manifests; when
+              convergence-time regressions between two manifests, and
+              every changed leaf of their extra sections; when
               both files are perf baselines (exp_perf output, any
               ssr-bench-perf schema), compares per-scenario timing and
               work counters instead and exits non-zero on regressions

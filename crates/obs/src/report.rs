@@ -154,9 +154,10 @@ fn condensed_timeline(timeline: &[Value]) -> Vec<String> {
     lines
 }
 
-/// Diff of two manifests: counter deltas, histogram percentile shifts, and
-/// convergence-time regressions. Returns a report; identical manifests
-/// produce "no differences".
+/// Diff of two manifests: counter deltas, histogram percentile shifts,
+/// convergence-time regressions, chaos recovery deltas and the `extra`
+/// section leaf by leaf. Returns a report; identical manifests produce "no
+/// differences".
 pub fn diff(a: &Value, b: &Value) -> String {
     let mut out = String::new();
     let name = |m: &Value| {
