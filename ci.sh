@@ -8,13 +8,12 @@
 # smoke (results/golden/: manifest, stdout and CSV of every experiment must
 # reproduce byte for byte), the
 # benchmark package's self-check (benchmark/ is its own workspace, so
-# nothing above compiles it), the sweep smoke (orchestrator
-# byte-determinism across --workers), the
+# nothing above compiles it; its six workloads at toy sizes, untraced and
+# traced, are the smoke of the perf path), the sweep smoke (orchestrator
+# byte-determinism across --workers), and the
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
-# ledger on + obs flame/top attribution gates), and the perf-baseline
-# smoke (exp exp_perf --smoke artifact gate + BENCH_history.jsonl
-# well-formedness). Mirrors `just ci`.
+# ledger on + obs flame/top attribution gates). Mirrors `just ci`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,7 +47,9 @@ echo "== golden smoke =="
 echo "== benchmark check =="
 # benchmark/ is a separate [workspace]: this is the only step that builds
 # it against the workspace's public API (benchmark/README.md §"Public API
-# surface") and checks its declared metrics against BENCHMARK.json
+# surface") and checks its declared metrics against BENCHMARK.json; the
+# check runs all six workloads at toy sizes, untraced and traced, with
+# every output check — the CI smoke of the perf path
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 # its own unit tests (spans, stats, JSON, the parent/change comparison);
 # `cargo test --workspace` above never reaches them
@@ -66,30 +67,5 @@ echo "== sweep smoke =="
 
 echo "== obs smoke =="
 ./scripts/obs_smoke.sh
-
-echo "== perf smoke =="
-# Smoke the perf-baseline path into a scratch file (the checked-in
-# BENCH_perf.json is only refreshed by deliberate full runs), then gate
-# that the artifact parses, carries the current git describe, and has
-# enough scenarios for obs diff to be meaningful.
-perf_out="$(mktemp -d)/BENCH_perf.json"
-./target/release/exp exp_perf --smoke --out "$perf_out"
-grep -q '"schema": "ssr-bench-perf/2"' "$perf_out"
-describe="$(git describe --always --dirty 2>/dev/null || true)"
-if [ -n "$describe" ]; then
-  grep -qF "\"git\": \"$describe\"" "$perf_out" || {
-    echo "perf smoke: git field does not match 'git describe --always --dirty' ($describe)" >&2
-    exit 1
-  }
-fi
-scenarios="$(grep -c '"name": "' "$perf_out")"
-if [ "$scenarios" -lt 3 ]; then
-  echo "perf smoke: expected >= 3 scenarios, got $scenarios" >&2
-  exit 1
-fi
-rm -rf "$(dirname "$perf_out")"
-# the trajectory: missing, empty, or a line that is not one JSON object
-# carrying git, scenario and ns_per_op fails (`just bench-history` appends)
-./target/release/obs history --check BENCH_history.jsonl
 
 echo "CI OK"

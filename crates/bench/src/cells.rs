@@ -2,7 +2,7 @@
 //! abstract-engine run with its histogram and round-timeline recording
 //! (E3, E4, E5, E9), the unit-disk linearized bootstrap and its
 //! representative-run epilogue (E6, E7, E9, E10), the SSR simulator run to
-//! a consistent ring (E8, E11, `exp_perf`), and the message-kind lookup.
+//! a consistent ring (E8, E11), and the message-kind lookup.
 
 use ssr_core::bootstrap::{
     make_ssr_nodes, run_linearized_bootstrap, BootstrapConfig, BootstrapReport,

@@ -47,8 +47,7 @@ macro_rules! experiments {
     ($($name:ident),* $(,)?) => {
         $(pub mod $name;)*
 
-        /// Every experiment, in DESIGN.md's index order (E1–E11, then the
-        /// perf baseline).
+        /// Every experiment, in DESIGN.md's index order (E1–E11).
         pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             body: $name::run,
@@ -68,7 +67,6 @@ experiments![
     exp_state,
     exp_vrr_compare,
     exp_chaos,
-    exp_perf,
 ];
 
 /// Runs `exp <name> [flags]` for the given arguments (program name already

@@ -32,7 +32,6 @@ pub struct Shell {
     table: Option<Table>,
     notes: String,
     failures: Vec<String>,
-    writes_manifest: bool,
 }
 
 impl Shell {
@@ -59,7 +58,6 @@ impl Shell {
             table: None,
             notes: String::new(),
             failures: Vec::new(),
-            writes_manifest: true,
         }
     }
 
@@ -78,7 +76,7 @@ impl Shell {
     /// # Panics
     /// Panics with a readable message when the spec does not parse or
     /// names an unknown scenario.
-    pub fn override_matrix(&self, matrix: &mut Matrix) {
+    fn override_matrix(&self, matrix: &mut Matrix) {
         if let Some(spec) = self.args.opt("matrix") {
             if let Err(e) = matrix.override_with(spec) {
                 panic!("--matrix {spec}: {e}");
@@ -161,12 +159,6 @@ impl Shell {
         }
     }
 
-    /// For an experiment whose artifact is not a run manifest
-    /// (`exp_perf` writes `BENCH_perf.json`).
-    pub fn no_manifest(&mut self) {
-        self.writes_manifest = false;
-    }
-
     /// Prints the table and notes, writes the `--csv` copy and the
     /// manifest (`<results>/<exp>.manifest.json`, wall time stamped), and
     /// returns the exit code: 1 if the body recorded a failure, else 0. A
@@ -181,13 +173,11 @@ impl Shell {
             table.to_csv(path).expect("csv");
             println!("(csv written to {path})");
         }
-        if self.writes_manifest {
-            self.man.wall_ms(self.started.elapsed().as_millis() as u64);
-            let path = results.join(format!("{}.manifest.json", self.exp));
-            match self.man.write_to(&path) {
-                Ok(()) => println!("(manifest written to {})", path.display()),
-                Err(e) => eprintln!("warning: manifest not written: {e}"),
-            }
+        self.man.wall_ms(self.started.elapsed().as_millis() as u64);
+        let path = results.join(format!("{}.manifest.json", self.exp));
+        match self.man.write_to(&path) {
+            Ok(()) => println!("(manifest written to {})", path.display()),
+            Err(e) => eprintln!("warning: manifest not written: {e}"),
         }
         if !self.failures.is_empty() {
             eprintln!("\nFAIL:");

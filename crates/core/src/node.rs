@@ -92,18 +92,6 @@ pub struct SsrConfig {
     /// its half of the edge with its own handshake. Off = the with-memory
     /// ablation: the delegating end keeps every route it delegated pinned.
     pub unpin_delegated: bool,
-    /// Quiet audit rounds before the audit timer stops. The audit is the
-    /// virtual-neighbor heartbeat: a node periodically re-announces itself
-    /// along each ring edge so a peer that lost the edge (e.g. it crashed
-    /// and purged state, or rejoined fresh) re-adopts it. Edges stay
-    /// *mutual*, which is what lets linearization resume after churn. The
-    /// default is `u32::MAX` — never stop: a crashed-and-rejoined peer
-    /// leaves no local signal at the surviving endpoint, so eventual
-    /// self-stabilization requires the heartbeat to keep running (it is two
-    /// messages per node per period — an announcement is not answered —
-    /// still flood-free: the lightweight analogue of Chord's stabilize
-    /// loop). Set a finite value for self-quiescing simulations.
-    pub audit_quiet: u32,
 }
 
 impl Default for SsrConfig {
@@ -112,7 +100,6 @@ impl Default for SsrConfig {
             partition_base: 2,
             ccw_redundancy: true,
             unpin_delegated: true,
-            audit_quiet: u32::MAX,
         }
     }
 }
@@ -155,7 +142,14 @@ impl SsrNode {
                 id,
                 Timing {
                     ccw_redundancy: config.ccw_redundancy,
-                    audit_quiet: config.audit_quiet,
+                    // The audit is the virtual-neighbor heartbeat: a node
+                    // re-announces itself along each ring edge so a peer
+                    // that lost the edge (crashed and purged, or rejoined
+                    // fresh) re-adopts it and edges stay *mutual*. It never
+                    // stops: a crashed-and-rejoined peer leaves no local
+                    // signal at the surviving endpoint (two messages per
+                    // node per period — an announcement is not answered).
+                    audit_quiet: u32::MAX,
                 },
             ),
             cache: RouteCache::with_partition(id, IntervalPartition::new(config.partition_base)),

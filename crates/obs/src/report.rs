@@ -414,246 +414,6 @@ fn leaves(prefix: String, v: &Value, out: &mut Vec<(String, Value)>) {
     }
 }
 
-/// Schema tag of a `BENCH_perf.json` perf baseline (written by `exp_perf`).
-///
-/// `ssr-bench-perf/2` added the per-scenario message breakdown
-/// (`messages_by_cause`, `messages_by_kind`, `wasted`, `wasted_per_mille`)
-/// measured by a separate instrumented run; timing repeats stay
-/// uninstrumented.
-pub const PERF_SCHEMA: &str = "ssr-bench-perf/2";
-
-/// Every perf-baseline schema `obs diff` can read. Diffing a `/1` baseline
-/// against a `/2` one is supported: fields present on only one side are
-/// reported as schema growth, not drift.
-pub const PERF_SCHEMAS: [&str; 2] = ["ssr-bench-perf/1", "ssr-bench-perf/2"];
-
-/// `true` when a parsed JSON document is a perf baseline rather than a run
-/// manifest — `obs diff` dispatches on this.
-pub fn is_perf_baseline(v: &Value) -> bool {
-    v.get("schema")
-        .and_then(|s| s.as_str())
-        .is_some_and(|s| PERF_SCHEMAS.contains(&s))
-}
-
-/// Diff of two `BENCH_perf.json` perf baselines, per scenario name.
-///
-/// * `ns_per_op` is wall-clock: a change is flagged as a regression only
-///   when B is slower than A by more than `threshold_pct` percent (noise
-///   below the threshold is shown but not flagged). `wall_ns` is
-///   `ns_per_op * ops` and is skipped as redundant.
-/// * every other numeric scenario field (`ticks`, `ops`,
-///   `messages_delivered`, `node_activations`, `peak_queue_depth`,
-///   `wasted`, `wasted_per_mille`, …) is deterministic for a given seed:
-///   *any* change is reported (it is a behavior change, not noise), and
-///   increases beyond the threshold are flagged.
-/// * a numeric field present in only one baseline is **schema growth**
-///   (e.g. diffing an `ssr-bench-perf/1` baseline against a `/2` one):
-///   reported informationally, never flagged as a regression.
-///
-/// Returns the report and whether any regression was flagged — the CLI
-/// exits non-zero on `true`, which is what makes `obs diff old new
-/// --threshold 20` usable as a CI perf gate.
-pub fn diff_perf(a: &Value, b: &Value, threshold_pct: f64) -> (String, bool) {
-    let mut out = String::new();
-    let git = |m: &Value| {
-        m.get("git")
-            .and_then(|g| g.as_str())
-            .unwrap_or("?")
-            .to_string()
-    };
-    let _ = writeln!(out, "A: perf baseline @ {}", git(a));
-    let _ = writeln!(out, "B: perf baseline @ {}", git(b));
-    let _ = writeln!(out, "regression threshold: +{threshold_pct}%");
-
-    let scenarios = |m: &Value| -> Vec<Value> {
-        m.get("scenarios")
-            .and_then(|s| s.as_arr())
-            .map(|arr| arr.to_vec())
-            .unwrap_or_default()
-    };
-    let name_of = |s: &Value| {
-        s.get("name")
-            .and_then(|n| n.as_str())
-            .unwrap_or("?")
-            .to_string()
-    };
-    let sa = scenarios(a);
-    let sb = scenarios(b);
-    let mut regressions = 0usize;
-
-    for ea in &sa {
-        let name = name_of(ea);
-        let Some(eb) = sb.iter().find(|s| name_of(s) == name) else {
-            let _ = writeln!(out, "\n{name}: only in A");
-            continue;
-        };
-        let mut lines: Vec<String> = Vec::new();
-        let num = |s: &Value, k: &str| s.get(k).and_then(|v| v.as_f64());
-        // wall-clock: threshold-gated
-        if let (Some(x), Some(y)) = (num(ea, "ns_per_op"), num(eb, "ns_per_op")) {
-            if x > 0.0 {
-                let pct = (y - x) * 100.0 / x;
-                if pct.abs() >= 0.05 {
-                    let flag = if pct > threshold_pct {
-                        regressions += 1;
-                        "  ** regression **"
-                    } else {
-                        ""
-                    };
-                    lines.push(format!("ns_per_op {x:.0} -> {y:.0} ({pct:+.1}%){flag}"));
-                }
-            }
-        }
-        // deterministic work ledger: any drift is a behavior change; a key
-        // on only one side is schema growth/shrink, reported but never
-        // flagged (a /1-vs-/2 diff must stay usable as a perf gate)
-        let numeric_keys = |s: &Value| -> Vec<String> {
-            s.as_obj()
-                .map(|o| {
-                    o.iter()
-                        .filter(|(k, v)| {
-                            // wall_ns is ns_per_op * ops — wall-clock, already
-                            // covered by the threshold-gated ns_per_op line
-                            v.as_f64().is_some()
-                                && k != "name"
-                                && k != "ns_per_op"
-                                && k != "wall_ns"
-                        })
-                        .map(|(k, _)| k.clone())
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let mut keys = numeric_keys(ea);
-        for k in numeric_keys(eb) {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        keys.sort();
-        for key in &keys {
-            match (num(ea, key), num(eb, key)) {
-                (Some(x), Some(y)) if x != y => {
-                    let flag = if x > 0.0 && (y - x) * 100.0 / x > threshold_pct {
-                        regressions += 1;
-                        "  ** regression **"
-                    } else {
-                        ""
-                    };
-                    lines.push(format!(
-                        "{key} {} -> {}  (behavior change){flag}",
-                        x as u64, y as u64
-                    ));
-                }
-                (Some(x), None) => {
-                    lines.push(format!(
-                        "{key} {} -> absent  (schema change, informational)",
-                        x as u64
-                    ));
-                }
-                (None, Some(y)) => {
-                    lines.push(format!(
-                        "{key} absent -> {}  (schema growth, informational)",
-                        y as u64
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if !lines.is_empty() {
-            let _ = writeln!(out, "\n{name}:");
-            for l in lines {
-                let _ = writeln!(out, "  {l}");
-            }
-        }
-    }
-    for eb in &sb {
-        let name = name_of(eb);
-        if !sa.iter().any(|s| name_of(s) == name) {
-            let _ = writeln!(out, "\n{name}: only in B");
-        }
-    }
-
-    if regressions == 0 {
-        let _ = writeln!(out, "\nno regressions beyond +{threshold_pct}%");
-    } else {
-        let _ = writeln!(
-            out,
-            "\n{regressions} regression(s) beyond +{threshold_pct}%"
-        );
-    }
-    (out, regressions > 0)
-}
-
-/// The fields every `BENCH_history.jsonl` line must carry.
-const HISTORY_FIELDS: [&str; 3] = ["git", "scenario", "ns_per_op"];
-
-/// The `BENCH_history.jsonl` lines of one perf baseline: one compact JSON
-/// object per scenario — the baseline's `git` describe, the scenario name,
-/// `ns_per_op` (per run for the convergence/chaos rows, whose op is a run),
-/// `deliveries_per_run` (`messages_delivered / repeats`: the baseline's
-/// counter fields are sums over its repeats), `repeats` and `smoke`.
-/// Appending these per PR is what turns the overwritten `BENCH_perf.json`
-/// snapshot into a trajectory.
-pub fn history_lines(baseline: &Value) -> Result<String, String> {
-    if !is_perf_baseline(baseline) {
-        return Err("not a perf baseline (no ssr-bench-perf schema)".into());
-    }
-    let git = baseline
-        .get("git")
-        .and_then(|g| g.as_str())
-        .ok_or("baseline has no git describe (emitted outside a checkout)")?;
-    let scenarios = baseline
-        .get("scenarios")
-        .and_then(|s| s.as_arr())
-        .ok_or("baseline has no scenarios")?;
-    let mut out = String::new();
-    for s in scenarios {
-        let name = s.get("name").and_then(|n| n.as_str());
-        let ns_per_op = s.get("ns_per_op").and_then(|v| v.as_f64());
-        let (Some(name), Some(ns_per_op)) = (name, ns_per_op) else {
-            return Err("scenario without name or ns_per_op".into());
-        };
-        let num = |k: &str| s.get(k).and_then(|v| v.as_f64());
-        let repeats = num("repeats").unwrap_or(1.0).max(1.0);
-        let line = Value::Obj(vec![
-            ("git".into(), Value::Str(git.into())),
-            ("scenario".into(), Value::Str(name.into())),
-            ("ns_per_op".into(), Value::Num(ns_per_op)),
-            (
-                "deliveries_per_run".into(),
-                Value::Num(num("messages_delivered").unwrap_or(0.0) / repeats),
-            ),
-            ("repeats".into(), Value::Num(repeats)),
-            (
-                "smoke".into(),
-                baseline.get("smoke").cloned().unwrap_or(Value::Bool(false)),
-            ),
-        ]);
-        let _ = writeln!(out, "{}", line.to_json());
-    }
-    Ok(out)
-}
-
-/// Checks parsed `BENCH_history.jsonl` records: there is at least one, and
-/// each is one JSON object carrying `git`, `scenario` and `ns_per_op`.
-pub fn check_history(records: &[Value]) -> Result<String, String> {
-    if records.is_empty() {
-        return Err("history is empty".into());
-    }
-    for (i, r) in records.iter().enumerate() {
-        if r.as_obj().is_none() {
-            return Err(format!("record {}: not a JSON object", i + 1));
-        }
-        for field in HISTORY_FIELDS {
-            if r.get(field).is_none() {
-                return Err(format!("record {}: no `{field}` field", i + 1));
-            }
-        }
-    }
-    Ok(format!("history OK: {} record(s)\n", records.len()))
-}
-
 fn delta(a: u64, b: u64) -> String {
     let d = b as i128 - a as i128;
     let sign = if d >= 0 { "+" } else { "" };
@@ -1092,133 +852,6 @@ mod tests {
         // identical chaos sections stay silent
         let d = diff(&a, &a);
         assert!(d.contains("no differences"), "{d}");
-    }
-
-    fn perf_baseline(git: &str, ns_per_op: f64, delivered: u64) -> Value {
-        let doc = format!(
-            "{{\"schema\":\"ssr-bench-perf/1\",\"git\":\"{git}\",\"seed\":1,\
-             \"scenarios\":[{{\"name\":\"convergence_n100\",\"ops\":3,\
-             \"ns_per_op\":{ns_per_op},\"ticks\":88,\
-             \"messages_delivered\":{delivered},\"node_activations\":9622,\
-             \"peak_queue_depth\":648}}]}}"
-        );
-        parse(&doc).unwrap()
-    }
-
-    #[test]
-    fn history_lines_round_trip_through_the_check() {
-        let lines = history_lines(&perf_baseline("abc-dirty", 1500.5, 600)).unwrap();
-        assert_eq!(
-            lines,
-            "{\"git\":\"abc-dirty\",\"scenario\":\"convergence_n100\",\"ns_per_op\":1500.5,\
-             \"deliveries_per_run\":600,\"repeats\":1,\"smoke\":false}\n"
-        );
-        let records: Vec<Value> = lines.lines().map(|l| parse(l).unwrap()).collect();
-        assert!(check_history(&records).unwrap().contains("1 record"));
-        assert!(history_lines(&manifest_with(1, 500, 4, 64)).is_err());
-        assert!(check_history(&[]).is_err());
-        assert!(check_history(&[parse("[1]").unwrap()]).is_err());
-        let no_git = parse("{\"scenario\":\"x\",\"ns_per_op\":1}").unwrap();
-        assert!(check_history(&[no_git]).unwrap_err().contains("`git`"));
-    }
-
-    #[test]
-    fn perf_baselines_are_recognized() {
-        assert!(is_perf_baseline(&perf_baseline("abc", 100.0, 5)));
-        assert!(!is_perf_baseline(&manifest_with(1, 500, 4, 64)));
-        assert!(!is_perf_baseline(&parse("{}").unwrap()));
-    }
-
-    #[test]
-    fn perf_diff_flags_wall_regressions_beyond_threshold() {
-        let a = perf_baseline("old", 1000.0, 500);
-        // +30% wall, counters unchanged: regression at 10%, noise at 50%
-        let b = perf_baseline("new", 1300.0, 500);
-        let (report, failed) = diff_perf(&a, &b, 10.0);
-        assert!(failed, "{report}");
-        assert!(
-            report.contains("ns_per_op 1000 -> 1300 (+30.0%)"),
-            "{report}"
-        );
-        assert!(report.contains("** regression **"), "{report}");
-        assert!(report.contains("1 regression(s) beyond +10%"), "{report}");
-        let (report, failed) = diff_perf(&a, &b, 50.0);
-        assert!(!failed, "{report}");
-        assert!(report.contains("no regressions beyond +50%"), "{report}");
-    }
-
-    #[test]
-    fn perf_diff_reports_counter_drift_as_behavior_change() {
-        let a = perf_baseline("old", 1000.0, 500);
-        let mut report = diff_perf(&a, &perf_baseline("new", 1000.0, 520), 10.0);
-        // +4% delivered: reported (deterministic drift) but under threshold
-        assert!(!report.1, "{}", report.0);
-        assert!(
-            report.0.contains("messages_delivered 500 -> 520"),
-            "{}",
-            report.0
-        );
-        assert!(report.0.contains("behavior change"), "{}", report.0);
-        // +100% delivered: flagged
-        report = diff_perf(&a, &perf_baseline("new", 1000.0, 1000), 10.0);
-        assert!(report.1, "{}", report.0);
-    }
-
-    #[test]
-    fn perf_diff_of_identical_baselines_is_clean() {
-        let a = perf_baseline("same", 1000.0, 500);
-        let (report, failed) = diff_perf(&a, &a, 10.0);
-        assert!(!failed);
-        assert!(report.contains("no regressions"), "{report}");
-    }
-
-    #[test]
-    fn perf_diff_reports_scenario_set_changes() {
-        let a = perf_baseline("old", 1000.0, 500);
-        let b = parse(
-            "{\"schema\":\"ssr-bench-perf/1\",\"git\":\"new\",\"seed\":1,\
-             \"scenarios\":[{\"name\":\"routing_n500\",\"ops\":1,\
-             \"ns_per_op\":5.0,\"ticks\":0,\"messages_delivered\":0,\
-             \"node_activations\":0,\"peak_queue_depth\":0}]}",
-        )
-        .unwrap();
-        let (report, _) = diff_perf(&a, &b, 10.0);
-        assert!(report.contains("convergence_n100: only in A"), "{report}");
-        assert!(report.contains("routing_n500: only in B"), "{report}");
-    }
-
-    #[test]
-    fn perf_diff_treats_mixed_schemas_as_growth_not_drift() {
-        // a /1 baseline (no breakdown fields) against a /2 one that adds
-        // wasted/wasted_per_mille: informational, never a regression
-        let a = perf_baseline("old", 1000.0, 500);
-        let b = parse(
-            "{\"schema\":\"ssr-bench-perf/2\",\"git\":\"new\",\"seed\":1,\
-             \"scenarios\":[{\"name\":\"convergence_n100\",\"ops\":3,\
-             \"ns_per_op\":1000.0,\"ticks\":88,\
-             \"messages_delivered\":500,\"node_activations\":9622,\
-             \"peak_queue_depth\":648,\"wasted\":120,\"wasted_per_mille\":240}]}",
-        )
-        .unwrap();
-        assert!(is_perf_baseline(&b));
-        let (report, failed) = diff_perf(&a, &b, 10.0);
-        assert!(!failed, "{report}");
-        assert!(
-            report.contains("wasted absent -> 120  (schema growth, informational)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("wasted_per_mille absent -> 240"),
-            "{report}"
-        );
-        assert!(!report.contains("behavior change"), "{report}");
-        // the reverse direction reports a schema change, also unflagged
-        let (report, failed) = diff_perf(&b, &a, 10.0);
-        assert!(!failed, "{report}");
-        assert!(
-            report.contains("wasted 120 -> absent  (schema change, informational)"),
-            "{report}"
-        );
     }
 
     fn provenance_manifest() -> Value {

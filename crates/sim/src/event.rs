@@ -324,7 +324,7 @@ mod tests {
     }
 
     /// The stamp rides on every queued event; growing it inflates the
-    /// whole wheel (and the uninstrumented perf baseline with it).
+    /// whole wheel (and every untraced benchmark run with it).
     #[test]
     fn provenance_stays_within_32_bytes() {
         assert!(std::mem::size_of::<Provenance>() <= 32);

@@ -157,7 +157,7 @@ impl CausalLedger {
 }
 
 /// A deterministic, mergeable snapshot of a [`CausalLedger`] — what
-/// manifests record and `exp_chaos`/`exp_perf` aggregate across runs.
+/// manifests record and `exp_chaos` aggregates across runs.
 ///
 /// Cause classes appear as their stable labels so the snapshot is
 /// self-describing once serialized.

@@ -549,8 +549,8 @@ impl<P: Protocol> Simulator<P> {
         self.queue.len()
     }
 
-    /// High-water mark of the pending-event queue over the run — the "peak
-    /// queue depth" scenario metric in `BENCH_perf.json`.
+    /// High-water mark of the pending-event queue over the run — the
+    /// benchmark's `sim.peak_queue_depth` metric.
     pub fn peak_pending_events(&self) -> usize {
         self.queue.peak_len()
     }

@@ -56,7 +56,7 @@ chaos-sweep:
     ./scripts/chaos_sweep.sh
 
 # the criterion suite: routine-level B1–B9 (algorithm-level shapes are
-# `exp perf` scenarios and `benchmark/` workloads)
+# `benchmark/` workloads)
 bench:
     cargo bench -p ssr-bench --bench micro
 
@@ -85,15 +85,6 @@ bench-cache:
 # how to compare two saved runs)
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
-
-# regenerate the committed perf baseline (BENCH_perf.json at the repo root)
-perf-baseline:
-    cargo run --release -p ssr-bench --bin exp -- exp_perf
-
-# append one line per scenario of the current BENCH_perf.json to
-# BENCH_history.jsonl (run after `just perf-baseline`, once per PR)
-bench-history:
-    cargo run --release -q -p ssr-obs --bin obs -- history BENCH_perf.json >> BENCH_history.jsonl
 
 # folded causal stacks (cause;kind;depth) from a fresh chaos smoke run,
 # written to results/flame.folded — pipe into flamegraph.pl / inferno

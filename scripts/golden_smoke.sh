@@ -3,7 +3,7 @@
 # results/golden/ into a scratch directory and require, for every
 # experiment, the fresh manifest to `obs diff` clean ("no differences")
 # AND manifest, captured stdout and `--csv` table to compare byte-equal
-# against their goldens. All twelve experiments are covered, so a refactor
+# against their goldens. All eleven experiments are covered, so a refactor
 # of the node logic, the simulator or the experiment shell that bends any
 # table shows up here without any unit test having to notice:
 #
@@ -21,9 +21,6 @@
 #   exp_state --quick            engine peak degree + SSR cache sizes
 #   fig1_loopy fig2_rings        ISPRP ± flood vs linearized SSR
 #   fig3_trace                   the round-by-round narrative
-#   exp_perf --smoke             wall-clock fields, so not byte-gated:
-#                                `obs diff` against the golden artifact
-#                                must print no "behavior change" line
 #
 # All runs use SSR_OBS_OMIT_WALL=1 --workers 1, which makes manifests
 # byte-reproducible. The checked-in results/exp_chaos.manifest.json (a
@@ -33,7 +30,6 @@
 # After a *deliberate* behaviour change, re-bless by copying the fresh
 # files over the goldens:
 #   cp target/golden-smoke/*.{manifest.json,stdout.txt,csv} results/golden/
-#   cp target/golden-smoke/exp_perf_smoke.json results/golden/
 #
 # By default the script stops at the first golden that differs. With
 # --keep-going it runs every experiment, prints each `obs diff`, lists the
@@ -130,21 +126,7 @@ else
   differs results/exp_chaos.manifest.json
 fi
 
-# exp_perf's artifact carries wall-clock fields: its deterministic work
-# counters are the gate (obs diff marks any drift there "behavior change";
-# its exit code reflects timing, which this gate does not judge)
-covered="$covered exp_perf"
-"$BIN/exp" exp_perf --smoke --workers 1 --out "$SCRATCH/exp_perf_smoke.json" > /dev/null
-"$BIN/obs" diff "$GOLDEN/exp_perf_smoke.json" "$SCRATCH/exp_perf_smoke.json" \
-  > "$SCRATCH/exp_perf_smoke.diff" || true
-if grep "behavior change" "$SCRATCH/exp_perf_smoke.diff" >&2; then
-  echo "golden smoke: exp_perf --smoke work counters drifted" >&2
-  differs exp_perf_smoke
-else
-  echo "  exp_perf_smoke: no behavior change"
-fi
-
-# a thirteenth experiment cannot skip the gate: every name `exp` lists
+# a twelfth experiment cannot skip the gate: every name `exp` lists
 # (it prints them, indented, when run without one) must be covered above
 for name in $("$BIN/exp" 2>&1 | sed -n 's/^  //p'); do
   case " $covered " in *" $name "*) ;; *) echo "golden smoke: $name has no golden" >&2; exit 1 ;; esac
