@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-pub use std::hint::black_box;
+use std::hint::black_box;
 
 /// How much setup output to keep per batch in [`Bencher::iter_batched`].
 #[derive(Clone, Copy, Debug)]

@@ -2,11 +2,12 @@
 //!
 //! The build environment cannot reach the crates.io registry, so this crate
 //! vendors the subset of the proptest API the workspace's property tests
-//! use: the [`proptest!`] macro, [`Strategy`] with `prop_map` /
-//! `prop_flat_map` / `prop_filter` / `prop_shuffle`, `any::<T>()`, integer
-//! and float range strategies, tuple strategies, [`collection::vec`] and
-//! [`collection::btree_set`], and the `prop_assert*` / `prop_assume!`
-//! macros.
+//! use, and nothing more: the [`proptest!`] macro, [`Strategy`] with
+//! `prop_map` / `prop_flat_map` / `prop_shuffle`, `any::<T>()` for `bool`,
+//! `u8`, `u32`, `u64` and `usize`, ranges over those integers and `f64`,
+//! tuples of two to five strategies, [`collection::vec`] and
+//! [`collection::btree_set`], and the `prop_assert!` / `prop_assert_eq!` /
+//! `prop_assume!` macros.
 //!
 //! Differences from real proptest, on purpose:
 //!
@@ -24,10 +25,10 @@
 use std::fmt;
 
 pub mod collection;
-pub mod strategy;
-pub mod test_runner;
+mod strategy;
+mod test_runner;
 
-pub use strategy::{any, Any, Just, Strategy};
+pub use strategy::{any, Just, Strategy};
 pub use test_runner::TestRng;
 
 /// A failed property within a test case.
@@ -81,10 +82,9 @@ impl Default for ProptestConfig {
 
 /// The customary glob import for test files.
 pub mod prelude {
-    pub use crate::strategy::{any, Any, Just, Strategy};
+    pub use crate::strategy::{any, Just, Strategy};
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, ProptestConfig,
-        TestCaseError,
+        prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, TestCaseError,
     };
 }
 
@@ -118,21 +118,6 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)*) => {{
         let (a, b) = (&$a, &$b);
         $crate::prop_assert!(a == b, $($fmt)*);
-    }};
-}
-
-/// Fails the current case if the two expressions compare equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr $(,)?) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(
-            a != b,
-            "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($a),
-            stringify!($b),
-            a
-        );
     }};
 }
 
@@ -253,7 +238,7 @@ mod tests {
         #[test]
         fn assume_short_circuits(x in 0u64..10) {
             prop_assume!(x != 5);
-            prop_assert_ne!(x, 5);
+            prop_assert!(x != 5);
         }
     }
 

@@ -35,19 +35,6 @@ pub trait Strategy {
         FlatMap { inner: self, f }
     }
 
-    /// Rejects values failing `f` (resamples, up to an attempt cap).
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Randomly permutes generated collections.
     fn prop_shuffle(self) -> Shuffle<Self>
     where
@@ -92,31 +79,6 @@ where
 
     fn generate(&self, rng: &mut TestRng) -> S2::Value {
         (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter gave up after 1000 rejections: {}", self.whence);
     }
 }
 
@@ -200,19 +162,11 @@ macro_rules! arbitrary_uint {
     };
 }
 
-arbitrary_uint!(u8, u16, u32, u64, usize);
+arbitrary_uint!(u8, u32, u64, usize);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        // finite uniform [0,1) — the workspace only uses floats as
-        // probabilities/weights
-        rng.unit_f64()
     }
 }
 
@@ -243,7 +197,7 @@ macro_rules! range_strategy_int {
     };
 }
 
-range_strategy_int!(u8, u16, u32, usize, i32, i64);
+range_strategy_int!(u8, u32, usize);
 
 // u64 needs its own impl: `end - start` can be the full span.
 impl Strategy for Range<u64> {
@@ -292,7 +246,6 @@ macro_rules! tuple_strategy {
 }
 
 tuple_strategy! {
-    (A.0);
     (A.0, B.1);
     (A.0, B.1, C.2);
     (A.0, B.1, C.2, D.3);

@@ -22,7 +22,7 @@ impl TestRng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -34,7 +34,7 @@ impl TestRng {
     ///
     /// # Panics
     /// Panics if `bound == 0`.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
         // Lemire-style widening multiply, debias skipped: the tiny modulo
         // bias is irrelevant for test-case generation.
@@ -47,7 +47,7 @@ impl TestRng {
     }
 
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
