@@ -27,10 +27,8 @@
 //! count (docs/SWEEPS.md).
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_chaos`
-//! Flags: `--seeds K` (default 3), `--quick` (n=50 only), `--smoke`
-//! (n=16, 2 seeds — the CI determinism check), `--only NAME` (one
-//! scenario; sugar for `--matrix scenario=NAME`), `--freeze-window T`,
-//! `--workers N`, `--matrix SPEC`, `--csv PATH`.
+//! Flags: `--seeds K` (default 3), `--workers N`, `--matrix SPEC` (e.g.
+//! `scenario=loss;n=50` for one scenario), `--csv PATH`.
 
 use std::rc::Rc;
 
@@ -151,7 +149,7 @@ struct Outcome {
 const WINDOW: u64 = 400;
 const FREEZE_WINDOW: u64 = 3_000;
 
-fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome {
+fn run_scenario(spec: &Spec, n: usize, seed: u64) -> Outcome {
     let topo = Topology::UnitDisk { n, scale: 1.4 };
     let (g, labels) = topo.instance(instance_seed(seed, 577, n));
     let mut link = LinkConfig::ideal();
@@ -192,7 +190,7 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     sim.add_probe(
         8,
         watchdog_probe(
-            freeze_window,
+            FREEZE_WINDOW,
             Rc::clone(&wd),
             chaos::ssr_signature,
             |nodes| consistency::check_ring(nodes).consistent(),
@@ -305,31 +303,22 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64, freeze_window: u64) -> Outcome
     }
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[];
+
 /// The E11 body.
 pub fn run(sh: &mut Shell) {
-    let smoke = sh.args.flag("smoke");
-    let seeds: u64 = if smoke { 2 } else { sh.seeds(3) };
-    let freeze_window: u64 = sh.args.get("freeze-window", FREEZE_WINDOW);
-    let sizes = if smoke {
-        vec![16]
-    } else {
-        sh.sizes(&[50], &[50, 100])
-    };
-
     let specs = scenarios();
-    let mut matrix = Matrix::new(specs.iter().map(|s| s.name), sizes, seeds);
-    if let Some(only) = sh.args.opt("only") {
-        // sugar for --matrix scenario=NAME
-        if let Err(e) = matrix.override_with(&format!("scenario={only}")) {
-            panic!("--only {only}: {e}");
-        }
-    }
-    let matrix = sh.matrix(matrix);
+    let matrix = sh.matrix(Matrix::new(
+        specs.iter().map(|s| s.name),
+        vec![50, 100],
+        sh.seeds(3),
+    ));
     sh.man
         .seed(0)
-        .config("smoke", smoke)
         .config("window", WINDOW)
-        .config("freeze_window", freeze_window);
+        .config("freeze_window", FREEZE_WINDOW);
 
     // The full scenario × n × seed cross product as one flat job list on
     // the orchestrator pool. Results come back in canonical job order, so
@@ -340,7 +329,7 @@ pub fn run(sh: &mut Shell) {
             .iter()
             .find(|s| s.name == matrix.name(job))
             .expect("matrix scenarios come from the spec library");
-        run_scenario(spec, job.n, job.seed, freeze_window)
+        run_scenario(spec, job.n, job.seed)
     });
 
     sh.table(
@@ -424,11 +413,7 @@ pub fn run(sh: &mut Shell) {
     // not a burned tick budget — is the recorded outcome. Pinned (n, seed)
     // pairs are not a cross product, so they ride the pool via `map`;
     // reports come back in pin order.
-    let vrr_runs: Vec<(usize, u64)> = if smoke {
-        vec![(28, 9), (20, 0)]
-    } else {
-        vec![(28, 9), (28, 12), (30, 2), (20, 0)]
-    };
+    let vrr_runs: Vec<(usize, u64)> = vec![(28, 9), (28, 12), (30, 2), (20, 0)];
     let vrr_reports = sh.map(vrr_runs, |&(n, seed)| {
         let mut rng = Rng::new(seed);
         let (g, _) = generators::unit_disk_connected(n, 1.3, &mut rng);

@@ -10,9 +10,9 @@
 //! (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_churn`
-//! Flags: `--seeds K` (default 5), `--quick`, `--rate R` (crash rate per
-//! tick, default 0.02), `--workers N`, `--matrix SPEC` (e.g.
-//! `n=100;seeds=3`), `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--rate R` (crash rate per tick,
+//! default 0.02), `--workers N`, `--matrix SPEC` (e.g. `n=100;seeds=3`),
+//! `--csv PATH`.
 
 use ssr_core::bootstrap::{ssr_timeline_probe, BootstrapConfig};
 use ssr_core::consistency;
@@ -34,6 +34,10 @@ struct Outcome {
     observed: Option<(Vec<ssr_core::ConvergencePoint>, Metrics)>,
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["rate"];
+
 /// The E8 body.
 pub fn run(sh: &mut Shell) {
     let rate: f64 = sh.args.get("rate", 0.02);
@@ -42,8 +46,11 @@ pub fn run(sh: &mut Shell) {
         .seed(0)
         .config("rate", rate)
         .config("churn_window", churn_window);
-    let sizes = sh.sizes(&[50], &[50, 100, 200]);
-    let matrix = sh.matrix(Matrix::new(["churn-burst"], sizes, sh.seeds(5)));
+    let matrix = sh.matrix(Matrix::new(
+        ["churn-burst"],
+        vec![50, 100, 200],
+        sh.seeds(5),
+    ));
     let rep_seed = matrix.seeds[0];
 
     let sweep = sh.sweep(&matrix, |job| {

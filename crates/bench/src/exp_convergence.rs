@@ -17,7 +17,7 @@
 //! actions (pure variant only) instead of the paper's star rule.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_convergence`
-//! Flags: `--seeds K` (default 10), `--quick`, `--semantics star|pairwise`,
+//! Flags: `--seeds K` (default 10), `--semantics star|pairwise`,
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=ring/pure;n=256;seeds=3`),
 //! `--csv PATH`.
 
@@ -68,6 +68,10 @@ fn run_one(family: &str, vname: &str, semantics: Semantics, n: usize, seed: u64)
     abstract_run(topo_for(family, n), instance, variant, semantics, budget)
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["semantics"];
+
 /// The E4 body.
 pub fn run(sh: &mut Shell) {
     let semantics = match sh.args.opt("semantics").unwrap_or("star") {
@@ -84,8 +88,11 @@ pub fn run(sh: &mut Shell) {
     let scenarios = FAMILIES
         .iter()
         .flat_map(|f| variants.iter().map(move |v| format!("{f}/{v}")));
-    let sizes = sh.sizes(&[64, 128, 256], &[64, 128, 256, 512, 1024, 2048, 4096]);
-    let matrix = sh.matrix(Matrix::new(scenarios, sizes, sh.seeds(10)));
+    let matrix = sh.matrix(Matrix::new(
+        scenarios,
+        vec![64, 128, 256, 512, 1024, 2048, 4096],
+        sh.seeds(10),
+    ));
 
     let sweep = sh.sweep(&matrix, |job| {
         let (family, vname) = matrix.name(job).split_once('/').expect("family/variant");

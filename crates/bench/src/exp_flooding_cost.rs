@@ -15,7 +15,7 @@
 //! with-memory variant: more state; no tear-down is sent either way).
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_flooding_cost`
-//! Flags: `--seeds K` (default 5), `--quick`, `--no-ccw`, `--keep-edges`,
+//! Flags: `--seeds K` (default 5), `--no-ccw`, `--keep-edges`,
 //! `--workers N`, `--matrix SPEC` (e.g. `scenario=linearized;n=200`),
 //! `--csv PATH`.
 
@@ -38,6 +38,10 @@ struct Row {
     max_state: usize,
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["no-ccw", "keep-edges"];
+
 /// The E6 body.
 pub fn run(sh: &mut Shell) {
     let mut cfg = BootstrapConfig {
@@ -50,8 +54,11 @@ pub fn run(sh: &mut Shell) {
         .seed(0)
         .config("no-ccw", sh.args.flag("no-ccw"))
         .config("keep-edges", sh.args.flag("keep-edges"));
-    let sizes = sh.sizes(&[50, 100], &[50, 100, 200, 400, 800]);
-    let matrix = sh.matrix(Matrix::new(["linearized", "isprp"], sizes, sh.seeds(5)));
+    let matrix = sh.matrix(Matrix::new(
+        ["linearized", "isprp"],
+        vec![50, 100, 200, 400, 800],
+        sh.seeds(5),
+    ));
 
     let sweep = sh.sweep(&matrix, |job| {
         let (g, labels) = unit_disk(job.n, instance_seed(job.seed, SALT, job.n));

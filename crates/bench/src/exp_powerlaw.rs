@@ -12,9 +12,8 @@
 //! orchestrator (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_powerlaw`
-//! Flags: `--seeds K` (default 5), `--quick` (up to n = 10⁴), `--alpha A`,
-//! `--workers N`, `--matrix SPEC` (e.g. `scenario=lsn;n=1000,10000`),
-//! `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--alpha A`, `--workers N`,
+//! `--matrix SPEC` (e.g. `scenario=lsn;n=1000,10000`), `--csv PATH`.
 
 use ssr_linearize::{LinearizeRun, Semantics, Variant};
 use ssr_sim::Metrics;
@@ -57,15 +56,19 @@ fn verdict(n: usize, largest: Option<&RoundsCell>) -> String {
     }
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["alpha"];
+
 /// The E5 body.
 pub fn run(sh: &mut Shell) {
     let alpha: f64 = sh.args.get("alpha", 2.0);
     sh.man.config("alpha", alpha);
-    let sizes = sh.sizes(
-        &[1_000, 3_000, 10_000],
-        &[1_000, 3_000, 10_000, 30_000, 100_000],
-    );
-    let matrix = sh.matrix(Matrix::new(["lsn", "memory"], sizes, sh.seeds(5)));
+    let matrix = sh.matrix(Matrix::new(
+        ["lsn", "memory"],
+        vec![1_000, 3_000, 10_000, 30_000, 100_000],
+        sh.seeds(5),
+    ));
 
     let sweep = sh.sweep(&matrix, |job| {
         let variant = if matrix.name(job) == "lsn" {

@@ -13,8 +13,8 @@
 //! (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_routing`
-//! Flags: `--seeds K` (default 5), `--quick`, `--workers N`,
-//! `--matrix SPEC` (e.g. `n=100,200;seeds=3`), `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
+//! `n=100,200;seeds=3`), `--csv PATH`.
 
 use ssr_core::bootstrap::{make_ssr_nodes, BootstrapConfig};
 use ssr_core::routing::{RoutingStats, RoutingView};
@@ -34,11 +34,18 @@ struct SeedResult {
     timeline: Option<Vec<ssr_core::ConvergencePoint>>,
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[];
+
 /// The E7 body.
 pub fn run(sh: &mut Shell) {
     sh.man.seed(0);
-    let sizes = sh.sizes(&[50, 100], &[50, 100, 200, 400]);
-    let matrix = sh.matrix(Matrix::new(["unit-disk"], sizes, sh.seeds(5)));
+    let matrix = sh.matrix(Matrix::new(
+        ["unit-disk"],
+        vec![50, 100, 200, 400],
+        sh.seeds(5),
+    ));
     let rep_seed = matrix.seeds[0];
 
     let sweep = sh.sweep(&matrix, |job| {

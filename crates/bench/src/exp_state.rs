@@ -17,8 +17,8 @@
 //! keeps its fixed size ladder, recorded as `matrix_engine`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_state`
-//! Flags: `--seeds K` (default 5), `--quick`, `--base B` (default 2),
-//! `--workers N`, `--matrix SPEC` (e.g. `n=100,200;seeds=3`), `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--base B` (default 2), `--workers N`,
+//! `--matrix SPEC` (e.g. `n=100,200;seeds=3`), `--csv PATH`.
 
 use ssr_core::bootstrap::BootstrapConfig;
 use ssr_linearize::{Semantics, Variant};
@@ -29,15 +29,21 @@ use ssr_workloads::{stats::percentile, Matrix, Summary, Topology};
 use crate::cells::{abstract_run, instance_seed, representative, unit_disk_bootstrap};
 use crate::Shell;
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["base"];
+
 /// The E9 body.
 pub fn run(sh: &mut Shell) {
     let base: u64 = sh.args.get("base", 2);
     let seeds = sh.seeds(5);
     sh.man.seed(0).config("base", base);
-    let ssr_sizes = sh.sizes(&[50, 100], &[50, 100, 200, 400]);
-    let ssr_matrix = sh.matrix(Matrix::new(["ssr-cache"], ssr_sizes, seeds));
-    let engine_sizes = sh.sizes(&[64, 256], &[64, 256, 1024, 4096]);
-    let engine_matrix = Matrix::new(["engine/memory", "engine/lsn"], engine_sizes, seeds);
+    let ssr_matrix = sh.matrix(Matrix::new(["ssr-cache"], vec![50, 100, 200, 400], seeds));
+    let engine_matrix = Matrix::new(
+        ["engine/memory", "engine/lsn"],
+        vec![64, 256, 1024, 4096],
+        seeds,
+    );
     sh.man.config("matrix_engine", engine_matrix.describe());
     let rep_seed = ssr_matrix.seeds[0];
 

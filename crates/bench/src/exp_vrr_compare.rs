@@ -18,8 +18,8 @@
 //! freeze in a crossing state, reported honestly in the `conv` column.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_vrr_compare`
-//! Flags: `--seeds K` (default 5), `--quick`, `--workers N`,
-//! `--matrix SPEC` (e.g. `scenario=ssr,vrr-linearized;n=30`), `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
+//! `scenario=ssr,vrr-linearized;n=30`), `--csv PATH`.
 
 use ssr_core::bootstrap::BootstrapConfig;
 use ssr_obs::Value;
@@ -75,12 +75,15 @@ macro_rules! row {
     }};
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &[];
+
 /// The E10 body.
 pub fn run(sh: &mut Shell) {
     sh.man.seed(0);
-    let sizes = sh.sizes(&[16, 30], &[16, 30, 50]);
     let systems = ["ssr", "vrr-linearized", "vrr-baseline"];
-    let matrix = sh.matrix(Matrix::new(systems, sizes, sh.seeds(5)));
+    let matrix = sh.matrix(Matrix::new(systems, vec![16, 30, 50], sh.seeds(5)));
     let ssr_cfg = BootstrapConfig {
         max_ticks: 200_000,
         ..Default::default()

@@ -68,6 +68,10 @@ fn show_stuck(nodes: &[IsprpNode], shape: &RingShape) {
     println!("  shape: {shape:?}  (locally consistent, globally loopy)\n");
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["trace-jsonl"];
+
 /// The E1 body.
 pub fn run(sh: &mut Shell) {
     let (topo, labels, succ) = loopy_world();

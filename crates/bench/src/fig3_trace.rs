@@ -44,6 +44,10 @@ fn show(g: &Graph, ids: &[u64; 8]) {
     }
 }
 
+/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
+/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
+pub const FLAGS: &[&str] = &["variant"];
+
 /// The E3 body.
 pub fn run(sh: &mut Shell) {
     let variant = match sh.args.opt("variant").unwrap_or("pure") {

@@ -5,8 +5,8 @@
 //! An experiment is a row of [`EXPERIMENTS`]: its name — which is also its
 //! manifest stem, `results/<name>.manifest.json` — and a body. The
 //! [`Shell`] owns what every experiment does the same way (start instant,
-//! arguments, size ladder, sweep matrix and fan-out, the results table,
-//! `--csv`, the run manifest, the exit code); a body keeps what differs:
+//! arguments, sweep matrix and fan-out, the results table, `--csv`, the
+//! run manifest, the exit code); a body keeps what differs:
 //! its matrix defaults, its cell function, its row renderer, its claim
 //! text and its own flags. Cells that several experiments run live in
 //! [`cells`].
@@ -21,8 +21,11 @@
 //!   (`scenario=a,b;n=50,100;seeds=4`; see
 //!   [`ssr_workloads::Matrix::override_with`]),
 //! * `--csv PATH` — additionally write the table as CSV,
-//! * `--quick` — smaller sweep for smoke-testing,
-//! * experiment-specific flags documented in each experiment's module.
+//! * experiment-specific flags documented in each experiment's module
+//!   and listed in its `FLAGS`.
+//!
+//! Each experiment has one size, its default matrix; any other `--name`
+//! is rejected with exit code 2 before the body runs.
 
 #![warn(missing_docs)]
 
@@ -39,6 +42,21 @@ pub struct Experiment {
     pub name: &'static str,
     /// Everything specific to this experiment.
     pub body: fn(&mut Shell),
+    /// The experiment's own flags (without `--`), beyond the shared ones.
+    pub flags: &'static [&'static str],
+}
+
+/// The flags every experiment accepts (without `--`).
+const SHARED_FLAGS: &[&str] = &["seeds", "workers", "matrix", "csv"];
+
+impl Experiment {
+    /// The first `--name` in `args` that is neither a shared flag nor one
+    /// of this experiment's own.
+    fn unknown_flag<'a>(&self, args: &'a [String]) -> Option<&'a str> {
+        args.iter()
+            .filter_map(|a| a.strip_prefix("--"))
+            .find(|name| !SHARED_FLAGS.contains(name) && !self.flags.contains(name))
+    }
 }
 
 /// Declares one module per experiment and the table over them, so a name
@@ -51,6 +69,7 @@ macro_rules! experiments {
         pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             body: $name::run,
+            flags: $name::FLAGS,
         }),*];
     };
 }
@@ -71,7 +90,8 @@ experiments![
 
 /// Runs `exp <name> [flags]` for the given arguments (program name already
 /// stripped) and returns the process exit code: 0, 1 when the body
-/// recorded a failure, 2 for a missing or unknown experiment name.
+/// recorded a failure, 2 for a missing or unknown experiment name or an
+/// unknown flag.
 pub fn run(argv: &[String]) -> i32 {
     let named = argv
         .first()
@@ -83,6 +103,19 @@ pub fn run(argv: &[String]) -> i32 {
         }
         return 2;
     };
+    if let Some(flag) = exp.unknown_flag(&argv[1..]) {
+        let accepted: Vec<String> = SHARED_FLAGS
+            .iter()
+            .chain(exp.flags)
+            .map(|f| format!("--{f}"))
+            .collect();
+        eprintln!(
+            "exp {}: unknown flag '--{flag}' (accepted: {})",
+            exp.name,
+            accepted.join(", ")
+        );
+        return 2;
+    }
     let mut shell = Shell::new(
         exp.name,
         Args {
@@ -155,11 +188,6 @@ impl Args {
         self.opt("csv")
     }
 
-    /// Quick (smoke-test) mode.
-    pub fn quick(&self) -> bool {
-        self.flag("quick")
-    }
-
     /// Sweep fan-out width: `--workers N`, where `0` means every hardware
     /// thread; defaults to cores minus one. Worker count affects wall
     /// time only — never output bytes (docs/SWEEPS.md).
@@ -190,14 +218,14 @@ mod tests {
 
     #[test]
     fn flags_and_options() {
-        let a = Args::from(&["--quick", "--seeds", "5", "--csv", "/tmp/x.csv"]);
-        assert!(a.quick());
+        let a = Args::from(&["--no-ccw", "--seeds", "5", "--csv", "/tmp/x.csv"]);
+        assert!(a.flag("no-ccw"));
         assert!(!a.flag("missing"));
         assert_eq!(a.get("seeds", 10usize), 5);
         assert_eq!(a.get("other", 7u64), 7);
         assert_eq!(a.csv(), Some("/tmp/x.csv"));
         // a flag without its value is an error, not the default
-        for raw in [&["--quick", "--csv"][..], &["--csv", "--quick"][..]] {
+        for raw in [&["--no-ccw", "--csv"][..], &["--csv", "--no-ccw"][..]] {
             assert_eq!(
                 Args::from(raw).try_opt("csv"),
                 Err("--csv needs a value".to_string())
@@ -222,9 +250,10 @@ mod tests {
                 "{} is listed twice",
                 e.name
             );
+            let manifest = format!("{}.manifest.json", e.name);
             assert!(
-                stems.iter().any(|s| s.starts_with(e.name)),
-                "{} has no golden under results/golden/",
+                stems.contains(&manifest),
+                "{} has no golden results/golden/{manifest}",
                 e.name
             );
         }
@@ -232,7 +261,7 @@ mod tests {
 
     #[test]
     fn manifest_prefills_shared_config() {
-        let a = Args::from(&["--quick", "--seeds", "5"]);
+        let a = Args::from(&["--seeds", "5"]);
         let mut sh = Shell::new("exp_x", a);
         sh.timeline(&[ssr_core::ConvergencePoint {
             tick: 4,
@@ -243,11 +272,93 @@ mod tests {
         }]);
         let v = ssr_obs::parse(&sh.man.to_json()).unwrap();
         let config = v.get("config").unwrap();
-        assert_eq!(config.get("quick").unwrap().as_str(), Some("true"));
         assert_eq!(config.get("seeds").unwrap().as_str(), Some("5"));
         let tl = v.get("timeline").unwrap().as_arr().unwrap();
         assert_eq!(tl[0].get("shape").unwrap().as_str(), Some("loopy(2)"));
         assert_eq!(tl[0].get("churn").unwrap().as_u64(), Some(1));
+    }
+
+    fn named(name: &str) -> &'static Experiment {
+        EXPERIMENTS.iter().find(|e| e.name == name).unwrap()
+    }
+
+    #[test]
+    fn unknown_flags_are_exit_2_before_the_body_runs() {
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // the removed size flags and a typo of --no-ccw
+        for e in EXPERIMENTS {
+            for removed in ["quick", "smoke"] {
+                let flag = format!("--{removed}");
+                assert_eq!(e.unknown_flag(&argv(&[&flag])), Some(removed));
+                assert_eq!(run(&argv(&[e.name, "--seeds", "1", &flag])), 2);
+            }
+        }
+        let flooding = named("exp_flooding_cost");
+        assert_eq!(flooding.unknown_flag(&argv(&["--no-cww"])), Some("no-cww"));
+        assert_eq!(flooding.unknown_flag(&argv(&["--no-ccw"])), None);
+        assert_eq!(run(&argv(&["exp_churn", "--bogus-flag", "--no-cww"])), 2);
+        // the narrowing sugar exp_chaos had: --matrix is the one way now
+        let chaos = named("exp_chaos");
+        for gone in ["only", "freeze-window"] {
+            assert_eq!(
+                chaos.unknown_flag(&argv(&[&format!("--{gone}"), "9"])),
+                Some(gone)
+            );
+        }
+        // values are not flags, and the shared flags go everywhere
+        let shared = argv(&[
+            "--seeds",
+            "2",
+            "--workers",
+            "0",
+            "--matrix",
+            "n=16",
+            "--csv",
+            "t",
+        ]);
+        assert!(EXPERIMENTS
+            .iter()
+            .all(|e| e.unknown_flag(&shared).is_none()));
+    }
+
+    /// Every `exp <name> --flag …` invocation in the scripts, `ci.sh` and
+    /// the justfile passes only flags that experiment accepts.
+    #[test]
+    fn every_flag_a_script_passes_is_accepted() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![root.join("ci.sh"), root.join("justfile")];
+        for entry in std::fs::read_dir(root.join("scripts")).expect("scripts/ exists") {
+            files.push(entry.unwrap().path());
+        }
+        let mut passed = Vec::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).unwrap();
+            let command = |l: &&str| !l.trim_start().starts_with('#') && !l.contains("echo ");
+            for line in text.lines().filter(command) {
+                let mut tokens = line.split_whitespace().map(|t| t.trim_matches('"'));
+                let Some(name) = tokens.find(|t| EXPERIMENTS.iter().any(|e| e.name == *t)) else {
+                    continue;
+                };
+                let args: Vec<String> = tokens
+                    .take_while(|t| !["&&", "||", "|", ";", ">"].contains(t))
+                    .map(str::to_string)
+                    .collect();
+                if let Some(flag) = named(name).unknown_flag(&args) {
+                    panic!("{}: `{line}` passes --{flag}", file.display());
+                }
+                passed.extend(args.into_iter().filter(|a| a.starts_with("--")));
+            }
+        }
+        // the scan sees the invocations it is meant to check
+        for flag in [
+            "--no-ccw",
+            "--keep-edges",
+            "--semantics",
+            "--trace-jsonl",
+            "--matrix",
+        ] {
+            assert!(passed.iter().any(|p| p == flag), "no script passes {flag}");
+        }
     }
 
     #[test]
@@ -261,7 +372,6 @@ mod tests {
     #[test]
     fn resolve_matrix_records_dimensions_but_never_workers() {
         let a = Args::from(&[
-            "--quick",
             "--seeds",
             "5",
             "--csv",
@@ -282,8 +392,8 @@ mod tests {
             panic!("config is not an object");
         };
         let keys: Vec<&str> = config.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["quick", "seeds", "csv", "matrix"]);
-        assert_eq!(config[3].1.as_str(), Some("scenario=s;n=64;seed=0,1"));
+        assert_eq!(keys, ["seeds", "csv", "matrix"]);
+        assert_eq!(config[2].1.as_str(), Some("scenario=s;n=64;seed=0,1"));
         // byte-identity across --workers: the pool size must not leak in
         assert!(!json.contains("workers"));
     }

@@ -9,9 +9,9 @@ use ssr_workloads::{parallel_map, run_matrix, Job, Matrix, SweepOutcome, Table};
 use crate::Args;
 
 /// What every experiment repeats, owned once: the start instant, the
-/// arguments, the `--quick` size ladder and `--seeds`, the `--matrix`
-/// resolution and the `--workers` fan-out, the results table and its
-/// `--csv` copy, the run manifest, and the exit code.
+/// arguments, `--seeds`, the `--matrix` resolution and the `--workers`
+/// fan-out, the results table and its `--csv` copy, the run manifest, and
+/// the exit code.
 ///
 /// A body fills the shell in as it goes — config keys, table rows, notes,
 /// manifest sections — and may print narrative text directly; [`finish`]
@@ -26,7 +26,7 @@ pub struct Shell {
     /// The experiment's command-line arguments (its own flags live here).
     pub args: Args,
     /// The run manifest, pre-filled with the shared CLI configuration
-    /// (`quick`, `seeds`, `csv`) so every experiment records the flags
+    /// (`seeds`, `csv`) so every experiment records the flags
     /// that shaped its sweep the same way.
     pub man: Manifest,
     table: Option<Table>,
@@ -43,7 +43,6 @@ impl Shell {
     pub fn new(exp: &'static str, args: Args) -> Shell {
         let started = Instant::now();
         let mut man = Manifest::new(exp);
-        man.config("quick", args.quick());
         if let Some(seeds) = args.opt("seeds") {
             man.config("seeds", seeds);
         }
@@ -59,11 +58,6 @@ impl Shell {
             notes: String::new(),
             failures: Vec::new(),
         }
-    }
-
-    /// The size ladder: `quick` under `--quick`, `full` otherwise.
-    pub fn sizes(&self, quick: &[usize], full: &[usize]) -> Vec<usize> {
-        if self.args.quick() { quick } else { full }.to_vec()
     }
 
     /// `--seeds K`, or the experiment's default.

@@ -30,8 +30,8 @@ sweep-smoke:
     ./scripts/sweep_smoke.sh
 
 # behavioural-equivalence gate: regenerate results/golden/ (manifest,
-# stdout and CSV of all twelve experiments) and require `obs diff` clean +
-# byte-identical
+# stdout and CSV of all eleven experiments, each at its one size) and
+# require `obs diff` clean + byte-identical
 golden:
     ./scripts/golden_smoke.sh
 
@@ -46,9 +46,9 @@ bench-check:
 obs-smoke:
     ./scripts/obs_smoke.sh
 
-# chaos matrix smoke: adversarial scenarios must self-stabilize
+# chaos matrix (E11): adversarial scenarios must self-stabilize
 chaos-smoke:
-    cargo run --release -q -p ssr-bench --bin exp -- exp_chaos --smoke
+    cargo run --release -q -p ssr-bench --bin exp -- exp_chaos
 
 # E11 corrupt-handshake swept wide (n = 16, 32, 64, 100 seeds each): fails
 # if any n converges fewer runs than the floor in the script
@@ -86,11 +86,11 @@ bench-cache:
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
 
-# folded causal stacks (cause;kind;depth) from a fresh chaos smoke run,
-# written to results/flame.folded — pipe into flamegraph.pl / inferno
+# folded causal stacks (cause;kind;depth) of the exp_chaos golden (the
+# golden gate keeps it equal to a fresh run), written to
+# target/flame/flame.folded — pipe into flamegraph.pl / inferno
 flame:
-    cargo build --release -q -p ssr-bench --bin exp -p ssr-obs --bin obs
-    rm -rf target/flame && mkdir -p target/flame results
-    cd target/flame && SSR_OBS_OMIT_WALL=1 ../../target/release/exp exp_chaos --smoke > /dev/null
-    ./target/release/obs flame target/flame/results/exp_chaos.manifest.json > results/flame.folded
-    @echo "wrote results/flame.folded ($(wc -l < results/flame.folded) stacks)"
+    cargo build --release -q -p ssr-obs --bin obs
+    mkdir -p target/flame
+    ./target/release/obs flame results/golden/exp_chaos.manifest.json > target/flame/flame.folded
+    @echo "wrote target/flame/flame.folded ($(wc -l < target/flame/flame.folded) stacks)"

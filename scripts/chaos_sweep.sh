@@ -2,11 +2,11 @@
 # Ratchet on E11's corrupt-handshake scenario swept wide: 100 seeds at each
 # of n = 16, 32, 64 (a few seconds in release). The scenario plants
 # fabricated two-hop cache routes; a rule that reads the route cache and
-# lets them spread shows up here as fewer converged runs, where the smoke's
-# two seeds see nothing. Some runs at n = 16 still end frozen (ROADMAP
-# item 2(d)), so `exp` exits 1 on this matrix; the gate is that no n
-# converges fewer runs than its floor below. Raise a floor when a change
-# earns it.
+# lets them spread shows up here as fewer converged runs, where E11's
+# three seeds at n = 50, 100 see nothing. Some runs at n = 16 still end
+# frozen (ROADMAP item 2(d)), so `exp` exits 1 on this matrix; the gate is
+# that no n converges fewer runs than its floor below. Raise a floor when
+# a change earns it.
 #
 # Second gate: linearized VRR bootstraps over graph seeds 1-60 at n = 25,
 # 50, 100 (the census example's `vrr` recipe, the `vrr_bootstrap` one),

@@ -3,29 +3,37 @@
 # results/golden/ into a scratch directory and require, for every
 # experiment, the fresh manifest to `obs diff` clean ("no differences")
 # AND manifest, captured stdout and `--csv` table to compare byte-equal
-# against their goldens. All eleven experiments are covered, so a refactor
+# against their goldens. All eleven experiments are covered, each at its
+# one size (its default matrix, no size flag), so every golden stdout is
+# the table EXPERIMENTS.md cites and this gate keeps it fresh. A refactor
 # of the node logic, the simulator or the experiment shell that bends any
 # table shows up here without any unit test having to notice:
 #
-#   exp_chaos --smoke            retry exhaustion, phys re-adopt,
-#                                partition/heal, corrupted start (+ the
-#                                provenance section: SSR's cause tags)
-#   exp_vrr_compare --quick      VRR linearized *and* baseline/claim mode
-#   exp_flooding_cost --quick    default, --no-ccw (ccw_redundancy=false)
-#                                and --keep-edges (unpin_delegated=false), ISPRP
-#                                included
-#   exp_churn --quick            crash/join -> reset, on_neighbor_down
-#   exp_convergence --quick      abstract engine, three variants × four
-#   exp_powerlaw --quick         families; the power-law datapoint
-#   exp_routing --quick          greedy routing over the converged ring
-#   exp_state --quick            engine peak degree + SSR cache sizes
-#   fig1_loopy fig2_rings        ISPRP ± flood vs linearized SSR
-#   fig3_trace                   the round-by-round narrative
+#   exp_chaos                    E11: eleven scenarios at n = 50, 100 —
+#                                retry exhaustion, phys re-adopt,
+#                                partition/heal, corrupted starts (+ the
+#                                provenance section: SSR's cause tags) —
+#                                and the watched VRR crossing-state runs
+#   exp_vrr_compare              E10: VRR linearized *and* baseline/claim
+#                                mode, n = 16, 30, 50
+#   exp_flooding_cost            E6: default, --no-ccw (ccw_redundancy=false)
+#                                and --keep-edges (unpin_delegated=false),
+#                                ISPRP included, n = 50 … 800
+#   exp_churn                    E8: crash/join -> reset, on_neighbor_down,
+#                                n = 50, 100, 200
+#   exp_convergence              E4: abstract engine, three variants × four
+#                                families, n = 64 … 4096; and the
+#                                --semantics pairwise ablation
+#   exp_powerlaw                 E5: the power-law datapoint, n = 10³ … 10⁵
+#   exp_routing                  E7: greedy routing over the converged ring,
+#                                n = 50 … 400
+#   exp_state                    E9: engine peak degree + SSR cache sizes
+#   fig1_loopy fig2_rings        E1, E2: ISPRP ± flood vs linearized SSR
+#   fig3_trace                   E3: the round-by-round narrative
 #
-# All runs use SSR_OBS_OMIT_WALL=1 --workers 1, which makes manifests
-# byte-reproducible. The checked-in results/exp_chaos.manifest.json (a
-# run that kept its wall clock and git stamp) is diffed too, with
-# `obs diff` only.
+# All runs use SSR_OBS_OMIT_WALL=1, which makes manifests byte-reproducible,
+# and --workers 0 (every hardware thread): output bytes never depend on the
+# worker count (scripts/sweep_smoke.sh, tests/tests/sweep_determinism.rs).
 #
 # After a *deliberate* behaviour change, re-bless by copying the fresh
 # files over the goldens:
@@ -78,16 +86,15 @@ check() {
   covered="$covered $exp"
   mkdir -p "$SCRATCH/$name.run"
   (cd "$SCRATCH/$name.run" &&
-    SSR_OBS_OMIT_WALL=1 "$BIN/exp" "$exp" "$@" --workers 1 --csv table.csv > stdout.txt)
+    SSR_OBS_OMIT_WALL=1 "$BIN/exp" "$exp" "$@" --workers 0 --csv table.csv > stdout.txt)
   local fresh="$SCRATCH/$name.manifest.json"
   mv "$SCRATCH/$name.run/results/$exp.manifest.json" "$fresh"
   mv "$SCRATCH/$name.run/stdout.txt" "$SCRATCH/$name.stdout.txt"
   "$BIN/obs" diff "$GOLDEN/$name.manifest.json" "$fresh" > "$SCRATCH/$name.diff" || true
   if grep -q "^no differences$" "$SCRATCH/$name.diff"; then
-    # the manifest stamps `git describe` when run inside a checkout, and the
-    # six goldens that predate the CSV capture carry no `csv` config line;
-    # those two lines are the only ones allowed to differ
-    local skip='^  "git": \|^    "csv": '
+    # the manifest stamps `git describe` when run inside a checkout; that
+    # line is the only one allowed to differ
+    local skip='^  "git": '
     same "$name" <(grep -v "$skip" "$fresh") <(grep -v "$skip" "$GOLDEN/$name.manifest.json") \
       "$name manifest (obs-diff clean)"
   else
@@ -104,27 +111,20 @@ check() {
   case " $differing " in *" $name "*) ;; *) echo "  $name: no differences" ;; esac
 }
 
-check exp_chaos_smoke exp_chaos --smoke
-check exp_vrr_compare_quick exp_vrr_compare --quick
-check exp_flooding_cost_quick exp_flooding_cost --quick
-check exp_flooding_cost_quick_no_ccw exp_flooding_cost --quick --no-ccw
-check exp_flooding_cost_quick_keep_edges exp_flooding_cost --quick --keep-edges
-check exp_churn_quick exp_churn --quick
-check exp_convergence_quick exp_convergence --quick
-check exp_powerlaw_quick exp_powerlaw --quick
-check exp_routing_quick exp_routing --quick
-check exp_state_quick exp_state --quick
+check exp_chaos exp_chaos
+check exp_vrr_compare exp_vrr_compare
+check exp_flooding_cost exp_flooding_cost
+check exp_flooding_cost_no_ccw exp_flooding_cost --no-ccw
+check exp_flooding_cost_keep_edges exp_flooding_cost --keep-edges
+check exp_churn exp_churn
+check exp_convergence exp_convergence
+check exp_convergence_pairwise exp_convergence --semantics pairwise
+check exp_powerlaw exp_powerlaw
+check exp_routing exp_routing
+check exp_state exp_state
 check fig1_loopy fig1_loopy
 check fig2_rings fig2_rings
 check fig3_trace fig3_trace
-
-if "$BIN/obs" diff results/exp_chaos.manifest.json "$SCRATCH/exp_chaos_smoke.manifest.json" \
-  | grep -q "^no differences$"; then
-  echo "  results/exp_chaos.manifest.json: no differences"
-else
-  echo "golden smoke: results/exp_chaos.manifest.json no longer reproduces" >&2
-  differs results/exp_chaos.manifest.json
-fi
 
 # a twelfth experiment cannot skip the gate: every name `exp` lists
 # (it prints them, indented, when run without one) must be covered above

@@ -41,10 +41,10 @@ echo "-- obs diff (manifest vs itself: must be clean) --"
 "$OBS" diff "$SCRATCH/results/fig1_loopy.manifest.json" \
             "$SCRATCH/results/fig1_loopy.manifest.json" | grep -q "no differences"
 
-echo "-- exp_chaos smoke (twice, wall clock omitted: must be byte-identical) --"
+echo "-- exp_chaos (twice, wall clock omitted: must be byte-identical) --"
 mkdir -p "$SCRATCH/chaos_a" "$SCRATCH/chaos_b"
-(cd "$SCRATCH/chaos_a" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos --smoke > chaos.out)
-(cd "$SCRATCH/chaos_b" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos --smoke > chaos.out)
+(cd "$SCRATCH/chaos_a" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos > chaos.out)
+(cd "$SCRATCH/chaos_b" && SSR_OBS_OMIT_WALL=1 "$EXP" exp_chaos > chaos.out)
 cmp "$SCRATCH/chaos_a/results/exp_chaos.manifest.json" \
     "$SCRATCH/chaos_b/results/exp_chaos.manifest.json" \
     || { echo "chaos manifest not deterministic"; exit 1; }
