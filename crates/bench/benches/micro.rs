@@ -181,9 +181,7 @@ fn bench_codec(c: &mut Criterion) {
         pos: 3,
         trace: vec![],
         payload: Payload::Notify {
-            initiator: NodeId(1),
             target_route: rng.distinct_node_ids(10),
-            reply_route: rng.distinct_node_ids(8),
             seq: SeqNo(9),
         },
     }));

@@ -197,7 +197,6 @@ impl IsprpNode {
             if let Some(route) = self.cache.get(best).cloned() {
                 self.cache.insert(route.clone(), true); // pin the successor
                 let payload = Payload::SuccNotify {
-                    from: self.id,
                     reply_route: route.reversed().into_hops(),
                 };
                 self.send_payload(ctx, &route, payload);
@@ -326,7 +325,6 @@ impl IsprpNode {
         } else if closer_than_probe {
             self.probe = Some(better);
             let payload = Payload::SuccNotify {
-                from: self.id,
                 reply_route: route.reversed().into_hops(),
             };
             self.send_payload(ctx, &route, payload);
@@ -383,7 +381,6 @@ impl IsprpNode {
         } else {
             self.probe = Some(origin);
             let payload = Payload::SuccNotify {
-                from: self.id,
                 reply_route: path.reversed().into_hops(),
             };
             self.send_payload(ctx, &path, payload);
@@ -448,9 +445,11 @@ impl Protocol for IsprpNode {
                 else {
                     return;
                 };
+                // the claimant is the envelope's sender
+                let sender = env.route[0];
                 match env.payload {
-                    Payload::SuccNotify { from, reply_route } => {
-                        self.handle_claim(ctx, from, reply_route);
+                    Payload::SuccNotify { reply_route } => {
+                        self.handle_claim(ctx, sender, reply_route);
                         self.schedule_stabilize(ctx);
                     }
                     Payload::SuccUpdate {
@@ -462,7 +461,7 @@ impl Protocol for IsprpNode {
                     }
                     Payload::Notify { .. }
                     | Payload::NotifyAck { .. }
-                    | Payload::Teardown { .. }
+                    | Payload::Teardown
                     | Payload::Discover { .. }
                     | Payload::CloseRing { .. }
                     | Payload::DataProbe { .. } => {
@@ -493,7 +492,6 @@ impl Protocol for IsprpNode {
                 if let Some(s) = self.succ {
                     if let Some(route) = self.cache.get(s).cloned() {
                         let payload = Payload::SuccNotify {
-                            from: self.id,
                             reply_route: route.reversed().into_hops(),
                         };
                         self.send_payload(ctx, &route, payload);

@@ -6,6 +6,11 @@
 //! [`SsrMsg::Flood`] is the (baseline-only) network flood;
 //! [`SsrMsg::Forward`] is the source-routed envelope that carries every
 //! end-to-end [`Payload`] hop by hop along an explicit route.
+//!
+//! The envelope is the one record of who sent a payload and of the way
+//! back: its route starts at the sender, and no relay rewrites the hops up
+//! to the holder, so the receiver reads the sender as `route[0]` and the
+//! reversed route as a path to it. No payload names its sender.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ssr_types::wire::{self, DecodeError};
@@ -43,22 +48,21 @@ impl From<Side> for Direction {
     }
 }
 
-/// End-to-end payloads delivered at the final node of a [`ForwardEnvelope`].
+/// End-to-end payloads delivered at the final node of a [`ForwardEnvelope`],
+/// whose route names the sender.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
     /// "Consider `target_route.last()` your virtual neighbor; here is a
-    /// source route to it." The linearization workhorse (Section 4).
+    /// source route to it." The linearization workhorse (Section 4), sent
+    /// by the node performing the step (v1). Naming the sender itself, it
+    /// is an audit announcement.
     Notify {
-        /// The node performing the linearization step (v1).
-        initiator: NodeId,
         /// Route from the *receiver* to the introduced node.
         target_route: Vec<NodeId>,
-        /// Route from the receiver back to the initiator (for the ACK).
-        reply_route: Vec<NodeId>,
         /// Handshake correlation.
         seq: SeqNo,
     },
-    /// Acknowledgment of a [`Payload::Notify`], back to the initiator.
+    /// Acknowledgment of a [`Payload::Notify`], back to its sender.
     NotifyAck {
         /// The node the receiver was pointed to.
         about: NodeId,
@@ -67,10 +71,7 @@ pub enum Payload {
     },
     /// "I removed my virtual edge to you — drop yours too": sent for a
     /// demoted ring-closure edge. A delegated edge is retired without it.
-    Teardown {
-        /// The node that dropped the edge.
-        from: NodeId,
-    },
+    Teardown,
     /// Ring-closure probe, greedily routed along the virtual line.
     Discover {
         /// The node with the empty neighbor set that launched the probe.
@@ -78,22 +79,20 @@ pub enum Payload {
         /// Travel direction.
         dir: Direction,
     },
-    /// Ring-closure acceptance, source-routed back to the probe's origin
+    /// Ring-closure acceptance by its sender — the believed max for CW,
+    /// the believed min for CCW — source-routed back to the probe's origin
     /// along the reversed accumulated trace.
     CloseRing {
-        /// The accepting extreme (believed max for CW, believed min for
-        /// CCW).
-        acceptor: NodeId,
         /// Probe direction being answered.
         dir: Direction,
         /// The full physical route `origin → acceptor` (pruned trace).
         route: Vec<NodeId>,
     },
-    /// ISPRP: "you are my successor" (baseline protocol).
+    /// ISPRP: "you are my successor" (baseline protocol), from the
+    /// claimant.
     SuccNotify {
-        /// The claimant.
-        from: NodeId,
-        /// Route from the receiver back to the claimant.
+        /// Route from the receiver back to the claimant, the one it was
+        /// sent along reversed.
         reply_route: Vec<NodeId>,
     },
     /// ISPRP: "your successor is `better`, not me" — carries a complete
@@ -127,7 +126,7 @@ impl Payload {
         match self {
             Payload::Notify { .. } => "notify",
             Payload::NotifyAck { .. } => "ack",
-            Payload::Teardown { .. } => "teardown",
+            Payload::Teardown => "teardown",
             Payload::Discover { .. } | Payload::CloseRing { .. } => "discover",
             Payload::SuccNotify { .. } => "succ",
             Payload::SuccUpdate { .. } => "update",
@@ -135,20 +134,18 @@ impl Payload {
         }
     }
 
-    /// The `e2e.*` counter an end-to-end send of this payload is counted
-    /// under: `e2e.` and its [`Payload::kind`], except that a notification
-    /// naming its own initiator — an audit announcement — is counted as
-    /// `e2e.announce`, not with a handshake's introductions.
-    pub fn e2e_key(&self) -> &'static str {
+    /// The `e2e.*` counter an end-to-end send of this payload by `sender`
+    /// is counted under: `e2e.` and its [`Payload::kind`], except that a
+    /// notification naming its own sender — an audit announcement — is
+    /// counted as `e2e.announce`, not with a handshake's introductions.
+    pub fn e2e_key(&self, sender: NodeId) -> &'static str {
         match self {
-            Payload::Notify {
-                initiator,
-                target_route,
-                ..
-            } if target_route.last() == Some(initiator) => "e2e.announce",
+            Payload::Notify { target_route, .. } if target_route.last() == Some(&sender) => {
+                "e2e.announce"
+            }
             Payload::Notify { .. } => "e2e.notify",
             Payload::NotifyAck { .. } => "e2e.ack",
-            Payload::Teardown { .. } => "e2e.teardown",
+            Payload::Teardown => "e2e.teardown",
             Payload::Discover { .. } | Payload::CloseRing { .. } => "e2e.discover",
             Payload::SuccNotify { .. } => "e2e.succ",
             Payload::SuccUpdate { .. } => "e2e.update",
@@ -160,8 +157,9 @@ impl Payload {
 /// The source-routed transport envelope.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ForwardEnvelope {
-    /// The explicit route, first entry = originating virtual node, last =
-    /// destination virtual node.
+    /// The explicit route, first entry = originating virtual node (the
+    /// payload's sender), last = destination virtual node. Relays only
+    /// rewrite the hops after the holder.
     pub route: Vec<NodeId>,
     /// Index of the current holder within `route`.
     pub pos: usize,
@@ -278,16 +276,9 @@ pub fn encode(msg: &SsrMsg, buf: &mut BytesMut) {
 
 fn encode_payload(p: &Payload, buf: &mut BytesMut) {
     match p {
-        Payload::Notify {
-            initiator,
-            target_route,
-            reply_route,
-            seq,
-        } => {
+        Payload::Notify { target_route, seq } => {
             buf.put_u8(PTAG_NOTIFY);
-            wire::put_node_id(buf, *initiator);
             wire::put_id_list(buf, target_route);
-            wire::put_id_list(buf, reply_route);
             wire::put_seq(buf, *seq);
         }
         Payload::NotifyAck { about, seq } => {
@@ -295,28 +286,19 @@ fn encode_payload(p: &Payload, buf: &mut BytesMut) {
             wire::put_node_id(buf, *about);
             wire::put_seq(buf, *seq);
         }
-        Payload::Teardown { from } => {
-            buf.put_u8(PTAG_TEARDOWN);
-            wire::put_node_id(buf, *from);
-        }
+        Payload::Teardown => buf.put_u8(PTAG_TEARDOWN),
         Payload::Discover { origin, dir } => {
             buf.put_u8(PTAG_DISCOVER);
             wire::put_node_id(buf, *origin);
             put_dir(buf, *dir);
         }
-        Payload::CloseRing {
-            acceptor,
-            dir,
-            route,
-        } => {
+        Payload::CloseRing { dir, route } => {
             buf.put_u8(PTAG_CLOSE_RING);
-            wire::put_node_id(buf, *acceptor);
             put_dir(buf, *dir);
             wire::put_id_list(buf, route);
         }
-        Payload::SuccNotify { from, reply_route } => {
+        Payload::SuccNotify { reply_route } => {
             buf.put_u8(PTAG_SUCC_NOTIFY);
-            wire::put_node_id(buf, *from);
             wire::put_id_list(buf, reply_route);
         }
         Payload::SuccUpdate {
@@ -390,29 +372,23 @@ fn decode_payload(buf: &mut Bytes) -> Result<Payload, DecodeError> {
     }
     match buf.get_u8() {
         PTAG_NOTIFY => Ok(Payload::Notify {
-            initiator: wire::get_node_id(buf)?,
             target_route: wire::get_id_list(buf)?,
-            reply_route: wire::get_id_list(buf)?,
             seq: wire::get_seq(buf)?,
         }),
         PTAG_NOTIFY_ACK => Ok(Payload::NotifyAck {
             about: wire::get_node_id(buf)?,
             seq: wire::get_seq(buf)?,
         }),
-        PTAG_TEARDOWN => Ok(Payload::Teardown {
-            from: wire::get_node_id(buf)?,
-        }),
+        PTAG_TEARDOWN => Ok(Payload::Teardown),
         PTAG_DISCOVER => Ok(Payload::Discover {
             origin: wire::get_node_id(buf)?,
             dir: get_dir(buf)?,
         }),
         PTAG_CLOSE_RING => Ok(Payload::CloseRing {
-            acceptor: wire::get_node_id(buf)?,
             dir: get_dir(buf)?,
             route: wire::get_id_list(buf)?,
         }),
         PTAG_SUCC_NOTIFY => Ok(Payload::SuccNotify {
-            from: wire::get_node_id(buf)?,
             reply_route: wire::get_id_list(buf)?,
         }),
         PTAG_SUCC_UPDATE => Ok(Payload::SuccUpdate {
@@ -488,37 +464,34 @@ mod tests {
     }
 
     /// Every `e2e.*` key is registered, and only a notification naming its
-    /// initiator counts as an announcement.
+    /// sender counts as an announcement.
     #[test]
     fn e2e_keys_are_registered_and_split_announcements() {
         for payload in payloads() {
-            let key = payload.e2e_key();
+            let key = payload.e2e_key(NodeId(1));
             assert!(ssr_sim::registry::is_canonical_key(key), "{key}");
         }
         let notify = |target: &[u64]| Payload::Notify {
-            initiator: NodeId(1),
             target_route: ids(target),
-            reply_route: ids(&[2, 1]),
             seq: SeqNo(9),
         };
-        assert_eq!(notify(&[2, 1]).e2e_key(), "e2e.announce");
-        assert_eq!(notify(&[2, 1, 3]).e2e_key(), "e2e.notify");
+        assert_eq!(notify(&[2, 1]).e2e_key(NodeId(1)), "e2e.announce");
+        assert_eq!(notify(&[2, 1, 3]).e2e_key(NodeId(1)), "e2e.notify");
+        assert_eq!(notify(&[2, 1]).e2e_key(NodeId(3)), "e2e.notify");
     }
 
     /// One of every payload variant.
     fn payloads() -> Vec<Payload> {
         vec![
             Payload::Notify {
-                initiator: NodeId(1),
                 target_route: ids(&[2, 1, 3]),
-                reply_route: ids(&[2, 1]),
                 seq: SeqNo(9),
             },
             Payload::NotifyAck {
                 about: NodeId(3),
                 seq: SeqNo(9),
             },
-            Payload::Teardown { from: NodeId(1) },
+            Payload::Teardown,
             Payload::Discover {
                 origin: NodeId(4),
                 dir: Direction::Cw,
@@ -528,12 +501,10 @@ mod tests {
                 dir: Direction::Ccw,
             },
             Payload::CloseRing {
-                acceptor: NodeId(30),
                 dir: Direction::Cw,
                 route: ids(&[4, 9, 30]),
             },
             Payload::SuccNotify {
-                from: NodeId(5),
                 reply_route: ids(&[6, 5]),
             },
             Payload::SuccUpdate {
@@ -581,10 +552,7 @@ mod tests {
                 payload,
             }))
         };
-        assert_eq!(
-            env(Payload::Teardown { from: NodeId(0) }).kind(),
-            "teardown"
-        );
+        assert_eq!(env(Payload::Teardown).kind(), "teardown");
         assert_eq!(
             env(Payload::Discover {
                 origin: NodeId(0),
@@ -609,7 +577,7 @@ mod tests {
             route: ids(&[1, 2, 3]),
             pos: 1,
             trace: vec![],
-            payload: Payload::Teardown { from: NodeId(1) },
+            payload: Payload::Teardown,
         })));
         for cut in 0..full.len() {
             let mut b = full.slice(..cut);
@@ -624,9 +592,8 @@ mod tests {
             dir: Direction::Cw
         }
         .wants_trace());
-        assert!(!Payload::Teardown { from: NodeId(0) }.wants_trace());
+        assert!(!Payload::Teardown.wants_trace());
         assert!(!Payload::CloseRing {
-            acceptor: NodeId(0),
             dir: Direction::Cw,
             route: vec![]
         }
@@ -641,8 +608,9 @@ mod tests {
         assert!(std::mem::size_of::<ssr_sim::event::EventKind<SsrMsg>>() <= 48);
     }
 
-    /// One message per variant with the bytes the codec emitted before the
-    /// envelope was boxed, written out: the wire does not move.
+    /// One message per variant with the bytes the codec emits, written out:
+    /// the wire moves only on purpose. A payload's sender is the envelope
+    /// route's first hop, so no payload encodes it.
     #[test]
     fn wire_bytes_are_pinned() {
         let fwd = |payload: Payload| {
@@ -674,12 +642,10 @@ mod tests {
             ),
             (
                 fwd(Payload::Notify {
-                    initiator: NodeId(1),
                     target_route: ids(&[2, 1, 3]),
-                    reply_route: ids(&[2, 1]),
                     seq: SeqNo(9),
                 }),
-                "0100000003000000000000000a000000000000000b000000000000000c000000010000000000000000000000000100000003000000000000000200000000000000010000000000000003000000020000000000000002000000000000000100000009",
+                "0100000003000000000000000a000000000000000b000000000000000c0000000100000000000000000300000000000000020000000000000001000000000000000300000009",
             ),
             (
                 fwd(Payload::NotifyAck {
@@ -688,7 +654,10 @@ mod tests {
                 }),
                 "0100000003000000000000000a000000000000000b000000000000000c000000010000000001000000000000000300000009",
             ),
-            (fwd(Payload::Teardown { from: NodeId(1) }), "0100000003000000000000000a000000000000000b000000000000000c0000000100000000020000000000000001"),
+            (
+                fwd(Payload::Teardown),
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000002",
+            ),
             (
                 fwd(Payload::Discover {
                     origin: NodeId(4),
@@ -698,18 +667,16 @@ mod tests {
             ),
             (
                 fwd(Payload::CloseRing {
-                    acceptor: NodeId(30),
                     dir: Direction::Cw,
                     route: ids(&[4, 9, 30]),
                 }),
-                "0100000003000000000000000a000000000000000b000000000000000c000000010000000004000000000000001e000000000300000000000000040000000000000009000000000000001e",
+                "0100000003000000000000000a000000000000000b000000000000000c000000010000000004000000000300000000000000040000000000000009000000000000001e",
             ),
             (
                 fwd(Payload::SuccNotify {
-                    from: NodeId(5),
                     reply_route: ids(&[6, 5]),
                 }),
-                "0100000003000000000000000a000000000000000b000000000000000c00000001000000000500000000000000050000000200000000000000060000000000000005",
+                "0100000003000000000000000a000000000000000b000000000000000c0000000100000000050000000200000000000000060000000000000005",
             ),
             (
                 fwd(Payload::SuccUpdate {

@@ -55,7 +55,7 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{IntervalPartition, Neighbors, NodeId, SeqNo, Side};
@@ -138,20 +138,14 @@ impl SsrNode {
             id,
             config,
             nbrs: Neighbors::default(),
-            lin: Linearizer::new(
-                id,
-                Timing {
-                    ccw_redundancy: config.ccw_redundancy,
-                    // The audit is the virtual-neighbor heartbeat: a node
-                    // re-announces itself along each ring edge so a peer
-                    // that lost the edge (crashed and purged, or rejoined
-                    // fresh) re-adopts it and edges stay *mutual*. It never
-                    // stops: a crashed-and-rejoined peer leaves no local
-                    // signal at the surviving endpoint (two messages per
-                    // node per period — an announcement is not answered).
-                    audit_quiet: u32::MAX,
-                },
-            ),
+            // The audit is the virtual-neighbor heartbeat: a node
+            // re-announces itself along each ring edge so a peer that lost
+            // the edge (crashed and purged, or rejoined fresh) re-adopts it
+            // and edges stay *mutual*. It never stops: a crashed-and-rejoined
+            // peer leaves no local signal at the surviving endpoint (two
+            // messages per node per period — an announcement is not
+            // answered).
+            lin: Linearizer::new(id, config.ccw_redundancy),
             cache: RouteCache::with_partition(id, IntervalPartition::new(config.partition_base)),
             hello_round: 0,
             delivered_probes: Vec::new(),
@@ -328,11 +322,8 @@ impl SsrNode {
                 let Some(route) = self.cache.get(peer) else {
                     return;
                 };
-                let back = route.reversed();
                 let payload = Payload::Notify {
-                    initiator: self.id,
-                    target_route: back.hops().to_vec(),
-                    reply_route: back.into_hops(),
+                    target_route: route.reversed().into_hops(),
                     seq,
                 };
                 let prev = ctx.set_cause(CauseClass::Audit);
@@ -367,15 +358,12 @@ impl SsrNode {
             ctx.metrics().incr("fwd.no_route");
             return;
         };
-        let reply = r_to.reversed();
-        let target = reply.concat(r_about);
+        let target = r_to.reversed().concat(r_about);
         if target.is_empty() {
             return;
         }
         let payload = Payload::Notify {
-            initiator: self.id,
             target_route: target.into_hops(),
-            reply_route: reply.into_hops(),
             seq,
         };
         self.send_payload(ctx, r_to, payload);
@@ -388,7 +376,7 @@ impl SsrNode {
     fn teardown_to(&mut self, ctx: &mut Ctx<'_, SsrMsg>, other: NodeId) {
         let prev = ctx.set_cause(CauseClass::LinearizationStep);
         if let Some(route) = self.cache.get(other) {
-            self.send_payload(ctx, route, Payload::Teardown { from: self.id });
+            self.send_payload(ctx, route, Payload::Teardown);
         }
         self.cache.unpin(other);
         ctx.set_cause(prev);
@@ -473,7 +461,6 @@ impl SsrNode {
         let to_origin = path.reversed();
         if self.claim_wrap(ctx, dir.toward(), to_origin.clone()) {
             let payload = Payload::CloseRing {
-                acceptor: self.id,
                 dir,
                 route: path.into_hops(),
             };
@@ -481,8 +468,8 @@ impl SsrNode {
         }
     }
 
-    /// A closure acknowledgment arrived back at the probe's origin: the
-    /// acceptor claims the slot the probe was sent to fill.
+    /// A closure acknowledgment arrived back at the probe's origin from
+    /// its `acceptor`, who claims the slot the probe was sent to fill.
     fn handle_close_ring(
         &mut self,
         ctx: &mut Ctx<'_, SsrMsg>,
@@ -509,7 +496,8 @@ impl SsrNode {
         }
     }
 
-    /// End-to-end payload arrived at this node.
+    /// End-to-end payload arrived at this node from the envelope route's
+    /// first hop.
     fn handle_payload(&mut self, ctx: &mut Ctx<'_, SsrMsg>, env: ForwardEnvelope) {
         let ForwardEnvelope {
             route,
@@ -517,51 +505,40 @@ impl SsrNode {
             payload,
             ..
         } = env;
+        let sender = route[0];
         match payload {
             Payload::Discover { origin, dir } => self.route_discovery(ctx, origin, dir, trace),
-            Payload::Notify {
-                target_route,
-                reply_route,
-                seq,
-                ..
-            } => {
-                let (Some(target), Some(mut reply)) = (
+            Payload::Notify { target_route, seq } => {
+                // the way the notification came is the way back to its
+                // sender: answered over and learned
+                let (Some(target), Some(back)) = (
                     checked_route(self.id, target_route),
-                    checked_route(self.id, reply_route),
+                    travelled(self.id, route),
                 ) else {
                     ctx.metrics().incr("fwd.bad_trace");
                     return;
                 };
                 let pointed_at = target.dst();
                 let known = !target.is_empty() && !self.adopt_neighbor(target);
-                // the initiator itself is shortcut knowledge
-                if !reply.is_empty() {
-                    // answer along the way the notification came, if that
-                    // leads to the node the payload says to answer
-                    let back = travelled(self.id, route).filter(|b| b.dst() == reply.dst());
-                    let came_back = back.is_some();
-                    if let Some(back) = back {
-                        reply = back;
+                // an introduction — a notification naming a *third* node —
+                // is half of a handshake its sender waits on; an audit
+                // announcement names its sender, who acts on no answer, so
+                // it gets none
+                if pointed_at != sender {
+                    // `about` names the node we were pointed to, so the
+                    // sender can tell which of its two notifications this
+                    // acknowledges
+                    let ack = Payload::NotifyAck {
+                        about: pointed_at,
+                        seq,
+                    };
+                    self.send_payload(ctx, &back, ack);
+                    if known {
+                        ctx.metrics().incr("rx.notify_known");
                     }
-                    // an introduction — a notification naming a *third*
-                    // node — is half of a handshake its sender waits on; an
-                    // audit announcement names its sender, who acts on no
-                    // answer, so it gets none
-                    if pointed_at != reply.dst() {
-                        // `about` names the node we were pointed to, so the
-                        // initiator can tell which of its two notifications
-                        // this acknowledges
-                        let ack = Payload::NotifyAck {
-                            about: pointed_at,
-                            seq,
-                        };
-                        self.send_payload(ctx, &reply, ack);
-                        if known {
-                            ctx.metrics().incr("rx.notify_known");
-                        }
-                    }
-                    self.learn(reply, false, came_back);
                 }
+                // the sender itself is shortcut knowledge
+                self.learn(back, false, true);
                 self.drive(ctx, Input::Changed);
             }
             Payload::NotifyAck { about, seq } => {
@@ -573,16 +550,12 @@ impl SsrNode {
                 }
                 self.drive(ctx, Input::Ack { about, seq });
             }
-            Payload::Teardown { from } => {
-                self.lin.forget(from);
-                self.unpin_unless_phys(from);
+            Payload::Teardown => {
+                self.lin.forget(sender);
+                self.unpin_unless_phys(sender);
                 self.drive(ctx, Input::Changed);
             }
-            Payload::CloseRing {
-                acceptor,
-                dir,
-                route,
-            } => self.handle_close_ring(ctx, acceptor, dir, route),
+            Payload::CloseRing { dir, route } => self.handle_close_ring(ctx, sender, dir, route),
             Payload::DataProbe { target, hops } => self.handle_probe(ctx, target, hops),
             Payload::SuccNotify { .. } | Payload::SuccUpdate { .. } => {
                 // ISPRP messages are not part of the linearized protocol
@@ -711,9 +684,9 @@ impl SsrNode {
 }
 
 /// The travelled route is the learned route: what an end-to-end message
-/// arrived over (`sender → … → me`), reversed and validated. Relays only
-/// ever shorten the route ahead of them, so it is never longer than the
-/// route it was sent along.
+/// arrived over (`sender → … → me`), reversed and validated — a route back
+/// to the sender. Relays only ever shorten the route ahead of them, so it
+/// is never longer than the route it was sent along.
 fn travelled(me: NodeId, mut route: Vec<NodeId>) -> Option<SourceRoute> {
     route.reverse();
     checked_route(me, route)
@@ -900,6 +873,27 @@ mod tests {
         assert_eq!(n.cache().len(), 0);
     }
 
+    proptest::proptest! {
+        /// What makes the envelope the way back: any hop sequence without
+        /// a consecutive repeat that ends at `me` — what a delivered
+        /// envelope's route is — travelled back is a route from `me` to its
+        /// first hop, the sender.
+        #[test]
+        fn the_travelled_route_leads_back_to_the_first_hop(
+            raw in proptest::collection::vec(0u64..8, 1..24),
+        ) {
+            let me = NodeId(3);
+            let mut hops = dedup_consecutive(raw.into_iter().map(NodeId).collect());
+            if hops.last() != Some(&me) {
+                hops.push(me);
+            }
+            let back = travelled(me, hops.clone());
+            proptest::prop_assert!(back.is_some(), "{hops:?}");
+            let back = back.unwrap();
+            proptest::prop_assert_eq!((back.src(), back.dst()), (me, hops[0]));
+        }
+    }
+
     #[test]
     fn dedup_consecutive_collapses_boundaries() {
         let hops: Vec<NodeId> = [1, 2, 2, 3, 3, 3, 4].iter().map(|&i| NodeId(i)).collect();
@@ -1031,10 +1025,10 @@ mod tests {
     }
 
     /// Physical ring 10–20–30–40–50–10, every node's neighbor table bound
-    /// by hand. Node 10 notifies 30 over `10→20→30` with a payload that
-    /// says to answer over `30→40→50→10`: the acknowledgment takes the two
-    /// hops the notification travelled instead, 30 caches those, and at 10
-    /// — which held a three-hop route to 30 — the acknowledgment's own
+    /// by hand. Node 10 notifies 30 over `10→20→30` while 30 caches the
+    /// three-hop route `30→40→50→10`: the acknowledgment takes the two hops
+    /// the notification travelled instead, 30 caches those, and at 10 —
+    /// which held a three-hop route to 30 — the acknowledgment's own
     /// journey replaces it.
     #[test]
     fn a_notify_is_answered_and_an_ack_learned_along_the_travelled_route() {
@@ -1056,17 +1050,16 @@ mod tests {
             })
             .collect();
         probers[0].node.inject_cache_route(route(&[10, 50, 40, 30]));
+        probers[2].node.inject_cache_route(route(&[30, 40, 50, 10]));
         let notify = Payload::Notify {
-            initiator: NodeId(10),
             target_route: vec![NodeId(30)],
-            reply_route: route(&[30, 40, 50, 10]).into_hops(),
             seq: SeqNo(1),
         };
         probers[0].sends.push((route(&[10, 20, 30]), notify));
         let mut sim = ssr_sim::Simulator::new(topo, probers, ssr_sim::LinkConfig::ideal(), 1);
         sim.run_until(ssr_sim::Time(6));
         assert_eq!(sim.metrics().counter("msg.notify"), 2);
-        assert_eq!(sim.metrics().counter("msg.ack"), 2, "not the payload's 3");
+        assert_eq!(sim.metrics().counter("msg.ack"), 2, "not the cached 3");
         let cached = |u: usize, dst| sim.protocol(u).node.cache.get(NodeId(dst)).cloned();
         assert_eq!(cached(2, 10), Some(route(&[30, 20, 10])));
         assert_eq!(cached(0, 30), Some(route(&[10, 20, 30])));

@@ -30,7 +30,7 @@ pub fn send_payload(
     }
     // one end-to-end message; every hop it then takes counts under `tx.*`
     ctx.metrics().incr("e2e.sent");
-    ctx.metrics().incr(payload.e2e_key());
+    ctx.metrics().incr(payload.e2e_key(me));
     ctx.metrics().observe_hist("route.len", route.len() as u64);
     let trace = if payload.wants_trace() {
         vec![me]

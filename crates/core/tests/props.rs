@@ -421,34 +421,53 @@ fn disconnected_graph_cannot_fully_converge() {
 
 proptest! {
     /// The wire decoder is total: arbitrary bytes either decode or error,
-    /// never panic — and every encoded message round-trips.
+    /// never panic — on their own, and after a well-formed envelope header
+    /// and each payload tag, so every payload decoder reads garbage too.
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let mut buf = bytes::Bytes::from(bytes);
+    fn decoder_never_panics_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        tag in 0u8..9,
+    ) {
+        let mut buf = bytes::Bytes::from(bytes.clone());
         let _ = ssr_core::message::decode(&mut buf);
+        // a forward (tag 1) over the route [7] at position 0, no trace
+        let mut framed = vec![1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, tag];
+        framed.extend(bytes);
+        let _ = ssr_core::message::decode(&mut bytes::Bytes::from(framed));
     }
 
+    /// Every payload that carries routes round-trips, whatever they hold.
     #[test]
     fn encoded_messages_roundtrip(
         route in proptest::collection::vec(any::<u64>(), 2..20),
         target in proptest::collection::vec(any::<u64>(), 1..20),
-        reply in proptest::collection::vec(any::<u64>(), 1..20),
         pos in 0usize..10,
         seq: u32,
+        cw: bool,
     ) {
-        use ssr_core::message::{decode, encode_to_bytes, ForwardEnvelope, Payload, SsrMsg};
-        let msg = SsrMsg::Forward(Box::new(ForwardEnvelope {
-            route: route.into_iter().map(NodeId).collect(),
-            pos,
-            trace: vec![],
-            payload: Payload::Notify {
-                initiator: NodeId(1),
-                target_route: target.into_iter().map(NodeId).collect(),
-                reply_route: reply.into_iter().map(NodeId).collect(),
+        use bytes::Buf;
+        use ssr_core::message::{decode, encode_to_bytes, Direction, ForwardEnvelope, Payload, SsrMsg};
+        let ids = |v: &[u64]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let dir = if cw { Direction::Cw } else { Direction::Ccw };
+        let payloads = [
+            Payload::Notify {
+                target_route: ids(&target),
                 seq: ssr_types::SeqNo(seq),
             },
-        }));
-        let mut buf = encode_to_bytes(&msg);
-        prop_assert_eq!(decode(&mut buf).unwrap(), msg);
+            Payload::Teardown,
+            Payload::CloseRing { dir, route: ids(&target) },
+            Payload::SuccNotify { reply_route: ids(&target) },
+        ];
+        for payload in payloads {
+            let msg = SsrMsg::Forward(Box::new(ForwardEnvelope {
+                route: ids(&route),
+                pos,
+                trace: vec![],
+                payload,
+            }));
+            let mut buf = encode_to_bytes(&msg);
+            prop_assert_eq!(decode(&mut buf).unwrap(), msg);
+            prop_assert_eq!(buf.remaining(), 0);
+        }
     }
 }

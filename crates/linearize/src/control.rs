@@ -9,10 +9,10 @@
 //! algorithm: neighbor membership split by [`Side`], the in-flight
 //! handshake per side with same-seq exponential-backoff retries,
 //! farthest-pair choice, ack matching, act batching, discovery
-//! bookkeeping, ring-closure (wrap) slot arbitration and the quiet-round
-//! audit watcher. What an edge *is* stays with the protocol: the core is
-//! generic over the per-edge data `E` (`()` for SSR, whose routes live in
-//! the route cache; the path id for VRR).
+//! bookkeeping, ring-closure (wrap) slot arbitration and the audit round.
+//! What an edge *is* stays with the protocol: the core is generic over the
+//! per-edge data `E` (`()` for SSR, whose routes live in the route cache;
+//! the path id for VRR).
 //!
 //! The core never sees a simulator. [`Linearizer::step`] takes an
 //! [`Input`] and the current tick and returns the [`Effects`] the protocol
@@ -50,16 +50,6 @@ pub const DISCOVER_DELAY: u64 = 8;
 pub const DISCOVER_RETRY: u64 = 48;
 /// Audit (re-announcement) period.
 pub const AUDIT_INTERVAL: u64 = 48;
-
-/// What a protocol may choose about the control core's behaviour.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Timing {
-    /// Probe counter-clockwise too (the paper's redundancy suggestion).
-    pub ccw_redundancy: bool,
-    /// Unchanged audit rounds before the audit timer stops (`u32::MAX` =
-    /// never).
-    pub audit_quiet: u32,
-}
 
 /// A timer owned by the control core. Protocols hand [`Timer::token`] to
 /// their timer facility and feed fired tokens back through
@@ -259,37 +249,6 @@ pub enum WrapVerdict<E> {
     },
 }
 
-/// Stops the audit round after a run of rounds over unchanged state, and
-/// restarts it on demand.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Debug)]
-struct QuietWatch {
-    armed: bool,
-    quiet_rounds: u32,
-    last_sig: u64,
-}
-
-impl QuietWatch {
-    /// Marks the round timer as queued; `true` iff it was not already, i.e.
-    /// the caller has to set it.
-    fn arm(&mut self) -> bool {
-        !std::mem::replace(&mut self.armed, true)
-    }
-
-    /// The round timer fired over state with signature `sig`. `true` while
-    /// fewer than `limit` consecutive rounds saw an unchanged signature:
-    /// the caller runs its round and re-arms. `u32::MAX` never stops.
-    fn fired(&mut self, sig: u64, limit: u32) -> bool {
-        self.armed = false;
-        if sig != self.last_sig {
-            self.last_sig = sig;
-            self.quiet_rounds = 0;
-        } else {
-            self.quiet_rounds += 1;
-        }
-        self.quiet_rounds < limit
-    }
-}
-
 /// An in-flight linearization handshake: both notified nodes must
 /// acknowledge before the delegated edge is torn down.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -306,7 +265,8 @@ struct Pending {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Linearizer<E> {
     id: NodeId,
-    timing: Timing,
+    /// Probe counter-clockwise too (the paper's redundancy suggestion).
+    ccw_redundancy: bool,
     /// Virtual neighbors by side (`Left`: addresses below `id`), each with
     /// its edge.
     sides: [BTreeMap<NodeId, E>; 2],
@@ -322,15 +282,19 @@ pub struct Linearizer<E> {
     probe_out: [bool; 2],
     discover_armed: bool,
     act_scheduled: bool,
-    audit: QuietWatch,
+    /// Whether the audit timer is queued. Once armed it re-arms every round
+    /// and never stops: a peer that lost its edge to this node leaves no
+    /// local signal here.
+    audit_armed: bool,
 }
 
 impl<E: Copy> Linearizer<E> {
-    /// Fresh state for node `id`.
-    pub fn new(id: NodeId, timing: Timing) -> Self {
+    /// Fresh state for node `id`; `ccw_redundancy` launches
+    /// counter-clockwise probes too (the paper's redundancy suggestion).
+    pub fn new(id: NodeId, ccw_redundancy: bool) -> Self {
         Linearizer {
             id,
-            timing,
+            ccw_redundancy,
             sides: [BTreeMap::new(), BTreeMap::new()],
             wrap: [None; 2],
             pending: [None; 2],
@@ -338,7 +302,7 @@ impl<E: Copy> Linearizer<E> {
             probe_out: [false; 2],
             discover_armed: false,
             act_scheduled: false,
-            audit: QuietWatch::default(),
+            audit_armed: false,
         }
     }
 
@@ -526,7 +490,7 @@ impl<E: Copy> Linearizer<E> {
     }
 
     fn arm_audit(&mut self, fx: &mut Effects<E>) {
-        if self.audit.arm() {
+        if !std::mem::replace(&mut self.audit_armed, true) {
             fx.push(Effect::SetTimer {
                 delay: AUDIT_INTERVAL,
                 timer: Timer::Audit,
@@ -652,7 +616,7 @@ impl<E: Copy> Linearizer<E> {
         let open = |s: Side| self.sides[s as usize].is_empty() && self.wrap[s as usize].is_none();
         let need = [
             (Side::Right, open(Side::Left)),
-            (Side::Left, self.timing.ccw_redundancy && open(Side::Right)),
+            (Side::Left, self.ccw_redundancy && open(Side::Right)),
         ];
         let unresolved = need.iter().any(|&(_, needed)| needed);
         let mut delay = DISCOVER_RETRY;
@@ -677,12 +641,7 @@ impl<E: Copy> Linearizer<E> {
     }
 
     fn audit_round(&mut self, fx: &mut Effects<E>) {
-        if !self
-            .audit
-            .fired(self.audit_signature(), self.timing.audit_quiet)
-        {
-            return;
-        }
+        self.audit_armed = false;
         let seq = self.seq.bump();
         for side in [Side::Left, Side::Right] {
             if let Some((peer, edge)) = self.closest_entry(side) {
@@ -691,30 +650,15 @@ impl<E: Copy> Linearizer<E> {
         }
         self.arm_audit(fx);
     }
-
-    /// Signature over the ring-relevant neighbor structure; a change
-    /// restarts the quiet-round count.
-    fn audit_signature(&self) -> u64 {
-        let mix = |peer: Option<NodeId>, r: u32| peer.map_or(0, |p| p.raw().rotate_left(r));
-        mix(self.closest(Side::Left), 13)
-            ^ mix(self.closest(Side::Right), 17)
-            ^ mix(self.wrap(Side::Left).map(|(p, _)| p), 29)
-            ^ mix(self.wrap(Side::Right).map(|(p, _)| p), 47)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const TIMING: Timing = Timing {
-        ccw_redundancy: true,
-        audit_quiet: u32::MAX,
-    };
-
     /// Node 50 with the given neighbors, each held over edge `id as u8`.
     fn node(peers: &[u64]) -> Linearizer<u8> {
-        let mut lin = Linearizer::new(NodeId(50), TIMING);
+        let mut lin = Linearizer::new(NodeId(50), true);
         for &p in peers {
             assert!(lin.adopt(NodeId(p), p as u8));
         }
@@ -978,19 +922,18 @@ mod tests {
         );
         assert_eq!(run(&mut lin, discover, 104), vec![]);
         // without ccw redundancy an empty right side is left alone
-        let mut timing = TIMING;
-        timing.ccw_redundancy = false;
-        let mut lin: Linearizer<u8> = Linearizer::new(NodeId(50), timing);
+        let mut lin: Linearizer<u8> = Linearizer::new(NodeId(50), false);
         lin.adopt(NodeId(40), 4);
         assert_eq!(run(&mut lin, act(true), 100), vec![]);
     }
 
+    /// The audit timer is armed once, by the first change, and re-armed by
+    /// every round it fires: rounds over an unchanged structure announce
+    /// and re-arm like the first, and a change while it is queued arms no
+    /// second one.
     #[test]
-    fn finite_audit_quiet_stops_and_a_membership_change_rearms() {
-        let mut timing = TIMING;
-        timing.audit_quiet = 2;
-        let mut lin: Linearizer<u8> = Linearizer::new(NodeId(50), timing);
-        lin.adopt(NodeId(60), 6);
+    fn the_audit_timer_is_armed_once_and_never_stops() {
+        let mut lin = node(&[60]);
         let changed = |lin: &mut Linearizer<u8>| -> Vec<_> {
             lin.step(Input::Changed, 100).into_iter().collect()
         };
@@ -999,19 +942,17 @@ mod tests {
         assert_eq!(changed(&mut lin), vec![]); // both already queued
         let announce = |peer: u64, seq| Effect::Announce {
             peer: NodeId(peer),
-            edge: peer as u8 / 10,
+            edge: peer as u8,
             seq: SeqNo(seq),
         };
-        // first round sees a new structure, the second an unchanged one
-        assert_eq!(fire(&mut lin, Timer::Audit), vec![announce(60, 1), rearm]);
-        assert_eq!(fire(&mut lin, Timer::Audit), vec![announce(60, 2), rearm]);
-        // second unchanged round: the watcher goes quiet
-        assert_eq!(fire(&mut lin, Timer::Audit), vec![]);
-        // a change re-arms it (the act is still queued from before) …
-        lin.adopt(NodeId(55), 5);
-        assert_eq!(changed(&mut lin), vec![rearm]);
-        // … and the next round, over the changed structure, announces again
-        assert_eq!(fire(&mut lin, Timer::Audit), vec![announce(55, 3), rearm]);
+        for seq in 1..=5 {
+            assert_eq!(fire(&mut lin, Timer::Audit), vec![announce(60, seq), rearm]);
+        }
+        // a change while the round is queued queues the act only
+        fire(&mut lin, Timer::Act);
+        lin.adopt(NodeId(55), 55);
+        assert_eq!(changed(&mut lin), vec![set_timer(2, Timer::Act)]);
+        assert_eq!(fire(&mut lin, Timer::Audit), vec![announce(55, 6), rearm]);
     }
 
     #[test]

@@ -342,13 +342,8 @@ pub fn union_components<P: Linearized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{Input, Timer, Timing};
+    use crate::control::{Input, Timer};
     use proptest::prelude::*;
-
-    const TIMING: Timing = Timing {
-        ccw_redundancy: true,
-        audit_quiet: u32::MAX,
-    };
 
     /// Bare control cores, one per id, each holding `links(id)` as side-set
     /// members and `wraps(id)` as `(pred, succ)` ring-closure partners.
@@ -360,7 +355,7 @@ mod tests {
     ) -> Vec<Linearizer<E>> {
         ids.iter()
             .map(|&id| {
-                let mut lin = Linearizer::new(NodeId(id), TIMING);
+                let mut lin = Linearizer::new(NodeId(id), true);
                 for peer in links(id) {
                     lin.adopt(NodeId(peer), edge);
                 }

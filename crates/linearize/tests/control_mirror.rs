@@ -8,13 +8,8 @@
 //! are erased and sorted away before comparing.)
 
 use proptest::prelude::*;
-use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict};
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, WrapVerdict};
 use ssr_types::{NodeId, SeqNo, Side};
-
-const TIMING: Timing = Timing {
-    ccw_redundancy: true,
-    audit_quiet: 3,
-};
 
 const SIDES: [Side; 2] = [Side::Left, Side::Right];
 const ME: NodeId = NodeId(1 << 40);
@@ -38,7 +33,7 @@ impl Frame {
     fn new(reflected: bool) -> Self {
         let me = if reflected { reflect(ME) } else { ME };
         Frame {
-            lin: Linearizer::new(me, TIMING),
+            lin: Linearizer::new(me, true),
             reflected,
             handshake: [None; 2],
         }

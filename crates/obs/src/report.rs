@@ -514,7 +514,6 @@ pub fn format_trace_line(rec: &Value) -> String {
             num("token")
         ),
         "fault" => format!("[{at:>8}] {ev:<8} {}{prov}", text("desc")),
-        "note" => format!("[{at:>8}] {ev:<8} node {}: {}", num("node"), text("text")),
         "diag" => format!("[{at:>8}] {ev:<8} {}: {}", text("source"), text("text")),
         other => format!("[{at:>8}] {other} {}", rec.to_json()),
     }
@@ -1070,8 +1069,6 @@ mod tests {
         assert!(line.contains("send"));
         assert!(line.contains("1 -> 2"));
         assert!(line.contains("kind=notify"));
-        let note = parse("{\"ev\":\"note\",\"at\":3,\"node\":7,\"text\":\"x\"}").unwrap();
-        assert!(format_trace_line(&note).contains("node 7: x"));
         let diag = parse("{\"ev\":\"diag\",\"at\":96,\"source\":\"watchdog\",\"text\":\"frozen\"}")
             .unwrap();
         let line = format_trace_line(&diag);

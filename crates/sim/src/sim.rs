@@ -88,7 +88,6 @@ pub struct Ctx<'a, M> {
     actions: &'a mut Vec<Action<M>>,
     rng: &'a mut Rng,
     metrics: &'a mut Metrics,
-    trace: &'a TraceSink,
     cause: CauseClass,
 }
 
@@ -177,17 +176,6 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn rng(&mut self) -> &mut Rng {
         self.rng
-    }
-
-    /// Emits a trace annotation (no-op unless tracing is enabled).
-    pub fn note(&mut self, text: impl Into<String>) {
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Note {
-                at: self.now,
-                node: self.node,
-                text: text.into(),
-            });
-        }
     }
 }
 
@@ -571,19 +559,12 @@ impl<P: Protocol> Simulator<P> {
     /// Overrides the link configuration for the single direction
     /// `from → to` — transmissions in that direction use `cfg` instead of
     /// the global default. Overriding only one direction yields asymmetric
-    /// loss/latency; override both (or use
-    /// [`Simulator::set_link_override_sym`]) for a symmetric adversarial
-    /// link. Installing an override for a non-existent edge is allowed (it
+    /// loss/latency; override both for a symmetric adversarial link.
+    /// Installing an override for a non-existent edge is allowed (it
     /// simply applies once such an edge appears via `LinkUp`/`Join`).
     pub fn set_link_override(&mut self, from: usize, to: usize, cfg: LinkConfig) {
         assert!(from != to, "a link needs two distinct endpoints");
         self.link_overrides.insert((from, to), cfg);
-    }
-
-    /// Overrides both directions of the link `a ↔ b` with the same config.
-    pub fn set_link_override_sym(&mut self, a: usize, b: usize, cfg: LinkConfig) {
-        self.set_link_override(a, b, cfg);
-        self.set_link_override(b, a, cfg);
     }
 
     /// Removes all per-direction link overrides (back to the global
@@ -831,7 +812,6 @@ impl<P: Protocol> Simulator<P> {
                 actions: &mut actions,
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
-                trace: &self.trace,
                 cause: match &self.frame {
                     Some(frame) => frame.cause,
                     None => CauseClass::Bootstrap,

@@ -13,9 +13,8 @@
 //!   stable, hand-rolled schema (see [`event_to_jsonl`]) for offline
 //!   analysis with the `obs` CLI.
 //!
-//! The in-memory sink supports non-destructive [`TraceSink::snapshot`] and
-//! draining [`TraceSink::take`]; prefer `take` when the events are consumed
-//! exactly once — it moves the buffer out instead of cloning it.
+//! The in-memory sink is read by draining it with [`TraceSink::take`],
+//! which moves the buffer out instead of cloning it.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -89,15 +88,6 @@ pub enum TraceEvent {
         /// Causal provenance (faults are lineage roots).
         prov: Provenance,
     },
-    /// A protocol-emitted annotation (via `Ctx::note`).
-    Note {
-        /// Emission time.
-        at: Time,
-        /// Emitting node.
-        node: usize,
-        /// Annotation text.
-        text: String,
-    },
     /// A structured diagnosis from an observer (e.g. the freeze watchdog
     /// or an invariant checker) — network-global, not tied to one node.
     Diag {
@@ -114,11 +104,10 @@ pub enum TraceEvent {
 ///
 /// The field names are a stable contract consumed by `obs trace`:
 /// every record has `"ev"` (`send` / `deliver` / `lost` / `timer` /
-/// `fault` / `note` / `diag`) and `"at"`; message events add `"from"`,
-/// `"to"` and `"kind"` or `"reason"`; timers add `"node"` and `"token"`;
-/// faults add `"desc"`; notes add `"node"` and `"text"`; diagnoses add
-/// `"source"` and `"text"`. Simulator events (everything but `note` /
-/// `diag`) also carry provenance: `"pid"`, `"parent"` (omitted for
+/// `fault` / `diag`) and `"at"`; message events add `"from"`, `"to"` and
+/// `"kind"` or `"reason"`; timers add `"node"` and `"token"`; faults add
+/// `"desc"`; diagnoses add `"source"` and `"text"`. Simulator events
+/// (everything but `diag`) also carry provenance: `"pid"`, `"parent"` (omitted for
 /// lineage roots), `"depth"` and `"cause"` — the fields `obs causes`
 /// walks and `obs flame` folds.
 pub fn event_to_jsonl(ev: &TraceEvent) -> String {
@@ -171,11 +160,6 @@ pub fn event_to_jsonl(ev: &TraceEvent) -> String {
             at.ticks(),
             escape_json(desc),
             prov_fields(prov)
-        ),
-        TraceEvent::Note { at, node, text } => format!(
-            "{{\"ev\":\"note\",\"at\":{},\"node\":{node},\"text\":\"{}\"}}",
-            at.ticks(),
-            escape_json(text)
         ),
         TraceEvent::Diag { at, source, text } => format!(
             "{{\"ev\":\"diag\",\"at\":{},\"source\":\"{source}\",\"text\":\"{}\"}}",
@@ -282,21 +266,9 @@ impl TraceSink {
         }
     }
 
-    /// A non-destructive copy of the buffered events (in-memory backend).
-    /// The JSONL backend buffers nothing and returns an empty vec.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        match &self.backend {
-            None => Vec::new(),
-            Some(backend) => match &*backend.lock().unwrap() {
-                Backend::Memory(buf) => buf.clone(),
-                Backend::Jsonl { .. } => Vec::new(),
-            },
-        }
-    }
-
-    /// Drains the buffered events, leaving the sink empty. Cheaper than
-    /// [`TraceSink::snapshot`] — the buffer is moved out, not cloned. The
-    /// JSONL backend buffers nothing and returns an empty vec.
+    /// Drains the buffered events, leaving the sink empty: the buffer is
+    /// moved out, not cloned. The JSONL backend buffers nothing and returns
+    /// an empty vec.
     pub fn take(&self) -> Vec<TraceEvent> {
         match &self.backend {
             None => Vec::new(),
@@ -347,9 +319,9 @@ mod tests {
     fn disabled_sink_discards() {
         let sink = TraceSink::disabled();
         assert!(!sink.enabled());
-        sink.record(TraceEvent::Note {
+        sink.record(TraceEvent::Diag {
             at: Time(1),
-            node: 0,
+            source: "test",
             text: "x".into(),
         });
         assert!(sink.is_empty());
@@ -360,16 +332,16 @@ mod tests {
         let sink = TraceSink::memory();
         assert!(sink.enabled());
         for i in 0..3 {
-            sink.record(TraceEvent::Note {
+            sink.record(TraceEvent::Diag {
                 at: Time(i),
-                node: 0,
+                source: "test",
                 text: format!("{i}"),
             });
         }
-        let snap = sink.snapshot();
-        assert_eq!(snap.len(), 3);
-        match &snap[2] {
-            TraceEvent::Note { at, text, .. } => {
+        let taken = sink.take();
+        assert_eq!(taken.len(), 3);
+        match &taken[2] {
+            TraceEvent::Diag { at, text, .. } => {
                 assert_eq!(*at, Time(2));
                 assert_eq!(text, "2");
             }
@@ -390,17 +362,16 @@ mod tests {
     }
 
     #[test]
-    fn take_drains_snapshot_does_not() {
+    fn take_drains_the_buffer() {
         let sink = TraceSink::memory();
         for i in 0..4 {
-            sink.record(TraceEvent::Note {
+            sink.record(TraceEvent::Diag {
                 at: Time(i),
-                node: 0,
+                source: "test",
                 text: String::new(),
             });
         }
-        assert_eq!(sink.snapshot().len(), 4);
-        assert_eq!(sink.len(), 4, "snapshot must not drain");
+        assert_eq!(sink.len(), 4);
         let taken = sink.take();
         assert_eq!(taken.len(), 4);
         assert!(sink.is_empty(), "take must drain");
@@ -426,9 +397,9 @@ mod tests {
                 cause: CauseClass::LinearizationStep,
             },
         });
-        sink.record(TraceEvent::Note {
+        sink.record(TraceEvent::Diag {
             at: Time(4),
-            node: 2,
+            source: "watchdog",
             text: "say \"hi\"\n".into(),
         });
         assert_eq!(sink.len(), 2);
@@ -438,7 +409,7 @@ mod tests {
             text,
             "{\"ev\":\"send\",\"at\":3,\"from\":1,\"to\":2,\"kind\":\"notify\",\
              \"pid\":7,\"parent\":3,\"depth\":2,\"cause\":\"linearization-step\"}\n\
-             {\"ev\":\"note\",\"at\":4,\"node\":2,\"text\":\"say \\\"hi\\\"\\n\"}\n"
+             {\"ev\":\"diag\",\"at\":4,\"source\":\"watchdog\",\"text\":\"say \\\"hi\\\"\\n\"}\n"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -478,11 +449,6 @@ mod tests {
                 desc: "d".into(),
                 prov: prov(2),
             },
-            TraceEvent::Note {
-                at: Time(5),
-                node: 9,
-                text: "t".into(),
-            },
             TraceEvent::Diag {
                 at: Time(6),
                 source: "watchdog",
@@ -502,9 +468,8 @@ mod tests {
         assert!(kinds[3].contains("\"ev\":\"timer\""));
         assert!(kinds[3].contains("\"token\":260"));
         assert!(kinds[4].contains("\"desc\":\"d\""));
-        assert!(kinds[5].contains("\"node\":9"));
-        assert!(kinds[6].contains("\"source\":\"watchdog\""));
-        assert!(kinds[6].contains("\"text\":\"frozen\""));
+        assert!(kinds[5].contains("\"source\":\"watchdog\""));
+        assert!(kinds[5].contains("\"text\":\"frozen\""));
         // simulator events carry provenance; roots omit "parent"
         for line in &kinds[..5] {
             assert!(line.contains("\"pid\":"), "{line}");
@@ -512,7 +477,7 @@ mod tests {
             assert!(!line.contains("\"parent\":"), "{line}");
             assert!(line.contains("\"depth\":0"), "{line}");
         }
-        // annotations carry none
+        // diagnoses carry none
         for line in &kinds[5..] {
             assert!(!line.contains("\"pid\":"), "{line}");
         }

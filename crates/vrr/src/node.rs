@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use ssr_linearize::control::{Effect, Input, Linearizer, Timer, Timing, WrapVerdict, ACT_INTERVAL};
+use ssr_linearize::control::{Effect, Input, Linearizer, Timer, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
 use ssr_sim::{CauseClass, Ctx, Protocol};
 use ssr_types::{cw_dist, ring_between_cw, Neighbors, NodeId, SeqNo, Side};
@@ -60,15 +60,6 @@ const BEACON_INTERVAL: u64 = 16;
 
 /// Hop budget of every walk and path message a node originates.
 const TTL: u16 = 512;
-
-/// What the control core may choose, fixed for VRR: it probes both ways,
-/// and its audit — each round a node re-announces itself along its ring
-/// edges, so a peer that silently dropped the edge (garbage collection,
-/// lost half-lay) re-adopts it and edges stay *mutual* — never stops.
-const TIMING: Timing = Timing {
-    ccw_redundancy: true,
-    audit_quiet: u32::MAX,
-};
 
 /// What the experiments vary about a VRR node. The timer schedule is the
 /// control core's own (`ssr_linearize::control`'s `ACT_INTERVAL`, …
@@ -283,7 +274,11 @@ impl VrrNode {
             config,
             nbrs: Neighbors::default(),
             table: PathTable::new(),
-            lin: Linearizer::new(id, TIMING),
+            // VRR probes both ways; its audit — each round a node
+            // re-announces itself along its ring edges, so a peer that
+            // silently dropped the edge (garbage collection, lost half-lay)
+            // re-adopts it and edges stay *mutual* — never stops
+            lin: Linearizer::new(id, true),
             rep: id,
             claimed: None,
             claim_paths: BTreeMap::new(),

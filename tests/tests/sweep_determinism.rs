@@ -41,7 +41,7 @@ fn run_cell(scenario: &str, n: usize, seed: u64) -> (u64, Metrics, Vec<String>) 
         outcome.is_quiescent(),
         "recovery failed ({scenario}, n={n}, seed={seed})"
     );
-    let trace = sink.snapshot().iter().map(event_to_jsonl).collect();
+    let trace = sink.take().iter().map(event_to_jsonl).collect();
     (sim.now().ticks(), sim.metrics().clone(), trace)
 }
 
