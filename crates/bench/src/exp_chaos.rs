@@ -303,10 +303,6 @@ fn run_scenario(spec: &Spec, n: usize, seed: u64) -> Outcome {
     }
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &[];
-
 /// The E11 body.
 pub fn run(sh: &mut Shell) {
     let specs = scenarios();

@@ -10,9 +10,10 @@
 //! (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_churn`
-//! Flags: `--seeds K` (default 5), `--rate R` (crash rate per tick,
-//! default 0.02), `--workers N`, `--matrix SPEC` (e.g. `n=100;seeds=3`),
-//! `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
+//! `n=100;seeds=3`), `--csv PATH`. The burst is fixed: crashes at 0.02
+//! per tick (link flaps at half that) over 400 ticks, recorded as the
+//! manifest's `rate` and `churn_window`.
 
 use ssr_core::bootstrap::{ssr_timeline_probe, BootstrapConfig};
 use ssr_core::consistency;
@@ -34,18 +35,17 @@ struct Outcome {
     observed: Option<(Vec<ssr_core::ConvergencePoint>, Metrics)>,
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &["rate"];
+/// Crash rate per tick during the burst; link flaps run at half of it.
+const RATE: f64 = 0.02;
+/// Length of the churn burst in ticks.
+const CHURN_WINDOW: u64 = 400;
 
 /// The E8 body.
 pub fn run(sh: &mut Shell) {
-    let rate: f64 = sh.args.get("rate", 0.02);
-    let churn_window = 400u64;
     sh.man
         .seed(0)
-        .config("rate", rate)
-        .config("churn_window", churn_window);
+        .config("rate", RATE)
+        .config("churn_window", CHURN_WINDOW);
     let matrix = sh.matrix(Matrix::new(
         ["churn-burst"],
         vec![50, 100, 200],
@@ -75,8 +75,8 @@ pub fn run(sh: &mut Shell) {
         let crash_trace = poisson_crash_rejoin_trace(
             n,
             t0 + 1,
-            Time(t0.ticks() + churn_window),
-            rate,
+            Time(t0.ticks() + CHURN_WINDOW),
+            RATE,
             40,
             |u| g.neighbors(u).collect(),
             &mut frng,
@@ -84,8 +84,8 @@ pub fn run(sh: &mut Shell) {
         let flap_trace = poisson_link_flap_trace(
             &edges,
             t0 + 1,
-            Time(t0.ticks() + churn_window),
-            rate / 2.0,
+            Time(t0.ticks() + CHURN_WINDOW),
+            RATE / 2.0,
             30,
             &mut frng,
         );
@@ -94,7 +94,7 @@ pub fn run(sh: &mut Shell) {
         }
         let msgs_before = sim.metrics().counter("tx.total");
         // phase 3: let the churn play out, then measure recovery
-        sim.run_until(Time(t0.ticks() + churn_window + 50));
+        sim.run_until(Time(t0.ticks() + CHURN_WINDOW + 50));
         let recover_from = sim.now();
         let outcome = run_to_ring(&mut sim);
         Outcome {
@@ -108,7 +108,7 @@ pub fn run(sh: &mut Shell) {
     });
 
     sh.table(
-        format!("E8: churn recovery (crash rate {rate}/tick over {churn_window} ticks)"),
+        format!("E8: churn recovery (crash rate {RATE}/tick over {CHURN_WINDOW} ticks)"),
         &[
             "n",
             "reconverged",

@@ -13,13 +13,13 @@
 //! through the deterministic orchestrator (docs/SWEEPS.md): output bytes
 //! never depend on `--workers`.
 //!
-//! Ablation: `--semantics pairwise` runs Onus et al.'s original one-pair
-//! actions (pure variant only) instead of the paper's star rule.
+//! Ablation: the scenarios `<family>/pure-pairwise` run Onus et al.'s
+//! original one-pair actions on pure linearization instead of the paper's
+//! star rule — rows of the same table, with their own fit line.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_convergence`
-//! Flags: `--seeds K` (default 10), `--semantics star|pairwise`,
-//! `--workers N`, `--matrix SPEC` (e.g. `scenario=ring/pure;n=256;seeds=3`),
-//! `--csv PATH`.
+//! Flags: `--seeds K` (default 10), `--workers N`, `--matrix SPEC` (e.g.
+//! `scenario=ring/pure,ring/pure-pairwise;n=256;seeds=3`), `--csv PATH`.
 
 use std::collections::BTreeMap;
 
@@ -36,6 +36,14 @@ use crate::Shell;
 /// graphs are "nice" for every variant).
 const FAMILIES: [&str; 4] = ["ring", "regular", "gnp", "small-world"];
 
+/// The variants every family runs under the paper's star rule; the
+/// `pure-pairwise` ablation follows them for every family.
+const STAR_VARIANTS: [&str; 3] = ["pure", "memory", "lsn"];
+
+/// The scenario whose round-by-round timeline the manifest records (at the
+/// smallest n and the first seed).
+const TIMELINE_SCENARIO: &str = "ring/lsn";
+
 fn topo_for(family: &str, n: usize) -> Topology {
     match family {
         "ring" => Topology::Ring { n },
@@ -46,19 +54,34 @@ fn topo_for(family: &str, n: usize) -> Topology {
     }
 }
 
-fn variant_for(name: &str) -> Variant {
-    match name {
-        "pure" => Variant::Pure,
-        "memory" => Variant::Memory,
-        "lsn" => Variant::lsn(),
+/// The matrix's `family/variant` scenarios: every family under the star
+/// rule's three variants, then every family's `pure-pairwise` ablation.
+fn scenarios() -> Vec<String> {
+    let star = FAMILIES
+        .iter()
+        .flat_map(|f| STAR_VARIANTS.iter().map(move |v| format!("{f}/{v}")));
+    let pairwise = FAMILIES.iter().map(|f| format!("{f}/pure-pairwise"));
+    star.chain(pairwise).collect()
+}
+
+/// Scenario `family/variant` → the family, the variant and the action
+/// semantics it runs.
+fn scenario(name: &str) -> (&str, Variant, Semantics) {
+    let (family, variant) = name.split_once('/').expect("family/variant");
+    let (variant, semantics) = match variant {
+        "pure" => (Variant::Pure, Semantics::Star),
+        "memory" => (Variant::Memory, Semantics::Star),
+        "lsn" => (Variant::lsn(), Semantics::Star),
+        "pure-pairwise" => (Variant::Pure, Semantics::Pairwise),
         other => panic!("unknown variant {other}"),
-    }
+    };
+    (family, variant, semantics)
 }
 
 /// One E4 run; pure linearization gets a budget linear in n, the
 /// polylogarithmic variants a flat one.
-fn run_one(family: &str, vname: &str, semantics: Semantics, n: usize, seed: u64) -> LinearizeRun {
-    let variant = variant_for(vname);
+fn run_one(scenario_name: &str, n: usize, seed: u64) -> LinearizeRun {
+    let (family, variant, semantics) = scenario(scenario_name);
     let budget = if matches!(variant, Variant::Pure) {
         80 * n
     } else {
@@ -68,42 +91,21 @@ fn run_one(family: &str, vname: &str, semantics: Semantics, n: usize, seed: u64)
     abstract_run(topo_for(family, n), instance, variant, semantics, budget)
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &["semantics"];
-
 /// The E4 body.
 pub fn run(sh: &mut Shell) {
-    let semantics = match sh.args.opt("semantics").unwrap_or("star") {
-        "star" => Semantics::Star,
-        "pairwise" => Semantics::Pairwise,
-        other => panic!("unknown semantics {other}"),
-    };
-    let variants: &[&str] = if semantics == Semantics::Pairwise {
-        &["pure"]
-    } else {
-        &["pure", "memory", "lsn"]
-    };
-    sh.man.seed(0).config("semantics", semantics.name());
-    let scenarios = FAMILIES
-        .iter()
-        .flat_map(|f| variants.iter().map(move |v| format!("{f}/{v}")));
+    sh.man.seed(0);
     let matrix = sh.matrix(Matrix::new(
-        scenarios,
+        scenarios(),
         vec![64, 128, 256, 512, 1024, 2048, 4096],
         sh.seeds(10),
     ));
 
     let sweep = sh.sweep(&matrix, |job| {
-        let (family, vname) = matrix.name(job).split_once('/').expect("family/variant");
-        Rounds::from(&run_one(family, vname, semantics, job.n, job.seed))
+        Rounds::from(&run_one(matrix.name(job), job.n, job.seed))
     });
 
     sh.table(
-        format!(
-            "E4: rounds to the sorted line ({} semantics)",
-            semantics.name()
-        ),
+        "E4: rounds to the sorted line (star semantics; pure-pairwise: one-pair actions)",
         &[
             "family",
             "variant",
@@ -117,8 +119,8 @@ pub fn run(sh: &mut Shell) {
     type Series = (Vec<f64>, Vec<f64>);
     let mut fits: BTreeMap<(&str, &str), Series> = BTreeMap::new();
     let mut metrics = Metrics::new();
-    for (scenario, n, results) in sweep.cells() {
-        let (family, vname) = scenario.split_once('/').expect("family/variant");
+    for (name, n, results) in sweep.cells() {
+        let (family, vname) = name.split_once('/').expect("family/variant");
         let cell = RoundsCell::fold(results, &mut metrics);
         let [rounds, max, peak] = cell.columns();
         sh.row(&[
@@ -147,21 +149,45 @@ pub fn run(sh: &mut Shell) {
 
     // Manifest: the sweep's merged histograms plus one representative run's
     // round-by-round convergence timeline (first matrix seed, smallest
-    // scrambled ring, last variant in the sweep).
+    // scrambled ring, LSN).
     let rep_n = matrix.sizes[0];
-    let rep_variant = matrix
-        .scenarios
-        .last()
-        .and_then(|s| s.split_once('/'))
-        .map_or("lsn", |(_, v)| v);
-    let rep = run_one("ring", rep_variant, semantics, rep_n, matrix.seeds[0]);
+    let rep = run_one(TIMELINE_SCENARIO, rep_n, matrix.seeds[0]);
     record_round_timeline(&mut sh.man, &rep, rep_n);
     sh.man
-        .config("timeline_variant", variant_for(rep_variant).name())
+        .config("timeline_variant", scenario(TIMELINE_SCENARIO).1.name())
         .config("timeline_n", rep_n)
         .record_metrics(&metrics)
         .extra("fit_exponent", Value::Obj(fit_values));
     if let Some(at) = rep.line_at {
         sh.man.extra("timeline_line_at", (at as u64).into());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_scenario_sets_its_variant_and_semantics() {
+        // variant label → (variant, semantics)
+        let table = [
+            ("pure", "pure", Semantics::Star),
+            ("memory", "memory", Semantics::Star),
+            ("lsn", "lsn", Semantics::Star),
+            ("pure-pairwise", "pure", Semantics::Pairwise),
+        ];
+        let all = scenarios();
+        assert_eq!(all.len(), FAMILIES.len() * table.len());
+        for name in &all {
+            let (family, label) = name.split_once('/').unwrap();
+            let (_, variant, semantics) = table.iter().find(|(l, ..)| *l == label).unwrap();
+            let got = scenario(name);
+            assert_eq!((got.0, got.1.name(), got.2), (family, *variant, *semantics));
+        }
+        // the pairwise rows follow every star row
+        let star_rows = FAMILIES.len() * STAR_VARIANTS.len();
+        assert!(all[star_rows..].iter().all(|s| s.ends_with("/pure-pairwise")));
+        assert!(all.contains(&TIMELINE_SCENARIO.to_string()));
+        assert_eq!(scenario(TIMELINE_SCENARIO).2, Semantics::Star);
     }
 }

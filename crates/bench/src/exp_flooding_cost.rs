@@ -10,14 +10,14 @@
 //! The mechanism × n × seed sweep runs through the deterministic
 //! orchestrator (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
-//! Ablations: `--no-ccw` disables the redundant counter-clockwise probes;
-//! `--keep-edges` keeps the routes of delegated edges pinned (the
-//! with-memory variant: more state; no tear-down is sent either way).
+//! Ablations are mechanisms of the same table: `linearized-no-ccw`
+//! disables the redundant counter-clockwise probes; `linearized-keep-edges`
+//! keeps the routes of delegated edges pinned (the with-memory variant:
+//! more state; no tear-down is sent either way).
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_flooding_cost`
-//! Flags: `--seeds K` (default 5), `--no-ccw`, `--keep-edges`,
-//! `--workers N`, `--matrix SPEC` (e.g. `scenario=linearized;n=200`),
-//! `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
+//! `scenario=linearized,linearized-no-ccw;n=200`), `--csv PATH`.
 
 use ssr_core::bootstrap::{run_isprp_bootstrap, run_linearized_bootstrap, BootstrapConfig};
 use ssr_obs::Value;
@@ -38,36 +38,52 @@ struct Row {
     max_state: usize,
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &["no-ccw", "keep-edges"];
+/// The mechanisms compared: the paper's two, then the linearized
+/// bootstrap's ablations.
+const MECHANISMS: [&str; 4] = [
+    "linearized",
+    "isprp",
+    "linearized-no-ccw",
+    "linearized-keep-edges",
+];
 
-/// The E6 body.
-pub fn run(sh: &mut Shell) {
+/// Scenario (mechanism) → the bootstrap config it runs: `isprp` and
+/// `linearized` take the defaults, each `linearized-*` ablation switches
+/// one [`ssr_core::node::SsrConfig`] knob off.
+fn config_for(mechanism: &str) -> BootstrapConfig {
     let mut cfg = BootstrapConfig {
         max_ticks: 300_000,
         ..Default::default()
     };
-    cfg.ssr.ccw_redundancy = !sh.args.flag("no-ccw");
-    cfg.ssr.unpin_delegated = !sh.args.flag("keep-edges");
-    sh.man
-        .seed(0)
-        .config("no-ccw", sh.args.flag("no-ccw"))
-        .config("keep-edges", sh.args.flag("keep-edges"));
+    match mechanism {
+        "linearized" | "isprp" => {}
+        "linearized-no-ccw" => cfg.ssr.ccw_redundancy = false,
+        "linearized-keep-edges" => cfg.ssr.unpin_delegated = false,
+        other => panic!("unknown mechanism {other}"),
+    }
+    cfg
+}
+
+/// The E6 body.
+pub fn run(sh: &mut Shell) {
+    sh.man.seed(0);
     let matrix = sh.matrix(Matrix::new(
-        ["linearized", "isprp"],
+        MECHANISMS,
         vec![50, 100, 200, 400, 800],
         sh.seeds(5),
     ));
 
     let sweep = sh.sweep(&matrix, |job| {
         let (g, labels) = unit_disk(job.n, instance_seed(job.seed, SALT, job.n));
-        let mut cfg = cfg;
-        cfg.seed = job.seed;
-        let report = if matrix.name(job) == "linearized" {
-            run_linearized_bootstrap(&g, &labels, &cfg).0
-        } else {
+        let mechanism = matrix.name(job);
+        let cfg = BootstrapConfig {
+            seed: job.seed,
+            ..config_for(mechanism)
+        };
+        let report = if mechanism == "isprp" {
             run_isprp_bootstrap(&g, &labels, &cfg).0
+        } else {
+            run_linearized_bootstrap(&g, &labels, &cfg).0
         };
         let kind = |k| message_count(&report.messages, k);
         Row {
@@ -126,12 +142,38 @@ pub fn run(sh: &mut Shell) {
     sh.note("\npaper claim: the linearized bootstrap reaches the same globally consistent");
     sh.note("ring with zero flood messages; ISPRP's flood costs ≈ 2·|E_p| transmissions");
     sh.note("plus the claim/update cascade it triggers.");
+    sh.note("ablations: linearized-no-ccw sends no counter-clockwise probes;");
+    sh.note("linearized-keep-edges keeps delegated edges' routes pinned.");
 
-    // Manifest: one representative linearized run for the full
-    // metric/timeline dump; the sweep means ride along as extras.
-    let report = record_representative_bootstrap(sh, &matrix, SALT, cfg);
+    // Manifest: one representative default-config linearized run for the
+    // full metric/timeline dump; the sweep means ride along as extras.
+    let report = record_representative_bootstrap(sh, &matrix, SALT, config_for("linearized"));
     sh.man.extra("rep_converged", Value::Bool(report.converged));
     sh.man.extra("rep_ticks", report.ticks.into());
     sh.man.extra("rep_msgs_total", report.total_messages.into());
     sh.man.extra("sweep", Value::Obj(sweep_means));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_mechanism_sets_its_config() {
+        // (mechanism, ccw_redundancy, unpin_delegated)
+        let table = [
+            ("linearized", true, true),
+            ("isprp", true, true),
+            ("linearized-no-ccw", false, true),
+            ("linearized-keep-edges", true, false),
+        ];
+        assert_eq!(table.map(|(m, ..)| m), MECHANISMS);
+        for (mechanism, ccw, unpin) in table {
+            let cfg = config_for(mechanism);
+            assert_eq!(cfg.ssr.ccw_redundancy, ccw, "{mechanism}");
+            assert_eq!(cfg.ssr.unpin_delegated, unpin, "{mechanism}");
+            assert_eq!(cfg.ssr.partition_base, 2, "{mechanism}");
+            assert_eq!(cfg.max_ticks, 300_000, "{mechanism}");
+        }
+    }
 }

@@ -12,8 +12,9 @@
 //! orchestrator (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_powerlaw`
-//! Flags: `--seeds K` (default 5), `--alpha A`, `--workers N`,
-//! `--matrix SPEC` (e.g. `scenario=lsn;n=1000,10000`), `--csv PATH`.
+//! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
+//! `scenario=lsn;n=1000,10000`), `--csv PATH`. The exponent is the
+//! quoted α = 2, recorded as the manifest's `alpha`.
 
 use ssr_linearize::{LinearizeRun, Semantics, Variant};
 use ssr_sim::Metrics;
@@ -22,8 +23,8 @@ use ssr_workloads::{stats, Matrix, Topology};
 use crate::cells::{abstract_run, instance_seed, record_round_timeline, Rounds, RoundsCell};
 use crate::Shell;
 
-fn run_one(variant: Variant, alpha: f64, n: usize, seed: u64) -> LinearizeRun {
-    let topo = Topology::PowerLaw { n, alpha };
+fn run_one(variant: Variant, n: usize, seed: u64) -> LinearizeRun {
+    let topo = Topology::PowerLaw { n, alpha: ALPHA };
     abstract_run(
         topo,
         instance_seed(seed, 31, n),
@@ -56,14 +57,12 @@ fn verdict(n: usize, largest: Option<&RoundsCell>) -> String {
     }
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &["alpha"];
+/// The power-law exponent of the quoted datapoint.
+const ALPHA: f64 = 2.0;
 
 /// The E5 body.
 pub fn run(sh: &mut Shell) {
-    let alpha: f64 = sh.args.get("alpha", 2.0);
-    sh.man.config("alpha", alpha);
+    sh.man.config("alpha", ALPHA);
     let matrix = sh.matrix(Matrix::new(
         ["lsn", "memory"],
         vec![1_000, 3_000, 10_000, 30_000, 100_000],
@@ -76,11 +75,11 @@ pub fn run(sh: &mut Shell) {
         } else {
             Variant::Memory
         };
-        Rounds::from(&run_one(variant, alpha, job.n, job.seed))
+        Rounds::from(&run_one(variant, job.n, job.seed))
     });
 
     sh.table(
-        format!("E5: LSN on power-law graphs (alpha = {alpha})"),
+        format!("E5: LSN on power-law graphs (alpha = {ALPHA})"),
         &["variant", "n", "rounds (mean ± ci)", "max", "peak degree"],
     );
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
@@ -113,7 +112,7 @@ pub fn run(sh: &mut Shell) {
     let rep_n = matrix.sizes[0];
     let rep_seed = matrix.seeds[0];
     sh.man.seed(rep_seed).config("timeline_n", rep_n);
-    let rep = run_one(Variant::lsn(), alpha, rep_n, rep_seed);
+    let rep = run_one(Variant::lsn(), rep_n, rep_seed);
     record_round_timeline(&mut sh.man, &rep, rep_n);
     sh.man
         .record_metrics(&metrics)

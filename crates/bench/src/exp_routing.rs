@@ -34,10 +34,6 @@ struct SeedResult {
     timeline: Option<Vec<ssr_core::ConvergencePoint>>,
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &[];
-
 /// The E7 body.
 pub fn run(sh: &mut Shell) {
     sh.man.seed(0);

@@ -75,10 +75,6 @@ macro_rules! row {
     }};
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &[];
-
 /// The E10 body.
 pub fn run(sh: &mut Shell) {
     sh.man.seed(0);

@@ -71,10 +71,6 @@ fn show_stuck(nodes: &[IsprpNode], shape: &RingShape) {
     println!();
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &[];
-
 /// The E2 body.
 pub fn run(sh: &mut Shell) {
     let (topo, labels, succ) = world();

@@ -4,13 +4,18 @@
 //! rounds until the sorted line emerges. This experiment replays that process
 //! with the abstract round engine on the Figure-1 example (the doubly-wound
 //! ring over eight addresses), printing the full virtual edge set and each
-//! node's left/right neighbor sets per round, for all three variants.
+//! node's left/right neighbor sets per round.
 //!
 //! This is a pure narrative replay of one fixed 8-node instance — it runs
 //! serially and the orchestrator's `--workers`/`--matrix` flags do not
 //! apply (see docs/SWEEPS.md for the sweep experiments).
 //!
-//! Run: `cargo run --release -p ssr-bench --bin exp -- fig3_trace [--variant pure|memory|lsn]`
+//! The round-by-round trace follows pure linearization (`VARIANT`,
+//! recorded as the manifest's `variant`); the closing summary covers all
+//! three variants.
+//!
+//! Run: `cargo run --release -p ssr-bench --bin exp -- fig3_trace`
+//! Flags: none beyond the shared ones.
 
 use ssr_graph::Graph;
 use ssr_linearize::{chain_edges_present, is_exact_chain, step_round, Semantics, Variant};
@@ -44,32 +49,26 @@ fn show(g: &Graph, ids: &[u64; 8]) {
     }
 }
 
-/// This experiment's own flags, beyond the shared `--seeds`, `--workers`,
-/// `--matrix` and `--csv`; [`crate::run`] rejects any other.
-pub const FLAGS: &[&str] = &["variant"];
+/// The variant traced round by round: pure linearization, the one the
+/// paper's Figure 3 draws.
+const VARIANT: Variant = Variant::Pure;
 
 /// The E3 body.
 pub fn run(sh: &mut Shell) {
-    let variant = match sh.args.opt("variant").unwrap_or("pure") {
-        "pure" => Variant::Pure,
-        "memory" => Variant::Memory,
-        "lsn" => Variant::lsn(),
-        other => panic!("unknown variant {other}"),
-    };
     let (g0, ids) = example();
 
     println!(
         "Figure 3 reproduction — linearization at work ({})",
-        variant.name()
+        VARIANT.name()
     );
     println!("initial virtual graph (the loopy state, drawn as edges):");
     show(&g0, &ids);
 
     let mut g = g0.clone();
     let mut round = 0;
-    while !chain_edges_present(&g) || (matches!(variant, Variant::Pure) && !is_exact_chain(&g)) {
+    while !chain_edges_present(&g) || (matches!(VARIANT, Variant::Pure) && !is_exact_chain(&g)) {
         round += 1;
-        g = step_round(&g, variant, Semantics::Star);
+        g = step_round(&g, VARIANT, Semantics::Star);
         println!("\nafter round {round}:");
         show(&g, &ids);
         if round > 100 {
@@ -83,7 +82,7 @@ pub fn run(sh: &mut Shell) {
     );
 
     // summary across variants for the same example
-    sh.man.config("variant", variant.name());
+    sh.man.config("variant", VARIANT.name());
     println!("\nrounds to the line, by variant (star semantics):");
     let mut by_variant: Vec<(String, Value)> = Vec::new();
     for v in [Variant::Pure, Variant::Memory, Variant::lsn()] {
@@ -107,7 +106,7 @@ pub fn run(sh: &mut Shell) {
     }
 
     // Manifest: the traced variant's per-round timeline plus the summary.
-    let traced = ssr_linearize::run(&g0, variant, Semantics::Star, 1000);
+    let traced = ssr_linearize::run(&g0, VARIANT, Semantics::Star, 1000);
     record_round_timeline(&mut sh.man, &traced, 8);
     sh.man.extra("by_variant", Value::Obj(by_variant));
 }

@@ -21,11 +21,13 @@
 //!   (`scenario=a,b;n=50,100;seeds=4`; see
 //!   [`ssr_workloads::Matrix::override_with`]),
 //! * `--csv PATH` — additionally write the table as CSV,
-//! * experiment-specific flags documented in each experiment's module
-//!   and listed in its `FLAGS`.
+//! * `--trace-jsonl PATH` — `fig1_loopy` only (its `FLAGS`), the one
+//!   flag an experiment has of its own.
 //!
-//! Each experiment has one size, its default matrix; any other `--name`
-//! is rejected with exit code 2 before the body runs.
+//! Each experiment has one size, its default matrix, and one table: an
+//! ablation is a scenario of the matrix, not a flag. Any other `--name`,
+//! and a `--seeds` or `--workers` value that does not parse, is rejected
+//! with exit code 2 before the body runs.
 
 #![warn(missing_docs)]
 
@@ -61,21 +63,24 @@ impl Experiment {
 
 /// Declares one module per experiment and the table over them, so a name
 /// is spelled once: module, `exp <name>` and manifest stem cannot drift.
+/// An experiment with flags of its own names them in parentheses.
 macro_rules! experiments {
-    ($($name:ident),* $(,)?) => {
+    ($($name:ident $(($flags:expr))?),* $(,)?) => {
         $(pub mod $name;)*
 
         /// Every experiment, in DESIGN.md's index order (E1–E11).
         pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             body: $name::run,
-            flags: $name::FLAGS,
+            flags: experiments!(@flags $($flags)?),
         }),*];
     };
+    (@flags) => { &[] };
+    (@flags $flags:expr) => { $flags };
 }
 
 experiments![
-    fig1_loopy,
+    fig1_loopy(fig1_loopy::FLAGS),
     fig2_rings,
     fig3_trace,
     exp_convergence,
@@ -90,8 +95,8 @@ experiments![
 
 /// Runs `exp <name> [flags]` for the given arguments (program name already
 /// stripped) and returns the process exit code: 0, 1 when the body
-/// recorded a failure, 2 for a missing or unknown experiment name or an
-/// unknown flag.
+/// recorded a failure, 2 for a missing or unknown experiment name, an
+/// unknown flag or a shared value that does not parse.
 pub fn run(argv: &[String]) -> i32 {
     let named = argv
         .first()
@@ -116,12 +121,17 @@ pub fn run(argv: &[String]) -> i32 {
         );
         return 2;
     }
-    let mut shell = Shell::new(
-        exp.name,
-        Args {
-            raw: argv[1..].to_vec(),
-        },
-    );
+    let args = Args {
+        raw: argv[1..].to_vec(),
+    };
+    let parsed = args
+        .try_get("seeds", 0u64)
+        .and(args.try_get("workers", 0usize));
+    if let Err(e) = parsed {
+        eprintln!("exp {}: {e}", exp.name);
+        return 2;
+    }
+    let mut shell = Shell::new(exp.name, args);
     (exp.body)(&mut shell);
     shell.finish(std::path::Path::new("results"))
 }
@@ -137,12 +147,6 @@ impl Args {
         Args {
             raw: raw.iter().map(|s| s.to_string()).collect(),
         }
-    }
-
-    /// `true` if `--name` is present.
-    pub fn flag(&self, name: &str) -> bool {
-        let want = format!("--{name}");
-        self.raw.iter().any(|a| a == &want)
     }
 
     /// The value following `--name`, if the flag is present; an error when
@@ -169,18 +173,30 @@ impl Args {
         })
     }
 
-    /// Parses the value following `--name`.
-    ///
-    /// # Panics
-    /// Panics with a readable message when the value does not parse.
+    /// Parses the value following `--name`, or `default` when the flag is
+    /// absent; an error (`--name value: why`) when the value is missing or
+    /// does not parse.
+    pub fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.try_opt(name)? {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|e| format!("--{name} {v}: {e}")),
+        }
+    }
+
+    /// Parses the value following `--name`, or `default` when the flag is
+    /// absent. A value that is missing or does not parse ends the process
+    /// with exit code 2, as [`Args::opt`] does.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
-        T::Err: std::fmt::Debug,
+        T::Err: std::fmt::Display,
     {
-        match self.opt(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|e| panic!("--{name} {v}: {e:?}")),
-        }
+        self.try_get(name, default).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// CSV output path, if requested.
@@ -219,8 +235,6 @@ mod tests {
     #[test]
     fn flags_and_options() {
         let a = Args::from(&["--no-ccw", "--seeds", "5", "--csv", "/tmp/x.csv"]);
-        assert!(a.flag("no-ccw"));
-        assert!(!a.flag("missing"));
         assert_eq!(a.get("seeds", 10usize), 5);
         assert_eq!(a.get("other", 7u64), 7);
         assert_eq!(a.csv(), Some("/tmp/x.csv"));
@@ -257,6 +271,15 @@ mod tests {
                 e.name
             );
         }
+        // and one golden per experiment: an ablation is rows of its
+        // experiment's table, never a golden of its own
+        for file in &stems {
+            let stem = file.split('.').next().unwrap();
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.name == stem),
+                "results/golden/{file} belongs to no experiment"
+            );
+        }
     }
 
     #[test]
@@ -285,7 +308,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_exit_2_before_the_body_runs() {
         let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // the removed size flags and a typo of --no-ccw
+        // the removed size flags, and a typo
         for e in EXPERIMENTS {
             for removed in ["quick", "smoke"] {
                 let flag = format!("--{removed}");
@@ -295,8 +318,33 @@ mod tests {
         }
         let flooding = named("exp_flooding_cost");
         assert_eq!(flooding.unknown_flag(&argv(&["--no-cww"])), Some("no-cww"));
-        assert_eq!(flooding.unknown_flag(&argv(&["--no-ccw"])), None);
         assert_eq!(run(&argv(&["exp_churn", "--bogus-flag", "--no-cww"])), 2);
+        // the ablation and one-value flags, each on the experiment that
+        // had it: ablations are scenarios, the one values are constants
+        for (exp, gone, value) in [
+            ("exp_convergence", "semantics", Some("pairwise")),
+            ("exp_flooding_cost", "no-ccw", None),
+            ("exp_flooding_cost", "keep-edges", None),
+            ("exp_state", "base", Some("4")),
+            ("fig3_trace", "variant", Some("lsn")),
+            ("exp_powerlaw", "alpha", Some("2.5")),
+            ("exp_churn", "rate", Some("0.08")),
+        ] {
+            let flag = format!("--{gone}");
+            let mut args = vec![flag.as_str()];
+            args.extend(value);
+            assert_eq!(named(exp).unknown_flag(&argv(&args)), Some(gone));
+            assert_eq!(run(&argv(&[&[exp], &args[..]].concat())), 2, "{exp} {flag}");
+        }
+        // no experiment takes a flag of its own but E1's trace path
+        for e in EXPERIMENTS {
+            let own: &[&str] = if e.name == "fig1_loopy" {
+                &["trace-jsonl"]
+            } else {
+                &[]
+            };
+            assert_eq!(e.flags, own, "{}", e.name);
+        }
         // the narrowing sugar exp_chaos had: --matrix is the one way now
         let chaos = named("exp_chaos");
         for gone in ["only", "freeze-window"] {
@@ -350,15 +398,27 @@ mod tests {
             }
         }
         // the scan sees the invocations it is meant to check
-        for flag in [
-            "--no-ccw",
-            "--keep-edges",
-            "--semantics",
-            "--trace-jsonl",
-            "--matrix",
-        ] {
+        for flag in ["--trace-jsonl", "--matrix", "--workers"] {
             assert!(passed.iter().any(|p| p == flag), "no script passes {flag}");
         }
+    }
+
+    #[test]
+    fn a_shared_value_that_does_not_parse_is_exit_2_before_the_body_runs() {
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in [["--seeds", "foo"], ["--workers", "x"], ["--seeds", "-1"]] {
+            assert_eq!(
+                run(&argv(&[&["exp_routing"], &bad[..]].concat())),
+                2,
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            Args::from(&["--seeds", "foo"]).try_get("seeds", 5u64),
+            Err("--seeds foo: invalid digit found in string".to_string())
+        );
+        assert_eq!(Args::from(&["--seeds", "3"]).try_get("seeds", 5u64), Ok(3));
+        assert_eq!(Args::from(&[]).try_get("seeds", 5u64), Ok(5));
     }
 
     #[test]

@@ -65,15 +65,14 @@ impl Shell {
         self.args.get("seeds", default)
     }
 
-    /// Applies `--matrix SPEC` to `matrix` without recording anything.
-    ///
-    /// # Panics
-    /// Panics with a readable message when the spec does not parse or
-    /// names an unknown scenario.
+    /// Applies `--matrix SPEC` to `matrix` without recording anything. A
+    /// spec that does not parse or names an unknown scenario ends the
+    /// process with exit code 2 — before any sweep runs.
     fn override_matrix(&self, matrix: &mut Matrix) {
         if let Some(spec) = self.args.opt("matrix") {
             if let Err(e) = matrix.override_with(spec) {
-                panic!("--matrix {spec}: {e}");
+                eprintln!("--matrix {spec}: {e}");
+                std::process::exit(2)
             }
         }
     }

@@ -85,7 +85,7 @@ pub struct SsrConfig {
     /// Interval base of the route cache's LSN retention.
     pub partition_base: u64,
     /// Launch counter-clockwise probes too (the paper's redundancy
-    /// suggestion; ablation `--no-ccw` switches it off).
+    /// suggestion; E6's `linearized-no-ccw` ablation switches it off).
     pub ccw_redundancy: bool,
     /// Unpin a delegated edge's route, so the cache's LSN retention may
     /// evict it. Either way no message is sent: the delegated end retires

@@ -41,10 +41,11 @@
 //! both times through the same proposer, so both rows receive it and the
 //! result is symmetric. Finding `a` inside `v`'s row needs no search — nodes
 //! are visited in ascending order and rows ascend, so a per-node count of
-//! the visits made so far *is* `a`'s position. Candidates are sorted and
-//! deduplicated per row, and [`Graph::from_sorted_rows`] re-checks range,
-//! order, self-loops and symmetry of the whole result before it becomes a
-//! graph.
+//! the visits made so far *is* `a`'s position. A candidate already handed
+//! to `a` is dropped on arrival (a per-round stamp per node records the last
+//! row that took it), the survivors are sorted, and
+//! [`Graph::from_sorted_rows`] re-checks range, order, self-loops and
+//! symmetry of the whole result before it becomes a graph.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -52,7 +53,6 @@ use std::ops::Range;
 use ssr_graph::Graph;
 use ssr_types::{IntervalPartition, NodeId, Side};
 
-use crate::convergence::{chain_edges_present, is_exact_chain, missing_chain_edges, potential};
 use crate::variant::{Semantics, Variant};
 
 /// Per-round statistics.
@@ -195,6 +195,9 @@ pub fn step_round(g: &Graph, variant: Variant, semantics: Semantics) -> Graph {
     // go by ascending, rows ascend, so when `a` reaches `v` in its row this
     // is `a`'s position in `v`'s row.
     let mut visits = vec![0u32; n];
+    // taken[x] == a: `x` is already among row `a`'s candidates (no row is
+    // numbered u32::MAX, since n <= u32::MAX)
+    let mut taken = vec![u32::MAX; n];
     let mut rows = Vec::with_capacity(n);
     let mut cand: Vec<u32> = Vec::new();
     for a in 0..n {
@@ -228,50 +231,60 @@ pub fn step_round(g: &Graph, variant: Variant, semantics: Semantics) -> Graph {
                 }
             }
         }
+        cand.retain(|&x| std::mem::replace(&mut taken[x as usize], a as u32) != a as u32);
         cand.sort_unstable();
-        cand.dedup();
         rows.push(cand.clone()); // exact-size allocation
     }
     Graph::from_sorted_rows(rows)
 }
 
-/// Edges of `next` absent from `prev`, and of `prev` absent from `next`:
-/// what both graphs share is counted by merge-walking the two rows of each
-/// node (each shared edge shows up in two rows).
-fn added_removed(prev: &Graph, next: &Graph) -> (usize, usize) {
-    let mut shared = 0usize;
-    for u in 0..next.node_count() {
-        let (old, new) = (prev.row(u), next.row(u));
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < new.len() {
-            match old[i].cmp(&new[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
+/// The statistics of round `round`'s graph `g`, read off its rows in one
+/// pass: size, degree, the missing chain edges and the potential, and —
+/// merge-walking each row against its `prev` row — the edges both share,
+/// which give the added and removed counts (each shared edge shows up in
+/// two rows).
+fn stats_for(round: usize, g: &Graph, prev: Option<&Graph>) -> RoundStats {
+    let n = g.node_count();
+    let (mut entries, mut prev_entries, mut shared) = (0usize, 0usize, 0usize);
+    let (mut max_degree, mut missing_chain, mut potential) = (0usize, 0usize, 0u64);
+    for u in 0..n {
+        let row = g.row(u);
+        entries += row.len();
+        max_degree = max_degree.max(row.len());
+        let right = &row[row.partition_point(|&v| v as usize <= u)..];
+        if u + 1 < n && right.first() != Some(&(u as u32 + 1)) {
+            missing_chain += 1;
+        }
+        potential += right.iter().map(|&v| (v as usize - u) as u64).sum::<u64>();
+        if let Some(prev) = prev {
+            let old = prev.row(u);
+            prev_entries += old.len();
+            let (mut i, mut j) = (0, 0);
+            while i < old.len() && j < row.len() {
+                match old[i].cmp(&row[j]) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        shared += 1;
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
         }
     }
-    (
-        next.edge_count() - shared / 2,
-        prev.edge_count() - shared / 2,
-    )
-}
-
-fn stats_for(round: usize, g: &Graph, prev: Option<&Graph>) -> RoundStats {
-    let (added, removed) = prev.map_or((0, 0), |p| added_removed(p, g));
-    let (_, max_degree, _) = g.degree_stats();
+    let (added, removed) = match prev {
+        Some(_) => ((entries - shared) / 2, (prev_entries - shared) / 2),
+        None => (0, 0),
+    };
     RoundStats {
         round,
-        edges: g.edge_count(),
+        edges: entries / 2,
         added,
         removed,
         max_degree,
-        missing_chain: missing_chain_edges(g),
-        potential: potential(g),
+        missing_chain,
+        potential,
     }
 }
 
@@ -281,10 +294,15 @@ fn stats_for(round: usize, g: &Graph, prev: Option<&Graph>) -> RoundStats {
 /// [`Variant::Pure`], the line (all chain edges present) otherwise. Entry 0
 /// of `rounds` describes the initial graph.
 pub fn run(g0: &Graph, variant: Variant, semantics: Semantics, max_rounds: usize) -> LinearizeRun {
+    // the line is every chain edge; the exact chain is the line and nothing else
+    let chain_edges = g0.node_count().saturating_sub(1);
+    let line = |s: &RoundStats| s.missing_chain == 0;
+    let exact = |s: &RoundStats| line(s) && s.edges == chain_edges;
     let mut g = g0.clone();
-    let mut rounds = vec![stats_for(0, &g, None)];
-    let mut line_at = chain_edges_present(&g).then_some(0);
-    let mut exact_at = is_exact_chain(&g).then_some(0);
+    let first = stats_for(0, &g, None);
+    let mut line_at = line(&first).then_some(0);
+    let mut exact_at = exact(&first).then_some(0);
+    let mut rounds = vec![first];
     let done = |line_at: Option<usize>, exact_at: Option<usize>| match variant {
         Variant::Pure => exact_at.is_some(),
         _ => line_at.is_some(),
@@ -293,14 +311,15 @@ pub fn run(g0: &Graph, variant: Variant, semantics: Semantics, max_rounds: usize
     while !done(line_at, exact_at) && round < max_rounds {
         round += 1;
         let next = step_round(&g, variant, semantics);
-        rounds.push(stats_for(round, &next, Some(&g)));
+        let stats = stats_for(round, &next, Some(&g));
         g = next;
-        if line_at.is_none() && chain_edges_present(&g) {
+        if line_at.is_none() && line(&stats) {
             line_at = Some(round);
         }
-        if exact_at.is_none() && is_exact_chain(&g) {
+        if exact_at.is_none() && exact(&stats) {
             exact_at = Some(round);
         }
+        rounds.push(stats);
     }
     LinearizeRun {
         rounds,
@@ -313,6 +332,7 @@ pub fn run(g0: &Graph, variant: Variant, semantics: Semantics, max_rounds: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::{chain_edges_present, is_exact_chain, missing_chain_edges, potential};
     use proptest::prelude::*;
     use ssr_graph::{algo, generators};
     use ssr_types::Rng;
@@ -516,6 +536,32 @@ mod tests {
                 prop_assert_eq!(stats.edges, next.edge_count());
                 g = next;
             }
+        }
+
+        #[test]
+        fn round_stats_match_the_convergence_predicates(
+            g0 in input_graph(),
+            variant in variant(),
+            semantics in semantics(),
+        ) {
+            let r = run(&g0, variant, semantics, 8);
+            let mut g = g0;
+            let (mut line_at, mut exact_at) = (None, None);
+            for stats in &r.rounds {
+                if stats.round > 0 {
+                    g = step_round(&g, variant, semantics);
+                }
+                prop_assert_eq!(stats.missing_chain, missing_chain_edges(&g));
+                prop_assert_eq!(stats.potential, potential(&g));
+                prop_assert_eq!(stats.max_degree, g.degree_stats().1);
+                if line_at.is_none() && chain_edges_present(&g) {
+                    line_at = Some(stats.round);
+                }
+                if exact_at.is_none() && is_exact_chain(&g) {
+                    exact_at = Some(stats.round);
+                }
+            }
+            prop_assert_eq!((r.line_at, r.exact_at), (line_at, exact_at));
         }
     }
 

@@ -151,9 +151,12 @@ pub enum PathPayload {
     },
     /// Retires a virtual edge *without* removing path state: the recipient
     /// drops the sender from its neighbor sets, but the installed path
-    /// survives as extra router state (VRR garbage-collects lazily; tearing
-    /// state down eagerly would break in-flight half-lays and introductions
-    /// that still ride on it).
+    /// survives as router state at every node it traverses. Nothing collects
+    /// it later — only a lost link (`PathTable::purge_via`) and breadcrumb
+    /// cleanup (`PathTable::purge_like`) remove entries, so most of the
+    /// table at consistency is retired paths (DESIGN finding 15). Tearing
+    /// the path down as this message passes would cut in-flight half-lays
+    /// and introductions that still ride on it.
     Retire {
         /// The node retiring the edge.
         from: NodeId,
@@ -313,18 +316,11 @@ impl VrrNode {
         self.lin.set_wrap(side, peer, pid);
     }
 
-    /// The path table (router state). Includes transient discovery
-    /// breadcrumbs; see [`VrrNode::state_size`] for the steady-state count.
+    /// The path table (router state): every path traversing this node —
+    /// held edges, retired ones nothing collected, and transient discovery
+    /// breadcrumbs. Its `len()` is the state E10 and the benchmark count.
     pub fn table(&self) -> &PathTable {
         &self.table
-    }
-
-    /// Router-state entries excluding transient discovery breadcrumbs.
-    pub fn state_size(&self) -> usize {
-        self.table
-            .iter()
-            .filter(|(id, _)| id.ea != CRUMB_CCW && id.eb != CRUMB_CW)
-            .count()
     }
 
     /// The representative (baseline mode).
@@ -1164,7 +1160,6 @@ mod tests {
         assert_eq!(n.side_sizes(), (0, 0));
         assert!(n.locally_consistent());
         assert!(n.table().is_empty());
-        assert_eq!(n.state_size(), 0);
     }
 
     #[test]
@@ -1537,17 +1532,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn state_size_excludes_breadcrumbs() {
-        let mut n = VrrNode::new(NodeId(5));
-        let crumb = VrrNode::crumb_pid(NodeId(5), Side::Right, 1);
-        n.install_walk_hop(crumb, NodeId(5), None, Some(0));
-        assert_eq!(n.table().len(), 1);
-        assert_eq!(n.state_size(), 0);
-        let real = PathId::new(NodeId(5), NodeId(9), 1);
-        n.install_walk_hop(real, NodeId(5), None, Some(0));
-        assert_eq!(n.state_size(), 1);
     }
 }

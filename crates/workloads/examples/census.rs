@@ -15,9 +15,12 @@
 //! ```
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
-//! state KINDS…`: the watchdog's verdict (`converged`, `frozen_crossing`,
-//! …), the messages along a virtual edge per node that ran out of hops
-//! (`fwd.ttl_expired`), the path-table entries per node, then the same
+//! state live KINDS…`: the watchdog's verdict (`converged`,
+//! `frozen_crossing`, …), the messages along a virtual edge per node that
+//! ran out of hops (`fwd.ttl_expired`), the path-table entries per node,
+//! the entries per node whose path some node still holds as an edge (in a
+//! side set or a ring-closure slot — the rest belong to retired or replaced
+//! edges, or are discovery breadcrumbs), then the same
 //! [`KINDS`] columns as the SSR recipes — `VrrNode` counts `e2e.*` where a
 //! message starts, so a path's relays add hops, not messages. A non-zero
 //! `LOSS_PCT` runs the recipe over `LinkConfig::lossy`; the benchmark's own
@@ -27,6 +30,7 @@
 //! trajectory; a behavioural change is judged over many more. Save the
 //! output of two commits and compare them as docs/BENCHMARKS.md says.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use ssr_core::bootstrap::make_ssr_nodes;
@@ -36,8 +40,9 @@ use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_graph::algo;
 use ssr_sim::faults::{partition_groups, Fault};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
-use ssr_types::Rng;
-use ssr_vrr::{run_vrr_bootstrap_watched, VrrMode};
+use ssr_types::{Rng, Side};
+use ssr_vrr::table::PathId;
+use ssr_vrr::{run_vrr_bootstrap_watched, Linearized, VrrMode};
 use ssr_workloads::Topology;
 
 const GRID: u64 = 8;
@@ -155,13 +160,32 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     );
     let per_node = |key| sim.metrics().counter(key) as f64 / n as f64;
     let entries: usize = sim.protocols().iter().map(|p| p.table().len()).sum();
+    // the paths some node holds as a virtual edge, in a side set or a wrap
+    let held: BTreeSet<PathId> = sim
+        .protocols()
+        .iter()
+        .flat_map(|p| {
+            let lin = p.linearizer();
+            [Side::Left, Side::Right].into_iter().flat_map(move |s| {
+                let wrap = lin.wrap(s).map(|(_, pid)| pid);
+                lin.side(s).values().copied().chain(wrap)
+            })
+        })
+        .collect();
+    let live = sim
+        .protocols()
+        .iter()
+        .flat_map(|p| p.table().iter())
+        .filter(|(pid, _)| held.contains(pid))
+        .count();
     print!(
-        "{g} {} {} {:.3} {:.3} {:.3}",
+        "{g} {} {} {:.3} {:.3} {:.3} {:.3}",
         watch.verdict,
         watch.ticks,
         per_node("tx.total"),
         per_node("fwd.ttl_expired"),
         entries as f64 / n as f64,
+        live as f64 / n as f64,
     );
     for key in KINDS {
         print!(" {:.3}", per_node(key));

@@ -4,8 +4,9 @@
 # experiment, the fresh manifest to `obs diff` clean ("no differences")
 # AND manifest, captured stdout and `--csv` table to compare byte-equal
 # against their goldens. All eleven experiments are covered, each at its
-# one size (its default matrix, no size flag), so every golden stdout is
-# the table EXPERIMENTS.md cites and this gate keeps it fresh. A refactor
+# one size (its default matrix, no flag), so every golden stdout is the
+# one table EXPERIMENTS.md cites — ablations included, as rows — and this
+# gate keeps it fresh. Each check prints its seconds, the gate its total. A refactor
 # of the node logic, the simulator or the experiment shell that bends any
 # table shows up here without any unit test having to notice:
 #
@@ -16,18 +17,20 @@
 #                                and the watched VRR crossing-state runs
 #   exp_vrr_compare              E10: VRR linearized *and* baseline/claim
 #                                mode, n = 16, 30, 50
-#   exp_flooding_cost            E6: default, --no-ccw (ccw_redundancy=false)
-#                                and --keep-edges (unpin_delegated=false),
-#                                ISPRP included, n = 50 … 800
+#   exp_flooding_cost            E6: linearized, ISPRP and the ablations
+#                                linearized-no-ccw (ccw_redundancy=false)
+#                                and linearized-keep-edges
+#                                (unpin_delegated=false), n = 50 … 800
 #   exp_churn                    E8: crash/join -> reset, on_neighbor_down,
 #                                n = 50, 100, 200
 #   exp_convergence              E4: abstract engine, three variants × four
-#                                families, n = 64 … 4096; and the
-#                                --semantics pairwise ablation
+#                                families, n = 64 … 4096, and each family's
+#                                pure-pairwise ablation
 #   exp_powerlaw                 E5: the power-law datapoint, n = 10³ … 10⁵
 #   exp_routing                  E7: greedy routing over the converged ring,
 #                                n = 50 … 400
-#   exp_state                    E9: engine peak degree + SSR cache sizes
+#   exp_state                    E9: engine peak degree + SSR cache sizes,
+#                                LSN interval base 2 and 4
 #   fig1_loopy fig2_rings        E1, E2: ISPRP ± flood vs linearized SSR
 #   fig3_trace                   E3: the round-by-round narrative
 #
@@ -60,6 +63,13 @@ SCRATCH="$(pwd)/target/golden-smoke"
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
 
+# since START: seconds elapsed since START (an $EPOCHREALTIME reading),
+# to one decimal — the gate reports what each check and the whole run cost.
+since() {
+  awk -v a="$1" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }'
+}
+gate_start=$EPOCHREALTIME
+
 # differs NAME: NAME does not reproduce (the caller has said why). Fatal,
 # unless --keep-going collects the names for the end of the run.
 differing=""
@@ -76,19 +86,20 @@ same() {
   }
 }
 
-# check NAME EXP ARGS...: run `exp EXP ARGS` in its own directory, keep the
-# manifest, stdout and CSV as $SCRATCH/NAME.{manifest.json,stdout.txt,csv},
+# check NAME: run `exp NAME` at its one size in its own directory, keep
+# the manifest, stdout and CSV as $SCRATCH/NAME.{manifest.json,stdout.txt,csv},
 # compare each with the golden NAME.
-covered=""
 check() {
-  local name="$1" exp="$2"
-  shift 2
-  covered="$covered $exp"
+  local name="$1" start=$EPOCHREALTIME
+  if [ ! -e "$GOLDEN/$name.manifest.json" ]; then
+    echo "golden smoke: $name has no golden" >&2
+    exit 1
+  fi
   mkdir -p "$SCRATCH/$name.run"
   (cd "$SCRATCH/$name.run" &&
-    SSR_OBS_OMIT_WALL=1 "$BIN/exp" "$exp" "$@" --workers 0 --csv table.csv > stdout.txt)
+    SSR_OBS_OMIT_WALL=1 "$BIN/exp" "$name" --workers 0 --csv table.csv > stdout.txt)
   local fresh="$SCRATCH/$name.manifest.json"
-  mv "$SCRATCH/$name.run/results/$exp.manifest.json" "$fresh"
+  mv "$SCRATCH/$name.run/results/$name.manifest.json" "$fresh"
   mv "$SCRATCH/$name.run/stdout.txt" "$SCRATCH/$name.stdout.txt"
   "$BIN/obs" diff "$GOLDEN/$name.manifest.json" "$fresh" > "$SCRATCH/$name.diff" || true
   if grep -q "^no differences$" "$SCRATCH/$name.diff"; then
@@ -108,32 +119,17 @@ check() {
     mv "$SCRATCH/$name.run/table.csv" "$SCRATCH/$name.csv"
     same "$name" "$SCRATCH/$name.csv" "$GOLDEN/$name.csv" "$name csv"
   fi
-  case " $differing " in *" $name "*) ;; *) echo "  $name: no differences" ;; esac
+  case " $differing " in *" $name "*) ;; *) echo "  $name: no differences ($(since "$start") s)" ;; esac
 }
 
-check exp_chaos exp_chaos
-check exp_vrr_compare exp_vrr_compare
-check exp_flooding_cost exp_flooding_cost
-check exp_flooding_cost_no_ccw exp_flooding_cost --no-ccw
-check exp_flooding_cost_keep_edges exp_flooding_cost --keep-edges
-check exp_churn exp_churn
-check exp_convergence exp_convergence
-check exp_convergence_pairwise exp_convergence --semantics pairwise
-check exp_powerlaw exp_powerlaw
-check exp_routing exp_routing
-check exp_state exp_state
-check fig1_loopy fig1_loopy
-check fig2_rings fig2_rings
-check fig3_trace fig3_trace
-
-# a twelfth experiment cannot skip the gate: every name `exp` lists
-# (it prints them, indented, when run without one) must be covered above
+# every name `exp` lists (it prints them, indented, when run without one),
+# so a twelfth experiment cannot skip the gate
 for name in $("$BIN/exp" 2>&1 | sed -n 's/^  //p'); do
-  case " $covered " in *" $name "*) ;; *) echo "golden smoke: $name has no golden" >&2; exit 1 ;; esac
+  check "$name"
 done
 
 if [ -n "$differing" ]; then
   echo "golden smoke: differing:$differing" >&2
   exit 1
 fi
-echo "golden smoke OK"
+echo "golden smoke OK ($(since "$gate_start") s)"

@@ -4,7 +4,8 @@
 # byte-identical stdout at --workers 1 and --workers 4. SSR_OBS_OMIT_WALL
 # suppresses the manifest's only wall-clock field; everything else must
 # already be schedule-independent by construction (results collected by
-# job index, merged in job order).
+# job index, merged in job order). It also checks that a bad --matrix spec
+# is a usage error (exit 2).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,4 +30,11 @@ cmp "$scratch/w1/stdout.txt" "$scratch/w4/stdout.txt" || {
   echo "sweep smoke: stdout differs between --workers 1 and 4" >&2
   exit 1
 }
-echo "sweep smoke OK: manifest + stdout byte-identical across --workers 1/4"
+# a spec naming no scenario of the matrix is a usage error: exit 2, no panic
+status=0
+(cd "$scratch" && "$bin" exp_chaos --matrix "scenario=no-such" > /dev/null 2>&1) || status=$?
+[ "$status" = 2 ] || {
+  echo "sweep smoke: an unknown --matrix scenario exited $status, not 2" >&2
+  exit 1
+}
+echo "sweep smoke OK: manifest + stdout byte-identical across --workers 1/4; a bad spec exits 2"
