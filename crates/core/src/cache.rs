@@ -19,11 +19,15 @@
 //! **The cache is a row**, like `Graph`'s adjacency and `Neighbors`: the
 //! destinations strictly ascending in one vector and, index-parallel to it,
 //! each one's route, pin state and travelled mark, the two vectors changed
-//! only by the private `insert_at` / `remove_at` pair. A converged n = 500
-//! ring caches ≈ 17 entries per node (27 at most): a binary search over a
-//! few cache lines and a short shift. Only the with-memory ablation, which pins every edge,
+//! only by the private `insert_at` / `remove_at` pair. A converged ring
+//! caches a few dozen entries per node at most (`benchmark/`'s
+//! `state_per_node`, and its traced `core.cache.entries_mean` /
+//! `core.cache.entries_max`): a binary search over a few cache lines and
+//! a short shift. Only the with-memory ablation, which pins every edge,
 //! grows rows to ≈ n and makes the shift O(n); micro B2/B3 `pinned_500`
-//! keep both sides of that trade on record.
+//! keep both sides of that trade on record. A full row grows by four
+//! slots, not by doubling: every node holds one, and a doubled row is up
+//! to half slack.
 //!
 //! **No occupant table.** An interval is a contiguous identifier range on
 //! one side of the owner, hence a contiguous run of the row, and an insert's
@@ -40,6 +44,9 @@
 use ssr_types::{cw_dist, IntervalPartition, Neighbors, NodeId};
 
 use crate::route::SourceRoute;
+
+/// Slots a full row grows by.
+const ROW_STEP: usize = 4;
 
 /// One cached route plus its pin state, and whether a message has
 /// travelled it.
@@ -155,6 +162,10 @@ impl RouteCache {
 
     /// The one place the row grows; `i` is `dst`'s sorted position.
     fn insert_at(&mut self, i: usize, dst: NodeId, entry: CacheEntry) {
+        if self.dsts.len() == self.dsts.capacity() {
+            self.dsts.reserve_exact(ROW_STEP);
+            self.entries.reserve_exact(ROW_STEP);
+        }
         self.dsts.insert(i, dst);
         self.entries.insert(i, entry);
     }
@@ -782,6 +793,43 @@ mod tests {
         c.insert(route(&[50, 5]), false);
         assert_eq!(c.largest_above_me().unwrap().0, NodeId(80));
         assert_eq!(c.smallest_below_me().unwrap().0, NodeId(5));
+    }
+
+    /// Every node holds a row of these: a third word in the entry is a
+    /// third word per cached route network-wide.
+    #[test]
+    fn a_cache_entry_is_a_route_and_two_flags() {
+        assert!(std::mem::size_of::<CacheEntry>() <= 24);
+    }
+
+    /// Rows grow by [`ROW_STEP`] slots, so however inserts and interval
+    /// evictions interleave, a row never holds more than a step of slack.
+    #[test]
+    fn row_capacity_stays_within_a_step_of_its_length() {
+        let me = 1u64 << 40;
+        let mut rng = ssr_types::Rng::new(7);
+        let mut c = RouteCache::new(NodeId(me));
+        for i in 0..5_000u64 {
+            let dst = rng.below(1 << 41);
+            if dst == me {
+                continue;
+            }
+            let via = (1 << 42) + i;
+            let hops: &[u64] = if i % 3 == 0 {
+                &[me, dst]
+            } else {
+                &[me, via, dst]
+            };
+            c.insert(route(hops), i % 97 == 0);
+            assert_eq!(c.dsts.capacity(), c.entries.capacity());
+            assert!(
+                c.dsts.capacity() <= c.len() + ROW_STEP,
+                "{} slots for {} entries",
+                c.dsts.capacity(),
+                c.len()
+            );
+        }
+        assert!(c.len() > 60, "churn evicted and pinned: {}", c.len());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use ssr_sim::{Ctx, Protocol};
 use ssr_types::{cw_dist, Neighbors, NodeId};
 
 use crate::cache::RouteCache;
-use crate::message::{Payload, SsrMsg};
+use crate::message::{Flood, Payload, SsrMsg};
 use crate::node_util::{self, checked_route, checked_route_rev};
 use crate::route::SourceRoute;
 
@@ -362,13 +362,7 @@ impl IsprpNode {
         self.cache.insert(path.clone(), rep_closer);
         // propagate to every other physical neighbor
         for t in self.nbrs.indices().into_iter().filter(|&i| i != from_idx) {
-            ctx.send(
-                t,
-                SsrMsg::Flood {
-                    origin,
-                    trace: trace.clone(),
-                },
-            );
+            ctx.send(t, SsrMsg::flood(origin, trace.clone()));
         }
         // claim toward the representative: the rewiring cascade from there
         // walks us down to our true successor
@@ -435,7 +429,8 @@ impl Protocol for IsprpNode {
                 self.handle_hello(ctx, from, id, probe);
                 self.schedule_stabilize(ctx);
             }
-            SsrMsg::Flood { origin, trace } => {
+            SsrMsg::Flood(flood) => {
+                let Flood { origin, trace } = *flood;
                 self.handle_flood(ctx, from, origin, trace);
                 self.schedule_stabilize(ctx);
             }
@@ -480,10 +475,7 @@ impl Protocol for IsprpNode {
             TOKEN_ACT => self.act(ctx),
             TOKEN_FLOOD if self.config.enable_flood && !self.flooded && self.rep == self.id => {
                 self.flooded = true;
-                ctx.broadcast(SsrMsg::Flood {
-                    origin: self.id,
-                    trace: vec![self.id],
-                });
+                ctx.broadcast(SsrMsg::flood(self.id, vec![self.id]));
             }
             TOKEN_STABILIZE => {
                 self.stabilize_armed = false;

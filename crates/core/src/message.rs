@@ -192,13 +192,26 @@ pub enum SsrMsg {
     /// envelope's three vectors and payload.
     Forward(Box<ForwardEnvelope>),
     /// Network flood used by the ISPRP baseline's representative mechanism
-    /// (this is exactly the message class linearization eliminates).
-    Flood {
-        /// The flood's origin (the self-believed representative).
-        origin: NodeId,
-        /// Physical trace from the origin to the current holder.
-        trace: Vec<NodeId>,
-    },
+    /// (this is exactly the message class linearization eliminates). Boxed
+    /// like the envelope: only the baseline sends it, and inline it would
+    /// double the size of every queued message.
+    Flood(Box<Flood>),
+}
+
+/// The body of an [`SsrMsg::Flood`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Flood {
+    /// The flood's origin (the self-believed representative).
+    pub origin: NodeId,
+    /// Physical trace from the origin to the current holder.
+    pub trace: Vec<NodeId>,
+}
+
+impl SsrMsg {
+    /// A flood from `origin` that has travelled `trace`.
+    pub fn flood(origin: NodeId, trace: Vec<NodeId>) -> Self {
+        SsrMsg::Flood(Box::new(Flood { origin, trace }))
+    }
 }
 
 impl SsrMsg {
@@ -207,7 +220,7 @@ impl SsrMsg {
         match self {
             SsrMsg::Hello { .. } => "hello",
             SsrMsg::Forward(env) => env.payload.kind(),
-            SsrMsg::Flood { .. } => "flood",
+            SsrMsg::Flood(_) => "flood",
         }
     }
 }
@@ -266,10 +279,10 @@ pub fn encode(msg: &SsrMsg, buf: &mut BytesMut) {
             wire::put_id_list(buf, &env.trace);
             encode_payload(&env.payload, buf);
         }
-        SsrMsg::Flood { origin, trace } => {
+        SsrMsg::Flood(flood) => {
             buf.put_u8(TAG_FLOOD);
-            wire::put_node_id(buf, *origin);
-            wire::put_id_list(buf, trace);
+            wire::put_node_id(buf, flood.origin);
+            wire::put_id_list(buf, &flood.trace);
         }
     }
 }
@@ -354,10 +367,10 @@ pub fn decode(buf: &mut Bytes) -> Result<SsrMsg, DecodeError> {
                 payload,
             })))
         }
-        TAG_FLOOD => Ok(SsrMsg::Flood {
-            origin: wire::get_node_id(buf)?,
-            trace: wire::get_id_list(buf)?,
-        }),
+        TAG_FLOOD => {
+            let origin = wire::get_node_id(buf)?;
+            Ok(SsrMsg::flood(origin, wire::get_id_list(buf)?))
+        }
         _ => Err(DecodeError {
             context: "message tag value",
         }),
@@ -520,10 +533,7 @@ mod tests {
 
     #[test]
     fn flood_roundtrip() {
-        roundtrip(SsrMsg::Flood {
-            origin: NodeId(42),
-            trace: ids(&[42, 3, 5]),
-        });
+        roundtrip(SsrMsg::flood(NodeId(42), ids(&[42, 3, 5])));
     }
 
     #[test]
@@ -536,14 +546,7 @@ mod tests {
             .kind(),
             "hello"
         );
-        assert_eq!(
-            SsrMsg::Flood {
-                origin: NodeId(0),
-                trace: vec![]
-            }
-            .kind(),
-            "flood"
-        );
+        assert_eq!(SsrMsg::flood(NodeId(0), vec![]).kind(), "flood");
         let env = |payload| {
             SsrMsg::Forward(Box::new(ForwardEnvelope {
                 route: vec![],
@@ -634,10 +637,7 @@ mod tests {
                 "00010203040506070801",
             ),
             (
-                SsrMsg::Flood {
-                    origin: NodeId(42),
-                    trace: ids(&[42, 3, 5]),
-                },
+                SsrMsg::flood(NodeId(42), ids(&[42, 3, 5])),
                 "02000000000000002a00000003000000000000002a00000000000000030000000000000005",
             ),
             (

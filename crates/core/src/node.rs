@@ -743,7 +743,7 @@ impl Protocol for SsrNode {
                     self.handle_payload(ctx, *env);
                 }
             }
-            SsrMsg::Flood { .. } => {
+            SsrMsg::Flood(_) => {
                 // the linearized protocol never floods; ignore strays
                 ctx.metrics().incr("fwd.unexpected");
             }

@@ -13,22 +13,28 @@ use ssr_types::NodeId;
 /// A physical path `self → destination` as a sequence of addresses,
 /// including both endpoints. A single-element route is the trivial route to
 /// oneself; a two-element route is a direct physical link.
+///
+/// A route never changes once built, so it holds a boxed slice: 16 bytes
+/// and no spare capacity, where a vector would carry a third word and
+/// whatever its construction over-allocated. Every cache entry holds one.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SourceRoute {
-    hops: Vec<NodeId>,
+    hops: Box<[NodeId]>,
 }
 
 impl SourceRoute {
     /// The trivial route from a node to itself.
     pub fn trivial(me: NodeId) -> Self {
-        SourceRoute { hops: vec![me] }
+        SourceRoute {
+            hops: Box::new([me]),
+        }
     }
 
     /// A direct one-hop route to a physical neighbor.
     pub fn direct(me: NodeId, neighbor: NodeId) -> Self {
         assert_ne!(me, neighbor, "direct route to self");
         SourceRoute {
-            hops: vec![me, neighbor],
+            hops: Box::new([me, neighbor]),
         }
     }
 
@@ -41,7 +47,7 @@ impl SourceRoute {
         for w in hops.windows(2) {
             assert_ne!(w[0], w[1], "route repeats a hop consecutively");
         }
-        SourceRoute { hops }
+        SourceRoute { hops: hops.into() }
     }
 
     /// The route's owner (first hop).
@@ -86,7 +92,7 @@ impl SourceRoute {
     /// route into a message payload without copying it.
     #[inline]
     pub fn into_hops(self) -> Vec<NodeId> {
-        self.hops
+        self.hops.into_vec()
     }
 
     /// Appends `other` (which must start where `self` ends) and prunes
@@ -105,24 +111,25 @@ impl SourceRoute {
         hops.extend_from_slice(&self.hops);
         hops.extend_from_slice(&other.hops[1..]);
         erase_loops(&mut hops);
-        SourceRoute { hops }
+        SourceRoute { hops: hops.into() }
     }
 
     /// Removes cycles: whenever a node appears twice, everything between
     /// the two occurrences (inclusive of the second) is cut. The result is
     /// a simple path with the same endpoints, never longer than the input.
     pub fn pruned(&self) -> SourceRoute {
-        let mut hops = self.hops.clone();
+        let mut hops = self.hops.to_vec();
         erase_loops(&mut hops);
-        SourceRoute { hops }
+        SourceRoute { hops: hops.into() }
     }
 
     /// Builds the pruned route of a hop sequence taken off the network, in
-    /// one pass over the vector it is handed and without copying it: `None`
+    /// one pass over the vector it is handed, which is shrunk to fit rather
+    /// than copied: `None`
     /// if `hops` is empty or repeats a hop consecutively (what
     /// [`SourceRoute::from_hops`] would panic on).
     pub(crate) fn pruned_from(mut hops: Vec<NodeId>) -> Option<SourceRoute> {
-        (!hops.is_empty() && erase_loops(&mut hops)).then_some(SourceRoute { hops })
+        (!hops.is_empty() && erase_loops(&mut hops)).then(|| SourceRoute { hops: hops.into() })
     }
 
     /// `true` iff no node appears twice.
@@ -196,7 +203,7 @@ fn position_of(path: &[NodeId], hop: NodeId) -> Option<usize> {
 impl std::fmt::Display for SourceRoute {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut first = true;
-        for h in &self.hops {
+        for h in self.hops.iter() {
             if !first {
                 write!(f, "→")?;
             }
@@ -248,6 +255,13 @@ mod tests {
     fn deduped(mut hops: Vec<NodeId>) -> SourceRoute {
         hops.dedup();
         SourceRoute::from_hops(hops)
+    }
+
+    /// A cache entry holds one route per destination: a third word here is
+    /// a third word on every entry of every node.
+    #[test]
+    fn a_route_is_a_pointer_and_a_length() {
+        assert_eq!(std::mem::size_of::<SourceRoute>(), 16);
     }
 
     #[test]

@@ -25,8 +25,6 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-use std::collections::BTreeMap;
-
 use ssr_types::{NodeId, SeqNo, Side};
 
 /// Same-seq re-sends before a handshake is given up.
@@ -268,8 +266,10 @@ pub struct Linearizer<E> {
     /// Probe counter-clockwise too (the paper's redundancy suggestion).
     ccw_redundancy: bool,
     /// Virtual neighbors by side (`Left`: addresses below `id`), each with
-    /// its edge.
-    sides: [BTreeMap<NodeId, E>; 2],
+    /// its edge: a row sorted by address, like `Neighbors` and the route
+    /// cache. A side holds a handful of members at most, and one or two
+    /// for most of a run; a tree would spend a node on each.
+    sides: [Vec<(NodeId, E)>; 2],
     /// Ring-closure edges: `wrap[Left]` leads across the wrap to the
     /// maximum (held by the node believing itself the minimum) and vice
     /// versa. Kept apart from `sides` so linearization never dissolves
@@ -295,7 +295,7 @@ impl<E: Copy> Linearizer<E> {
         Linearizer {
             id,
             ccw_redundancy,
-            sides: [BTreeMap::new(), BTreeMap::new()],
+            sides: [Vec::new(), Vec::new()],
             wrap: [None; 2],
             pending: [None; 2],
             seq: SeqNo::ZERO,
@@ -314,7 +314,7 @@ impl<E: Copy> Linearizer<E> {
     }
 
     /// The virtual neighbors on `side`, in address order, with their edges.
-    pub fn side(&self, side: Side) -> &BTreeMap<NodeId, E> {
+    pub fn side(&self, side: Side) -> &[(NodeId, E)] {
         &self.sides[side as usize]
     }
 
@@ -324,12 +324,12 @@ impl<E: Copy> Linearizer<E> {
     }
 
     fn closest_entry(&self, side: Side) -> Option<(NodeId, E)> {
-        let mut members = self.sides[side as usize].iter();
-        let entry = match side {
-            Side::Left => members.next_back(),
-            Side::Right => members.next(),
-        };
-        entry.map(|(&peer, &edge)| (peer, edge))
+        let members = self.side(side);
+        match side {
+            Side::Left => members.last(),
+            Side::Right => members.first(),
+        }
+        .copied()
     }
 
     /// The ring-closure edge standing in for an empty `side`.
@@ -345,7 +345,18 @@ impl<E: Copy> Linearizer<E> {
 
     /// The edge `peer` is held over as a side-set member.
     pub fn edge(&self, peer: NodeId) -> Option<E> {
-        self.sides.iter().find_map(|set| set.get(&peer).copied())
+        let set = self.side(self.side_of(peer)?);
+        let at = position(set, peer).ok()?;
+        Some(set[at].1)
+    }
+
+    /// The side `peer` belongs on; `None` for the node itself.
+    fn side_of(&self, peer: NodeId) -> Option<Side> {
+        match peer.cmp(&self.id) {
+            std::cmp::Ordering::Less => Some(Side::Left),
+            std::cmp::Ordering::Equal => None,
+            std::cmp::Ordering::Greater => Some(Side::Right),
+        }
     }
 
     /// The edge `peer` is held over as a ring-closure partner.
@@ -375,17 +386,27 @@ impl<E: Copy> Linearizer<E> {
     /// Records `peer` as a virtual neighbor over `edge` (replacing the edge
     /// if already known). `true` if `peer` is new to its side set.
     pub fn adopt(&mut self, peer: NodeId, edge: E) -> bool {
-        let side = match peer.cmp(&self.id) {
-            std::cmp::Ordering::Less => Side::Left,
-            std::cmp::Ordering::Equal => return false,
-            std::cmp::Ordering::Greater => Side::Right,
+        let Some(side) = self.side_of(peer) else {
+            return false;
         };
-        self.sides[side as usize].insert(peer, edge).is_none()
+        let set = &mut self.sides[side as usize];
+        match position(set, peer) {
+            Ok(at) => {
+                set[at].1 = edge;
+                false
+            }
+            Err(at) => {
+                set.insert(at, (peer, edge));
+                true
+            }
+        }
     }
 
     /// Removes `peer` from the side sets, returning its edge.
     pub fn remove(&mut self, peer: NodeId) -> Option<E> {
-        self.sides.iter_mut().find_map(|set| set.remove(&peer))
+        let set = &mut self.sides[self.side_of(peer)? as usize];
+        let at = position(set, peer).ok()?;
+        Some(set.remove(at).1)
     }
 
     /// `peer` retired its edge to this node: removes it from the side sets
@@ -398,7 +419,7 @@ impl<E: Copy> Linearizer<E> {
     /// Keeps only the neighbors and ring-closure partners `keep` approves.
     pub fn retain(&mut self, mut keep: impl FnMut(NodeId, &E) -> bool) {
         for set in &mut self.sides {
-            set.retain(|&peer, edge| keep(peer, edge));
+            set.retain(|(peer, edge)| keep(*peer, edge));
         }
         self.retain_wraps(keep);
     }
@@ -517,12 +538,12 @@ impl<E: Copy> Linearizer<E> {
         if self.pending[side as usize].is_some() {
             return;
         }
-        let mut members = self.sides[side as usize].keys();
+        let mut members = self.side(side).iter().map(|&(peer, _)| peer);
         let (drop, keep) = match side {
             Side::Left => (members.next(), members.next()),
             Side::Right => (members.next_back(), members.next_back()),
         };
-        let (Some(&drop), Some(&keep)) = (drop, keep) else {
+        let (Some(drop), Some(keep)) = (drop, keep) else {
             return;
         };
         let seq = self.seq.bump();
@@ -598,7 +619,7 @@ impl<E: Copy> Linearizer<E> {
                 *slot = None;
                 // the delegated edge leaves the neighbor set — that is what
                 // makes linearization progress
-                let edge = self.sides[side as usize].remove(&peer);
+                let edge = self.remove(peer);
                 fx.push(Effect::Delegated { peer, edge });
                 self.schedule_act(fx);
             }
@@ -650,6 +671,11 @@ impl<E: Copy> Linearizer<E> {
         }
         self.arm_audit(fx);
     }
+}
+
+/// Where `peer` is, or would go, in a side set.
+fn position<E>(set: &[(NodeId, E)], peer: NodeId) -> Result<usize, usize> {
+    set.binary_search_by_key(&peer, |&(p, _)| p)
 }
 
 #[cfg(test)]

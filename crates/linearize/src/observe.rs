@@ -47,12 +47,12 @@ pub trait Linearized {
     /// address order. Ring-closure edges live in their own slots
     /// ([`Linearized::wrap_pred`] / [`Linearized::wrap_succ`]), never here.
     fn left_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.linearizer().side(Side::Left).keys().copied()
+        self.linearizer().side(Side::Left).iter().map(|&(p, _)| p)
     }
 
     /// The right virtual-neighbor set, in address order.
     fn right_set(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
-        self.linearizer().side(Side::Right).keys().copied()
+        self.linearizer().side(Side::Right).iter().map(|&(p, _)| p)
     }
 
     /// Closest left neighbor (the largest address below the node's own).

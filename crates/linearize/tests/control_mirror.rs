@@ -179,7 +179,7 @@ impl Frame {
                 .lin
                 .side(side)
                 .iter()
-                .map(|(&peer, &edge)| (self.id(peer), edge))
+                .map(|&(peer, edge)| (self.id(peer), edge))
                 .collect();
             members.sort();
             let wrap = self

@@ -135,14 +135,19 @@ impl Provenance {
 }
 
 /// What happens when an event fires.
+///
+/// Sized for the wheel, which holds one per pending event: a delivery's
+/// node indices are `u32` and the rare fault is boxed, so a relayed
+/// pointer-sized message makes a 24-byte event (pinned in `ssr-core`'s
+/// message tests).
 #[derive(Clone, Debug)]
 pub enum EventKind<M> {
     /// Deliver `msg` to `dst`, sent by physical neighbor `from`.
     Deliver {
         /// Receiving node index.
-        dst: usize,
+        dst: u32,
         /// Sending node index (a physical neighbor of `dst` at send time).
-        from: usize,
+        from: u32,
         /// The protocol payload.
         msg: M,
     },
@@ -154,7 +159,7 @@ pub enum EventKind<M> {
         token: u64,
     },
     /// Apply a scheduled fault (crash/join/link change).
-    Fault(crate::faults::Fault),
+    Fault(Box<crate::faults::Fault>),
 }
 
 /// A timestamped event as returned by [`EventQueue::pop`].
@@ -194,11 +199,16 @@ impl<M> EventQueue<M> {
     }
 
     /// Schedules `kind` at time `at`, carrying provenance id `pid`.
+    ///
+    /// A full bucket grows by a quarter (and four slots), not by doubling:
+    /// the wheel's buckets hold most of a run's pending events at once, and
+    /// a doubled bucket is up to half slack.
     pub fn push(&mut self, at: Time, kind: EventKind<M>, pid: u64) {
-        self.wheel
-            .entry(at.ticks())
-            .or_default()
-            .push_back((kind, pid));
+        let bucket = self.wheel.entry(at.ticks()).or_default();
+        if bucket.len() == bucket.capacity() {
+            bucket.reserve_exact(bucket.len() / 4 + 4);
+        }
+        bucket.push_back((kind, pid));
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
@@ -333,6 +343,23 @@ mod tests {
             std::mem::size_of::<Option<Provenance>>(),
             std::mem::size_of::<Provenance>()
         );
+    }
+
+    /// A burst onto one tick grows its bucket by quarters: the slack stays
+    /// a quarter of what is held, where doubling left up to half.
+    #[test]
+    fn a_single_tick_burst_leaves_a_quarter_of_slack() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        for i in 0..5_000 {
+            q.push(Time(3), timer(i), i as u64);
+            let bucket = &q.wheel[&3];
+            assert!(
+                bucket.capacity() * 4 <= bucket.len() * 5 + 16,
+                "{} slots for {} events",
+                bucket.capacity(),
+                bucket.len()
+            );
+        }
     }
 
     #[test]

@@ -401,7 +401,8 @@ impl<P: Protocol> Simulator<P> {
     /// and runs every node's `on_init` at time 0 (in index order).
     ///
     /// # Panics
-    /// Panics if `protocols.len() != topo.node_count()`.
+    /// Panics if `protocols.len() != topo.node_count()`, or if the node
+    /// count does not fit the event wheel's `u32` indices.
     pub fn new(topo: Graph, protocols: Vec<P>, cfg: LinkConfig, seed: u64) -> Self {
         Self::with_trace(topo, protocols, cfg, seed, TraceSink::disabled())
     }
@@ -446,6 +447,7 @@ impl<P: Protocol> Simulator<P> {
             "one protocol instance per node required"
         );
         let n = topo.node_count();
+        assert!(u32::try_from(n).is_ok(), "node indices are u32 in events");
         let observing = trace.enabled() || instrumented;
         let mut sim = Simulator {
             world: World::new(topo),
@@ -585,7 +587,8 @@ impl<P: Protocol> Simulator<P> {
     pub fn schedule_fault(&mut self, at: Time, fault: Fault) {
         assert!(at >= self.now, "fault scheduled in the past");
         let prov = self.alloc_root(CauseClass::FaultRepair);
-        self.queue.push(at, EventKind::Fault(fault), prov.id);
+        self.queue
+            .push(at, EventKind::Fault(Box::new(fault)), prov.id);
     }
 
     /// Allocates the next dense provenance id as a child of the event
@@ -698,7 +701,7 @@ impl<P: Protocol> Simulator<P> {
         }
         self.frame = Some(prov);
         match ev.kind {
-            EventKind::Deliver { dst, from, msg } => self.deliver(dst, from, msg),
+            EventKind::Deliver { dst, from, msg } => self.deliver(dst as usize, from as usize, msg),
             EventKind::Timer { node, token } => {
                 if self.trace.enabled() {
                     self.trace.record(TraceEvent::TimerFired {
@@ -712,7 +715,7 @@ impl<P: Protocol> Simulator<P> {
                     self.dispatch(node, |p, ctx| p.on_timer(ctx, token));
                 }
             }
-            EventKind::Fault(fault) => self.apply_fault(fault),
+            EventKind::Fault(fault) => self.apply_fault(*fault),
         }
         self.frame = None;
         true
@@ -905,7 +908,11 @@ impl<P: Protocol> Simulator<P> {
         self.metrics.observe_hist("latency.ticks", latency);
         self.queue.push(
             self.now + latency,
-            EventKind::Deliver { dst: to, from, msg },
+            EventKind::Deliver {
+                dst: to as u32,
+                from: from as u32,
+                msg,
+            },
             prov.id,
         );
     }

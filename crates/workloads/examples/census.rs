@@ -168,7 +168,7 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
             let lin = p.linearizer();
             [Side::Left, Side::Right].into_iter().flat_map(move |s| {
                 let wrap = lin.wrap(s).map(|(_, pid)| pid);
-                lin.side(s).values().copied().chain(wrap)
+                lin.side(s).iter().map(|&(_, pid)| pid).chain(wrap)
             })
         })
         .collect();
