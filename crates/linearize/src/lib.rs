@@ -28,6 +28,8 @@
 //! simulator in its signature. Its read side is [`observe`]: what a
 //! converged and a safe population of `Linearizer`s is (the ring/line
 //! predicate, the union-graph and potential invariants); pure as well.
+//! [`world`] runs a population of bare control cores on a physical graph,
+//! one tick per overlay message and no routes: what the core alone costs.
 
 #![warn(missing_docs)]
 
@@ -36,6 +38,7 @@ pub mod convergence;
 pub mod engine;
 pub mod observe;
 pub mod variant;
+pub mod world;
 
 pub use convergence::{chain_edges_present, is_exact_chain, potential, superfluous_edges};
 pub use engine::{run, step_round, LinearizeRun, RoundStats};

@@ -12,7 +12,16 @@
 //! census boot|chaos FROM TO [N]       graph seeds FROM..=TO, N nodes (500 | 200)
 //! census vrr FROM TO [N] [LOSS_PCT]   the same for `vrr_bootstrap` (N = 50),
 //!                                     every link dropping LOSS_PCT % (0)
+//! census world FROM TO [N]            `boot`'s graphs (N = 500) in the
+//!                                     overlay-only world
 //! ```
+//!
+//! The `world` recipe runs `ssr_linearize::world` on the graphs `boot`
+//! bootstraps SSR on and prints `graph ok|FAIL ticks msgs_per_node
+//! max_degree max_handshakes CLASSES…`: the most handshakes one node
+//! started, then messages per node by class, named as the SSR recipes'
+//! `e2e.*` columns. A world message travels one overlay edge, so its
+//! messages per node compare with SSR's `e2e_per_node`, not with its hops.
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
 //! state live KINDS…`: the watchdog's verdict (`converged`,
@@ -38,6 +47,7 @@ use ssr_core::chaos;
 use ssr_core::consistency::check_ring;
 use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_graph::algo;
+use ssr_linearize::world::{Schedule, World, CLASSES};
 use ssr_sim::faults::{partition_groups, Fault};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
 use ssr_types::{Rng, Side};
@@ -193,8 +203,27 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     println!();
 }
 
+/// `boot`'s graph `g` in the overlay-only world, FIFO ticks.
+fn world(n: usize, g: u64) {
+    let (topo, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(g);
+    let run = World::new(&topo, &labels, true, Schedule::Fifo).run(BUDGET);
+    let per_node = |count: u64| count as f64 / n as f64;
+    print!(
+        "{g} {} {} {:.3} {} {}",
+        if run.converged { "ok" } else { "FAIL" },
+        run.ticks,
+        per_node(run.messages()),
+        run.max_degree,
+        run.max_handshakes,
+    );
+    for (_, sent) in CLASSES.iter().zip(run.sent) {
+        print!(" {:.3}", per_node(sent));
+    }
+    println!();
+}
+
 fn usage() -> ! {
-    eprintln!("usage: census boot|chaos FROM TO [N] | census vrr FROM TO [N] [LOSS_PCT]");
+    eprintln!("usage: census boot|chaos|world FROM TO [N] | census vrr FROM TO [N] [LOSS_PCT]");
     std::process::exit(2);
 }
 
@@ -216,6 +245,11 @@ fn main() {
                 Some(_) => usage(),
             };
             (from..=to).for_each(|g| vrr(n, g, LinkConfig::lossy(loss)));
+            return;
+        }
+        "world" => {
+            let n = num(3).unwrap_or(500) as usize;
+            (from..=to).for_each(|g| world(n, g));
             return;
         }
         _ => usage(),

@@ -81,8 +81,10 @@ bench-cache:
 # seed, then messages per node by class (e2e.*) and hops by kind (msg.*);
 # `just census vrr 1 60 25 5` — `graph verdict ticks msgs_per_node
 # ttl_expired state` and the same class and kind columns, every link
-# dropping the last argument's percent (default 0) (docs/BENCHMARKS.md says
-# how to compare two saved runs)
+# dropping the last argument's percent (default 0); `just census world 1 5`
+# — `boot`'s graphs in the overlay-only world: `graph ok|FAIL ticks
+# msgs_per_node max_degree max_handshakes` and messages per node by class
+# (docs/BENCHMARKS.md says how to compare two saved runs)
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
 

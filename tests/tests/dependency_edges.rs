@@ -9,12 +9,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Declared edges that stay although nothing names them: `(member,
-/// dependency, why)`.
-const ALLOWED_UNUSED: &[(&str, &str, &str)] = &[(
-    "ssr-workloads",
-    "ssr-linearize",
-    "recorded in benchmark/Cargo.lock, which is frozen",
-)];
+/// dependency, why)`. None today.
+const ALLOWED_UNUSED: &[(&str, &str, &str)] = &[];
 
 /// One workspace member: its package name, declared dependencies and the
 /// source files the check reads.
