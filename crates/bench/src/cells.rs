@@ -2,7 +2,8 @@
 //! abstract-engine run with its histogram and round-timeline recording
 //! (E3, E4, E5, E9), the unit-disk linearized bootstrap and its
 //! representative-run epilogue (E6, E7, E9, E10), the SSR simulator run to
-//! a consistent ring (E8, E11), and the message-kind lookup.
+//! a consistent ring (E8, E11), the overlay-only world run and its table
+//! (E4, E5, E6), and the message-kind lookup.
 
 use ssr_core::bootstrap::{
     make_ssr_nodes, run_linearized_bootstrap, BootstrapConfig, BootstrapReport,
@@ -10,10 +11,11 @@ use ssr_core::bootstrap::{
 use ssr_core::consistency;
 use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_graph::{Graph, Labeling};
+use ssr_linearize::world::{Schedule, World, WorldRun};
 use ssr_linearize::{LinearizeRun, Semantics, Variant};
 use ssr_obs::{Manifest, TimelinePoint};
 use ssr_sim::{LinkConfig, Metrics, RunOutcome, Simulator, TraceSink};
-use ssr_workloads::{Matrix, Summary, SweepOutcome, Topology};
+use ssr_workloads::{Matrix, Summary, SweepOutcome, Table, Topology};
 
 use crate::Shell;
 
@@ -118,6 +120,101 @@ impl RoundsCell {
             self.peak.to_string(),
         ]
     }
+}
+
+/// The scenarios of `matrix` that `keep` accepts, as a matrix of their
+/// own; `None` if it accepts none. An experiment whose rows come from two
+/// kinds of run sweeps each part on its own.
+pub fn part(matrix: &Matrix, keep: impl Fn(&str) -> bool) -> Option<Matrix> {
+    let mut part = matrix.clone();
+    part.scenarios.retain(|s| keep(s));
+    (!part.scenarios.is_empty()).then_some(part)
+}
+
+/// The overlay-only world (`ssr_linearize::world`, FIFO ticks, the
+/// counter-clockwise probes on) on the `topo` instance drawn from
+/// `instance_seed`, to the consistent ring or [`RING_BUDGET`].
+pub fn world_run(topo: Topology, instance_seed: u64) -> WorldRun {
+    let (g, labels) = topo.instance(instance_seed);
+    World::new(&g, &labels, true, Schedule::Fifo).run(RING_BUDGET)
+}
+
+/// One (scenario, n) cell of world runs, folded over its seeds.
+pub struct WorldCell {
+    /// Ticks to the ring over the runs that converged.
+    pub ticks: Summary,
+    /// How many runs reached the ring within the budget.
+    pub converged: usize,
+    /// How many runs the cell holds.
+    pub runs: usize,
+    /// Overlay messages per node, mean over the runs.
+    pub msgs_per_node: f64,
+    /// Largest physical degree over the runs.
+    pub max_degree: usize,
+    /// Most handshakes one node started, over the runs.
+    pub max_handshakes: u64,
+}
+
+impl WorldCell {
+    /// The world table's columns after its label columns.
+    pub const HEADERS: [&'static str; 6] = [
+        "conv",
+        "ticks (mean ± ci)",
+        "max",
+        "msgs/node",
+        "max degree",
+        "handshakes/node (max)",
+    ];
+
+    /// Folds a cell's per-seed runs over `n` nodes.
+    pub fn fold(runs: &[WorldRun], n: usize) -> WorldCell {
+        let ticks: Vec<f64> = (runs.iter().filter(|r| r.converged))
+            .map(|r| r.ticks as f64)
+            .collect();
+        let messages: u64 = runs.iter().map(WorldRun::messages).sum();
+        WorldCell {
+            ticks: Summary::of(&ticks),
+            converged: ticks.len(),
+            runs: runs.len(),
+            msgs_per_node: messages as f64 / (n * runs.len()).max(1) as f64,
+            max_degree: runs.iter().map(|r| r.max_degree).max().unwrap_or(0),
+            max_handshakes: runs.iter().map(|r| r.max_handshakes).max().unwrap_or(0),
+        }
+    }
+
+    /// The cells under [`WorldCell::HEADERS`].
+    pub fn columns(&self) -> [String; 6] {
+        [
+            format!("{}/{}", self.converged, self.runs),
+            self.ticks.fmt(0),
+            format!("{:.0}", self.ticks.max),
+            format!("{:.1}", self.msgs_per_node),
+            self.max_degree.to_string(),
+            self.max_handshakes.to_string(),
+        ]
+    }
+}
+
+/// The world rows of an engine experiment (E4, E5) as a table printed
+/// after its notes: `labels` name the leading columns, each row gives
+/// their cells and its folded [`WorldCell`]. A run that does not reach
+/// the ring fails the experiment.
+pub fn world_table(
+    sh: &mut Shell,
+    title: &str,
+    labels: &[&str],
+    rows: Vec<(Vec<String>, WorldCell)>,
+) {
+    let headers: Vec<&str> = labels.iter().copied().chain(WorldCell::HEADERS).collect();
+    let mut table = Table::new(title, &headers);
+    for (mut cells, cell) in rows {
+        if cell.converged < cell.runs {
+            sh.fail(format!("world: {} did not reach the ring", cells.join(" ")));
+        }
+        cells.extend(cell.columns());
+        table.row(&cells);
+    }
+    sh.note(format!("\n{}", table.render().trim_end()));
 }
 
 /// Records one abstract run over `n` nodes as the manifest's round-by-round

@@ -17,6 +17,13 @@
 //! original one-pair actions on pure linearization instead of the paper's
 //! star rule — rows of the same table, with their own fit line.
 //!
+//! The scenarios `<family>/world` run the same graphs in the overlay-only
+//! world (`ssr_linearize::world`): the message-level control core, one
+//! handshake per side at a time, one tick per message. Ticks are not
+//! rounds, so their rows are a table of their own, printed after the
+//! notes, with each run's maximum degree and the most handshakes one node
+//! started.
+//!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_convergence`
 //! Flags: `--seeds K` (default 10), `--workers N`, `--matrix SPEC` (e.g.
 //! `scenario=ring/pure,ring/pure-pairwise;n=256;seeds=3`), `--csv PATH`.
@@ -28,7 +35,10 @@ use ssr_obs::Value;
 use ssr_sim::Metrics;
 use ssr_workloads::{stats, Matrix, Topology};
 
-use crate::cells::{abstract_run, instance_seed, record_round_timeline, Rounds, RoundsCell};
+use crate::cells::{
+    abstract_run, instance_seed, part, record_round_timeline, world_run, world_table, Rounds,
+    RoundsCell, WorldCell,
+};
 use crate::Shell;
 
 /// Topology families swept (the scrambled ring — random labels over a
@@ -55,14 +65,26 @@ fn topo_for(family: &str, n: usize) -> Topology {
 }
 
 /// The matrix's `family/variant` scenarios: every family under the star
-/// rule's three variants, then every family's `pure-pairwise` ablation.
+/// rule's three variants, then every family's `pure-pairwise` ablation,
+/// then every family in the world.
 fn scenarios() -> Vec<String> {
     let star = FAMILIES
         .iter()
         .flat_map(|f| STAR_VARIANTS.iter().map(move |v| format!("{f}/{v}")));
     let pairwise = FAMILIES.iter().map(|f| format!("{f}/pure-pairwise"));
-    star.chain(pairwise).collect()
+    let world = FAMILIES.iter().map(|f| format!("{f}/{WORLD}"));
+    star.chain(pairwise).chain(world).collect()
 }
+
+/// The variant label of the world's scenarios.
+const WORLD: &str = "world";
+
+fn is_world(name: &str) -> bool {
+    name.ends_with(&format!("/{WORLD}"))
+}
+
+/// The topology-instance salt of E4's graphs, engine and world alike.
+const SALT: u64 = 0x9E37;
 
 /// Scenario `family/variant` → the family, the variant and the action
 /// semantics it runs.
@@ -87,7 +109,7 @@ fn run_one(scenario_name: &str, n: usize, seed: u64) -> LinearizeRun {
     } else {
         4000
     };
-    let instance = instance_seed(seed, 0x9E37, n);
+    let instance = instance_seed(seed, SALT, n);
     abstract_run(topo_for(family, n), instance, variant, semantics, budget)
 }
 
@@ -100,8 +122,18 @@ pub fn run(sh: &mut Shell) {
         sh.seeds(10),
     ));
 
-    let sweep = sh.sweep(&matrix, |job| {
-        Rounds::from(&run_one(matrix.name(job), job.n, job.seed))
+    let engine = part(&matrix, |s| !is_world(s));
+    let world = part(&matrix, is_world);
+    let engine_outcome = engine.as_ref().map(|engine| {
+        sh.sweep(engine, |job| {
+            Rounds::from(&run_one(engine.name(job), job.n, job.seed))
+        })
+    });
+    let world_outcome = world.as_ref().map(|world| {
+        sh.sweep(world, |job| {
+            let (family, _) = world.name(job).split_once('/').expect("family/world");
+            world_run(topo_for(family, job.n), instance_seed(job.seed, SALT, job.n))
+        })
     });
 
     sh.table(
@@ -119,7 +151,7 @@ pub fn run(sh: &mut Shell) {
     type Series = (Vec<f64>, Vec<f64>);
     let mut fits: BTreeMap<(&str, &str), Series> = BTreeMap::new();
     let mut metrics = Metrics::new();
-    for (name, n, results) in sweep.cells() {
+    for (name, n, results) in engine_outcome.iter().flat_map(|o| o.cells()) {
         let (family, vname) = name.split_once('/').expect("family/variant");
         let cell = RoundsCell::fold(results, &mut metrics);
         let [rounds, max, peak] = cell.columns();
@@ -146,6 +178,21 @@ pub fn run(sh: &mut Shell) {
         fit_values.push((format!("{family}/{variant}"), slope.into()));
     }
     sh.note("\npaper claim: pure ≈ linear; memory/LSN polylogarithmic (exponent ≪ 1).");
+    if let Some(outcome) = &world_outcome {
+        let rows = outcome.cells().map(|(name, n, runs)| {
+            let (family, _) = name.split_once('/').expect("family/world");
+            (
+                vec![family.to_string(), n.to_string()],
+                WorldCell::fold(runs, n),
+            )
+        });
+        world_table(
+            sh,
+            "E4 world: ticks to the ring, one message per tick (FIFO ticks, one handshake per side)",
+            &["family", "n"],
+            rows.collect(),
+        );
+    }
 
     // Manifest: the sweep's merged histograms plus one representative run's
     // round-by-round convergence timeline (first matrix seed, smallest
@@ -177,16 +224,19 @@ mod tests {
             ("pure-pairwise", "pure", Semantics::Pairwise),
         ];
         let all = scenarios();
-        assert_eq!(all.len(), FAMILIES.len() * table.len());
-        for name in &all {
+        assert_eq!(all.len(), FAMILIES.len() * (table.len() + 1));
+        for name in all.iter().filter(|s| !is_world(s)) {
             let (family, label) = name.split_once('/').unwrap();
             let (_, variant, semantics) = table.iter().find(|(l, ..)| *l == label).unwrap();
             let got = scenario(name);
             assert_eq!((got.0, got.1.name(), got.2), (family, *variant, *semantics));
         }
-        // the pairwise rows follow every star row
+        // the pairwise rows follow every star row, the world rows them
         let star_rows = FAMILIES.len() * STAR_VARIANTS.len();
-        assert!(all[star_rows..].iter().all(|s| s.ends_with("/pure-pairwise")));
+        let (pairwise, world) = all[star_rows..].split_at(FAMILIES.len());
+        assert!(pairwise.iter().all(|s| s.ends_with("/pure-pairwise")));
+        assert!(world.iter().all(|s| is_world(s)));
+        assert!(all[..star_rows + FAMILIES.len()].iter().all(|s| !is_world(s)));
         assert!(all.contains(&TIMELINE_SCENARIO.to_string()));
         assert_eq!(scenario(TIMELINE_SCENARIO).2, Semantics::Star);
     }

@@ -11,6 +11,14 @@
 //! The variant × n × seed sweep runs through the deterministic
 //! orchestrator (docs/SWEEPS.md): output bytes never depend on `--workers`.
 //!
+//! The `world` scenario runs the same graphs in the overlay-only world
+//! (`ssr_linearize::world`), where a node runs one handshake per side at a
+//! time instead of rewiring its whole star in a round: does "< 39 rounds"
+//! transfer to messages, and at what ticks? Its rows stop at
+//! [`WORLD_MAX_N`] and are a table of their own, printed after the
+//! verdict, with each run's maximum degree and the most handshakes one
+//! node started.
+//!
 //! Run: `cargo run --release -p ssr-bench --bin exp -- exp_powerlaw`
 //! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
 //! `scenario=lsn;n=1000,10000`), `--csv PATH`. The exponent is the
@@ -20,14 +28,24 @@ use ssr_linearize::{LinearizeRun, Semantics, Variant};
 use ssr_sim::Metrics;
 use ssr_workloads::{stats, Matrix, Topology};
 
-use crate::cells::{abstract_run, instance_seed, record_round_timeline, Rounds, RoundsCell};
+use crate::cells::{
+    abstract_run, instance_seed, part, record_round_timeline, world_run, world_table, Rounds,
+    RoundsCell, WorldCell,
+};
 use crate::Shell;
+
+/// The topology-instance salt of E5's graphs, engine and world alike.
+const SALT: u64 = 31;
+
+/// The largest n the world rows run at: one world run at n = 10 000
+/// takes seconds, and the golden gate runs every row.
+pub const WORLD_MAX_N: usize = 3_000;
 
 fn run_one(variant: Variant, n: usize, seed: u64) -> LinearizeRun {
     let topo = Topology::PowerLaw { n, alpha: ALPHA };
     abstract_run(
         topo,
-        instance_seed(seed, 31, n),
+        instance_seed(seed, SALT, n),
         variant,
         Semantics::Star,
         2000,
@@ -64,18 +82,31 @@ const ALPHA: f64 = 2.0;
 pub fn run(sh: &mut Shell) {
     sh.man.config("alpha", ALPHA);
     let matrix = sh.matrix(Matrix::new(
-        ["lsn", "memory"],
+        ["lsn", "memory", "world"],
         vec![1_000, 3_000, 10_000, 30_000, 100_000],
         sh.seeds(5),
     ));
 
-    let sweep = sh.sweep(&matrix, |job| {
-        let variant = if matrix.name(job) == "lsn" {
-            Variant::lsn()
-        } else {
-            Variant::Memory
-        };
-        Rounds::from(&run_one(variant, job.n, job.seed))
+    let engine = part(&matrix, |s| s != "world");
+    let world = part(&matrix, |s| s == "world").and_then(|mut world| {
+        world.sizes.retain(|&n| n <= WORLD_MAX_N);
+        (!world.sizes.is_empty()).then_some(world)
+    });
+    let engine_outcome = engine.as_ref().map(|engine| {
+        sh.sweep(engine, |job| {
+            let variant = if engine.name(job) == "lsn" {
+                Variant::lsn()
+            } else {
+                Variant::Memory
+            };
+            Rounds::from(&run_one(variant, job.n, job.seed))
+        })
+    });
+    let world_outcome = world.as_ref().map(|world| {
+        sh.sweep(world, |job| {
+            let topo = Topology::PowerLaw { n: job.n, alpha: ALPHA };
+            world_run(topo, instance_seed(job.seed, SALT, job.n))
+        })
     });
 
     sh.table(
@@ -86,7 +117,7 @@ pub fn run(sh: &mut Shell) {
     let largest_n = *matrix.sizes.last().expect("matrix has a size");
     let mut largest: Option<RoundsCell> = None;
     let mut metrics = Metrics::new();
-    for (variant, n, results) in sweep.cells() {
+    for (variant, n, results) in engine_outcome.iter().flat_map(|o| o.cells()) {
         let cell = RoundsCell::fold(results, &mut metrics);
         let [rounds, max, peak] = cell.columns();
         sh.row(&[variant.into(), n.to_string(), rounds, max, peak]);
@@ -106,6 +137,19 @@ pub fn run(sh: &mut Shell) {
         "\nLSN growth exponent (log2 rounds vs log2 n): {exponent:.2} — polylog expected (≪ 1)"
     ));
     sh.note(verdict(largest_n, largest.as_ref()));
+    if let Some(outcome) = &world_outcome {
+        let rows = outcome
+            .cells()
+            .map(|(_, n, runs)| (vec![n.to_string()], WorldCell::fold(runs, n)));
+        world_table(
+            sh,
+            &format!(
+                "E5 world: ticks to the ring on the same graphs, n ≤ {WORLD_MAX_N} (one handshake per side)"
+            ),
+            &["n"],
+            rows.collect(),
+        );
+    }
 
     // Manifest: merged round/degree histograms plus one representative LSN
     // run's round-by-round timeline (first matrix seed, smallest n).

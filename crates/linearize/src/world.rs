@@ -589,23 +589,28 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Lost, duplicated and delayed messages slow the core down; they
         /// never stop it reaching the ring.
         #[test]
         fn drop_dup_reorder_schedules_converge(
-            n in 4usize..40,
+            n in 3usize..60,
+            power_law_graph in any::<bool>(),
             graph_seed in any::<u64>(),
             seed in any::<u64>(),
-            drop in 0.0f64..0.2,
-            dup in 0.0f64..0.2,
-            reorder in 0.0f64..0.3,
-            window in 1u64..8,
+            drop in 0.0f64..0.3,
+            dup in 0.0f64..0.3,
+            reorder in 0.0f64..0.4,
+            window in 1u64..10,
         ) {
-            let (g, labels) = unit_disk(n, graph_seed);
+            let (g, labels) = if power_law_graph {
+                power_law(n, graph_seed)
+            } else {
+                unit_disk(n, graph_seed)
+            };
             let faults = Faults { seed, drop, dup, reorder, window };
-            let run = World::new(&g, &labels, true, Schedule::Random(faults)).run(100_000);
+            let run = World::new(&g, &labels, true, Schedule::Random(faults)).run(200_000);
             prop_assert!(run.converged, "{:?}", run);
         }
     }
