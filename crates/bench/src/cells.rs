@@ -132,11 +132,10 @@ pub fn part(matrix: &Matrix, keep: impl Fn(&str) -> bool) -> Option<Matrix> {
 }
 
 /// The overlay-only world (`ssr_linearize::world`, FIFO ticks, the
-/// counter-clockwise probes on) on the `topo` instance drawn from
-/// `instance_seed`, to the consistent ring or [`RING_BUDGET`].
-pub fn world_run(topo: Topology, instance_seed: u64) -> WorldRun {
-    let (g, labels) = topo.instance(instance_seed);
-    World::new(&g, &labels, true, Schedule::Fifo).run(RING_BUDGET)
+/// counter-clockwise probes on) on `g`, to the consistent ring or
+/// [`RING_BUDGET`].
+pub fn world_run(g: &Graph, labels: &Labeling) -> WorldRun {
+    World::new(g, labels, true, Schedule::Fifo).run(RING_BUDGET)
 }
 
 /// One (scenario, n) cell of world runs, folded over its seeds.

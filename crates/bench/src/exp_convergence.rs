@@ -80,7 +80,7 @@ fn scenarios() -> Vec<String> {
 const WORLD: &str = "world";
 
 fn is_world(name: &str) -> bool {
-    name.ends_with(&format!("/{WORLD}"))
+    name.split_once('/').is_some_and(|(_, variant)| variant == WORLD)
 }
 
 /// The topology-instance salt of E4's graphs, engine and world alike.
@@ -132,7 +132,9 @@ pub fn run(sh: &mut Shell) {
     let world_outcome = world.as_ref().map(|world| {
         sh.sweep(world, |job| {
             let (family, _) = world.name(job).split_once('/').expect("family/world");
-            world_run(topo_for(family, job.n), instance_seed(job.seed, SALT, job.n))
+            let instance = instance_seed(job.seed, SALT, job.n);
+            let (g, labels) = topo_for(family, job.n).instance(instance);
+            world_run(&g, &labels)
         })
     });
 

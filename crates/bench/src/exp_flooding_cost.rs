@@ -26,10 +26,12 @@
 //! Flags: `--seeds K` (default 5), `--workers N`, `--matrix SPEC` (e.g.
 //! `scenario=linearized,linearized-no-ccw;n=200`), `--csv PATH`.
 
+use std::collections::BTreeMap;
+
 use ssr_core::bootstrap::{run_isprp_bootstrap, run_linearized_bootstrap, BootstrapConfig};
 use ssr_linearize::world::CLASSES;
 use ssr_obs::Value;
-use ssr_workloads::{summarize_counts, Matrix, Table, Topology};
+use ssr_workloads::{summarize_counts, Matrix, Table};
 
 use crate::cells::{
     instance_seed, message_count, record_representative_bootstrap, unit_disk, world_run,
@@ -97,11 +99,7 @@ pub fn run(sh: &mut Shell) {
             ..config_for(mechanism)
         };
         if mechanism == "world" {
-            let topo = Topology::UnitDisk {
-                n: job.n,
-                scale: 1.3,
-            };
-            let run = world_run(topo, instance_seed(job.seed, SALT, job.n));
+            let run = world_run(&g, &labels);
             return Row {
                 converged: run.converged,
                 ticks: run.ticks,
@@ -145,7 +143,7 @@ pub fn run(sh: &mut Shell) {
     );
     let mut sweep_means: Vec<(String, Value)> = Vec::new();
     // per n: the linearized and world cells, for the per-class table
-    let mut split: Vec<(usize, [Cell; 2])> = Vec::new();
+    let mut split: BTreeMap<usize, [Cell; 2]> = BTreeMap::new();
     for (mech, n, rows) in sweep.cells() {
         let runs = rows.len() as u64;
         let conv = rows.iter().filter(|r| r.converged).count();
@@ -182,14 +180,7 @@ pub fn run(sh: &mut Shell) {
             "world" => 1,
             _ => continue,
         };
-        match split.iter_mut().find(|(m, _)| *m == n) {
-            Some((_, cells)) => cells[slot] = cell,
-            None => {
-                let mut cells = [Cell::default(), Cell::default()];
-                cells[slot] = cell;
-                split.push((n, cells));
-            }
-        }
+        split.entry(n).or_default()[slot] = cell;
     }
 
     sh.note("\npaper claim: the linearized bootstrap reaches the same globally consistent");
@@ -247,7 +238,7 @@ impl Cell {
 
 /// Where the messages go: the linearized and world cells at each n, by
 /// class, with the linearized row's multiple of the world's.
-fn class_table(split: &[(usize, [Cell; 2])]) -> Table {
+fn class_table(split: &BTreeMap<usize, [Cell; 2]>) -> Table {
     let mut headers = vec!["n", "mechanism", "ticks", "hops/node", "e2e/node"];
     headers.extend(CLASSES.iter().map(|c| c.trim_start_matches("e2e.")));
     headers.extend(["ticks ÷ world", "e2e ÷ world", "hops ÷ world"]);

@@ -105,7 +105,8 @@ pub fn run(sh: &mut Shell) {
     let world_outcome = world.as_ref().map(|world| {
         sh.sweep(world, |job| {
             let topo = Topology::PowerLaw { n: job.n, alpha: ALPHA };
-            world_run(topo, instance_seed(job.seed, SALT, job.n))
+            let (g, labels) = topo.instance(instance_seed(job.seed, SALT, job.n));
+            world_run(&g, &labels)
         })
     });
 

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, VecDeque};
 use ssr_graph::{Graph, Labeling};
 use ssr_types::{NodeId, Rng, SeqNo, Side};
 
-use crate::control::{Effect, Input, Linearizer, Timer, ACT_INTERVAL};
+use crate::control::{Effect, Input, Linearizer, Timer, WrapVerdict, ACT_INTERVAL};
 use crate::observe::{check_ring, Linearized};
 
 /// Floor of a handshake's retry delay: a round trip over one hop plus the
@@ -230,8 +230,12 @@ impl World {
             .map(|u| {
                 let mut phys: Vec<NodeId> = graph.neighbors(u).map(|v| labels.id(v)).collect();
                 phys.sort_unstable();
+                let mut lin = Linearizer::new(labels.id(u), ccw_redundancy);
+                for &p in &phys {
+                    lin.adopt(p, ());
+                }
                 Node {
-                    lin: Linearizer::new(labels.id(u), ccw_redundancy),
+                    lin,
                     known: phys.first().zip(phys.last()).map(|(&lo, &hi)| (lo, hi)),
                     phys,
                     handshakes: 0,
@@ -253,10 +257,6 @@ impl World {
             dropped: 0,
         };
         for u in 0..n {
-            let phys = world.nodes[u].phys.clone();
-            for p in phys {
-                world.nodes[u].lin.adopt(p, ());
-            }
             world.drive(u, Input::Changed);
         }
         world
@@ -322,13 +322,15 @@ impl World {
             self.dropped += 1;
             return;
         }
+        // one tick each, plus any reorder delay; a duplicate is a second copy
+        let mut delays = [1; 2];
         let copies = if rng.chance(faults.dup) { 2 } else { 1 };
-        for _ in 0..copies {
-            let (rng, faults) = self.random.as_mut().expect("random scheduler");
-            let mut delay = 1;
+        for delay in &mut delays[..copies] {
             if rng.chance(faults.reorder) {
-                delay += rng.range(1, faults.window.max(1) + 1);
+                *delay += rng.range(1, faults.window.max(1) + 1);
             }
+        }
+        for delay in &delays[..copies] {
             self.at(self.now + delay, event());
         }
     }
@@ -369,10 +371,10 @@ impl World {
                 to_drop,
             } => {
                 if to_keep {
-                    self.introduce(u, keep, drop, seq);
+                    self.send(u, keep, Msg::Notify { about: drop, seq });
                 }
                 if to_drop {
-                    self.introduce(u, drop, keep, seq);
+                    self.send(u, drop, Msg::Notify { about: keep, seq });
                 }
             }
             // the delegated end retires its half of the edge itself
@@ -393,24 +395,13 @@ impl World {
         }
     }
 
-    /// Introduces `about` to `to` on node `u`'s behalf.
-    fn introduce(&mut self, u: usize, to: NodeId, about: NodeId, seq: SeqNo) {
-        let me = self.nodes[u].id();
-        if to != about && to != me && about != me {
-            self.send(u, to, Msg::Notify { about, seq });
-        }
-    }
-
     fn receive(&mut self, u: usize, from: NodeId, msg: Msg) {
         let node = &mut self.nodes[u];
-        let me = node.id();
         node.learn(from);
         match msg {
             Msg::Notify { about, seq } => {
                 node.learn(about);
-                if about != me {
-                    node.lin.adopt(about, ());
-                }
+                node.lin.adopt(about, ());
                 // an announcement names its sender, who waits on no answer
                 if about != from {
                     self.send(u, from, Msg::Ack { about, seq });
@@ -427,9 +418,6 @@ impl World {
                 self.route_discovery(u, origin, toward);
             }
             Msg::CloseRing { toward } => {
-                if from == me {
-                    return;
-                }
                 node.lin.probe_answered(toward);
                 let slot = toward.opposite();
                 let held = node.lin.wrap(slot);
@@ -462,15 +450,22 @@ impl World {
         let node = &mut self.nodes[u];
         node.learn(claimant);
         match node.lin.offer_wrap(slot, claimant, ()) {
-            crate::control::WrapVerdict::Installed => true,
-            crate::control::WrapVerdict::Replaced { old, .. } => {
+            WrapVerdict::Installed => true,
+            WrapVerdict::Replaced { old, .. } => {
                 let seq = node.lin.next_seq();
-                self.introduce(u, old, claimant, seq);
+                self.send(
+                    u,
+                    old,
+                    Msg::Notify {
+                        about: claimant,
+                        seq,
+                    },
+                );
                 true
             }
-            crate::control::WrapVerdict::Redirect { holder } => {
+            WrapVerdict::Redirect { holder } => {
                 let seq = node.lin.next_seq();
-                self.introduce(u, claimant, holder, seq);
+                self.send(u, claimant, Msg::Notify { about: holder, seq });
                 false
             }
         }
