@@ -11,7 +11,7 @@ use ssr_core::bootstrap::{
 use ssr_core::consistency;
 use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_graph::{Graph, Labeling};
-use ssr_linearize::world::{Schedule, World, WorldRun};
+use ssr_linearize::world::{Faults, World, WorldRun};
 use ssr_linearize::{LinearizeRun, Semantics, Variant};
 use ssr_obs::{Manifest, TimelinePoint};
 use ssr_sim::{LinkConfig, Metrics, RunOutcome, Simulator, TraceSink};
@@ -135,7 +135,7 @@ pub fn part(matrix: &Matrix, keep: impl Fn(&str) -> bool) -> Option<Matrix> {
 /// counter-clockwise probes on) on `g`, to the consistent ring or
 /// [`RING_BUDGET`].
 pub fn world_run(g: &Graph, labels: &Labeling) -> WorldRun {
-    World::new(g, labels, true, Schedule::Fifo).run(RING_BUDGET)
+    World::new(g, labels, Faults::NONE).run(RING_BUDGET)
 }
 
 /// One (scenario, n) cell of world runs, folded over its seeds.

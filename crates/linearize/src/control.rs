@@ -313,11 +313,6 @@ impl<E: Copy> Linearizer<E> {
         self.id
     }
 
-    /// Whether counter-clockwise probes are launched too.
-    pub fn ccw_redundancy(&self) -> bool {
-        self.ccw_redundancy
-    }
-
     /// The virtual neighbors on `side`, in address order, with their edges.
     pub fn side(&self, side: Side) -> &[(NodeId, E)] {
         &self.sides[side as usize]

@@ -7,7 +7,7 @@
 //! mirrors `ssr-core`'s `SsrNode` with the route removed:
 //!
 //! * five messages ([`Msg`]), each delivered one tick after it is sent,
-//!   FIFO within a tick (the [`Schedule::Fifo`] scheduler);
+//!   FIFO within a tick (the scheduler under [`Faults::NONE`]);
 //! * physical neighbours are adopted at tick 0 — there is no hello round;
 //! * a node's knowledge is every id it has heard from or of, never
 //!   evicted, and a discovery probe goes to the largest (clockwise) or
@@ -19,9 +19,9 @@
 //!   a one-hop route;
 //! * the ring is checked every [`CHECK_EVERY`] ticks.
 //!
-//! [`Schedule::Random`] is the seeded-random scheduler: it drops,
-//! duplicates and delays overlay messages with the probabilities
-//! `ssr-core`'s chaos matrix gives its links. Timers are never disturbed.
+//! Other [`Faults`] make the scheduler seeded-random: it drops, duplicates
+//! and delays overlay messages with the probabilities `ssr-core`'s chaos
+//! matrix gives its links. Timers are never disturbed.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -96,16 +96,8 @@ impl Msg {
     }
 }
 
-/// How sent messages are scheduled.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Schedule {
-    /// One tick per message, FIFO within a tick.
-    Fifo,
-    /// Seeded random: each message is dropped, duplicated or delayed.
-    Random(Faults),
-}
-
-/// What [`Schedule::Random`] does to a message.
+/// What the scheduler does to a sent message: drop it, duplicate it or
+/// delay it, each with its probability.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Faults {
     /// Seed of the scheduler's own random stream.
@@ -118,6 +110,18 @@ pub struct Faults {
     pub reorder: f64,
     /// Longest extra delay.
     pub window: u64,
+}
+
+impl Faults {
+    /// No faults: every message is delivered one tick after it is sent,
+    /// FIFO within a tick.
+    pub const NONE: Faults = Faults {
+        seed: 0,
+        drop: 0.0,
+        dup: 0.0,
+        reorder: 0.0,
+        window: 0,
+    };
 }
 
 /// What a run to the ring cost.
@@ -210,27 +214,24 @@ pub struct World {
     index: Vec<(NodeId, usize)>,
     wheel: BTreeMap<u64, VecDeque<Event>>,
     now: u64,
-    random: Option<(Rng, Faults)>,
+    rng: Rng,
+    faults: Faults,
     sent: [u64; 5],
     dropped: u64,
 }
 
 impl World {
     /// A world over `graph`, node `u` carrying `labels.id(u)`, with every
-    /// physical neighbour adopted at tick 0.
-    pub fn new(
-        graph: &Graph,
-        labels: &Labeling,
-        ccw_redundancy: bool,
-        schedule: Schedule,
-    ) -> World {
+    /// physical neighbour adopted at tick 0 and messages scheduled under
+    /// `faults`.
+    pub fn new(graph: &Graph, labels: &Labeling, faults: Faults) -> World {
         let n = graph.node_count();
         assert_eq!(labels.len(), n, "one id per node");
         let nodes = (0..n)
             .map(|u| {
                 let mut phys: Vec<NodeId> = graph.neighbors(u).map(|v| labels.id(v)).collect();
                 phys.sort_unstable();
-                let mut lin = Linearizer::new(labels.id(u), ccw_redundancy);
+                let mut lin = Linearizer::new(labels.id(u), true);
                 for &p in &phys {
                     lin.adopt(p, ());
                 }
@@ -249,10 +250,8 @@ impl World {
             index,
             wheel: BTreeMap::new(),
             now: 0,
-            random: match schedule {
-                Schedule::Fifo => None,
-                Schedule::Random(faults) => Some((Rng::new(faults.seed), faults)),
-            },
+            rng: Rng::new(faults.seed),
+            faults,
             sent: [0; 5],
             dropped: 0,
         };
@@ -309,15 +308,7 @@ impl World {
         self.sent[msg.class(sender)] += 1;
         let at = self.index.binary_search_by_key(&to, |&(id, _)| id);
         let to = self.index[at.expect("messages go to known nodes")].1;
-        let event = || Event::Deliver {
-            to,
-            from: sender,
-            msg,
-        };
-        let Some((rng, faults)) = self.random.as_mut() else {
-            self.at(self.now + 1, event());
-            return;
-        };
+        let (rng, faults) = (&mut self.rng, self.faults);
         if rng.chance(faults.drop) {
             self.dropped += 1;
             return;
@@ -331,7 +322,14 @@ impl World {
             }
         }
         for delay in &delays[..copies] {
-            self.at(self.now + delay, event());
+            self.at(
+                self.now + delay,
+                Event::Deliver {
+                    to,
+                    from: sender,
+                    msg,
+                },
+            );
         }
     }
 
@@ -482,14 +480,11 @@ impl World {
                 if !node.lin.side(side).is_empty() {
                     continue;
                 }
-                let toward = side.opposite();
                 if let Some(nbr) = node.nearest_phys(side) {
                     readopted |= node.lin.adopt(nbr, ());
-                } else if node.lin.wrap(side).is_some()
-                    && (toward == Side::Right || node.lin.ccw_redundancy())
-                {
+                } else if node.lin.wrap(side).is_some() {
                     let me = node.id();
-                    self.route_discovery(u, me, toward);
+                    self.route_discovery(u, me, side.opposite());
                 }
             }
             if readopted {
@@ -523,8 +518,8 @@ mod tests {
         (g, labels)
     }
 
-    fn converges(g: &Graph, labels: &Labeling, schedule: Schedule, budget: u64) -> WorldRun {
-        let mut world = World::new(g, labels, true, schedule);
+    fn converges(g: &Graph, labels: &Labeling, faults: Faults, budget: u64) -> WorldRun {
+        let mut world = World::new(g, labels, faults);
         let run = world.run(budget);
         assert!(run.converged, "no ring within {budget} ticks: {run:?}");
         assert_eq!(run.ticks % CHECK_EVERY, 0);
@@ -536,7 +531,7 @@ mod tests {
         for n in [16, 50, 200] {
             for seed in 1..=5 {
                 let (g, labels) = unit_disk(n, seed);
-                let run = converges(&g, &labels, Schedule::Fifo, 20_000);
+                let run = converges(&g, &labels, Faults::NONE, 20_000);
                 assert_eq!(run.dropped, 0);
                 assert!(run.sent[0] > 0 && run.sent[2] > 0, "{run:?}");
             }
@@ -548,7 +543,7 @@ mod tests {
         for n in [50, 200] {
             for seed in 1..=5 {
                 let (g, labels) = power_law(n, seed);
-                let run = converges(&g, &labels, Schedule::Fifo, 20_000);
+                let run = converges(&g, &labels, Faults::NONE, 20_000);
                 assert!(run.max_handshakes > 0);
             }
         }
@@ -564,9 +559,9 @@ mod tests {
             reorder: 0.15,
             window: 6,
         };
-        for schedule in [Schedule::Fifo, Schedule::Random(faults)] {
-            let a = World::new(&g, &labels, true, schedule).run(20_000);
-            let b = World::new(&g, &labels, true, schedule).run(20_000);
+        for faults in [Faults::NONE, faults] {
+            let a = World::new(&g, &labels, faults).run(20_000);
+            let b = World::new(&g, &labels, faults).run(20_000);
             assert_eq!(a, b);
         }
     }
@@ -575,7 +570,7 @@ mod tests {
     fn two_nodes_close_the_ring_over_their_link() {
         let g = generators::line(2);
         let labels = Labeling::from_ids(vec![NodeId(7), NodeId(3)]);
-        let mut world = World::new(&g, &labels, true, Schedule::Fifo);
+        let mut world = World::new(&g, &labels, Faults::NONE);
         let run = world.run(1_000);
         assert!(run.converged);
         let lins: Vec<_> = world.linearizers().collect();
@@ -605,7 +600,7 @@ mod tests {
                 unit_disk(n, graph_seed)
             };
             let faults = Faults { seed, drop, dup, reorder, window };
-            let run = World::new(&g, &labels, true, Schedule::Random(faults)).run(200_000);
+            let run = World::new(&g, &labels, faults).run(200_000);
             prop_assert!(run.converged, "{:?}", run);
         }
     }

@@ -47,7 +47,7 @@ use ssr_core::chaos;
 use ssr_core::consistency::check_ring;
 use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_graph::algo;
-use ssr_linearize::world::{Schedule, World, CLASSES};
+use ssr_linearize::world::{Faults, World, CLASSES};
 use ssr_sim::faults::{partition_groups, Fault};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
 use ssr_types::{Rng, Side};
@@ -206,7 +206,7 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
 /// `boot`'s graph `g` in the overlay-only world, FIFO ticks.
 fn world(n: usize, g: u64) {
     let (topo, labels) = Topology::UnitDisk { n, scale: 1.3 }.instance(g);
-    let run = World::new(&topo, &labels, true, Schedule::Fifo).run(BUDGET);
+    let run = World::new(&topo, &labels, Faults::NONE).run(BUDGET);
     let per_node = |count: u64| count as f64 / n as f64;
     print!(
         "{g} {} {} {:.3} {} {}",
