@@ -607,8 +607,8 @@ mod tests {
     fn a_relayed_message_is_a_pointer() {
         // what every hop moves through the handler, `Ctx::send` and the
         // event queue; the envelope itself stays where `send_payload` put it
-        assert!(std::mem::size_of::<SsrMsg>() <= 32);
-        assert!(std::mem::size_of::<ssr_sim::event::EventKind<SsrMsg>>() <= 48);
+        assert!(std::mem::size_of::<SsrMsg>() <= 16);
+        assert!(std::mem::size_of::<ssr_sim::event::EventKind<SsrMsg>>() <= 24);
     }
 
     /// One message per variant with the bytes the codec emits, written out:
