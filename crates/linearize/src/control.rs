@@ -267,8 +267,9 @@ pub struct Linearizer<E> {
     ccw_redundancy: bool,
     /// Virtual neighbors by side (`Left`: addresses below `id`), each with
     /// its edge: a row sorted by address, like `Neighbors` and the route
-    /// cache. A side holds a handful of members at most, and one or two
-    /// for most of a run; a tree would spend a node on each.
+    /// cache. Nine sides in ten hold at most four members over an SSR
+    /// bootstrap; one that adopts a hub's physical neighbours starts with
+    /// dozens (docs/BENCHMARKS.md has the counts).
     sides: [Vec<(NodeId, E)>; 2],
     /// Ring-closure edges: `wrap[Left]` leads across the wrap to the
     /// maximum (held by the node believing itself the minimum) and vice
