@@ -86,7 +86,7 @@ fn is_world(name: &str) -> bool {
 /// The largest n the world rows run at: on the scrambled ring a world run
 /// takes ticks linear in n, and n = 2 048 and 4 096 would cost the golden
 /// gate about ten seconds more.
-const WORLD_MAX_N: usize = 1_024;
+pub const WORLD_MAX_N: usize = 1_024;
 
 /// The topology-instance salt of E4's graphs, engine and world alike.
 const SALT: u64 = 0x9E37;
