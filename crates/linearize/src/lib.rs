@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod control;
 pub mod convergence;
 pub mod engine;
