@@ -14,7 +14,7 @@
 //! | prefix     | written by      | meaning                                          |
 //! |------------|-----------------|--------------------------------------------------|
 //! | `tx.*`     | simulator       | link-layer transmission outcomes: `tx.total` (every hop handed to the link layer, duplicates included), `tx.dropped` (link loss), `tx.lost_in_flight` (endpoint died / link vanished mid-flight), `tx.dup` (adversarial duplications), `tx.reordered` (bounded-delay reorderings) |
-//! | `rx.*`     | simulator, SSR  | deliveries to protocols: `rx.total`, and `rx.wasted` — the deliveries whose callback queued no send and no timer (the receiver already knew what the message told it); `rx.notify_known` (written by `SsrNode`) — the introductions (notifications naming a third node) delivered to a node that already held the named node as a virtual neighbour |
+//! | `rx.*`     | simulator, SSR  | deliveries to protocols: `rx.total`, and `rx.wasted` — the deliveries whose callback queued no send and no timer (the receiver already knew what the message told it); `rx.notify_known` (written by `SsrNode`) — the introductions (notifications naming a third node) delivered to a node that already held the named node as a virtual neighbour; `rx.announce_known` (the same) — the audit announcements delivered to a node that already held their sender |
 //! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
 //! | `e2e.*`    | protocols       | end-to-end messages, one per message a node originates however many hops it then takes: `e2e.sent` (SSR and ISPRP bump it where the source-routed envelope is made, and the histogram `route.len` takes the route it is sent along; `VrrNode` bumps it where a message along path state or a greedy walk starts, never at a relay) — `tx.total` over `e2e.sent` is the mean physical hops a message pays — split by payload into `e2e.notify` (introductions), `e2e.announce` (audit announcements), `e2e.ack`, `e2e.teardown`, `e2e.discover` (ring-closure answers), `e2e.succ`, `e2e.update` and `e2e.data`, which sum to it; `e2e.delivered` (SSR and ISPRP), those that reached the end of their route; and `e2e.retry` (SSR), the share of them that are handshake re-sends (sent while a retry timer is handled) |

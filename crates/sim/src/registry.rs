@@ -63,6 +63,7 @@ pub const KEYS: &[&str] = &[
     "route.delivered",
     "runs.converged",
     "runs.total",
+    "rx.announce_known",
     "rx.notify_known",
     "rx.total",
     "rx.wasted",
