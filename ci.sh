@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Offline CI: build, test (with tests/tests/metric_keys.rs), clippy (the
 # determinism policy of clippy.toml and the workspace lints), docs, format
-# check, then the chaos
-# matrix (exp exp_chaos, E11 at its one size: self-stabilization gate), the
+# check, then the
 # chaos sweep (corrupt-handshake at 100 seeds per n, converged runs held at
 # a floor), the golden
 # smoke (results/golden/: manifest, stdout and CSV of every experiment at
-# its one size must reproduce byte for byte), the
+# its one size must reproduce byte for byte — exp_chaos, E11's
+# self-stabilization matrix, among them), the
 # benchmark package's self-check (benchmark/ is its own workspace, so
 # nothing above compiles it; its six workloads at toy sizes, untraced and
 # traced, are the smoke of the perf path), the sweep smoke (orchestrator
@@ -32,9 +32,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "== fmt =="
 cargo fmt --all --check
-
-echo "== chaos smoke =="
-./target/release/exp exp_chaos
 
 echo "== chaos sweep =="
 # corrupt-handshake at 100 seeds per n: converged runs at or above the
