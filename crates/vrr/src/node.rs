@@ -1411,8 +1411,8 @@ mod tests {
         );
     }
 
-    /// SSR's `an_announcement_is_not_answered_and_still_restores_a_wiped_edge`
-    /// for VRR, on the physical line 10–…–50 closed into a ring, at rest: an
+    /// The announcement rule of SSR's `a_non_mutual_edge_is_re_announced_…`
+    /// and `a_wiped_node_heals_…` for VRR, on the physical line 10–…–50 closed into a ring, at rest: an
     /// audit period costs the announcements along the ring's edges and not
     /// one answer, and a member whose state was wiped is back in the ring
     /// within two periods, re-adopted from its neighbours' announcements.
