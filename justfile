@@ -83,7 +83,9 @@ bench-cache:
 # ttl_expired state` and the same class and kind columns, every link
 # dropping the last argument's percent (default 0); `just census world 1 5`
 # — `boot`'s graphs in the overlay-only world: `graph ok|FAIL ticks
-# msgs_per_node max_degree max_handshakes` and messages per node by class
+# msgs_per_node max_degree max_handshakes` and messages per node by class;
+# `just census check 2 3` — the exhaustive checker on every connected graph
+# of 2 and 3 nodes: states enumerated / violations found
 # (docs/BENCHMARKS.md says how to compare two saved runs)
 census *ARGS:
     cargo run --release -q -p ssr-workloads --example census -- {{ARGS}}
