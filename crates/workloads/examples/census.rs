@@ -1,8 +1,11 @@
 //! Per-graph census of the benchmark's two SSR recipes and its VRR one,
 //! rebuilt from the public API exactly as `benchmark/README.md` states
 //! them. The SSR recipes print one line `graph ok|FAIL ticks msgs_per_node
-//! e2e_per_node route_x KINDS… refreshed known announced` per graph seed,
-//! where the [`KINDS`] columns say where the messages go, per node:
+//! e2e_per_node route_x stretch KINDS… refreshed known announced` per graph
+//! seed. `route_x` is the cached routes' hops over their BFS distance,
+//! `stretch` greedy routing's over `10·n` seed-drawn pairs (as
+//! `greedy_routing` measures it), and the [`KINDS`] columns say where the
+//! messages go, per node:
 //! end-to-end messages by class (`e2e.*`), then hops by kind (`msg.*`);
 //! `refreshed` is the cached routes per node that an envelope passing by
 //! shortened (`fwd.refreshed`), `known` the introductions per node that
@@ -56,6 +59,7 @@ use ssr_core::bootstrap::make_ssr_nodes;
 use ssr_core::chaos;
 use ssr_core::consistency::check_ring;
 use ssr_core::node::{SsrConfig, SsrNode};
+use ssr_core::routing::{RoutingStats, RoutingView};
 use ssr_graph::algo;
 use ssr_linearize::check::{self, Bounds, Report};
 use ssr_linearize::world::{Faults, World, CLASSES};
@@ -64,11 +68,12 @@ use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
 use ssr_types::{Rng, Side};
 use ssr_vrr::table::PathId;
 use ssr_vrr::{run_vrr_bootstrap_watched, Linearized, VrrMode};
+use ssr_workloads::scenario::traffic_pairs;
 use ssr_workloads::Topology;
 
 const GRID: u64 = 8;
 
-/// The columns after `route_x`: end-to-end messages by class, then hops by
+/// The columns after `stretch`: end-to-end messages by class, then hops by
 /// kind.
 const KINDS: [&str; 10] = [
     "e2e.notify",
@@ -141,22 +146,20 @@ fn chaos(n: usize, g: u64) -> Simulator<SsrNode> {
 
 /// Cached-route stretch at the end of the run: the hops of every route in
 /// every cache over the BFS distance between its two ends, summed over all
-/// entries before dividing (as `route_stretch` sums over its queries). One
-/// all-pairs BFS.
-fn route_x(sim: &Simulator<SsrNode>) -> f64 {
-    let g = sim.topology();
+/// entries before dividing (as `route_stretch` sums over its queries).
+/// `dist[u]` holds node `u`'s BFS distances.
+fn route_x(sim: &Simulator<SsrNode>, dist: &[Vec<u32>]) -> f64 {
     let mut index: Vec<_> = (sim.protocols().iter().enumerate())
         .map(|(u, node)| (node.id(), u))
         .collect();
     index.sort_unstable();
     let (mut hops, mut shortest) = (0u64, 0u64);
     for (u, node) in sim.protocols().iter().enumerate() {
-        let dist = algo::bfs_distances(g, u);
         for (dst, route) in node.cache().iter() {
             let Ok(at) = index.binary_search_by_key(&dst, |&(id, _)| id) else {
                 continue;
             };
-            let d = dist[index[at].1];
+            let d = dist[u][index[at].1];
             if d != algo::UNREACHABLE {
                 hops += route.len() as u64;
                 shortest += u64::from(d);
@@ -164,6 +167,25 @@ fn route_x(sim: &Simulator<SsrNode>) -> f64 {
         }
     }
     hops as f64 / shortest.max(1) as f64
+}
+
+/// Greedy-routing stretch at the end of the run, as `greedy_routing`
+/// measures it: `10·n` pairs drawn from graph seed `g`, routed over
+/// [`RoutingView`], physical hops over BFS hops summed over the delivered
+/// pairs. A pair that does not arrive makes it `NaN`.
+fn stretch(sim: &Simulator<SsrNode>, dist: &[Vec<u32>], g: u64) -> f64 {
+    let nodes = sim.protocols();
+    let view = RoutingView::new(nodes);
+    let budget = 4 * nodes.len() as u32;
+    let mut stats = RoutingStats::default();
+    for (a, b) in traffic_pairs(nodes.len(), 10 * nodes.len(), &mut Rng::new(g)) {
+        stats.record(view.route(nodes[a].id(), nodes[b].id(), budget), dist[a][b]);
+    }
+    if stats.delivered == stats.attempts {
+        stats.stretch()
+    } else {
+        f64::NAN
+    }
 }
 
 /// `vrr_bootstrap`: linearized VRR to the consistent ring under the freeze
@@ -302,13 +324,17 @@ fn main() {
         let m = sim.metrics();
         let ok = consistent(sim.protocols()) && m.counter("msg.flood") == 0;
         let per_node = |key| m.counter(key) as f64 / n as f64;
+        let dist: Vec<Vec<u32>> = (0..n)
+            .map(|u| algo::bfs_distances(sim.topology(), u))
+            .collect();
         print!(
-            "{g} {} {} {:.3} {:.3} {:.3}",
+            "{g} {} {} {:.3} {:.3} {:.3} {:.3}",
             if ok { "ok" } else { "FAIL" },
             sim.now().ticks(),
             per_node("tx.total"),
             per_node("e2e.sent"),
-            route_x(&sim),
+            route_x(&sim, &dist),
+            stretch(&sim, &dist, g),
         );
         for key in KINDS {
             print!(" {:.3}", per_node(key));
