@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssr_core::cache::RouteCache;
 use ssr_core::message::{self, ForwardEnvelope, Payload, SsrMsg};
 use ssr_core::route::SourceRoute;
+use ssr_core::routing::RoutingView;
 use ssr_core::SsrNode;
 use ssr_linearize::{step_round, Semantics, Variant};
 use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator, Time};
@@ -71,7 +72,11 @@ fn offer_500(cache: &mut RouteCache, rng: &mut Rng, pinned: bool) {
     }
 }
 
-/// B2: greedy cache lookup (`best_toward`) over a populated cache.
+/// B2: greedy cache lookup (`best_toward`, a scan over every hop of every
+/// cached route) over a populated cache; then the same pick read from a
+/// routing snapshot's flat table (`RoutingView::next_hop`, two binary
+/// searches) on a converged n = 500 ring — the lookup `benchmark/`'s
+/// `greedy_routing` times, once per virtual hop.
 fn bench_cache_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_best_toward");
     for (name, pinned) in CACHE_SHAPES {
@@ -87,6 +92,30 @@ fn bench_cache_lookup(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    // set up before the group, so calibration times lookups only
+    let (g, labels) = Topology::UnitDisk { n: 500, scale: 1.3 }.instance(2);
+    let cfg = ssr_core::bootstrap::BootstrapConfig {
+        seed: 2,
+        ..Default::default()
+    };
+    let (report, sim) = ssr_core::bootstrap::run_linearized_bootstrap(&g, &labels, &cfg);
+    assert!(report.converged, "the n = 500 ring did not converge");
+    let view = RoutingView::new(sim.protocols());
+    let mut rng = Rng::new(13);
+    let queries: Vec<(NodeId, NodeId)> = (0..64)
+        .map(|_| (labels.id(rng.index(500)), labels.id(rng.index(500))))
+        .collect();
+    let mut group = c.benchmark_group("cache_view_next_hop");
+    let mut i = 0;
+    group.bench_function("converged_500", |b| {
+        b.iter(|| {
+            i = (i + 1) % queries.len();
+            let (at, target) = queries[i];
+            std::hint::black_box(view.next_hop(at, target))
+        })
+    });
     group.finish();
 }
 

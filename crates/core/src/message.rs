@@ -109,7 +109,9 @@ pub enum Payload {
     DataProbe {
         /// Final virtual destination.
         target: NodeId,
-        /// Physical hops traveled so far.
+        /// Physical hops travelled so far: up to the start of this
+        /// virtual hop in flight, raised on arrival by the route the
+        /// envelope travelled (`node_util::receive_forward`).
         hops: u32,
     },
 }

@@ -184,8 +184,9 @@ pub fn forward_env(
 /// Takes a forwarded envelope in at `me`: rejects it unless `me` is the
 /// hop it is addressed to, extends the trace if the payload keeps one, and
 /// passes it on unless its route ends here — in which case it is returned
-/// for end-to-end handling. A relay that hands in its route `cache`
-/// [`shorten`]s the rest of the route with it.
+/// for end-to-end handling, a data probe's hop count raised by the hops it
+/// travelled. A relay that hands in its route `cache` [`shorten`]s the rest
+/// of the route with it.
 pub fn receive_forward(
     ctx: &mut Ctx<'_, SsrMsg>,
     me: NodeId,
@@ -205,6 +206,11 @@ pub fn receive_forward(
         // `send_payload` never counted; everything else was one `e2e.sent`
         if !matches!(env.payload, Payload::Discover { .. }) {
             ctx.metrics().incr("e2e.delivered");
+        }
+        // the route up to here is the way the envelope came, whatever the
+        // relays shortcut or spliced: a probe counts those hops
+        if let Payload::DataProbe { hops, .. } = &mut env.payload {
+            *hops += env.pos as u32;
         }
         return Some(env);
     }
@@ -461,7 +467,10 @@ mod tests {
         nbrs: Neighbors,
         cache: Option<RouteCache>,
         send: Option<SourceRoute>,
+        /// The routes of the envelopes that ended here, and each data
+        /// probe's hop count on arrival.
         arrived: Vec<Vec<NodeId>>,
+        probe_hops: Vec<u32>,
     }
 
     impl ssr_sim::Protocol for Relay {
@@ -483,6 +492,9 @@ mod tests {
             };
             let cache = self.cache.as_ref();
             if let Some(env) = receive_forward(ctx, self.me, &self.nbrs, cache, env) {
+                if let Payload::DataProbe { hops, .. } = env.payload {
+                    self.probe_hops.push(hops);
+                }
                 self.arrived.push(env.route);
             }
         }
@@ -520,6 +532,7 @@ mod tests {
                     cache,
                     send: (u == 0).then(|| SourceRoute::from_hops(ids(route))),
                     arrived: Vec::new(),
+                    probe_hops: Vec::new(),
                 }
             })
             .collect();
@@ -536,6 +549,7 @@ mod tests {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (1, 4)];
         let sim = relay_line(5, &edges, &[1, 2, 3, 4, 5], None);
         assert_eq!(sim.protocol(4).arrived, vec![ids(&[1, 2, 5])]);
+        assert_eq!(sim.protocol(4).probe_hops, vec![2]);
         let m = sim.metrics();
         assert_eq!((m.counter("tx.total"), m.counter("fwd.shortcut")), (2, 1));
         assert_eq!((m.counter("e2e.sent"), m.counter("fwd.broken")), (1, 0));
@@ -545,17 +559,21 @@ mod tests {
 
     /// Path 1–…–6 with a detour 2–7–6 that relay 2 caches: it forwards
     /// over the cached two hops instead of the path's four, and counts the
-    /// splice. Without the cache the envelope walks the path.
+    /// splice; the probe arrives saying it travelled the spliced three hops,
+    /// not the five it was sent along. Without the cache the envelope walks
+    /// the path.
     #[test]
     fn a_relay_splices_in_its_own_shorter_cached_route() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 5)];
         let route = [1, 2, 3, 4, 5, 6];
         let sim = relay_line(7, &edges, &route, Some(&[2, 7, 6]));
         assert_eq!(sim.protocol(5).arrived, vec![ids(&[1, 2, 7, 6])]);
+        assert_eq!(sim.protocol(5).probe_hops, vec![3]);
         let m = sim.metrics();
         assert_eq!((m.counter("tx.total"), m.counter("fwd.spliced")), (3, 1));
         let sim = relay_line(7, &edges, &route, None);
         assert_eq!(sim.protocol(5).arrived, vec![ids(&route)]);
+        assert_eq!(sim.protocol(5).probe_hops, vec![5]);
         assert_eq!(sim.metrics().counter("fwd.spliced"), 0);
     }
 

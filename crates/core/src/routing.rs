@@ -4,21 +4,26 @@
 //! destination from its cache that is physically closest to itself and
 //! virtually closest to the final destination of the packet" — realized
 //! here as the clockwise-progress rule of [`RouteCache::best_toward`]
-//! (virtual progress decides; a cache holds one route per destination, the
-//! shortest it was offered), repeated at every intermediate destination
-//! until arrival.
+//! (virtual progress decides, over every node a cached route passes; the
+//! shortest cached prefix to the pick is the way there), repeated at every
+//! intermediate destination until arrival.
 //!
 //! "If the virtual ring has been formed consistently, this routing algorithm
 //! is guaranteed to succeed for any source and destination pair" — that
 //! guarantee is exactly what experiment E7 measures, so this module routes
 //! over a *snapshot* of all node states (fast, deterministic, no protocol
 //! interference) and reports virtual hops, physical hops, and failures. The
-//! snapshot is a sorted table — addresses ascending, each node's cache beside
-//! its address — and a virtual hop is one binary search into it.
+//! snapshot is flat: addresses ascending, and beside each one the nodes its
+//! cache reaches, ascending, with the fewest physical hops it reaches each
+//! in. A virtual hop is one binary search into the addresses and one into
+//! the node's table.
+//!
+//! [`RouteCache::best_toward`]: crate::cache::RouteCache::best_toward
 
-use ssr_types::NodeId;
+use std::marker::PhantomData;
 
-use crate::cache::RouteCache;
+use ssr_types::{cw_dist, NodeId};
+
 use crate::node::SsrNode;
 
 /// Outcome of routing one packet.
@@ -48,12 +53,21 @@ impl RouteOutcome {
     }
 }
 
-/// An immutable routing view over all node states.
+/// An immutable routing view over all node states, built once per
+/// snapshot.
 pub struct RoutingView<'a> {
     /// Node addresses, ascending.
     ids: Vec<NodeId>,
-    /// `caches[i]` is the cache of the node at `ids[i]`.
-    caches: Vec<&'a RouteCache>,
+    /// The node at `ids[i]` reaches `reach[offsets[i]..offsets[i + 1]]`,
+    /// ascending and never itself: every hop of every route it caches.
+    offsets: Vec<u32>,
+    reach: Vec<NodeId>,
+    /// `hops[j]`: the fewest physical hops a cached prefix takes to
+    /// `reach[j]`.
+    hops: Vec<u32>,
+    /// The view copies what it reads, but describes the nodes it was built
+    /// from and lives no longer than they do.
+    snapshot: PhantomData<&'a [SsrNode]>,
 }
 
 impl<'a> RoutingView<'a> {
@@ -61,10 +75,48 @@ impl<'a> RoutingView<'a> {
     pub fn new(nodes: &'a [SsrNode]) -> Self {
         let mut sorted: Vec<&SsrNode> = nodes.iter().collect();
         sorted.sort_unstable_by_key(|n| n.id());
-        RoutingView {
+        let mut view = RoutingView {
             ids: sorted.iter().map(|n| n.id()).collect(),
-            caches: sorted.iter().map(|n| n.cache()).collect(),
+            offsets: Vec::with_capacity(sorted.len() + 1),
+            reach: Vec::new(),
+            hops: Vec::new(),
+            snapshot: PhantomData,
+        };
+        view.offsets.push(0);
+        // one node's (hop, prefix length) pairs, reused
+        let mut row: Vec<(NodeId, u32)> = Vec::new();
+        for node in sorted {
+            row.clear();
+            for (_, route) in node.cache().iter() {
+                let passed = route.hops().iter().copied().zip(0..).skip(1);
+                row.extend(passed.filter(|&(hop, _)| hop != node.id()));
+            }
+            // sorted by (hop, length), the first of each hop is its shortest
+            row.sort_unstable();
+            row.dedup_by_key(|&mut (hop, _)| hop);
+            view.reach.extend(row.iter().map(|&(hop, _)| hop));
+            view.hops.extend(row.iter().map(|&(_, len)| len));
+            let end = u32::try_from(view.reach.len()).expect("fewer than 2^32 reachable entries");
+            view.offsets.push(end);
         }
+        view
+    }
+
+    /// One virtual hop: what [`RouteCache::best_toward`] at `at` picks
+    /// toward `target`, and the physical hops of the prefix there. `None`
+    /// if `at` is no node's address or nothing it reaches lies on the
+    /// clockwise arc `(at, target]`.
+    ///
+    /// [`RouteCache::best_toward`]: crate::cache::RouteCache::best_toward
+    pub fn next_hop(&self, at: NodeId, target: NodeId) -> Option<(NodeId, u32)> {
+        let i = self.ids.binary_search(&at).ok()?;
+        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        let reach = &self.reach[lo..hi];
+        // the cyclic predecessor-or-equal of the target: nothing at or
+        // below it means the row's largest, across the wrap
+        let upto = reach.partition_point(|&h| h <= target);
+        let j = upto.checked_sub(1).or(reach.len().checked_sub(1))?;
+        (cw_dist(at, reach[j]) <= cw_dist(at, target)).then(|| (reach[j], self.hops[lo + j]))
     }
 
     /// Routes a packet from `src` to `dst` greedily. `max_virtual_hops`
@@ -80,14 +132,11 @@ impl<'a> RoutingView<'a> {
         let mut virtual_hops = 0u32;
         let mut physical_hops = 0u32;
         while virtual_hops < max_virtual_hops {
-            let Ok(i) = self.ids.binary_search(&cur) else {
-                return RouteOutcome::Stuck { at: cur };
-            };
-            let Some((next, route)) = self.caches[i].best_toward(dst) else {
+            let Some((next, hops)) = self.next_hop(cur, dst) else {
                 return RouteOutcome::Stuck { at: cur };
             };
             virtual_hops += 1;
-            physical_hops += route.len() as u32;
+            physical_hops += hops;
             cur = next;
             if cur == dst {
                 return RouteOutcome::Delivered {
@@ -188,12 +237,14 @@ mod tests {
     use crate::bootstrap::{
         make_ssr_nodes, run_linearized_bootstrap, topo_and_labels, BootstrapConfig,
     };
+    use crate::cache::RouteCache;
     use crate::route::SourceRoute;
     use ssr_sim::{LinkConfig, Simulator, Time};
     use std::collections::BTreeMap;
 
     /// The view as it was until the sorted table replaced it: every virtual
-    /// hop resolved through an id-keyed tree. Kept only to say what
+    /// hop resolved through an id-keyed tree of caches, asking each cache's
+    /// own [`RouteCache::best_toward`]. Kept only to say what
     /// [`RoutingView::route`] must return.
     fn reference_route(
         caches: &BTreeMap<NodeId, &RouteCache>,
@@ -206,11 +257,11 @@ mod tests {
             if virtual_hops == max_virtual_hops {
                 return RouteOutcome::Exhausted;
             }
-            let Some((next, route)) = caches.get(&cur).and_then(|c| c.best_toward(dst)) else {
+            let Some((next, prefix)) = caches.get(&cur).and_then(|c| c.best_toward(dst)) else {
                 return RouteOutcome::Stuck { at: cur };
             };
             virtual_hops += 1;
-            physical_hops += route.len() as u32;
+            physical_hops += prefix.len() as u32 - 1;
             cur = next;
         }
         RouteOutcome::Delivered {

@@ -109,6 +109,47 @@ proptest! {
         }
     }
 
+    /// The greedy pick over multi-hop routes, ids from a 64-wide window
+    /// (anywhere on the ring) so that routes share hops: the pick lies on
+    /// the clockwise arc `(owner, target]` and is not the owner, the prefix
+    /// returned is a cached route's and the shortest cached prefix to the
+    /// pick, and no hop of any cached route is strictly closer to the
+    /// target. With no pick, no hop lies on the arc.
+    #[test]
+    fn cache_best_toward_picks_the_closest_hop_over_its_shortest_prefix(
+        base: u64,
+        owner in 0u64..64,
+        routes in proptest::collection::vec(proptest::collection::vec(0u64..64, 1..6), 1..24),
+        target in 0u64..64,
+    ) {
+        let id = |x: u64| NodeId(base.wrapping_add(x));
+        let (owner, target) = (id(owner), id(target));
+        let mut cache = RouteCache::new(owner);
+        for relays in routes {
+            let mut hops: Vec<NodeId> = std::iter::once(owner).chain(relays.into_iter().map(id)).collect();
+            hops.dedup();
+            cache.insert(SourceRoute::from_hops(hops).pruned(), false);
+        }
+        let gap = ssr_types::cw_dist(owner, target);
+        let on_arc = |h: NodeId| h != owner && ssr_types::cw_dist(owner, h) <= gap;
+        // every (hop, prefix length) a cached route offers
+        let offered: Vec<(NodeId, usize)> = cache
+            .iter()
+            .flat_map(|(_, r)| r.hops().iter().copied().zip(0..).skip(1))
+            .collect();
+        let Some((pick, prefix)) = cache.best_toward(target) else {
+            prop_assert!(offered.iter().all(|&(h, _)| !on_arc(h)));
+            return Ok(());
+        };
+        prop_assert!(on_arc(pick), "{:?} off the arc", pick);
+        prop_assert_eq!((prefix.first(), prefix.last()), (Some(&owner), Some(&pick)));
+        prop_assert!(cache.iter().any(|(_, r)| r.hops().starts_with(prefix)));
+        let shortest = offered.iter().filter(|&&(h, _)| h == pick).map(|&(_, k)| k).min();
+        prop_assert_eq!(Some(prefix.len() - 1), shortest);
+        let left = |h: NodeId| ssr_types::cw_dist(h, target);
+        prop_assert!(offered.iter().all(|&(h, _)| left(h) >= left(pick)));
+    }
+
     /// Relay shortcut and first-hop cut ([`shorten`] with no cache, at a
     /// relay's `pos` and at 0): over a random connected graph and a random valid
     /// route, what any holder makes of the route is a subsequence of it
