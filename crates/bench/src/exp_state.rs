@@ -36,8 +36,9 @@ use crate::Shell;
 /// paper's interval base and at base 4.
 const ENGINE_SCENARIOS: [&str; 3] = ["engine/memory", "engine/lsn", "engine/lsn-base4"];
 
-/// The SSR route-cache rows, at interval base 2 and 4.
-const SSR_SCENARIOS: [&str; 2] = ["ssr-cache", "ssr-cache-base4"];
+/// The SSR route-cache rows, at interval base 2 and 4 (E7 routes over
+/// both).
+pub(crate) const SSR_SCENARIOS: [&str; 2] = ["ssr-cache", "ssr-cache-base4"];
 
 /// The SSR scenario whose bootstrap timeline the manifest records (at the
 /// largest n and the first seed).
@@ -45,7 +46,7 @@ const TIMELINE_SCENARIO: &str = "ssr-cache";
 
 /// Scenario → the LSN interval base it runs with; `None` for
 /// `engine/memory`, which keeps every edge.
-fn base(scenario: &str) -> Option<u64> {
+pub(crate) fn base(scenario: &str) -> Option<u64> {
     match scenario {
         "engine/memory" => None,
         "engine/lsn" | "ssr-cache" => Some(2),
