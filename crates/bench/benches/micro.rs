@@ -10,6 +10,7 @@ use ssr_core::SsrNode;
 use ssr_linearize::{step_round, Semantics, Variant};
 use ssr_sim::{Ctx, LinkConfig, Protocol, Simulator, Time};
 use ssr_types::{NodeId, Rng, SeqNo};
+use ssr_workloads::scenario::traffic_pairs;
 use ssr_workloads::Topology;
 
 /// B1: one synchronous linearization round — on a 1024-node random graph
@@ -75,8 +76,10 @@ fn offer_500(cache: &mut RouteCache, rng: &mut Rng, pinned: bool) {
 /// B2: greedy cache lookup (`best_toward`, a scan over every hop of every
 /// cached route) over a populated cache; then the same pick read from a
 /// routing snapshot's flat table (`RoutingView::next_hop`, two binary
-/// searches) on a converged n = 500 ring — the lookup `benchmark/`'s
-/// `greedy_routing` times, once per virtual hop.
+/// searches) on a converged n = 500 ring, and a whole `RoutingView::route`
+/// over the same ring and `traffic_pairs` — the path `benchmark/`'s
+/// `greedy_routing` times: one pick per decision, and the relays' staircase
+/// where one takes over.
 fn bench_cache_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_best_toward");
     for (name, pinned) in CACHE_SHAPES {
@@ -114,6 +117,19 @@ fn bench_cache_lookup(c: &mut Criterion) {
             i = (i + 1) % queries.len();
             let (at, target) = queries[i];
             std::hint::black_box(view.next_hop(at, target))
+        })
+    });
+    group.finish();
+
+    let pairs = traffic_pairs(500, 64, &mut Rng::new(17));
+    let max_hops = 500 + 16;
+    let mut group = c.benchmark_group("cache_view_route");
+    let mut i = 0;
+    group.bench_function("converged_500", |b| {
+        b.iter(|| {
+            i = (i + 1) % pairs.len();
+            let (s, d) = pairs[i];
+            std::hint::black_box(view.route(labels.id(s), labels.id(d), max_hops))
         })
     });
     group.finish();

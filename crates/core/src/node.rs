@@ -572,8 +572,10 @@ impl SsrNode {
     }
 
     /// Greedy forwarding of an application probe, along the cached prefix
-    /// to the node [`RouteCache::best_toward`] picks; `hops` is the
-    /// physical hops it has travelled so far.
+    /// to the node [`RouteCache::best_toward`] picks — at the source, at
+    /// the end of a prefix, or at a relay that took the probe over
+    /// (`node_util::receive_forward`); `hops` is the physical hops it has
+    /// travelled so far.
     fn handle_probe(&mut self, ctx: &mut Ctx<'_, SsrMsg>, target: NodeId, hops: u32) {
         if target == self.id {
             self.delivered_probes.push((target, hops));
@@ -982,17 +984,19 @@ mod tests {
         }
     }
 
-    /// The message-level reader of `best_toward` (`handle_probe`, hop by hop
+    /// The message-level reader of `best_toward` (`handle_probe` at the
+    /// source and at every relay that takes a probe over, hop by hop
     /// through the simulator) and the snapshot reader (`RoutingView::route`)
     /// agree. Each of the n² probes over a converged n = 40 ring runs alone,
     /// from a fresh copy of the converged nodes, and arrives. A probe takes
-    /// the view's greedy steps over the view's prefixes as long as no node
-    /// it reaches has refreshed a cached route ([`node_util::refresh_behind`]):
-    /// a refresh may swap a route for a shorter one that no longer passes
-    /// the best candidate, and the next greedy step from there differs.
-    /// Where `fwd.refreshed` did not move, the probe arrives with the view's
-    /// hop count exactly, less what relays cut out of the prefixes
-    /// (`fwd.shortcut`, `fwd.spliced`); that is all but 21 of the 1 600.
+    /// the view's decisions over the view's prefixes as long as no relay
+    /// changes the route ahead (`fwd.shortcut`, `fwd.spliced`) and no node
+    /// it reaches refreshes a cached route ([`node_util::refresh_behind`]):
+    /// a shortcut may skip a relay that would have decided, and a refresh
+    /// may swap a route for a shorter one that no longer passes the best
+    /// candidate. Where none of the three moved, the probe arrives with the
+    /// view's hop count exactly; that is 95 % of the probes at least, and
+    /// some relay takes a probe over (`fwd.redecided`) on the way.
     #[test]
     fn probes_arrive_with_the_hop_count_the_routing_view_reports() {
         use crate::bootstrap::{run_linearized_bootstrap, topo_and_labels, BootstrapConfig};
@@ -1002,7 +1006,7 @@ mod tests {
         let (report, done) = run_linearized_bootstrap(&g, &labels, &BootstrapConfig::default());
         assert!(report.converged, "{report:?}");
         let view = RoutingView::new(done.protocols());
-        let (mut exact, mut cut, mut refreshed) = (0, 0, 0);
+        let (mut exact, mut redecided) = (0, 0);
         for (s, &src) in labels.ids().iter().enumerate() {
             for (d, &dst) in labels.ids().iter().enumerate() {
                 let probers = (done.protocols().iter().enumerate())
@@ -1025,23 +1029,16 @@ mod tests {
                     panic!("{src:?}→{dst:?} does not route over the snapshot");
                 };
                 let m = sim.metrics();
-                if m.counter("fwd.refreshed") > 0 {
-                    refreshed += 1;
-                } else if m.counter("fwd.shortcut") + m.counter("fwd.spliced") > 0 {
-                    assert!(hops < physical_hops, "{src:?}→{dst:?}: {hops} hops");
-                    cut += 1;
-                } else {
+                redecided += m.counter("fwd.redecided");
+                let moved = ["fwd.shortcut", "fwd.spliced", "fwd.refreshed"];
+                if moved.iter().all(|&key| m.counter(key) == 0) {
                     assert_eq!(hops, physical_hops, "{src:?}→{dst:?}");
                     exact += 1;
                 }
             }
         }
-        // 1 566 exact, 13 cut, 21 refreshed
-        assert_eq!(exact + cut + refreshed, n * n);
-        assert!(
-            10 * refreshed < n * n,
-            "{exact} exact, {cut} cut, {refreshed} refreshed"
-        );
+        assert!(100 * exact >= 95 * n * n, "{exact} of {} exact", n * n);
+        assert!(redecided > 0, "no relay took a probe over");
     }
 
     /// Physical ring 10–20–30–40–50–10, every node's neighbor table bound

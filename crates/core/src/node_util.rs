@@ -8,7 +8,7 @@
 //! them.
 
 use ssr_sim::Ctx;
-use ssr_types::{Neighbors, NodeId};
+use ssr_types::{cw_dist, Neighbors, NodeId};
 
 use crate::cache::RouteCache;
 use crate::message::{ForwardEnvelope, Payload, SsrMsg};
@@ -183,10 +183,13 @@ pub fn forward_env(
 
 /// Takes a forwarded envelope in at `me`: rejects it unless `me` is the
 /// hop it is addressed to, extends the trace if the payload keeps one, and
-/// passes it on unless its route ends here — in which case it is returned
-/// for end-to-end handling, a data probe's hop count raised by the hops it
-/// travelled. A relay that hands in its route `cache` [`shorten`]s the rest
-/// of the route with it.
+/// passes it on unless it ends here — in which case it is returned for
+/// end-to-end handling, a data probe's hop count raised by the hops it
+/// travelled. An envelope ends where its route does; a data probe ends
+/// sooner at its target, and at a relay whose `cache` holds a node strictly
+/// closer (clockwise) to the target than the route's end: the relay takes
+/// the greedy decision over (`fwd.redecided`). A relay that hands in its
+/// `cache` also [`shorten`]s the rest of the route with it.
 pub fn receive_forward(
     ctx: &mut Ctx<'_, SsrMsg>,
     me: NodeId,
@@ -201,7 +204,7 @@ pub fn receive_forward(
     if env.payload.wants_trace() && env.trace.last() != Some(&me) {
         env.trace.push(me);
     }
-    if env.pos + 1 == env.route.len() {
+    if env.pos + 1 == env.route.len() || takes_probe_over(ctx, me, cache, &env) {
         // a discovery ends at every virtual hop in a fresh envelope that
         // `send_payload` never counted; everything else was one `e2e.sent`
         if !matches!(env.payload, Payload::Discover { .. }) {
@@ -216,6 +219,30 @@ pub fn receive_forward(
     }
     forward_env(ctx, nbrs, cache, env);
     None
+}
+
+/// Whether the relay `me` ends a data probe it holds: it is the probe's
+/// target, or its `cache` picks a node strictly closer (clockwise) to the
+/// target than the route's end, and it decides in the end's stead.
+fn takes_probe_over(
+    ctx: &mut Ctx<'_, SsrMsg>,
+    me: NodeId,
+    cache: Option<&RouteCache>,
+    env: &ForwardEnvelope,
+) -> bool {
+    let Payload::DataProbe { target, .. } = env.payload else {
+        return false;
+    };
+    if target == me {
+        return true;
+    }
+    let left = cw_dist(env.route[env.route.len() - 1], target);
+    let pick = cache.and_then(|cache| cache.best_toward(target));
+    let closer = pick.is_some_and(|(hop, _)| cw_dist(hop, target) < left);
+    if closer {
+        ctx.metrics().incr("fwd.redecided");
+    }
+    closer
 }
 
 /// Validates an incoming route: non-empty, starts at `me`, no consecutive
@@ -460,13 +487,14 @@ mod tests {
     }
 
     /// A relay over a hand-bound neighbour table that logs the route of
-    /// every envelope ending at it; `send` goes out at boot. With a `cache`
-    /// it splices as an SSR relay does.
+    /// every envelope ending at it; `send` (a route, and the target of the
+    /// data probe sent along it) goes out at boot. With a `cache` it
+    /// splices and takes probes over as an SSR relay does.
     struct Relay {
         me: NodeId,
         nbrs: Neighbors,
         cache: Option<RouteCache>,
-        send: Option<SourceRoute>,
+        send: Option<(SourceRoute, NodeId)>,
         /// The routes of the envelopes that ended here, and each data
         /// probe's hop count on arrival.
         arrived: Vec<Vec<NodeId>>,
@@ -477,11 +505,8 @@ mod tests {
         type Msg = SsrMsg;
 
         fn on_init(&mut self, ctx: &mut Ctx<'_, SsrMsg>) {
-            if let Some(route) = self.send.take() {
-                let probe = Payload::DataProbe {
-                    target: route.dst(),
-                    hops: 0,
-                };
+            if let Some((route, target)) = self.send.take() {
+                let probe = Payload::DataProbe { target, hops: 0 };
                 send_payload(ctx, self.me, &self.nbrs, &route, probe);
             }
         }
@@ -505,12 +530,13 @@ mod tests {
     }
 
     /// Node `u` of `edges` is address `u + 1`. Node 1 sends a data probe
-    /// along `route`; relay 2 caches `cached` as travelled, if any. Runs to
-    /// quiescence.
+    /// toward `target` along `route`; relay 2 caches `cached` as travelled,
+    /// if any. Runs to quiescence.
     fn relay_line(
         n: usize,
         edges: &[(usize, usize)],
         route: &[u64],
+        target: u64,
         cached: Option<&[u64]>,
     ) -> ssr_sim::Simulator<Relay> {
         let topo = ssr_graph::Graph::from_edges(n, edges.iter().copied());
@@ -530,7 +556,7 @@ mod tests {
                     me,
                     nbrs,
                     cache,
-                    send: (u == 0).then(|| SourceRoute::from_hops(ids(route))),
+                    send: (u == 0).then(|| (SourceRoute::from_hops(ids(route)), NodeId(target))),
                     arrived: Vec::new(),
                     probe_hops: Vec::new(),
                 }
@@ -547,7 +573,7 @@ mod tests {
     #[test]
     fn a_relay_forwards_to_its_farthest_later_neighbour() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3), (1, 4)];
-        let sim = relay_line(5, &edges, &[1, 2, 3, 4, 5], None);
+        let sim = relay_line(5, &edges, &[1, 2, 3, 4, 5], 5, None);
         assert_eq!(sim.protocol(4).arrived, vec![ids(&[1, 2, 5])]);
         assert_eq!(sim.protocol(4).probe_hops, vec![2]);
         let m = sim.metrics();
@@ -566,15 +592,52 @@ mod tests {
     fn a_relay_splices_in_its_own_shorter_cached_route() {
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 5)];
         let route = [1, 2, 3, 4, 5, 6];
-        let sim = relay_line(7, &edges, &route, Some(&[2, 7, 6]));
+        let sim = relay_line(7, &edges, &route, 6, Some(&[2, 7, 6]));
         assert_eq!(sim.protocol(5).arrived, vec![ids(&[1, 2, 7, 6])]);
         assert_eq!(sim.protocol(5).probe_hops, vec![3]);
         let m = sim.metrics();
         assert_eq!((m.counter("tx.total"), m.counter("fwd.spliced")), (3, 1));
-        let sim = relay_line(7, &edges, &route, None);
+        let sim = relay_line(7, &edges, &route, 6, None);
         assert_eq!(sim.protocol(5).arrived, vec![ids(&route)]);
         assert_eq!(sim.protocol(5).probe_hops, vec![5]);
         assert_eq!(sim.metrics().counter("fwd.spliced"), 0);
+    }
+
+    /// Path 1–…–5: node 1 sends a probe for 3 along the whole path, as a
+    /// splice can leave a route that passes its target. Relay 3 takes the
+    /// probe where it meets it, two hops on, and 4 and 5 see nothing. No
+    /// relay decided anything.
+    #[test]
+    fn a_relay_that_is_the_probes_target_takes_it() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4)];
+        let sim = relay_line(5, &edges, &[1, 2, 3, 4, 5], 3, None);
+        assert_eq!(sim.protocol(2).arrived, vec![ids(&[1, 2, 3, 4, 5])]);
+        assert_eq!(sim.protocol(2).probe_hops, vec![2]);
+        assert!(sim.protocol(3).arrived.is_empty() && sim.protocol(4).arrived.is_empty());
+        let m = sim.metrics();
+        assert_eq!((m.counter("tx.total"), m.counter("e2e.delivered")), (2, 1));
+        assert_eq!(m.counter("fwd.redecided"), 0);
+    }
+
+    /// Path 1–…–6: node 1 sends a probe for 6 along the path to 4. Relay
+    /// 2 caches a route to 5, strictly closer to the target than 4, and
+    /// takes the probe over after one hop; with a route only to 4 it
+    /// forwards. A relay without a cache never decides.
+    #[test]
+    fn a_relay_with_a_closer_node_takes_the_probe_over() {
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
+        let route = [1, 2, 3, 4];
+        let sim = relay_line(6, &edges, &route, 6, Some(&[2, 3, 4, 5]));
+        assert_eq!(sim.protocol(1).arrived, vec![ids(&route)]);
+        assert_eq!(sim.protocol(1).probe_hops, vec![1]);
+        assert!(sim.protocol(3).arrived.is_empty());
+        let m = sim.metrics();
+        assert_eq!((m.counter("tx.total"), m.counter("fwd.redecided")), (1, 1));
+        for cached in [Some(&[2, 3, 4][..]), None] {
+            let sim = relay_line(6, &edges, &route, 6, cached);
+            assert_eq!(sim.protocol(3).probe_hops, vec![3]);
+            assert_eq!(sim.metrics().counter("fwd.redecided"), 0);
+        }
     }
 
     #[test]

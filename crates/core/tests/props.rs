@@ -7,7 +7,7 @@ use ssr_core::bootstrap::{run_linearized_bootstrap, BootstrapConfig};
 use ssr_core::cache::RouteCache;
 use ssr_core::node_util::{refresh_behind, shorten};
 use ssr_core::route::SourceRoute;
-use ssr_core::routing::RoutingView;
+use ssr_core::routing::{RouteOutcome, RoutingView};
 use ssr_graph::{algo, generators, Graph, Labeling};
 use ssr_types::{IntervalPartition, Neighbors, NodeId, Rng};
 
@@ -362,6 +362,72 @@ proptest! {
                     view.route(src, dst, 4 * n as u32).delivered(),
                     "{src} -> {dst} failed"
                 );
+            }
+        }
+    }
+}
+
+/// Greedy routing walked over the caches themselves: the holder asks its
+/// own `best_toward`, then every relay on the prefix it picked does, in
+/// order, and the first whose pick is strictly closer to `dst` than the
+/// prefix's end takes the packet over. Checks that every decision strictly
+/// shrinks the clockwise distance left — its pick is closer to `dst` than
+/// the decision before picked, wherever the relay itself lies — and
+/// returns (decisions, physical hops), or `None` where a holder has no
+/// pick.
+fn walk_the_caches(
+    caches: &std::collections::BTreeMap<NodeId, &RouteCache>,
+    src: NodeId,
+    dst: NodeId,
+) -> Result<Option<(u32, u32)>, TestCaseError> {
+    let pick = |at: &NodeId| caches.get(at).and_then(|c| c.best_toward(dst));
+    let left = |h: NodeId| ssr_types::cw_dist(h, dst);
+    let (mut cur, mut decisions, mut physical) = (src, 0u32, 0u32);
+    let mut last = left(src);
+    while cur != dst {
+        let Some((next, prefix)) = pick(&cur) else {
+            return Ok(None);
+        };
+        prop_assert!(left(next) < last, "{cur} picked {next} toward {dst}");
+        last = left(next);
+        let end = prefix.len() - 1;
+        let closer = |r: &NodeId| *r == dst || pick(r).is_some_and(|(g, _)| left(g) < last);
+        let k = (1..end).find(|&k| closer(&prefix[k])).unwrap_or(end);
+        decisions += 1;
+        physical += k as u32;
+        cur = prefix[k];
+    }
+    Ok(Some((decisions, physical)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random converged graphs, [`RoutingView::route`] replays the
+    /// cache walk with every relay deciding ([`walk_the_caches`]) pair for
+    /// pair, each decision strictly shrinks the clockwise distance left,
+    /// and every pair arrives.
+    #[test]
+    fn the_view_routes_like_every_relay_deciding(n in 8usize..48, seed: u64, p in 0.0f64..0.12) {
+        let mut rng = Rng::new(seed);
+        let mut g = generators::gnp(n, p, &mut rng);
+        generators::ensure_connected(&mut g, &mut rng);
+        let labels = Labeling::random(n, &mut rng);
+        let cfg = BootstrapConfig {
+            seed,
+            max_ticks: 60_000,
+            ..Default::default()
+        };
+        let (report, sim) = run_linearized_bootstrap(&g, &labels, &cfg);
+        prop_assert!(report.converged, "no convergence: {report:?}");
+        let view = RoutingView::new(sim.protocols());
+        let caches = sim.protocols().iter().map(|node| (node.id(), node.cache())).collect();
+        for &src in labels.ids() {
+            for &dst in labels.ids() {
+                let walked = walk_the_caches(&caches, src, dst)?;
+                let (virtual_hops, physical_hops) = walked.expect("a converged ring delivers");
+                let routed = RouteOutcome::Delivered { virtual_hops, physical_hops };
+                prop_assert_eq!(view.route(src, dst, 4 * n as u32), routed, "{} -> {}", src, dst);
             }
         }
     }

@@ -43,6 +43,7 @@ pub const KEYS: &[&str] = &[
     "fwd.misrouted",
     "fwd.no_path",
     "fwd.no_route",
+    "fwd.redecided",
     "fwd.refreshed",
     "fwd.shortcut",
     "fwd.spliced",
