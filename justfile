@@ -72,7 +72,8 @@ bench-round:
 
 # the route cache only (B2/B3): greedy lookup and insert, on a retained
 # ≈ 17-entry row and on a 500-entry all-pinned row, and the routing
-# snapshot's lookup on a converged n = 500 ring (what greedy_routing times)
+# snapshot on a converged n = 500 ring: one decision, and a whole route
+# with relays taking over (what greedy_routing times)
 bench-cache:
     cargo bench -p ssr-bench --bench micro -- cache_
 
