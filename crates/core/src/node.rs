@@ -916,6 +916,89 @@ mod tests {
         node_util::rig::rebinds_keep_the_bijection(|| SsrNode::new(NodeId(50)), |n| &n.nbrs);
     }
 
+    /// Runs one callback of `node` as a step at tick `now` over links 1 and
+    /// 2, with `rng` lent, and returns what it queued.
+    fn step(
+        node: &mut SsrNode,
+        rng: &mut ssr_types::Rng,
+        now: u64,
+        f: impl FnOnce(&mut SsrNode, &mut Ctx<'_, SsrMsg>),
+    ) -> Vec<ssr_sim::Action<SsrMsg>> {
+        let (mut out, mut metrics) = (Vec::new(), ssr_sim::Metrics::new());
+        let now = ssr_sim::Time::ZERO + now;
+        let cause = CauseClass::Bootstrap;
+        f(
+            node,
+            &mut Ctx::new(0, now, &[1, 2], &mut out, rng, &mut metrics, cause),
+        );
+        out
+    }
+
+    /// `SsrNode` outside the simulator: `on_init`, then a `Hello` from link
+    /// 1, as two steps. The neighbour is bound, the outbox holds the hellos
+    /// and timers in queue order, and the lent `Rng` is never drawn from —
+    /// a step is a function of the node's state and its input.
+    #[test]
+    fn a_node_steps_outside_the_simulator_without_drawing_randomness() {
+        use ssr_sim::Action;
+        let send = |to, probe| Action::Send {
+            to,
+            msg: SsrMsg::Hello {
+                id: NodeId(50),
+                probe,
+            },
+            cause: CauseClass::Bootstrap,
+        };
+        let timer = |delay, timer: Timer| Action::Timer {
+            delay,
+            token: timer.token(),
+            cause: CauseClass::Bootstrap,
+        };
+        let hello = Action::Timer {
+            delay: HELLO_RETRY_INTERVAL,
+            token: TOKEN_HELLO,
+            cause: CauseClass::Bootstrap,
+        };
+        let mut node = SsrNode::new(NodeId(50));
+        let mut rng = ssr_types::Rng::new(7);
+        let mut untouched = rng.clone();
+
+        let out = step(&mut node, &mut rng, 0, |p, ctx| p.on_init(ctx));
+        assert_eq!(
+            out,
+            [
+                send(1, true),
+                send(2, true),
+                timer(ACT_INTERVAL, Timer::Act),
+                hello
+            ]
+        );
+
+        let from_30 = SsrMsg::Hello {
+            id: NodeId(30),
+            probe: true,
+        };
+        let out = step(&mut node, &mut rng, 1, |p, ctx| {
+            p.on_message(ctx, 1, from_30)
+        });
+        assert_eq!(
+            (node.nbrs.id_at(1), node.nbrs.id_at(2)),
+            (Some(NodeId(30)), None)
+        );
+        assert_eq!(node.closest_left(), Some(NodeId(30)));
+        // the probe is answered; the new neighbour arms an act and an audit
+        assert_eq!(
+            out,
+            [
+                send(1, false),
+                timer(ACT_INTERVAL, Timer::Act),
+                timer(AUDIT_INTERVAL, Timer::Audit)
+            ]
+        );
+
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
     fn route(ids: &[u64]) -> SourceRoute {
         SourceRoute::from_hops(ids.iter().map(|&i| NodeId(i)).collect())
     }

@@ -23,7 +23,10 @@
 //! * every event carries deterministic causal [`Provenance`], and an
 //!   opt-in [`CausalLedger`] ([`ledger`]) attributes message cost per
 //!   cause class and kind without perturbing the run
-//!   (see `docs/PROFILING.md`).
+//!   (see `docs/PROFILING.md`);
+//! * one callback is a step any caller can run: [`Ctx::new`] builds its
+//!   context over buffers the caller owns, which then hold the queued
+//!   [`Action`]s in order; [`Simulator`] is one such caller.
 //!
 //! Protocols implement the [`Protocol`] trait and interact with the world
 //! through a [`Ctx`] handed to each callback.
@@ -45,7 +48,7 @@ pub use event::{CauseClass, Provenance};
 pub use ledger::{CausalLedger, KindStats, NodeTally, ProvenanceSummary};
 pub use link::LinkConfig;
 pub use metrics::{Histogram, Metrics};
-pub use sim::{Ctx, ProbeView, Protocol, RunOutcome, Simulator};
+pub use sim::{Action, Ctx, ProbeView, Protocol, RunOutcome, Simulator};
 pub use time::Time;
 pub use trace::{TraceEvent, TraceSink};
 pub use watchdog::{shared_watchdog, watchdog_probe, SharedWatchdog, Verdict, WatchdogState};

@@ -1,4 +1,6 @@
-//! The simulator core: protocol trait, context, and event loop.
+//! The simulator core: one protocol step ([`Ctx::new`], [`Action`]) and the
+//! event loop that drives it. Child modules hold the live adjacency (`world`),
+//! the adversary (`fault`) and the experiment's read side (`observe`).
 
 use std::collections::BTreeMap;
 
@@ -6,13 +8,20 @@ use ssr_graph::Graph;
 use ssr_types::Rng;
 
 use crate::event::{CauseClass, EventKind, EventQueue, Provenance};
-use crate::faults::Fault;
-use crate::ledger::{CausalLedger, ProvenanceSummary};
+use crate::ledger::CausalLedger;
 use crate::link::LinkConfig;
 use crate::metrics::Metrics;
 use crate::registry::CounterId;
 use crate::time::Time;
 use crate::trace::{TraceEvent, TraceSink};
+
+mod fault;
+mod observe;
+mod world;
+
+use observe::Probe;
+pub use observe::ProbeView;
+use world::World;
 
 /// A per-node protocol state machine.
 ///
@@ -64,17 +73,27 @@ pub trait Protocol: Sized {
     }
 }
 
-/// Deferred side effects collected from a protocol callback. Each carries
-/// the cause class in force when it was queued (see [`Ctx::set_cause`]).
-enum Action<M> {
+/// A side effect a callback queued through its [`Ctx`], kept in queue order
+/// in the buffer the `Ctx` was built over, with the cause class in force when
+/// it was queued (see [`Ctx::set_cause`]).
+#[derive(Debug, PartialEq)]
+pub enum Action<M> {
+    /// A message for a physical neighbour ([`Ctx::send`], [`Ctx::broadcast`]).
     Send {
+        /// The neighbour it goes to.
         to: usize,
+        /// The message.
         msg: M,
+        /// The cause class it is attributed to.
         cause: CauseClass,
     },
+    /// A timer ([`Ctx::set_timer`]).
     Timer {
+        /// Ticks until [`Protocol::on_timer`] runs; at least 1.
         delay: u64,
+        /// The token that call receives.
         token: u64,
+        /// The cause class it is attributed to.
         cause: CauseClass,
     },
 }
@@ -92,6 +111,32 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
+    /// One callback's context at `node`, over buffers the caller owns: it
+    /// appends sends and timers to `actions`, draws from `rng` and counts
+    /// into `metrics`. `neighbors` are its physical neighbours, sorted; its
+    /// actions start as `cause`. [`Simulator`] builds every `Ctx` here.
+    #[inline]
+    pub fn new(
+        node: usize,
+        now: Time,
+        neighbors: &'a [usize],
+        actions: &'a mut Vec<Action<M>>,
+        rng: &'a mut Rng,
+        metrics: &'a mut Metrics,
+        cause: CauseClass,
+    ) -> Self {
+        debug_assert!(neighbors.is_sorted(), "neighbours must be sorted");
+        Ctx {
+            node,
+            now,
+            neighbors,
+            actions,
+            rng,
+            metrics,
+            cause,
+        }
+    }
+
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> Time {
@@ -179,51 +224,6 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// A read-only snapshot of the simulation handed to [probes](Simulator::add_probe),
-/// plus mutable access to the metrics registry so probes can record
-/// gauges and histograms.
-///
-/// Probes that scan all protocol state every firing (watchdog signatures,
-/// ring classification, invariant audits) should gate the scan on
-/// [`ProbeView::state_gen`]: if it equals the value seen at the previous
-/// firing, *nothing* in the simulation changed in between — no protocol
-/// callback ran and no fault was applied — so the previous scan result is
-/// still exact and the O(n) rescan can be skipped. This is what makes
-/// probe grids over long idle tick ranges cost O(1) per grid point instead
-/// of O(n).
-pub struct ProbeView<'a, P: Protocol> {
-    /// Current simulated time.
-    pub now: Time,
-    /// Every node's protocol state, indexed by node.
-    pub protocols: &'a [P],
-    /// The physical topology (reflecting applied faults).
-    pub topology: &'a Graph,
-    /// Per-node liveness.
-    pub alive: &'a [bool],
-    /// The run's metrics registry (mutable: probes may record).
-    pub metrics: &'a mut Metrics,
-    /// The run's trace sink — probes (e.g. the freeze watchdog) may emit
-    /// structured diagnostics into it.
-    pub trace: &'a TraceSink,
-    /// Number of events still queued.
-    pub pending_events: usize,
-    /// Monotone generation counter, bumped on every protocol callback,
-    /// fault application, and experiment-side state injection. Equal values
-    /// across two probe firings guarantee the simulation state (protocols,
-    /// topology, liveness) is bit-for-bit unchanged between them.
-    pub state_gen: u64,
-}
-
-/// A probe callback (boxed so heterogeneous observers can coexist).
-type ProbeFn<P> = Box<dyn FnMut(&mut ProbeView<'_, P>)>;
-
-/// A registered observer: fires every `every` ticks during the run loops.
-struct Probe<P: Protocol> {
-    every: u64,
-    next_at: Time,
-    f: ProbeFn<P>,
-}
-
 /// Why a run loop returned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunOutcome {
@@ -247,102 +247,6 @@ impl RunOutcome {
     }
 }
 
-/// The physical world — topology and liveness — and the **live adjacency**
-/// derived from them. A module of its own so that the fields are out of the
-/// simulator's reach: the only writes are [`World::topo_mut`] and
-/// [`World::set_alive`], which is what keeps the derived lists honest.
-mod world {
-    use ssr_graph::Graph;
-
-    /// One node's live adjacency: its alive physical neighbours, sorted by
-    /// index — a cache of `topo.neighbors(u).filter(alive)`.
-    #[derive(Clone, Default)]
-    struct LiveList {
-        /// [`World::gen`] when `nbrs` was derived; any other value means
-        /// the topology or liveness may have changed since.
-        stamp: u64,
-        nbrs: Vec<usize>,
-    }
-
-    pub(super) struct World {
-        topo: Graph,
-        alive: Vec<bool>,
-        live: Vec<LiveList>,
-        /// Bumped by every write to `topo` or `alive`; starts above the
-        /// default stamp so every list is derived at its first use.
-        gen: u64,
-    }
-
-    impl World {
-        /// Everyone alive, over `topo`.
-        pub(super) fn new(topo: Graph) -> Self {
-            let n = topo.node_count();
-            World {
-                topo,
-                alive: vec![true; n],
-                live: vec![LiveList::default(); n],
-                gen: 1,
-            }
-        }
-
-        pub(super) fn topo(&self) -> &Graph {
-            &self.topo
-        }
-
-        pub(super) fn alive(&self) -> &[bool] {
-            &self.alive
-        }
-
-        #[inline]
-        pub(super) fn is_alive(&self, node: usize) -> bool {
-            self.alive[node]
-        }
-
-        /// Write access to the topology. Any write may change some node's
-        /// live adjacency, so the generation moves and each list is
-        /// re-derived at its next use.
-        pub(super) fn topo_mut(&mut self) -> &mut Graph {
-            self.gen += 1;
-            &mut self.topo
-        }
-
-        /// Marks `node` up or down (see [`World::topo_mut`]).
-        pub(super) fn set_alive(&mut self, node: usize, up: bool) {
-            self.gen += 1;
-            self.alive[node] = up;
-        }
-
-        /// Node `u`'s alive physical neighbours, sorted by index. What
-        /// [`super::Ctx::neighbors`] lends to a callback and what a delivery
-        /// checks its link against, so neither walks [`Graph`]'s tree sets
-        /// per event: the list is re-derived — here and nowhere else — only
-        /// when the world changed since it was last derived.
-        #[inline]
-        pub(super) fn live(&mut self, u: usize) -> &[usize] {
-            let list = &mut self.live[u];
-            if list.stamp != self.gen {
-                list.nbrs.clear();
-                list.nbrs.reserve(self.topo.degree(u));
-                list.nbrs
-                    .extend(self.topo.neighbors(u).filter(|&v| self.alive[v]));
-                list.stamp = self.gen;
-            }
-            // every debug-profile event (each dispatch and delivery comes
-            // through here) re-checks the cache against its definition
-            debug_assert!(
-                list.nbrs
-                    .iter()
-                    .copied()
-                    .eq(self.topo.neighbors(u).filter(|&v| self.alive[v])),
-                "live adjacency of node {u} drifted from the topology"
-            );
-            &list.nbrs
-        }
-    }
-}
-
-use world::World;
-
 /// The discrete-event simulator.
 ///
 /// Execution is **event-driven end to end**: pending work lives in a
@@ -364,8 +268,8 @@ pub struct Simulator<P: Protocol> {
     /// Per-direction link overrides: `(from, to)` → config. Directed, so
     /// asymmetric loss/latency is expressed by overriding one direction.
     link_overrides: BTreeMap<(usize, usize), LinkConfig>,
-    /// Edges cut by the most recent `Fault::Partition`, restored by
-    /// `Fault::Heal`.
+    /// Edges cut by every `Fault::Partition` since the last `Fault::Heal`,
+    /// which restores them and empties the list.
     severed: Vec<(usize, usize)>,
     rng: Rng,
     metrics: Metrics,
@@ -381,8 +285,8 @@ pub struct Simulator<P: Protocol> {
     deliveries: u64,
     /// Next dense provenance id (enqueue order).
     next_prov: u64,
-    /// Provenance of the event currently being processed; `None` during
-    /// construction-time `on_init` dispatches, whose actions become roots.
+    /// Provenance of the event currently being processed; `None` between
+    /// events (`on_init` at construction, `schedule_fault`), whose ids are roots.
     frame: Option<Provenance>,
     /// Full provenance stamps of *pending* events, keyed by id — present
     /// only when a trace sink or the causal ledger is attached. The queue
@@ -477,124 +381,10 @@ impl<P: Protocol> Simulator<P> {
         sim
     }
 
-    /// A mergeable snapshot of the causal ledger, when instrumented.
-    pub fn causal_summary(&self) -> Option<ProvenanceSummary> {
-        self.ledger.as_deref().map(CausalLedger::summary)
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The physical topology (reflecting applied faults).
-    pub fn topology(&self) -> &Graph {
-        self.world.topo()
-    }
-
-    /// `true` if `node` is currently up.
-    pub fn is_alive(&self, node: usize) -> bool {
-        self.world.is_alive(node)
-    }
-
-    /// Shared view of node `u`'s protocol state.
-    pub fn protocol(&self, u: usize) -> &P {
-        &self.protocols[u]
-    }
-
-    /// Mutable access to node `u`'s protocol state — for experiment-side
-    /// *state injection* (e.g. starting from the paper's adversarial loopy
-    /// or partitioned configurations). Protocol callbacks themselves never
-    /// get this.
-    ///
-    /// The state generation is bumped, so probes caching on
-    /// [`ProbeView::state_gen`] never reuse a scan across an injection.
-    pub fn protocol_mut(&mut self, u: usize) -> &mut P {
-        self.state_gen += 1;
-        &mut self.protocols[u]
-    }
-
-    /// All protocol instances, indexed by node.
-    pub fn protocols(&self) -> &[P] {
-        &self.protocols
-    }
-
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable metrics access (for experiment-level annotations).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    /// Total events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// High-water mark of the pending-event queue over the run — the
-    /// benchmark's `sim.peak_queue_depth` metric.
-    pub fn peak_pending_events(&self) -> usize {
-        self.queue.peak_len()
-    }
-
-    /// Total protocol callback invocations so far ("node activations") —
-    /// with [`Simulator::messages_delivered`], the work metric the
-    /// benchmark harness reports instead of wall-clock ticks alone.
-    pub fn node_activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Messages actually delivered to a protocol (after loss, liveness and
-    /// stale-link filtering) so far.
-    pub fn messages_delivered(&self) -> u64 {
-        self.deliveries
-    }
-
-    /// Overrides the link configuration for the single direction
-    /// `from → to` — transmissions in that direction use `cfg` instead of
-    /// the global default. Overriding only one direction yields asymmetric
-    /// loss/latency; override both for a symmetric adversarial link.
-    /// Installing an override for a non-existent edge is allowed (it
-    /// simply applies once such an edge appears via `LinkUp`/`Join`).
-    pub fn set_link_override(&mut self, from: usize, to: usize, cfg: LinkConfig) {
-        assert!(from != to, "a link needs two distinct endpoints");
-        self.link_overrides.insert((from, to), cfg);
-    }
-
-    /// Removes all per-direction link overrides (back to the global
-    /// default).
-    pub fn clear_link_overrides(&mut self) {
-        self.link_overrides.clear();
-    }
-
-    /// The effective link configuration for the direction `from → to`.
-    pub fn link_config(&self, from: usize, to: usize) -> LinkConfig {
-        *self.link_overrides.get(&(from, to)).unwrap_or(&self.cfg)
-    }
-
-    /// Schedules a fault at absolute time `at` (must not be in the past).
-    /// Fault events are provenance roots: every callback and message they
-    /// trigger is attributed to [`CauseClass::FaultRepair`] (unless a
-    /// protocol re-tags it).
-    pub fn schedule_fault(&mut self, at: Time, fault: Fault) {
-        assert!(at >= self.now, "fault scheduled in the past");
-        let prov = self.alloc_root(CauseClass::FaultRepair);
-        self.queue
-            .push(at, EventKind::Fault(Box::new(fault)), prov.id);
-    }
-
     /// Allocates the next dense provenance id as a child of the event
-    /// being processed, or as a fresh root during `on_init` dispatches.
-    /// When observing (trace or ledger attached), the stamp is parked in
-    /// the side table until the event pops.
+    /// being processed, or as a fresh root between events (`frame` is
+    /// `None`). When observing (trace or ledger attached), the stamp is
+    /// parked in the side table until the event pops.
     fn alloc_prov(&mut self, cause: CauseClass) -> Provenance {
         let id = self.next_prov;
         self.next_prov += 1;
@@ -606,73 +396,6 @@ impl<P: Protocol> Simulator<P> {
             meta.insert(id, prov);
         }
         prov
-    }
-
-    /// Allocates the next dense provenance id as a root unconditionally.
-    fn alloc_root(&mut self, cause: CauseClass) -> Provenance {
-        let id = self.next_prov;
-        self.next_prov += 1;
-        let prov = Provenance::root(id, cause);
-        if let Some(meta) = self.prov_meta.as_mut() {
-            meta.insert(id, prov);
-        }
-        prov
-    }
-
-    /// Registers an observer invoked every `every` ticks during the
-    /// [`Simulator::run_until`]-family loops (first firing at the current
-    /// time). Probes see a consistent snapshot *between* events: every
-    /// event at a tick `< t` has been fully processed when a probe fires
-    /// at `t`, and none at `>= t` has. They run in registration order and
-    /// may record into the metrics registry, which makes them the hook for
-    /// convergence timelines (ring-shape classification, per-node churn).
-    ///
-    /// Single [`Simulator::step`] calls do **not** fire probes.
-    ///
-    /// # Panics
-    /// Panics if `every == 0`.
-    pub fn add_probe(&mut self, every: u64, f: impl FnMut(&mut ProbeView<'_, P>) + 'static) {
-        assert!(every > 0, "probe interval must be positive");
-        self.probes.push(Probe {
-            every,
-            next_at: self.now,
-            f: Box::new(f),
-        });
-    }
-
-    /// Earliest pending probe deadline, if any probes are registered.
-    fn next_probe_due(&self) -> Option<Time> {
-        self.probes.iter().map(|p| p.next_at).min()
-    }
-
-    /// Fires every probe whose deadline has passed, then re-arms it on its
-    /// own `every`-grid strictly after `now`.
-    fn fire_due_probes(&mut self) {
-        if self.probes.is_empty() {
-            return;
-        }
-        let mut probes = std::mem::take(&mut self.probes);
-        for probe in probes.iter_mut() {
-            if probe.next_at > self.now {
-                continue;
-            }
-            let mut view = ProbeView {
-                now: self.now,
-                protocols: &self.protocols,
-                topology: self.world.topo(),
-                alive: self.world.alive(),
-                metrics: &mut self.metrics,
-                trace: &self.trace,
-                pending_events: self.queue.len(),
-                state_gen: self.state_gen,
-            };
-            (probe.f)(&mut view);
-            while probe.next_at <= self.now {
-                probe.next_at += probe.every;
-            }
-        }
-        debug_assert!(self.probes.is_empty(), "probe registered a probe");
-        self.probes = probes;
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -798,30 +521,28 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Runs `node`'s callback with a fully wired [`Ctx`], then applies the
-    /// actions it queued. Returns how many actions the callback queued —
-    /// zero means the event produced no onward work, which is what tags a
-    /// delivery as *wasted* in the causal ledger.
+    /// Runs `node`'s callback as one step ([`Ctx::new`] over the simulator's
+    /// buffers), then applies the actions it queued. Returns how many it
+    /// queued — zero means the event produced no onward work, which is what
+    /// tags a delivery as *wasted* in the causal ledger.
     fn dispatch(&mut self, node: usize, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) -> usize {
         self.activations += 1;
         self.state_gen += 1;
         let mut actions = std::mem::take(&mut self.action_buf);
         actions.clear();
-        {
-            let mut ctx = Ctx {
+        let cause = self.frame.map_or(CauseClass::Bootstrap, |p| p.cause);
+        f(
+            &mut self.protocols[node],
+            &mut Ctx::new(
                 node,
-                now: self.now,
-                neighbors: self.world.live(node),
-                actions: &mut actions,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                cause: match &self.frame {
-                    Some(frame) => frame.cause,
-                    None => CauseClass::Bootstrap,
-                },
-            };
-            f(&mut self.protocols[node], &mut ctx);
-        }
+                self.now,
+                self.world.live(node),
+                &mut actions,
+                &mut self.rng,
+                &mut self.metrics,
+                cause,
+            ),
+        );
         let queued = actions.len();
         for action in actions.drain(..) {
             match action {
@@ -841,11 +562,12 @@ impl<P: Protocol> Simulator<P> {
         queued
     }
 
-    /// Link-layer transmission: applies the effective per-direction config —
-    /// duplication first (each copy is a metered, independent transmission),
-    /// then per-copy loss, latency, and bounded-delay reordering.
+    /// Link-layer transmission: applies the effective per-direction config
+    /// (the override for `from → to`, else the global one) — duplication
+    /// first (each copy is a metered, independent transmission), then
+    /// per-copy loss, latency, and bounded-delay reordering.
     fn transmit(&mut self, from: usize, to: usize, msg: P::Msg, cause: CauseClass) {
-        let cfg = self.link_config(from, to);
+        let cfg = *self.link_overrides.get(&(from, to)).unwrap_or(&self.cfg);
         if cfg.dup_prob > 0.0 && self.rng.chance(cfg.dup_prob) {
             self.metrics.incr("tx.dup");
             self.transmit_copy(from, to, msg.clone(), &cfg, cause);
@@ -960,132 +682,12 @@ impl<P: Protocol> Simulator<P> {
             }
         }
     }
-
-    fn apply_fault(&mut self, fault: Fault) {
-        self.state_gen += 1;
-        if self.trace.enabled() {
-            self.trace.record(TraceEvent::Fault {
-                at: self.now,
-                desc: format!("{fault:?}"),
-                prov: self.frame.expect("fault outside an event frame"),
-            });
-        }
-        match fault {
-            Fault::Crash { node } => {
-                if !self.world.is_alive(node) {
-                    return;
-                }
-                self.world.set_alive(node, false);
-                self.metrics.incr("fault.crash");
-                for v in self.world.live(node).to_vec() {
-                    self.dispatch(v, |p, ctx| p.on_neighbor_down(ctx, node));
-                }
-            }
-            Fault::Join { node, links } => {
-                if self.world.is_alive(node) {
-                    return;
-                }
-                // Sever any stale physical edges from before the crash, then
-                // install the new ones.
-                self.world.topo_mut().isolate(node);
-                self.world.set_alive(node, true);
-                self.metrics.incr("fault.join");
-                let mut fresh = Vec::new();
-                for l in links {
-                    if l == node || l >= self.world.topo().node_count() {
-                        continue;
-                    }
-                    if self.world.is_alive(l) {
-                        self.world.topo_mut().add_edge(node, l);
-                        fresh.push(l);
-                    } else {
-                        // The requested peer is down: the link cannot come
-                        // up. Count it — a rejoin trace replaying stale
-                        // links otherwise loses edges silently.
-                        self.metrics.incr("fault.join_dead_link");
-                    }
-                }
-                self.protocols[node].reset();
-                self.dispatch(node, |p, ctx| p.on_init(ctx));
-                for v in fresh {
-                    self.dispatch(v, |p, ctx| p.on_neighbor_up(ctx, node));
-                }
-            }
-            Fault::LinkDown { a, b } => {
-                if self.world.topo_mut().remove_edge(a, b) {
-                    self.metrics.incr("fault.link_down");
-                    if self.world.is_alive(a) {
-                        self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
-                    }
-                    if self.world.is_alive(b) {
-                        self.dispatch(b, |p, ctx| p.on_neighbor_down(ctx, a));
-                    }
-                }
-            }
-            Fault::LinkUp { a, b } => {
-                if a != b
-                    && self.world.is_alive(a)
-                    && self.world.is_alive(b)
-                    && self.world.topo_mut().add_edge(a, b)
-                {
-                    self.metrics.incr("fault.link_up");
-                    self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
-                    self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
-                }
-            }
-            Fault::Partition { groups } => {
-                self.metrics.incr("fault.partition");
-                // Map each grouped node to its group id; nodes absent from
-                // every group are unconstrained and keep all their links.
-                let mut group_of: BTreeMap<usize, usize> = BTreeMap::new();
-                for (gi, group) in groups.iter().enumerate() {
-                    for &u in group {
-                        group_of.insert(u, gi);
-                    }
-                }
-                let cuts: Vec<(usize, usize)> = self
-                    .world
-                    .topo()
-                    .edges()
-                    .filter(|&(a, b)| match (group_of.get(&a), group_of.get(&b)) {
-                        (Some(ga), Some(gb)) => ga != gb,
-                        _ => false,
-                    })
-                    .collect();
-                for (a, b) in cuts {
-                    if self.world.topo_mut().remove_edge(a, b) {
-                        self.metrics.incr("fault.partition_cut");
-                        self.severed.push((a, b));
-                        if self.world.is_alive(a) {
-                            self.dispatch(a, |p, ctx| p.on_neighbor_down(ctx, b));
-                        }
-                        if self.world.is_alive(b) {
-                            self.dispatch(b, |p, ctx| p.on_neighbor_down(ctx, a));
-                        }
-                    }
-                }
-            }
-            Fault::Heal => {
-                self.metrics.incr("fault.heal");
-                let severed = std::mem::take(&mut self.severed);
-                for (a, b) in severed {
-                    if self.world.is_alive(a)
-                        && self.world.is_alive(b)
-                        && self.world.topo_mut().add_edge(a, b)
-                    {
-                        self.metrics.incr("fault.heal_link");
-                        self.dispatch(a, |p, ctx| p.on_neighbor_up(ctx, b));
-                        self.dispatch(b, |p, ctx| p.on_neighbor_up(ctx, a));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Fault;
     use ssr_graph::generators;
 
     /// A toy protocol: floods a token through the network once, recording
@@ -1519,6 +1121,91 @@ mod tests {
         }
         let topo = generators::line(3);
         let _ = Simulator::new(topo, vec![Bad, Bad, Bad], LinkConfig::ideal(), 0);
+    }
+
+    /// Node 3 of a step with physical neighbours 2 and 4: `on_init` queues a
+    /// send, a zero-delay timer and a broadcast under a re-tagged cause,
+    /// then a timer under the restored one; `on_message` echoes to the
+    /// sender.
+    struct Stepper;
+
+    impl Protocol for Stepper {
+        type Msg = u8;
+        fn on_init(&mut self, ctx: &mut Ctx<'_, u8>) {
+            ctx.send(4, 1);
+            let prev = ctx.set_cause(CauseClass::HelloSweep);
+            ctx.set_timer(0, 7);
+            ctx.broadcast(2);
+            ctx.set_cause(prev);
+            ctx.set_timer(5, 8);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, from: usize, msg: u8) {
+            ctx.send(from, msg);
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Runs one `Stepper` callback through [`Ctx::new`] over buffers the
+    /// test owns and returns the actions it queued.
+    fn step_once(f: impl FnOnce(&mut Stepper, &mut Ctx<'_, u8>)) -> Vec<Action<u8>> {
+        let (mut actions, mut rng, mut metrics) = (Vec::new(), Rng::new(1), Metrics::new());
+        let neighbors = [2, 4];
+        let mut ctx = Ctx::new(
+            3,
+            Time::ZERO,
+            &neighbors,
+            &mut actions,
+            &mut rng,
+            &mut metrics,
+            CauseClass::Bootstrap,
+        );
+        f(&mut Stepper, &mut ctx);
+        actions
+    }
+
+    #[test]
+    fn a_step_leaves_its_actions_in_queue_order_with_their_causes() {
+        use CauseClass::{Bootstrap, HelloSweep};
+        let actions = step_once(|p, ctx| p.on_init(ctx));
+        assert_eq!(
+            actions,
+            [
+                Action::Send {
+                    to: 4,
+                    msg: 1,
+                    cause: Bootstrap
+                },
+                // the retag applies to what is queued after it; a zero
+                // delay is stored as one tick
+                Action::Timer {
+                    delay: 1,
+                    token: 7,
+                    cause: HelloSweep
+                },
+                // one send per neighbour, in index order
+                Action::Send {
+                    to: 2,
+                    msg: 2,
+                    cause: HelloSweep
+                },
+                Action::Send {
+                    to: 4,
+                    msg: 2,
+                    cause: HelloSweep
+                },
+                Action::Timer {
+                    delay: 5,
+                    token: 8,
+                    cause: Bootstrap
+                },
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 tried to send to non-neighbor 5")]
+    fn a_step_that_sends_to_a_non_neighbour_panics() {
+        step_once(|p, ctx| p.on_message(ctx, 5, 0));
     }
 
     /// Edge case: a delivery scheduled *exactly on* a probe-grid tick. The

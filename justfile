@@ -29,6 +29,12 @@ doc:
 sweep-smoke:
     ./scripts/sweep_smoke.sh
 
+# non-test Rust lines per directory and in total (every `crates/*/src` and
+# `examples/` line above a file's trailing test module); `just loc FILE…`
+# counts those files only
+loc *FILES:
+    ./scripts/loc.sh {{FILES}}
+
 # behavioural-equivalence gate: regenerate results/golden/ (manifest,
 # stdout and CSV of all eleven experiments, each at its one size) and
 # require `obs diff` clean + byte-identical
