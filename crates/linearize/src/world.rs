@@ -16,8 +16,9 @@
 //! * `Effect::Abandon` and the audit's look at an empty side re-adopt
 //!   physical neighbours, as `SsrNode` does;
 //! * an audit announcement (a `Notify` naming its sender) is reported to
-//!   the control core (`Linearizer::announced_by`), as `SsrNode` reports
-//!   it, so a mutual edge is announced from one end per interval;
+//!   the control core (`Linearizer::announced_by`), as `SsrNode` and
+//!   `VrrNode` report it, so a mutual edge is announced from one end per
+//!   interval;
 //! * the retry delay has a floor of [`RETRY_FLOOR`], `SsrNode`'s floor for
 //!   a one-hop route;
 //! * the ring is checked every [`CHECK_EVERY`] ticks.
