@@ -11,7 +11,8 @@
 //! The system × n × seed sweep runs through the deterministic orchestrator
 //! (docs/SWEEPS.md): output bytes never depend on `--workers`. Each cell's
 //! manifest entry also sums its runs' end-to-end messages by class
-//! (`e2e_total`), which `obs diff` compares leaf by leaf.
+//! (`e2e_total`), and a VRR cell its runs' transport and receive counters
+//! (`vrr_total`), which `obs diff` compares leaf by leaf.
 //!
 //! Known limitation (see DESIGN.md): VRR's hop-by-hop path state is more
 //! fragile than SSR's source routes; a small fraction of runs at larger n
@@ -48,6 +49,18 @@ const E2E: [&str; 7] = [
     "e2e.succ",
 ];
 
+/// VRR's transport and receive counters, summed over a VRR cell's runs
+/// into the manifest's `vrr_total`: messages with no path state or no hops
+/// left, hops handed straight to a bound endpoint, and notifications whose
+/// news the receiver already held.
+const VRR: [&str; 5] = [
+    "fwd.no_path",
+    "fwd.ttl_expired",
+    "fwd.shortcut",
+    "rx.notify_known",
+    "rx.announce_known",
+];
+
 struct Row {
     converged: bool,
     ticks: u64,
@@ -56,6 +69,7 @@ struct Row {
     max_state: usize,
     mean_state: f64,
     e2e: [u64; E2E.len()],
+    vrr: [u64; VRR.len()],
 }
 
 /// The two protocols' bootstrap reports are distinct types with the same
@@ -71,6 +85,7 @@ macro_rules! row {
             max_state: r.max_state,
             mean_state: r.mean_state,
             e2e: E2E.map(|key| m.counter(key)),
+            vrr: VRR.map(|key| m.counter(key)),
         }
     }};
 }
@@ -134,18 +149,21 @@ pub fn run(sh: &mut Shell) {
         let max_state = rows.iter().map(|r| r.max_state).max().unwrap_or(0);
         let mean_state: f64 =
             rows.iter().map(|r| r.mean_state).sum::<f64>() / rows.len().max(1) as f64;
-        sweep_means.push((
-            format!("{system}/n={n}"),
-            Value::Obj(vec![
-                ("converged".into(), (conv as u64).into()),
-                ("ticks_mean".into(), ticks.mean.into()),
-                ("msgs_mean".into(), msgs.mean.into()),
-                ("e2e_total".into(), e2e_total(rows)),
-                ("hello_mean".into(), hello.mean.into()),
-                ("state_max".into(), (max_state as u64).into()),
-                ("state_mean".into(), mean_state.into()),
-            ]),
-        ));
+        let mut cell = vec![
+            ("converged".into(), (conv as u64).into()),
+            ("ticks_mean".into(), ticks.mean.into()),
+            ("msgs_mean".into(), msgs.mean.into()),
+            ("e2e_total".into(), totals(rows, &E2E, |r| &r.e2e)),
+        ];
+        if system != "ssr" {
+            cell.push(("vrr_total".into(), totals(rows, &VRR, |r| &r.vrr)));
+        }
+        cell.extend([
+            ("hello_mean".into(), hello.mean.into()),
+            ("state_max".into(), (max_state as u64).into()),
+            ("state_mean".into(), mean_state.into()),
+        ]);
+        sweep_means.push((format!("{system}/n={n}"), Value::Obj(cell)));
         sh.row(&[
             n.to_string(),
             system.into(),
@@ -168,10 +186,11 @@ pub fn run(sh: &mut Shell) {
     sh.man.extra("sweep", Value::Obj(sweep_means));
 }
 
-/// A cell's end-to-end messages summed over its runs, keyed by class
-/// (`sent` and the classes it splits into).
-fn e2e_total(rows: &[Row]) -> Value {
-    let total = |i: usize| rows.iter().map(|r| r.e2e[i]).sum::<u64>();
-    let class = |key: &str| key.trim_start_matches("e2e.").to_string();
-    Value::Obj(E2E.iter().enumerate().map(|(i, key)| (class(key), total(i).into())).collect())
+/// A cell's counters `keys` (read from each run by `of`) summed over its
+/// runs: `e2e.*` keyed by class (`sent` and the classes it splits into),
+/// any other key by its full name.
+fn totals(rows: &[Row], keys: &[&str], of: impl Fn(&Row) -> &[u64]) -> Value {
+    let total = |i: usize| rows.iter().map(|r| of(r)[i]).sum::<u64>();
+    let name = |key: &str| key.trim_start_matches("e2e.").to_string();
+    Value::Obj(keys.iter().enumerate().map(|(i, key)| (name(key), total(i).into())).collect())
 }

@@ -37,21 +37,23 @@
 //! `states enumerated S / violations found V (confirmed C)`.
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
-//! state live KINDS… known announced rest`: the watchdog's verdict
-//! (`converged`, `frozen_crossing`, …), the messages along a virtual edge
-//! per node that ran out of hops (`fwd.ttl_expired`), the path-table
-//! entries per node,
-//! the entries per node whose path some node still holds as an edge (in a
-//! side set or a ring-closure slot — the rest belong to retired or replaced
-//! edges, or are discovery breadcrumbs), then the same
-//! [`KINDS`] columns as the SSR recipes — `VrrNode` counts `e2e.*` where a
-//! message starts, so a path's relays add hops, not messages — then
-//! `known announced rest`: `known` and `announced` as in the SSR recipes,
-//! and `rest` the messages per node per kilotick over the 2 000 ticks
-//! after consistency (`NaN` where the run did not converge), as
-//! `ssr_bootstrap` measures SSR's rest rate. A non-zero
-//! `LOSS_PCT` runs the recipe over `LinkConfig::lossy`; the benchmark's own
-//! workload is lossless.
+//! state live KINDS… known announced rest no_path shortcut`: the
+//! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
+//! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
+//! the path-table entries per node, the entries per node whose path some
+//! node still holds as an edge (in a side set or a ring-closure slot — the
+//! rest belong to retired or replaced edges, or are discovery
+//! breadcrumbs), then the same [`KINDS`] columns as the SSR recipes —
+//! `VrrNode` counts `e2e.*` where a message starts, so a path's relays add
+//! hops, not messages — then `known announced rest`: `known` and
+//! `announced` as in the SSR recipes, and `rest` the messages per node per
+//! kilotick over the 2 000 ticks after consistency (`NaN` where the run
+//! did not converge), as `ssr_bootstrap` measures SSR's rest rate; last,
+//! per node, the messages dropped for want of path state (`fwd.no_path`)
+//! and the hops a relay handed straight to a bound endpoint instead of
+//! following the path (`fwd.shortcut`). Every column but `rest` counts up
+//! to the end of the run. A non-zero `LOSS_PCT` runs the recipe over
+//! `LinkConfig::lossy`; the benchmark's own workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
 //! trajectory; a behavioural change is judged over many more. Save the
@@ -241,8 +243,9 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
         print!(" {:.3}", per_node(key));
     }
     let (known, announced) = (per_node("rx.notify_known"), per_node("rx.announce_known"));
+    let (no_path, shortcut) = (per_node("fwd.no_path"), per_node("fwd.shortcut"));
     println!(
-        " {known:.3} {announced:.3} {:.3}",
+        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3}",
         rest(sim, watch.converged)
     );
 }
