@@ -334,6 +334,27 @@ mod tests {
         assert!(report.frozen_at.is_none());
     }
 
+    /// Graph 93 of `vrr_bootstrap`'s recipe at n = 50 (unit disk at scale
+    /// 1.3, its budget and freeze window) used to end as an open ring: the
+    /// origin's re-probes purged the crumbs its closure retraces followed,
+    /// so every retrace died at the same relay and the minimum never held
+    /// its wrap predecessor (DESIGN.md finding 7).
+    #[test]
+    fn graph_93_closes_its_ring() {
+        let (topo, labels) = topo_and_labels(50, 93);
+        let (report, sim) = run_vrr_bootstrap_watched(
+            &topo,
+            &labels,
+            VrrMode::Linearized,
+            LinkConfig::ideal(),
+            93,
+            20_000,
+            3_000,
+        );
+        assert!(report.converged, "{report:?}");
+        assert_eq!(sim.metrics().counter("fwd.ttl_expired"), 0);
+    }
+
     #[test]
     fn two_node_ring() {
         let topo = generators::line(2);

@@ -662,6 +662,13 @@ impl VrrNode {
 
     /// A closure retrace passes through: rewrites this hop's breadcrumb into
     /// the final edge and returns the next hop toward the origin `toward`.
+    /// The origin re-probes while it waits, and a newer probe passing here
+    /// purged this trail's crumb for its own: the retrace then follows the
+    /// newer trail toward the same origin and leaves its crumb in place for
+    /// its own retrace. A greedy walk may pass a node twice, so a trail
+    /// can close a cycle; a retrace that comes back to a node where it
+    /// already laid `final_pid` stops there and drops that entry, so what
+    /// is later sent along the edge ends here instead of circling.
     fn rewrite_crumb(
         &mut self,
         crumb: PathId,
@@ -669,7 +676,16 @@ impl VrrNode {
         final_pid: PathId,
         came_from: usize,
     ) -> Option<usize> {
-        let entry = self.table.remove(&crumb)?;
+        let entry = match self.table.remove(&crumb) {
+            Some(entry) => entry,
+            None if self.table.get(&final_pid).is_none() => {
+                *self.table.between(crumb.ea, crumb.eb).next()?.1
+            }
+            None => {
+                self.table.remove(&final_pid);
+                return None;
+            }
+        };
         let toward_origin = entry_hop_toward(&entry, crumb, toward);
         // same physical hops, new identity; orient by which endpoint the
         // origin (`toward`) is
@@ -1673,6 +1689,53 @@ mod tests {
                 ssr_sim::Action::Timer { .. } => None,
             })
             .collect()
+    }
+
+    /// A retrace at relay 50 whose crumb a newer probe from the same origin
+    /// 10 replaced: it follows the newer trail's hop toward 10 (link 1),
+    /// lays the wrap edge over that hop and the one it came in on (link 2),
+    /// and leaves the newer crumb for that probe's own retrace. Should the
+    /// trail lead it back here, it has gone round a cycle: it stops and
+    /// drops the wrap edge's entry, so nothing sent along the edge circles.
+    #[test]
+    fn a_retrace_whose_crumb_was_replaced_follows_the_newer_trail() {
+        let (origin, acceptor) = (NodeId(10), NodeId(90));
+        let mut node = VrrNode::new(NodeId(50));
+        let old = VrrNode::crumb_pid(origin, Side::Right, 1);
+        let newer = VrrNode::crumb_pid(origin, Side::Right, 2);
+        node.install_walk_hop(newer, origin, Some(1), Some(3));
+        let newer_entry = *node.table().get(&newer).unwrap();
+        let final_pid = PathId::new(acceptor, origin, 1);
+        let close = |ttl| VrrMsg::AlongPath {
+            id: old,
+            toward: origin,
+            ttl,
+            payload: PathPayload::CloseRing {
+                acceptor,
+                final_pid,
+                toward: Side::Right,
+            },
+        };
+        let out = step(&mut node, 60, &[1, 2, 3], |p, ctx| {
+            p.on_message(ctx, 2, close(TTL - 1))
+        });
+        let forwarded = ssr_sim::Action::Send {
+            to: 1,
+            msg: close(TTL - 2),
+            cause: CauseClass::Bootstrap,
+        };
+        assert_eq!(out, [forwarded]);
+        assert_eq!(node.first_hop(final_pid, origin), Some(1));
+        assert_eq!(node.first_hop(final_pid, acceptor), Some(2));
+        assert_eq!(node.table().get(&newer), Some(&newer_entry));
+        assert_eq!(node.table().get(&old), None);
+
+        let again = step(&mut node, 70, &[1, 2, 3], |p, ctx| {
+            p.on_message(ctx, 1, close(TTL - 9))
+        });
+        assert!(again.is_empty());
+        assert_eq!(node.table().get(&final_pid), None);
+        assert_eq!(node.table().get(&newer), Some(&newer_entry));
     }
 
     /// One announcement per mutual edge per audit interval: 60's

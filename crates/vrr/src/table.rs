@@ -115,6 +115,17 @@ impl PathTable {
         dead
     }
 
+    /// The entries of every path between the endpoints `x` and `y`,
+    /// whatever its nonce, in key order.
+    pub fn between(&self, x: NodeId, y: NodeId) -> impl Iterator<Item = (&PathId, &PathEntry)> {
+        let first = PathId::new(x, y, 0);
+        let last = PathId {
+            nonce: u64::MAX,
+            ..first
+        };
+        self.entries.range(first..=last)
+    }
+
     /// All entries with the given node as an endpoint.
     pub fn paths_with_endpoint(&self, node: NodeId) -> Vec<PathId> {
         self.entries
@@ -132,10 +143,9 @@ impl PathTable {
     /// removed.
     pub fn purge_like(&mut self, pid: PathId) -> usize {
         let stale: Vec<PathId> = self
-            .entries
-            .keys()
-            .filter(|k| k.ea == pid.ea && k.eb == pid.eb && k.nonce != pid.nonce)
-            .copied()
+            .between(pid.ea, pid.eb)
+            .map(|(&k, _)| k)
+            .filter(|k| k.nonce != pid.nonce)
             .collect();
         for k in &stale {
             self.entries.remove(k);
@@ -210,6 +220,20 @@ mod tests {
         let dead = t.purge_via(4);
         assert_eq!(dead, vec![id1]);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn between_finds_every_nonce_of_one_endpoint_pair() {
+        let mut t = PathTable::new();
+        let (id1, e1) = entry(1, 9, Some(3), None);
+        let (_, e2) = entry(2, 9, Some(5), None);
+        let id3 = PathId::new(NodeId(9), NodeId(1), u64::MAX);
+        t.install(id1, e1);
+        t.install(PathId::new(NodeId(2), NodeId(9), 1), e2);
+        t.install(id3, e1);
+        let found: Vec<PathId> = t.between(NodeId(9), NodeId(1)).map(|(&k, _)| k).collect();
+        assert_eq!(found, [id1, id3]);
+        assert_eq!(t.between(NodeId(1), NodeId(2)).count(), 0);
     }
 
     #[test]
