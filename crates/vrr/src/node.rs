@@ -10,7 +10,10 @@
 //!   path to them, and the two half-walks install the path state of the new
 //!   edge `v2 – … – v1 – … – v3` hop by hop (with `v1`'s entry joining the
 //!   halves). This realizes the paper's remark that for VRR "the
-//!   notification messages set up state along their forwarding path";
+//!   notification messages set up state along their forwarding path". A
+//!   node on the path whose destination endpoint is a bound physical
+//!   neighbour hands the message straight to it, so a half-lay lays the
+//!   new edge over that link and paths shorten as they are laid;
 //! * **greedily toward larger/smaller addresses** ([`VrrMsg::Routed`]) —
 //!   only for walks whose destination is *unknown* (ring-closure discovery)
 //!   or not yet connected (baseline claims toward the representative).
@@ -362,8 +365,10 @@ impl VrrNode {
         best.map(|(_, link)| link)
     }
 
-    /// Sends a payload along installed path state toward `toward`. Returns
-    /// `false` (with a metric) when no state exists.
+    /// Sends a payload along installed path state toward `toward`, handed
+    /// straight to `toward` where it is a bound physical neighbour
+    /// ([`Self::hop_toward`]). Returns `false` (with a metric) when no
+    /// state exists.
     fn send_along(
         &mut self,
         ctx: &mut Ctx<'_, VrrMsg>,
@@ -372,13 +377,16 @@ impl VrrNode {
         payload: PathPayload,
         ttl: u16,
     ) -> bool {
-        let Some(next) = self.first_hop(id, toward) else {
+        let Some((next, handed)) = self.hop_toward(id, toward) else {
             ctx.metrics().incr("fwd.no_path");
             return false;
         };
         if ttl == 0 {
             ctx.metrics().incr("fwd.ttl_expired");
             return false;
+        }
+        if handed {
+            ctx.metrics().incr("fwd.shortcut");
         }
         ctx.send(
             next,
@@ -540,15 +548,40 @@ impl VrrNode {
         );
     }
 
+    /// The path this node reaches `other` over: the edge it holds to it,
+    /// else any path between the two in the table — a retired edge's state
+    /// stays in place (`PathPayload::Retire`), so a handshake retry whose
+    /// party was forgotten meanwhile still rides it.
     fn path_to(&self, other: NodeId) -> Option<PathId> {
         self.lin
             .edge(other)
             .or_else(|| self.claim_paths.get(&other).copied())
             .or_else(|| self.lin.wrap_edge(other))
+            .or_else(|| {
+                let mut between = self.table.between(self.id, other);
+                between
+                    .find(|&(&pid, entry)| entry_hop_toward(entry, pid, other).is_some())
+                    .map(|(&pid, _)| pid)
+            })
     }
 
+    /// The physical next hop toward the endpoint `toward` of `pid`, for a
+    /// node holding an entry for `pid`: the link to `toward` itself when it
+    /// is a bound physical neighbour, else the path's own hop. The flag is
+    /// `true` when the direct link is not the path's hop — the message is
+    /// handed straight to its endpoint, and a half-lay lays the new edge
+    /// over that link.
+    fn hop_toward(&self, pid: PathId, toward: NodeId) -> Option<(usize, bool)> {
+        let on_path = entry_hop_toward(self.table.get(&pid)?, pid, toward);
+        match self.nbrs.index_of(toward) {
+            Some(link) => Some((link, on_path != Some(link))),
+            None => on_path.map(|link| (link, false)),
+        }
+    }
+
+    /// [`Self::hop_toward`]'s link.
     fn first_hop(&self, pid: PathId, toward: NodeId) -> Option<usize> {
-        entry_hop_toward(self.table.get(&pid)?, pid, toward)
+        self.hop_toward(pid, toward).map(|(link, _)| link)
     }
 
     // -- discovery ---------------------------------------------------------------------
@@ -645,17 +678,23 @@ impl VrrNode {
                 self.retire(ctx, old, old_edge);
             }
         }
-        // retrace the breadcrumbs, rewriting them into the final edge
-        self.originate(
-            ctx,
-            crumb,
-            origin,
-            PathPayload::CloseRing {
-                acceptor: self.id,
-                final_pid,
-                toward,
+        // retrace the breadcrumbs, rewriting them into the final edge: the
+        // retrace passes every crumb, so it leaves over the link the probe
+        // came in on, never handed straight to a bound origin
+        ctx.send(
+            came_from,
+            VrrMsg::AlongPath {
+                id: crumb,
+                toward: origin,
+                ttl: TTL - 1,
+                payload: PathPayload::CloseRing {
+                    acceptor: self.id,
+                    final_pid,
+                    toward,
+                },
             },
         );
+        count_sent(ctx, "e2e.discover");
         self.table.remove(&crumb);
         self.drive(ctx, Input::Changed);
     }
@@ -1059,20 +1098,7 @@ impl Protocol for VrrNode {
                                     toward_b: b,
                                 },
                             );
-                            ctx.send(
-                                next,
-                                VrrMsg::AlongPath {
-                                    id,
-                                    toward,
-                                    ttl: ttl - 1,
-                                    payload: PathPayload::Notify {
-                                        new_pid,
-                                        other,
-                                        from: initiator,
-                                        seq,
-                                    },
-                                },
-                            );
+                            self.send_along(ctx, id, toward, payload, ttl);
                         }
                     }
                     PathPayload::Ack { about, seq } => {
@@ -1736,6 +1762,125 @@ mod tests {
         assert!(again.is_empty());
         assert_eq!(node.table().get(&final_pid), None);
         assert_eq!(node.table().get(&newer), Some(&newer_entry));
+    }
+
+    /// The path-following messages `out` sends, as `(link, id, payload)`.
+    fn along(out: &[ssr_sim::Action<VrrMsg>]) -> Vec<(usize, PathId, PathPayload)> {
+        out.iter()
+            .filter_map(|a| match a {
+                ssr_sim::Action::Send {
+                    to,
+                    msg: VrrMsg::AlongPath { id, payload, .. },
+                    ..
+                } => Some((*to, *id, payload.clone())),
+                ssr_sim::Action::Send { .. } | ssr_sim::Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Relay 50 holds the carrier 10 – 70 with its hop toward 70 on link 3,
+    /// a detour: 70 itself is a bound neighbour on link 1. 10's
+    /// introduction of 30 to 70 is handed straight to 70 over link 1, and
+    /// the half it lays here leads to 70 over that link and back toward 30
+    /// over the link it came in on.
+    #[test]
+    fn a_relay_hands_a_notify_to_a_bound_endpoint_and_lays_the_edge_over_that_link() {
+        let (mut node, _) = stepped_node(&[70]);
+        let links = [1, 2, 3];
+        let carrier = PathId::new(NodeId(10), NodeId(70), 5);
+        node.install_walk_hop(carrier, NodeId(10), Some(2), Some(3));
+        let new_pid = PathId::new(NodeId(30), NodeId(70), 9);
+        let notify = PathPayload::Notify {
+            new_pid,
+            other: NodeId(30),
+            from: NodeId(10),
+            seq: SeqNo(1),
+        };
+        let msg = VrrMsg::AlongPath {
+            id: carrier,
+            toward: NodeId(70),
+            ttl: TTL - 3,
+            payload: notify.clone(),
+        };
+        let out = step(&mut node, 5, &links, |p, ctx| p.on_message(ctx, 2, msg));
+        assert_eq!(along(&out), [(1, carrier, notify)]);
+        assert_eq!(node.first_hop(new_pid, NodeId(70)), Some(1));
+        assert_eq!(node.first_hop(new_pid, NodeId(30)), Some(2));
+        // the carrier's own entry is left as it was
+        assert_eq!(node.table().get(&carrier).unwrap().toward_b, Some(3));
+    }
+
+    /// A closure retrace never takes the hand-off: it rewrites the crumb at
+    /// every hop, so it keeps to the trail. Acceptor 50 holds the origin 10
+    /// as a bound neighbour on link 1, yet answers 10's probe, which came
+    /// in from 30 on link 2, over link 2; relay 50 forwards a retrace over
+    /// its crumb's hop, link 3, not over link 1.
+    #[test]
+    fn a_closure_retrace_keeps_to_its_crumbs_when_the_origin_is_a_bound_neighbour() {
+        let origin = NodeId(10);
+        let (mut node, _) = stepped_node(&[10, 30]);
+        let links = [1, 2, 3];
+        let probe = VrrMsg::Routed {
+            ttl: TTL - 1,
+            payload: RoutedPayload::Discover {
+                origin,
+                toward: Side::Right,
+                nonce: 4,
+            },
+        };
+        let out = step(&mut node, 5, &links, |p, ctx| p.on_message(ctx, 2, probe));
+        let crumb = VrrNode::crumb_pid(origin, Side::Right, 4);
+        let final_pid = PathId::new(NodeId(50), origin, 4);
+        let close = PathPayload::CloseRing {
+            acceptor: NodeId(50),
+            final_pid,
+            toward: Side::Right,
+        };
+        assert_eq!(along(&out), [(2, crumb, close)]);
+
+        let (mut node, _) = stepped_node(&[10]);
+        let crumb = VrrNode::crumb_pid(origin, Side::Right, 6);
+        node.install_walk_hop(crumb, origin, Some(3), Some(2));
+        let close = PathPayload::CloseRing {
+            acceptor: NodeId(90),
+            final_pid: PathId::new(NodeId(90), origin, 6),
+            toward: Side::Right,
+        };
+        let msg = VrrMsg::AlongPath {
+            id: crumb,
+            toward: origin,
+            ttl: TTL - 2,
+            payload: close.clone(),
+        };
+        let out = step(&mut node, 5, &links, |p, ctx| p.on_message(ctx, 2, msg));
+        assert_eq!(along(&out), [(3, crumb, close)]);
+    }
+
+    /// Node 50 retired its edge to 90, so the control core's retry of the
+    /// introduction 40 / 90 names a party it no longer holds. The retired
+    /// path's state is still in the table, and the half toward 90 rides
+    /// it (link 2); the half toward 40 takes the hello path (link 1).
+    #[test]
+    fn an_introduction_naming_a_forgotten_party_rides_the_retired_path() {
+        let (mut node, _) = stepped_node(&[40]);
+        let links = [1, 2];
+        let retired = PathId::new(NodeId(50), NodeId(90), 7);
+        node.install_walk_hop(retired, NodeId(50), None, Some(2));
+        assert_eq!(node.lin.edge(NodeId(90)), None);
+        let retry = Effect::Introduce {
+            keep: NodeId(40),
+            drop: NodeId(90),
+            seq: SeqNo(3),
+            to_keep: true,
+            to_drop: false,
+        };
+        let out = step(&mut node, 30, &links, |p, ctx| p.apply(ctx, retry));
+        let sent: Vec<(usize, PathId)> =
+            along(&out).into_iter().map(|(l, id, _)| (l, id)).collect();
+        assert_eq!(
+            sent,
+            [(1, PathId::new(NodeId(50), NodeId(40), 0)), (2, retired)]
+        );
     }
 
     /// One announcement per mutual edge per audit interval: 60's
