@@ -10,12 +10,12 @@
 #
 # Second gate: linearized VRR bootstraps over graph seeds 1-60 at n = 25,
 # 50, 100 (the census example's `vrr` recipe, the `vrr_bootstrap` one),
-# which must converge as often as their floors say.
+# which must converge as often as their floors say, and over graph seeds
+# 1-100 at n = 50, which must all converge.
 #
 # Then the same recipe at n = 25, 50 over links that drop 2 % and 5 % of
 # messages: its converged runs are printed, not gated (VRR has no lossy
-# floor yet, ROADMAP item 3(b)). At 5 % n = 50 converges almost never, so
-# the 2 % rows are the ones a regression still shows in.
+# floor yet, ROADMAP item 3(b)).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,6 +69,13 @@ for n in 25 50 100; do
     echo "chaos sweep: vrr n=$n converged $converged/60 (floor ${vrr_floor[$n]})"
   fi
 done
+converged="$("$census" vrr 1 100 50 | awk '$2 == "converged"' | wc -l)"
+if [ "$converged" -lt 100 ]; then
+  echo "chaos sweep: vrr n=50 graphs 1-100 converged $converged/100, floor 100" >&2
+  failed=1
+else
+  echo "chaos sweep: vrr n=50 graphs 1-100 converged $converged/100 (floor 100)"
+fi
 for loss in 2 5; do
   for n in 25 50; do
     converged="$("$census" vrr 1 60 "$n" "$loss" | awk '$2 == "converged"' | wc -l)"
