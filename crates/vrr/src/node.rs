@@ -558,8 +558,8 @@ impl VrrNode {
             .or_else(|| self.claim_paths.get(&other).copied())
             .or_else(|| self.lin.wrap_edge(other))
             .or_else(|| {
-                let mut between = self.table.between(self.id, other);
-                between
+                self.table
+                    .between(self.id, other)
                     .find(|&(&pid, entry)| entry_hop_toward(entry, pid, other).is_some())
                     .map(|(&pid, _)| pid)
             })
