@@ -226,10 +226,13 @@ mod tests {
     fn between_finds_every_nonce_of_one_endpoint_pair() {
         let mut t = PathTable::new();
         let (id1, e1) = entry(1, 9, Some(3), None);
-        let (_, e2) = entry(2, 9, Some(5), None);
-        let id3 = PathId::new(NodeId(9), NodeId(1), u64::MAX);
+        let (id2, e2) = entry(2, 9, Some(5), None);
+        let id3 = PathId {
+            nonce: u64::MAX,
+            ..id1
+        };
         t.install(id1, e1);
-        t.install(PathId::new(NodeId(2), NodeId(9), 1), e2);
+        t.install(id2, e2);
         t.install(id3, e1);
         let found: Vec<PathId> = t.between(NodeId(9), NodeId(1)).map(|(&k, _)| k).collect();
         assert_eq!(found, [id1, id3]);
