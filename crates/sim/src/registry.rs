@@ -45,6 +45,7 @@ pub const KEYS: &[&str] = &[
     "fwd.no_route",
     "fwd.redecided",
     "fwd.refreshed",
+    "fwd.rerouted",
     "fwd.shortcut",
     "fwd.spliced",
     "fwd.truncated",

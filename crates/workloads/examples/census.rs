@@ -37,7 +37,7 @@
 //! `states enumerated S / violations found V (confirmed C)`.
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
-//! state live KINDS… known announced rest no_path shortcut`: the
+//! state live KINDS… known announced rest no_path shortcut rerouted dup`: the
 //! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
 //! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
 //! the path-table entries per node, the entries per node whose path some
@@ -51,8 +51,12 @@
 //! did not converge), as `ssr_bootstrap` measures SSR's rest rate; last,
 //! per node, the messages dropped for want of path state (`fwd.no_path`)
 //! and the hops a relay handed straight to a bound endpoint instead of
-//! following the path (`fwd.shortcut`). Every column but `rest` counts up
-//! to the end of the run. A non-zero `LOSS_PCT` runs the recipe over
+//! following the path (`fwd.shortcut`), then `rerouted dup`: the hops
+//! that found their carrier's row gone and took another row for the same
+//! endpoint pair (`fwd.rerouted`), per node, and the path-table rows per
+//! node that sit beside another row for the same endpoint pair at the same
+//! node (a pair held `k` times counts `k − 1`). Every column but `rest`
+//! counts up to the end of the run. A non-zero `LOSS_PCT` runs the recipe over
 //! `LinkConfig::lossy`; the benchmark's own workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
@@ -212,6 +216,15 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     );
     let per_node = |key| sim.metrics().counter(key) as f64 / n as f64;
     let entries: usize = sim.protocols().iter().map(|p| p.table().len()).sum();
+    // a node's rows beyond the first for each endpoint pair it holds
+    let dup: usize = sim
+        .protocols()
+        .iter()
+        .map(|p| {
+            let pairs: BTreeSet<_> = p.table().iter().map(|(pid, _)| (pid.ea, pid.eb)).collect();
+            p.table().len() - pairs.len()
+        })
+        .sum();
     // the paths some node holds as a virtual edge, in a side set or a wrap
     let held: BTreeSet<PathId> = sim
         .protocols()
@@ -244,8 +257,9 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     }
     let (known, announced) = (per_node("rx.notify_known"), per_node("rx.announce_known"));
     let (no_path, shortcut) = (per_node("fwd.no_path"), per_node("fwd.shortcut"));
+    let (rerouted, dup) = (per_node("fwd.rerouted"), dup as f64 / n as f64);
     println!(
-        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3}",
+        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3}",
         rest(sim, watch.converged)
     );
 }
