@@ -17,8 +17,9 @@
 //!   (hello beacons carrying a *representative*, VRR's flooding analogue)
 //!   and the **linearized** mode (neighbor notifications + discovery, no
 //!   representative dissemination at all);
-//! * [`routing`] — per-hop greedy forwarding over path state, and a static
-//!   walker for the routing experiments;
+//! * [`routing`] — per-hop greedy forwarding over path state, a static
+//!   walker for the routing experiments, and a walk of one path's rows
+//!   that finds forwarding cycles;
 //! * [`bootstrap`] — experiment drivers; convergence is judged by the
 //!   protocol-agnostic observer `ssr_linearize::observe` (re-exported
 //!   trait: [`Linearized`]).
@@ -35,6 +36,6 @@ pub use bootstrap::{
     VrrBootstrapReport, VrrWatchReport,
 };
 pub use node::{VrrConfig, VrrMode, VrrMsg, VrrNode};
-pub use routing::VrrRoutingView;
+pub use routing::{PathWalk, VrrRoutingView};
 pub use ssr_linearize::observe::Linearized;
 pub use table::{PathEntry, PathTable};

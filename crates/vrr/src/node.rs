@@ -105,13 +105,6 @@ pub enum RoutedPayload {
         /// Path nonce.
         nonce: u64,
     },
-    /// Application probe for the routing experiments.
-    Probe {
-        /// Final destination.
-        target: NodeId,
-        /// Physical hops so far.
-        hops: u32,
-    },
 }
 
 impl RoutedPayload {
@@ -122,7 +115,6 @@ impl RoutedPayload {
                 Side::Left => NodeId::MIN,
             },
             RoutedPayload::Claim { to, .. } => to,
-            RoutedPayload::Probe { target, .. } => target,
         }
     }
 }
@@ -230,7 +222,6 @@ impl VrrMsg {
             VrrMsg::Routed { payload, .. } => match payload {
                 RoutedPayload::Discover { .. } => "discover",
                 RoutedPayload::Claim { .. } => "succ",
-                RoutedPayload::Probe { .. } => "data",
             },
             VrrMsg::AlongPath { payload, .. } => match payload {
                 PathPayload::Notify { .. } => "notify",
@@ -260,7 +251,6 @@ pub struct VrrNode {
     claimed: Option<NodeId>,
     /// Baseline: paths established by claims (claimant → path).
     claim_paths: BTreeMap<NodeId, PathId>,
-    delivered_probes: Vec<(NodeId, u32)>,
 }
 
 impl VrrNode {
@@ -288,7 +278,6 @@ impl VrrNode {
             rep: id,
             claimed: None,
             claim_paths: BTreeMap::new(),
-            delivered_probes: Vec::new(),
         }
     }
 
@@ -329,11 +318,6 @@ impl VrrNode {
     /// The representative (baseline mode).
     pub fn rep(&self) -> NodeId {
         self.rep
-    }
-
-    /// Probes that terminated here.
-    pub fn delivered_probes(&self) -> &[(NodeId, u32)] {
-        &self.delivered_probes
     }
 
     // -- transport -------------------------------------------------------------
@@ -378,9 +362,7 @@ impl VrrNode {
         came_from: usize,
     ) {
         match self.carry(id, toward, Some(came_from)) {
-            Some(hop) => {
-                send_hop(ctx, hop, toward, payload, ttl);
-            }
+            Some(hop) => send_hop(ctx, hop, toward, payload, ttl),
             None => ctx.metrics().incr("fwd.no_path"),
         }
     }
@@ -493,20 +475,7 @@ impl VrrNode {
             ctx.metrics().incr("fwd.no_path");
             return;
         };
-        let (toward_a, toward_b) = if x == new_pid.ea {
-            (Some(hop_x.link), Some(hop_y.link))
-        } else {
-            (Some(hop_y.link), Some(hop_x.link))
-        };
-        self.table.install(
-            new_pid,
-            PathEntry {
-                ea: new_pid.ea,
-                eb: new_pid.eb,
-                toward_a,
-                toward_b,
-            },
-        );
+        self.install_walk_hop(new_pid, x, Some(hop_x.link), Some(hop_y.link));
         originate_over(
             ctx,
             hop_x,
@@ -540,25 +509,14 @@ impl VrrNode {
             .edge(other)
             .or_else(|| self.claim_paths.get(&other).copied())
             .or_else(|| self.lin.wrap_edge(other))
-            .or_else(|| {
-                self.table
-                    .between(self.id, other)
-                    .find(|&(&pid, entry)| entry_hop_toward(entry, pid, other).is_some())
-                    .map(|(&pid, _)| pid)
-            })
+            .or_else(|| self.table.carrier(self.id, other, other))
     }
 
-    /// The physical next hop toward the endpoint `toward` of `pid`, for a
-    /// node holding an entry for `pid`: the link to `toward` itself when it
-    /// is a bound physical neighbour, else the path's own hop. The flag is
-    /// `true` when the direct link is not the path's hop — the message is
-    /// handed straight to its endpoint, and a half-lay lays the new edge
-    /// over that link.
-    fn hop_toward(&self, pid: PathId, toward: NodeId) -> Option<(usize, bool)> {
-        self.hop_on(self.table.get(&pid)?, pid, toward)
-    }
-
-    /// [`Self::hop_toward`] over the row `entry` of `pid`.
+    /// The physical next hop toward the endpoint `toward` of `pid` over its
+    /// row `entry`: the link to `toward` itself when it is a bound physical
+    /// neighbour, else the path's own hop. The flag is `true` when the
+    /// direct link is not the path's hop — the message is handed straight
+    /// to its endpoint, and a half-lay lays the new edge over that link.
     fn hop_on(&self, entry: &PathEntry, pid: PathId, toward: NodeId) -> Option<(usize, bool)> {
         let on_path = entry_hop_toward(entry, pid, toward);
         match self.nbrs.index_of(toward) {
@@ -567,14 +525,22 @@ impl VrrNode {
         }
     }
 
-    /// [`Self::hop_toward`]'s link.
-    fn first_hop(&self, pid: PathId, toward: NodeId) -> Option<usize> {
-        self.hop_toward(pid, toward).map(|(link, _)| link)
+    /// The hop back toward the endpoint `toward` that a walk laying `pid`
+    /// keeps here, having come in over `came_from`: where it passed before,
+    /// or the other half of a half-lay did, the hop the row already has
+    /// ([`Self::hop_on`]), else `came_from`. Keeping the first hop makes a
+    /// walk's loop a spur of its path and lets a half-lay's second half
+    /// join the first (the pinch merge) instead of closing a cycle.
+    fn back_hop(&self, pid: PathId, toward: NodeId, came_from: usize) -> usize {
+        self.table
+            .get(&pid)
+            .and_then(|entry| self.hop_on(entry, pid, toward))
+            .map_or(came_from, |(link, _)| link)
     }
 
     /// The hop a message on `id` toward its endpoint `toward` takes here,
     /// `came_from` being the link it came in on (`None` where it starts):
-    /// over `id`'s own row ([`Self::hop_toward`]); else, where that row
+    /// over `id`'s own row ([`Self::hop_on`]); else, where that row
     /// merged into its twin (`PathTable::settle`), over the hop the twin
     /// has — the stand-in whose hop back is `came_from`
     /// (`PathTable::stand_in`) — keeping its own id; else, where the row was
@@ -582,7 +548,13 @@ impl VrrNode {
     /// `toward`, whose id the message then carries on. The loop guard: that
     /// last fallback never goes back over `came_from`, so two nodes whose
     /// rows for the pair point at each other cannot bounce it between them.
-    fn carry(&self, id: PathId, toward: NodeId, came_from: Option<usize>) -> Option<Hop> {
+    /// [`crate::VrrRoutingView::walk`] walks whole paths by this rule.
+    pub(crate) fn carry(
+        &self,
+        id: PathId,
+        toward: NodeId,
+        came_from: Option<usize>,
+    ) -> Option<Hop> {
         let over = |(&row, entry): (&PathId, &PathEntry), carrier: PathId| {
             self.hop_on(entry, row, toward).map(|(link, handed)| Hop {
                 carrier,
@@ -700,20 +672,18 @@ impl VrrNode {
         // retrace the breadcrumbs, rewriting them into the final edge: the
         // retrace passes every crumb, so it leaves over the link the probe
         // came in on, never handed straight to a bound origin
-        ctx.send(
-            came_from,
-            VrrMsg::AlongPath {
-                id: crumb,
-                toward: origin,
-                ttl: TTL - 1,
-                payload: PathPayload::CloseRing {
-                    acceptor: self.id,
-                    final_pid,
-                    toward,
-                },
-            },
-        );
-        count_sent(ctx, "e2e.discover");
+        let hop = Hop {
+            carrier: crumb,
+            link: came_from,
+            handed: false,
+            rerouted: false,
+        };
+        let close = PathPayload::CloseRing {
+            acceptor: self.id,
+            final_pid,
+            toward,
+        };
+        originate_over(ctx, hop, origin, close);
         self.table.remove(&crumb);
         self.drive(ctx, Input::Changed);
     }
@@ -744,23 +714,9 @@ impl VrrNode {
                 return None;
             }
         };
+        // same physical hops, new identity
         let toward_origin = entry_hop_toward(&entry, crumb, toward);
-        // same physical hops, new identity; orient by which endpoint the
-        // origin (`toward`) is
-        let (toward_a, toward_b) = if final_pid.ea == toward {
-            (toward_origin, Some(came_from))
-        } else {
-            (Some(came_from), toward_origin)
-        };
-        self.table.install(
-            final_pid,
-            PathEntry {
-                ea: final_pid.ea,
-                eb: final_pid.eb,
-                toward_a,
-                toward_b,
-            },
-        );
+        self.install_walk_hop(final_pid, toward, toward_origin, Some(came_from));
         toward_origin
     }
 
@@ -861,7 +817,7 @@ impl VrrNode {
         }
         let carrier = PathId::new(claimant, to, nonce);
         // where the walk passed before, the hop back it laid first
-        let back = self.first_hop(carrier, claimant).unwrap_or(came_from);
+        let back = self.back_hop(carrier, claimant, came_from);
         self.install_walk_hop(carrier, claimant, Some(back), None);
         self.claim_paths.insert(claimant, carrier);
         let best_between = self
@@ -930,32 +886,34 @@ impl VrrNode {
     }
 }
 
+/// Test set-up: lays `pid` over the simulator indices `walk`, first
+/// endpoint to last: each node's entry leads to its two neighbours on the
+/// walk (a node the walk passes twice keeps the second pass's hops).
+#[cfg(test)]
+pub(crate) fn lay_path(nodes: &mut [VrrNode], pid: PathId, walk: &[usize]) {
+    let origin = nodes[walk[0]].id;
+    for (i, &u) in walk.iter().enumerate() {
+        let back = i.checked_sub(1).map(|j| walk[j]);
+        nodes[u].install_walk_hop(pid, origin, back, walk.get(i + 1).copied());
+    }
+}
+
 /// Where a path message leaves a node: the id it carries on from here,
 /// the link, whether that link hands it straight to its endpoint
 /// (`fwd.shortcut`), and whether it leaves over a row other than its own
 /// (`fwd.rerouted`).
 #[derive(Clone, Copy, Debug)]
-struct Hop {
-    carrier: PathId,
-    link: usize,
+pub(crate) struct Hop {
+    pub(crate) carrier: PathId,
+    pub(crate) link: usize,
     handed: bool,
     rerouted: bool,
 }
 
 /// Sends `payload` toward `toward` over `hop` with `ttl` hops left before
-/// this one, under the hop's carrier id. Returns `false` (with a metric)
-/// when no hop is left.
-fn send_hop(
-    ctx: &mut Ctx<'_, VrrMsg>,
-    hop: Hop,
-    toward: NodeId,
-    payload: PathPayload,
-    ttl: u16,
-) -> bool {
-    if ttl == 0 {
-        ctx.metrics().incr("fwd.ttl_expired");
-        return false;
-    }
+/// this one, under the hop's carrier id. `ttl` is never 0: a relay drops a
+/// message whose budget ran out before it looks for a hop.
+fn send_hop(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPayload, ttl: u16) {
     if hop.handed {
         ctx.metrics().incr("fwd.shortcut");
     }
@@ -971,16 +929,14 @@ fn send_hop(
             payload,
         },
     );
-    true
 }
 
 /// Originates `payload` toward `toward` over `hop` with a full hop budget,
 /// counted under `e2e.sent` and its class.
 fn originate_over(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPayload) {
     let key = payload.e2e_key();
-    if send_hop(ctx, hop, toward, payload, TTL) {
-        count_sent(ctx, key);
-    }
+    send_hop(ctx, hop, toward, payload, TTL);
+    count_sent(ctx, key);
 }
 
 /// Counts one end-to-end message this node originated, under `e2e.sent` and
@@ -988,15 +944,6 @@ fn originate_over(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: 
 fn count_sent(ctx: &mut Ctx<'_, VrrMsg>, key: &'static str) {
     ctx.metrics().incr("e2e.sent");
     ctx.metrics().incr(key);
-}
-
-/// `true` when `table` holds a row for the endpoints of `id` — its own or
-/// another's, which [`VrrNode::carry`] falls back on — with a hop toward
-/// the endpoint `toward`.
-fn carried(table: &PathTable, id: PathId, toward: NodeId) -> bool {
-    table
-        .between(id.ea, id.eb)
-        .any(|(&k, entry)| entry_hop_toward(entry, k, toward).is_some())
 }
 
 /// The observer's view of the node — side sets, wraps, ring neighbors,
@@ -1028,89 +975,58 @@ impl Protocol for VrrNode {
         self.table.settle(ctx.now().ticks());
         match msg {
             VrrMsg::Hello { id, rep } => self.handle_hello(ctx, from, id, rep),
-            VrrMsg::Routed { ttl, payload } => match payload {
-                RoutedPayload::Discover {
-                    origin,
-                    toward,
-                    nonce,
-                } => {
-                    let target = payload.target();
-                    match self.greedy_next(target) {
-                        Some(next) if ttl > 0 => {
-                            let pid = Self::crumb_pid(origin, toward, nonce);
-                            // only the freshest probe's crumbs are kept:
-                            // stale trails from abandoned walks would leak
-                            self.table.purge_like(pid);
-                            self.install_walk_hop(pid, origin, Some(from), Some(next));
-                            ctx.send(
-                                next,
-                                VrrMsg::Routed {
-                                    ttl: ttl - 1,
-                                    payload,
-                                },
-                            );
-                        }
-                        _ => self.accept_discovery(ctx, origin, toward, nonce, from),
+            VrrMsg::Routed { ttl, payload } => {
+                // the walk's next hop: none where it arrived, stalled or ran
+                // out of hops, and there it ends
+                let target = payload.target();
+                let next = (ttl > 0 && target != self.id)
+                    .then(|| self.greedy_next(target))
+                    .flatten();
+                let Some(next) = next else {
+                    match payload {
+                        RoutedPayload::Discover {
+                            origin,
+                            toward,
+                            nonce,
+                        } => self.accept_discovery(ctx, origin, toward, nonce, from),
+                        // arrived, or stalled: this node is the best
+                        // reachable representative-ward point
+                        RoutedPayload::Claim {
+                            from: claimant,
+                            to,
+                            nonce,
+                        } => self.handle_claim_arrival(ctx, claimant, to, nonce, from),
+                    }
+                    return;
+                };
+                match payload {
+                    RoutedPayload::Discover {
+                        origin,
+                        toward,
+                        nonce,
+                    } => {
+                        let pid = Self::crumb_pid(origin, toward, nonce);
+                        // only the freshest probe's crumbs are kept: stale
+                        // trails from abandoned walks would leak
+                        self.table.purge_like(pid);
+                        self.install_walk_hop(pid, origin, Some(from), Some(next));
+                    }
+                    // a walk back at a node it passed keeps the hop back it
+                    // laid there first, so the loop it took becomes a spur
+                    // of its path (as a half-lay's pinch merge)
+                    RoutedPayload::Claim {
+                        from: claimant,
+                        to,
+                        nonce,
+                    } => {
+                        let pid = PathId::new(claimant, to, nonce);
+                        let back = self.back_hop(pid, claimant, from);
+                        self.install_walk_hop(pid, claimant, Some(back), Some(next));
                     }
                 }
-                RoutedPayload::Claim {
-                    from: claimant,
-                    to,
-                    nonce,
-                } => {
-                    if to == self.id {
-                        self.handle_claim_arrival(ctx, claimant, to, nonce, from);
-                        return;
-                    }
-                    match self.greedy_next(to) {
-                        Some(next) if ttl > 0 => {
-                            // a walk back at a node it passed keeps the hop
-                            // back it laid there first, so the loop it took
-                            // becomes a spur of its path (as a half-lay's
-                            // pinch merge)
-                            let pid = PathId::new(claimant, to, nonce);
-                            let back = self.first_hop(pid, claimant).unwrap_or(from);
-                            self.install_walk_hop(pid, claimant, Some(back), Some(next));
-                            ctx.send(
-                                next,
-                                VrrMsg::Routed {
-                                    ttl: ttl - 1,
-                                    payload: RoutedPayload::Claim {
-                                        from: claimant,
-                                        to,
-                                        nonce,
-                                    },
-                                },
-                            );
-                        }
-                        _ => {
-                            // claim stalled: treat this node as the best
-                            // reachable representative-ward point
-                            self.handle_claim_arrival(ctx, claimant, to, nonce, from);
-                        }
-                    }
-                }
-                RoutedPayload::Probe { target, hops } => {
-                    if target == self.id {
-                        self.delivered_probes.push((target, hops));
-                        ctx.metrics().incr("probe.delivered");
-                        return;
-                    }
-                    match self.greedy_next(target) {
-                        Some(next) if ttl > 0 => ctx.send(
-                            next,
-                            VrrMsg::Routed {
-                                ttl: ttl - 1,
-                                payload: RoutedPayload::Probe {
-                                    target,
-                                    hops: hops + 1,
-                                },
-                            },
-                        ),
-                        _ => ctx.metrics().incr("probe.stuck"),
-                    }
-                }
-            },
+                let ttl = ttl - 1;
+                ctx.send(next, VrrMsg::Routed { ttl, payload });
+            }
             VrrMsg::AlongPath {
                 id,
                 toward,
@@ -1148,9 +1064,9 @@ impl Protocol for VrrNode {
                             // leads back to the sender
                             let own_row = id == new_pid
                                 && (self.table.get(&new_pid).is_some()
-                                    || !carried(&self.table, new_pid, other));
+                                    || self.table.carrier(new_pid.ea, new_pid.eb, other).is_none());
                             if !along_edge || own_row {
-                                let back = self.first_hop(new_pid, other).unwrap_or(from);
+                                let back = self.back_hop(new_pid, other, from);
                                 self.install_walk_hop(new_pid, self.id, None, Some(back));
                             }
                             let known = !self.lin.adopt(other, new_pid);
@@ -1191,21 +1107,8 @@ impl Protocol for VrrNode {
                             // hop toward `other` — the merged entry
                             // shortcuts the detour through the initiator
                             // and prevents forwarding loops
-                            let back = self.first_hop(new_pid, other).unwrap_or(from);
-                            let (a, b) = if toward == new_pid.ea {
-                                (Some(hop.link), Some(back))
-                            } else {
-                                (Some(back), Some(hop.link))
-                            };
-                            self.table.install(
-                                new_pid,
-                                PathEntry {
-                                    ea: new_pid.ea,
-                                    eb: new_pid.eb,
-                                    toward_a: a,
-                                    toward_b: b,
-                                },
-                            );
+                            let back = self.back_hop(new_pid, other, from);
+                            self.install_walk_hop(new_pid, other, Some(back), Some(hop.link));
                             send_hop(ctx, hop, toward, payload, ttl);
                         }
                     }
@@ -1285,9 +1188,10 @@ impl Protocol for VrrNode {
         // another row for the same endpoints still carries them
         self.table.purge_via(neighbor);
         let table = &self.table;
-        self.lin.retain(|peer, path| carried(table, *path, peer));
+        self.lin
+            .retain(|peer, path| table.carrier(path.ea, path.eb, peer).is_some());
         self.claim_paths
-            .retain(|&claimant, path| carried(table, *path, claimant));
+            .retain(|&claimant, path| table.carrier(path.ea, path.eb, claimant).is_some());
         self.drive(ctx, Input::Changed);
     }
 
@@ -1314,6 +1218,15 @@ impl Protocol for VrrNode {
 mod tests {
     use super::*;
     use crate::table::SETTLE;
+
+    impl VrrNode {
+        /// The link a message on `pid` toward its endpoint `toward` leaves
+        /// over here, where this node holds `pid`'s own row.
+        fn first_hop(&self, pid: PathId, toward: NodeId) -> Option<usize> {
+            self.hop_on(self.table.get(&pid)?, pid, toward)
+                .map(|(link, _)| link)
+        }
+    }
 
     #[test]
     fn fresh_node_state() {
@@ -1358,14 +1271,6 @@ mod tests {
             }
             .target(),
             NodeId(9)
-        );
-        assert_eq!(
-            RoutedPayload::Probe {
-                target: NodeId(7),
-                hops: 0
-            }
-            .target(),
-            NodeId(7)
         );
     }
 
@@ -1608,16 +1513,6 @@ mod tests {
         sim.run_until(Time(rest + 4 * AUDIT_INTERVAL));
         assert!(vrr_ring_consistent(sim.protocols()));
         assert_eq!(count(&sim, "msg.ack"), after[2]);
-    }
-
-    /// Lays `pid` over the simulator indices `walk`, first endpoint to last:
-    /// each node's entry leads to its two neighbours on the walk.
-    fn lay_path(nodes: &mut [VrrNode], pid: PathId, walk: &[usize]) {
-        let origin = nodes[walk[0]].id;
-        for (i, &u) in walk.iter().enumerate() {
-            let back = i.checked_sub(1).map(|j| walk[j]);
-            nodes[u].install_walk_hop(pid, origin, back, walk.get(i + 1).copied());
-        }
     }
 
     /// The forwarding loop of DESIGN finding 7, by injection. 10 holds 20
@@ -1883,6 +1778,20 @@ mod tests {
                     msg: VrrMsg::AlongPath { id, payload, .. },
                     ..
                 } => Some((*to, *id, payload.clone())),
+                ssr_sim::Action::Send { .. } | ssr_sim::Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// The links `out` sends greedy walks over.
+    fn routed(out: &[ssr_sim::Action<VrrMsg>]) -> Vec<usize> {
+        out.iter()
+            .filter_map(|a| match a {
+                ssr_sim::Action::Send {
+                    to,
+                    msg: VrrMsg::Routed { .. },
+                    ..
+                } => Some(*to),
                 ssr_sim::Action::Send { .. } | ssr_sim::Action::Timer { .. } => None,
             })
             .collect()
@@ -2208,6 +2117,84 @@ mod tests {
             seq: SeqNo(1),
         };
         assert_eq!(along(&out), [(1, carrier, announce)]);
+    }
+
+    /// A greedy walk ends where its hop budget does: node 50 reaches 70
+    /// (closer to the top of the ring) over link 2, yet 10's probe
+    /// arriving over link 1 with no hops left is accepted here — nothing is
+    /// routed on, and its breadcrumb leads nowhere onward. With one hop
+    /// left the same probe is forwarded over link 2.
+    #[test]
+    fn a_discovery_out_of_hops_is_accepted_where_it_is() {
+        let probe = |ttl| VrrMsg::Routed {
+            ttl,
+            payload: RoutedPayload::Discover {
+                origin: NodeId(10),
+                toward: Side::Right,
+                nonce: 4,
+            },
+        };
+        let crumb = VrrNode::crumb_pid(NodeId(10), Side::Right, 4);
+        let (mut node, links) = stepped_node(&[10, 70]);
+        assert_eq!(node.greedy_next(NodeId::MAX), Some(2));
+        let out = step(&mut node, 5, &links, |p, ctx| {
+            p.on_message(ctx, 1, probe(0))
+        });
+        assert!(routed(&out).is_empty());
+        assert!(node
+            .table()
+            .get(&crumb)
+            .is_none_or(|e| e.toward_b.is_none()));
+
+        let (mut node, links) = stepped_node(&[10, 70]);
+        let out = step(&mut node, 5, &links, |p, ctx| {
+            p.on_message(ctx, 1, probe(1))
+        });
+        let forwarded = ssr_sim::Action::Send {
+            to: 2,
+            msg: probe(0),
+            cause: CauseClass::Bootstrap,
+        };
+        assert_eq!(out, [forwarded]);
+        assert_eq!(node.first_hop(crumb, NodeId::MAX), Some(2));
+    }
+
+    /// Baseline mode: 10's claim reaches its target 50, which has a greedy
+    /// next hop (70 on link 2) but routes nothing on. It is handled as an
+    /// arrival: 50 keeps the claim's path as its row toward 10 over the
+    /// link the claim came in on and answers along it.
+    #[test]
+    fn a_claim_at_its_target_is_an_arrival() {
+        let config = VrrConfig {
+            mode: VrrMode::Baseline,
+        };
+        let mut node = VrrNode::with_config(NodeId(50), config);
+        let hello = VrrMsg::Hello {
+            id: NodeId(70),
+            rep: NodeId(70),
+        };
+        step(&mut node, 1, &[1, 2], |p, ctx| p.on_message(ctx, 2, hello));
+        assert_eq!(node.greedy_next(NodeId(50)), Some(2));
+        let claim = VrrMsg::Routed {
+            ttl: TTL - 4,
+            payload: RoutedPayload::Claim {
+                from: NodeId(10),
+                to: NodeId(50),
+                nonce: 3,
+            },
+        };
+        let out = step(&mut node, 9, &[1, 2], |p, ctx| p.on_message(ctx, 1, claim));
+        let carrier = PathId::new(NodeId(10), NodeId(50), 3);
+        assert_eq!(node.claim_paths.get(&NodeId(10)), Some(&carrier));
+        assert_eq!(node.first_hop(carrier, NodeId(10)), Some(1));
+        let announce = PathPayload::Notify {
+            new_pid: carrier,
+            other: NodeId(50),
+            from: NodeId(50),
+            seq: SeqNo(1),
+        };
+        assert_eq!(along(&out), [(1, carrier, announce)]);
+        assert!(routed(&out).is_empty());
     }
 
     /// One announcement per mutual edge per audit interval: 60's

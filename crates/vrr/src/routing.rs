@@ -11,10 +11,17 @@
 //! table names a next hop by its simulator index, so a hop is an index into
 //! the node slice; addresses are looked up once per packet, to find the
 //! source, in a table sorted by address.
+//!
+//! The same snapshot also walks one path's rows end to end
+//! ([`VrrRoutingView::walk`]), each hop the node's own path-message rule,
+//! which checks the tables for forwarding cycles no message has yet hit.
+
+use std::collections::BTreeSet;
 
 use ssr_types::NodeId;
 
 use crate::node::VrrNode;
+use crate::table::PathId;
 
 /// Outcome of routing one packet (physical hops only — VRR has no
 /// virtual-hop notion at forwarding time).
@@ -39,6 +46,20 @@ impl VrrRouteOutcome {
     pub fn delivered(&self) -> bool {
         matches!(self, VrrRouteOutcome::Delivered { .. })
     }
+}
+
+/// How a walk along one path's rows ends ([`VrrRoutingView::walk`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PathWalk {
+    /// It reached the endpoint it walked toward.
+    Through,
+    /// It stopped where no row, stand-in or fallback has a hop toward that
+    /// endpoint — legal for a retired or half-laid path.
+    Dangling,
+    /// It came back to a node with the same id over the same incoming link:
+    /// a message sent along the path would circle until its hop budget
+    /// runs out.
+    Cycle,
 }
 
 /// Immutable routing view over all VRR nodes.
@@ -84,6 +105,30 @@ impl<'a> VrrRoutingView<'a> {
             cur = next;
         }
         VrrRouteOutcome::Exhausted
+    }
+
+    /// Walks the path `id` from the node at simulator index `start` toward
+    /// its endpoint `toward`, one [`VrrNode`] path-message hop at a time
+    /// (the rule a relay forwards by, with the previous node's index as
+    /// the link the walk came in on), following the id each hop carries on.
+    pub fn walk(&self, start: usize, id: PathId, toward: NodeId) -> PathWalk {
+        let (mut at, mut id, mut came_from) = (start, id, None);
+        let mut seen = BTreeSet::new();
+        loop {
+            let Some(node) = self.nodes.get(at) else {
+                return PathWalk::Dangling;
+            };
+            if node.id() == toward {
+                return PathWalk::Through;
+            }
+            if !seen.insert((at, id, came_from)) {
+                return PathWalk::Cycle;
+            }
+            let Some(hop) = node.carry(id, toward, came_from) else {
+                return PathWalk::Dangling;
+            };
+            (at, id, came_from) = (hop.link, hop.carrier, Some(at));
+        }
     }
 }
 
@@ -157,6 +202,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Six hand-laid nodes, addresses 10, 20, …, 60 at indices 0–5, with
+    /// `pid` between 10 and 60 laid over `walk`.
+    fn laid(walk: &[usize]) -> (Vec<VrrNode>, PathId) {
+        let mut nodes: Vec<VrrNode> = (1..=6).map(|i| VrrNode::new(NodeId(10 * i))).collect();
+        let pid = PathId::new(NodeId(10), NodeId(60), 7);
+        crate::node::lay_path(&mut nodes, pid, walk);
+        (nodes, pid)
+    }
+
+    /// A laid path walks through from either endpoint, and from a relay.
+    #[test]
+    fn a_laid_path_walks_through() {
+        let (nodes, pid) = laid(&[0, 1, 2, 5]);
+        let view = VrrRoutingView::new(&nodes);
+        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through);
+        assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Through);
+        assert_eq!(view.walk(2, pid, NodeId(10)), PathWalk::Through);
+    }
+
+    /// A relay that holds no row for the path, and no other row for its
+    /// endpoints, leaves the walk dangling there.
+    #[test]
+    fn a_walk_dangles_where_a_relay_lost_its_row() {
+        let (mut nodes, pid) = laid(&[0, 1, 2, 5]);
+        nodes[2] = VrrNode::new(NodeId(30));
+        let view = VrrRoutingView::new(&nodes);
+        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Dangling);
+        assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Dangling);
+        assert_eq!(view.walk(1, pid, NodeId(10)), PathWalk::Through);
+    }
+
+    /// A lay that passes node 20 twice, 10 → 20 → 30 → 40 → 20 → 60: 20
+    /// keeps the second pass's hops, one toward each endpoint. Toward 60
+    /// the walk goes through (10 → 20 → 60); toward 10 it goes 60 → 20 →
+    /// 40 → 30 → 20 and round again, never reaching 10 — the shape of the
+    /// latent cycles the census counts.
+    #[test]
+    fn a_lay_that_passes_a_node_twice_cycles_toward_its_first_endpoint() {
+        let (nodes, pid) = laid(&[0, 1, 2, 3, 1, 5]);
+        let view = VrrRoutingView::new(&nodes);
+        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through);
+        assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Cycle);
+        assert_eq!(view.walk(2, pid, NodeId(10)), PathWalk::Cycle);
     }
 
     #[test]

@@ -219,6 +219,17 @@ impl PathTable {
         self.pair(x, y).map(|(id, row)| (id, &row.entry))
     }
 
+    /// The first path between the endpoints `x` and `y`, in key order,
+    /// whose row here has a hop toward the endpoint `toward`: the row a
+    /// node rides toward `toward` when it holds no edge to it (a retired
+    /// edge's row stays in place), and the row that keeps an edge alive
+    /// where its own row was merged or lost.
+    pub fn carrier(&self, x: NodeId, y: NodeId, toward: NodeId) -> Option<PathId> {
+        self.between(x, y)
+            .find(|&(&id, entry)| entry_hop_toward(entry, id, toward).is_some())
+            .map(|(&id, _)| id)
+    }
+
     /// The rows of every path between the endpoints `x` and `y`, in key
     /// order: one descent to the first nonce, then a walk while the
     /// endpoints match.
@@ -338,6 +349,29 @@ mod tests {
         let found: Vec<PathId> = t.between(NodeId(9), NodeId(1)).map(|(&k, _)| k).collect();
         assert_eq!(found, [id1, id3]);
         assert_eq!(t.between(NodeId(1), NodeId(2)).count(), 0);
+    }
+
+    /// The carrier is the first row of the pair, in key order, with a hop
+    /// toward the asked endpoint: at endpoint 9 nothing leads toward 9,
+    /// and toward 1 the row with the smaller nonce wins.
+    #[test]
+    fn the_carrier_is_the_first_row_of_the_pair_with_a_hop_toward_the_endpoint() {
+        let mut t = PathTable::new();
+        let (id1, e1) = entry(1, 9, Some(3), None);
+        let id0 = PathId { nonce: 0, ..id1 };
+        let id2 = PathId { nonce: 2, ..id1 };
+        t.install(id2, e1);
+        t.install(id1, e1);
+        t.install(
+            id0,
+            PathEntry {
+                toward_a: None,
+                ..e1
+            },
+        );
+        assert_eq!(t.carrier(NodeId(9), NodeId(1), NodeId(1)), Some(id1));
+        assert_eq!(t.carrier(NodeId(1), NodeId(9), NodeId(9)), None);
+        assert_eq!(t.carrier(NodeId(1), NodeId(2), NodeId(2)), None);
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! `states enumerated S / violations found V (confirmed C)`.
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
-//! state live KINDS… known announced rest no_path shortcut rerouted dup`: the
+//! state live KINDS… known announced rest no_path shortcut rerouted dup
+//! cycles`: the
 //! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
 //! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
 //! the path-table entries per node, the entries per node whose path some
@@ -55,8 +56,13 @@
 //! that found their carrier's row gone and took another row for the same
 //! endpoint pair (`fwd.rerouted`), per node, and the path-table rows per
 //! node that sit beside another row for the same endpoint pair at the same
-//! node (a pair held `k` times counts `k − 1`). Every column but `rest`
-//! counts up to the end of the run. A non-zero `LOSS_PCT` runs the recipe over
+//! node (a pair held `k` times counts `k − 1`); and `cycles`, the walks
+//! of a path's rows that cycle — one walk per row a node holds for a path
+//! it is an endpoint of, toward the other endpoint, each hop the rule a
+//! relay forwards a path message by (`VrrRoutingView::walk`; discovery
+//! breadcrumbs skipped): forwarding loops the tables hold whether or not a
+//! message has ridden one. Every column but `rest` counts up to the end
+//! of the run; `cycles` reads the tables there. A non-zero `LOSS_PCT` runs the recipe over
 //! `LinkConfig::lossy`; the benchmark's own workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
@@ -76,9 +82,9 @@ use ssr_linearize::check::{self, Bounds, Report};
 use ssr_linearize::world::{Faults, World, CLASSES};
 use ssr_sim::faults::{partition_groups, Fault};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
-use ssr_types::{Rng, Side};
+use ssr_types::{NodeId, Rng, Side};
 use ssr_vrr::table::PathId;
-use ssr_vrr::{run_vrr_bootstrap_watched, Linearized, VrrMode, VrrNode};
+use ssr_vrr::{run_vrr_bootstrap_watched, Linearized, PathWalk, VrrMode, VrrNode, VrrRoutingView};
 use ssr_workloads::scenario::traffic_pairs;
 use ssr_workloads::Topology;
 
@@ -258,10 +264,33 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     let (known, announced) = (per_node("rx.notify_known"), per_node("rx.announce_known"));
     let (no_path, shortcut) = (per_node("fwd.no_path"), per_node("fwd.shortcut"));
     let (rerouted, dup) = (per_node("fwd.rerouted"), dup as f64 / n as f64);
+    let cycles = cycles(sim.protocols());
     println!(
-        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3}",
+        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3} \
+         {cycles}",
         rest(sim, watch.converged)
     );
+}
+
+/// The walks ([`VrrRoutingView::walk`]) that cycle: one from every row a
+/// node holds for a path it is an endpoint of, toward the other endpoint.
+/// Discovery breadcrumbs, whose far end is a placeholder address, are
+/// skipped.
+fn cycles(nodes: &[VrrNode]) -> usize {
+    let view = VrrRoutingView::new(nodes);
+    let crumb = |pid: &PathId| pid.ea == NodeId::MIN || pid.eb == NodeId::MAX;
+    nodes
+        .iter()
+        .enumerate()
+        .flat_map(|(u, node)| {
+            let me = node.id();
+            node.table()
+                .iter()
+                .filter(move |(pid, _)| (pid.ea == me || pid.eb == me) && !crumb(pid))
+                .map(move |(&pid, _)| (u, pid, if pid.ea == me { pid.eb } else { pid.ea }))
+        })
+        .filter(|&(u, pid, toward)| view.walk(u, pid, toward) == PathWalk::Cycle)
+        .count()
 }
 
 /// Messages per node per kilotick over the [`REST_TICKS`] after a run
