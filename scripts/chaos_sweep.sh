@@ -4,7 +4,7 @@
 # fabricated two-hop cache routes; a rule that reads the route cache and
 # lets them spread shows up here as fewer converged runs, where E11's
 # three seeds at n = 50, 100 see nothing. Some runs at n = 16 still end
-# frozen (ROADMAP item 2(d)), so `exp` exits 1 on this matrix; the gate is
+# frozen (ROADMAP item 3(d)), so `exp` exits 1 on this matrix; the gate is
 # that no n converges fewer runs than its floor below. Raise a floor when
 # a change earns it.
 #
@@ -13,7 +13,11 @@
 # which must converge as often as their floors say, and over graph seeds
 # 1-100 at n = 50, which must all converge. At no n may a graph lose a
 # path message to its hop budget (`fwd.ttl_expired`, the census's fifth
-# column): that would be a forwarding loop (ROADMAP item 3(e)).
+# column): that would be a forwarding loop (ROADMAP item 15(a)). The same
+# holds over graph seeds 1-20 at n = 200. The census's last column,
+# `cycles`, counts walks of a path's rows that cycle, loops no message
+# has ridden yet (DESIGN finding 21): at n = 25, 50, 100 no more graphs
+# may hold one than the ceilings below.
 #
 # Then the same recipe at n = 25, 50 over links that drop 2 % and 5 % of
 # messages, whose converged runs must reach their floors.
@@ -25,6 +29,9 @@ declare -A floor=([16]=96 [32]=100 [64]=100)
 
 # converged VRR runs out of 60, per n
 declare -A vrr_floor=([25]=60 [50]=60 [100]=60)
+
+# VRR graphs out of 60 whose tables hold a cycling walk, per n
+declare -A cycle_ceiling=([25]=3 [50]=5 [100]=14)
 
 # converged lossy VRR runs out of 60, per "n loss%"
 declare -A lossy_floor=(["25 2"]=59 ["50 2"]=59 ["25 5"]=57 ["50 5"]=53)
@@ -80,7 +87,21 @@ for n in 25 50 100; do
     echo "chaos sweep: vrr n=$n graphs with fwd.ttl_expired > 0: $looped" >&2
     failed=1
   fi
+  cycling="$(awk '$NF + 0 > 0' "$scratch/vrr.txt" | wc -l)"
+  if [ "$cycling" -gt "${cycle_ceiling[$n]}" ]; then
+    echo "chaos sweep: vrr n=$n graphs with a cycling walk $cycling/60, ceiling ${cycle_ceiling[$n]}" >&2
+    failed=1
+  else
+    echo "chaos sweep: vrr n=$n graphs with a cycling walk $cycling/60 (ceiling ${cycle_ceiling[$n]})"
+  fi
 done
+looped="$("$census" vrr 1 20 200 | awk '$5 + 0 > 0 { print $1 }' | tr '\n' ' ')"
+if [ -z "$looped" ]; then
+  echo "chaos sweep: vrr n=200 graphs 1-20: no path message ran out of hops"
+else
+  echo "chaos sweep: vrr n=200 graphs 1-20 with fwd.ttl_expired > 0: $looped" >&2
+  failed=1
+fi
 converged="$("$census" vrr 1 100 50 | awk '$2 == "converged"' | wc -l)"
 if [ "$converged" -lt 100 ]; then
   echo "chaos sweep: vrr n=50 graphs 1-100 converged $converged/100, floor 100" >&2
