@@ -89,8 +89,10 @@ bench-cache:
 # seed, then messages per node by class (e2e.*) and hops by kind (msg.*);
 # `just census vrr 1 60 25 5` — `graph verdict ticks msgs_per_node
 # ttl_expired state live`, the same class and kind columns, then `known
-# announced rest`, every link dropping the last argument's percent
-# (default 0); `just census world 1 5`
+# announced rest no_path shortcut rerouted dup cycles` (`cycles`: walks of
+# a path's rows, one per row held at its own endpoint, that come back to
+# a node over the same link — VrrRoutingView::walk), every link dropping
+# the last argument's percent (default 0); `just census world 1 5`
 # — `boot`'s graphs in the overlay-only world: `graph ok|FAIL ticks
 # msgs_per_node max_degree max_handshakes` and messages per node by class;
 # `just census check 2 3` — the exhaustive checker on every connected graph
