@@ -38,7 +38,7 @@
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
 //! state live KINDS… known announced rest no_path shortcut rerouted dup
-//! cycles`: the
+//! retry cycles`: the
 //! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
 //! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
 //! the path-table entries per node, the entries per node whose path some
@@ -56,7 +56,9 @@
 //! that found their carrier's row gone and took another row for the same
 //! endpoint pair (`fwd.rerouted`), per node, and the path-table rows per
 //! node that sit beside another row for the same endpoint pair at the same
-//! node (a pair held `k` times counts `k − 1`); and `cycles`, the walks
+//! node (a pair held `k` times counts `k − 1`); then `retry`, the
+//! handshake re-sends per node (`e2e.retry`: what the nodes originate
+//! while their retry timers are handled); and `cycles`, the walks
 //! of a path's rows that cycle — one walk per row a node holds for a path
 //! it is an endpoint of, toward the other endpoint, each hop the rule a
 //! relay forwards a path message by (`VrrRoutingView::walk`; discovery
@@ -264,10 +266,10 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     let (known, announced) = (per_node("rx.notify_known"), per_node("rx.announce_known"));
     let (no_path, shortcut) = (per_node("fwd.no_path"), per_node("fwd.shortcut"));
     let (rerouted, dup) = (per_node("fwd.rerouted"), dup as f64 / n as f64);
-    let cycles = cycles(sim.protocols());
+    let (retry, cycles) = (per_node("e2e.retry"), cycles(sim.protocols()));
     println!(
         " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3} \
-         {cycles}",
+         {retry:.3} {cycles}",
         rest(sim, watch.converged)
     );
 }
