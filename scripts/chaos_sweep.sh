@@ -14,7 +14,7 @@
 # 1-100 at n = 50, which must all converge. At no n may a graph lose a
 # path message to its hop budget (`fwd.ttl_expired`, the census's fifth
 # column): that would be a forwarding loop (ROADMAP item 15(a)). The same
-# holds over graph seeds 1-20 at n = 200. The census's last column,
+# holds over graph seeds 1-40 at n = 200. The census's last column,
 # `cycles`, counts walks of a path's rows that cycle, loops no message
 # has ridden yet (DESIGN finding 21): at n = 25, 50, 100 no more graphs
 # may hold one than the ceilings below.
@@ -95,11 +95,11 @@ for n in 25 50 100; do
     echo "chaos sweep: vrr n=$n graphs with a cycling walk $cycling/60 (ceiling ${cycle_ceiling[$n]})"
   fi
 done
-looped="$("$census" vrr 1 20 200 | awk '$5 + 0 > 0 { print $1 }' | tr '\n' ' ')"
+looped="$("$census" vrr 1 40 200 | awk '$5 + 0 > 0 { print $1 }' | tr '\n' ' ')"
 if [ -z "$looped" ]; then
-  echo "chaos sweep: vrr n=200 graphs 1-20: no path message ran out of hops"
+  echo "chaos sweep: vrr n=200 graphs 1-40: no path message ran out of hops"
 else
-  echo "chaos sweep: vrr n=200 graphs 1-20 with fwd.ttl_expired > 0: $looped" >&2
+  echo "chaos sweep: vrr n=200 graphs 1-40 with fwd.ttl_expired > 0: $looped" >&2
   failed=1
 fi
 converged="$("$census" vrr 1 100 50 | awk '$2 == "converged"' | wc -l)"
