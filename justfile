@@ -89,7 +89,8 @@ bench-cache:
 # seed, then messages per node by class (e2e.*) and hops by kind (msg.*);
 # `just census vrr 1 60 25 5` — `graph verdict ticks msgs_per_node
 # ttl_expired state live`, the same class and kind columns, then `known
-# announced rest no_path shortcut rerouted dup cycles` (`cycles`: walks of
+# announced rest no_path shortcut rerouted dup retry cycles` (`retry`:
+# handshake re-sends per node, e2e.retry; `cycles`: walks of
 # a path's rows, one per row held at its own endpoint, that come back to
 # a node over the same link — VrrRoutingView::walk), every link dropping
 # the last argument's percent (default 0); `just census world 1 5`
