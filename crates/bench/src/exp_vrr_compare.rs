@@ -51,13 +51,14 @@ const E2E: [&str; 7] = [
 
 /// VRR's transport and receive counters, summed over a VRR cell's runs
 /// into the manifest's `vrr_total`: messages with no path state or no hops
-/// left, hops handed straight to a bound endpoint, hops that took another
-/// row for the same endpoint pair, and notifications whose news the
-/// receiver already held.
-const VRR: [&str; 6] = [
+/// left, hops handed straight to a bound endpoint or to a physical
+/// neighbour of it, hops that took another row for the same endpoint pair,
+/// and notifications whose news the receiver already held.
+const VRR: [&str; 7] = [
     "fwd.no_path",
     "fwd.ttl_expired",
     "fwd.shortcut",
+    "fwd.two_hop",
     "fwd.rerouted",
     "rx.notify_known",
     "rx.announce_known",

@@ -50,6 +50,7 @@ pub const KEYS: &[&str] = &[
     "fwd.spliced",
     "fwd.truncated",
     "fwd.ttl_expired",
+    "fwd.two_hop",
     "fwd.unexpected",
     "probe.delivered",
     "probe.fired",

@@ -371,6 +371,27 @@ mod tests {
         assert_eq!(sim.metrics().counter("fwd.ttl_expired"), 0);
     }
 
+    /// `census vrr 7 7`'s `path_x` column: the edges graph 7 of
+    /// `vrr_bootstrap`'s recipe holds at consistency, walked as a path
+    /// message goes, take 1.142 times the hops of the shortest paths
+    /// between their ends.
+    #[test]
+    fn graph_7_holds_its_edges_at_its_census_path_stretch() {
+        let (topo, labels) = topo_and_labels(50, 7);
+        let (report, sim) = run_vrr_bootstrap_watched(
+            &topo,
+            &labels,
+            VrrMode::Linearized,
+            LinkConfig::ideal(),
+            7,
+            20_000,
+            3_000,
+        );
+        assert!(report.converged, "{report:?}");
+        let path_x = crate::VrrRoutingView::new(sim.protocols()).path_x(&topo);
+        assert_eq!(format!("{path_x:.3}"), "1.142");
+    }
+
     #[test]
     fn two_node_ring() {
         let topo = generators::line(2);

@@ -14,11 +14,15 @@
 //!
 //! The same snapshot also walks one path's rows end to end
 //! ([`VrrRoutingView::walk`]), each hop the node's own path-message rule,
-//! which checks the tables for forwarding cycles no message has yet hit.
+//! which checks the tables for forwarding cycles no message has yet hit,
+//! and measures the held virtual edges' walks against the shortest paths
+//! ([`VrrRoutingView::path_x`]).
 
 use std::collections::BTreeSet;
 
-use ssr_types::NodeId;
+use ssr_graph::{algo, Graph};
+use ssr_linearize::observe::Linearized;
+use ssr_types::{NodeId, Side};
 
 use crate::node::VrrNode;
 use crate::table::PathId;
@@ -52,7 +56,10 @@ impl VrrRouteOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathWalk {
     /// It reached the endpoint it walked toward.
-    Through,
+    Through {
+        /// Physical link traversals.
+        hops: u32,
+    },
     /// It stopped where no row, stand-in or fallback has a hop toward that
     /// endpoint — legal for a retired or half-laid path.
     Dangling,
@@ -113,13 +120,13 @@ impl<'a> VrrRoutingView<'a> {
     /// the link the walk came in on), following the id each hop carries on.
     pub fn walk(&self, start: usize, id: PathId, toward: NodeId) -> PathWalk {
         let (mut at, mut id, mut came_from) = (start, id, None);
-        let mut seen = BTreeSet::new();
+        let (mut seen, mut hops) = (BTreeSet::new(), 0);
         loop {
             let Some(node) = self.nodes.get(at) else {
                 return PathWalk::Dangling;
             };
             if node.id() == toward {
-                return PathWalk::Through;
+                return PathWalk::Through { hops };
             }
             if !seen.insert((at, id, came_from)) {
                 return PathWalk::Cycle;
@@ -128,6 +135,48 @@ impl<'a> VrrRoutingView<'a> {
                 return PathWalk::Dangling;
             };
             (at, id, came_from) = (hop.link, hop.carrier, Some(at));
+            hops += 1;
+        }
+    }
+
+    /// The held virtual edges' path stretch over `topo`, the physical graph
+    /// the nodes ran on: every edge a node holds, in a side set or a
+    /// ring-closure slot, walked from that node toward its peer
+    /// ([`Self::walk`]); the hops of the walks that go through over the BFS
+    /// distances of their ends, each summed first. 1 is shortest-path
+    /// state; `NaN` where no walk goes through.
+    pub fn path_x(&self, topo: &Graph) -> f64 {
+        let mut index: Vec<(NodeId, usize)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(u, node)| (node.id(), u))
+            .collect();
+        index.sort_unstable();
+        let (mut walked, mut shortest) = (0u64, 0u64);
+        for (u, node) in self.nodes.iter().enumerate() {
+            let lin = node.linearizer();
+            let held = [Side::Left, Side::Right].into_iter().flat_map(|side| {
+                let wrap = lin.wrap(side);
+                lin.side(side).iter().copied().chain(wrap)
+            });
+            let mut dist = None;
+            for (peer, pid) in held {
+                let PathWalk::Through { hops } = self.walk(u, pid, peer) else {
+                    continue;
+                };
+                let Ok(at) = index.binary_search_by_key(&peer, |&(id, _)| id) else {
+                    continue;
+                };
+                let dist = dist.get_or_insert_with(|| algo::bfs_distances(topo, u));
+                walked += u64::from(hops);
+                shortest += u64::from(dist[index[at].1]);
+            }
+        }
+        if shortest == 0 {
+            f64::NAN
+        } else {
+            walked as f64 / shortest as f64
         }
     }
 }
@@ -218,9 +267,9 @@ mod tests {
     fn a_laid_path_walks_through() {
         let (nodes, pid) = laid(&[0, 1, 2, 5]);
         let view = VrrRoutingView::new(&nodes);
-        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through);
-        assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Through);
-        assert_eq!(view.walk(2, pid, NodeId(10)), PathWalk::Through);
+        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through { hops: 3 });
+        assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Through { hops: 3 });
+        assert_eq!(view.walk(2, pid, NodeId(10)), PathWalk::Through { hops: 2 });
     }
 
     /// A relay that holds no row for the path, and no other row for its
@@ -232,7 +281,7 @@ mod tests {
         let view = VrrRoutingView::new(&nodes);
         assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Dangling);
         assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Dangling);
-        assert_eq!(view.walk(1, pid, NodeId(10)), PathWalk::Through);
+        assert_eq!(view.walk(1, pid, NodeId(10)), PathWalk::Through { hops: 1 });
     }
 
     /// A lay that passes node 20 twice, 10 → 20 → 30 → 40 → 20 → 60: 20
@@ -244,7 +293,7 @@ mod tests {
     fn a_lay_that_passes_a_node_twice_cycles_toward_its_first_endpoint() {
         let (nodes, pid) = laid(&[0, 1, 2, 3, 1, 5]);
         let view = VrrRoutingView::new(&nodes);
-        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through);
+        assert_eq!(view.walk(0, pid, NodeId(60)), PathWalk::Through { hops: 2 });
         assert_eq!(view.walk(5, pid, NodeId(10)), PathWalk::Cycle);
         assert_eq!(view.walk(2, pid, NodeId(10)), PathWalk::Cycle);
     }

@@ -38,7 +38,7 @@
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
 //! state live KINDS… known announced rest no_path shortcut rerouted dup
-//! retry cycles`: the
+//! retry two_hop path_x cycles`: the
 //! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
 //! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
 //! the path-table entries per node, the entries per node whose path some
@@ -58,13 +58,19 @@
 //! node that sit beside another row for the same endpoint pair at the same
 //! node (a pair held `k` times counts `k − 1`); then `retry`, the
 //! handshake re-sends per node (`e2e.retry`: what the nodes originate
-//! while their retry timers are handled); and `cycles`, the walks
+//! while their retry timers are handled); `two_hop`, the hops per node a
+//! node handed to a physical neighbour of the destination endpoint instead
+//! of following the path (`fwd.two_hop`); `path_x`, the held virtual
+//! edges' path stretch: every edge a node holds, in a side set or a
+//! ring-closure slot, walked toward its peer as a path message goes
+//! (`VrrRoutingView::path_x`), the walks' hops over their ends' BFS
+//! distances; and `cycles`, the walks
 //! of a path's rows that cycle — one walk per row a node holds for a path
 //! it is an endpoint of, toward the other endpoint, each hop the rule a
 //! relay forwards a path message by (`VrrRoutingView::walk`; discovery
 //! breadcrumbs skipped): forwarding loops the tables hold whether or not a
 //! message has ridden one. Every column but `rest` counts up to the end
-//! of the run; `cycles` reads the tables there. A non-zero `LOSS_PCT` runs the recipe over
+//! of the run; `path_x` and `cycles` read the tables there. A non-zero `LOSS_PCT` runs the recipe over
 //! `LinkConfig::lossy`; the benchmark's own workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
@@ -266,10 +272,12 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     let (known, announced) = (per_node("rx.notify_known"), per_node("rx.announce_known"));
     let (no_path, shortcut) = (per_node("fwd.no_path"), per_node("fwd.shortcut"));
     let (rerouted, dup) = (per_node("fwd.rerouted"), dup as f64 / n as f64);
-    let (retry, cycles) = (per_node("e2e.retry"), cycles(sim.protocols()));
+    let (retry, two_hop) = (per_node("e2e.retry"), per_node("fwd.two_hop"));
+    let path_x = VrrRoutingView::new(sim.protocols()).path_x(&topo);
+    let cycles = cycles(sim.protocols());
     println!(
         " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3} \
-         {retry:.3} {cycles}",
+         {retry:.3} {two_hop:.3} {path_x:.3} {cycles}",
         rest(sim, watch.converged)
     );
 }
