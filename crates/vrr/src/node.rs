@@ -12,8 +12,15 @@
 //!   halves). This realizes the paper's remark that for VRR "the
 //!   notification messages set up state along their forwarding path". A
 //!   node on the path whose destination endpoint is a bound physical
-//!   neighbour hands the message straight to it, so a half-lay lays the
-//!   new edge over that link and paths shorten as they are laid;
+//!   neighbour hands the message straight to it, even where it holds no
+//!   row for the path; one whose row's next hop is not a neighbour of the
+//!   endpoint hands the message to a physical neighbour that is, which
+//!   hands it on to the endpoint. A half-lay lays the new edge over the
+//!   one link or the two, so paths shorten as they are laid. The
+//!   neighbours of a neighbour come from its hellos, which carry the
+//!   sender's bound neighbours: a node answers a new neighbour's hello a
+//!   tick later, once every neighbour whose first hello arrived with it is
+//!   bound, so the answer lists them all;
 //! * **greedily toward larger/smaller addresses** ([`VrrMsg::Routed`]) —
 //!   only for walks whose destination is *unknown* (ring-closure discovery)
 //!   or not yet connected (baseline claims toward the representative).
@@ -40,8 +47,12 @@ use ssr_types::{cw_dist, ring_between_cw, Neighbors, NodeId, SeqNo, Side};
 
 use crate::table::{entry_hop_toward, PathEntry, PathId, PathTable};
 
-/// Baseline beacon — the one timer that is not the control core's.
+/// Baseline beacon — a timer that is not the control core's.
 const TOKEN_BEACON: u64 = Timer::FIRST_FREE_TOKEN;
+
+/// The answers to new neighbours' hellos, sent a tick after the first of
+/// them arrived — the other timer that is not the control core's.
+const TOKEN_HELLO: u64 = Timer::FIRST_FREE_TOKEN + 1;
 
 /// Breadcrumb placeholder endpoints (no real node may use them; the id
 /// space is random 64-bit, so the extremes are assumed free — asserted at
@@ -190,12 +201,15 @@ impl PathPayload {
 /// All VRR messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum VrrMsg {
-    /// Link-local beacon: own address plus (baseline) the representative.
+    /// Link-local beacon: own address, (baseline) the representative, and
+    /// the sender's bound physical neighbours.
     Hello {
         /// Sender address.
         id: NodeId,
         /// Largest address the sender knows.
         rep: NodeId,
+        /// The sender's bound physical neighbours, in address order.
+        nbrs: Vec<NodeId>,
     },
     /// Greedily routed walk.
     Routed {
@@ -245,6 +259,14 @@ pub struct VrrNode {
     config: VrrConfig,
     /// Physical neighbors: address ↔ simulator index, learned from hellos.
     nbrs: Neighbors,
+    /// The neighbours' own bound neighbours, as `(address, link to the
+    /// neighbour that holds it)`, sorted: the link a path message may take
+    /// toward an endpoint two hops away. Replaced per link by each hello
+    /// and purged with the link.
+    two_hop: Vec<(NodeId, usize)>,
+    /// Links whose new neighbour's hello is yet to be answered
+    /// ([`TOKEN_HELLO`]).
+    replies: Vec<usize>,
     table: PathTable,
     /// Virtual neighbor sets, ring-closure edges, handshakes and timers;
     /// every edge carries the id of the path installed for it.
@@ -277,6 +299,8 @@ impl VrrNode {
             id,
             config,
             nbrs: Neighbors::default(),
+            two_hop: Vec::new(),
+            replies: Vec::new(),
             table: PathTable::new(),
             // VRR probes both ways; its audit — each round a node
             // re-announces itself along its ring edges, so a peer that
@@ -564,35 +588,33 @@ impl VrrNode {
             .or_else(|| self.table.carrier(self.id, other, other))
     }
 
-    /// The physical next hop toward the endpoint `toward` of `pid` over its
-    /// row `entry`: the link to `toward` itself when it is a bound physical
-    /// neighbour, else the path's own hop. The flag is `true` when the
-    /// direct link is not the path's hop — the message is handed straight
-    /// to its endpoint, and a half-lay lays the new edge over that link.
-    fn hop_on(&self, entry: &PathEntry, pid: PathId, toward: NodeId) -> Option<(usize, bool)> {
-        let on_path = entry_hop_toward(entry, pid, toward);
-        match self.nbrs.index_of(toward) {
-            Some(link) => Some((link, on_path != Some(link))),
-            None => on_path.map(|link| (link, false)),
+    /// This node's own hello: its address, the representative and its
+    /// bound physical neighbours.
+    fn hello(&self) -> VrrMsg {
+        VrrMsg::Hello {
+            id: self.id,
+            rep: self.rep,
+            nbrs: self.nbrs.iter().map(|(id, _)| id).collect(),
         }
     }
 
     /// The hop back toward the endpoint `toward` that a walk laying `pid`
     /// keeps here, having come in over `came_from`: where it passed before,
     /// or the other half of a half-lay did, the hop the row already has
-    /// ([`Self::hop_on`]), else `came_from`. Keeping the first hop makes a
+    /// ([`hop_on`]), else `came_from`. Keeping the first hop makes a
     /// walk's loop a spur of its path and lets a half-lay's second half
     /// join the first (the pinch merge) instead of closing a cycle.
     fn back_hop(&self, pid: PathId, toward: NodeId, came_from: usize) -> usize {
+        let direct = self.nbrs.index_of(toward);
         self.table
             .get(&pid)
-            .and_then(|entry| self.hop_on(entry, pid, toward))
+            .and_then(|entry| hop_on(entry, pid, toward, direct))
             .map_or(came_from, |(link, _)| link)
     }
 
     /// The hop a message on `id` toward its endpoint `toward` takes here,
     /// `came_from` being the link it came in on (`None` where it starts):
-    /// over `id`'s own row ([`Self::hop_on`]); else, where that row
+    /// over `id`'s own row ([`hop_on`]); else, where that row
     /// merged into its twin (`PathTable::settle`), over the hop the twin
     /// has — the stand-in whose hop back is `came_from`
     /// (`PathTable::stand_in`) — keeping its own id; else, where the row was
@@ -600,31 +622,101 @@ impl VrrNode {
     /// `toward`, whose id the message then carries on. The loop guard: that
     /// last fallback never goes back over `came_from`, so two nodes whose
     /// rows for the pair point at each other cannot bounce it between them.
-    /// [`crate::VrrRoutingView::walk`] walks whole paths by this rule.
+    /// Where no row leads on but `toward` is a bound physical neighbour, the
+    /// message is handed straight to it under its own id; where a row leads
+    /// on and `toward` is not a neighbour, [`Self::via_neighbour`] may hand
+    /// it to one of `toward`'s. [`crate::VrrRoutingView::walk`] walks whole
+    /// paths by this rule.
     pub(crate) fn carry(
         &self,
         id: PathId,
         toward: NodeId,
         came_from: Option<usize>,
     ) -> Option<Hop> {
+        let direct = self.nbrs.index_of(toward);
         let over = |(&row, entry): (&PathId, &PathEntry), carrier: PathId| {
-            self.hop_on(entry, row, toward).map(|(link, handed)| Hop {
+            hop_on(entry, row, toward, direct).map(|(link, via)| Hop {
                 carrier,
                 link,
-                handed,
+                via,
                 rerouted: row != id,
             })
         };
         let back = if toward == id.ea { id.eb } else { id.ea };
         let own = self.table.get(&id).map(|entry| (&id, entry));
-        own.and_then(|row| over(row, id))
+        let hop = own
+            .and_then(|row| over(row, id))
             .or_else(|| over(self.table.stand_in(id, back, came_from)?, id))
             .or_else(|| {
                 self.table
                     .between(id.ea, id.eb)
                     .filter_map(|row| over(row, *row.0))
                     .find(|hop| Some(hop.link) != came_from)
-            })
+            });
+        match (hop, direct) {
+            (Some(hop), None) => Some(self.via_neighbour(hop, toward, came_from)),
+            (None, Some(link)) if Some(link) != came_from => Some(Hop {
+                carrier: id,
+                link,
+                via: Via::Endpoint,
+                rerouted: false,
+            }),
+            (hop, _) => hop,
+        }
+    }
+
+    /// The hop a message toward `toward`, not a physical neighbour, takes
+    /// in place of the row's `hop`: `hop` itself where its link leads to a
+    /// neighbour of `toward` ([`Self::two_hop`]) or no link does; else the
+    /// first link that does, `came_from` aside, and the neighbour there
+    /// hands the message straight on to `toward`.
+    fn via_neighbour(&self, hop: Hop, toward: NodeId, came_from: Option<usize>) -> Hop {
+        let from = self.two_hop.partition_point(|&(far, _)| far < toward);
+        let near = self.two_hop[from..]
+            .iter()
+            .take_while(|&&(far, _)| far == toward);
+        let mut other = None;
+        for &(_, link) in near {
+            if link == hop.link {
+                return hop;
+            }
+            if other.is_none() && Some(link) != came_from {
+                other = Some(link);
+            }
+        }
+        match other {
+            Some(link) => Hop {
+                link,
+                via: Via::Neighbour,
+                ..hop
+            },
+            None => hop,
+        }
+    }
+
+    /// Learns the bound neighbours `far` of the neighbour on `link` from
+    /// its hello, in place of what that link's hellos said before.
+    fn learn_two_hop(&mut self, link: usize, far: &[NodeId]) {
+        self.two_hop.retain(|&(_, over)| over != link);
+        if far.is_empty() {
+            return;
+        }
+        // both sorted: one merge
+        let me = self.id;
+        let mut learned = far
+            .iter()
+            .filter(|&&id| id != me)
+            .map(|&id| (id, link))
+            .peekable();
+        let mut merged = Vec::with_capacity(self.two_hop.len() + far.len());
+        for &entry in &self.two_hop {
+            while let Some(next) = learned.next_if(|&next| next < entry) {
+                merged.push(next);
+            }
+            merged.push(entry);
+        }
+        merged.extend(learned);
+        self.two_hop = merged;
     }
 
     // -- discovery ---------------------------------------------------------------------
@@ -726,7 +818,7 @@ impl VrrNode {
         let hop = Hop {
             carrier: crumb,
             link: came_from,
-            handed: false,
+            via: Via::Row,
             rerouted: false,
         };
         let close = PathPayload::CloseRing {
@@ -915,21 +1007,23 @@ impl VrrNode {
         from_idx: usize,
         id: NodeId,
         rep: NodeId,
+        nbrs: &[NodeId],
     ) {
         let known = !self.nbrs.bind(id, from_idx);
+        self.learn_two_hop(from_idx, nbrs);
         if !known {
             // E_v := E_p — a physical link is a trivially installed path
             let pid = PathId::new(self.id, id, 0);
             self.install_walk_hop(pid, self.id, None, Some(from_idx));
             self.lin.adopt(id, pid);
             self.bounds.insert(id, 1);
-            ctx.send(
-                from_idx,
-                VrrMsg::Hello {
-                    id: self.id,
-                    rep: self.rep,
-                },
-            );
+            // answered a tick later, listing every neighbour bound by then
+            if self.replies.is_empty() {
+                ctx.set_timer(1, TOKEN_HELLO);
+            }
+            if !self.replies.contains(&from_idx) {
+                self.replies.push(from_idx);
+            }
             self.drive(ctx, Input::Changed);
         }
         if self.config.mode == VrrMode::Baseline {
@@ -951,15 +1045,46 @@ pub(crate) fn lay_path(nodes: &mut [VrrNode], pid: PathId, walk: &[usize]) {
     }
 }
 
+/// The physical next hop toward the endpoint `toward` of `pid` over its
+/// row `entry`: `direct`, the link to `toward` where it is a bound
+/// physical neighbour, else the path's own hop. [`Via::Endpoint`] where
+/// the direct link is not the path's hop — the message is handed straight
+/// to its endpoint, and a half-lay lays the new edge over that link.
+fn hop_on(
+    entry: &PathEntry,
+    pid: PathId,
+    toward: NodeId,
+    direct: Option<usize>,
+) -> Option<(usize, Via)> {
+    let on_path = entry_hop_toward(entry, pid, toward);
+    match direct {
+        Some(link) if on_path != Some(link) => Some((link, Via::Endpoint)),
+        Some(link) => Some((link, Via::Row)),
+        None => on_path.map(|link| (link, Via::Row)),
+    }
+}
+
+/// Whom a path message's link leads to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Via {
+    /// The next node on the row's path.
+    Row,
+    /// Its destination endpoint, a bound physical neighbour off the path
+    /// (`fwd.shortcut`).
+    Endpoint,
+    /// A physical neighbour of its destination endpoint, off the path
+    /// (`fwd.two_hop`).
+    Neighbour,
+}
+
 /// Where a path message leaves a node: the id it carries on from here,
-/// the link, whether that link hands it straight to its endpoint
-/// (`fwd.shortcut`), and whether it leaves over a row other than its own
-/// (`fwd.rerouted`).
+/// the link, whom that link leads to, and whether it leaves over a row
+/// other than its own (`fwd.rerouted`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Hop {
     pub(crate) carrier: PathId,
     pub(crate) link: usize,
-    handed: bool,
+    via: Via,
     rerouted: bool,
 }
 
@@ -967,8 +1092,10 @@ pub(crate) struct Hop {
 /// this one, under the hop's carrier id. `ttl` is never 0: a relay drops a
 /// message whose budget ran out before it looks for a hop.
 fn send_hop(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPayload, ttl: u16) {
-    if hop.handed {
-        ctx.metrics().incr("fwd.shortcut");
+    match hop.via {
+        Via::Row => {}
+        Via::Endpoint => ctx.metrics().incr("fwd.shortcut"),
+        Via::Neighbour => ctx.metrics().incr("fwd.two_hop"),
     }
     if hop.rerouted {
         ctx.metrics().incr("fwd.rerouted");
@@ -1014,10 +1141,7 @@ impl Protocol for VrrNode {
     type Msg = VrrMsg;
 
     fn on_init(&mut self, ctx: &mut Ctx<'_, VrrMsg>) {
-        ctx.broadcast(VrrMsg::Hello {
-            id: self.id,
-            rep: self.rep,
-        });
+        ctx.broadcast(self.hello());
         ctx.set_timer(ACT_INTERVAL, Timer::Act.token());
         if self.config.mode == VrrMode::Baseline {
             ctx.set_timer(BEACON_INTERVAL, TOKEN_BEACON);
@@ -1027,7 +1151,7 @@ impl Protocol for VrrNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, VrrMsg>, from: usize, msg: VrrMsg) {
         self.table.settle(ctx.now().ticks());
         match msg {
-            VrrMsg::Hello { id, rep } => self.handle_hello(ctx, from, id, rep),
+            VrrMsg::Hello { id, rep, nbrs } => self.handle_hello(ctx, from, id, rep, &nbrs),
             VrrMsg::Routed { ttl, payload } => {
                 // the walk's next hop: none where it arrived, stalled or ran
                 // out of hops, and there it ends
@@ -1219,11 +1343,12 @@ impl Protocol for VrrNode {
         self.table.settle(ctx.now().ticks());
         if token == TOKEN_BEACON {
             if self.config.mode == VrrMode::Baseline {
-                ctx.broadcast(VrrMsg::Hello {
-                    id: self.id,
-                    rep: self.rep,
-                });
+                ctx.broadcast(self.hello());
                 ctx.set_timer(BEACON_INTERVAL, TOKEN_BEACON);
+            }
+        } else if token == TOKEN_HELLO {
+            for link in std::mem::take(&mut self.replies) {
+                ctx.send(link, self.hello());
             }
         } else if let Some(timer) = Timer::from_token(token) {
             if timer == Timer::Audit {
@@ -1248,6 +1373,8 @@ impl Protocol for VrrNode {
         // its address moved to another link), or a later send along it
         // would leave over a link that is down
         self.nbrs.unbind_index(neighbor);
+        self.two_hop.retain(|&(_, link)| link != neighbor);
+        self.replies.retain(|&link| link != neighbor);
         // edges whose path state crossed the dead link are gone, unless
         // another row for the same endpoints still carries them
         self.table.purge_via(neighbor);
@@ -1260,13 +1387,7 @@ impl Protocol for VrrNode {
     }
 
     fn on_neighbor_up(&mut self, ctx: &mut Ctx<'_, VrrMsg>, neighbor: usize) {
-        ctx.send(
-            neighbor,
-            VrrMsg::Hello {
-                id: self.id,
-                rep: self.rep,
-            },
-        );
+        ctx.send(neighbor, self.hello());
     }
 
     fn reset(&mut self) {
@@ -1287,8 +1408,13 @@ mod tests {
         /// The link a message on `pid` toward its endpoint `toward` leaves
         /// over here, where this node holds `pid`'s own row.
         fn first_hop(&self, pid: PathId, toward: NodeId) -> Option<usize> {
-            self.hop_on(self.table.get(&pid)?, pid, toward)
-                .map(|(link, _)| link)
+            hop_on(
+                self.table.get(&pid)?,
+                pid,
+                toward,
+                self.nbrs.index_of(toward),
+            )
+            .map(|(link, _)| link)
         }
     }
 
@@ -1343,7 +1469,8 @@ mod tests {
         assert_eq!(
             VrrMsg::Hello {
                 id: NodeId(0),
-                rep: NodeId(0)
+                rep: NodeId(0),
+                nbrs: Vec::new(),
             }
             .kind(),
             "hello"
@@ -1425,7 +1552,11 @@ mod tests {
                 Rig::Node(p) => p.on_timer(ctx, token),
                 Rig::Forger(script) => {
                     let id = script[token as usize].1;
-                    ctx.broadcast(VrrMsg::Hello { id, rep: id });
+                    ctx.broadcast(VrrMsg::Hello {
+                        id,
+                        rep: id,
+                        nbrs: Vec::new(),
+                    });
                 }
             }
         }
@@ -1677,51 +1808,100 @@ mod tests {
         out
     }
 
+    /// A hello from `id` listing the bound neighbours `nbrs`.
+    fn hello_from(id: u64, nbrs: &[u64]) -> VrrMsg {
+        VrrMsg::Hello {
+            id: NodeId(id),
+            rep: NodeId(id),
+            nbrs: nbrs.iter().copied().map(NodeId).collect(),
+        }
+    }
+
     /// `VrrNode` outside the simulator: `on_init`, then a `Hello` from link
     /// 1, as two steps. `on_init` arms the first act itself, behind the
     /// control core's back, so the new neighbour's `Input::Changed` arms a
     /// second one: by tick 1 the outbox holds two `Timer::Act`s and the node
     /// runs its first act twice, as `SsrNode` does (ROADMAP item 11(c)).
+    /// The answer to the hello is not sent in that step: its timer is armed
+    /// first.
     #[test]
     fn a_node_steps_outside_the_simulator_and_arms_its_first_act_twice() {
         use ssr_linearize::control::AUDIT_INTERVAL;
         use ssr_sim::Action;
         let hello = |to| Action::Send {
             to,
-            msg: VrrMsg::Hello {
-                id: NodeId(50),
-                rep: NodeId(50),
-            },
+            msg: hello_from(50, &[]),
             cause: CauseClass::Bootstrap,
         };
-        let timer = |delay, timer: Timer| Action::Timer {
+        let timer = |delay, token| Action::Timer {
             delay,
-            token: timer.token(),
+            token,
             cause: CauseClass::Bootstrap,
         };
+        let act = || timer(ACT_INTERVAL, Timer::Act.token());
         let mut node = VrrNode::new(NodeId(50));
         let mut out = step(&mut node, 0, &[1, 2], |p, ctx| p.on_init(ctx));
-        assert_eq!(out, [hello(1), hello(2), timer(ACT_INTERVAL, Timer::Act)]);
+        assert_eq!(out, [hello(1), hello(2), act()]);
 
-        let from_30 = VrrMsg::Hello {
-            id: NodeId(30),
-            rep: NodeId(30),
-        };
         let second = step(&mut node, 1, &[1, 2], |p, ctx| {
-            p.on_message(ctx, 1, from_30)
+            p.on_message(ctx, 1, hello_from(30, &[]))
         });
         assert_eq!(node.left_set().collect::<Vec<_>>(), [NodeId(30)]);
         assert_eq!(
             second,
             [
-                hello(1),
-                timer(ACT_INTERVAL, Timer::Act),
-                timer(AUDIT_INTERVAL, Timer::Audit)
+                timer(1, TOKEN_HELLO),
+                act(),
+                timer(AUDIT_INTERVAL, Timer::Audit.token())
             ]
         );
         out.extend(second);
-        let act = timer(ACT_INTERVAL, Timer::Act);
-        assert_eq!(out.iter().filter(|&a| *a == act).count(), 2);
+        assert_eq!(out.iter().filter(|&a| *a == act()).count(), 2);
+    }
+
+    /// The answer to a new neighbour's hello leaves a tick later and lists
+    /// every neighbour bound by then: 30's and 70's first hellos reach 50
+    /// on one tick and arm one answer timer, and when it fires 50 answers
+    /// both over their links, listing both.
+    #[test]
+    fn a_hello_is_answered_a_tick_later_with_every_neighbour_bound_by_then() {
+        use ssr_sim::Action;
+        let mut node = VrrNode::new(NodeId(50));
+        let links = [1, 2];
+        let mut out = Vec::new();
+        for (id, link) in [(30, 1), (70, 2)] {
+            out.extend(step(&mut node, 1, &links, |p, ctx| {
+                p.on_message(ctx, link, hello_from(id, &[]))
+            }));
+        }
+        let answers = |out: &[Action<VrrMsg>]| {
+            out.iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, msg, .. } => Some((*to, msg.clone())),
+                    Action::Timer { .. } => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let armed = |out: &[Action<VrrMsg>]| {
+            out.iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Timer {
+                            token: TOKEN_HELLO,
+                            delay: 1,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert!(answers(&out).is_empty());
+        assert_eq!(armed(&out), 1);
+        let out = step(&mut node, 2, &links, |p, ctx| p.on_timer(ctx, TOKEN_HELLO));
+        let listed = hello_from(50, &[30, 70]);
+        assert_eq!(answers(&out), [(1, listed.clone()), (2, listed)]);
+        assert_eq!(armed(&out), 0);
     }
 
     /// Node 50 with one physical neighbour per link `1..`, in the order of
@@ -1730,12 +1910,8 @@ mod tests {
         let mut node = VrrNode::new(NodeId(50));
         let links: Vec<usize> = (1..=ids.len()).collect();
         for (&id, &link) in ids.iter().zip(&links) {
-            let hello = VrrMsg::Hello {
-                id: NodeId(id),
-                rep: NodeId(id),
-            };
             step(&mut node, 1, &links, |p, ctx| {
-                p.on_message(ctx, link, hello)
+                p.on_message(ctx, link, hello_from(id, &[]))
             });
         }
         (node, links)
@@ -1893,6 +2069,112 @@ mod tests {
         assert_eq!(node.first_hop(new_pid, NodeId(30)), Some(2));
         // the carrier's own entry is left as it was
         assert_eq!(node.table().get(&carrier).unwrap().toward_b, Some(3));
+    }
+
+    /// Relay 50 holds the carrier 10 – 70 with its hop toward 70 on link 3,
+    /// toward 60, which is no neighbour of 70; 40 (link 1) is, as its hello
+    /// said. 10's introduction of 30 to 70 is handed to 40 over link 1, and
+    /// the half it lays here leads to 70 over that link and back toward 30
+    /// over the link it came in on.
+    #[test]
+    fn a_relay_hands_a_notify_to_a_neighbour_of_its_endpoint_and_lays_the_edge_over_that_link() {
+        let (mut node, _) = stepped_node(&[40, 60]);
+        let links = [1, 2, 3];
+        step(&mut node, 2, &links, |p, ctx| {
+            p.on_message(ctx, 1, hello_from(40, &[50, 70]))
+        });
+        let carrier = PathId::new(NodeId(10), NodeId(70), 5);
+        node.install_walk_hop(carrier, NodeId(10), Some(3), Some(2));
+        let hop = node.carry(carrier, NodeId(70), Some(3)).unwrap();
+        assert_eq!((hop.link, hop.via), (1, Via::Neighbour));
+        let new_pid = PathId::new(NodeId(30), NodeId(70), 9);
+        let notify = PathPayload::Notify {
+            new_pid,
+            other: NodeId(30),
+            from: NodeId(10),
+            seq: SeqNo(1),
+            hops: 0,
+        };
+        let msg = VrrMsg::AlongPath {
+            id: carrier,
+            toward: NodeId(70),
+            ttl: TTL - 3,
+            payload: notify.clone(),
+        };
+        let out = step(&mut node, 5, &links, |p, ctx| p.on_message(ctx, 3, msg));
+        assert_eq!(along(&out), [(1, carrier, notify)]);
+        assert_eq!(node.first_hop(new_pid, NodeId(70)), Some(1));
+        assert_eq!(node.first_hop(new_pid, NodeId(30)), Some(3));
+        assert_eq!(node.table().get(&carrier).unwrap().toward_b, Some(2));
+    }
+
+    /// Node 40, the neighbour a two-hop hand-off reached, holds no row for
+    /// the carrier 10 – 70 and none for its endpoints, but 70 is bound on
+    /// link 2: the introduction goes straight to 70 under its own id, and
+    /// the half it lays leads to 70 over link 2 and back over link 1.
+    #[test]
+    fn a_node_with_no_row_hands_a_notify_to_its_bound_endpoint() {
+        let mut node = VrrNode::new(NodeId(40));
+        let links = [1, 2];
+        step(&mut node, 1, &links, |p, ctx| {
+            p.on_message(ctx, 2, hello_from(70, &[]))
+        });
+        let carrier = PathId::new(NodeId(10), NodeId(70), 5);
+        assert!(node
+            .table()
+            .between(NodeId(10), NodeId(70))
+            .next()
+            .is_none());
+        let new_pid = PathId::new(NodeId(30), NodeId(70), 9);
+        let notify = PathPayload::Notify {
+            new_pid,
+            other: NodeId(30),
+            from: NodeId(10),
+            seq: SeqNo(1),
+            hops: 0,
+        };
+        let msg = VrrMsg::AlongPath {
+            id: carrier,
+            toward: NodeId(70),
+            ttl: TTL - 4,
+            payload: notify.clone(),
+        };
+        let out = step(&mut node, 5, &links, |p, ctx| p.on_message(ctx, 1, msg));
+        assert_eq!(along(&out), [(2, carrier, notify)]);
+        assert_eq!(node.first_hop(new_pid, NodeId(70)), Some(2));
+        assert_eq!(node.first_hop(new_pid, NodeId(30)), Some(1));
+        // nothing comes back over the link it came in on
+        assert!(node.carry(carrier, NodeId(70), Some(2)).is_none());
+    }
+
+    /// A link that goes down takes what its hellos said with it: node 50
+    /// learned 70 behind 40 (link 1) and 60 (link 2), and its row for the
+    /// carrier 10 – 70 leads on over link 4. A message toward 70 leaves
+    /// over link 1, over link 2 once link 1 is down, and over the row's own
+    /// link once link 2 is down too. The answer still owed to 40's hello
+    /// goes with its link.
+    #[test]
+    fn a_link_down_drops_the_neighbours_learned_over_it() {
+        let (mut node, _) = stepped_node(&[40, 60]);
+        let mut links = vec![1, 2, 3, 4];
+        for (id, link) in [(40, 1), (60, 2)] {
+            step(&mut node, 2, &links, |p, ctx| {
+                p.on_message(ctx, link, hello_from(id, &[70]))
+            });
+        }
+        let carrier = PathId::new(NodeId(10), NodeId(70), 5);
+        node.install_walk_hop(carrier, NodeId(10), Some(3), Some(4));
+        let leaves = |node: &VrrNode| node.carry(carrier, NodeId(70), Some(3)).map(|h| h.link);
+        assert_eq!(leaves(&node), Some(1));
+        for (down, then) in [(1, 2), (2, 4)] {
+            links.retain(|&l| l != down);
+            step(&mut node, 3, &links, |p, ctx| p.on_neighbor_down(ctx, down));
+            assert_eq!(leaves(&node), Some(then));
+            assert!(node.two_hop.iter().all(|&(_, link)| link != down));
+            assert!(!node.replies.contains(&down));
+        }
+        let out = step(&mut node, 4, &links, |p, ctx| p.on_timer(ctx, TOKEN_HELLO));
+        assert!(out.is_empty(), "{out:?}");
     }
 
     /// A closure retrace never takes the hand-off: it rewrites the crumb at
@@ -2239,11 +2521,9 @@ mod tests {
             mode: VrrMode::Baseline,
         };
         let mut node = VrrNode::with_config(NodeId(50), config);
-        let hello = VrrMsg::Hello {
-            id: NodeId(70),
-            rep: NodeId(70),
-        };
-        step(&mut node, 1, &[1, 2], |p, ctx| p.on_message(ctx, 2, hello));
+        step(&mut node, 1, &[1, 2], |p, ctx| {
+            p.on_message(ctx, 2, hello_from(70, &[]))
+        });
         assert_eq!(node.greedy_next(NodeId(50)), Some(2));
         let claim = VrrMsg::Routed {
             ttl: TTL - 4,
@@ -2427,12 +2707,8 @@ mod tests {
 
         let mut relay = VrrNode::new(NodeId(40));
         for (id, link) in [(30, 1), (50, 2), (45, 3)] {
-            let hello = VrrMsg::Hello {
-                id: NodeId(id),
-                rep: NodeId(id),
-            };
             step(&mut relay, 1, &[1, 2, 3], |p, ctx| {
-                p.on_message(ctx, link, hello)
+                p.on_message(ctx, link, hello_from(id, &[]))
             });
         }
         let probe = VrrMsg::Routed {
