@@ -14,55 +14,71 @@
 # observability smoke path (fig1_loopy with a JSONL trace sink + obs
 # summarize/diff/causes + chaos manifest determinism with the causal
 # ledger on + obs flame/top attribution gates). Mirrors `just ci`.
-set -euo pipefail
+#
+# Every step runs whatever the steps before it did, so one red step never
+# hides the result of the ones after it; the failed steps are listed at the
+# end, and the exit code is 1 if there is any.
+set -uo pipefail
 cd "$(dirname "$0")"
 
-echo "== build (release) =="
-cargo build --workspace --release
+failed=()
 
-echo "== tests =="
-cargo test --workspace --quiet
+# step NAME CMD...: runs CMD under a heading and records NAME if it fails
+step() {
+  local name="$1"
+  shift
+  echo "== $name =="
+  if ! "$@"; then
+    echo "ci: step '$name' failed" >&2
+    failed+=("$name")
+  fi
+}
 
-echo "== clippy =="
-cargo clippy --workspace --all-targets -- -D warnings
+# the frozen directory stays frozen: cargo rewrites benchmark/Cargo.lock
+# when the workspace's package set or dependency edges move
+benchmark_unchanged() {
+  if [ -n "$(git status --porcelain -- benchmark/)" ]; then
+    echo "building benchmark/ rewrote a tracked file — a dependency edge or package of the workspace changed; benchmark/Cargo.lock is part of the frozen contract" >&2
+    git status --porcelain -- benchmark/ >&2
+    return 1
+  fi
+}
 
-echo "== rustdoc =="
+step "build (release)" cargo build --workspace --release
+
+step "tests" cargo test --workspace --quiet
+
+step "clippy" cargo clippy --workspace --all-targets -- -D warnings
+
 # every crate documents warning-free (broken intra-doc links are errors)
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+step "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "== fmt =="
-cargo fmt --all --check
+step "fmt" cargo fmt --all --check
 
-echo "== chaos sweep =="
 # corrupt-handshake at 100 seeds per n: converged runs at or above the
 # floors the script names (planted stale routes must not spread)
-./scripts/chaos_sweep.sh
+step "chaos sweep" ./scripts/chaos_sweep.sh
 
-echo "== golden smoke =="
-./scripts/golden_smoke.sh
+step "golden smoke" ./scripts/golden_smoke.sh
 
-echo "== benchmark check =="
 # benchmark/ is a separate [workspace]: this is the only step that builds
 # it against the workspace's public API (benchmark/README.md §"Public API
 # surface") and checks its declared metrics against BENCHMARK.json; the
 # check runs all six workloads at toy sizes, untraced and traced, with
 # every output check — the CI smoke of the perf path
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
+step "benchmark check" cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check
 # its own unit tests (spans, stats, JSON, the parent/change comparison);
 # `cargo test --workspace` above never reaches them
-cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
-# the frozen directory stays frozen: cargo rewrites benchmark/Cargo.lock
-# when the workspace's package set or dependency edges move
-if [ -n "$(git status --porcelain -- benchmark/)" ]; then
-  echo "building benchmark/ rewrote a tracked file — a dependency edge or package of the workspace changed; benchmark/Cargo.lock is part of the frozen contract" >&2
-  git status --porcelain -- benchmark/ >&2
+step "benchmark tests" cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+step "benchmark lock" benchmark_unchanged
+
+step "sweep smoke" ./scripts/sweep_smoke.sh
+
+step "obs smoke" ./scripts/obs_smoke.sh
+
+if [ "${#failed[@]}" -ne 0 ]; then
+  echo "CI FAILED: ${#failed[@]} step(s):" >&2
+  printf '  %s\n' "${failed[@]}" >&2
   exit 1
 fi
-
-echo "== sweep smoke =="
-./scripts/sweep_smoke.sh
-
-echo "== obs smoke =="
-./scripts/obs_smoke.sh
-
 echo "CI OK"
