@@ -374,8 +374,7 @@ mod tests {
     /// `census vrr 7 7`'s `path_x` column: the edges graph 7 of
     /// `vrr_bootstrap`'s recipe holds at consistency, walked as a path
     /// message goes, take 1.089 times the hops of the shortest paths
-    /// between their ends (1.142 before messages were handed to a
-    /// neighbour of their endpoint).
+    /// between their ends.
     #[test]
     fn graph_7_holds_its_edges_at_its_census_path_stretch() {
         let (topo, labels) = topo_and_labels(50, 7);
