@@ -20,7 +20,9 @@
 //!   neighbours of a neighbour come from its hellos, which carry the
 //!   sender's bound neighbours: a node answers a new neighbour's hello a
 //!   tick later, once every neighbour whose first hello arrived with it is
-//!   bound, so the answer lists them all;
+//!   bound, so the answer lists them all, and a node that loses a link
+//!   sends its hello again to every neighbour still bound, so none goes on
+//!   handing it messages for the far end of that link;
 //! * **greedily toward larger/smaller addresses** ([`VrrMsg::Routed`]) —
 //!   only for walks whose destination is *unknown* (ring-closure discovery)
 //!   or not yet connected (baseline claims toward the representative).
@@ -701,7 +703,8 @@ impl VrrNode {
         if far.is_empty() {
             return;
         }
-        // both sorted: one merge
+        // both sorted: one merge (a sort per hello, stable or not, costs
+        // the benchmark's VRR run about 2.5 % of its wall time)
         let me = self.id;
         let mut learned = far
             .iter()
@@ -1375,6 +1378,13 @@ impl Protocol for VrrNode {
         self.nbrs.unbind_index(neighbor);
         self.two_hop.retain(|&(_, link)| link != neighbor);
         self.replies.retain(|&link| link != neighbor);
+        // the neighbours still bound learn that the far end is no longer
+        // behind this node, or they would go on handing it messages for
+        // that end (`Self::via_neighbour`) that it cannot carry
+        let hello = self.hello();
+        for (_, link) in self.nbrs.iter() {
+            ctx.send(link, hello.clone());
+        }
         // edges whose path state crossed the dead link are gone, unless
         // another row for the same endpoints still carries them
         self.table.purge_via(neighbor);
@@ -2175,6 +2185,51 @@ mod tests {
         }
         let out = step(&mut node, 4, &links, |p, ctx| p.on_timer(ctx, TOKEN_HELLO));
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// A link that goes down is news to the neighbours still bound: relay
+    /// 50 learned 70 behind 40 (its link 1) from 40's answer, and hands a
+    /// message on the carrier 10 – 70 to 40 instead of over its row's link
+    /// 4. 40's link to 70 goes down; 40 sends its new hello to 50, its only
+    /// neighbour left, and 50's next message toward 70 follows the row.
+    #[test]
+    fn a_link_down_tells_the_neighbours_left_and_their_messages_follow_the_row() {
+        use ssr_sim::Action;
+        let sends = |out: &[Action<VrrMsg>]| {
+            out.iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, msg, .. } => Some((*to, msg.clone())),
+                    Action::Timer { .. } => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut near = VrrNode::new(NodeId(40));
+        let near_links = [1, 2];
+        for (id, link) in [(50, 1), (70, 2)] {
+            step(&mut near, 1, &near_links, |p, ctx| {
+                p.on_message(ctx, link, hello_from(id, &[]))
+            });
+        }
+        let out = step(&mut near, 2, &near_links, |p, ctx| {
+            p.on_timer(ctx, TOKEN_HELLO)
+        });
+        let answer = hello_from(40, &[50, 70]);
+        assert!(sends(&out).contains(&(1, answer.clone())));
+        let (mut relay, _) = stepped_node(&[40, 60]);
+        let links = [1, 2, 3, 4];
+        step(&mut relay, 3, &links, |p, ctx| p.on_message(ctx, 1, answer));
+        let carrier = PathId::new(NodeId(10), NodeId(70), 5);
+        relay.install_walk_hop(carrier, NodeId(10), Some(3), Some(4));
+        let leaves = |node: &VrrNode| {
+            let hop = node.carry(carrier, NodeId(70), Some(3)).unwrap();
+            (hop.link, hop.via)
+        };
+        assert_eq!(leaves(&relay), (1, Via::Neighbour));
+        let out = step(&mut near, 4, &[1], |p, ctx| p.on_neighbor_down(ctx, 2));
+        let told = hello_from(40, &[50]);
+        assert_eq!(sends(&out), [(1, told.clone())]);
+        step(&mut relay, 5, &links, |p, ctx| p.on_message(ctx, 1, told));
+        assert_eq!(leaves(&relay), (4, Via::Row));
     }
 
     /// A closure retrace never takes the hand-off: it rewrites the crumb at

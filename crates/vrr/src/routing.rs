@@ -74,17 +74,28 @@ pub struct VrrRoutingView<'a> {
     /// `nodes[i]` is the protocol at simulator index `i` (path tables store
     /// physical link indices).
     nodes: &'a [VrrNode],
-    /// The same nodes in ascending address order.
-    by_id: Vec<&'a VrrNode>,
+    /// Every node's address and simulator index, in ascending address
+    /// order.
+    by_id: Vec<(NodeId, usize)>,
 }
 
 impl<'a> VrrRoutingView<'a> {
     /// Builds the view; `nodes[i]` must be the protocol at simulator index
     /// `i`, addresses distinct.
     pub fn new(nodes: &'a [VrrNode]) -> Self {
-        let mut by_id: Vec<&VrrNode> = nodes.iter().collect();
-        by_id.sort_unstable_by_key(|n| n.id());
+        let mut by_id: Vec<(NodeId, usize)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(u, node)| (node.id(), u))
+            .collect();
+        by_id.sort_unstable();
         VrrRoutingView { nodes, by_id }
+    }
+
+    /// The simulator index of the node with address `id`.
+    fn index_of(&self, id: NodeId) -> Option<usize> {
+        let at = self.by_id.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(self.by_id[at].1)
     }
 
     /// Routes a packet from `src` to `dst`, at most `max_hops` physical
@@ -93,10 +104,10 @@ impl<'a> VrrRoutingView<'a> {
         if src == dst {
             return VrrRouteOutcome::Delivered { physical_hops: 0 };
         }
-        let Ok(at) = self.by_id.binary_search_by_key(&src, |n| n.id()) else {
+        let Some(at) = self.index_of(src) else {
             return VrrRouteOutcome::Stuck { at: src };
         };
-        let mut cur = self.by_id[at];
+        let mut cur = &self.nodes[at];
         let mut hops = 0u32;
         while hops < max_hops {
             let next = cur.greedy_next(dst).and_then(|link| self.nodes.get(link));
@@ -146,13 +157,6 @@ impl<'a> VrrRoutingView<'a> {
     /// distances of their ends, each summed first. 1 is shortest-path
     /// state; `NaN` where no walk goes through.
     pub fn path_x(&self, topo: &Graph) -> f64 {
-        let mut index: Vec<(NodeId, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(u, node)| (node.id(), u))
-            .collect();
-        index.sort_unstable();
         let (mut walked, mut shortest) = (0u64, 0u64);
         for (u, node) in self.nodes.iter().enumerate() {
             let lin = node.linearizer();
@@ -165,12 +169,12 @@ impl<'a> VrrRoutingView<'a> {
                 let PathWalk::Through { hops } = self.walk(u, pid, peer) else {
                     continue;
                 };
-                let Ok(at) = index.binary_search_by_key(&peer, |&(id, _)| id) else {
+                let Some(at) = self.index_of(peer) else {
                     continue;
                 };
                 let dist = dist.get_or_insert_with(|| algo::bfs_distances(topo, u));
                 walked += u64::from(hops);
-                shortest += u64::from(dist[index[at].1]);
+                shortest += u64::from(dist[at]);
             }
         }
         if shortest == 0 {
