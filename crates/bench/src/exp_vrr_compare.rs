@@ -53,13 +53,15 @@ const E2E: [&str; 7] = [
 /// into the manifest's `vrr_total`: messages with no path state or no hops
 /// left, hops handed straight to a bound endpoint or to a physical
 /// neighbour of it, hops that took another row for the same endpoint pair,
-/// and notifications whose news the receiver already held.
-const VRR: [&str; 7] = [
+/// hops back over the link they came in on, and notifications whose news
+/// the receiver already held.
+const VRR: [&str; 8] = [
     "fwd.no_path",
     "fwd.ttl_expired",
     "fwd.shortcut",
     "fwd.two_hop",
     "fwd.rerouted",
+    "fwd.uturn",
     "rx.notify_known",
     "rx.announce_known",
 ];

@@ -18,7 +18,7 @@
 //! | `msg.*`    | simulator       | per-kind transmission counts from [`crate::Protocol::kind`]; **`counter_sum("msg.")` always equals `tx.total`** (kinds are counted at transmit time, before loss sampling) |
 //! | `fault.*`  | simulator       | applied faults: `fault.crash`, `fault.join`, `fault.join_dead_link` (requested link to a down peer), `fault.link_down`, `fault.link_up`, `fault.partition` / `fault.partition_cut` (severed cross-group edges), `fault.heal` / `fault.heal_link` (restored edges) |
 //! | `e2e.*`    | protocols       | end-to-end messages, one per message a node originates however many hops it then takes: `e2e.sent` (SSR and ISPRP bump it where the source-routed envelope is made, and the histogram `route.len` takes the route it is sent along; `VrrNode` bumps it where a message along path state or a greedy walk starts, never at a relay) — `tx.total` over `e2e.sent` is the mean physical hops a message pays — split by payload into `e2e.notify` (introductions), `e2e.announce` (audit announcements), `e2e.ack`, `e2e.teardown`, `e2e.discover` (ring-closure answers), `e2e.succ`, `e2e.update` and `e2e.data`, which sum to it; `e2e.delivered` (SSR and ISPRP), those that reached the end of their route, or a data probe's target or a relay that took the probe over before it; and `e2e.retry` (SSR and VRR), the share of them that are handshake re-sends (sent while a retry timer is handled) |
-//! | `fwd.*`    | protocols       | the transports' per-hop outcomes: `fwd.shortcut` (an SSR relay drained hops out of the route up to a physical neighbour; a VRR node handed a path message straight to its destination endpoint, a bound physical neighbour, instead of the path's own hop), `fwd.two_hop` (a VRR node handed a path message to a physical neighbour of its destination endpoint, learned from that neighbour's hello, instead of the path's own hop), `fwd.rerouted` (a VRR node whose row for a message's carrier path was gone forwarded it over another row for the same endpoint pair and rewrote the message's path id to that row's), `fwd.spliced` (an SSR relay replaced a stretch of the route by a shorter route from its own cache that a message had travelled), `fwd.redecided` (an SSR relay holding a data probe picked a node strictly closer to its target than the route's end, and routed it on itself), `fwd.refreshed` (an SSR node an envelope reached replaced its cached route to a node the envelope had passed by the shorter way the envelope came), and the drops `fwd.broken`, `fwd.truncated`, `fwd.misrouted`, `fwd.bad_trace`, `fwd.no_route`, `fwd.unexpected`, and VRR's `fwd.no_path` (no path state to forward on) and `fwd.ttl_expired` (a path message ran out of hops) |
+//! | `fwd.*`    | protocols       | the transports' per-hop outcomes: `fwd.shortcut` (an SSR relay drained hops out of the route up to a physical neighbour; a VRR node handed a path message straight to its destination endpoint, a bound physical neighbour, instead of the path's own hop), `fwd.two_hop` (a VRR node handed a path message to a physical neighbour of its destination endpoint, learned from that neighbour's hello, instead of the path's own hop), `fwd.rerouted` (a VRR node whose row for a message's carrier path was gone forwarded it over another row for the same endpoint pair and rewrote the message's path id to that row's), `fwd.uturn` (a VRR relay sent a path message back over the link it came in on), `fwd.spliced` (an SSR relay replaced a stretch of the route by a shorter route from its own cache that a message had travelled), `fwd.redecided` (an SSR relay holding a data probe picked a node strictly closer to its target than the route's end, and routed it on itself), `fwd.refreshed` (an SSR node an envelope reached replaced its cached route to a node the envelope had passed by the shorter way the envelope came), and the drops `fwd.broken`, `fwd.truncated`, `fwd.misrouted`, `fwd.bad_trace`, `fwd.no_route`, `fwd.unexpected`, and VRR's `fwd.no_path` (no path state to forward on) and `fwd.ttl_expired` (a path message ran out of hops) |
 //! | `probe.*`  | probe layer     | observer-side counters (e.g. `probe.samples`)    |
 //! | `prov.*`   | causal ledger   | provenance totals mirrored from a [`crate::ProvenanceSummary`] when an instrumented run is summarized: counters `prov.roots` (causal roots) and `prov.wasted`, histograms `prov.depth` (causal depth per delivery) and `prov.cascade` (deliveries per root) |
 //! | other      | protocols/exps  | protocol- or experiment-specific counters, ideally `"<crate>."`-prefixed |

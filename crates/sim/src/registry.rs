@@ -52,6 +52,7 @@ pub const KEYS: &[&str] = &[
     "fwd.ttl_expired",
     "fwd.two_hop",
     "fwd.unexpected",
+    "fwd.uturn",
     "probe.delivered",
     "probe.fired",
     "probe.invariant.potential_rise",

@@ -412,7 +412,7 @@ impl VrrNode {
         came_from: usize,
     ) {
         match self.carry(id, toward, Some(came_from)) {
-            Some(hop) => send_hop(ctx, hop, toward, payload, ttl),
+            Some(hop) => send_hop(ctx, hop, toward, payload, ttl, Some(came_from)),
             None => ctx.metrics().incr("fwd.no_path"),
         }
     }
@@ -1092,9 +1092,21 @@ pub(crate) struct Hop {
 }
 
 /// Sends `payload` toward `toward` over `hop` with `ttl` hops left before
-/// this one, under the hop's carrier id. `ttl` is never 0: a relay drops a
-/// message whose budget ran out before it looks for a hop.
-fn send_hop(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPayload, ttl: u16) {
+/// this one, under the hop's carrier id; a relay passes the link it came
+/// in on as `came_from`, and a hop back over it counts as `fwd.uturn`.
+/// `ttl` is never 0: a relay drops a message whose budget ran out before
+/// it looks for a hop.
+fn send_hop(
+    ctx: &mut Ctx<'_, VrrMsg>,
+    hop: Hop,
+    toward: NodeId,
+    payload: PathPayload,
+    ttl: u16,
+    came_from: Option<usize>,
+) {
+    if came_from == Some(hop.link) {
+        ctx.metrics().incr("fwd.uturn");
+    }
     match hop.via {
         Via::Row => {}
         Via::Endpoint => ctx.metrics().incr("fwd.shortcut"),
@@ -1118,7 +1130,7 @@ fn send_hop(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPa
 /// counted under `e2e.sent` and its class.
 fn originate_over(ctx: &mut Ctx<'_, VrrMsg>, hop: Hop, toward: NodeId, payload: PathPayload) {
     let key = payload.e2e_key();
-    send_hop(ctx, hop, toward, payload, TTL);
+    send_hop(ctx, hop, toward, payload, TTL, None);
     count_sent(ctx, key);
 }
 
@@ -1280,7 +1292,7 @@ impl Protocol for VrrNode {
                                 return;
                             };
                             if along_edge && (id != new_pid || hop.rerouted) {
-                                send_hop(ctx, hop, toward, payload, ttl);
+                                send_hop(ctx, hop, toward, payload, ttl, Some(from));
                                 return;
                             }
                             // pinch merge: if the other half of this new
@@ -1291,7 +1303,7 @@ impl Protocol for VrrNode {
                             // and prevents forwarding loops
                             let back = self.back_hop(new_pid, other, from);
                             self.install_walk_hop(new_pid, other, Some(back), Some(hop.link));
-                            send_hop(ctx, hop, toward, payload, ttl);
+                            send_hop(ctx, hop, toward, payload, ttl, Some(from));
                         }
                     }
                     PathPayload::Ack { about, seq } => {
@@ -1322,6 +1334,9 @@ impl Protocol for VrrNode {
                         if at_end {
                             self.handle_close_ring(ctx, id, acceptor, final_pid, dir, from);
                         } else if let Some(next) = self.rewrite_crumb(id, toward, final_pid, from) {
+                            if next == from {
+                                ctx.metrics().incr("fwd.uturn");
+                            }
                             // keep forwarding under the *crumb* id —
                             // downstream nodes have not been rewritten yet
                             ctx.send(

@@ -38,7 +38,7 @@
 //!
 //! The `vrr` recipe prints `graph verdict ticks msgs_per_node ttl_expired
 //! state live KINDS… known announced rest no_path shortcut rerouted dup
-//! retry two_hop path_x cycles`: the
+//! retry two_hop path_x uturn quiet rest_cycles cycles`: the
 //! watchdog's verdict (`converged`, `frozen_crossing`, …), the messages
 //! along a virtual edge per node that ran out of hops (`fwd.ttl_expired`),
 //! the path-table entries per node, the entries per node whose path some
@@ -64,13 +64,19 @@
 //! edges' path stretch: every edge a node holds, in a side set or a
 //! ring-closure slot, walked toward its peer as a path message goes
 //! (`VrrRoutingView::path_x`), the walks' hops over their ends' BFS
-//! distances; and `cycles`, the walks
+//! distances; `uturn`, the hops per node a relay sent back over the
+//! link the message came in on (`fwd.uturn`); `quiet`, the last audit
+//! period after consistency, counted from 1, in which an acknowledgment
+//! travelled (0 where none did within `rest`'s window); `rest_cycles`,
+//! `cycles` read at the end of that window, when no half-lay is in flight
+//! any more (`-` for both where the run did not converge); and `cycles`, the walks
 //! of a path's rows that cycle — one walk per row a node holds for a path
 //! it is an endpoint of, toward the other endpoint, each hop the rule a
 //! relay forwards a path message by (`VrrRoutingView::walk`; discovery
 //! breadcrumbs skipped): forwarding loops the tables hold whether or not a
-//! message has ridden one. Every column but `rest` counts up to the end
-//! of the run; `path_x` and `cycles` read the tables there. A non-zero `LOSS_PCT` runs the recipe over
+//! message has ridden one. Every column but `rest`, `quiet` and
+//! `rest_cycles` counts up to the end of the run; `path_x` and `cycles`
+//! read the tables there. A non-zero `LOSS_PCT` runs the recipe over
 //! `LinkConfig::lossy`; the benchmark's own workload is lossless.
 //!
 //! The benchmark reports the median over five graphs of a chaotic
@@ -87,6 +93,7 @@ use ssr_core::node::{SsrConfig, SsrNode};
 use ssr_core::routing::{RoutingStats, RoutingView};
 use ssr_graph::algo;
 use ssr_linearize::check::{self, Bounds, Report};
+use ssr_linearize::control::AUDIT_INTERVAL;
 use ssr_linearize::world::{Faults, World, CLASSES};
 use ssr_sim::faults::{partition_groups, Fault};
 use ssr_sim::{shared_watchdog, watchdog_probe, LinkConfig, Simulator, Time};
@@ -275,10 +282,15 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     let (retry, two_hop) = (per_node("e2e.retry"), per_node("fwd.two_hop"));
     let path_x = VrrRoutingView::new(sim.protocols()).path_x(&topo);
     let cycles = cycles(sim.protocols());
+    let uturn = per_node("fwd.uturn");
+    let rest = watch.converged.then(|| rest(sim));
+    let (rate, quiet, rest_cycles) = match &rest {
+        Some(r) => (r.rate, r.quiet.to_string(), r.cycles.to_string()),
+        None => (f64::NAN, "-".into(), "-".into()),
+    };
     println!(
-        " {known:.3} {announced:.3} {:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3} \
-         {retry:.3} {two_hop:.3} {path_x:.3} {cycles}",
-        rest(sim, watch.converged)
+        " {known:.3} {announced:.3} {rate:.3} {no_path:.3} {shortcut:.3} {rerouted:.3} {dup:.3} \
+         {retry:.3} {two_hop:.3} {path_x:.3} {uturn:.3} {quiet} {rest_cycles} {cycles}",
     );
 }
 
@@ -303,17 +315,37 @@ fn cycles(nodes: &[VrrNode]) -> usize {
         .count()
 }
 
-/// Messages per node per kilotick over the [`REST_TICKS`] after a run
-/// that converged, as `ssr_bootstrap` measures SSR's rest rate; `NaN`
-/// after one that did not.
-fn rest(mut sim: Simulator<VrrNode>, converged: bool) -> f64 {
-    if !converged {
-        return f64::NAN;
+/// What the [`REST_TICKS`] after a run that converged show.
+struct Rest {
+    /// Messages per node per kilotick, as `ssr_bootstrap` measures SSR's
+    /// rest rate.
+    rate: f64,
+    /// The last audit period, counted from 1 at consistency, in which an
+    /// acknowledgment travelled; 0 where none did.
+    quiet: u64,
+    /// The cycling walks ([`cycles`]) the tables hold at the window's end.
+    cycles: usize,
+}
+
+/// Runs a converged `sim` on over the [`REST_TICKS`] past consistency, one
+/// audit period at a time.
+fn rest(mut sim: Simulator<VrrNode>) -> Rest {
+    let (start, before) = (sim.now(), sim.metrics().counter("tx.total"));
+    let mut quiet = 0;
+    for period in 1..=REST_TICKS.div_ceil(AUDIT_INTERVAL) {
+        let acks = sim.metrics().counter("msg.ack");
+        let end = (period * AUDIT_INTERVAL).min(REST_TICKS);
+        sim.run_until(start + end);
+        if sim.metrics().counter("msg.ack") > acks {
+            quiet = period;
+        }
     }
-    let before = sim.metrics().counter("tx.total");
-    sim.run_until(sim.now() + REST_TICKS);
     let sent = sim.metrics().counter("tx.total") - before;
-    sent as f64 / sim.protocols().len() as f64 * 1_000.0 / REST_TICKS as f64
+    Rest {
+        rate: sent as f64 / sim.protocols().len() as f64 * 1_000.0 / REST_TICKS as f64,
+        quiet,
+        cycles: cycles(sim.protocols()),
+    }
 }
 
 /// `boot`'s graph `g` in the overlay-only world, FIFO ticks.
