@@ -373,8 +373,10 @@ mod tests {
 
     /// `census vrr 7 7`'s `path_x` column: the edges graph 7 of
     /// `vrr_bootstrap`'s recipe holds at consistency, walked as a path
-    /// message goes, take 1.089 times the hops of the shortest paths
-    /// between their ends.
+    /// message goes, take 1.157 times the hops of the shortest paths
+    /// between their ends. It read 1.089 while every delegation sent a
+    /// `Retire` and every mirror introduction went out; without them
+    /// graph 7 is consistent at tick 128, not 240.
     #[test]
     fn graph_7_holds_its_edges_at_its_census_path_stretch() {
         let (topo, labels) = topo_and_labels(50, 7);
@@ -389,7 +391,7 @@ mod tests {
         );
         assert!(report.converged, "{report:?}");
         let path_x = crate::VrrRoutingView::new(sim.protocols()).path_x(&topo);
-        assert_eq!(format!("{path_x:.3}"), "1.089");
+        assert_eq!(format!("{path_x:.3}"), "1.157");
     }
 
     #[test]

@@ -30,8 +30,15 @@
 //!   can retrace and solidify the wrap edge.
 //!
 //! **Linearized mode** mirrors the SSR bootstrap exactly: farthest-pair
-//! introductions with a two-ACK handshake and tear-downs, plus CW/CCW
-//! discovery. **Baseline mode** adds VRR's own mechanism: periodic hello
+//! introductions with a two-ACK handshake, plus CW/CCW discovery. A
+//! delegation costs no message on its normal path. The delegated peer is
+//! not told, as SSR's is not: it drops the delegator by its own
+//! farthest-pair rule. That rule's introduction is the mirror of the
+//! delegator's own handshake — the delegator keeps the node it introduced
+//! this one to — so a node settles it without a message, feeding the
+//! control core both acknowledgments itself. Only a delegation whose
+//! handshake needed a re-send still retires the edge with a message.
+//! **Baseline mode** adds VRR's own mechanism: periodic hello
 //! beacons piggy-backing the *representative*, claim walks toward it, and
 //! redirects — the standing dissemination cost that linearization removes.
 
@@ -40,7 +47,7 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
@@ -162,7 +169,10 @@ pub enum PathPayload {
         seq: SeqNo,
     },
     /// Retires a virtual edge *without* removing path state: the recipient
-    /// drops the sender from its neighbor sets, but the installed path
+    /// drops the sender from its neighbor sets. Sent for a demoted
+    /// ring-closure edge, an abandoned handshake's silent peer, and a
+    /// delegation whose handshake a retry re-sent; a delegation that went
+    /// through first time sends none. The installed path
     /// survives as router state at every node it traverses. Nothing collects
     /// it later — only a lost link (`PathTable::purge_via`) and breadcrumb
     /// cleanup (`PathTable::purge_like`) remove entries, so most of the
@@ -283,6 +293,15 @@ pub struct VrrNode {
     /// plus the introducer's bound where it was introduced. Dropped with
     /// the peer ([`Self::drive`]).
     bounds: BTreeMap<NodeId, u16>,
+    /// Held peer `x` → the node `k` that `x`'s own introduction named,
+    /// between this node and `x`: `x` keeps `k`, so this node's own
+    /// introduction of `k` to `x` would be its mirror, and is settled
+    /// without a message. Dropped when `x` announces itself, with the
+    /// peer, or when used.
+    mirrors: BTreeMap<NodeId, NodeId>,
+    /// The held peers whose handshake a retry round re-sent: delegating
+    /// one still sends its `PathPayload::Retire`. Dropped with the peer.
+    resent: BTreeSet<NodeId>,
 }
 
 impl VrrNode {
@@ -313,6 +332,8 @@ impl VrrNode {
             claimed: None,
             claim_paths: BTreeMap::new(),
             bounds: BTreeMap::new(),
+            mirrors: BTreeMap::new(),
+            resent: BTreeSet::new(),
         }
     }
 
@@ -448,14 +469,24 @@ impl VrrNode {
     // -- linearization -------------------------------------------------------------
 
     /// Feeds `input` to the control core and carries out what it asks for,
-    /// in order, then drops the hop bounds of the peers it no longer holds.
+    /// in order, then drops what it keeps per peer for the peers it no
+    /// longer holds.
     fn drive(&mut self, ctx: &mut Ctx<'_, VrrMsg>, input: Input) {
+        let retry = matches!(
+            input,
+            Input::Timer {
+                timer: Timer::Retry(..),
+                ..
+            }
+        );
         for effect in self.lin.step(input, ctx.now().ticks()) {
-            self.apply(ctx, effect);
+            self.apply(ctx, effect, retry);
         }
         let lin = &self.lin;
-        self.bounds
-            .retain(|&peer, _| lin.edge(peer).is_some() || lin.wrap_edge(peer).is_some());
+        let held = |peer: NodeId| lin.edge(peer).is_some() || lin.wrap_edge(peer).is_some();
+        self.bounds.retain(|&peer, _| held(peer));
+        self.mirrors.retain(|&peer, _| held(peer));
+        self.resent.retain(|&peer| held(peer));
     }
 
     /// The hop bound of `peer`'s path, 0 where none is known.
@@ -474,7 +505,9 @@ impl VrrNode {
         2 * u64::from(longest) + ACT_INTERVAL
     }
 
-    fn apply(&mut self, ctx: &mut Ctx<'_, VrrMsg>, effect: Effect<PathId>) {
+    /// Carries out one effect of the control core; `retry` where a retry
+    /// round asked for it.
+    fn apply(&mut self, ctx: &mut Ctx<'_, VrrMsg>, effect: Effect<PathId>, retry: bool) {
         match effect {
             Effect::SetTimer { delay, timer } => {
                 let delay = match timer {
@@ -483,14 +516,31 @@ impl VrrNode {
                 };
                 ctx.set_timer(delay, timer.token());
             }
+            // the mirror of `drop`'s own handshake: `drop` keeps `keep`,
+            // and `keep` adopted this node from `drop`'s introduction, so
+            // both halves stand acknowledged already
+            Effect::Introduce {
+                keep, drop, seq, ..
+            } if self.mirrors.get(&drop) == Some(&keep) => {
+                self.mirrors.remove(&drop);
+                self.drive(ctx, Input::Ack { about: drop, seq });
+                self.drive(ctx, Input::Ack { about: keep, seq });
+            }
             // a VRR edge is laid by its two half-walks jointly, so a retry
             // relaunches the full introduction (fresh edge nonce) whichever
             // half went unacknowledged
             Effect::Introduce {
                 keep, drop, seq, ..
-            } => self.introduce_pair(ctx, keep, drop, seq),
+            } => {
+                if self.introduce_pair(ctx, keep, drop, seq) && retry {
+                    self.resent.insert(drop);
+                }
+            }
+            // the delegated peer learns of it from its own linearization,
+            // as SSR's does; only a handshake that needed a re-send tells
+            // it, its peers being slow or lossy
             Effect::Delegated { peer, edge } => {
-                if let Some(path) = edge {
+                if let (true, Some(path)) = (self.resent.remove(&peer), edge) {
                     self.retire(ctx, peer, path);
                 }
             }
@@ -520,13 +570,20 @@ impl VrrNode {
     }
 
     /// Lays the new virtual edge `x ↔ y` through this node: installs the
-    /// junction entry and sends both half-laying notifications.
-    fn introduce_pair(&mut self, ctx: &mut Ctx<'_, VrrMsg>, x: NodeId, y: NodeId, seq: SeqNo) {
+    /// junction entry and sends both half-laying notifications. `false`
+    /// where it sent nothing.
+    fn introduce_pair(
+        &mut self,
+        ctx: &mut Ctx<'_, VrrMsg>,
+        x: NodeId,
+        y: NodeId,
+        seq: SeqNo,
+    ) -> bool {
         let (Some(px), Some(py)) = (self.path_to(x), self.path_to(y)) else {
             ctx.metrics().incr("fwd.no_path");
-            return;
+            return false;
         };
-        self.introduce_pair_via(ctx, x, px, y, py, seq);
+        self.introduce_pair_via(ctx, x, px, y, py, seq)
     }
 
     /// Like [`Self::introduce_pair`], with explicit carrier paths (used by
@@ -539,9 +596,9 @@ impl VrrNode {
         y: NodeId,
         py: PathId,
         seq: SeqNo,
-    ) {
+    ) -> bool {
         if x == y || x == self.id || y == self.id {
-            return;
+            return false;
         }
         let nonce = ctx.rng().next_u64();
         let new_pid = PathId::new(x, y, nonce);
@@ -549,7 +606,7 @@ impl VrrNode {
         // y via py's first hop, and each half leaves over that hop
         let (Some(hop_x), Some(hop_y)) = (self.carry(px, x, None), self.carry(py, y, None)) else {
             ctx.metrics().incr("fwd.no_path");
-            return;
+            return false;
         };
         self.install_walk_hop(new_pid, x, Some(hop_x.link), Some(hop_y.link));
         originate_over(
@@ -576,6 +633,7 @@ impl VrrNode {
                 hops: self.bound(x),
             },
         );
+        true
     }
 
     /// The path this node reaches `other` over: the edge it holds to it,
@@ -1274,10 +1332,19 @@ impl Protocol for VrrNode {
                                 if known {
                                     ctx.metrics().incr("rx.notify_known");
                                 }
+                                // the initiator keeps `other` and hands this
+                                // node to it: introducing the two in turn
+                                // would be the mirror of that handshake
+                                let (lo, hi) = (self.id.min(initiator), self.id.max(initiator));
+                                if lo < other && other < hi {
+                                    self.mirrors.insert(initiator, other);
+                                }
                             } else {
                                 // one announcement per mutual edge per
-                                // audit interval
+                                // audit interval; the announcer holds this
+                                // node, so no handshake of its delegates it
                                 self.lin.announced_by(other);
+                                self.mirrors.remove(&other);
                                 if known {
                                     ctx.metrics().incr("rx.announce_known");
                                 }
@@ -2311,7 +2378,7 @@ mod tests {
             to_keep: true,
             to_drop: false,
         };
-        let out = step(&mut node, 30, &links, |p, ctx| p.apply(ctx, retry));
+        let out = step(&mut node, 30, &links, |p, ctx| p.apply(ctx, retry, true));
         let sent: Vec<(usize, PathId)> =
             along(&out).into_iter().map(|(l, id, _)| (l, id)).collect();
         assert_eq!(
@@ -2748,6 +2815,128 @@ mod tests {
         assert!(node.bounds.is_empty());
     }
 
+    /// Node 50's act over the right side it holds, at tick 5: the
+    /// handshake it starts and what the act sent.
+    fn act(node: &mut VrrNode, links: &[usize]) -> (SeqNo, Vec<(usize, PathId, PathPayload)>) {
+        let token = Timer::Act.token();
+        let out = step(node, 5, links, |p, ctx| p.on_timer(ctx, token));
+        let [(_, Side::Right, seq)] = retries(&out)[..] else {
+            panic!("one handshake on the right: {out:?}");
+        };
+        (seq, along(&out))
+    }
+
+    /// `peer`'s acknowledgment of the handshake `seq`, naming `about`,
+    /// over their one-hop path, arriving on `link` at tick `now`.
+    fn ack_from(
+        node: &mut VrrNode,
+        links: &[usize],
+        now: u64,
+        (peer, link): (u64, usize),
+        about: u64,
+        seq: SeqNo,
+    ) -> Vec<(usize, PathId, PathPayload)> {
+        let msg = VrrMsg::AlongPath {
+            id: PathId::new(NodeId(50), NodeId(peer), 0),
+            toward: NodeId(50),
+            ttl: TTL - 1,
+            payload: PathPayload::Ack {
+                about: NodeId(about),
+                seq,
+            },
+        };
+        along(&step(node, now, links, |p, ctx| {
+            p.on_message(ctx, link, msg)
+        }))
+    }
+
+    /// Node 50 hands 70 to 60 and both acknowledge the first try: the
+    /// delegation sends nothing, and 70 has left the right side.
+    #[test]
+    fn a_delegation_whose_handshake_went_through_first_time_sends_nothing() {
+        let (mut node, links) = stepped_node(&[60, 70]);
+        let (seq, sent) = act(&mut node, &links);
+        assert_eq!(sent.len(), 2);
+        assert!(ack_from(&mut node, &links, 7, (60, 1), 70, seq).is_empty());
+        assert!(ack_from(&mut node, &links, 7, (70, 2), 60, seq).is_empty());
+        assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
+        assert_eq!(node.lin.pending(Side::Right), None);
+    }
+
+    /// The same handshake with no answer before its retry, which re-sends
+    /// both halves: once both acknowledge, the delegation tells 70 with one
+    /// `Retire` over their path.
+    #[test]
+    fn a_delegation_after_a_re_sent_handshake_sends_one_retire() {
+        let (mut node, links) = stepped_node(&[60, 70]);
+        let (seq, _) = act(&mut node, &links);
+        let retry = Timer::Retry(Side::Right, seq).token();
+        let out = step(&mut node, 30, &links, |p, ctx| p.on_timer(ctx, retry));
+        assert_eq!(along(&out).len(), 2);
+        assert!(ack_from(&mut node, &links, 32, (60, 1), 70, seq).is_empty());
+        let retire = (
+            2,
+            PathId::new(NodeId(50), NodeId(70), 0),
+            PathPayload::Retire { from: NodeId(50) },
+        );
+        assert_eq!(ack_from(&mut node, &links, 32, (70, 2), 60, seq), [retire]);
+        assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
+    }
+
+    /// Node 50 holds 70 over their one-hop path (link 1), and 70's own
+    /// handshake introduces it to 60, which lies between them; 50 answers
+    /// and adopts 60. Returns the node and its links.
+    fn introduced_to_60_by_70() -> (VrrNode, Vec<usize>) {
+        let (mut node, links) = stepped_node(&[70]);
+        let notify = VrrMsg::AlongPath {
+            id: PathId::new(NodeId(50), NodeId(70), 0),
+            toward: NodeId(50),
+            ttl: TTL - 1,
+            payload: PathPayload::Notify {
+                new_pid: PathId::new(NodeId(50), NodeId(60), 9),
+                other: NodeId(60),
+                from: NodeId(70),
+                seq: SeqNo(4),
+                hops: 1,
+            },
+        };
+        let out = step(&mut node, 2, &links, |p, ctx| p.on_message(ctx, 1, notify));
+        let [(1, _, PathPayload::Ack { .. })] = along(&out)[..] else {
+            panic!("one ack to 70: {out:?}");
+        };
+        let right: Vec<_> = node.right_set().collect();
+        assert_eq!(right, [NodeId(60), NodeId(70)]);
+        (node, links)
+    }
+
+    /// The act that would introduce 60 and 70 to each other is the mirror
+    /// of 70's own handshake: it sends nothing, the control core takes both
+    /// halves as acknowledged and delegates 70, and no handshake is left
+    /// in flight.
+    #[test]
+    fn the_mirror_introduction_sends_nothing_and_delegates_its_drop() {
+        let (mut node, links) = introduced_to_60_by_70();
+        let (_, sent) = act(&mut node, &links);
+        assert!(sent.is_empty(), "{sent:?}");
+        assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
+        assert_eq!(node.lin.pending(Side::Right), None);
+        assert!(node.mirrors.is_empty());
+    }
+
+    /// 70 announces itself to 50 after its introduction of 60: it holds
+    /// 50 still, so 50's own introduction of 60 and 70 is sent, both
+    /// halves over link 1, and 70 stays until they are acknowledged.
+    #[test]
+    fn an_announcement_clears_the_mirror_so_the_introduction_is_sent() {
+        let (mut node, links) = introduced_to_60_by_70();
+        assert!(announcement(&mut node, &links, 70, 1).is_empty());
+        let (_, sent) = act(&mut node, &links);
+        let halves: Vec<usize> = sent.iter().map(|&(link, _, _)| link).collect();
+        assert_eq!(halves, [1, 1]);
+        let right: Vec<_> = node.right_set().collect();
+        assert_eq!(right, [NodeId(60), NodeId(70)]);
+    }
+
     /// Node 50 with physical neighbours 30 (link 1) and 40 (link 2)
     /// believes itself the maximum. Its counter-clockwise probe, which
     /// seeks its ring successor across the wrap, leaves toward the least
@@ -2759,7 +2948,7 @@ mod tests {
     fn the_maximums_ccw_probe_leaves_toward_a_smaller_neighbour() {
         let (mut node, links) = stepped_node(&[30, 40]);
         let probe = Effect::Probe { toward: Side::Left };
-        let out = step(&mut node, 8, &links, |p, ctx| p.apply(ctx, probe));
+        let out = step(&mut node, 8, &links, |p, ctx| p.apply(ctx, probe, false));
         assert_eq!(routed(&out), [1]);
         let Some(ssr_sim::Action::Send {
             msg:
