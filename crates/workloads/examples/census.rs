@@ -283,8 +283,7 @@ fn vrr(n: usize, g: u64, link: LinkConfig) {
     let path_x = VrrRoutingView::new(sim.protocols()).path_x(&topo);
     let cycles = cycles(sim.protocols());
     let uturn = per_node("fwd.uturn");
-    let rest = watch.converged.then(|| rest(sim));
-    let (rate, quiet, rest_cycles) = match &rest {
+    let (rate, quiet, rest_cycles) = match watch.converged.then(|| rest(sim)) {
         Some(r) => (r.rate, r.quiet.to_string(), r.cycles.to_string()),
         None => (f64::NAN, "-".into(), "-".into()),
     };

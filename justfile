@@ -90,10 +90,13 @@ bench-cache:
 # `just census vrr 1 60 25 5` — `graph verdict ticks msgs_per_node
 # ttl_expired state live`, the same class and kind columns, then `known
 # announced rest no_path shortcut rerouted dup retry two_hop path_x
-# cycles` (`retry`: handshake re-sends per node, e2e.retry; `two_hop`:
-# hops per node handed to a neighbour of the endpoint, fwd.two_hop;
-# `path_x`: the held edges' walked hops over their BFS distances,
-# VrrRoutingView::path_x; `cycles`: walks of
+# uturn quiet rest_cycles cycles` (`retry`: handshake re-sends per node,
+# e2e.retry; `two_hop`: hops per node handed to a neighbour of the
+# endpoint, fwd.two_hop; `path_x`: the held edges' walked hops over their
+# BFS distances, VrrRoutingView::path_x; `uturn`: hops per node sent back
+# over the link they came in on, fwd.uturn; `quiet`: the last audit
+# period after consistency that carries an ack; `rest_cycles`: `cycles`
+# read after the 2 000-tick rest window; `cycles`: walks of
 # a path's rows, one per row held at its own endpoint, that come back to
 # a node over the same link — VrrRoutingView::walk), every link dropping
 # the last argument's percent (default 0); `just census world 1 5`
