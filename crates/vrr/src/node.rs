@@ -36,8 +36,7 @@
 //! farthest-pair rule. That rule's introduction is the mirror of the
 //! delegator's own handshake — the delegator keeps the node it introduced
 //! this one to — so a node settles it without a message, feeding the
-//! control core both acknowledgments itself. Only a delegation whose
-//! handshake needed a re-send still retires the edge with a message.
+//! control core both acknowledgments itself.
 //! **Baseline mode** adds VRR's own mechanism: periodic hello
 //! beacons piggy-backing the *representative*, claim walks toward it, and
 //! redirects — the standing dissemination cost that linearization removes.
@@ -47,7 +46,7 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ssr_linearize::control::{Effect, Input, Linearizer, Timer, WrapVerdict, ACT_INTERVAL};
 use ssr_linearize::observe::Linearized;
@@ -170,9 +169,8 @@ pub enum PathPayload {
     },
     /// Retires a virtual edge *without* removing path state: the recipient
     /// drops the sender from its neighbor sets. Sent for a demoted
-    /// ring-closure edge, an abandoned handshake's silent peer, and a
-    /// delegation whose handshake a retry re-sent; a delegation that went
-    /// through first time sends none. The installed path
+    /// ring-closure edge and an abandoned handshake's silent peer; a
+    /// delegation sends none. The installed path
     /// survives as router state at every node it traverses. Nothing collects
     /// it later — only a lost link (`PathTable::purge_via`) and breadcrumb
     /// cleanup (`PathTable::purge_like`) remove entries, so most of the
@@ -299,9 +297,6 @@ pub struct VrrNode {
     /// without a message. Dropped when `x` announces itself, with the
     /// peer, or when used.
     mirrors: BTreeMap<NodeId, NodeId>,
-    /// The held peers whose handshake a retry round re-sent: delegating
-    /// one still sends its `PathPayload::Retire`. Dropped with the peer.
-    resent: BTreeSet<NodeId>,
 }
 
 impl VrrNode {
@@ -333,7 +328,6 @@ impl VrrNode {
             claim_paths: BTreeMap::new(),
             bounds: BTreeMap::new(),
             mirrors: BTreeMap::new(),
-            resent: BTreeSet::new(),
         }
     }
 
@@ -469,24 +463,44 @@ impl VrrNode {
     // -- linearization -------------------------------------------------------------
 
     /// Feeds `input` to the control core and carries out what it asks for,
-    /// in order, then drops what it keeps per peer for the peers it no
-    /// longer holds.
+    /// in order, then settles the mirror introductions among it and drops
+    /// what it keeps per peer for the peers it no longer holds.
     fn drive(&mut self, ctx: &mut Ctx<'_, VrrMsg>, input: Input) {
-        let retry = matches!(
-            input,
-            Input::Timer {
-                timer: Timer::Retry(..),
-                ..
-            }
-        );
+        let mut mirrored = Vec::new();
         for effect in self.lin.step(input, ctx.now().ticks()) {
-            self.apply(ctx, effect, retry);
+            if let Effect::Introduce {
+                keep, drop, seq, ..
+            } = effect
+            {
+                // the mirror of `drop`'s own handshake: `drop` keeps
+                // `keep`, and `keep` adopted this node from `drop`'s
+                // introduction, so both halves stand acknowledged already
+                if self.mirrors.get(&drop) == Some(&keep) {
+                    self.mirrors.remove(&drop);
+                    mirrored.push((keep, drop, seq));
+                    continue;
+                }
+            }
+            if let Effect::SetTimer {
+                timer: Timer::Retry(_, seq),
+                ..
+            } = effect
+            {
+                // its handshake is settled below, so nothing is retried
+                if mirrored.iter().any(|&(.., settled)| settled == seq) {
+                    continue;
+                }
+            }
+            self.apply(ctx, effect);
+        }
+        for (keep, drop, seq) in mirrored {
+            self.drive(ctx, Input::Ack { about: drop, seq });
+            self.drive(ctx, Input::Ack { about: keep, seq });
         }
         let lin = &self.lin;
         let held = |peer: NodeId| lin.edge(peer).is_some() || lin.wrap_edge(peer).is_some();
         self.bounds.retain(|&peer, _| held(peer));
         self.mirrors.retain(|&peer, _| held(peer));
-        self.resent.retain(|&peer| held(peer));
     }
 
     /// The hop bound of `peer`'s path, 0 where none is known.
@@ -505,9 +519,7 @@ impl VrrNode {
         2 * u64::from(longest) + ACT_INTERVAL
     }
 
-    /// Carries out one effect of the control core; `retry` where a retry
-    /// round asked for it.
-    fn apply(&mut self, ctx: &mut Ctx<'_, VrrMsg>, effect: Effect<PathId>, retry: bool) {
+    fn apply(&mut self, ctx: &mut Ctx<'_, VrrMsg>, effect: Effect<PathId>) {
         match effect {
             Effect::SetTimer { delay, timer } => {
                 let delay = match timer {
@@ -516,34 +528,15 @@ impl VrrNode {
                 };
                 ctx.set_timer(delay, timer.token());
             }
-            // the mirror of `drop`'s own handshake: `drop` keeps `keep`,
-            // and `keep` adopted this node from `drop`'s introduction, so
-            // both halves stand acknowledged already
-            Effect::Introduce {
-                keep, drop, seq, ..
-            } if self.mirrors.get(&drop) == Some(&keep) => {
-                self.mirrors.remove(&drop);
-                self.drive(ctx, Input::Ack { about: drop, seq });
-                self.drive(ctx, Input::Ack { about: keep, seq });
-            }
             // a VRR edge is laid by its two half-walks jointly, so a retry
             // relaunches the full introduction (fresh edge nonce) whichever
             // half went unacknowledged
             Effect::Introduce {
                 keep, drop, seq, ..
-            } => {
-                if self.introduce_pair(ctx, keep, drop, seq) && retry {
-                    self.resent.insert(drop);
-                }
-            }
+            } => self.introduce_pair(ctx, keep, drop, seq),
             // the delegated peer learns of it from its own linearization,
-            // as SSR's does; only a handshake that needed a re-send tells
-            // it, its peers being slow or lossy
-            Effect::Delegated { peer, edge } => {
-                if let (true, Some(path)) = (self.resent.remove(&peer), edge) {
-                    self.retire(ctx, peer, path);
-                }
-            }
+            // as SSR's does
+            Effect::Delegated { .. } => {}
             Effect::WrapDemoted { peer, edge } => self.retire(ctx, peer, edge),
             Effect::Abandon { peer } => {
                 // some endpoint is unreachable over the state we hold for
@@ -570,20 +563,13 @@ impl VrrNode {
     }
 
     /// Lays the new virtual edge `x ↔ y` through this node: installs the
-    /// junction entry and sends both half-laying notifications. `false`
-    /// where it sent nothing.
-    fn introduce_pair(
-        &mut self,
-        ctx: &mut Ctx<'_, VrrMsg>,
-        x: NodeId,
-        y: NodeId,
-        seq: SeqNo,
-    ) -> bool {
+    /// junction entry and sends both half-laying notifications.
+    fn introduce_pair(&mut self, ctx: &mut Ctx<'_, VrrMsg>, x: NodeId, y: NodeId, seq: SeqNo) {
         let (Some(px), Some(py)) = (self.path_to(x), self.path_to(y)) else {
             ctx.metrics().incr("fwd.no_path");
-            return false;
+            return;
         };
-        self.introduce_pair_via(ctx, x, px, y, py, seq)
+        self.introduce_pair_via(ctx, x, px, y, py, seq);
     }
 
     /// Like [`Self::introduce_pair`], with explicit carrier paths (used by
@@ -596,9 +582,9 @@ impl VrrNode {
         y: NodeId,
         py: PathId,
         seq: SeqNo,
-    ) -> bool {
+    ) {
         if x == y || x == self.id || y == self.id {
-            return false;
+            return;
         }
         let nonce = ctx.rng().next_u64();
         let new_pid = PathId::new(x, y, nonce);
@@ -606,7 +592,7 @@ impl VrrNode {
         // y via py's first hop, and each half leaves over that hop
         let (Some(hop_x), Some(hop_y)) = (self.carry(px, x, None), self.carry(py, y, None)) else {
             ctx.metrics().incr("fwd.no_path");
-            return false;
+            return;
         };
         self.install_walk_hop(new_pid, x, Some(hop_x.link), Some(hop_y.link));
         originate_over(
@@ -633,7 +619,6 @@ impl VrrNode {
                 hops: self.bound(x),
             },
         );
-        true
     }
 
     /// The path this node reaches `other` over: the edge it holds to it,
@@ -2378,7 +2363,7 @@ mod tests {
             to_keep: true,
             to_drop: false,
         };
-        let out = step(&mut node, 30, &links, |p, ctx| p.apply(ctx, retry, true));
+        let out = step(&mut node, 30, &links, |p, ctx| p.apply(ctx, retry));
         let sent: Vec<(usize, PathId)> =
             along(&out).into_iter().map(|(l, id, _)| (l, id)).collect();
         assert_eq!(
@@ -2815,15 +2800,18 @@ mod tests {
         assert!(node.bounds.is_empty());
     }
 
-    /// Node 50's act over the right side it holds, at tick 5: the
-    /// handshake it starts and what the act sent.
-    fn act(node: &mut VrrNode, links: &[usize]) -> (SeqNo, Vec<(usize, PathId, PathPayload)>) {
+    /// Node 50's act over the right side it holds, at tick 5.
+    fn act(node: &mut VrrNode, links: &[usize]) -> Vec<ssr_sim::Action<VrrMsg>> {
         let token = Timer::Act.token();
-        let out = step(node, 5, links, |p, ctx| p.on_timer(ctx, token));
-        let [(_, Side::Right, seq)] = retries(&out)[..] else {
+        step(node, 5, links, |p, ctx| p.on_timer(ctx, token))
+    }
+
+    /// The one handshake on the right whose retry `out` arms.
+    fn handshake(out: &[ssr_sim::Action<VrrMsg>]) -> SeqNo {
+        let [(_, Side::Right, seq)] = retries(out)[..] else {
             panic!("one handshake on the right: {out:?}");
         };
-        (seq, along(&out))
+        seq
     }
 
     /// `peer`'s acknowledgment of the handshake `seq`, naming `about`,
@@ -2855,8 +2843,9 @@ mod tests {
     #[test]
     fn a_delegation_whose_handshake_went_through_first_time_sends_nothing() {
         let (mut node, links) = stepped_node(&[60, 70]);
-        let (seq, sent) = act(&mut node, &links);
-        assert_eq!(sent.len(), 2);
+        let out = act(&mut node, &links);
+        let seq = handshake(&out);
+        assert_eq!(along(&out).len(), 2);
         assert!(ack_from(&mut node, &links, 7, (60, 1), 70, seq).is_empty());
         assert!(ack_from(&mut node, &links, 7, (70, 2), 60, seq).is_empty());
         assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
@@ -2864,22 +2853,17 @@ mod tests {
     }
 
     /// The same handshake with no answer before its retry, which re-sends
-    /// both halves: once both acknowledge, the delegation tells 70 with one
-    /// `Retire` over their path.
+    /// both halves: once both acknowledge, the delegation sends nothing
+    /// either.
     #[test]
-    fn a_delegation_after_a_re_sent_handshake_sends_one_retire() {
+    fn a_delegation_after_a_re_sent_handshake_sends_nothing_either() {
         let (mut node, links) = stepped_node(&[60, 70]);
-        let (seq, _) = act(&mut node, &links);
+        let seq = handshake(&act(&mut node, &links));
         let retry = Timer::Retry(Side::Right, seq).token();
         let out = step(&mut node, 30, &links, |p, ctx| p.on_timer(ctx, retry));
         assert_eq!(along(&out).len(), 2);
         assert!(ack_from(&mut node, &links, 32, (60, 1), 70, seq).is_empty());
-        let retire = (
-            2,
-            PathId::new(NodeId(50), NodeId(70), 0),
-            PathPayload::Retire { from: NodeId(50) },
-        );
-        assert_eq!(ack_from(&mut node, &links, 32, (70, 2), 60, seq), [retire]);
+        assert!(ack_from(&mut node, &links, 32, (70, 2), 60, seq).is_empty());
         assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
     }
 
@@ -2912,12 +2896,13 @@ mod tests {
     /// The act that would introduce 60 and 70 to each other is the mirror
     /// of 70's own handshake: it sends nothing, the control core takes both
     /// halves as acknowledged and delegates 70, and no handshake is left
-    /// in flight.
+    /// in flight, nor a retry timer armed for it.
     #[test]
     fn the_mirror_introduction_sends_nothing_and_delegates_its_drop() {
         let (mut node, links) = introduced_to_60_by_70();
-        let (_, sent) = act(&mut node, &links);
-        assert!(sent.is_empty(), "{sent:?}");
+        let out = act(&mut node, &links);
+        assert!(along(&out).is_empty(), "{out:?}");
+        assert!(retries(&out).is_empty(), "{out:?}");
         assert_eq!(node.right_set().collect::<Vec<_>>(), [NodeId(60)]);
         assert_eq!(node.lin.pending(Side::Right), None);
         assert!(node.mirrors.is_empty());
@@ -2930,8 +2915,9 @@ mod tests {
     fn an_announcement_clears_the_mirror_so_the_introduction_is_sent() {
         let (mut node, links) = introduced_to_60_by_70();
         assert!(announcement(&mut node, &links, 70, 1).is_empty());
-        let (_, sent) = act(&mut node, &links);
-        let halves: Vec<usize> = sent.iter().map(|&(link, _, _)| link).collect();
+        let out = act(&mut node, &links);
+        handshake(&out);
+        let halves: Vec<usize> = along(&out).iter().map(|&(link, _, _)| link).collect();
         assert_eq!(halves, [1, 1]);
         let right: Vec<_> = node.right_set().collect();
         assert_eq!(right, [NodeId(60), NodeId(70)]);
@@ -2948,7 +2934,7 @@ mod tests {
     fn the_maximums_ccw_probe_leaves_toward_a_smaller_neighbour() {
         let (mut node, links) = stepped_node(&[30, 40]);
         let probe = Effect::Probe { toward: Side::Left };
-        let out = step(&mut node, 8, &links, |p, ctx| p.apply(ctx, probe, false));
+        let out = step(&mut node, 8, &links, |p, ctx| p.apply(ctx, probe));
         assert_eq!(routed(&out), [1]);
         let Some(ssr_sim::Action::Send {
             msg:
